@@ -6,7 +6,7 @@ claim empirically."""
 __version__ = "0.1.0"
 
 from .errors import (ConfigError, DomainError, EvaluationError, GeodevError,
-                     NullVectorError, QuadratureError, TransportError)
+                     NullVectorError, TransportError)
 from .geometry import (ChartPoint, ConnectionField, MetricField, PathCurve,
                        Tangent, Tensor, cov_derivative_along,
                        cov_derivative_tensor_along, curvature_at, metric_dot,
@@ -31,7 +31,7 @@ __all__ = [
     "__version__",
     # errors
     "GeodevError", "EvaluationError", "DomainError", "NullVectorError",
-    "TransportError", "QuadratureError", "ConfigError",
+    "TransportError", "ConfigError",
     # geometry
     "ChartPoint", "Tangent", "Tensor", "ConnectionField", "MetricField",
     "PathCurve", "torsion_at", "curvature_at", "cov_derivative_along",

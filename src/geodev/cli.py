@@ -24,8 +24,8 @@ import scipy
 
 from . import __version__
 from .equations import (DEFAULT_LADDER, ConvergenceReport, EquationId,
-                        convergence_study)
-from .errors import ConfigError, GeodevError
+                        convergence_study, equation_info)
+from .errors import ConfigError, DomainError, GeodevError
 from .geometry import ChartPoint, PathCurve, Tangent, curvature_at, torsion_at
 from .kinematics import Scenario, worldline
 from .scenarios import ScenarioSpec, build, list_scenarios
@@ -213,6 +213,14 @@ def run_converge(config: dict, threshold: float = DEFAULT_ORDER_THRESHOLD,
         scenario.separation_endpoints(max(ladder))
     except GeodevError as exc:
         raise ConfigError(f"epsilon ladder incompatible with scenario: {exc}")
+    for eq in equations:
+        reach = equation_info(eq).s_reach
+        try:
+            scenario.surface.require_s(s_eval - reach)
+            scenario.surface.require_s(s_eval + reach)
+        except DomainError as exc:
+            raise ConfigError(f"{eq.value} evaluates the surface at "
+                              f"s_eval +/- {reach}: {exc}")
 
     started = time.perf_counter()
     reports = []

@@ -20,10 +20,11 @@ expansion of the relative acceleration, and is confirmed by the momentum
 equation of motion at unit masses.
 
 Numerical differentiation policy: s-derivatives of analytically-evaluable
-data use central differences with step 1e-5; s-derivatives of the
-quadrature-produced deviation vector act on the difference field
-``h - zeta`` (itself O(eps^2)) with larger steps, so that truncation scales
-with the residual and quadrature noise stays below the fit floor.
+data use central differences with step 1e-5; s-derivatives of the deviation
+vector (one adaptive ODE solve per evaluation, see
+``kinematics.deviation_vector``) act on the difference field ``h - zeta``
+(itself O(eps^2)) with larger steps, so that truncation scales with the
+residual and the solver's step-selection noise stays below the fit floor.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import EvaluationError
 from .geometry import (ChartPoint, Tangent, curvature_apply, curvature_at,
-                       sign_of_square)
+                       sign_of_square, torsion_apply)
 from .kinematics import (Scenario, connecting_path, delta_field,
                          deviation_vector, force_field, relative_acceleration,
                          relative_energy, relative_force, relative_momentum,
@@ -63,7 +64,6 @@ DEFAULT_LADDER = (1e-1, 5e-2, 2e-2, 1e-2, 5e-3, 2e-3, 1e-3)
 H_S = 1e-5          # step for s-derivatives of analytic-in-s evaluations
 H_DEV_FIRST = 1e-3  # step for D/ds of the deviation difference field
 H_DEV_SECOND = 1e-2  # step for D^2/ds^2 of the deviation difference field
-DEV_QUAD_TOL = 1e-13  # quadrature tolerance inside differentiated h evals
 
 
 class EquationId(str, enum.Enum):
@@ -92,45 +92,38 @@ class _EquationInfo:
     description: str
     exact: bool = False
     needs_metric: bool = False
-    needs_probe_field: bool = False
-    scalar: bool = False
-    structures: Tuple[str, ...] = ()
+    # farthest |s - s_eval| at which the residual's s-difference stencil
+    # evaluates the surface
+    s_reach: float = H_S
 
 
 _INFO: Dict[EquationId, _EquationInfo] = {
     EquationId.E2_10: _EquationInfo(
         "first-order expansion of a generic covariant field difference",
-        needs_probe_field=True, structures=("S",)),
-    EquationId.E2_13: _EquationInfo("deviation vector vs infinitesimal deviation"),
-    EquationId.E3_1: _EquationInfo(
-        "deviation-vector evolution equation", structures=("R", "T", "F")),
-    EquationId.E4_1: _EquationInfo("first deviation derivative agreement"),
-    EquationId.E4_3: _EquationInfo("relative-velocity expansion", structures=("S",)),
-    EquationId.E4_4: _EquationInfo(
-        "deviation velocity vs relative velocity", structures=("T", "S")),
-    EquationId.E4_5: _EquationInfo(
-        "relative-velocity deviation equation", structures=("R", "S", "F")),
+        s_reach=0.0),
+    EquationId.E2_13: _EquationInfo(
+        "deviation vector vs infinitesimal deviation", s_reach=0.0),
+    EquationId.E3_1: _EquationInfo("deviation-vector evolution equation"),
+    EquationId.E4_1: _EquationInfo("first deviation derivative agreement",
+                                   s_reach=H_DEV_FIRST),
+    EquationId.E4_3: _EquationInfo("relative-velocity expansion", s_reach=0.0),
+    EquationId.E4_4: _EquationInfo("deviation velocity vs relative velocity",
+                                   s_reach=0.0),
+    EquationId.E4_5: _EquationInfo("relative-velocity deviation equation"),
     EquationId.E5_1: _EquationInfo("exact relative-momentum identity", exact=True,
-                                   structures=("mass",)),
-    EquationId.E5_2: _EquationInfo(
-        "relative-momentum deviation equation",
-        structures=("R", "S", "F", "mass")),
-    EquationId.E6_2: _EquationInfo("relative-acceleration expansion",
-                                   structures=("S", "F")),
-    EquationId.E6_3: _EquationInfo("second deviation derivative agreement"),
+                                   s_reach=0.0),
+    EquationId.E5_2: _EquationInfo("relative-momentum deviation equation"),
+    EquationId.E6_2: _EquationInfo("relative-acceleration expansion"),
+    EquationId.E6_3: _EquationInfo("second deviation derivative agreement",
+                                   s_reach=2.0 * H_DEV_SECOND),
     EquationId.E6_4: _EquationInfo(
-        "deviation acceleration vs relative acceleration",
-        structures=("R", "T", "S", "F")),
-    EquationId.E6_5: _EquationInfo(
-        "relative-acceleration deviation equation", structures=("R", "S")),
-    EquationId.E7_1: _EquationInfo("relative-force expansion",
-                                   structures=("S", "F", "mass")),
+        "deviation acceleration vs relative acceleration"),
+    EquationId.E6_5: _EquationInfo("relative-acceleration deviation equation"),
+    EquationId.E7_1: _EquationInfo("relative-force expansion"),
     EquationId.E7_2: _EquationInfo(
-        "momentum deviation equation in equation-of-motion form",
-        structures=("R", "S", "F", "mass")),
-    EquationId.E7_4: _EquationInfo(
-        "relative-energy balance equation", needs_metric=True, scalar=True,
-        structures=("R", "S", "F", "mass", "metric")),
+        "momentum deviation equation in equation-of-motion form"),
+    EquationId.E7_4: _EquationInfo("relative-energy balance equation",
+                                   needs_metric=True),
 }
 
 
@@ -178,11 +171,6 @@ class ConvergenceReport:
 
 def _apply_s(s_entries: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,j,k->i", s_entries, b, z)
-
-
-def _apply_t(t_entries: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # first argument sits in the direction slot (last index)
-    return np.einsum("ijk,j,k->i", t_entries, y, x)
 
 
 class _Workspace:
@@ -367,8 +355,7 @@ class _Workspace:
     def dev_difference(self, s: float) -> np.ndarray:
         """h - zeta, the O(eps^2) part of the deviation vector."""
         def make():
-            h = deviation_vector(self.sc, s, self.eps, self.cfg,
-                                 quad_tol=DEV_QUAD_TOL)
+            h = deviation_vector(self.sc, s, self.eps, self.cfg)
             return h.components - self.zeta(s)
         return self._get(("psi", s), make)
 
@@ -400,17 +387,12 @@ def _r_e2_10(w: _Workspace, s: float) -> np.ndarray:
     return delta_b - w.eps * db_dr - _apply_s(w.s_tensor(s), b1, w.zeta(s))
 
 
-def _r_e2_13(w: _Workspace, s: float) -> np.ndarray:
-    h = deviation_vector(w.sc, s, w.eps, w.cfg)
-    return h.components - w.zeta(s)
-
-
 def _r_e3_1(w: _Workspace, s: float) -> np.ndarray:
     t = w.torsion(s)
     rhs = (curvature_apply(w.curvature(s), w.v1(s), w.zeta(s), w.v1(s))
-           + _apply_t(t, w.v1(s), w.d_zeta(s))
-           + _apply_t(w.d_torsion(s), w.v1(s), w.zeta(s))
-           + _apply_t(t, w.a1(s), w.zeta(s))
+           + torsion_apply(t, w.v1(s), w.d_zeta(s))
+           + torsion_apply(w.d_torsion(s), w.v1(s), w.zeta(s))
+           + torsion_apply(t, w.a1(s), w.zeta(s))
            + w.eps * w.df_dr(s))
     return w.d2_zeta(s) - rhs
 
@@ -428,7 +410,7 @@ def _r_e4_3(w: _Workspace, s: float) -> np.ndarray:
 
 def _r_e4_4(w: _Workspace, s: float) -> np.ndarray:
     return (w.d_zeta(s) - w.delta_v(s)
-            - _apply_t(w.torsion(s), w.v1(s), w.zeta(s))
+            - torsion_apply(w.torsion(s), w.v1(s), w.zeta(s))
             + _apply_s(w.s_tensor(s), w.v1(s), w.zeta(s)))
 
 
@@ -474,10 +456,10 @@ def _r_e6_4(w: _Workspace, s: float) -> np.ndarray:
     s_ten = w.s_tensor(s)
     rhs = (w.delta_a(s)
            + curvature_apply(w.curvature(s), w.v1(s), w.zeta(s), w.v1(s))
-           + _apply_t(t, w.a1(s), w.zeta(s))
+           + torsion_apply(t, w.a1(s), w.zeta(s))
            - _apply_s(s_ten, w.a1(s), w.zeta(s))
-           + _apply_t(t, w.v1(s), w.d_zeta(s))
-           + _apply_t(w.d_torsion(s), w.v1(s), w.zeta(s)))
+           + torsion_apply(t, w.v1(s), w.d_zeta(s))
+           + torsion_apply(w.d_torsion(s), w.v1(s), w.zeta(s)))
     return w.d2_zeta(s) - rhs
 
 
@@ -544,7 +526,7 @@ def _r_e7_4(w: _Workspace, s: float) -> float:
 
 _RESIDUAL_FN: Dict[EquationId, Callable[[_Workspace, float], np.ndarray]] = {
     EquationId.E2_10: _r_e2_10,
-    EquationId.E2_13: _r_e2_13,
+    EquationId.E2_13: _Workspace.dev_difference,
     EquationId.E3_1: _r_e3_1,
     EquationId.E4_1: _r_e4_1,
     EquationId.E4_3: _r_e4_3,

@@ -28,9 +28,5 @@ class TransportError(GeodevError):
     """Transport ODE integration failed or exhausted its step budget."""
 
 
-class QuadratureError(GeodevError):
-    """Adaptive quadrature did not reach the requested tolerance."""
-
-
 class ConfigError(GeodevError):
     """Invalid scenario specification or run configuration."""

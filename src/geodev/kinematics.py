@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import quad_vec
 
-from .errors import DomainError, EvaluationError, QuadratureError
+from .errors import DomainError, EvaluationError
 from .geometry import (ChartPoint, ConnectionField, MetricField, PathCurve,
                        Tangent, metric_dot, sign_of_square)
 from .transport import (DEFAULT_ODE_CONFIG, OdeConfig, TransportLaw,
-                        transport_components)
+                        pullback_integral, transport_components)
 
 __all__ = [
     "WorldSurface",
@@ -44,8 +43,6 @@ __all__ = [
     "relative_force",
     "relative_energy",
 ]
-
-DEVIATION_QUAD_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -191,30 +188,19 @@ def infinitesimal_deviation(scenario: Scenario, s: float, eps: float) -> Tangent
 
 
 def deviation_vector(scenario: Scenario, s: float, eps: float,
-                     cfg: OdeConfig = DEFAULT_ODE_CONFIG,
-                     quad_tol: float = DEVIATION_QUAD_TOL) -> Tangent:
+                     cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> Tangent:
     """Deviation vector of particle 2 with respect to particle 1 at x_1(s):
-    the integral over [r', r' + eps] of the connecting-path tangents
-    transported back to r', evaluated by adaptive 15-point Gauss-Kronrod
-    quadrature."""
+    ``h = int_{r'}^{r'+eps} L_{u->r'} rdot(u) du``, the connecting-path
+    tangents transported back to r' and integrated.  The integral rides as
+    extra state on the back-transport ODE (``pullback_integral``), so one
+    adaptive solve along gamma_s yields h."""
     surf = scenario.surface
     surf.require_s(s)
     r1, r2 = scenario.separation_endpoints(eps)
-    base = surf.point(s, r1)
-    if eps == 0.0:
-        return Tangent(base, np.zeros(scenario.dimension))
     cpath = connecting_path(scenario, s)
-
-    def integrand(u: float) -> np.ndarray:
-        rdot = np.asarray(surf.d_r(s, u), float)
-        return transport_components(scenario.law, cpath, u, r1, rdot, cfg)
-
-    value, err = quad_vec(integrand, r1, r2, epsabs=quad_tol, epsrel=1e-14,
-                          quadrature="gk15")
-    if err > max(quad_tol, 1e-13 * float(np.max(np.abs(value)))) * 50:
-        raise QuadratureError(
-            f"deviation-vector quadrature error {err} above tolerance {quad_tol}")
-    return Tangent(base, value)
+    _, value = pullback_integral(scenario.law, cpath, r1, r2,
+                                 lambda u: surf.d_r(s, u), cfg)
+    return Tangent(surf.point(s, r1), value)
 
 
 def delta_field(scenario: Scenario, s: float, eps: float,

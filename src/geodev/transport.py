@@ -16,7 +16,7 @@ transport).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -32,6 +32,7 @@ __all__ = [
     "transport_matrix",
     "transport_vector",
     "transport_components",
+    "pullback_integral",
     "law_from_connection",
     "law_with_offset",
     "extract_first_coeff",
@@ -93,34 +94,36 @@ class TransportMatrix:
         return self.entries.shape[0]
 
 
-def _generator(law: TransportLaw, path: PathCurve) -> Callable[[float], np.ndarray]:
-    def m_at(u: float) -> np.ndarray:
-        coeff = law.coefficients(u, path)
-        return np.einsum("ijk,k->ij", coeff, path.tangent(u).components)
-    return m_at
-
-
-def _solve_linear(m_at, y0: np.ndarray, s: float, t: float,
-                  cfg: OdeConfig, mat_dim: int) -> np.ndarray:
-    """Integrate dy/du = M(u) @ y_matrix from s to t (RK45)."""
+def _integrate(law: TransportLaw, path: PathCurve,
+               rhs: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
+               y0: np.ndarray, s: float, t: float, cfg: OdeConfig) -> np.ndarray:
+    """Integrate dy/du = rhs(u, M(u), y) from s to t (RK45) within the step
+    budget of ``cfg``, where ``M(u)^i_j = H^i_{jk}(u; path) xdot^k(u)``;
+    returns y(t)."""
     evals = 0
     # RK45 uses at most 7 rhs evaluations per step (6 stages + FSAL reuse)
     eval_budget = 8 * cfg.max_steps
 
-    def rhs(u, y):
+    def budgeted(u, y):
         nonlocal evals
         evals += 1
         if evals > eval_budget:
             raise TransportError(
                 f"transport ODE exceeded {cfg.max_steps} steps")
-        m = m_at(u)
-        return (m @ y.reshape(mat_dim, -1)).reshape(-1)
+        coeff = law.coefficients(u, path)
+        m = np.einsum("ijk,k->ij", coeff, path.tangent(u).components)
+        return rhs(u, m, y)
 
-    sol = solve_ivp(rhs, (s, t), y0.reshape(-1), method="RK45",
+    sol = solve_ivp(budgeted, (s, t), y0, method="RK45",
                     rtol=cfg.rel_tol, atol=cfg.abs_tol)
     if not sol.success:
         raise TransportError(f"transport ODE failed: {sol.message}")
-    return sol.y[:, -1].reshape(y0.shape)
+    return sol.y[:, -1]
+
+
+def _linear_rhs(u: float, m: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """dY/du = M(u) Y for a flattened vector or d x d matrix Y."""
+    return (m @ y.reshape(m.shape[0], -1)).reshape(-1)
 
 
 def transport_matrix(law: TransportLaw, path: PathCurve, s: float, t: float,
@@ -135,8 +138,8 @@ def transport_matrix(law: TransportLaw, path: PathCurve, s: float, t: float,
     d = path.map(s).dimension
     if t == s:
         return TransportMatrix(s, t, path, np.eye(d))
-    entries = _solve_linear(_generator(law, path), np.eye(d), s, t, cfg, d)
-    return TransportMatrix(s, t, path, entries)
+    entries = _integrate(law, path, _linear_rhs, np.eye(d).reshape(-1), s, t, cfg)
+    return TransportMatrix(s, t, path, entries.reshape(d, d))
 
 
 def transport_vector(law: TransportLaw, path: PathCurve, s: float, t: float,
@@ -155,13 +158,36 @@ def transport_components(law: TransportLaw, path: PathCurve, s: float, t: float,
                          components: np.ndarray,
                          cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> np.ndarray:
     """Same map as transport_vector but solving the d-dimensional vector ODE
-    directly; used in inner loops (quadrature nodes, delta fields)."""
+    directly; used in inner loops (delta fields)."""
     if t == s:
         return np.array(components, dtype=float)
     path.require(s)
     path.require(t)
     y0 = np.asarray(components, dtype=float)
-    return _solve_linear(_generator(law, path), y0, s, t, cfg, y0.shape[0])
+    return _integrate(law, path, _linear_rhs, y0, s, t, cfg)
+
+
+def pullback_integral(law: TransportLaw, path: PathCurve, s: float, t: float,
+                      f: Callable[[float], np.ndarray],
+                      cfg: OdeConfig = DEFAULT_ODE_CONFIG
+                      ) -> Tuple[TransportMatrix, np.ndarray]:
+    """``L_{t->s}`` and ``int_s^t L_{u->s} f(u) du`` from one RK45 solve.
+
+    ``Phi(u) = L_{u->s}`` obeys ``dPhi/du = -Phi M(u)``, ``Phi(s) = I``; the
+    integral rides along as ``d`` extra state components ``Phi(u) f(u)``.
+    """
+    path.require(s)
+    path.require(t)
+    d = path.map(s).dimension
+
+    def rhs(u, m, y):
+        phi = y[:d * d].reshape(d, d)
+        return np.concatenate(((-phi @ m).reshape(-1), phi @ f(u)))
+
+    y = np.concatenate((np.eye(d).reshape(-1), np.zeros(d)))
+    if t != s:
+        y = _integrate(law, path, rhs, y, s, t, cfg)
+    return TransportMatrix(t, s, path, y[:d * d].reshape(d, d)), y[d * d:]
 
 
 def law_from_connection(conn: ConnectionField) -> TransportLaw:

@@ -138,6 +138,25 @@ def test_converge_ladder_outside_domain_exits_2(tmp_path, capsys):
     assert "epsilon ladder" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("s_eval,code", [(0.495, 2), (0.47, 0)])
+def test_converge_stencil_reach_checked_up_front(tmp_path, capsys, s_eval,
+                                                 code):
+    # E6_3 differentiates h - zeta twice with step 0.01, so it evaluates the
+    # sphere surface (s-domain [-0.5, 0.5]) out to s_eval +/- 0.02
+    config = {"scenario": "sphere", "params": {},
+              "run": {"s_eval": s_eval, "equations": ["E6_3"]}}
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main(["converge", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == code
+    if code == 2:
+        err = capsys.readouterr().err
+        assert "E6_3" in err and "s = 0.515" in err
+        assert not out.exists()
+    else:
+        assert (out / "report.json").exists()
+
+
 def test_converge_non_decreasing_ladder_exits_2(tmp_path):
     config = {"scenario": "sphere",
               "run": {"epsilon_ladder": [0.1, 0.2, 0.05, 0.02, 0.01]}}

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from geodev.equations import (DEFAULT_LADDER, FIT_EXCLUSION, EquationId,
-                              _Workspace, _apply_s, _apply_t, convergence_study,
+                              _Workspace, _apply_s, convergence_study,
                               equation_info, residual, residual_components)
 from geodev.errors import EvaluationError
+from geodev.geometry import torsion_apply
 from geodev.kinematics import Scenario, WorldSurface
 from geodev.scenarios import (EQUATION_SCENARIOS, LINEAR_DRIFT_MASSES,
                               ScenarioSpec, build)
@@ -66,6 +67,18 @@ def test_ladder_validation(flat_torsion):
     with pytest.raises(ValueError):
         convergence_study(EquationId.E4_4, flat_torsion, S0,
                           (0.1, 0.05, 0.02, 0.01, -0.005))
+
+
+def test_stencil_reach_covers_every_surface_evaluation():
+    # each residual evaluated its declared reach inside either end of the
+    # s-domain must pass every s-domain check it meets; the CLI rejects
+    # configs by this reach before running any study
+    sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
+    lo, hi = sc.surface.s_domain
+    for eq in EquationId:
+        reach = equation_info(eq).s_reach
+        for s in (lo + reach, hi - reach):
+            assert np.isfinite(residual(eq, sc, s, 0.01).residual_norm)
 
 
 def test_floor_detection_on_identically_zero_residual(flat_ruled):
@@ -162,11 +175,11 @@ def test_leibniz_consistency_of_contracted_derivatives(name, params):
     eps = 0.02
     w = _Workspace(sc, eps, DEFAULT_ODE_CONFIG)
 
-    t_of = lambda u: _apply_t(w.torsion(u), w.v1(u), w.zeta(u))
+    t_of = lambda u: torsion_apply(w.torsion(u), w.v1(u), w.zeta(u))
     lhs = w.cov_fd(t_of, S0, 1e-5)
-    rhs = (_apply_t(w.d_torsion(S0), w.v1(S0), w.zeta(S0))
-           + _apply_t(w.torsion(S0), w.a1(S0), w.zeta(S0))
-           + _apply_t(w.torsion(S0), w.v1(S0), w.d_zeta(S0)))
+    rhs = (torsion_apply(w.d_torsion(S0), w.v1(S0), w.zeta(S0))
+           + torsion_apply(w.torsion(S0), w.a1(S0), w.zeta(S0))
+           + torsion_apply(w.torsion(S0), w.v1(S0), w.d_zeta(S0)))
     assert np.abs(lhs - rhs).max() < 1e-9
 
     s_of = lambda u: _apply_s(w.s_tensor(u), w.v1(u), w.zeta(u))

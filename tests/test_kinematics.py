@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad_vec
 
 from geodev.errors import DomainError, EvaluationError, NullVectorError
 from geodev.geometry import ChartPoint, MetricField, Tangent
@@ -12,7 +13,8 @@ from geodev.kinematics import (MassSurface, Scenario, WorldSurface,
                                relative_force, relative_momentum,
                                relative_velocity, worldline)
 from geodev.scenarios import ScenarioSpec, build
-from geodev.transport import law_from_connection, transport_matrix
+from geodev.transport import (law_from_connection, pullback_integral,
+                              transport_components, transport_matrix)
 
 from test_geometry import zero_connection
 
@@ -159,6 +161,28 @@ def test_deviation_vector_quadratic_r_closed_form():
         diff = h.components - zeta.components
         assert abs(diff[0]) < 1e-13
         assert diff[1] == pytest.approx(0.5 * w * eps * eps, rel=1e-8)
+
+
+@pytest.mark.parametrize("name", ["sphere", "offset-transport",
+                                  "flat-euclidean/quadratic", "minkowski"])
+def test_deviation_vector_matches_gauss_kronrod_oracle(name):
+    # independent oracle: adaptive gk15 quadrature of the connecting-path
+    # tangents, each node back-transported by its own vector solve
+    sc = build(ScenarioSpec(name))
+    s0 = sc.s_eval
+    r1 = sc.surface.r_base
+    cpath = connecting_path(sc, s0)
+    rdot = lambda u: np.asarray(sc.surface.d_r(s0, u), float)
+    for eps in (1e-1, 1e-2, 1e-3):
+        oracle, _ = quad_vec(
+            lambda u: transport_components(sc.law, cpath, u, r1, rdot(u)),
+            r1, r1 + eps, epsabs=1e-13, epsrel=1e-14, quadrature="gk15")
+        h = deviation_vector(sc, s0, eps).components
+        assert np.abs(h - oracle).max() < 1e-12
+        back, integral = pullback_integral(sc.law, cpath, r1, r1 + eps, rdot)
+        assert np.array_equal(integral, h)
+        expected = transport_matrix(sc.law, cpath, r1 + eps, r1).entries
+        assert np.abs(back.entries - expected).max() < 1e-10
 
 
 def test_deviation_vector_interval_additivity(sphere):
