@@ -14,8 +14,7 @@ from .geometry import (ChartPoint, ConnectionField, MetricField, PathCurve,
 from .transport import (OdeConfig, TransportLaw, TransportMatrix,
                         approx_transport, coordinate_probes,
                         extract_first_coeff, law_from_connection,
-                        law_with_offset, s_tensor, transport_matrix,
-                        transport_vector)
+                        law_with_offset, s_tensor, transport_matrix)
 from .kinematics import (MassSurface, Scenario, SurfaceField, WorldSurface,
                          connecting_path, delta_field, deviation_vector,
                          force_field, infinitesimal_deviation, momentum,
@@ -38,9 +37,8 @@ __all__ = [
     "cov_derivative_tensor_along", "metric_dot", "sign_of_square",
     # transport
     "OdeConfig", "TransportLaw", "TransportMatrix", "transport_matrix",
-    "transport_vector", "law_from_connection", "law_with_offset",
-    "extract_first_coeff", "approx_transport", "s_tensor",
-    "coordinate_probes",
+    "law_from_connection", "law_with_offset", "extract_first_coeff",
+    "approx_transport", "s_tensor", "coordinate_probes",
     # kinematics
     "WorldSurface", "MassSurface", "SurfaceField", "Scenario",
     "connecting_path", "worldline", "force_field", "infinitesimal_deviation",

@@ -282,8 +282,7 @@ def _latitude_path(theta0: float) -> PathCurve:
     def ptan(t: float) -> Tangent:
         return Tangent(pmap(t), np.array([0.0, 1.0]))
 
-    return PathCurve(map=pmap, tangent=ptan, domain=(0.0, 2.0 * math.pi),
-                     second_derivative=lambda t: np.zeros(2))
+    return PathCurve(map=pmap, tangent=ptan, domain=(0.0, 2.0 * math.pi))
 
 
 def cmd_inspect(args) -> int:

@@ -37,8 +37,9 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EvaluationError
-from .geometry import (ChartPoint, Tangent, curvature_apply, curvature_at,
-                       sign_of_square, torsion_apply)
+from .geometry import (ChartPoint, Tangent, cov_tensor_components,
+                       curvature_apply, curvature_at, sign_of_square,
+                       torsion_apply, torsion_at)
 from .kinematics import (Scenario, connecting_path, delta_field,
                          deviation_vector, force_field, relative_acceleration,
                          relative_energy, relative_force, relative_momentum,
@@ -194,8 +195,16 @@ class _Workspace:
         return self._memo[key]
 
     # -- pointwise geometry -------------------------------------------------
+    def surface(self, name: str, s: float) -> np.ndarray:
+        """Surface callable ``name`` (``map``, ``d_s``, ``d_r``, ``d_sr``)
+        at (s, r'); s is checked against the surface s-domain first."""
+        def make():
+            self.surf.require_s(s)
+            return np.asarray(getattr(self.surf, name)(s, self.r1), float)
+        return self._get((name, s), make)
+
     def x1(self, s: float) -> np.ndarray:
-        return self._get(("x1", s), lambda: np.asarray(self.surf.map(s, self.r1), float))
+        return self.surface("map", s)
 
     def x1_point(self, s: float) -> ChartPoint:
         return self._get(("x1pt", s), lambda: ChartPoint(self.x1(s)))
@@ -205,10 +214,10 @@ class _Workspace:
                          lambda: self.sc.conn.coefficients(self.x1_point(s)))
 
     def v1(self, s: float) -> np.ndarray:
-        return self._get(("v1", s), lambda: np.asarray(self.surf.d_s(s, self.r1), float))
+        return self.surface("d_s", s)
 
     def rdot(self, s: float) -> np.ndarray:
-        return self._get(("rdot", s), lambda: np.asarray(self.surf.d_r(s, self.r1), float))
+        return self.surface("d_r", s)
 
     def a1(self, s: float) -> np.ndarray:
         return self._get(("a1", s),
@@ -230,10 +239,8 @@ class _Workspace:
         return self.mu1(s) * self.v1(s)
 
     def torsion(self, s: float) -> np.ndarray:
-        def make():
-            g = self.gam(s)
-            return g - np.swapaxes(g, 1, 2)
-        return self._get(("T", s), make)
+        return self._get(("T", s),
+                         lambda: torsion_at(self.sc.conn, self.x1_point(s)).entries)
 
     def curvature(self, s: float) -> np.ndarray:
         return self._get(("R", s),
@@ -246,24 +253,14 @@ class _Workspace:
         return self._get(("S", s), make)
 
     # -- covariant s-derivatives of tensor fields along x1 -------------------
-    def _cov_tensor12(self, s: float, value: np.ndarray,
-                      ds_value: np.ndarray) -> np.ndarray:
-        g = self.gam(s)
-        v = self.v1(s)
-        gdot = np.einsum("ijk,k->ij", g, v)
-        out = ds_value.copy()
-        out += np.einsum("im,mjk->ijk", gdot, value)
-        out -= np.einsum("mj,imk->ijk", gdot, value)
-        out -= np.einsum("mk,ijm->ijk", gdot, value)
-        return out
-
     def d_torsion(self, s: float) -> np.ndarray:
         """Covariant derivative of the torsion field along x1."""
         def make():
             dg = self.sc.conn.partials(self.x1_point(s))
             dgam_ds = np.einsum("ijkl,l->ijk", dg, self.v1(s))
             dt_ds = dgam_ds - np.swapaxes(dgam_ds, 1, 2)
-            return self._cov_tensor12(s, self.torsion(s), dt_ds)
+            return cov_tensor_components(self.gam(s), self.v1(s), self.torsion(s),
+                                         dt_ds, (1, 2))
         return self._get(("DT", s), make)
 
     def d_s_tensor(self, s: float) -> np.ndarray:
@@ -272,7 +269,8 @@ class _Workspace:
         def make():
             h = H_S
             ds_val = (self.s_tensor(s + h) - self.s_tensor(s - h)) / (2.0 * h)
-            return self._cov_tensor12(s, self.s_tensor(s), ds_val)
+            return cov_tensor_components(self.gam(s), self.v1(s),
+                                         self.s_tensor(s), ds_val, (1, 2))
         return self._get(("DS", s), make)
 
     def d_metric(self, s: float) -> np.ndarray:
@@ -298,7 +296,7 @@ class _Workspace:
     def d_zeta(self, s: float) -> np.ndarray:
         """Analytic covariant derivative of zeta along x1."""
         def make():
-            dsr = np.asarray(self.surf.d_sr(s, self.r1), float)
+            dsr = self.surface("d_sr", s)
             corr = np.einsum("ijk,j,k->i", self.gam(s), self.rdot(s), self.v1(s))
             return self.eps * (dsr + corr)
         return self._get(("Dzeta", s), make)
@@ -312,16 +310,15 @@ class _Workspace:
         along gamma_s.  The third surface partial d_ssr comes from one
         central s-difference of the analytic d_sr data."""
         def make():
-            surf, r1 = self.surf, self.r1
             point = self.x1_point(s)
             gam = self.gam(s)
             dgam = self.sc.conn.partials(point)
             ds = self.v1(s)
-            dsr = np.asarray(surf.d_sr(s, r1), float)
+            dsr = self.surface("d_sr", s)
             rdot = self.rdot(s)
             h = H_S
-            d_ssr = (np.asarray(surf.d_sr(s + h, r1), float)
-                     - np.asarray(surf.d_sr(s - h, r1), float)) / (2.0 * h)
+            d_ssr = (self.surface("d_sr", s + h)
+                     - self.surface("d_sr", s - h)) / (2.0 * h)
             # product rule on Gamma d_s d_s keeps both orders: Gamma need
             # not be symmetric in its lower indices
             df = (d_ssr
@@ -402,7 +399,7 @@ def _r_e4_1(w: _Workspace, s: float) -> np.ndarray:
 
 
 def _r_e4_3(w: _Workspace, s: float) -> np.ndarray:
-    dsr = np.asarray(w.surf.d_sr(s, w.r1), float)
+    dsr = w.surface("d_sr", s)
     dv_dr = dsr + np.einsum("ijk,j,k->i", w.gam(s), w.v1(s), w.rdot(s))
     return (w.delta_v(s) - w.eps * dv_dr
             - _apply_s(w.s_tensor(s), w.v1(s), w.zeta(s)))

@@ -40,6 +40,7 @@ __all__ = [
     "curvature_at",
     "cov_derivative_along",
     "cov_derivative_tensor_along",
+    "cov_tensor_components",
     "metric_dot",
     "sign_of_square",
     "torsion_apply",
@@ -127,10 +128,6 @@ class Tensor:
                 f"tensor entries shape {self.entries.shape} does not match "
                 f"valence {self.valence} in dimension {d}")
 
-    @property
-    def rank(self) -> int:
-        return self.valence[0] + self.valence[1]
-
 
 @dataclass(frozen=True)
 class ConnectionField:
@@ -140,12 +137,11 @@ class ConnectionField:
     module index convention.  ``partials_at``, when given, returns the
     ``(d, d, d, d)`` array of coordinate partials with the derivative index
     last (``partials[i, j, k, l] = d_l Gamma^i_{jk}``); otherwise partials
-    are approximated by central differences with step ``h_fd``.
+    are approximated by central differences with step ``DEFAULT_FD_STEP``.
     """
 
     gamma_at: Callable[[ChartPoint], np.ndarray]
     partials_at: Optional[Callable[[ChartPoint], np.ndarray]] = None
-    h_fd: float = DEFAULT_FD_STEP
 
     def coefficients(self, point: ChartPoint) -> np.ndarray:
         gamma = np.asarray(self.gamma_at(point), dtype=float)
@@ -166,10 +162,10 @@ class ConnectionField:
             out = np.empty((d, d, d, d))
             for axis in range(d):
                 step = np.zeros(d)
-                step[axis] = self.h_fd
+                step[axis] = DEFAULT_FD_STEP
                 plus = self.coefficients(ChartPoint(point.coords + step))
                 minus = self.coefficients(ChartPoint(point.coords - step))
-                out[..., axis] = (plus - minus) / (2.0 * self.h_fd)
+                out[..., axis] = (plus - minus) / (2.0 * DEFAULT_FD_STEP)
         if not np.all(np.isfinite(out)):
             raise EvaluationError("non-finite connection partials", point=point)
         return out
@@ -185,7 +181,6 @@ class MetricField:
 
     g_at: Callable[[ChartPoint], np.ndarray]
     partials_at: Optional[Callable[[ChartPoint], np.ndarray]] = None
-    h_fd: float = DEFAULT_FD_STEP
 
     def matrix(self, point: ChartPoint) -> np.ndarray:
         g = np.asarray(self.g_at(point), dtype=float)
@@ -202,47 +197,33 @@ class MetricField:
         return g
 
     def partials(self, point: ChartPoint) -> np.ndarray:
-        """``partials[i, j, l] = d_l g_{ij}``."""
+        """``partials[i, j, l] = d_l g_{ij}``, by central differences with
+        step ``DEFAULT_FD_STEP`` unless ``partials_at`` is given."""
         if self.partials_at is not None:
             return np.asarray(self.partials_at(point), dtype=float)
         d = point.dimension
         out = np.empty((d, d, d))
         for axis in range(d):
             step = np.zeros(d)
-            step[axis] = self.h_fd
+            step[axis] = DEFAULT_FD_STEP
             plus = self.matrix(ChartPoint(point.coords + step))
             minus = self.matrix(ChartPoint(point.coords - step))
-            out[..., axis] = (plus - minus) / (2.0 * self.h_fd)
+            out[..., axis] = (plus - minus) / (2.0 * DEFAULT_FD_STEP)
         return out
 
 
 @dataclass(frozen=True)
 class PathCurve:
-    """A C^1 path in the chart, parametrized over ``domain``.
-
-    ``second_derivative`` (components of the second parameter derivative of
-    the chart map) may be omitted, in which case it is approximated by a
-    central difference of the tangent components with step ``h_fd``.
-    """
+    """A C^1 path in the chart, parametrized over ``domain``."""
 
     map: Callable[[float], ChartPoint]
     tangent: Callable[[float], Tangent]
     domain: Tuple[float, float]
-    second_derivative: Optional[Callable[[float], np.ndarray]] = None
-    h_fd: float = DEFAULT_FD_STEP
 
     def require(self, s: float) -> None:
         lo, hi = self.domain
         if not (lo - 1e-12 <= s <= hi + 1e-12):
             raise DomainError(f"parameter {s} outside path domain [{lo}, {hi}]")
-
-    def second(self, s: float) -> np.ndarray:
-        if self.second_derivative is not None:
-            return np.asarray(self.second_derivative(s), dtype=float)
-        h = self.h_fd
-        plus = self.tangent(s + h).components
-        minus = self.tangent(s - h).components
-        return (plus - minus) / (2.0 * h)
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +278,8 @@ def cov_derivative_along(path: PathCurve, field: Callable[[float], Tangent],
     tangent field along the path at parameter ``s``.
 
     The plain component derivative is taken from ``d_components`` when the
-    field supplies it, else by a central difference with the path's
-    ``h_fd``.
+    field supplies it, else by a central difference with step
+    ``DEFAULT_FD_STEP``.
     """
     path.require(s)
     value = field(s)
@@ -309,12 +290,34 @@ def cov_derivative_along(path: PathCurve, field: Callable[[float], Tangent],
     if d_components is not None:
         db = np.asarray(d_components(s), dtype=float)
     else:
-        h = path.h_fd
+        h = DEFAULT_FD_STEP
         db = (field(s + h).components - field(s - h).components) / (2.0 * h)
     gamma = conn.coefficients(base)
     xdot = path.tangent(s).components
     comps = db + np.einsum("ijk,j,k->i", gamma, value.components, xdot)
     return Tangent(base, comps)
+
+
+def cov_tensor_components(gamma: np.ndarray, xdot: np.ndarray,
+                          entries: np.ndarray, d_entries: np.ndarray,
+                          valence: Tuple[int, int]) -> np.ndarray:
+    """Covariant derivative along a curve with tangent ``xdot`` of a tensor
+    with ``entries`` and component derivative ``d_entries``: one ``+Gamma``
+    correction per upper index and one ``-Gamma`` correction per lower
+    index, each contracted with the tangent.  For valence (1,2) the
+    corrections are ``"im,mjk->ijk"``, ``"mj,imk->ijk"``, ``"mk,ijm->ijk"``.
+    """
+    p, q = valence
+    idx = "ijklnopq"[:p + q]
+    gdot = np.einsum("ijk,k->ij", gamma, xdot)  # gdot[i, m] = G^i_{mk} xdot^k
+    out = np.array(d_entries, dtype=float)
+    for axis, letter in enumerate(idx):
+        summed = idx.replace(letter, "m")
+        if axis < p:
+            out += np.einsum(f"{letter}m,{summed}->{idx}", gdot, entries)
+        else:
+            out -= np.einsum(f"m{letter},{summed}->{idx}", gdot, entries)
+    return out
 
 
 def cov_derivative_tensor_along(path: PathCurve,
@@ -323,9 +326,9 @@ def cov_derivative_tensor_along(path: PathCurve,
                                 d_entries: Optional[Callable[[float], np.ndarray]] = None,
                                 ) -> Tensor:
     """Covariant derivative along the path of a tensor field of constant
-    valence: component derivative plus one ``+Gamma`` correction per upper
-    index and one ``-Gamma`` correction per lower index, each contracted
-    with the path tangent."""
+    valence (``cov_tensor_components``).  The component derivative is taken
+    from ``d_entries`` when given, else by a central difference with step
+    ``DEFAULT_FD_STEP``."""
     path.require(s)
     value = tfield(s)
     base = path.map(s)
@@ -333,22 +336,13 @@ def cov_derivative_tensor_along(path: PathCurve,
         raise EvaluationError("tensor field base point does not lie on the path",
                               point=value.base)
     if d_entries is not None:
-        dw = np.asarray(d_entries(s), dtype=float)
+        dw = d_entries(s)
     else:
-        h = path.h_fd
+        h = DEFAULT_FD_STEP
         dw = (tfield(s + h).entries - tfield(s - h).entries) / (2.0 * h)
-    gamma = conn.coefficients(base)
-    xdot = path.tangent(s).components
-    gdot = np.einsum("ijk,k->ij", gamma, xdot)  # gdot[i, m] = G^i_{mk} xdot^k
-    p, q = value.valence
-    out = dw.copy()
-    w = value.entries
-    for axis in range(p):
-        corr = np.tensordot(gdot, w, axes=([1], [axis]))
-        out += np.moveaxis(corr, 0, axis)
-    for axis in range(p, p + q):
-        corr = np.tensordot(w, gdot, axes=([axis], [0]))
-        out -= np.moveaxis(corr, -1, axis)
+    out = cov_tensor_components(conn.coefficients(base),
+                                path.tangent(s).components, value.entries, dw,
+                                value.valence)
     return Tensor(base, value.valence, out)
 
 

@@ -84,7 +84,6 @@ class MassSurface:
 
     mu: Callable[[float, float], float]
     d_s_mu: Callable[[float, float], float]
-    d_r_mu: Callable[[float, float], float]
 
     def value(self, s: float, r: float) -> float:
         m = float(self.mu(s, r))
@@ -139,8 +138,7 @@ def connecting_path(scenario: Scenario, s: float) -> PathCurve:
     def ptan(r: float) -> Tangent:
         return Tangent(pmap(r), surf.d_r(s, r))
 
-    return PathCurve(map=pmap, tangent=ptan, domain=surf.r_domain,
-                     second_derivative=lambda r: np.asarray(surf.d_rr(s, r), float))
+    return PathCurve(map=pmap, tangent=ptan, domain=surf.r_domain)
 
 
 def worldline(scenario: Scenario, which: int, eps: float = 0.0) -> PathCurve:
@@ -158,8 +156,7 @@ def worldline(scenario: Scenario, which: int, eps: float = 0.0) -> PathCurve:
     def ptan(s: float) -> Tangent:
         return Tangent(pmap(s), surf.d_s(s, r))
 
-    return PathCurve(map=pmap, tangent=ptan, domain=surf.s_domain,
-                     second_derivative=lambda s: np.asarray(surf.d_ss(s, r), float))
+    return PathCurve(map=pmap, tangent=ptan, domain=surf.s_domain)
 
 
 def force_field(scenario: Scenario, s: float, r: float) -> Tangent:
@@ -203,25 +200,34 @@ def deviation_vector(scenario: Scenario, s: float, eps: float,
     return Tangent(surf.point(s, r1), value)
 
 
+def _pull_back(scenario: Scenario, s: float, eps: float,
+               field: Callable[[float, float], Tangent],
+               cfg: OdeConfig) -> np.ndarray:
+    """Components of ``field(s, r'')`` transported backward along gamma_s
+    to r'."""
+    surf = scenario.surface
+    surf.require_s(s)
+    r1, r2 = scenario.separation_endpoints(eps)
+    b2 = field(s, r2)
+    if not b2.base.close_to(surf.point(s, r2)):
+        raise EvaluationError("field value at r'' not attached to gamma(s, r'')",
+                              point=b2.base)
+    cpath = connecting_path(scenario, s)
+    return transport_components(scenario.law, cpath, r2, r1, b2.components, cfg)
+
+
 def delta_field(scenario: Scenario, s: float, eps: float,
                 field: Callable[[float, float], Tangent],
                 cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> Tangent:
     """Covariant difference of a surface field between the particles:
     transport ``field(s, r'')`` backward along gamma_s to r' and subtract
     ``field(s, r')``."""
-    surf = scenario.surface
-    surf.require_s(s)
-    r1, r2 = scenario.separation_endpoints(eps)
-    b2 = field(s, r2)
+    pulled = _pull_back(scenario, s, eps, field, cfg)
+    r1, _ = scenario.separation_endpoints(eps)
     b1 = field(s, r1)
-    if not b2.base.close_to(surf.point(s, r2)):
-        raise EvaluationError("field value at r'' not attached to gamma(s, r'')",
-                              point=b2.base)
-    if not b1.base.close_to(surf.point(s, r1)):
+    if not b1.base.close_to(scenario.surface.point(s, r1)):
         raise EvaluationError("field value at r' not attached to gamma(s, r')",
                               point=b1.base)
-    cpath = connecting_path(scenario, s)
-    pulled = transport_components(scenario.law, cpath, r2, r1, b2.components, cfg)
     return Tangent(b1.base, pulled - b1.components)
 
 
@@ -261,12 +267,10 @@ def relative_acceleration(scenario: Scenario, s: float, eps: float,
 
 def momentum(scenario: Scenario, which: int, s: float, eps: float = 0.0) -> Tangent:
     """Particle momentum ``p_a = mu_a V_a`` at x_a(s)."""
-    line = worldline(scenario, which, eps)
+    if which not in (1, 2):
+        raise ValueError("particle index must be 1 or 2")
     r1, r2 = scenario.separation_endpoints(eps)
-    r = r1 if which == 1 else r2
-    mu = scenario.mass.value(s, r)
-    tan = line.tangent(s)
-    return Tangent(tan.base, mu * tan.components)
+    return _momentum_field(scenario)(s, r1 if which == 1 else r2)
 
 
 def relative_momentum(scenario: Scenario, s: float, eps: float,
@@ -283,8 +287,7 @@ def relative_force(scenario: Scenario, s: float, eps: float,
 
 
 def relative_energy(scenario: Scenario, s: float, eps: float,
-                    cfg: OdeConfig = DEFAULT_ODE_CONFIG,
-                    null_tol: float = 1e-10) -> float:
+                    cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> float:
     """Relative energy of particle 2 with respect to particle 1:
     the metric pairing of the back-transported p_2 with V_1, signed by the
     causal character of V_1.
@@ -294,11 +297,9 @@ def relative_energy(scenario: Scenario, s: float, eps: float,
     if scenario.metric is None:
         raise EvaluationError("relative_energy requires a scenario metric")
     surf = scenario.surface
-    r1, r2 = scenario.separation_endpoints(eps)
+    r1, _ = scenario.separation_endpoints(eps)
     x1 = surf.point(s, r1)
     v1 = Tangent(x1, surf.d_s(s, r1))
-    sign = sign_of_square(scenario.metric, x1, v1, null_tol=null_tol)
-    p2 = momentum(scenario, 2, s, eps)
-    cpath = connecting_path(scenario, s)
-    pulled = transport_components(scenario.law, cpath, r2, r1, p2.components, cfg)
+    sign = sign_of_square(scenario.metric, x1, v1)
+    pulled = _pull_back(scenario, s, eps, _momentum_field(scenario), cfg)
     return sign * metric_dot(scenario.metric, x1, Tangent(x1, pulled), v1)

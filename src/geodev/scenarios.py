@@ -25,7 +25,7 @@ S, DS/ds, R and force terms are all active at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -92,7 +92,6 @@ def _mass_surface(p: Dict[str, float]) -> MassSurface:
     return MassSurface(
         mu=lambda s, r: scale * (1.0 + a * s + b * r + c * s * r),
         d_s_mu=lambda s, r: scale * (a + c * r),
-        d_r_mu=lambda s, r: scale * (b + c * s),
     )
 
 
@@ -253,10 +252,7 @@ def _rebased(surf: WorldSurface, r_base: float) -> WorldSurface:
     lo, hi = surf.r_domain
     if not (lo <= r_base <= hi):
         raise ConfigError(f"r_base {r_base} outside r-domain [{lo}, {hi}]")
-    return WorldSurface(map=surf.map, d_s=surf.d_s, d_r=surf.d_r,
-                        d_ss=surf.d_ss, d_sr=surf.d_sr, d_rr=surf.d_rr,
-                        s_domain=surf.s_domain, r_domain=surf.r_domain,
-                        r_base=r_base)
+    return replace(surf, r_base=r_base)
 
 
 # --------------------------------------------------------------- flat torsion

@@ -30,7 +30,6 @@ __all__ = [
     "TransportMatrix",
     "DEFAULT_ODE_CONFIG",
     "transport_matrix",
-    "transport_vector",
     "transport_components",
     "pullback_integral",
     "law_from_connection",
@@ -142,23 +141,12 @@ def transport_matrix(law: TransportLaw, path: PathCurve, s: float, t: float,
     return TransportMatrix(s, t, path, entries.reshape(d, d))
 
 
-def transport_vector(law: TransportLaw, path: PathCurve, s: float, t: float,
-                     u: Tangent, cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> Tangent:
-    """Transport the tangent ``u`` at ``path(s)`` to ``path(t)``: the
-    transport-matrix entries applied to the components (hence exactly linear
-    in ``u``)."""
-    if not u.base.close_to(path.map(s)):
-        raise EvaluationError("vector to transport is not attached to path(s)",
-                              point=u.base)
-    mat = transport_matrix(law, path, s, t, cfg)
-    return Tangent(path.map(t), mat.entries @ u.components)
-
-
 def transport_components(law: TransportLaw, path: PathCurve, s: float, t: float,
                          components: np.ndarray,
                          cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> np.ndarray:
-    """Same map as transport_vector but solving the d-dimensional vector ODE
-    directly; used in inner loops (delta fields)."""
+    """Components at ``path(s)`` transported to ``path(t)``: the map of
+    ``transport_matrix`` applied to one vector, solving the d-dimensional
+    vector ODE directly; used in inner loops (delta fields)."""
     if t == s:
         return np.array(components, dtype=float)
     path.require(s)
@@ -230,10 +218,7 @@ def coordinate_probes(x: ChartPoint, extent: float = 1e-3) -> list:
                 return ChartPoint(x.coords + t * ei)
             def ptan(t: float) -> Tangent:
                 return Tangent(pmap(t), ei)
-            def psec(t: float) -> np.ndarray:
-                return np.zeros(d)
-            return PathCurve(map=pmap, tangent=ptan, domain=(-extent, extent),
-                             second_derivative=psec)
+            return PathCurve(map=pmap, tangent=ptan, domain=(-extent, extent))
         probes.append(mk(e))
     return probes
 

@@ -6,7 +6,7 @@ import pytest
 from geodev.equations import (DEFAULT_LADDER, FIT_EXCLUSION, EquationId,
                               _Workspace, _apply_s, convergence_study,
                               equation_info, residual, residual_components)
-from geodev.errors import EvaluationError
+from geodev.errors import DomainError, EvaluationError
 from geodev.geometry import torsion_apply
 from geodev.kinematics import Scenario, WorldSurface
 from geodev.scenarios import (EQUATION_SCENARIOS, LINEAR_DRIFT_MASSES,
@@ -72,13 +72,18 @@ def test_ladder_validation(flat_torsion):
 def test_stencil_reach_covers_every_surface_evaluation():
     # each residual evaluated its declared reach inside either end of the
     # s-domain must pass every s-domain check it meets; the CLI rejects
-    # configs by this reach before running any study
+    # configs by this reach before running any study.  The reach is also
+    # needed: at half of it inside either end the stencil leaves the domain
     sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
     lo, hi = sc.surface.s_domain
     for eq in EquationId:
         reach = equation_info(eq).s_reach
         for s in (lo + reach, hi - reach):
             assert np.isfinite(residual(eq, sc, s, 0.01).residual_norm)
+        if reach > 0:
+            for s in (lo + reach / 2, hi - reach / 2):
+                with pytest.raises(DomainError):
+                    residual(eq, sc, s, 0.01)
 
 
 def test_floor_detection_on_identically_zero_residual(flat_ruled):

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodev.errors import EvaluationError, NullVectorError
-from geodev.geometry import (ChartPoint, ConnectionField, MetricField,
-                             PathCurve, Tangent, Tensor, cov_derivative_along,
-                             cov_derivative_tensor_along, curvature_at,
-                             metric_dot, sign_of_square, torsion_at)
+from geodev.geometry import (DEFAULT_FD_STEP, ChartPoint, ConnectionField,
+                             MetricField, PathCurve, Tangent, Tensor,
+                             cov_derivative_along, cov_derivative_tensor_along,
+                             cov_tensor_components, curvature_at, metric_dot,
+                             sign_of_square, torsion_at)
 
 
 def zero_connection(d=2):
@@ -57,8 +58,7 @@ def line_path(start, direction, domain=(-1.0, 1.0)):
 
     return PathCurve(map=pmap,
                      tangent=lambda s: Tangent(pmap(s), direction),
-                     domain=domain,
-                     second_derivative=lambda s: np.zeros(len(start)))
+                     domain=domain)
 
 
 # ---------------------------------------------------------------- base types
@@ -155,7 +155,7 @@ def test_fd_partials_match_analytic():
     conn = sphere_connection()
     pt = ChartPoint([1.05, 0.7])
     diff = np.abs(conn_fd.partials(pt) - conn.partials(pt)).max()
-    assert diff < 10.0 * conn_fd.h_fd**2
+    assert diff < 10.0 * DEFAULT_FD_STEP**2
 
 
 def test_small_loop_holonomy_matches_curvature():
@@ -284,6 +284,29 @@ def test_cov_tensor_derivative_identity_metric_with_torsion():
     expected = np.zeros((2, 2))
     expected[0, 1] = expected[1, 0] = -c * direction[0]
     assert np.abs(d.entries - expected).max() < 1e-12
+
+
+def test_cov_tensor_components_match_tensordot_reference(rng):
+    # reference: one tensordot per index; the einsum implementation sums in
+    # another order, so the two agree to roundoff, not bit for bit
+    def reference(gamma, xdot, w, dw, valence):
+        gdot = np.einsum("ijk,k->ij", gamma, xdot)
+        p, q = valence
+        out = dw.copy()
+        for axis in range(p):
+            out += np.moveaxis(np.tensordot(gdot, w, axes=([1], [axis])), 0, axis)
+        for axis in range(p, p + q):
+            out -= np.moveaxis(np.tensordot(w, gdot, axes=([axis], [0])), -1, axis)
+        return out
+
+    for d in (2, 3, 4):
+        for valence in [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 1),
+                        (1, 3)]:
+            shape = (d,) * sum(valence)
+            gamma, xdot = rng.normal(size=(d, d, d)), rng.normal(size=d)
+            w, dw = rng.normal(size=shape), rng.normal(size=shape)
+            got = cov_tensor_components(gamma, xdot, w, dw, valence)
+            assert np.abs(got - reference(gamma, xdot, w, dw, valence)).max() < 1e-12
 
 
 # ---------------------------------------------------------- metric products

@@ -34,8 +34,7 @@ def simple_flat_scenario(map_fn, d_s, d_r, d_ss=None, d_sr=None, d_rr=None,
         dimension=dim, conn=conn,
         metric=metric or MetricField(g_at=lambda pt: np.eye(dim)),
         law=law_from_connection(conn), surface=surf,
-        mass=mass or MassSurface(lambda s, r: 1.0, lambda s, r: 0.0,
-                                 lambda s, r: 0.0),
+        mass=mass or MassSurface(lambda s, r: 1.0, lambda s, r: 0.0),
         label=label)
 
 
@@ -126,10 +125,11 @@ def test_force_field_great_circles_vanishes(sphere):
 
 def test_accelerations_are_force_field_values(sphere_accel):
     line2 = worldline(sphere_accel, 2, EPS)
+    r2 = sphere_accel.surface.r_base + EPS
     from geodev.geometry import cov_derivative_along
     a2 = cov_derivative_along(line2, line2.tangent, 0.1, sphere_accel.conn,
-                              d_components=line2.second)
-    f2 = force_field(sphere_accel, 0.1, sphere_accel.surface.r_base + EPS)
+                              d_components=lambda s: sphere_accel.surface.d_ss(s, r2))
+    f2 = force_field(sphere_accel, 0.1, r2)
     assert np.abs(a2.components - f2.components).max() < 1e-10
 
 
@@ -252,12 +252,12 @@ def test_delta_field_transport_invariant_field(sphere):
     s0 = 0.2
     cpath = connecting_path(sphere, s0)
     r0 = sphere.surface.r_base
-    seed = Tangent(cpath.map(r0), np.array([0.4, -0.9]))
+    seed = np.array([0.4, -0.9])
 
     def field(s, r):
         assert s == s0
-        from geodev.transport import transport_vector
-        return transport_vector(sphere.law, cpath, r0, r, seed)
+        mat = transport_matrix(sphere.law, cpath, r0, r)
+        return Tangent(cpath.map(r), mat.entries @ seed)
 
     d = delta_field(sphere, s0, 0.15, field)
     assert np.abs(d.components).max() < 1e-9
