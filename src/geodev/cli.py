@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -223,18 +224,16 @@ def run_converge(config: dict, threshold: float = DEFAULT_ORDER_THRESHOLD,
                               f"s_eval +/- {reach}: {exc}")
 
     started = time.perf_counter()
-    reports = []
-    for eq in equations:
-        report = convergence_study(eq, scenario, s_eval, ladder, cfg)
-        reports.append(report)
-        if not quiet and stream is not None:
+    reports = convergence_study(equations, scenario, s_eval, ladder, cfg)
+    total = (time.perf_counter() - started) * 1e3
+    if not quiet and stream is not None:
+        for report in reports:
             status = _report_status(report, threshold)
             order = ("n/a" if report.fitted_order is None
                      else f"{report.fitted_order:.3f}")
             r2 = "n/a" if report.fit_r2 is None else f"{report.fit_r2:.4f}"
-            print(f"{eq.value:6s} {scenario.label:26s} order={order:>6s} "
+            print(f"{report.eq.value:6s} {scenario.label:26s} order={order:>6s} "
                   f"r2={r2:>6s} [{status}]", file=stream)
-    total = (time.perf_counter() - started) * 1e3
 
     payload = {
         "config": config,
@@ -254,6 +253,17 @@ def run_converge(config: dict, threshold: float = DEFAULT_ORDER_THRESHOLD,
     return {"payload": payload, "rows": rows, "failed": failed}
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write a temp file beside ``path`` and rename it over ``path``, so the
+    file is either the old one or complete, never half-written."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_outputs(outdir: str, result: dict) -> None:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
@@ -261,8 +271,8 @@ def _write_outputs(outdir: str, result: dict) -> None:
     for eq, label, s, eps, norm, ms in result["rows"]:
         lines.append(f"{eq},{label},{_format_float(s)},{_format_float(eps)},"
                      f"{_format_float(norm)},{ms:.3f}")
-    (out / "samples.csv").write_text("\n".join(lines) + "\n")
-    (out / "report.json").write_text(dump_json(result["payload"]) + "\n")
+    _write_atomic(out / "samples.csv", "\n".join(lines) + "\n")
+    _write_atomic(out / "report.json", dump_json(result["payload"]) + "\n")
 
 
 def cmd_converge(args) -> int:

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import EvaluationError
 from .geometry import (ChartPoint, Tangent, cov_tensor_components,
                        curvature_apply, curvature_at, sign_of_square,
-                       torsion_apply, torsion_at)
+                       torsion_apply, torsion_components)
 from .kinematics import (Scenario, connecting_path, delta_field,
                          deviation_vector, force_field, relative_acceleration,
                          relative_energy, relative_force, relative_momentum,
@@ -92,7 +92,6 @@ class EquationId(str, enum.Enum):
 class _EquationInfo:
     description: str
     exact: bool = False
-    needs_metric: bool = False
     # farthest |s - s_eval| at which the residual's s-difference stencil
     # evaluates the surface
     s_reach: float = H_S
@@ -123,8 +122,7 @@ _INFO: Dict[EquationId, _EquationInfo] = {
     EquationId.E7_1: _EquationInfo("relative-force expansion"),
     EquationId.E7_2: _EquationInfo(
         "momentum deviation equation in equation-of-motion form"),
-    EquationId.E7_4: _EquationInfo("relative-energy balance equation",
-                                   needs_metric=True),
+    EquationId.E7_4: _EquationInfo("relative-energy balance equation"),
 }
 
 
@@ -175,10 +173,11 @@ def _apply_s(s_entries: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 class _Workspace:
-    """Lazy, memoized evaluations shared between the residual formulas.
-
-    All public-ish methods take the worldline parameter, so the same
-    machinery serves the centered s-differences.
+    """Lazy, memoized evaluations at one separation, shared by the residual
+    formulas of every equation evaluated on it; each memoized value is a
+    deterministic function of its key (quantity, s), so evaluation order
+    changes no residual.  All public-ish methods take the worldline
+    parameter, so the same machinery serves the centered s-differences.
     """
 
     def __init__(self, scenario: Scenario, eps: float, cfg: OdeConfig):
@@ -203,11 +202,8 @@ class _Workspace:
             return np.asarray(getattr(self.surf, name)(s, self.r1), float)
         return self._get((name, s), make)
 
-    def x1(self, s: float) -> np.ndarray:
-        return self.surface("map", s)
-
     def x1_point(self, s: float) -> ChartPoint:
-        return self._get(("x1pt", s), lambda: ChartPoint(self.x1(s)))
+        return self._get(("x1pt", s), lambda: ChartPoint(self.surface("map", s)))
 
     def gam(self, s: float) -> np.ndarray:
         return self._get(("gam", s),
@@ -239,8 +235,7 @@ class _Workspace:
         return self.mu1(s) * self.v1(s)
 
     def torsion(self, s: float) -> np.ndarray:
-        return self._get(("T", s),
-                         lambda: torsion_at(self.sc.conn, self.x1_point(s)).entries)
+        return self._get(("T", s), lambda: torsion_components(self.gam(s)))
 
     def curvature(self, s: float) -> np.ndarray:
         return self._get(("R", s),
@@ -257,8 +252,7 @@ class _Workspace:
         """Covariant derivative of the torsion field along x1."""
         def make():
             dg = self.sc.conn.partials(self.x1_point(s))
-            dgam_ds = np.einsum("ijkl,l->ijk", dg, self.v1(s))
-            dt_ds = dgam_ds - np.swapaxes(dgam_ds, 1, 2)
+            dt_ds = torsion_components(np.einsum("ijkl,l->ijk", dg, self.v1(s)))
             return cov_tensor_components(self.gam(s), self.v1(s), self.torsion(s),
                                          dt_ds, (1, 2))
         return self._get(("DT", s), make)
@@ -541,26 +535,27 @@ _RESIDUAL_FN: Dict[EquationId, Callable[[_Workspace, float], np.ndarray]] = {
 }
 
 
+def _sample(eq: EquationId, workspace: _Workspace, s: float) -> ResidualSample:
+    """Residual of ``eq`` on ``workspace``: the norm is the max-abs chart
+    component at x_1(s) (absolute value for the scalar energy equation)."""
+    start = time.perf_counter()
+    value = _RESIDUAL_FN[eq](workspace, s)
+    elapsed = time.perf_counter() - start
+    return ResidualSample(eq, s, workspace.eps, float(np.max(np.abs(value))),
+                          elapsed)
+
+
 def residual_components(eq: EquationId, scenario: Scenario, s: float,
-                        epsilon: float,
-                        cfg: OdeConfig = DEFAULT_ODE_CONFIG):
-    """Raw residual (component array, or scalar for the energy equation)."""
-    info = _INFO[eq]
-    if info.needs_metric and scenario.metric is None:
-        raise EvaluationError(f"{eq.value} requires a scenario metric")
-    workspace = _Workspace(scenario, epsilon, cfg)
-    return _RESIDUAL_FN[eq](workspace, s)
+                        epsilon: float, cfg: OdeConfig = DEFAULT_ODE_CONFIG):
+    """Raw residual (component array, or scalar for the energy equation) on
+    a fresh workspace."""
+    return _RESIDUAL_FN[eq](_Workspace(scenario, epsilon, cfg), s)
 
 
 def residual(eq: EquationId, scenario: Scenario, s: float, epsilon: float,
              cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> ResidualSample:
-    """Evaluate one equation residual; the norm is the max-abs chart
-    component at x_1(s) (absolute value for the scalar energy equation)."""
-    start = time.perf_counter()
-    value = residual_components(eq, scenario, s, epsilon, cfg)
-    elapsed = time.perf_counter() - start
-    norm = float(np.max(np.abs(value)))
-    return ResidualSample(eq, s, epsilon, norm, elapsed)
+    """Evaluate one equation residual on a fresh workspace."""
+    return _sample(eq, _Workspace(scenario, epsilon, cfg), s)
 
 
 def _fit_order(eps: np.ndarray, norms: np.ndarray) -> Tuple[float, float]:
@@ -574,12 +569,19 @@ def _fit_order(eps: np.ndarray, norms: np.ndarray) -> Tuple[float, float]:
     return float(slope), r2
 
 
-def convergence_study(eq: EquationId, scenario: Scenario, s: float,
-                      epsilon_ladder: Sequence[float],
-                      cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> ConvergenceReport:
-    """Evaluate the residual over a strictly decreasing separation ladder and
-    fit the convergence order as the least-squares slope of log residual
-    against log eps, excluding floor-level points."""
+def convergence_study(equations: Sequence[EquationId], scenario: Scenario,
+                      s: float, epsilon_ladder: Sequence[float],
+                      cfg: OdeConfig = DEFAULT_ODE_CONFIG,
+                      ) -> Tuple[ConvergenceReport, ...]:
+    """Evaluate each equation's residual over a strictly decreasing
+    separation ladder and fit its order as the least-squares slope of log
+    residual against log eps, excluding floor-level points; one report per
+    entry of ``equations``.  Ladder-major: every equation shares one workspace
+    per eps, so shared quantities are computed once per eps; it is dropped
+    before the next eps."""
+    if isinstance(equations, str):
+        raise TypeError("convergence_study expects a sequence of EquationId, "
+                        f"got the single id {equations!r}")
     ladder = tuple(float(e) for e in epsilon_ladder)
     if len(ladder) < 5:
         raise ValueError("epsilon ladder needs at least 5 points")
@@ -589,17 +591,25 @@ def convergence_study(eq: EquationId, scenario: Scenario, s: float,
         raise ValueError("epsilon ladder entries must be positive")
     scenario.separation_endpoints(max(ladder))
 
-    samples = tuple(residual(eq, scenario, s, e, cfg) for e in ladder)
-    norms = np.array([smp.residual_norm for smp in samples])
-    include = norms > FIT_EXCLUSION
-    floor_detected = bool(np.any(~include))
-    n_fit = int(np.count_nonzero(include))
-    if n_fit >= 2:
-        order, r2 = _fit_order(np.array(ladder)[include], norms[include])
-    else:
-        order, r2 = None, None
-    return ConvergenceReport(
-        eq=eq, scenario_label=scenario.label, epsilon_ladder=ladder,
-        samples=samples, fitted_order=order, fit_r2=r2,
-        floor_detected=floor_detected, n_fit_points=n_fit,
-        exact=_INFO[eq].exact)
+    equations = tuple(equations)
+    columns = [[] for _ in equations]
+    for e in ladder:
+        workspace = _Workspace(scenario, e, cfg)
+        for eq, column in zip(equations, columns):
+            column.append(_sample(eq, workspace, s))
+        del workspace
+    reports = []
+    for eq, samples in zip(equations, columns):
+        norms = np.array([smp.residual_norm for smp in samples])
+        include = norms > FIT_EXCLUSION
+        n_fit = int(np.count_nonzero(include))
+        if n_fit >= 2:
+            order, r2 = _fit_order(np.array(ladder)[include], norms[include])
+        else:
+            order, r2 = None, None
+        reports.append(ConvergenceReport(
+            eq=eq, scenario_label=scenario.label, epsilon_ladder=ladder,
+            samples=tuple(samples), fitted_order=order, fit_r2=r2,
+            floor_detected=bool(np.any(~include)), n_fit_points=n_fit,
+            exact=_INFO[eq].exact))
+    return tuple(reports)

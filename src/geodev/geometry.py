@@ -37,6 +37,7 @@ __all__ = [
     "MetricField",
     "PathCurve",
     "torsion_at",
+    "torsion_components",
     "curvature_at",
     "cov_derivative_along",
     "cov_derivative_tensor_along",
@@ -245,15 +246,19 @@ def curvature_apply(curv: np.ndarray, x: np.ndarray, y: np.ndarray,
 # ---------------------------------------------------------------------------
 # operations
 
+def torsion_components(gamma: np.ndarray) -> np.ndarray:
+    """``T^i_{jk} = Gamma^i_{jk} - Gamma^i_{kj}`` (linear in ``gamma``)."""
+    return gamma - np.swapaxes(gamma, 1, 2)
+
+
 def torsion_at(conn: ConnectionField, x: ChartPoint) -> Tensor:
-    """Torsion tensor ``T^i_{jk} = Gamma^i_{jk} - Gamma^i_{kj}`` at ``x``.
+    """Torsion tensor of the connection at ``x``, valence (1,2).
 
     This is the commutator definition evaluated on coordinate vector fields,
     whose Lie bracket vanishes; the result is exactly antisymmetric in its
     two lower indices.
     """
-    gamma = conn.coefficients(x)
-    return Tensor(x, (1, 2), gamma - np.swapaxes(gamma, 1, 2))
+    return Tensor(x, (1, 2), torsion_components(conn.coefficients(x)))
 
 
 def curvature_at(conn: ConnectionField, x: ChartPoint) -> Tensor:

@@ -233,26 +233,26 @@ _FLAT_QUAD_SCHEMA = {
 }
 
 
-def _build_flat(surface_kind: str, p: Dict[str, float], r_base: float,
-                s_eval: float, label: str) -> Scenario:
-    dim = _check_dim(p)
-    if surface_kind == "ruled":
-        surf = _flat_ruled_surface(dim, p)
-    else:
-        surf = _flat_quadratic_surface(dim, p)
-    surf = _rebased(surf, r_base)
-    return Scenario(
-        dimension=dim, conn=_zero_connection(dim), metric=_identity_metric(dim),
-        law=law_from_connection(_zero_connection(dim)), surface=surf,
-        mass=_mass_surface(p), label=label, probe_field=_probe_field(dim),
-        s_eval=s_eval)
-
-
-def _rebased(surf: WorldSurface, r_base: float) -> WorldSurface:
+def _assemble(label: str, dim: int, conn: ConnectionField, metric: MetricField,
+              law: TransportLaw, surf: WorldSurface, p: Dict[str, float],
+              r_base: float, s_eval: float) -> Scenario:
+    """Scenario on the family's surface rebased to ``r_base``, with the
+    mass function and probe field every family shares."""
     lo, hi = surf.r_domain
     if not (lo <= r_base <= hi):
         raise ConfigError(f"r_base {r_base} outside r-domain [{lo}, {hi}]")
-    return replace(surf, r_base=r_base)
+    return Scenario(dimension=dim, conn=conn, metric=metric, law=law,
+                    surface=replace(surf, r_base=r_base), mass=_mass_surface(p),
+                    label=label, probe_field=_probe_field(dim), s_eval=s_eval)
+
+
+def _build_flat(surface_kind: str, p: Dict[str, float], r_base: float,
+                s_eval: float, label: str) -> Scenario:
+    dim = _check_dim(p)
+    make = _flat_ruled_surface if surface_kind == "ruled" else _flat_quadratic_surface
+    conn = _zero_connection(dim)
+    return _assemble(label, dim, conn, _identity_metric(dim),
+                     law_from_connection(conn), make(dim, p), p, r_base, s_eval)
 
 
 # --------------------------------------------------------------- flat torsion
@@ -273,14 +273,10 @@ def _torsion_connection(c: float) -> ConnectionField:
 
 def _build_flat_torsion(p: Dict[str, float], r_base: float,
                         s_eval: float) -> Scenario:
-    p = dict(p)
-    p["dim"] = 2
     conn = _torsion_connection(p["torsion_c"])
-    surf = _rebased(_flat_quadratic_surface(2, p), r_base)
-    return Scenario(
-        dimension=2, conn=conn, metric=_identity_metric(2),
-        law=law_from_connection(conn), surface=surf, mass=_mass_surface(p),
-        label="flat-torsion", probe_field=_probe_field(2), s_eval=s_eval)
+    return _assemble("flat-torsion", 2, conn, _identity_metric(2),
+                     law_from_connection(conn), _flat_quadratic_surface(2, p),
+                     p, r_base, s_eval)
 
 
 # --------------------------------------------------------------------- sphere
@@ -400,11 +396,8 @@ _SPHERE_SCHEMA = {
 
 def _build_sphere(p: Dict[str, float], r_base: float, s_eval: float) -> Scenario:
     conn = _sphere_connection()
-    surf = _rebased(_sphere_surface(p["tilt"], p["accel"]), r_base)
-    return Scenario(
-        dimension=2, conn=conn, metric=_sphere_metric(),
-        law=law_from_connection(conn), surface=surf, mass=_mass_surface(p),
-        label="sphere", probe_field=_probe_field(2), s_eval=s_eval)
+    return _assemble("sphere", 2, conn, _sphere_metric(), law_from_connection(conn),
+                     _sphere_surface(p["tilt"], p["accel"]), p, r_base, s_eval)
 
 
 # ------------------------------------------------------------------ minkowski
@@ -456,12 +449,9 @@ def _minkowski_surface(p: Dict[str, float]) -> WorldSurface:
 
 def _build_minkowski(p: Dict[str, float], r_base: float, s_eval: float) -> Scenario:
     conn = _zero_connection(4)
-    surf = _rebased(_minkowski_surface(p), r_base)
-    return Scenario(
-        dimension=4, conn=conn,
-        metric=_identity_metric(4, np.array([1.0, -1.0, -1.0, -1.0])),
-        law=law_from_connection(conn), surface=surf, mass=_mass_surface(p),
-        label="minkowski", probe_field=_probe_field(4), s_eval=s_eval)
+    metric = _identity_metric(4, np.array([1.0, -1.0, -1.0, -1.0]))
+    return _assemble("minkowski", 4, conn, metric, law_from_connection(conn),
+                     _minkowski_surface(p), p, r_base, s_eval)
 
 
 # ----------------------------------------------------------- offset transport
@@ -477,12 +467,9 @@ def _build_offset(p: Dict[str, float], r_base: float, s_eval: float) -> Scenario
     conn = _sphere_connection()
     sigma = np.zeros((2, 2, 2))
     sigma[0, 1, 1] = p["sigma"]
-    surf = _rebased(_sphere_surface(p["tilt"], p["accel"]), r_base)
-    return Scenario(
-        dimension=2, conn=conn, metric=_sphere_metric(),
-        law=law_with_offset(conn, lambda pt: sigma), surface=surf,
-        mass=_mass_surface(p), label="offset-transport",
-        probe_field=_probe_field(2), s_eval=s_eval)
+    return _assemble("offset-transport", 2, conn, _sphere_metric(),
+                     law_with_offset(conn, lambda pt: sigma),
+                     _sphere_surface(p["tilt"], p["accel"]), p, r_base, s_eval)
 
 
 # -------------------------------------------------------------- exp transport
@@ -502,18 +489,12 @@ def exp_law_generator(p: Mapping[str, float]) -> np.ndarray:
 
 
 def _build_exp(p: Dict[str, float], r_base: float, s_eval: float) -> Scenario:
-    p = dict(p)
-    p["dim"] = 2
-    gen = exp_law_generator(p)
     coeff = np.zeros((2, 2, 2))
-    coeff[:, :, 0] = gen  # M(u) = A * xdot^0, so H(t,s) = expm(A (x^0(t)-x^0(s)))
+    # M(u) = A * xdot^0, so H(t,s) = expm(A (x^0(t)-x^0(s)))
+    coeff[:, :, 0] = exp_law_generator(p)
     law = TransportLaw(coeff_at=lambda s, path: coeff, label="exp-family")
-    conn = _zero_connection(2)
-    surf = _rebased(_flat_quadratic_surface(2, p), r_base)
-    return Scenario(
-        dimension=2, conn=conn, metric=_identity_metric(2), law=law,
-        surface=surf, mass=_mass_surface(p), label="exp-transport",
-        probe_field=_probe_field(2), s_eval=s_eval)
+    return _assemble("exp-transport", 2, _zero_connection(2), _identity_metric(2),
+                     law, _flat_quadratic_surface(2, p), p, r_base, s_eval)
 
 
 # ------------------------------------------------------------------- registry

@@ -208,19 +208,13 @@ def s_tensor(law: TransportLaw, conn: ConnectionField, path: PathCurve,
 def coordinate_probes(x: ChartPoint, extent: float = 1e-3) -> list:
     """Straight coordinate-line probe paths through ``x`` at parameter 0,
     one per chart axis; suitable input for extract_first_coeff."""
-    d = x.dimension
-    probes = []
-    for axis in range(d):
-        e = np.zeros(d)
-        e[axis] = 1.0
-        def mk(ei):
-            def pmap(t: float) -> ChartPoint:
-                return ChartPoint(x.coords + t * ei)
-            def ptan(t: float) -> Tangent:
-                return Tangent(pmap(t), ei)
-            return PathCurve(map=pmap, tangent=ptan, domain=(-extent, extent))
-        probes.append(mk(e))
-    return probes
+    def probe(ei: np.ndarray) -> PathCurve:
+        def pmap(t: float) -> ChartPoint:
+            return ChartPoint(x.coords + t * ei)
+        def ptan(t: float) -> Tangent:
+            return Tangent(pmap(t), ei)
+        return PathCurve(map=pmap, tangent=ptan, domain=(-extent, extent))
+    return [probe(e) for e in np.eye(x.dimension)]
 
 
 def extract_first_coeff(law: TransportLaw, x: ChartPoint,

@@ -125,7 +125,7 @@ def test_criterion_5_convergence_orders():
             continue
         for spec in EQUATION_SCENARIOS[eq]:
             sc = build(spec)
-            rep = convergence_study(eq, sc, sc.s_eval, DEFAULT_LADDER)
+            rep, = convergence_study([eq], sc, sc.s_eval, DEFAULT_LADDER)
             if rep.fitted_order is None:
                 floor_ok = all(s.residual_norm < 1e-10 for s in rep.samples)
                 verdict = "floor" if floor_ok else "FLOOR-VIOLATION"

@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from geodev.cli import dump_json, main
+import geodev.cli
+from geodev.cli import dump_json, main, run_converge
+from geodev.equations import EquationId
+from geodev.errors import ConfigError
 
 TORSION_CONFIG = {
     "scenario": "flat-torsion",
@@ -71,6 +74,37 @@ def test_converge_passes_on_torsion_config(tmp_path, capsys):
     assert len(csv_lines) - 1 == 3 * 5  # |equations| x |ladder|
 
 
+def test_converge_progress_lines_in_configured_order(tmp_path, capsys):
+    cfg = write_config(tmp_path, TORSION_CONFIG)
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split()[0] for ln in lines] == ["E4_4", "E3_1", "E5_2"]
+    assert lines[1] == ("E3_1   flat-torsion               order=   n/a "
+                        "r2=   n/a [floor]")
+
+
+def test_converge_failed_write_keeps_previous_outputs(tmp_path, monkeypatch,
+                                                       capsys):
+    # outputs are renamed into place: when the rename fails, the files of
+    # the previous run stay whole and no temp file is left behind
+    cfg = write_config(tmp_path, TORSION_CONFIG)
+    out = tmp_path / "out"
+    assert main(["converge", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["report.json", "samples.csv"]
+
+    def failing_replace(src, dst):
+        raise OSError(f"cannot rename {src}")
+
+    monkeypatch.setattr(geodev.cli.os, "replace", failing_replace)
+    code = main(["converge", "--config", cfg, "--out", str(out), "--quiet",
+                 "--order-threshold", "3.5"])
+    monkeypatch.undo()
+    assert code == 2
+    assert "io error" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_converge_exact_identity_never_fails_threshold(tmp_path):
     config = {
         "scenario": "sphere",
@@ -111,6 +145,14 @@ def test_converge_unknown_key_exits_2(tmp_path, capsys):
     code = main(["converge", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 2
     assert "typo" in capsys.readouterr().err
+
+
+def test_converge_rejects_a_bare_equation_id():
+    # EquationId is a str enum; a bare id is not the array of ids the
+    # config asks for (convergence_study itself raises TypeError on one)
+    config = {"scenario": "flat-torsion", "run": {"equations": EquationId.E4_4}}
+    with pytest.raises(ConfigError, match="'equations' must be a non-empty array"):
+        run_converge(config)
 
 
 def test_converge_unknown_equation_exits_2(tmp_path, capsys):

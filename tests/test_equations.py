@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import geodev.kinematics
 from geodev.equations import (DEFAULT_LADDER, FIT_EXCLUSION, EquationId,
                               _Workspace, _apply_s, convergence_study,
                               equation_info, residual, residual_components)
@@ -60,13 +61,19 @@ def test_e2_10_requires_probe_field(flat_torsion):
 
 def test_ladder_validation(flat_torsion):
     with pytest.raises(ValueError):
-        convergence_study(EquationId.E4_4, flat_torsion, S0, (0.1, 0.05))
+        convergence_study([EquationId.E4_4], flat_torsion, S0, (0.1, 0.05))
     with pytest.raises(ValueError):
-        convergence_study(EquationId.E4_4, flat_torsion, S0,
+        convergence_study([EquationId.E4_4], flat_torsion, S0,
                           (0.1, 0.2, 0.05, 0.02, 0.01))
     with pytest.raises(ValueError):
-        convergence_study(EquationId.E4_4, flat_torsion, S0,
+        convergence_study([EquationId.E4_4], flat_torsion, S0,
                           (0.1, 0.05, 0.02, 0.01, -0.005))
+
+
+def test_study_rejects_a_bare_equation_id(flat_torsion):
+    # EquationId is a str enum: iterated, a bare id would yield characters
+    with pytest.raises(TypeError, match="sequence of EquationId"):
+        convergence_study(EquationId.E4_4, flat_torsion, S0, DEFAULT_LADDER)
 
 
 def test_stencil_reach_covers_every_surface_evaluation():
@@ -87,7 +94,7 @@ def test_stencil_reach_covers_every_surface_evaluation():
 
 
 def test_floor_detection_on_identically_zero_residual(flat_ruled):
-    rep = convergence_study(EquationId.E3_1, flat_ruled, S0, DEFAULT_LADDER)
+    rep, = convergence_study([EquationId.E3_1], flat_ruled, S0, DEFAULT_LADDER)
     assert rep.floor_detected
     assert rep.fitted_order is None
     assert rep.fit_r2 is None
@@ -96,7 +103,7 @@ def test_floor_detection_on_identically_zero_residual(flat_ruled):
 
 
 def test_report_bookkeeping(flat_torsion):
-    rep = convergence_study(EquationId.E4_4, flat_torsion, S0, DEFAULT_LADDER)
+    rep, = convergence_study([EquationId.E4_4], flat_torsion, S0, DEFAULT_LADDER)
     assert rep.epsilon_ladder == DEFAULT_LADDER
     assert len(rep.samples) == len(DEFAULT_LADDER)
     assert rep.scenario_label == "flat-torsion"
@@ -108,7 +115,7 @@ def test_report_bookkeeping(flat_torsion):
 
 def test_exact_identity_reported_exact(sphere):
     sc = build(ScenarioSpec("sphere", LINEAR_DRIFT_MASSES))
-    rep = convergence_study(EquationId.E5_1, sc, S0, DEFAULT_LADDER)
+    rep, = convergence_study([EquationId.E5_1], sc, S0, DEFAULT_LADDER)
     assert rep.exact
     assert all(s.residual_norm < 1e-9 for s in rep.samples)
 
@@ -232,3 +239,58 @@ def test_delta_quantities_vanish_at_zero_separation(offset_transport):
     for eq in (EquationId.E2_13, EquationId.E4_3, EquationId.E5_1):
         value = residual_components(eq, offset_transport, S0, 0.0)
         assert np.abs(np.asarray(value)).max() < 1e-12
+
+
+# ------------------------------------------------- ladder-major study
+
+_CELLS_BY_FAMILY = {}
+for _eq, _specs in EQUATION_SCENARIOS.items():
+    for _spec in _specs:
+        _CELLS_BY_FAMILY.setdefault(_spec.name, []).append((_eq, _spec))
+
+
+@pytest.mark.parametrize("family", sorted(_CELLS_BY_FAMILY))
+def test_shared_workspace_study_matches_fresh_workspace_residuals(family):
+    # one study over every equation the family's cells use shares one
+    # workspace per eps; each residual norm must equal, bit for bit, the
+    # residual evaluated alone on a fresh workspace
+    groups = {}
+    for eq, spec in _CELLS_BY_FAMILY[family]:
+        key = tuple(sorted(spec.parameters.items()))
+        groups.setdefault(key, (spec, []))[1].append(eq)
+    for spec, eqs in groups.values():
+        sc = build(spec)
+        reports = convergence_study(eqs, sc, sc.s_eval, DEFAULT_LADDER)
+        assert [rep.eq for rep in reports] == eqs
+        for eq, rep in zip(eqs, reports):
+            assert [smp.epsilon for smp in rep.samples] == list(DEFAULT_LADDER)
+            fresh = [residual(eq, sc, sc.s_eval, eps).residual_norm
+                     for eps in DEFAULT_LADDER]
+            assert [smp.residual_norm for smp in rep.samples] == fresh
+
+
+def test_shared_workspace_study_saves_transport_solves(monkeypatch):
+    # the 13 equations that never call deviation_vector reuse Delta V,
+    # Delta p, Delta A, Delta K and the energy across equations: the shared
+    # study makes at most 2/5 of the solves of one study per equation
+    sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
+    deviation = (EquationId.E2_13, EquationId.E4_1, EquationId.E6_3)
+    relative = [eq for eq in EquationId if eq not in deviation]
+    assert len(relative) == 13
+    solves = [0]
+    original = geodev.kinematics.transport_components
+
+    def counted(*args, **kwargs):
+        solves[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(geodev.kinematics, "transport_components", counted)
+    per_equation = []
+    for eq in relative:
+        per_equation.extend(convergence_study([eq], sc, S0, DEFAULT_LADDER))
+    separate = solves[0]
+    solves[0] = 0
+    shared = convergence_study(relative, sc, S0, DEFAULT_LADDER)
+    assert 0 < solves[0] <= 0.4 * separate
+    assert ([smp.residual_norm for rep in shared for smp in rep.samples]
+            == [smp.residual_norm for rep in per_equation for smp in rep.samples])
