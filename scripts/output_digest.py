@@ -1,0 +1,88 @@
+"""Digest of everything ``geodev converge`` writes, apart from timing fields.
+
+    python3 scripts/output_digest.py > digest.txt
+
+Runs ``geodev.cli.main`` in-process, with the ``geodev`` package of this
+checkout's ``src/``, on every cell of ``EQUATION_SCENARIOS`` (the cell's
+scenario and parameters, its one equation, default ladder and ``s_eval``)
+and on every converge candidate of ``perfbench/pool.json`` (read only).
+For each config it prints one line: a label and the sha256 of the exit
+code, stdout, stderr, ``report.json`` without ``wall_time_ms`` /
+``total_wall_time_ms`` and ``samples.csv`` without its timing column.
+
+Two versions of the program give the same outputs when the digests of two
+checkouts are equal, e.g. for a change against its parent::
+
+    git worktree add /tmp/parent HEAD~1
+    cp scripts/output_digest.py /tmp/parent/scripts/   # if it lacks one
+    python3 /tmp/parent/scripts/output_digest.py > parent.txt
+    python3 scripts/output_digest.py > change.txt
+    diff parent.txt change.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from geodev.cli import main  # noqa: E402
+from geodev.scenarios import EQUATION_SCENARIOS  # noqa: E402
+
+POOL = ROOT / "perfbench" / "pool.json"
+TIMING_FIELD = re.compile(r'("(?:total_)?wall_time_ms": )[-+0-9.eE]+')
+
+
+def configs():
+    """(label, config) for every cell and every pool converge candidate."""
+    for eq, specs in EQUATION_SCENARIOS.items():
+        for spec in specs:
+            yield (f"cell {eq.value} {spec.name}",
+                   {"scenario": spec.name, "params": dict(spec.parameters),
+                    "run": {"equations": [eq.value]}})
+    pool = json.loads(POOL.read_text())
+    for workload, slots in pool["workloads"].items():
+        for i, slot in enumerate(slots):
+            for j, cand in enumerate(slot):
+                if cand["kind"] == "converge":
+                    yield f"pool {workload} {i} {j}", cand["config"]
+
+
+def _strip_csv_timing(text: str) -> str:
+    return "".join(line.rsplit(",", 1)[0] + "\n" for line in text.splitlines())
+
+
+def digest(config: dict, workdir: Path) -> str:
+    config_path = workdir / "config.json"
+    config_path.write_text(json.dumps(config))
+    out_dir = workdir / "out"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["converge", "--config", str(config_path),
+                     "--out", str(out_dir)])
+    report = out_dir / "report.json"
+    samples = out_dir / "samples.csv"
+    parts = [str(code), out.getvalue(), err.getvalue(),
+             TIMING_FIELD.sub(r"\1_", report.read_text())
+             if report.exists() else "<no report.json>",
+             _strip_csv_timing(samples.read_text())
+             if samples.exists() else "<no samples.csv>"]
+    return hashlib.sha256("\0".join(parts).encode()).hexdigest()
+
+
+def run() -> None:
+    for label, config in configs():
+        with tempfile.TemporaryDirectory() as tmp:
+            print(f"{digest(config, Path(tmp))}  {label}", flush=True)
+
+
+if __name__ == "__main__":
+    run()

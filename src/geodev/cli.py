@@ -30,7 +30,8 @@ from .errors import ConfigError, DomainError, GeodevError
 from .geometry import ChartPoint, PathCurve, Tangent, curvature_at, torsion_at
 from .kinematics import Scenario, worldline
 from .scenarios import ScenarioSpec, build, list_scenarios
-from .transport import OdeConfig, s_tensor, transport_matrix
+from .transport import (DEFAULT_ODE_CONFIG, OdeConfig, s_tensor,
+                        transport_matrix)
 
 __all__ = ["main", "run_converge", "dump_json"]
 
@@ -78,11 +79,11 @@ def dump_json(obj, indent: int = 0) -> str:
 # ------------------------------------------------------------- config parsing
 
 _RUN_KEYS = {"s_eval", "r_base", "epsilon_ladder", "equations", "tolerances"}
-_TOL_KEYS = {"rel_tol", "abs_tol", "max_steps"}
+_TOL_KEYS = ("rel_tol", "abs_tol", "max_steps")
 
 
-def _require_keys(mapping: dict, allowed: set, context: str) -> None:
-    unknown = set(mapping) - allowed
+def _require_keys(mapping: dict, allowed, context: str) -> None:
+    unknown = set(mapping).difference(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {context}")
 
@@ -150,25 +151,39 @@ def _parse_ladder(run: dict) -> tuple:
     return values
 
 
+def _number(value, key: str) -> float:
+    """``value`` as a float if it is a finite JSON number (not a bool)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not -sys.float_info.max <= value <= sys.float_info.max):
+        raise ConfigError(f"'{key}' must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _parse_tolerances(run: dict) -> OdeConfig:
     tol = run.get("tolerances", {})
-    try:
-        return OdeConfig(rel_tol=float(tol.get("rel_tol", 1e-10)),
-                         abs_tol=float(tol.get("abs_tol", 1e-12)),
-                         max_steps=int(tol.get("max_steps", 10**6)))
-    except ValueError as exc:
-        raise ConfigError(f"bad tolerances: {exc}") from exc
+    values = {}
+    for key in _TOL_KEYS:
+        value = _number(tol.get(key, getattr(DEFAULT_ODE_CONFIG, key)),
+                        f"run.tolerances.{key}")
+        if value <= 0:
+            raise ConfigError(f"'run.tolerances.{key}' must be positive, "
+                              f"got {value!r}")
+        values[key] = value
+    if values["max_steps"] != int(values["max_steps"]):
+        raise ConfigError("'run.tolerances.max_steps' must be an integer, "
+                          f"got {values['max_steps']!r}")
+    values["max_steps"] = int(values["max_steps"])
+    return OdeConfig(**values)
 
 
 def _scenario_from_config(config: dict) -> Scenario:
     run = config.get("run", {})
-    spec = ScenarioSpec(
-        name=config["scenario"],
-        parameters=config.get("params", {}),
-        r_base=run.get("r_base"),
-        s_eval=run.get("s_eval"),
-    )
-    return build(spec)
+    r_base, s_eval = (None if run.get(key) is None
+                      else _number(run[key], f"run.{key}")
+                      for key in ("r_base", "s_eval"))
+    return build(ScenarioSpec(name=config["scenario"],
+                              parameters=config.get("params", {}),
+                              r_base=r_base, s_eval=s_eval))
 
 
 # ----------------------------------------------------------------- converge

@@ -51,7 +51,10 @@ class WorldSurface:
 
     ``map(s, r)`` returns the chart coordinates; ``d_s``/``d_r`` the first
     partials and ``d_ss``/``d_sr``/``d_rr`` the second partials, all as
-    component arrays.  ``r_base`` is the r-parameter of the first worldline.
+    read-only component arrays.  The built-in families state their surface
+    once and serve all six from one evaluation per point
+    (``scenarios._surface``).  ``r_base`` is the r-parameter of the first
+    worldline.
     """
 
     map: Callable[[float, float], np.ndarray]

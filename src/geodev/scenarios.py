@@ -6,6 +6,11 @@ second partials, a mass function, and a probe field into an immutable
 Scenario.  Custom geometry is limited to the documented parameters of the
 registered families, which keeps every analytic partial exact.
 
+A surface family states its surface once, as one ``jets(s, r)`` function
+returning the point and its five partials; ``_surface`` turns it into a
+WorldSurface that evaluates it once per point and hands out read-only
+arrays.
+
 Family structure matrix (enforced by tests):
 
     family                    torsion  curvature  S-tensor  force  nonmetric
@@ -24,6 +29,7 @@ S, DS/ds, R and force terms are all active at once.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Mapping, Optional, Tuple
@@ -137,6 +143,26 @@ def _check_dim(p: Dict[str, float]) -> int:
     return int(dim)
 
 
+def _surface(jets: Callable[[float, float], Tuple[np.ndarray, ...]],
+             s_domain: Tuple[float, float],
+             r_domain: Tuple[float, float]) -> WorldSurface:
+    """WorldSurface of a family stated once as ``jets(s, r) -> (x, x_s, x_r,
+    x_ss, x_sr, x_rr)``.  The last point's jets are kept, read-only, so the
+    six partials at one (s, r) cost one ``jets`` call."""
+    @functools.lru_cache(maxsize=1)
+    def at(s: float, r: float) -> Tuple[np.ndarray, ...]:
+        values = jets(s, r)
+        for value in values:
+            value.flags.writeable = False
+        return values
+
+    def partial(i: int) -> Callable[[float, float], np.ndarray]:
+        return lambda s, r: at(s, r)[i]
+
+    return WorldSurface(*map(partial, range(6)), s_domain=s_domain,
+                        r_domain=r_domain)
+
+
 # ---------------------------------------------------------------- flat charts
 
 def _flat_ruled_surface(dim: int, p: Dict[str, float]) -> WorldSurface:
@@ -150,15 +176,12 @@ def _flat_ruled_surface(dim: int, p: Dict[str, float]) -> WorldSurface:
     for i in range(2, dim):
         beta[i] = 0.25 + 0.1 * (i - 2)
         kappa[i] = 0.15 - 0.05 * (i - 2)
-    return WorldSurface(
-        map=lambda s, r: alpha * s + beta * r + kappa * s * r,
-        d_s=lambda s, r: alpha + kappa * r,
-        d_r=lambda s, r: beta + kappa * s,
-        d_ss=lambda s, r: np.zeros(dim),
-        d_sr=lambda s, r: kappa.copy(),
-        d_rr=lambda s, r: np.zeros(dim),
-        s_domain=(-0.6, 0.6), r_domain=(-0.35, 0.35),
-    )
+
+    def jets(s, r):
+        return (alpha * s + beta * r + kappa * s * r, alpha + kappa * r,
+                beta + kappa * s, np.zeros(dim), kappa, np.zeros(dim))
+
+    return _surface(jets, s_domain=(-0.6, 0.6), r_domain=(-0.35, 0.35))
 
 
 def _flat_quadratic_surface(dim: int, p: Dict[str, float]) -> WorldSurface:
@@ -170,47 +193,26 @@ def _flat_quadratic_surface(dim: int, p: Dict[str, float]) -> WorldSurface:
         beta[i] = 0.25 + 0.1 * (i - 2)
         kappa[i] = 0.15 - 0.05 * (i - 2)
 
-    def gmap(s, r):
-        out = np.zeros(dim)
-        out[0] = s + a * r + c * s * r + 0.5 * w1 * r * r
-        out[1] = b * r + 0.5 * q * (1.0 + k * r) ** 2 * s * s + 0.5 * w2 * r * r
-        out[2:] = beta[2:] * r + kappa[2:] * s * r
-        return out
+    def jets(s, r):
+        x, x_s, x_r, x_ss, x_sr, x_rr = np.zeros((6, dim))
+        x[0] = s + a * r + c * s * r + 0.5 * w1 * r * r
+        x[1] = b * r + 0.5 * q * (1.0 + k * r) ** 2 * s * s + 0.5 * w2 * r * r
+        x[2:] = beta[2:] * r + kappa[2:] * s * r
+        x_s[0] = 1.0 + c * r
+        x_s[1] = q * (1.0 + k * r) ** 2 * s
+        x_s[2:] = kappa[2:] * r
+        x_r[0] = a + c * s + w1 * r
+        x_r[1] = b + q * k * (1.0 + k * r) * s * s + w2 * r
+        x_r[2:] = beta[2:] + kappa[2:] * s
+        x_ss[1] = q * (1.0 + k * r) ** 2
+        x_sr[0] = c
+        x_sr[1] = 2.0 * q * k * (1.0 + k * r) * s
+        x_sr[2:] = kappa[2:]
+        x_rr[0] = w1
+        x_rr[1] = q * k * k * s * s + w2
+        return x, x_s, x_r, x_ss, x_sr, x_rr
 
-    def d_s(s, r):
-        out = np.zeros(dim)
-        out[0] = 1.0 + c * r
-        out[1] = q * (1.0 + k * r) ** 2 * s
-        out[2:] = kappa[2:] * r
-        return out
-
-    def d_r(s, r):
-        out = np.zeros(dim)
-        out[0] = a + c * s + w1 * r
-        out[1] = b + q * k * (1.0 + k * r) * s * s + w2 * r
-        out[2:] = beta[2:] + kappa[2:] * s
-        return out
-
-    def d_ss(s, r):
-        out = np.zeros(dim)
-        out[1] = q * (1.0 + k * r) ** 2
-        return out
-
-    def d_sr(s, r):
-        out = np.zeros(dim)
-        out[0] = c
-        out[1] = 2.0 * q * k * (1.0 + k * r) * s
-        out[2:] = kappa[2:]
-        return out
-
-    def d_rr(s, r):
-        out = np.zeros(dim)
-        out[0] = w1
-        out[1] = q * k * k * s * s + w2
-        return out
-
-    return WorldSurface(map=gmap, d_s=d_s, d_r=d_r, d_ss=d_ss, d_sr=d_sr,
-                        d_rr=d_rr, s_domain=(-0.6, 0.6), r_domain=(-0.35, 0.35))
+    return _surface(jets, s_domain=(-0.6, 0.6), r_domain=(-0.35, 0.35))
 
 
 _FLAT_RULED_SCHEMA = {
@@ -237,10 +239,13 @@ def _assemble(label: str, dim: int, conn: ConnectionField, metric: MetricField,
               law: TransportLaw, surf: WorldSurface, p: Dict[str, float],
               r_base: float, s_eval: float) -> Scenario:
     """Scenario on the family's surface rebased to ``r_base``, with the
-    mass function and probe field every family shares."""
-    lo, hi = surf.r_domain
-    if not (lo <= r_base <= hi):
-        raise ConfigError(f"r_base {r_base} outside r-domain [{lo}, {hi}]")
+    mass function and probe field every family shares; ``r_base`` and
+    ``s_eval`` outside the surface's domains raise ConfigError."""
+    for key, value, (lo, hi) in (("r_base", r_base, surf.r_domain),
+                                 ("s_eval", s_eval, surf.s_domain)):
+        if not (lo <= value <= hi):
+            raise ConfigError(f"{key} {value} outside {key[0]}-domain "
+                              f"[{lo}, {hi}]")
     return Scenario(dimension=dim, conn=conn, metric=metric, law=law,
                     surface=replace(surf, r_base=r_base), mass=_mass_surface(p),
                     label=label, probe_field=_probe_field(dim), s_eval=s_eval)
@@ -322,15 +327,11 @@ def _sphere_surface(tilt: float, accel: float) -> WorldSurface:
     through theta = arccos z, phi = atan2(y, x)."""
     cb, sb = math.cos(tilt), math.sin(tilt)
 
-    def frame(r):
+    def jets(s, r):
         u = np.array([math.cos(r), math.sin(r), 0.0])
         w = np.array([-math.sin(r) * cb, math.cos(r) * cb, sb])
         du = np.array([-math.sin(r), math.cos(r), 0.0])
         dw = np.array([-math.cos(r) * cb, -math.sin(r) * cb, 0.0])
-        return u, w, du, dw
-
-    def embed_jets(s, r):
-        u, w, du, dw = frame(r)
         f = s + 0.5 * accel * s * s
         fp = 1.0 + accel * s
         cf, sf = math.cos(f), math.sin(f)
@@ -340,10 +341,6 @@ def _sphere_surface(tilt: float, accel: float) -> WorldSurface:
         e_r = cf * du + sf * dw
         e_sr = fp * (-sf * du + cf * dw)
         e_rr = cf * (-u) + sf * (-np.array([w[0], w[1], 0.0]))
-        return e, e_s, e_r, e_ss, e_sr, e_rr
-
-    def chart_jets(s, r):
-        e, e_s, e_r, e_ss, e_sr, e_rr = embed_jets(s, r)
         x, y, z = e
         rho2 = x * x + y * y
         sth = math.sqrt(rho2)
@@ -377,15 +374,7 @@ def _sphere_surface(tilt: float, accel: float) -> WorldSurface:
                          phi_second(e_r, e_r, e_rr)])
         return point, j_s, j_r, j_ss, j_sr, j_rr
 
-    return WorldSurface(
-        map=lambda s, r: chart_jets(s, r)[0],
-        d_s=lambda s, r: chart_jets(s, r)[1],
-        d_r=lambda s, r: chart_jets(s, r)[2],
-        d_ss=lambda s, r: chart_jets(s, r)[3],
-        d_sr=lambda s, r: chart_jets(s, r)[4],
-        d_rr=lambda s, r: chart_jets(s, r)[5],
-        s_domain=(-0.5, 0.5), r_domain=(-0.3, 0.3),
-    )
+    return _surface(jets, s_domain=(-0.5, 0.5), r_domain=(-0.3, 0.3))
 
 
 _SPHERE_SCHEMA = {
@@ -419,32 +408,22 @@ def _minkowski_surface(p: Dict[str, float]) -> WorldSurface:
     a1, w, c2 = p["drag_1"], p["curve_2"], p["cross_2"]
     a3, c3 = p["spread_3"], p["cross_3"]
 
-    def gmap(s, r):
-        return np.array([
+    def jets(s, r):
+        x = np.array([
             s,
             v * s + 0.5 * q * (1.0 + k * r) ** 2 * s * s + a1 * r,
             r + 0.5 * w * r * r + c2 * s * r,
             a3 * r + c3 * s * r,
         ])
+        x_s = np.array([1.0, v + q * (1.0 + k * r) ** 2 * s, c2 * r, c3 * r])
+        x_r = np.array([0.0, q * k * (1.0 + k * r) * s * s + a1,
+                        1.0 + w * r + c2 * s, a3 + c3 * s])
+        x_ss = np.array([0.0, q * (1.0 + k * r) ** 2, 0.0, 0.0])
+        x_sr = np.array([0.0, 2.0 * q * k * (1.0 + k * r) * s, c2, c3])
+        x_rr = np.array([0.0, q * k * k * s * s, w, 0.0])
+        return x, x_s, x_r, x_ss, x_sr, x_rr
 
-    def d_s(s, r):
-        return np.array([1.0, v + q * (1.0 + k * r) ** 2 * s, c2 * r, c3 * r])
-
-    def d_r(s, r):
-        return np.array([0.0, q * k * (1.0 + k * r) * s * s + a1,
-                         1.0 + w * r + c2 * s, a3 + c3 * s])
-
-    def d_ss(s, r):
-        return np.array([0.0, q * (1.0 + k * r) ** 2, 0.0, 0.0])
-
-    def d_sr(s, r):
-        return np.array([0.0, 2.0 * q * k * (1.0 + k * r) * s, c2, c3])
-
-    def d_rr(s, r):
-        return np.array([0.0, q * k * k * s * s, w, 0.0])
-
-    return WorldSurface(map=gmap, d_s=d_s, d_r=d_r, d_ss=d_ss, d_sr=d_sr,
-                        d_rr=d_rr, s_domain=(-0.5, 0.5), r_domain=(-0.25, 0.25))
+    return _surface(jets, s_domain=(-0.5, 0.5), r_domain=(-0.25, 0.25))
 
 
 def _build_minkowski(p: Dict[str, float], r_base: float, s_eval: float) -> Scenario:
@@ -569,9 +548,7 @@ def build(spec: ScenarioSpec) -> Scenario:
     params = _resolve_parameters(family, spec.parameters, spec.name)
     r_base = family.default_r_base if spec.r_base is None else float(spec.r_base)
     s_eval = DEFAULT_S_EVAL if spec.s_eval is None else float(spec.s_eval)
-    scenario = family.builder(params, r_base, s_eval)
-    scenario.surface.require_s(s_eval)
-    return scenario
+    return family.builder(params, r_base, s_eval)
 
 
 def list_scenarios() -> list:

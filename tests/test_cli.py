@@ -1,13 +1,21 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geodev.cli
 from geodev.cli import dump_json, main, run_converge
 from geodev.equations import EquationId
 from geodev.errors import ConfigError
+from geodev.scenarios import ScenarioSpec, build, family_names, list_scenarios
+from geodev.transport import DEFAULT_ODE_CONFIG
 
 TORSION_CONFIG = {
     "scenario": "flat-torsion",
@@ -219,6 +227,33 @@ def test_converge_numerical_failure_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("run,key", [
+    ({"tolerances": {"rel_tol": None}}, "'run.tolerances.rel_tol'"),
+    ({"tolerances": {"rel_tol": math.nan}}, "'run.tolerances.rel_tol'"),
+    ({"tolerances": {"rel_tol": True}}, "'run.tolerances.rel_tol'"),
+    ({"tolerances": {"abs_tol": -1e-12}}, "'run.tolerances.abs_tol'"),
+    ({"tolerances": {"max_steps": 1.5}}, "'run.tolerances.max_steps'"),
+    ({"tolerances": {"max_steps": 10**400}}, "'run.tolerances.max_steps'"),
+    ({"s_eval": "abc"}, "'run.s_eval'"),
+    ({"r_base": "x"}, "'run.r_base'"),
+    ({"s_eval": 0.9}, "s_eval 0.9 outside s-domain"),
+])
+def test_converge_bad_run_value_exits_2(tmp_path, capsys, run, key):
+    config = {"scenario": "sphere", "run": dict(run, equations=["E4_3"])}
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main(["converge", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert not out.exists()
+
+
+def test_tolerance_defaults_and_integral_max_steps():
+    assert geodev.cli._parse_tolerances({}) == DEFAULT_ODE_CONFIG
+    cfg = geodev.cli._parse_tolerances({"tolerances": {"max_steps": 1e3}})
+    assert cfg.max_steps == 1000 and isinstance(cfg.max_steps, int)
+
+
 def test_converge_deterministic_outputs(tmp_path):
     cfg = write_config(tmp_path, TORSION_CONFIG)
     outs = []
@@ -234,6 +269,46 @@ def test_converge_deterministic_outputs(tmp_path):
     csv_b = (outs[1] / "samples.csv").read_text().splitlines()
     strip_cols = lambda lines: [",".join(ln.split(",")[:5]) for ln in lines]
     assert strip_cols(csv_a) == strip_cols(csv_b)
+
+
+# A config drawn from a family's published schema, with r_base and s_eval
+# anywhere in the surface's domains (edges included), runs or is rejected
+# with a message naming what is out of range; it never exits 3 or raises.
+SCHEMAS = {entry["name"]: entry["parameters"] for entry in list_scenarios()}
+PROPERTY_LADDER = [1e-2, 5e-3, 2e-3, 1e-3, 5e-4]
+
+
+@st.composite
+def schema_configs(draw, name):
+    params = {key: draw(st.integers(int(spec["min"]), int(spec["max"]))
+                        if key == "dim" else st.floats(spec["min"], spec["max"]))
+              for key, spec in SCHEMAS[name].items()}
+    run = {"equations": ["E4_3"], "epsilon_ladder": PROPERTY_LADDER}
+    surf = build(ScenarioSpec(name)).surface
+    for key, (lo, hi) in (("r_base", surf.r_domain), ("s_eval", surf.s_domain)):
+        value = draw(st.one_of(st.none(), st.sampled_from((lo, hi)),
+                               st.floats(lo, hi)))
+        if value is not None:
+            run[key] = value
+    return {"scenario": name, "params": params, "run": run}
+
+
+@pytest.mark.parametrize("name", family_names())
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_converge_schema_config_runs_or_names_the_bad_value(name, data):
+    config = data.draw(schema_configs(name))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), config)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["converge", "--config", cfg, "--out",
+                         str(Path(tmp) / "out"), "--quiet"])
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        named = ("r_base", "s_eval", "epsilon ladder", *config["params"])
+        assert any(key in err.getvalue() for key in named), err.getvalue()
 
 
 # --------------------------------------------------------------- inspect

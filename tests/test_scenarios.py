@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from geodev.errors import ConfigError
 from geodev.geometry import ChartPoint, Tangent, curvature_at, torsion_at
 from geodev.kinematics import connecting_path, worldline
 from geodev.scenarios import (EQUATION_SCENARIOS, LINEAR_DRIFT_MASSES,
-                              ScenarioSpec, build, family_names,
+                              ScenarioSpec, _surface, build, family_names,
                               list_scenarios)
 from geodev.transport import s_tensor
 
@@ -70,6 +72,61 @@ def test_r_base_override():
     assert sc.surface.r_base == 0.05
     with pytest.raises(ConfigError):
         build(ScenarioSpec("sphere", r_base=2.0))
+
+
+def test_surface_jets_evaluated_once_per_point():
+    calls = []
+
+    def jets(s, r):
+        calls.append((s, r))
+        return tuple(np.full(2, i + s + r) for i in range(6))
+
+    surf = _surface(jets, s_domain=(-1.0, 1.0), r_domain=(-1.0, 1.0))
+    partials = (surf.map, surf.d_s, surf.d_r, surf.d_ss, surf.d_sr, surf.d_rr)
+    values = [f(0.25, 0.5) for f in partials]
+    assert calls == [(0.25, 0.5)]
+    assert [v[0] for v in values] == [i + 0.75 for i in range(6)]
+    assert surf.d_r(0.125, 0.5)[0] == 2.625
+    assert calls == [(0.25, 0.5), (0.125, 0.5)]
+    with pytest.raises(ValueError):
+        values[0][0] = 1.0
+
+
+def test_surface_memo_is_safe_across_threads():
+    # threads evaluating one surface at different points each get the jets
+    # of their own point, never the memo entry another thread left behind
+    surf = build(ScenarioSpec("sphere", {"accel": 0.3})).surface
+    points = [(0.02 * i - 0.3, 0.01 * i - 0.1) for i in range(20)]
+    expected = {pt: surf.d_sr(*pt).copy() for pt in points}
+    errors = []
+
+    def work(offset):
+        for k in range(400):
+            pt = points[(offset + k) % len(points)]
+            if not np.array_equal(surf.d_sr(*pt), expected[pt]):
+                errors.append(pt)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+
+@pytest.mark.parametrize("name", ALL_FAMILIES)
+def test_surface_values_are_read_only(name):
+    surf = build(ScenarioSpec(name)).surface
+    for partial in (surf.map, surf.d_s, surf.d_r, surf.d_ss, surf.d_sr,
+                    surf.d_rr):
+        with pytest.raises(ValueError):
+            partial(0.1, 0.05)[0] = 1.0
 
 
 def test_higher_dimensional_flat_families():
