@@ -1,14 +1,17 @@
-"""Digest of everything ``geodev converge`` writes, apart from timing fields.
+"""Digest of everything ``geodev converge`` and ``geodev inspect`` write,
+apart from timing fields.
 
     python3 scripts/output_digest.py > digest.txt
 
 Runs ``geodev.cli.main`` in-process, with the ``geodev`` package of this
-checkout's ``src/``, on every cell of ``EQUATION_SCENARIOS`` (the cell's
-scenario and parameters, its one equation, default ladder and ``s_eval``)
-and on every converge candidate of ``perfbench/pool.json`` (read only).
-For each config it prints one line: a label and the sha256 of the exit
-code, stdout, stderr, ``report.json`` without ``wall_time_ms`` /
-``total_wall_time_ms`` and ``samples.csv`` without its timing column.
+checkout's ``src/``: ``converge`` on every cell of ``EQUATION_SCENARIOS``
+(the cell's scenario and parameters, its one equation, default ladder and
+``s_eval``) and on every converge candidate of ``perfbench/pool.json`` (read
+only), and ``inspect --what transport --latitude`` on every holonomy
+candidate of the pool.  For each call it prints one line: a label and the
+sha256 of the exit code, stdout, stderr, ``report.json`` without
+``wall_time_ms`` / ``total_wall_time_ms`` and ``samples.csv`` without its
+timing column (``inspect`` writes neither file).
 
 Two versions of the program give the same outputs when the digests of two
 checkouts are equal, e.g. for a change against its parent::
@@ -41,33 +44,38 @@ POOL = ROOT / "perfbench" / "pool.json"
 TIMING_FIELD = re.compile(r'("(?:total_)?wall_time_ms": )[-+0-9.eE]+')
 
 
-def configs():
-    """(label, config) for every cell and every pool converge candidate."""
+def calls():
+    """(label, config, inspect flags or None for converge) for every cell
+    and every pool candidate."""
     for eq, specs in EQUATION_SCENARIOS.items():
         for spec in specs:
             yield (f"cell {eq.value} {spec.name}",
                    {"scenario": spec.name, "params": dict(spec.parameters),
-                    "run": {"equations": [eq.value]}})
+                    "run": {"equations": [eq.value]}}, None)
     pool = json.loads(POOL.read_text())
     for workload, slots in pool["workloads"].items():
         for i, slot in enumerate(slots):
             for j, cand in enumerate(slot):
-                if cand["kind"] == "converge":
-                    yield f"pool {workload} {i} {j}", cand["config"]
+                flags = (None if cand["kind"] == "converge" else
+                         ["--what", "transport", "--latitude",
+                          repr(cand["latitude"])])
+                yield f"pool {workload} {i} {j}", cand["config"], flags
 
 
 def _strip_csv_timing(text: str) -> str:
     return "".join(line.rsplit(",", 1)[0] + "\n" for line in text.splitlines())
 
 
-def digest(config: dict, workdir: Path) -> str:
+def digest(config: dict, inspect_flags, workdir: Path) -> str:
     config_path = workdir / "config.json"
     config_path.write_text(json.dumps(config))
     out_dir = workdir / "out"
+    argv = (["converge", "--config", str(config_path), "--out", str(out_dir)]
+            if inspect_flags is None else
+            ["inspect", "--config", str(config_path)] + inspect_flags)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["converge", "--config", str(config_path),
-                     "--out", str(out_dir)])
+        code = main(argv)
     report = out_dir / "report.json"
     samples = out_dir / "samples.csv"
     parts = [str(code), out.getvalue(), err.getvalue(),
@@ -79,9 +87,10 @@ def digest(config: dict, workdir: Path) -> str:
 
 
 def run() -> None:
-    for label, config in configs():
+    for label, config, inspect_flags in calls():
         with tempfile.TemporaryDirectory() as tmp:
-            print(f"{digest(config, Path(tmp))}  {label}", flush=True)
+            print(f"{digest(config, inspect_flags, Path(tmp))}  {label}",
+                  flush=True)
 
 
 if __name__ == "__main__":

@@ -26,8 +26,8 @@ import scipy
 from . import __version__
 from .equations import (DEFAULT_LADDER, ConvergenceReport, EquationId,
                         convergence_study, equation_info)
-from .errors import ConfigError, DomainError, GeodevError
-from .geometry import ChartPoint, PathCurve, Tangent, curvature_at, torsion_at
+from .errors import ConfigError, DomainError, EvaluationError, GeodevError
+from .geometry import ChartPoint, PathCurve, curvature_at, torsion_at
 from .kinematics import Scenario, worldline
 from .scenarios import ScenarioSpec, build, list_scenarios
 from .transport import (DEFAULT_ODE_CONFIG, OdeConfig, s_tensor,
@@ -301,35 +301,37 @@ def cmd_converge(args) -> int:
 # ------------------------------------------------------------------- inspect
 
 def _latitude_path(theta0: float) -> PathCurve:
-    def pmap(t: float) -> ChartPoint:
-        return ChartPoint(np.array([theta0, t]))
-
-    def ptan(t: float) -> Tangent:
-        return Tangent(pmap(t), np.array([0.0, 1.0]))
-
-    return PathCurve(map=pmap, tangent=ptan, domain=(0.0, 2.0 * math.pi))
+    return PathCurve(lambda t: (np.array([theta0, t]), np.array([0.0, 1.0])),
+                     (0.0, 2.0 * math.pi))
 
 
 def cmd_inspect(args) -> int:
     config = load_config(args.config)
     scenario = _scenario_from_config(config)
-    at_s = scenario.s_eval if args.at_s is None else args.at_s
     line = worldline(scenario, 1)
-    if args.point is not None:
-        if len(args.point) != scenario.dimension:
-            raise ConfigError(
-                f"--point needs {scenario.dimension} coordinates")
-        point = ChartPoint(np.asarray(args.point, float))
-    else:
-        point = line.map(at_s)
+    for flag in ("at_s", "from_s", "to_s"):
+        value = getattr(args, flag)
+        try:
+            if value is not None:
+                line.require(value)
+        except DomainError as exc:
+            raise ConfigError(f"--{flag.replace('_', '-')}: {exc}") from None
+    at_s = scenario.s_eval if args.at_s is None else args.at_s
+    if args.point is not None and len(args.point) != scenario.dimension:
+        raise ConfigError(f"--point needs {scenario.dimension} coordinates")
 
     out: Dict[str, object] = {"what": args.what, "scenario": scenario.label}
-    if args.what == "torsion":
+    if args.what in ("torsion", "curvature"):
+        operation = torsion_at if args.what == "torsion" else curvature_at
+        try:
+            point = (line.map(at_s) if args.point is None
+                     else ChartPoint(np.asarray(args.point, float)))
+            out["components"] = operation(scenario.conn, point).entries.tolist()
+        except (DomainError, EvaluationError) as exc:
+            if args.point is None:
+                raise
+            raise ConfigError(f"--point {args.point}: {exc}") from None
         out["point"] = point.coords.tolist()
-        out["components"] = torsion_at(scenario.conn, point).entries.tolist()
-    elif args.what == "curvature":
-        out["point"] = point.coords.tolist()
-        out["components"] = curvature_at(scenario.conn, point).entries.tolist()
     elif args.what == "s-tensor":
         out["at_s"] = at_s
         out["point"] = line.map(at_s).coords.tolist()
@@ -340,6 +342,9 @@ def cmd_inspect(args) -> int:
             if scenario.label not in ("sphere", "offset-transport"):
                 raise ConfigError(
                     "--latitude transport needs a sphere-chart scenario")
+            if not 0.0 < args.latitude < math.pi:
+                raise ConfigError(
+                    f"--latitude must lie in (0, pi), got {args.latitude!r}")
             path = _latitude_path(args.latitude)
             frm, to = 0.0, 2.0 * math.pi
         else:

@@ -22,6 +22,7 @@ deviation-equation set before this module was written):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -55,9 +56,18 @@ METRIC_DET_TOL = 1e-12
 
 def _as_float_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise EvaluationError(f"non-finite entries in {name}: {arr!r}")
     return arr
+
+
+def _central_partials(field_at, point) -> np.ndarray:
+    """Partials of ``field_at`` at ``point`` by central differences with step
+    ``DEFAULT_FD_STEP``, the derivative index last."""
+    h = DEFAULT_FD_STEP
+    return np.stack([(field_at(ChartPoint(point.coords + step))
+                      - field_at(ChartPoint(point.coords - step))) / (2.0 * h)
+                     for step in h * np.eye(point.dimension)], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,10 +107,6 @@ class Tangent:
             raise EvaluationError(
                 f"tangent has {self.components.shape} components at a "
                 f"{self.base.dimension}-dimensional point")
-
-    @property
-    def dimension(self) -> int:
-        return self.base.dimension
 
     def __repr__(self):
         return f"Tangent({np.array2string(self.components, precision=6)})"
@@ -151,7 +157,7 @@ class ConnectionField:
             raise EvaluationError(
                 f"connection coefficients have shape {gamma.shape}, "
                 f"expected {(d, d, d)}", point=point)
-        if not np.all(np.isfinite(gamma)):
+        if not np.isfinite(gamma).all():
             raise EvaluationError("non-finite connection coefficients", point=point)
         return gamma
 
@@ -159,15 +165,8 @@ class ConnectionField:
         if self.partials_at is not None:
             out = np.asarray(self.partials_at(point), dtype=float)
         else:
-            d = point.dimension
-            out = np.empty((d, d, d, d))
-            for axis in range(d):
-                step = np.zeros(d)
-                step[axis] = DEFAULT_FD_STEP
-                plus = self.coefficients(ChartPoint(point.coords + step))
-                minus = self.coefficients(ChartPoint(point.coords - step))
-                out[..., axis] = (plus - minus) / (2.0 * DEFAULT_FD_STEP)
-        if not np.all(np.isfinite(out)):
+            out = _central_partials(self.coefficients, point)
+        if not np.isfinite(out).all():
             raise EvaluationError("non-finite connection partials", point=point)
         return out
 
@@ -189,7 +188,7 @@ class MetricField:
         if g.shape != (d, d):
             raise EvaluationError(f"metric has shape {g.shape}, expected {(d, d)}",
                                   point=point)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise EvaluationError("non-finite metric", point=point)
         if np.max(np.abs(g - g.T)) > METRIC_SYMMETRY_TOL:
             raise EvaluationError("metric is not symmetric", point=point)
@@ -202,24 +201,36 @@ class MetricField:
         step ``DEFAULT_FD_STEP`` unless ``partials_at`` is given."""
         if self.partials_at is not None:
             return np.asarray(self.partials_at(point), dtype=float)
-        d = point.dimension
-        out = np.empty((d, d, d))
-        for axis in range(d):
-            step = np.zeros(d)
-            step[axis] = DEFAULT_FD_STEP
-            plus = self.matrix(ChartPoint(point.coords + step))
-            minus = self.matrix(ChartPoint(point.coords - step))
-            out[..., axis] = (plus - minus) / (2.0 * DEFAULT_FD_STEP)
-        return out
+        return _central_partials(self.matrix, point)
 
 
 @dataclass(frozen=True)
 class PathCurve:
-    """A C^1 path in the chart, parametrized over ``domain``."""
+    """A C^1 path in the chart over ``domain``, stated once as ``jets(u) ->
+    (coords, velocity)``.  ``map`` and ``tangent`` share one memoized
+    evaluation of the last parameter and hand out read-only arrays."""
 
-    map: Callable[[float], ChartPoint]
-    tangent: Callable[[float], Tangent]
+    jets: Callable[[float], Tuple[np.ndarray, np.ndarray]]
     domain: Tuple[float, float]
+
+    def __post_init__(self):
+        jets = self.jets
+
+        @functools.lru_cache(maxsize=1)
+        def at(u: float) -> Tangent:
+            coords, velocity = jets(u)
+            tangent = Tangent(ChartPoint(coords), velocity)
+            tangent.base.coords.flags.writeable = False
+            tangent.components.flags.writeable = False
+            return tangent
+
+        object.__setattr__(self, "_at", at)
+
+    def map(self, u: float) -> ChartPoint:
+        return self._at(u).base
+
+    def tangent(self, u: float) -> Tangent:
+        return self._at(u)
 
     def require(self, s: float) -> None:
         lo, hi = self.domain

@@ -134,14 +134,7 @@ def connecting_path(scenario: Scenario, s: float) -> PathCurve:
     """The path ``gamma_s: r -> gamma(s, r)`` joining the two particles."""
     surf = scenario.surface
     surf.require_s(s)
-
-    def pmap(r: float) -> ChartPoint:
-        return surf.point(s, r)
-
-    def ptan(r: float) -> Tangent:
-        return Tangent(pmap(r), surf.d_r(s, r))
-
-    return PathCurve(map=pmap, tangent=ptan, domain=surf.r_domain)
+    return PathCurve(lambda r: (surf.map(s, r), surf.d_r(s, r)), surf.r_domain)
 
 
 def worldline(scenario: Scenario, which: int, eps: float = 0.0) -> PathCurve:
@@ -152,14 +145,7 @@ def worldline(scenario: Scenario, which: int, eps: float = 0.0) -> PathCurve:
     r1, r2 = scenario.separation_endpoints(eps)
     r = r1 if which == 1 else r2
     surf = scenario.surface
-
-    def pmap(s: float) -> ChartPoint:
-        return surf.point(s, r)
-
-    def ptan(s: float) -> Tangent:
-        return Tangent(pmap(s), surf.d_s(s, r))
-
-    return PathCurve(map=pmap, tangent=ptan, domain=surf.s_domain)
+    return PathCurve(lambda s: (surf.map(s, r), surf.d_s(s, r)), surf.s_domain)
 
 
 def force_field(scenario: Scenario, s: float, r: float) -> Tangent:

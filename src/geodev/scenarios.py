@@ -37,7 +37,7 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from .equations import EquationId
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .geometry import ConnectionField, MetricField
 from .kinematics import MassSurface, Scenario, SurfaceField, WorldSurface
 from .transport import TransportLaw, law_from_connection, law_with_offset
@@ -291,16 +291,20 @@ def _sphere_connection() -> ConnectionField:
         th = pt.coords[0]
         g = np.zeros((2, 2, 2))
         g[0, 1, 1] = -math.sin(th) * math.cos(th)
-        g[1, 0, 1] = 1.0 / math.tan(th)
-        g[1, 1, 0] = 1.0 / math.tan(th)
+        try:
+            g[1, 0, 1] = g[1, 1, 0] = 1.0 / math.tan(th)
+        except ZeroDivisionError:
+            raise DomainError(f"sphere chart is singular at theta = {th}") from None
         return g
 
     def partials_at(pt):
         th = pt.coords[0]
         dg = np.zeros((2, 2, 2, 2))
         dg[0, 1, 1, 0] = -math.cos(2.0 * th)
-        dg[1, 0, 1, 0] = -1.0 / math.sin(th) ** 2
-        dg[1, 1, 0, 0] = -1.0 / math.sin(th) ** 2
+        try:
+            dg[1, 0, 1, 0] = dg[1, 1, 0, 0] = -1.0 / math.sin(th) ** 2
+        except ZeroDivisionError:
+            raise DomainError(f"sphere chart is singular at theta = {th}") from None
         return dg
 
     return ConnectionField(gamma_at=gamma_at, partials_at=partials_at)

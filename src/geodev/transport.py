@@ -22,7 +22,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import EvaluationError, TransportError
-from .geometry import ChartPoint, ConnectionField, PathCurve, Tangent, Tensor
+from .geometry import ChartPoint, ConnectionField, PathCurve, Tensor
 
 __all__ = [
     "OdeConfig",
@@ -72,7 +72,7 @@ class TransportLaw:
         if h.ndim != 3 or h.shape != (d, d, d):
             raise EvaluationError(
                 f"transport coefficients have shape {h.shape}, expected a cube")
-        if not np.all(np.isfinite(h)):
+        if not np.isfinite(h).all():
             raise EvaluationError("non-finite transport coefficients",
                                   point=path.map(s))
         return h
@@ -87,10 +87,6 @@ class TransportMatrix:
     to_param: float
     path: PathCurve
     entries: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return self.entries.shape[0]
 
 
 def _integrate(law: TransportLaw, path: PathCurve,
@@ -209,11 +205,7 @@ def coordinate_probes(x: ChartPoint, extent: float = 1e-3) -> list:
     """Straight coordinate-line probe paths through ``x`` at parameter 0,
     one per chart axis; suitable input for extract_first_coeff."""
     def probe(ei: np.ndarray) -> PathCurve:
-        def pmap(t: float) -> ChartPoint:
-            return ChartPoint(x.coords + t * ei)
-        def ptan(t: float) -> Tangent:
-            return Tangent(pmap(t), ei)
-        return PathCurve(map=pmap, tangent=ptan, domain=(-extent, extent))
+        return PathCurve(lambda t: (x.coords + t * ei, ei), (-extent, extent))
     return [probe(e) for e in np.eye(x.dimension)]
 
 

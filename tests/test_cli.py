@@ -368,6 +368,24 @@ def test_inspect_point_dimension_check(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--what", "torsion", "--point", "0", "0"], "--point"),
+    (["--what", "curvature", "--point", "0", "0"], "--point"),
+    (["--what", "transport", "--latitude", "0"], "--latitude"),
+    (["--what", "transport", "--latitude", "nan"], "--latitude"),
+    (["--what", "transport", "--from-s", "0.9"], "--from-s"),
+    (["--what", "s-tensor", "--at-s", "0.9"], "--at-s"),
+])
+def test_inspect_bad_argument_exits_2_naming_the_flag(tmp_path, capsys, flags,
+                                                       named):
+    cfg = write_config(tmp_path, {"scenario": "sphere"})
+    assert main(["inspect", "--config", cfg] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert named in captured.err
+
+
 def test_inspect_at_custom_point(tmp_path, capsys):
     cfg = write_config(tmp_path, {"scenario": "sphere"})
     assert main(["inspect", "--config", cfg, "--what", "curvature",

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -50,15 +52,9 @@ def minkowski_metric():
 
 
 def line_path(start, direction, domain=(-1.0, 1.0)):
-    start = np.asarray(start, float)
-    direction = np.asarray(direction, float)
-
-    def pmap(s):
-        return ChartPoint(start + s * direction)
-
-    return PathCurve(map=pmap,
-                     tangent=lambda s: Tangent(pmap(s), direction),
-                     domain=domain)
+    start = np.array(start, float)
+    direction = np.array(direction, float)
+    return PathCurve(lambda s: (start + s * direction, direction), domain)
 
 
 # ---------------------------------------------------------------- base types
@@ -88,6 +84,55 @@ def test_metric_must_be_symmetric_and_nondegenerate():
     degenerate = MetricField(g_at=lambda p: np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(EvaluationError):
         degenerate.matrix(pt)
+
+
+def test_path_jets_evaluated_once_per_parameter():
+    calls = []
+
+    def jets(u):
+        calls.append(u)
+        return np.array([u, 2.0 * u]), np.array([1.0, 2.0])
+
+    path = PathCurve(jets, (-1.0, 1.0))
+    point, tangent = path.map(0.25), path.tangent(0.25)
+    assert calls == [0.25]
+    assert tangent.base is point
+    assert point.coords.tolist() == [0.25, 0.5]
+    assert path.tangent(0.5).components.tolist() == [1.0, 2.0]
+    assert calls == [0.25, 0.5]
+    for values in (point.coords, tangent.components):
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+
+
+def test_path_memo_is_safe_across_threads():
+    # threads evaluating one path at different parameters each get the
+    # point and tangent of their own parameter, never another thread's
+    path = line_path([0.3, -0.2], [1.0, 0.5])
+    params = [0.05 * i - 0.5 for i in range(20)]
+    expected = {u: (0.3 + u, -0.2 + 0.5 * u) for u in params}
+    errors = []
+
+    def work(offset):
+        for k in range(1000):
+            u = params[(offset + k) % len(params)]
+            point = path.map(u)
+            if (tuple(point.coords) != expected[u]
+                    or path.tangent(u).base.coords[0] != expected[u][0]):
+                errors.append(u)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
 
 
 # ------------------------------------------------------------------- torsion

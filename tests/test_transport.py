@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from geodev.errors import EvaluationError, TransportError
-from geodev.geometry import ChartPoint, Tangent, metric_dot
+from geodev.geometry import ChartPoint, PathCurve, Tangent, metric_dot
 from geodev.kinematics import worldline
 from geodev.scenarios import ScenarioSpec, build, exp_law_generator
 from geodev.transport import (OdeConfig, TransportLaw, approx_transport,
@@ -65,6 +65,27 @@ def test_transport_components_matches_matrix_and_linearity(sphere):
     for comps in (u, v, 2.5 * u - 1.25 * v):
         moved = transport_components(sphere.law, line, s, t, comps)
         assert np.abs(moved - mat @ comps).max() < 1e-9
+
+
+def test_one_path_evaluation_per_rhs_parameter():
+    # one RHS call reads the path point (in the law) and the tangent; the
+    # path memo serves both from one jets call per parameter
+    jets_calls, params = [], set()
+
+    def jets(t):
+        jets_calls.append(t)
+        return np.array([0.8, t]), np.array([0.0, 1.0])
+
+    parallel = law_from_connection(sphere_connection())
+
+    def coeff_at(u, path):
+        params.add(u)
+        return parallel.coeff_at(u, path)
+
+    path = PathCurve(jets, (0.0, 2.0 * math.pi))
+    transport_matrix(TransportLaw(coeff_at), path, 0.0, 2.0 * math.pi)
+    assert len(params) > 50
+    assert len(jets_calls) <= len(params)
 
 
 def test_step_budget_exhaustion(sphere):
