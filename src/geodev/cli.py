@@ -305,17 +305,30 @@ def _latitude_path(theta0: float) -> PathCurve:
                      (0.0, 2.0 * math.pi))
 
 
+# the flags each --what reads; the first one, when given, excludes the rest
+_INSPECT_READS = {"torsion": ("point", "at_s"), "curvature": ("point", "at_s"),
+                  "s-tensor": ("at_s",), "transport": ("latitude", "from_s", "to_s")}
+
+
 def cmd_inspect(args) -> int:
+    reads = _INSPECT_READS[args.what]
+    if getattr(args, reads[0]) is not None:
+        reads = reads[:1]
+    flags = ("point", "at_s", "from_s", "to_s", "latitude")
+    names = {flag: "--" + flag.replace("_", "-") for flag in flags}
+    for flag, name in names.items():
+        if getattr(args, flag) is not None and flag not in reads:
+            raise ConfigError(f"{name} is not read by --what {args.what} (it reads "
+                              f"{', '.join(names[r] for r in reads)})")
     config = load_config(args.config)
     scenario = _scenario_from_config(config)
     line = worldline(scenario, 1)
     for flag in ("at_s", "from_s", "to_s"):
-        value = getattr(args, flag)
         try:
-            if value is not None:
-                line.require(value)
+            if getattr(args, flag) is not None:
+                line.require(getattr(args, flag))
         except DomainError as exc:
-            raise ConfigError(f"--{flag.replace('_', '-')}: {exc}") from None
+            raise ConfigError(f"{names[flag]}: {exc}") from None
     at_s = scenario.s_eval if args.at_s is None else args.at_s
     if args.point is not None and len(args.point) != scenario.dimension:
         raise ConfigError(f"--point needs {scenario.dimension} coordinates")

@@ -19,12 +19,16 @@ variant follows from combining the relative-velocity equation with the
 expansion of the relative acceleration, and is confirmed by the momentum
 equation of motion at unit masses.
 
+Transport policy: a workspace makes one back-transport solve per distinct s
+(``kinematics.back_transport``); every relative quantity at s applies its
+pull-back map L_{r''->r'} to particle 2's vector, and the deviation vector h
+rides on the same solve.
+
 Numerical differentiation policy: s-derivatives of analytically-evaluable
 data use central differences with step 1e-5; s-derivatives of the deviation
-vector (one adaptive ODE solve per evaluation, see
-``kinematics.deviation_vector``) act on the difference field ``h - zeta``
-(itself O(eps^2)) with larger steps, so that truncation scales with the
-residual and the solver's step-selection noise stays below the fit floor.
+vector act on the difference field ``h - zeta`` (itself O(eps^2)) with
+larger steps, so that truncation scales with the residual and the solver's
+step-selection noise stays below the fit floor.
 """
 
 from __future__ import annotations
@@ -40,11 +44,12 @@ from .errors import EvaluationError
 from .geometry import (ChartPoint, Tangent, cov_tensor_components,
                        curvature_apply, curvature_at, sign_of_square,
                        torsion_apply, torsion_components)
-from .kinematics import (Scenario, connecting_path, delta_field,
-                         deviation_vector, force_field, relative_acceleration,
-                         relative_energy, relative_force, relative_momentum,
-                         relative_velocity)
-from .transport import DEFAULT_ODE_CONFIG, OdeConfig, s_tensor
+# deviation_vector stays bound here, unused: perfbench/tracer.py wraps it
+from .kinematics import (Scenario, back_transport, connecting_path,
+                         delta_field, deviation_vector, force_field,
+                         relative_acceleration, relative_energy,
+                         relative_force, relative_momentum, relative_velocity)
+from .transport import DEFAULT_ODE_CONFIG, OdeConfig, TransportMatrix, s_tensor
 
 __all__ = [
     "EquationId",
@@ -323,32 +328,35 @@ class _Workspace:
             return df + np.einsum("ijk,j,k->i", gam, f1, rdot)
         return self._get(("DFdr", s), make)
 
+    def transport(self, s: float) -> Tuple[TransportMatrix, Tangent]:
+        """(L_{r''->r'}, h) at s: the one solve every quantity at s reads."""
+        return self._get(("Lh", s),
+                         lambda: back_transport(self.sc, s, self.eps, self.cfg))
+
     def delta_v(self, s: float) -> np.ndarray:
-        return self._get(("dV", s),
-                         lambda: relative_velocity(self.sc, s, self.eps, self.cfg).components)
+        return self._get(("dV", s), lambda: relative_velocity(
+            self.sc, s, self.eps, self.cfg, self.transport(s)[0]).components)
 
     def delta_a(self, s: float) -> np.ndarray:
-        return self._get(("dA", s),
-                         lambda: relative_acceleration(self.sc, s, self.eps, self.cfg).components)
+        return self._get(("dA", s), lambda: relative_acceleration(
+            self.sc, s, self.eps, self.cfg, self.transport(s)[0]).components)
 
     def delta_p(self, s: float) -> np.ndarray:
-        return self._get(("dp", s),
-                         lambda: relative_momentum(self.sc, s, self.eps, self.cfg).components)
+        return self._get(("dp", s), lambda: relative_momentum(
+            self.sc, s, self.eps, self.cfg, self.transport(s)[0]).components)
 
     def delta_k(self, s: float) -> np.ndarray:
-        return self._get(("dK", s),
-                         lambda: relative_force(self.sc, s, self.eps, self.cfg).components)
+        return self._get(("dK", s), lambda: relative_force(
+            self.sc, s, self.eps, self.cfg, self.transport(s)[0]).components)
 
     def energy(self, s: float) -> float:
-        return self._get(("E", s),
-                         lambda: relative_energy(self.sc, s, self.eps, self.cfg))
+        return self._get(("E", s), lambda: relative_energy(
+            self.sc, s, self.eps, self.cfg, self.transport(s)[0]))
 
     def dev_difference(self, s: float) -> np.ndarray:
         """h - zeta, the O(eps^2) part of the deviation vector."""
-        def make():
-            h = deviation_vector(self.sc, s, self.eps, self.cfg)
-            return h.components - self.zeta(s)
-        return self._get(("psi", s), make)
+        return self._get(("psi", s), lambda: (
+            self.transport(s)[1].components - self.zeta(s)))
 
     # -- finite differences ---------------------------------------------------
     def cov_fd(self, fn: Callable[[float], np.ndarray], s: float,
@@ -371,7 +379,8 @@ def _r_e2_10(w: _Workspace, s: float) -> np.ndarray:
     def as_tangent(u, r):
         return Tangent(surf.point(u, r), field.value(u, r))
 
-    delta_b = delta_field(w.sc, s, w.eps, as_tangent, w.cfg).components
+    delta_b = delta_field(w.sc, s, w.eps, as_tangent, w.cfg,
+                          w.transport(s)[0]).components
     b1 = np.asarray(field.value(s, w.r1), float)
     db_dr = (np.asarray(field.d_r(s, w.r1), float)
              + np.einsum("ijk,j,k->i", w.gam(s), b1, w.rdot(s)))

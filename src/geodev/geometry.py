@@ -37,6 +37,7 @@ __all__ = [
     "ConnectionField",
     "MetricField",
     "PathCurve",
+    "checked_array",
     "torsion_at",
     "torsion_components",
     "curvature_at",
@@ -54,10 +55,16 @@ METRIC_SYMMETRY_TOL = 1e-12
 METRIC_DET_TOL = 1e-12
 
 
-def _as_float_array(values, name: str) -> np.ndarray:
+def checked_array(values, shape: Tuple[int, ...], what: str,
+                  point: Optional["ChartPoint"] = None) -> np.ndarray:
+    """``values`` as a float array, which must have ``shape`` and finite
+    entries; EvaluationError naming ``what`` (at ``point``) otherwise."""
     arr = np.asarray(values, dtype=float)
+    if arr.shape != shape:
+        raise EvaluationError(f"{what} have shape {arr.shape}, expected {shape}",
+                              point=point)
     if not np.isfinite(arr).all():
-        raise EvaluationError(f"non-finite entries in {name}: {arr!r}")
+        raise EvaluationError(f"non-finite {what}", point=point)
     return arr
 
 
@@ -77,9 +84,10 @@ class ChartPoint:
     coords: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", _as_float_array(self.coords, "coords"))
-        if self.coords.ndim != 1:
-            raise EvaluationError("chart coordinates must be a flat sequence")
+        coords = np.asarray(self.coords, dtype=float)
+        if coords.ndim != 1 or not np.isfinite(coords).all():
+            raise EvaluationError(f"chart coordinates must be flat and finite: {coords!r}")
+        object.__setattr__(self, "coords", coords)
 
     @property
     def dimension(self) -> int:
@@ -101,12 +109,9 @@ class Tangent:
     components: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "components", _as_float_array(self.components, "components"))
-        if self.components.shape != (self.base.dimension,):
-            raise EvaluationError(
-                f"tangent has {self.components.shape} components at a "
-                f"{self.base.dimension}-dimensional point")
+        object.__setattr__(self, "components", checked_array(
+            self.components, (self.base.dimension,), "tangent components",
+            self.base))
 
     def __repr__(self):
         return f"Tangent({np.array2string(self.components, precision=6)})"
@@ -125,15 +130,12 @@ class Tensor:
     entries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _as_float_array(self.entries, "entries"))
         p, q = self.valence
-        d = self.base.dimension
         if p < 0 or q < 0:
             raise EvaluationError("tensor valence must be non-negative")
-        if self.entries.shape != (d,) * (p + q):
-            raise EvaluationError(
-                f"tensor entries shape {self.entries.shape} does not match "
-                f"valence {self.valence} in dimension {d}")
+        object.__setattr__(self, "entries", checked_array(
+            self.entries, (self.base.dimension,) * (p + q),
+            f"valence {self.valence} tensor entries", self.base))
 
 
 @dataclass(frozen=True)
@@ -151,24 +153,14 @@ class ConnectionField:
     partials_at: Optional[Callable[[ChartPoint], np.ndarray]] = None
 
     def coefficients(self, point: ChartPoint) -> np.ndarray:
-        gamma = np.asarray(self.gamma_at(point), dtype=float)
-        d = point.dimension
-        if gamma.shape != (d, d, d):
-            raise EvaluationError(
-                f"connection coefficients have shape {gamma.shape}, "
-                f"expected {(d, d, d)}", point=point)
-        if not np.isfinite(gamma).all():
-            raise EvaluationError("non-finite connection coefficients", point=point)
-        return gamma
+        return checked_array(self.gamma_at(point), (point.dimension,) * 3,
+                             "connection coefficients", point)
 
     def partials(self, point: ChartPoint) -> np.ndarray:
-        if self.partials_at is not None:
-            out = np.asarray(self.partials_at(point), dtype=float)
-        else:
-            out = _central_partials(self.coefficients, point)
-        if not np.isfinite(out).all():
-            raise EvaluationError("non-finite connection partials", point=point)
-        return out
+        out = (_central_partials(self.coefficients, point)
+               if self.partials_at is None else self.partials_at(point))
+        return checked_array(out, (point.dimension,) * 4, "connection partials",
+                             point)
 
 
 @dataclass(frozen=True)
@@ -183,13 +175,8 @@ class MetricField:
     partials_at: Optional[Callable[[ChartPoint], np.ndarray]] = None
 
     def matrix(self, point: ChartPoint) -> np.ndarray:
-        g = np.asarray(self.g_at(point), dtype=float)
-        d = point.dimension
-        if g.shape != (d, d):
-            raise EvaluationError(f"metric has shape {g.shape}, expected {(d, d)}",
-                                  point=point)
-        if not np.isfinite(g).all():
-            raise EvaluationError("non-finite metric", point=point)
+        g = checked_array(self.g_at(point), (point.dimension,) * 2,
+                          "metric entries", point)
         if np.max(np.abs(g - g.T)) > METRIC_SYMMETRY_TOL:
             raise EvaluationError("metric is not symmetric", point=point)
         if abs(np.linalg.det(g)) <= METRIC_DET_TOL:
@@ -291,27 +278,15 @@ def cov_derivative_along(path: PathCurve, field: Callable[[float], Tangent],
                          d_components: Optional[Callable[[float], np.ndarray]] = None,
                          ) -> Tangent:
     """Covariant derivative ``(DB/ds)^i = dB^i/ds + G^i_{jk} B^j xdot^k`` of a
-    tangent field along the path at parameter ``s``.
+    tangent field along the path at parameter ``s``: the valence (1,0) case
+    of ``cov_derivative_tensor_along``, whose component-derivative rule
+    ``d_components`` follows."""
+    def as_tensor(u: float) -> Tensor:
+        value = field(u)
+        return Tensor(value.base, (1, 0), value.components)
 
-    The plain component derivative is taken from ``d_components`` when the
-    field supplies it, else by a central difference with step
-    ``DEFAULT_FD_STEP``.
-    """
-    path.require(s)
-    value = field(s)
-    base = path.map(s)
-    if not value.base.close_to(base):
-        raise EvaluationError("field base point does not lie on the path",
-                              point=value.base)
-    if d_components is not None:
-        db = np.asarray(d_components(s), dtype=float)
-    else:
-        h = DEFAULT_FD_STEP
-        db = (field(s + h).components - field(s - h).components) / (2.0 * h)
-    gamma = conn.coefficients(base)
-    xdot = path.tangent(s).components
-    comps = db + np.einsum("ijk,j,k->i", gamma, value.components, xdot)
-    return Tangent(base, comps)
+    out = cov_derivative_tensor_along(path, as_tensor, s, conn, d_components)
+    return Tangent(out.base, out.entries)
 
 
 def cov_tensor_components(gamma: np.ndarray, xdot: np.ndarray,
@@ -349,7 +324,7 @@ def cov_derivative_tensor_along(path: PathCurve,
     value = tfield(s)
     base = path.map(s)
     if not value.base.close_to(base):
-        raise EvaluationError("tensor field base point does not lie on the path",
+        raise EvaluationError("field base point does not lie on the path",
                               point=value.base)
     if d_entries is not None:
         dw = d_entries(s)

@@ -22,8 +22,9 @@ import numpy as np
 from .errors import DomainError, EvaluationError
 from .geometry import (ChartPoint, ConnectionField, MetricField, PathCurve,
                        Tangent, metric_dot, sign_of_square)
+# transport_components stays bound here, unused: perfbench/tracer.py wraps it
 from .transport import (DEFAULT_ODE_CONFIG, OdeConfig, TransportLaw,
-                        pullback_integral, transport_components)
+                        TransportMatrix, pullback_integral, transport_components)
 
 __all__ = [
     "WorldSurface",
@@ -34,6 +35,7 @@ __all__ = [
     "worldline",
     "force_field",
     "infinitesimal_deviation",
+    "back_transport",
     "deviation_vector",
     "delta_field",
     "relative_velocity",
@@ -173,45 +175,53 @@ def infinitesimal_deviation(scenario: Scenario, s: float, eps: float) -> Tangent
     return Tangent(surf.point(s, r1), eps * np.asarray(surf.d_r(s, r1), float))
 
 
+def back_transport(scenario: Scenario, s: float, eps: float,
+                   cfg: OdeConfig = DEFAULT_ODE_CONFIG
+                   ) -> Tuple[TransportMatrix, Tangent]:
+    """``(L_{r''->r'}, h)`` along gamma_s from one adaptive solve
+    (``pullback_integral`` with ``f = d_r(s, .)``): the map that carries
+    particle 2's vectors to r', and the deviation vector at x_1(s)."""
+    cpath = connecting_path(scenario, s)
+    r1, r2 = scenario.separation_endpoints(eps)
+    surf = scenario.surface
+    pull, value = pullback_integral(scenario.law, cpath, r1, r2,
+                                    lambda u: surf.d_r(s, u), cfg)
+    return pull, Tangent(surf.point(s, r1), value)
+
+
 def deviation_vector(scenario: Scenario, s: float, eps: float,
                      cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> Tangent:
     """Deviation vector of particle 2 with respect to particle 1 at x_1(s):
     ``h = int_{r'}^{r'+eps} L_{u->r'} rdot(u) du``, the connecting-path
-    tangents transported back to r' and integrated.  The integral rides as
-    extra state on the back-transport ODE (``pullback_integral``), so one
-    adaptive solve along gamma_s yields h."""
-    surf = scenario.surface
-    surf.require_s(s)
-    r1, r2 = scenario.separation_endpoints(eps)
-    cpath = connecting_path(scenario, s)
-    _, value = pullback_integral(scenario.law, cpath, r1, r2,
-                                 lambda u: surf.d_r(s, u), cfg)
-    return Tangent(surf.point(s, r1), value)
+    tangents transported back to r' and integrated (``back_transport``)."""
+    return back_transport(scenario, s, eps, cfg)[1]
 
 
 def _pull_back(scenario: Scenario, s: float, eps: float,
-               field: Callable[[float, float], Tangent],
-               cfg: OdeConfig) -> np.ndarray:
-    """Components of ``field(s, r'')`` transported backward along gamma_s
-    to r'."""
+               field: Callable[[float, float], Tangent], cfg: OdeConfig,
+               pullback: Optional[TransportMatrix]) -> np.ndarray:
+    """Components of ``field(s, r'')`` carried to r' by ``pullback``, the
+    ``L_{r''->r'}`` of ``back_transport`` (solved here when None)."""
     surf = scenario.surface
     surf.require_s(s)
-    r1, r2 = scenario.separation_endpoints(eps)
+    _, r2 = scenario.separation_endpoints(eps)
     b2 = field(s, r2)
     if not b2.base.close_to(surf.point(s, r2)):
         raise EvaluationError("field value at r'' not attached to gamma(s, r'')",
                               point=b2.base)
-    cpath = connecting_path(scenario, s)
-    return transport_components(scenario.law, cpath, r2, r1, b2.components, cfg)
+    if pullback is None:
+        pullback = back_transport(scenario, s, eps, cfg)[0]
+    return pullback.entries @ b2.components
 
 
 def delta_field(scenario: Scenario, s: float, eps: float,
                 field: Callable[[float, float], Tangent],
-                cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> Tangent:
+                cfg: OdeConfig = DEFAULT_ODE_CONFIG,
+                pullback: Optional[TransportMatrix] = None) -> Tangent:
     """Covariant difference of a surface field between the particles:
-    transport ``field(s, r'')`` backward along gamma_s to r' and subtract
-    ``field(s, r')``."""
-    pulled = _pull_back(scenario, s, eps, field, cfg)
+    ``field(s, r'')`` carried back along gamma_s to r' by ``pullback`` (the
+    L_{r''->r'} of ``back_transport``, solved when None) minus ``field(s, r')``."""
+    pulled = _pull_back(scenario, s, eps, field, cfg, pullback)
     r1, _ = scenario.separation_endpoints(eps)
     b1 = field(s, r1)
     if not b1.base.close_to(scenario.surface.point(s, r1)):
@@ -241,17 +251,19 @@ def _force_density_field(scenario: Scenario) -> Callable[[float, float], Tangent
 
 
 def relative_velocity(scenario: Scenario, s: float, eps: float,
-                      cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> Tangent:
+                      cfg: OdeConfig = DEFAULT_ODE_CONFIG,
+                      pullback: Optional[TransportMatrix] = None) -> Tangent:
     """Relative velocity: back-transported V_2 minus V_1 at x_1(s)."""
-    return delta_field(scenario, s, eps, _velocity_field(scenario), cfg)
+    return delta_field(scenario, s, eps, _velocity_field(scenario), cfg, pullback)
 
 
 def relative_acceleration(scenario: Scenario, s: float, eps: float,
-                          cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> Tangent:
+                          cfg: OdeConfig = DEFAULT_ODE_CONFIG,
+                          pullback: Optional[TransportMatrix] = None) -> Tangent:
     """Relative acceleration: back-transported F_s(r'') minus F_s(r'),
     using that the particle accelerations are values of the force field."""
     return delta_field(scenario, s, eps,
-                       lambda u, r: force_field(scenario, u, r), cfg)
+                       lambda u, r: force_field(scenario, u, r), cfg, pullback)
 
 
 def momentum(scenario: Scenario, which: int, s: float, eps: float = 0.0) -> Tangent:
@@ -263,20 +275,24 @@ def momentum(scenario: Scenario, which: int, s: float, eps: float = 0.0) -> Tang
 
 
 def relative_momentum(scenario: Scenario, s: float, eps: float,
-                      cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> Tangent:
+                      cfg: OdeConfig = DEFAULT_ODE_CONFIG,
+                      pullback: Optional[TransportMatrix] = None) -> Tangent:
     """Relative momentum: back-transported p_2 minus p_1 at x_1(s)."""
-    return delta_field(scenario, s, eps, _momentum_field(scenario), cfg)
+    return delta_field(scenario, s, eps, _momentum_field(scenario), cfg, pullback)
 
 
 def relative_force(scenario: Scenario, s: float, eps: float,
-                   cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> Tangent:
+                   cfg: OdeConfig = DEFAULT_ODE_CONFIG,
+                   pullback: Optional[TransportMatrix] = None) -> Tangent:
     """Covariant difference of the forces ``K(s, r) = mu F_s(r)`` acting on
     the two particles."""
-    return delta_field(scenario, s, eps, _force_density_field(scenario), cfg)
+    return delta_field(scenario, s, eps, _force_density_field(scenario), cfg,
+                       pullback)
 
 
 def relative_energy(scenario: Scenario, s: float, eps: float,
-                    cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> float:
+                    cfg: OdeConfig = DEFAULT_ODE_CONFIG,
+                    pullback: Optional[TransportMatrix] = None) -> float:
     """Relative energy of particle 2 with respect to particle 1:
     the metric pairing of the back-transported p_2 with V_1, signed by the
     causal character of V_1.
@@ -285,10 +301,10 @@ def relative_energy(scenario: Scenario, s: float, eps: float,
     """
     if scenario.metric is None:
         raise EvaluationError("relative_energy requires a scenario metric")
-    surf = scenario.surface
     r1, _ = scenario.separation_endpoints(eps)
-    x1 = surf.point(s, r1)
-    v1 = Tangent(x1, surf.d_s(s, r1))
+    v1 = _velocity_field(scenario)(s, r1)
+    x1 = v1.base
     sign = sign_of_square(scenario.metric, x1, v1)
-    pulled = _pull_back(scenario, s, eps, _momentum_field(scenario), cfg)
+    pulled = _pull_back(scenario, s, eps, _momentum_field(scenario), cfg,
+                        pullback)
     return sign * metric_dot(scenario.metric, x1, Tangent(x1, pulled), v1)

@@ -483,9 +483,7 @@ def _build_exp(p: Dict[str, float], r_base: float, s_eval: float) -> Scenario:
 # ------------------------------------------------------------------- registry
 
 def _with_masses(schema: Dict[str, _Param]) -> Dict[str, _Param]:
-    out = dict(schema)
-    out.update(_MASS_SCHEMA)
-    return out
+    return {**schema, **_MASS_SCHEMA}
 
 
 _FAMILIES: Dict[str, _Family] = {

@@ -22,7 +22,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import EvaluationError, TransportError
-from .geometry import ChartPoint, ConnectionField, PathCurve, Tensor
+from .geometry import (ChartPoint, ConnectionField, PathCurve, Tensor,
+                       checked_array)
 
 __all__ = [
     "OdeConfig",
@@ -67,15 +68,9 @@ class TransportLaw:
     label: str = ""
 
     def coefficients(self, s: float, path: PathCurve) -> np.ndarray:
-        h = np.asarray(self.coeff_at(s, path), dtype=float)
-        d = path.map(s).dimension if h.ndim != 3 else h.shape[0]
-        if h.ndim != 3 or h.shape != (d, d, d):
-            raise EvaluationError(
-                f"transport coefficients have shape {h.shape}, expected a cube")
-        if not np.isfinite(h).all():
-            raise EvaluationError("non-finite transport coefficients",
-                                  point=path.map(s))
-        return h
+        point = path.map(s)
+        return checked_array(self.coeff_at(s, path), (point.dimension,) * 3,
+                             "transport coefficients", point)
 
 
 @dataclass(frozen=True)
@@ -123,32 +118,29 @@ def _linear_rhs(u: float, m: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def transport_matrix(law: TransportLaw, path: PathCurve, s: float, t: float,
                      cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> TransportMatrix:
-    """Transport matrix ``H(t, s; path)`` from parameter ``s`` to ``t``.
+    """Transport matrix ``H(t, s; path)`` from parameter ``s`` to ``t``: the
+    identity carried along by ``transport_components``.
 
     ``H(s, s)`` is the exact identity (no integration is performed); the
     flow property ``H(t, r) H(r, s) = H(t, s)`` holds within ODE tolerance.
     """
     path.require(s)
-    path.require(t)
-    d = path.map(s).dimension
-    if t == s:
-        return TransportMatrix(s, t, path, np.eye(d))
-    entries = _integrate(law, path, _linear_rhs, np.eye(d).reshape(-1), s, t, cfg)
-    return TransportMatrix(s, t, path, entries.reshape(d, d))
+    eye = np.eye(path.map(s).dimension)
+    return TransportMatrix(s, t, path, transport_components(law, path, s, t, eye, cfg))
 
 
 def transport_components(law: TransportLaw, path: PathCurve, s: float, t: float,
                          components: np.ndarray,
                          cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> np.ndarray:
-    """Components at ``path(s)`` transported to ``path(t)``: the map of
-    ``transport_matrix`` applied to one vector, solving the d-dimensional
-    vector ODE directly; used in inner loops (delta fields)."""
-    if t == s:
-        return np.array(components, dtype=float)
+    """Components at ``path(s)`` transported to ``path(t)``: one vector, or
+    the columns of a ``d x k`` array, by one solve of the linear ODE; a copy
+    when ``t == s``."""
     path.require(s)
     path.require(t)
     y0 = np.asarray(components, dtype=float)
-    return _integrate(law, path, _linear_rhs, y0, s, t, cfg)
+    if t == s:
+        return y0.copy()
+    return _integrate(law, path, _linear_rhs, y0.reshape(-1), s, t, cfg).reshape(y0.shape)
 
 
 def pullback_integral(law: TransportLaw, path: PathCurve, s: float, t: float,
@@ -245,10 +237,7 @@ def extract_first_coeff(law: TransportLaw, x: ChartPoint,
         raise EvaluationError("probe tangents are rank deficient", point=x)
     # solve tangents @ U = derivs for U[k] = H_k, componentwise over (i, j)
     stacked = np.linalg.solve(tangents, derivs.reshape(d, d * d))
-    coeff = np.empty((d, d, d))
-    for k in range(d):
-        coeff[:, :, k] = stacked[k].reshape(d, d)
-    return coeff
+    return np.moveaxis(stacked.reshape(d, d, d), 0, -1)
 
 
 def approx_transport(law: TransportLaw, path: PathCurve, s: float, t: float,

@@ -375,6 +375,15 @@ def test_inspect_point_dimension_check(tmp_path, capsys):
     (["--what", "transport", "--latitude", "nan"], "--latitude"),
     (["--what", "transport", "--from-s", "0.9"], "--from-s"),
     (["--what", "s-tensor", "--at-s", "0.9"], "--at-s"),
+    # flags the chosen --what does not read
+    (["--what", "s-tensor", "--point", "0", "0"], "--point"),
+    (["--what", "torsion", "--latitude", "5"], "--latitude"),
+    (["--what", "curvature", "--from-s", "0.1"], "--from-s"),
+    (["--what", "transport", "--at-s", "0.1"], "--at-s"),
+    (["--what", "transport", "--latitude", "0.7", "--from-s", "0.1"],
+     "--from-s"),
+    (["--what", "transport", "--latitude", "0.7", "--to-s", "0.1"], "--to-s"),
+    (["--what", "torsion", "--point", "1", "0", "--at-s", "0.1"], "--at-s"),
 ])
 def test_inspect_bad_argument_exits_2_naming_the_flag(tmp_path, capsys, flags,
                                                        named):

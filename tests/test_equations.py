@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-import geodev.kinematics
+import geodev.transport
 from geodev.equations import (DEFAULT_LADDER, FIT_EXCLUSION, EquationId,
                               _Workspace, _apply_s, convergence_study,
                               equation_info, residual, residual_components)
@@ -270,27 +270,32 @@ def test_shared_workspace_study_matches_fresh_workspace_residuals(family):
 
 
 def test_shared_workspace_study_saves_transport_solves(monkeypatch):
-    # the 13 equations that never call deviation_vector reuse Delta V,
-    # Delta p, Delta A, Delta K and the energy across equations: the shared
-    # study makes at most 2/5 of the solves of one study per equation
+    # one back-transport solve per distinct s serves every relative quantity
+    # and the deviation vector: the 13 equations that never difference h
+    # read s and s +- H_S (3 solves per eps), all 16 add the deviation
+    # stencils s +- H_DEV_FIRST, s +- H_DEV_SECOND, s +- 2 H_DEV_SECOND
+    # (9 per eps); the shared study gives bit-identical residuals
     sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
     deviation = (EquationId.E2_13, EquationId.E4_1, EquationId.E6_3)
     relative = [eq for eq in EquationId if eq not in deviation]
     assert len(relative) == 13
     solves = [0]
-    original = geodev.kinematics.transport_components
+    original = geodev.transport._integrate
 
     def counted(*args, **kwargs):
         solves[0] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(geodev.kinematics, "transport_components", counted)
+    monkeypatch.setattr(geodev.transport, "_integrate", counted)
     per_equation = []
     for eq in relative:
         per_equation.extend(convergence_study([eq], sc, S0, DEFAULT_LADDER))
-    separate = solves[0]
+    assert solves[0] > 21
     solves[0] = 0
     shared = convergence_study(relative, sc, S0, DEFAULT_LADDER)
-    assert 0 < solves[0] <= 0.4 * separate
+    assert solves[0] == 3 * len(DEFAULT_LADDER) == 21
     assert ([smp.residual_norm for rep in shared for smp in rep.samples]
             == [smp.residual_norm for rep in per_equation for smp in rep.samples])
+    solves[0] = 0
+    convergence_study(list(EquationId), sc, S0, DEFAULT_LADDER)
+    assert solves[0] == 9 * len(DEFAULT_LADDER) == 63

@@ -102,6 +102,15 @@ def test_non_finite_coefficients_error():
         transport_matrix(law, path, 0.0, 0.5)
 
 
+@pytest.mark.parametrize("shape", [(3, 3, 3), (2, 2), (2, 2, 3)])
+def test_coefficients_must_be_a_cube_of_the_path_dimension(shape):
+    # a cube of the wrong side used to reach the RHS einsum and fail there
+    law = TransportLaw(coeff_at=lambda s, path: np.zeros(shape))
+    path = line_path([0.0, 0.0], [1.0, 0.0])
+    with pytest.raises(EvaluationError, match=r"expected \(2, 2, 2\)"):
+        transport_matrix(law, path, 0.0, 0.5)
+
+
 def test_parallel_law_zero_connection():
     law = law_from_connection(zero_connection())
     path = line_path([0.0, 0.0], [1.0, 0.0])
