@@ -30,8 +30,8 @@ from .errors import ConfigError, DomainError, EvaluationError, GeodevError
 from .geometry import ChartPoint, PathCurve, curvature_at, torsion_at
 from .kinematics import Scenario, worldline
 from .scenarios import ScenarioSpec, build, list_scenarios
-from .transport import (DEFAULT_ODE_CONFIG, OdeConfig, s_tensor,
-                        transport_matrix)
+from .transport import (DEFAULT_ODE_CONFIG, MIN_REL_TOL, OdeConfig,
+                        s_tensor, transport_matrix)
 
 __all__ = ["main", "run_converge", "dump_json"]
 
@@ -169,6 +169,9 @@ def _parse_tolerances(run: dict) -> OdeConfig:
             raise ConfigError(f"'run.tolerances.{key}' must be positive, "
                               f"got {value!r}")
         values[key] = value
+    if values["rel_tol"] < MIN_REL_TOL:
+        raise ConfigError(f"'run.tolerances.rel_tol' must be at least {MIN_REL_TOL!r}"
+                          f" (100 machine epsilons), got {values['rel_tol']!r}")
     if values["max_steps"] != int(values["max_steps"]):
         raise ConfigError("'run.tolerances.max_steps' must be an integer, "
                           f"got {values['max_steps']!r}")

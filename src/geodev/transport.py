@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import EvaluationError, TransportError
 from .geometry import (ChartPoint, ConnectionField, PathCurve, Tensor,
@@ -30,6 +29,7 @@ __all__ = [
     "TransportLaw",
     "TransportMatrix",
     "DEFAULT_ODE_CONFIG",
+    "MIN_REL_TOL",
     "transport_matrix",
     "transport_components",
     "pullback_integral",
@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 
+MIN_REL_TOL = 100 * np.finfo(float).eps
+
+
 @dataclass(frozen=True)
 class OdeConfig:
     """Tolerances for the transport-generating ODE solves."""
@@ -51,8 +54,9 @@ class OdeConfig:
     max_steps: int = 10**6
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("ODE tolerances must be positive")
+        if not (self.rel_tol >= MIN_REL_TOL and self.abs_tol > 0):
+            raise ValueError("ODE tolerances must be positive and rel_tol at "
+                             f"least 100 machine epsilons ({MIN_REL_TOL!r})")
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
 
@@ -84,36 +88,66 @@ class TransportMatrix:
     entries: np.ndarray
 
 
+# Dormand & Prince (1980) 5(4) tableau; the step control in _integrate is
+# that of Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4, as in SciPy's
+# RK45: safety 0.9, step factors within [0.2, 10], error exponent -1/5.
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = [np.array(a) for a in ([], [1/5], [3/40, 9/40], [44/45, -56/15, 32/9],
+                            [19372/6561, -25360/2187, 64448/6561, -212/729],
+                            [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656])]
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+
+
 def _integrate(law: TransportLaw, path: PathCurve,
                rhs: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
                y0: np.ndarray, s: float, t: float, cfg: OdeConfig) -> np.ndarray:
-    """Integrate dy/du = rhs(u, M(u), y) from s to t (RK45) within the step
-    budget of ``cfg``, where ``M(u)^i_j = H^i_{jk}(u; path) xdot^k(u)``;
-    returns y(t)."""
-    evals = 0
-    # RK45 uses at most 7 rhs evaluations per step (6 stages + FSAL reuse)
-    eval_budget = 8 * cfg.max_steps
-
-    def budgeted(u, y):
-        nonlocal evals
-        evals += 1
-        if evals > eval_budget:
-            raise TransportError(
-                f"transport ODE exceeded {cfg.max_steps} steps")
+    """y(t) for dy/du = rhs(u, M(u), y), ``M(u)^i_j = H^i_{jk}(u; path) xdot^k(u)``,
+    from y(s) = y0 in at most ``cfg.max_steps`` attempted RK 5(4) steps."""
+    def fun(u, y):
         coeff = law.coefficients(u, path)
-        m = np.einsum("ijk,k->ij", coeff, path.tangent(u).components)
-        return rhs(u, m, y)
+        return rhs(u, np.einsum("ijk,k->ij", coeff, path.tangent(u).components), y)
 
-    sol = solve_ivp(budgeted, (s, t), y0, method="RK45",
-                    rtol=cfg.rel_tol, atol=cfg.abs_tol)
-    if not sol.success:
-        raise TransportError(f"transport ODE failed: {sol.message}")
-    return sol.y[:, -1]
-
-
-def _linear_rhs(u: float, m: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """dY/du = M(u) Y for a flattened vector or d x d matrix Y."""
-    return (m @ y.reshape(m.shape[0], -1)).reshape(-1)
+    if not np.isfinite(y0).all():
+        raise ValueError("All components of the initial state `y0` must be finite.")
+    u, t, y, rtol, atol = float(s), float(t), y0, cfg.rel_tol, cfg.abs_tol
+    direction, f = np.sign(t - u), fun(u, y)
+    norm, root_n = np.linalg.norm, y.size ** 0.5  # error norm: RMS
+    scale = atol + np.abs(y) * rtol  # initial step, from one more RHS call
+    d0, d1 = norm(y / scale) / root_n, norm(f / scale) / root_n
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t - u))
+    d2 = norm((fun(u + h0 * direction, y + h0 * direction * f) - f) / scale) / root_n / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** (1 / 5))
+    h_abs, k, attempts = min(100 * h0, h1, abs(t - u)), np.empty((7, y.size)), 0
+    while direction * (u - t) < 0:
+        min_step = 10 * np.abs(np.nextafter(u, direction * np.inf) - u)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if h_abs < min_step:
+                raise TransportError("transport ODE failed: Required step "
+                                     "size is less than spacing between numbers.")
+            attempts += 1
+            if attempts > cfg.max_steps:
+                raise TransportError(f"transport ODE exceeded {cfg.max_steps} steps")
+            u_new = u + h_abs * direction
+            u_new = t if direction * (u_new - t) > 0 else u_new
+            h = u_new - u
+            h_abs, k[0] = np.abs(h), f
+            for i in range(1, 6):
+                k[i] = fun(u + _C[i] * h, y + np.dot(k[:i].T, _A[i]) * h)
+            y_new = y + h * np.dot(k[:-1].T, _B)
+            k[-1] = f_new = fun(u + h, y_new)  # stage at u + h, not u_new
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error = norm(np.dot(k.T, _E) * h / scale) / root_n
+            if error < 1:
+                break
+            h_abs *= max(0.2, 0.9 * error ** -0.2)
+            rejected = True
+        factor = 10 if error == 0 else min(10, 0.9 * error ** -0.2)
+        h_abs *= min(1, factor) if rejected else factor
+        u, y, f = u_new, y_new, f_new
+    return y
 
 
 def transport_matrix(law: TransportLaw, path: PathCurve, s: float, t: float,
@@ -140,7 +174,9 @@ def transport_components(law: TransportLaw, path: PathCurve, s: float, t: float,
     y0 = np.asarray(components, dtype=float)
     if t == s:
         return y0.copy()
-    return _integrate(law, path, _linear_rhs, y0.reshape(-1), s, t, cfg).reshape(y0.shape)
+    def linear(u, m, y):  # dY/du = M(u) Y, Y flattened
+        return (m @ y.reshape(m.shape[0], -1)).reshape(-1)
+    return _integrate(law, path, linear, y0.reshape(-1), s, t, cfg).reshape(y0.shape)
 
 
 def pullback_integral(law: TransportLaw, path: PathCurve, s: float, t: float,

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -237,6 +239,7 @@ def test_converge_numerical_failure_exits_3(tmp_path, capsys):
     ({"s_eval": "abc"}, "'run.s_eval'"),
     ({"r_base": "x"}, "'run.r_base'"),
     ({"s_eval": 0.9}, "s_eval 0.9 outside s-domain"),
+    ({"tolerances": {"rel_tol": 1e-16}}, "'run.tolerances.rel_tol'"),
 ])
 def test_converge_bad_run_value_exits_2(tmp_path, capsys, run, key):
     config = {"scenario": "sphere", "run": dict(run, equations=["E4_3"])}
@@ -279,11 +282,11 @@ PROPERTY_LADDER = [1e-2, 5e-3, 2e-3, 1e-3, 5e-4]
 
 
 @st.composite
-def schema_configs(draw, name):
+def schema_configs(draw, name, equations=("E4_3",)):
     params = {key: draw(st.integers(int(spec["min"]), int(spec["max"]))
                         if key == "dim" else st.floats(spec["min"], spec["max"]))
               for key, spec in SCHEMAS[name].items()}
-    run = {"equations": ["E4_3"], "epsilon_ladder": PROPERTY_LADDER}
+    run = {"equations": list(equations), "epsilon_ladder": PROPERTY_LADDER}
     surf = build(ScenarioSpec(name)).surface
     for key, (lo, hi) in (("r_base", surf.r_domain), ("s_eval", surf.s_domain)):
         value = draw(st.one_of(st.none(), st.sampled_from((lo, hi)),
@@ -293,11 +296,7 @@ def schema_configs(draw, name):
     return {"scenario": name, "params": params, "run": run}
 
 
-@pytest.mark.parametrize("name", family_names())
-@settings(max_examples=25, derandomize=True, deadline=None)
-@given(data=st.data())
-def test_converge_schema_config_runs_or_names_the_bad_value(name, data):
-    config = data.draw(schema_configs(name))
+def assert_runs_or_names_the_bad_value(config):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_config(Path(tmp), config)
         err = io.StringIO()
@@ -309,6 +308,21 @@ def test_converge_schema_config_runs_or_names_the_bad_value(name, data):
     if code == 2:
         named = ("r_base", "s_eval", "epsilon ladder", *config["params"])
         assert any(key in err.getvalue() for key in named), err.getvalue()
+
+
+@pytest.mark.parametrize("name", family_names())
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_converge_schema_config_runs_or_names_the_bad_value(name, data):
+    assert_runs_or_names_the_bad_value(data.draw(schema_configs(name)))
+
+
+@pytest.mark.parametrize("name", family_names())
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_converge_schema_config_all_sixteen_runs_or_names_the_bad_value(name, data):
+    equations = [eq.value for eq in EquationId]
+    assert_runs_or_names_the_bad_value(data.draw(schema_configs(name, equations)))
 
 
 # --------------------------------------------------------------- inspect
@@ -406,6 +420,19 @@ def test_inspect_at_custom_point(tmp_path, capsys):
 
 def test_missing_subcommand_exits_2():
     assert main([]) == 2
+
+
+def test_cli_import_loads_no_heavy_scipy_subpackage():
+    # the stepper is the package's own; cli reads only scipy.__version__, so a
+    # cold start must not pay for scipy.integrate and what it pulls in
+    src = str(Path(geodev.cli.__file__).resolve().parents[1])
+    probe = ("import geodev.cli, sys; print(sorted(m for m in sys.modules "
+             "if m.split('.')[:2] in (['scipy', 'integrate'], "
+             "['scipy', 'special'], ['scipy', 'linalg'])))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, cwd=src,
+                         env={"PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
 
 
 # ------------------------------------------------------------- serializer

@@ -1,17 +1,22 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+import geodev.transport as transport
+from geodev.cli import _latitude_path
 from geodev.errors import EvaluationError, TransportError
 from geodev.geometry import ChartPoint, PathCurve, Tangent, metric_dot
-from geodev.kinematics import worldline
+from geodev.kinematics import back_transport, worldline
 from geodev.scenarios import ScenarioSpec, build, exp_law_generator
-from geodev.transport import (OdeConfig, TransportLaw, approx_transport,
-                              coordinate_probes, extract_first_coeff,
-                              law_from_connection, law_with_offset, s_tensor,
-                              transport_components, transport_matrix)
+from geodev.transport import (MIN_REL_TOL, OdeConfig, TransportLaw,
+                              approx_transport, coordinate_probes,
+                              extract_first_coeff, law_from_connection,
+                              law_with_offset, s_tensor, transport_components,
+                              transport_matrix)
 
 from test_geometry import (constant_connection, line_path, sphere_connection,
                            zero_connection)
@@ -22,6 +27,9 @@ def test_ode_config_validation():
         OdeConfig(rel_tol=-1.0)
     with pytest.raises(ValueError):
         OdeConfig(max_steps=0)
+    with pytest.raises(ValueError, match="100 machine epsilons"):
+        OdeConfig(rel_tol=1e-16)
+    assert OdeConfig(rel_tol=MIN_REL_TOL).rel_tol == MIN_REL_TOL
 
 
 def test_identity_at_equal_parameters(sphere):
@@ -93,6 +101,105 @@ def test_step_budget_exhaustion(sphere):
     tiny = OdeConfig(rel_tol=1e-13, abs_tol=1e-14, max_steps=1)
     with pytest.raises(TransportError):
         transport_matrix(sphere.law, line, line.domain[0], line.domain[1], tiny)
+
+
+def bump_law() -> TransportLaw:
+    """A rotation generator switched on by a Gaussian bump at u = 0.3: the
+    steps grow on the flat part and are rejected at the bump."""
+    gen = np.zeros((2, 2, 2))
+    gen[0, 1, 0], gen[1, 0, 0] = 1.0, -1.0
+    return TransportLaw(lambda u, path: 5.0 * math.exp(-((u - 0.3) / 0.1) ** 2) * gen)
+
+
+X_AXIS = line_path([0.0, 0.0], [1.0, 0.0])
+REJECTING = OdeConfig(rel_tol=1e-6, abs_tol=1e-8)
+
+
+def test_step_budget_counts_attempted_steps():
+    # 2 RHS calls pick the first step, then 6 per attempted step; this solve
+    # rejects steps (test_stepper_matches_scipy_rk45), and they count too
+    calls = []
+    bump = bump_law()
+
+    def coeff_at(u, path):
+        calls.append(u)
+        return bump.coeff_at(u, path)
+
+    law = TransportLaw(coeff_at)
+    free = transport_matrix(law, X_AXIS, 0.9, 0.02, REJECTING).entries
+    attempts, rest = divmod(len(calls) - 2, 6)
+    assert rest == 0 and attempts > 10
+    exact = replace(REJECTING, max_steps=attempts)
+    assert np.array_equal(transport_matrix(law, X_AXIS, 0.9, 0.02, exact).entries, free)
+    short = replace(REJECTING, max_steps=attempts - 1)
+    with pytest.raises(TransportError, match=f"exceeded {attempts - 1} steps"):
+        transport_matrix(law, X_AXIS, 0.9, 0.02, short)
+
+
+def scipy_integrate(params: list, accepted: list):
+    """Stand-in for ``transport._integrate`` that solves the same ODE with
+    SciPy's RK45, recording each RHS parameter and the accepted steps."""
+    def integrate(law, path, rhs, y0, s, t, cfg):
+        def fun(u, y):
+            params.append(u)
+            coeff = law.coefficients(u, path)
+            return rhs(u, np.einsum("ijk,k->ij", coeff, path.tangent(u).components), y)
+        sol = solve_ivp(fun, (s, t), y0, method="RK45", rtol=cfg.rel_tol,
+                        atol=cfg.abs_tol)
+        assert sol.success, sol.message
+        accepted.append(len(sol.t) - 1)
+        return sol.y[:, -1]
+    return integrate
+
+
+def backward_worldline() -> np.ndarray:
+    """One vector carried from s = 0.4 back to s = -0.3 along particle 1."""
+    sc = build(ScenarioSpec("offset-transport"))
+    return transport_components(sc.law, worldline(sc, 1), 0.4, -0.3,
+                                np.array([0.3, -0.7]))
+
+
+def minkowski_pullback() -> np.ndarray:
+    """L_{r''->r'} (16 components) and h (4 more), riding along in one solve."""
+    sc = build(ScenarioSpec("minkowski"))
+    pull, h = back_transport(sc, sc.s_eval, 0.1)
+    return np.concatenate((pull.entries.reshape(-1), h.components))
+
+
+ORACLE_CASES = {
+    "latitude-holonomy": lambda: transport_matrix(
+        build(ScenarioSpec("sphere")).law, _latitude_path(math.pi / 4),
+        0.0, 2.0 * math.pi).entries,
+    "backward-worldline": backward_worldline,
+    "minkowski-pullback": minkowski_pullback,
+    # rejects steps, caps the growth of steps accepted right after a
+    # rejection, and its clipped last step has u + h != t in floating point
+    "rejecting": lambda: transport_matrix(
+        bump_law(), X_AXIS, 0.9, 0.02, REJECTING).entries,
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_stepper_matches_scipy_rk45(case, monkeypatch):
+    ours_params, oracle_params, accepted = [], [], []
+    integrate = transport._integrate
+
+    def counting(law, path, rhs, *args):
+        def counted(u, m, y):
+            ours_params.append(u)
+            return rhs(u, m, y)
+        return integrate(law, path, counted, *args)
+
+    monkeypatch.setattr(transport, "_integrate", counting)
+    ours = ORACLE_CASES[case]()
+    monkeypatch.setattr(transport, "_integrate",
+                        scipy_integrate(oracle_params, accepted))
+    theirs = ORACLE_CASES[case]()
+    np.testing.assert_array_equal(ours, theirs)
+    assert ours_params == oracle_params
+    if case == "rejecting":
+        [steps] = accepted
+        assert (len(oracle_params) - 2) // 6 > steps
 
 
 def test_non_finite_coefficients_error():
