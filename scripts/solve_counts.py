@@ -1,19 +1,27 @@
-"""Deterministic transport work of three convergence studies.
+"""Deterministic transport work of three convergence studies and one
+holonomy.
 
     python3 scripts/solve_counts.py
 
 Runs ``convergence_study`` with the ``geodev`` package of this checkout's
 ``src/`` on offset-transport with ``LINEAR_DRIFT_MASSES``, the default ladder
 and the default ``s_eval``, for the 13 equations that never difference the
-deviation vector, for all 16 equations, and for the 3 deviation equations.
+deviation vector, for all 16 equations, and for the 3 deviation equations;
+then the sphere's transport once around the latitude circle at pi/4 (the
+solve of ``geodev inspect --what transport --latitude 0.785...``).
 Every ODE solve of the package goes through ``transport._integrate``; the
-script counts those calls (solves) and the right-hand-side evaluations they
-make, and prints one JSON object.  The counts do not depend on the machine.
+script counts those calls (solves), the right-hand-side evaluations they
+make, and the ``TransportLaw.coefficients`` calls made inside them
+(``coeff_evals``, one per distinct RHS parameter), and prints one JSON
+object.  A solve makes 2 RHS calls to pick its first step and 6 per
+attempted step; ``attempted_steps`` is derived from that.  The counts do not
+depend on the machine.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -21,6 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import geodev.transport as transport  # noqa: E402
+from geodev.cli import _latitude_path  # noqa: E402
 from geodev.equations import (DEFAULT_LADDER, EquationId,  # noqa: E402
                               convergence_study)
 from geodev.scenarios import (LINEAR_DRIFT_MASSES, ScenarioSpec,  # noqa: E402
@@ -34,9 +43,11 @@ STUDIES = {
 }
 
 
-def counted_study(equations, scenario) -> dict:
-    counts = {"solves": 0, "rhs_calls": 0}
-    integrate = transport._integrate
+def counted(work) -> dict:
+    """Counts of the solves that ``work()`` makes."""
+    counts = {"solves": 0, "rhs_calls": 0, "coeff_evals": 0}
+    integrate, coefficients = transport._integrate, transport.TransportLaw.coefficients
+    inside = [False]
 
     def counting(law, path, rhs, *args, **kwargs):
         counts["solves"] += 1
@@ -44,21 +55,39 @@ def counted_study(equations, scenario) -> dict:
         def counted_rhs(u, m, y):
             counts["rhs_calls"] += 1
             return rhs(u, m, y)
-        return integrate(law, path, counted_rhs, *args, **kwargs)
+        inside[0] = True
+        try:
+            return integrate(law, path, counted_rhs, *args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def counting_coefficients(law, s, path):
+        if inside[0]:  # s_tensor also reads coefficients, outside any solve
+            counts["coeff_evals"] += 1
+        return coefficients(law, s, path)
 
     transport._integrate = counting
+    transport.TransportLaw.coefficients = counting_coefficients
     try:
-        convergence_study(equations, scenario, scenario.s_eval, DEFAULT_LADDER)
+        work()
     finally:
         transport._integrate = integrate
-    counts["solves_per_eps"] = counts["solves"] / len(DEFAULT_LADDER)
+        transport.TransportLaw.coefficients = coefficients
+    counts["attempted_steps"] = (counts["rhs_calls"] - 2 * counts["solves"]) // 6
     return counts
 
 
 def main() -> None:
     scenario = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
-    print(json.dumps({name: counted_study(eqs, scenario)
-                      for name, eqs in STUDIES.items()}, indent=1))
+    out = {}
+    for name, eqs in STUDIES.items():
+        out[name] = counted(lambda: convergence_study(
+            eqs, scenario, scenario.s_eval, DEFAULT_LADDER))
+        out[name]["solves_per_eps"] = out[name]["solves"] / len(DEFAULT_LADDER)
+    sphere = build(ScenarioSpec("sphere"))
+    out["sphere_latitude_holonomy"] = counted(lambda: transport.transport_matrix(
+        sphere.law, _latitude_path(math.pi / 4), 0.0, 2.0 * math.pi))
+    print(json.dumps(out, indent=1))
 
 
 if __name__ == "__main__":

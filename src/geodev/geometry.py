@@ -63,7 +63,7 @@ def checked_array(values, shape: Tuple[int, ...], what: str,
     if arr.shape != shape:
         raise EvaluationError(f"{what} have shape {arr.shape}, expected {shape}",
                               point=point)
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise EvaluationError(f"non-finite {what}", point=point)
     return arr
 
@@ -85,7 +85,7 @@ class ChartPoint:
 
     def __post_init__(self):
         coords = np.asarray(self.coords, dtype=float)
-        if coords.ndim != 1 or not np.isfinite(coords).all():
+        if coords.ndim != 1 or np.count_nonzero(np.isfinite(coords)) != coords.size:
             raise EvaluationError(f"chart coordinates must be flat and finite: {coords!r}")
         object.__setattr__(self, "coords", coords)
 

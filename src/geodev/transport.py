@@ -15,6 +15,7 @@ transport).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
@@ -42,7 +43,7 @@ __all__ = [
 ]
 
 
-MIN_REL_TOL = 100 * np.finfo(float).eps
+MIN_REL_TOL = 100 * math.ulp(1.0)  # 100 machine epsilons
 
 
 @dataclass(frozen=True)
@@ -53,12 +54,14 @@ class OdeConfig:
     abs_tol: float = 1e-12
     max_steps: int = 10**6
 
-    def __post_init__(self):
-        if not (self.rel_tol >= MIN_REL_TOL and self.abs_tol > 0):
-            raise ValueError("ODE tolerances must be positive and rel_tol at "
-                             f"least 100 machine epsilons ({MIN_REL_TOL!r})")
-        if self.max_steps <= 0:
-            raise ValueError("max_steps must be positive")
+    def __post_init__(self):  # each message starts with the field name
+        if not self.rel_tol >= MIN_REL_TOL:
+            raise ValueError(f"rel_tol must be at least 100 machine epsilons "
+                             f"({MIN_REL_TOL!r}), got {self.rel_tol!r}")
+        if not self.abs_tol > 0:
+            raise ValueError(f"abs_tol must be positive, got {self.abs_tol!r}")
+        if not self.max_steps > 0:
+            raise ValueError(f"max_steps must be positive, got {self.max_steps!r}")
 
 
 DEFAULT_ODE_CONFIG = OdeConfig()
@@ -104,24 +107,28 @@ def _integrate(law: TransportLaw, path: PathCurve,
                y0: np.ndarray, s: float, t: float, cfg: OdeConfig) -> np.ndarray:
     """y(t) for dy/du = rhs(u, M(u), y), ``M(u)^i_j = H^i_{jk}(u; path) xdot^k(u)``,
     from y(s) = y0 in at most ``cfg.max_steps`` attempted RK 5(4) steps."""
-    def fun(u, y):
-        coeff = law.coefficients(u, path)
-        return rhs(u, np.einsum("ijk,k->ij", coeff, path.tangent(u).components), y)
+    last = [None, None]  # the last parameter and its M, shared by the stages at u + h
 
-    if not np.isfinite(y0).all():
-        raise ValueError("All components of the initial state `y0` must be finite.")
-    u, t, y, rtol, atol = float(s), float(t), y0, cfg.rel_tol, cfg.abs_tol
-    direction, f = np.sign(t - u), fun(u, y)
-    norm, root_n = np.linalg.norm, y.size ** 0.5  # error norm: RMS
-    scale = atol + np.abs(y) * rtol  # initial step, from one more RHS call
-    d0, d1 = norm(y / scale) / root_n, norm(f / scale) / root_n
+    def fun(u, y):  # rhs gets M read-only, so it cannot write into the memo
+        if u != last[0]:
+            last[:] = u, law.coefficients(u, path) @ path.tangent(u).components
+            last[1].flags.writeable = False
+        return rhs(u, last[1], y)
+
+    def norm(x):  # RMS, as np.linalg.norm(x) / sqrt(x.size)
+        return math.sqrt(np.dot(x, x)) / root_n
+
+    u, t, y = float(s), float(t), checked_array(y0, y0.shape, "initial transport state")
+    direction, f, root_n = np.sign(t - u), fun(u, y), y.size ** 0.5
+    scale = cfg.abs_tol + np.abs(y) * cfg.rel_tol  # first step: one more RHS call
+    d0, d1 = norm(y / scale), norm(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t - u))
-    d2 = norm((fun(u + h0 * direction, y + h0 * direction * f) - f) / scale) / root_n / h0
+    d2 = norm((fun(u + h0 * direction, y + h0 * direction * f) - f) / scale) / h0
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** (1 / 5))
     h_abs, k, attempts = min(100 * h0, h1, abs(t - u)), np.empty((7, y.size)), 0
     while direction * (u - t) < 0:
-        min_step = 10 * np.abs(np.nextafter(u, direction * np.inf) - u)
+        min_step = 10 * abs(math.nextafter(u, direction * math.inf) - u)
         h_abs, rejected = max(h_abs, min_step), False
         while True:
             if h_abs < min_step:
@@ -133,13 +140,13 @@ def _integrate(law: TransportLaw, path: PathCurve,
             u_new = u + h_abs * direction
             u_new = t if direction * (u_new - t) > 0 else u_new
             h = u_new - u
-            h_abs, k[0] = np.abs(h), f
+            h_abs, k[0] = abs(h), f
             for i in range(1, 6):
                 k[i] = fun(u + _C[i] * h, y + np.dot(k[:i].T, _A[i]) * h)
             y_new = y + h * np.dot(k[:-1].T, _B)
             k[-1] = f_new = fun(u + h, y_new)  # stage at u + h, not u_new
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error = norm(np.dot(k.T, _E) * h / scale) / root_n
+            scale = cfg.abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rel_tol
+            error = norm(np.dot(k.T, _E) * h / scale)
             if error < 1:
                 break
             h_abs *= max(0.2, 0.9 * error ** -0.2)

@@ -11,8 +11,9 @@ from geodev.errors import EvaluationError, NullVectorError
 from geodev.geometry import (DEFAULT_FD_STEP, ChartPoint, ConnectionField,
                              MetricField, PathCurve, Tangent, Tensor,
                              cov_derivative_along, cov_derivative_tensor_along,
-                             cov_tensor_components, curvature_at, metric_dot,
-                             sign_of_square, torsion_at)
+                             checked_array, cov_tensor_components,
+                             curvature_at, metric_dot, sign_of_square,
+                             torsion_at)
 
 
 def zero_connection(d=2):
@@ -62,6 +63,23 @@ def line_path(start, direction, domain=(-1.0, 1.0)):
 def test_chart_point_rejects_non_finite():
     with pytest.raises(EvaluationError):
         ChartPoint([0.0, np.nan])
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 2, 2), (4, 4, 4, 4)])
+def test_finiteness_check_is_exact(shape):
+    # one non-finite entry anywhere is rejected; every finite extreme passes
+    for bad in (math.nan, math.inf, -math.inf):
+        for index in np.ndindex(shape):
+            arr = np.ones(shape)
+            arr[index] = bad
+            with pytest.raises(EvaluationError, match="non-finite"):
+                checked_array(arr, shape, "entries")
+            with pytest.raises(EvaluationError, match="finite"):
+                ChartPoint(arr.reshape(-1))
+    for extreme in (1.7e308, -1.7e308, 5e-324, -0.0):
+        arr = np.full(shape, extreme)
+        assert np.array_equal(checked_array(arr, shape, "entries"), arr)
+        assert np.array_equal(ChartPoint(arr.reshape(-1)).coords, arr.reshape(-1))
 
 
 def test_tangent_dimension_mismatch():

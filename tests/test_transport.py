@@ -115,17 +115,27 @@ X_AXIS = line_path([0.0, 0.0], [1.0, 0.0])
 REJECTING = OdeConfig(rel_tol=1e-6, abs_tol=1e-8)
 
 
-def test_step_budget_counts_attempted_steps():
+def record_rhs_calls(monkeypatch) -> list:
+    """Wrap ``transport._integrate`` so that each RHS call of every later
+    solve appends its parameter and generator ``(u, M)`` to the returned
+    list."""
+    calls, integrate = [], transport._integrate
+
+    def recording(law, path, rhs, *args):
+        def recorded(u, m, y):
+            calls.append((u, m))
+            return rhs(u, m, y)
+        return integrate(law, path, recorded, *args)
+
+    monkeypatch.setattr(transport, "_integrate", recording)
+    return calls
+
+
+def test_step_budget_counts_attempted_steps(monkeypatch):
     # 2 RHS calls pick the first step, then 6 per attempted step; this solve
     # rejects steps (test_stepper_matches_scipy_rk45), and they count too
-    calls = []
-    bump = bump_law()
-
-    def coeff_at(u, path):
-        calls.append(u)
-        return bump.coeff_at(u, path)
-
-    law = TransportLaw(coeff_at)
+    calls = record_rhs_calls(monkeypatch)
+    law = bump_law()
     free = transport_matrix(law, X_AXIS, 0.9, 0.02, REJECTING).entries
     attempts, rest = divmod(len(calls) - 2, 6)
     assert rest == 0 and attempts > 10
@@ -134,6 +144,26 @@ def test_step_budget_counts_attempted_steps():
     short = replace(REJECTING, max_steps=attempts - 1)
     with pytest.raises(TransportError, match=f"exceeded {attempts - 1} steps"):
         transport_matrix(law, X_AXIS, 0.9, 0.02, short)
+
+
+def test_one_generator_per_rhs_parameter(monkeypatch):
+    # stage 6 and the FSAL stage share u + h, and so one evaluation of M;
+    # the M an RHS receives is read-only, so no RHS can corrupt the memo
+    sphere_law, coeff_calls = build(ScenarioSpec("sphere")).law, []
+
+    def coeff_at(u, path):
+        coeff_calls.append(u)
+        return sphere_law.coeff_at(u, path)
+
+    calls = record_rhs_calls(monkeypatch)
+    transport_matrix(TransportLaw(coeff_at), _latitude_path(math.pi / 4),
+                     0.0, 2.0 * math.pi)
+    attempts = (len(calls) - 2) // 6
+    assert len(coeff_calls) == len({u for u, _ in calls}) == 2 + 5 * attempts
+    assert attempts > 10
+    for _, m in calls:
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 0.0
 
 
 def scipy_integrate(params: list, accepted: list):
@@ -200,6 +230,12 @@ def test_stepper_matches_scipy_rk45(case, monkeypatch):
     if case == "rejecting":
         [steps] = accepted
         assert (len(oracle_params) - 2) // 6 > steps
+
+
+def test_non_finite_initial_state_error(sphere):
+    with pytest.raises(EvaluationError, match="non-finite initial transport state"):
+        transport_components(sphere.law, worldline(sphere, 1), 0.0, 0.2,
+                             [math.nan, 1.0])
 
 
 def test_non_finite_coefficients_error():
