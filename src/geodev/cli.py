@@ -25,7 +25,7 @@ import scipy
 
 from . import __version__
 from .equations import (DEFAULT_LADDER, ConvergenceReport, EquationId,
-                        convergence_study, equation_info)
+                        checked_ladder, convergence_study, equation_info)
 from .errors import ConfigError, DomainError, EvaluationError, GeodevError
 from .geometry import ChartPoint, PathCurve, curvature_at, torsion_at
 from .kinematics import Scenario, worldline
@@ -139,16 +139,14 @@ def _parse_ladder(run: dict) -> tuple:
     ladder = run.get("epsilon_ladder")
     if ladder is None:
         return DEFAULT_LADDER
-    if (not isinstance(ladder, list) or len(ladder) < 5
-            or not all(isinstance(e, (int, float)) and not isinstance(e, bool)
-                       for e in ladder)):
-        raise ConfigError("'epsilon_ladder' must be an array of >= 5 numbers")
-    values = tuple(float(e) for e in ladder)
-    if any(e <= 0 for e in values):
-        raise ConfigError("'epsilon_ladder' entries must be positive")
-    if any(b >= a for a, b in zip(values, values[1:])):
-        raise ConfigError("'epsilon_ladder' must be strictly decreasing")
-    return values
+    if not isinstance(ladder, list) or not all(
+            isinstance(e, (int, float)) and not isinstance(e, bool) for e in ladder):
+        raise ConfigError("'epsilon_ladder' must be an array of numbers")
+    try:
+        return checked_ladder(ladder)
+    except ValueError as exc:  # checked_ladder names the parameter first
+        key, _, rest = str(exc).partition(" ")
+        raise ConfigError(f"'{key}' {rest}") from None
 
 
 def _number(value, key: str) -> float:
@@ -214,9 +212,10 @@ def _report_status(report: ConvergenceReport, threshold: float) -> str:
 
 
 def run_converge(config: dict, threshold: float = DEFAULT_ORDER_THRESHOLD,
-                 quiet: bool = True, stream=None) -> dict:
+                 stream=None) -> dict:
     """Run the configured studies and return the full result payload plus
-    the csv rows; raises GeodevError subclasses on failure."""
+    the csv rows; raises GeodevError subclasses on failure.  One progress
+    line per equation goes to ``stream`` unless it is None."""
     scenario = _scenario_from_config(config)
     run = config.get("run", {})
     equations = _parse_equations(run)
@@ -239,7 +238,7 @@ def run_converge(config: dict, threshold: float = DEFAULT_ORDER_THRESHOLD,
     started = time.perf_counter()
     reports = convergence_study(equations, scenario, s_eval, ladder, cfg)
     total = (time.perf_counter() - started) * 1e3
-    if not quiet and stream is not None:
+    if stream is not None:
         for report in reports:
             status = _report_status(report, threshold)
             order = ("n/a" if report.fitted_order is None
@@ -289,7 +288,7 @@ def _write_outputs(outdir: str, result: dict) -> None:
 def cmd_converge(args) -> int:
     config = load_config(args.config)
     result = run_converge(config, threshold=args.order_threshold,
-                          quiet=args.quiet, stream=sys.stdout)
+                          stream=None if args.quiet else sys.stdout)
     _write_outputs(args.out, result)
     return 1 if result["failed"] else 0
 

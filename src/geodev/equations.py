@@ -58,6 +58,7 @@ __all__ = [
     "residual",
     "convergence_study",
     "equation_info",
+    "checked_ladder",
     "NUMERICAL_FLOOR",
     "FIT_EXCLUSION",
     "DEFAULT_LADDER",
@@ -91,48 +92,6 @@ class EquationId(str, enum.Enum):
     E7_1 = "E7_1"     # Delta K expansion
     E7_2 = "E7_2"     # momentum equation of motion
     E7_4 = "E7_4"     # relative-energy balance (scalar)
-
-
-@dataclass(frozen=True)
-class _EquationInfo:
-    description: str
-    exact: bool = False
-    # farthest |s - s_eval| at which the residual's s-difference stencil
-    # evaluates the surface
-    s_reach: float = H_S
-
-
-_INFO: Dict[EquationId, _EquationInfo] = {
-    EquationId.E2_10: _EquationInfo(
-        "first-order expansion of a generic covariant field difference",
-        s_reach=0.0),
-    EquationId.E2_13: _EquationInfo(
-        "deviation vector vs infinitesimal deviation", s_reach=0.0),
-    EquationId.E3_1: _EquationInfo("deviation-vector evolution equation"),
-    EquationId.E4_1: _EquationInfo("first deviation derivative agreement",
-                                   s_reach=H_DEV_FIRST),
-    EquationId.E4_3: _EquationInfo("relative-velocity expansion", s_reach=0.0),
-    EquationId.E4_4: _EquationInfo("deviation velocity vs relative velocity",
-                                   s_reach=0.0),
-    EquationId.E4_5: _EquationInfo("relative-velocity deviation equation"),
-    EquationId.E5_1: _EquationInfo("exact relative-momentum identity", exact=True,
-                                   s_reach=0.0),
-    EquationId.E5_2: _EquationInfo("relative-momentum deviation equation"),
-    EquationId.E6_2: _EquationInfo("relative-acceleration expansion"),
-    EquationId.E6_3: _EquationInfo("second deviation derivative agreement",
-                                   s_reach=2.0 * H_DEV_SECOND),
-    EquationId.E6_4: _EquationInfo(
-        "deviation acceleration vs relative acceleration"),
-    EquationId.E6_5: _EquationInfo("relative-acceleration deviation equation"),
-    EquationId.E7_1: _EquationInfo("relative-force expansion"),
-    EquationId.E7_2: _EquationInfo(
-        "momentum deviation equation in equation-of-motion form"),
-    EquationId.E7_4: _EquationInfo("relative-energy balance equation"),
-}
-
-
-def equation_info(eq: EquationId) -> _EquationInfo:
-    return _INFO[eq]
 
 
 @dataclass(frozen=True)
@@ -374,12 +333,7 @@ def _r_e2_10(w: _Workspace, s: float) -> np.ndarray:
     field = w.sc.probe_field
     if field is None:
         raise EvaluationError("scenario provides no probe field for E2_10")
-    surf = w.surf
-
-    def as_tangent(u, r):
-        return Tangent(surf.point(u, r), field.value(u, r))
-
-    delta_b = delta_field(w.sc, s, w.eps, as_tangent, w.cfg,
+    delta_b = delta_field(w.sc, s, w.eps, field.value, w.cfg,
                           w.transport(s)[0]).components
     b1 = np.asarray(field.value(s, w.r1), float)
     db_dr = (np.asarray(field.d_r(s, w.r1), float)
@@ -524,31 +478,44 @@ def _r_e7_4(w: _Workspace, s: float) -> float:
     return de_ds - rhs
 
 
-_RESIDUAL_FN: Dict[EquationId, Callable[[_Workspace, float], np.ndarray]] = {
-    EquationId.E2_10: _r_e2_10,
-    EquationId.E2_13: _Workspace.dev_difference,
-    EquationId.E3_1: _r_e3_1,
-    EquationId.E4_1: _r_e4_1,
-    EquationId.E4_3: _r_e4_3,
-    EquationId.E4_4: _r_e4_4,
-    EquationId.E4_5: _r_e4_5,
-    EquationId.E5_1: _r_e5_1,
-    EquationId.E5_2: _r_e5_2,
-    EquationId.E6_2: _r_e6_2,
-    EquationId.E6_3: _r_e6_3,
-    EquationId.E6_4: _r_e6_4,
-    EquationId.E6_5: _r_e6_5,
-    EquationId.E7_1: _r_e7_1,
-    EquationId.E7_2: _r_e7_2,
-    EquationId.E7_4: _r_e7_4,
+@dataclass(frozen=True)
+class _EquationInfo:
+    residual: Callable[[_Workspace, float], np.ndarray]
+    exact: bool = False
+    # farthest |s - s_eval| at which the residual's s-difference stencil
+    # evaluates the surface
+    s_reach: float = H_S
+
+
+_INFO: Dict[EquationId, _EquationInfo] = {
+    EquationId.E2_10: _EquationInfo(_r_e2_10, s_reach=0.0),
+    EquationId.E2_13: _EquationInfo(_Workspace.dev_difference, s_reach=0.0),
+    EquationId.E3_1: _EquationInfo(_r_e3_1),
+    EquationId.E4_1: _EquationInfo(_r_e4_1, s_reach=H_DEV_FIRST),
+    EquationId.E4_3: _EquationInfo(_r_e4_3, s_reach=0.0),
+    EquationId.E4_4: _EquationInfo(_r_e4_4, s_reach=0.0),
+    EquationId.E4_5: _EquationInfo(_r_e4_5),
+    EquationId.E5_1: _EquationInfo(_r_e5_1, exact=True, s_reach=0.0),
+    EquationId.E5_2: _EquationInfo(_r_e5_2),
+    EquationId.E6_2: _EquationInfo(_r_e6_2),
+    EquationId.E6_3: _EquationInfo(_r_e6_3, s_reach=2.0 * H_DEV_SECOND),
+    EquationId.E6_4: _EquationInfo(_r_e6_4),
+    EquationId.E6_5: _EquationInfo(_r_e6_5),
+    EquationId.E7_1: _EquationInfo(_r_e7_1),
+    EquationId.E7_2: _EquationInfo(_r_e7_2),
+    EquationId.E7_4: _EquationInfo(_r_e7_4),
 }
+
+
+def equation_info(eq: EquationId) -> _EquationInfo:
+    return _INFO[eq]
 
 
 def _sample(eq: EquationId, workspace: _Workspace, s: float) -> ResidualSample:
     """Residual of ``eq`` on ``workspace``: the norm is the max-abs chart
     component at x_1(s) (absolute value for the scalar energy equation)."""
     start = time.perf_counter()
-    value = _RESIDUAL_FN[eq](workspace, s)
+    value = _INFO[eq].residual(workspace, s)
     elapsed = time.perf_counter() - start
     return ResidualSample(eq, s, workspace.eps, float(np.max(np.abs(value))),
                           elapsed)
@@ -558,7 +525,7 @@ def residual_components(eq: EquationId, scenario: Scenario, s: float,
                         epsilon: float, cfg: OdeConfig = DEFAULT_ODE_CONFIG):
     """Raw residual (component array, or scalar for the energy equation) on
     a fresh workspace."""
-    return _RESIDUAL_FN[eq](_Workspace(scenario, epsilon, cfg), s)
+    return _INFO[eq].residual(_Workspace(scenario, epsilon, cfg), s)
 
 
 def residual(eq: EquationId, scenario: Scenario, s: float, epsilon: float,
@@ -578,6 +545,20 @@ def _fit_order(eps: np.ndarray, norms: np.ndarray) -> Tuple[float, float]:
     return float(slope), r2
 
 
+def checked_ladder(epsilon_ladder: Sequence[float]) -> Tuple[float, ...]:
+    """The ladder as floats: at least 5 points, positive and strictly
+    decreasing; ValueError otherwise, its message starting with the
+    parameter name ``epsilon_ladder``."""
+    ladder = tuple(float(e) for e in epsilon_ladder)
+    if len(ladder) < 5:
+        raise ValueError(f"epsilon_ladder needs at least 5 points, got {len(ladder)}")
+    if not all(e > 0 for e in ladder):
+        raise ValueError(f"epsilon_ladder entries must be positive, got {ladder}")
+    if any(b >= a for a, b in zip(ladder, ladder[1:])):
+        raise ValueError(f"epsilon_ladder must be strictly decreasing, got {ladder}")
+    return ladder
+
+
 def convergence_study(equations: Sequence[EquationId], scenario: Scenario,
                       s: float, epsilon_ladder: Sequence[float],
                       cfg: OdeConfig = DEFAULT_ODE_CONFIG,
@@ -591,13 +572,7 @@ def convergence_study(equations: Sequence[EquationId], scenario: Scenario,
     if isinstance(equations, str):
         raise TypeError("convergence_study expects a sequence of EquationId, "
                         f"got the single id {equations!r}")
-    ladder = tuple(float(e) for e in epsilon_ladder)
-    if len(ladder) < 5:
-        raise ValueError("epsilon ladder needs at least 5 points")
-    if any(b >= a for a, b in zip(ladder, ladder[1:])):
-        raise ValueError("epsilon ladder must be strictly decreasing")
-    if any(e <= 0 for e in ladder):
-        raise ValueError("epsilon ladder entries must be positive")
+    ladder = checked_ladder(epsilon_ladder)
     scenario.separation_endpoints(max(ladder))
 
     equations = tuple(equations)

@@ -53,6 +53,7 @@ __all__ = [
 DEFAULT_FD_STEP = 1e-5
 METRIC_SYMMETRY_TOL = 1e-12
 METRIC_DET_TOL = 1e-12
+NULL_TOL = 1e-10  # |U^2| at or below this is null for sign_of_square
 
 
 def checked_array(values, shape: Tuple[int, ...], what: str,
@@ -348,12 +349,11 @@ def metric_dot(metric: MetricField, x: ChartPoint, u: Tangent, v: Tangent) -> fl
                   + float(v.components @ (g @ u.components)))
 
 
-def sign_of_square(metric: MetricField, x: ChartPoint, u: Tangent,
-                   null_tol: float = 1e-10) -> int:
+def sign_of_square(metric: MetricField, x: ChartPoint, u: Tangent) -> int:
     """Causal sign of ``(U)^2``: +1 or -1; raises NullVectorError when the
-    scalar square is within ``null_tol`` of zero."""
+    scalar square is within ``NULL_TOL`` of zero."""
     square = metric_dot(metric, x, u, u)
-    if abs(square) <= null_tol:
+    if abs(square) <= NULL_TOL:
         raise NullVectorError(
-            f"scalar square {square} within null tolerance {null_tol}")
+            f"scalar square {square} within null tolerance {NULL_TOL}")
     return 1 if square > 0 else -1

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError
 from .geometry import (ChartPoint, ConnectionField, MetricField, PathCurve,
-                       Tangent, metric_dot, sign_of_square)
+                       Tangent, checked_array, metric_dot, sign_of_square)
 # transport_components stays bound here, unused: perfbench/tracer.py wraps it
 from .transport import (DEFAULT_ODE_CONFIG, OdeConfig, TransportLaw,
                         TransportMatrix, pullback_integral, transport_components)
@@ -198,63 +198,48 @@ def deviation_vector(scenario: Scenario, s: float, eps: float,
 
 
 def _pull_back(scenario: Scenario, s: float, eps: float,
-               field: Callable[[float, float], Tangent], cfg: OdeConfig,
+               field: Callable[[float, float], np.ndarray], cfg: OdeConfig,
                pullback: Optional[TransportMatrix]) -> np.ndarray:
-    """Components of ``field(s, r'')`` carried to r' by ``pullback``, the
-    ``L_{r''->r'}`` of ``back_transport`` (solved here when None)."""
-    surf = scenario.surface
-    surf.require_s(s)
+    """``field(s, r'')`` carried to r' by ``pullback``, the ``L_{r''->r'}``
+    of ``back_transport`` (solved here when None)."""
+    scenario.surface.require_s(s)
     _, r2 = scenario.separation_endpoints(eps)
-    b2 = field(s, r2)
-    if not b2.base.close_to(surf.point(s, r2)):
-        raise EvaluationError("field value at r'' not attached to gamma(s, r'')",
-                              point=b2.base)
+    b2 = checked_array(field(s, r2), (scenario.dimension,), "field components")
     if pullback is None:
         pullback = back_transport(scenario, s, eps, cfg)[0]
-    return pullback.entries @ b2.components
+    return pullback.entries @ b2
 
 
 def delta_field(scenario: Scenario, s: float, eps: float,
-                field: Callable[[float, float], Tangent],
+                field: Callable[[float, float], np.ndarray],
                 cfg: OdeConfig = DEFAULT_ODE_CONFIG,
                 pullback: Optional[TransportMatrix] = None) -> Tangent:
     """Covariant difference of a surface field between the particles:
     ``field(s, r'')`` carried back along gamma_s to r' by ``pullback`` (the
-    L_{r''->r'} of ``back_transport``, solved when None) minus ``field(s, r')``."""
+    L_{r''->r'} of ``back_transport``, solved when None) minus ``field(s, r')``.
+    ``field(s, r)`` returns the components at gamma(s, r)."""
     pulled = _pull_back(scenario, s, eps, field, cfg, pullback)
     r1, _ = scenario.separation_endpoints(eps)
-    b1 = field(s, r1)
-    if not b1.base.close_to(scenario.surface.point(s, r1)):
-        raise EvaluationError("field value at r' not attached to gamma(s, r')",
-                              point=b1.base)
-    return Tangent(b1.base, pulled - b1.components)
+    b1 = checked_array(field(s, r1), (scenario.dimension,), "field components")
+    return Tangent(scenario.surface.point(s, r1), pulled - b1)
 
 
-def _velocity_field(scenario: Scenario) -> Callable[[float, float], Tangent]:
-    surf = scenario.surface
-    return lambda s, r: Tangent(surf.point(s, r), surf.d_s(s, r))
-
-
-def _momentum_field(scenario: Scenario) -> Callable[[float, float], Tangent]:
+def _momentum_field(scenario: Scenario) -> Callable[[float, float], np.ndarray]:
     surf = scenario.surface
     mass = scenario.mass
-    return lambda s, r: Tangent(surf.point(s, r),
-                                mass.value(s, r) * np.asarray(surf.d_s(s, r), float))
+    return lambda s, r: mass.value(s, r) * np.asarray(surf.d_s(s, r), float)
 
 
-def _force_density_field(scenario: Scenario) -> Callable[[float, float], Tangent]:
+def _force_density_field(scenario: Scenario) -> Callable[[float, float], np.ndarray]:
     mass = scenario.mass
-    def kfield(s: float, r: float) -> Tangent:
-        f = force_field(scenario, s, r)
-        return Tangent(f.base, mass.value(s, r) * f.components)
-    return kfield
+    return lambda s, r: mass.value(s, r) * force_field(scenario, s, r).components
 
 
 def relative_velocity(scenario: Scenario, s: float, eps: float,
                       cfg: OdeConfig = DEFAULT_ODE_CONFIG,
                       pullback: Optional[TransportMatrix] = None) -> Tangent:
     """Relative velocity: back-transported V_2 minus V_1 at x_1(s)."""
-    return delta_field(scenario, s, eps, _velocity_field(scenario), cfg, pullback)
+    return delta_field(scenario, s, eps, scenario.surface.d_s, cfg, pullback)
 
 
 def relative_acceleration(scenario: Scenario, s: float, eps: float,
@@ -263,7 +248,8 @@ def relative_acceleration(scenario: Scenario, s: float, eps: float,
     """Relative acceleration: back-transported F_s(r'') minus F_s(r'),
     using that the particle accelerations are values of the force field."""
     return delta_field(scenario, s, eps,
-                       lambda u, r: force_field(scenario, u, r), cfg, pullback)
+                       lambda u, r: force_field(scenario, u, r).components, cfg,
+                       pullback)
 
 
 def momentum(scenario: Scenario, which: int, s: float, eps: float = 0.0) -> Tangent:
@@ -271,7 +257,8 @@ def momentum(scenario: Scenario, which: int, s: float, eps: float = 0.0) -> Tang
     if which not in (1, 2):
         raise ValueError("particle index must be 1 or 2")
     r1, r2 = scenario.separation_endpoints(eps)
-    return _momentum_field(scenario)(s, r1 if which == 1 else r2)
+    r = r1 if which == 1 else r2
+    return Tangent(scenario.surface.point(s, r), _momentum_field(scenario)(s, r))
 
 
 def relative_momentum(scenario: Scenario, s: float, eps: float,
@@ -302,8 +289,8 @@ def relative_energy(scenario: Scenario, s: float, eps: float,
     if scenario.metric is None:
         raise EvaluationError("relative_energy requires a scenario metric")
     r1, _ = scenario.separation_endpoints(eps)
-    v1 = _velocity_field(scenario)(s, r1)
-    x1 = v1.base
+    x1 = scenario.surface.point(s, r1)
+    v1 = Tangent(x1, scenario.surface.d_s(s, r1))
     sign = sign_of_square(scenario.metric, x1, v1)
     pulled = _pull_back(scenario, s, eps, _momentum_field(scenario), cfg,
                         pullback)

@@ -81,7 +81,6 @@ class _Family:
     description: str
     schema: Dict[str, _Param]
     builder: Callable[[Dict[str, float], float, float], Scenario]
-    default_r_base: float = 0.0
 
 
 _MASS_SCHEMA = {
@@ -475,7 +474,7 @@ def _build_exp(p: Dict[str, float], r_base: float, s_eval: float) -> Scenario:
     coeff = np.zeros((2, 2, 2))
     # M(u) = A * xdot^0, so H(t,s) = expm(A (x^0(t)-x^0(s)))
     coeff[:, :, 0] = exp_law_generator(p)
-    law = TransportLaw(coeff_at=lambda s, path: coeff, label="exp-family")
+    law = TransportLaw(coeff_at=lambda s, path: coeff)
     return _assemble("exp-transport", 2, _zero_connection(2), _identity_metric(2),
                      law, _flat_quadratic_surface(2, p), p, r_base, s_eval)
 
@@ -548,7 +547,7 @@ def build(spec: ScenarioSpec) -> Scenario:
         raise ConfigError(f"unknown scenario '{spec.name}' (known: {known})")
     family = _FAMILIES[spec.name]
     params = _resolve_parameters(family, spec.parameters, spec.name)
-    r_base = family.default_r_base if spec.r_base is None else float(spec.r_base)
+    r_base = 0.0 if spec.r_base is None else float(spec.r_base)
     s_eval = DEFAULT_S_EVAL if spec.s_eval is None else float(spec.s_eval)
     return family.builder(params, r_base, s_eval)
 

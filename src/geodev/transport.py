@@ -44,6 +44,8 @@ __all__ = [
 
 
 MIN_REL_TOL = 100 * math.ulp(1.0)  # 100 machine epsilons
+PROBE_EXTENT = 1e-3  # half-length of the coordinate_probes paths
+PROBE_STEP = 1e-5    # difference step of extract_first_coeff
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,6 @@ class TransportLaw:
     """Coefficient field ``H^i_{jk}(s; path)`` defining a linear transport."""
 
     coeff_at: Callable[[float, PathCurve], np.ndarray]
-    label: str = ""
 
     def coefficients(self, s: float, path: PathCurve) -> np.ndarray:
         point = path.map(s)
@@ -211,10 +212,11 @@ def pullback_integral(law: TransportLaw, path: PathCurve, s: float, t: float,
 
 def law_from_connection(conn: ConnectionField) -> TransportLaw:
     """Parallel-transport law of the connection: ``H^i_{jk} = -Gamma^i_{jk}``
-    evaluated at the path point."""
+    evaluated at the path point.  Gamma is read unchecked:
+    ``TransportLaw.coefficients`` checks H once."""
     def coeff(s: float, path: PathCurve) -> np.ndarray:
-        return -conn.coefficients(path.map(s))
-    return TransportLaw(coeff, label="parallel")
+        return -np.asarray(conn.gamma_at(path.map(s)), dtype=float)
+    return TransportLaw(coeff)
 
 
 def law_with_offset(conn: ConnectionField,
@@ -223,8 +225,9 @@ def law_with_offset(conn: ConnectionField,
     ``sigma`` exactly."""
     def coeff(s: float, path: PathCurve) -> np.ndarray:
         point = path.map(s)
-        return -conn.coefficients(point) - np.asarray(sigma(point), dtype=float)
-    return TransportLaw(coeff, label="parallel+offset")
+        return (-np.asarray(conn.gamma_at(point), dtype=float)
+                - np.asarray(sigma(point), dtype=float))
+    return TransportLaw(coeff)
 
 
 def s_tensor(law: TransportLaw, conn: ConnectionField, path: PathCurve,
@@ -236,24 +239,26 @@ def s_tensor(law: TransportLaw, conn: ConnectionField, path: PathCurve,
     return Tensor(point, (1, 2), entries)
 
 
-def coordinate_probes(x: ChartPoint, extent: float = 1e-3) -> list:
-    """Straight coordinate-line probe paths through ``x`` at parameter 0,
-    one per chart axis; suitable input for extract_first_coeff."""
+def coordinate_probes(x: ChartPoint) -> list:
+    """Straight coordinate-line probe paths through ``x`` at parameter 0 over
+    ``[-PROBE_EXTENT, PROBE_EXTENT]``, one per chart axis; suitable input for
+    extract_first_coeff."""
     def probe(ei: np.ndarray) -> PathCurve:
-        return PathCurve(lambda t: (x.coords + t * ei, ei), (-extent, extent))
+        return PathCurve(lambda t: (x.coords + t * ei, ei),
+                         (-PROBE_EXTENT, PROBE_EXTENT))
     return [probe(e) for e in np.eye(x.dimension)]
 
 
 def extract_first_coeff(law: TransportLaw, x: ChartPoint,
                         probe_paths: Sequence[PathCurve],
-                        cfg: OdeConfig = DEFAULT_ODE_CONFIG,
-                        step: float = 1e-5) -> np.ndarray:
+                        cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> np.ndarray:
     """Recover the first-order transport coefficients ``H^i_{jk}`` at ``x``
     from the transport matrices themselves.
 
     Differentiates ``H(t, 0)`` in ``t`` at 0 along each probe path (central
-    difference with one Richardson level), giving ``M_m = H_k tdot_m^k`` per
-    probe, then solves the linear system for the ``d`` matrices ``H_k``.
+    difference with step ``PROBE_STEP`` and one Richardson level), giving
+    ``M_m = H_k tdot_m^k`` per probe, then solves the linear system for the
+    ``d`` matrices ``H_k``.
     Probe paths must pass through ``x`` at parameter 0 with tangents that
     span the tangent space.
     """
@@ -273,8 +278,8 @@ def extract_first_coeff(law: TransportLaw, x: ChartPoint,
             minus = transport_matrix(law, probe, 0.0, -h, cfg).entries
             return (plus - minus) / (2.0 * h)
 
-        coarse = first_deriv(step)
-        fine = first_deriv(step / 2.0)
+        coarse = first_deriv(PROBE_STEP)
+        fine = first_deriv(PROBE_STEP / 2.0)
         derivs[m] = (4.0 * fine - coarse) / 3.0
     if np.linalg.cond(tangents) >= 1e6:
         raise EvaluationError("probe tangents are rank deficient", point=x)

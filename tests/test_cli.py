@@ -91,6 +91,9 @@ def test_converge_progress_lines_in_configured_order(tmp_path, capsys):
     assert [ln.split()[0] for ln in lines] == ["E4_4", "E3_1", "E5_2"]
     assert lines[1] == ("E3_1   flat-torsion               order=   n/a "
                         "r2=   n/a [floor]")
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_converge_failed_write_keeps_previous_outputs(tmp_path, monkeypatch,
@@ -214,6 +217,25 @@ def test_converge_non_decreasing_ladder_exits_2(tmp_path):
               "run": {"epsilon_ladder": [0.1, 0.2, 0.05, 0.02, 0.01]}}
     cfg = write_config(tmp_path, config)
     assert main(["converge", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("ladder,message", [
+    ([0.1, 0.05, 0.02, 0.01], "'epsilon_ladder' needs at least 5 points, got 4"),
+    ([0.1, 0.05, 0.02, 0.01, 0.0], "'epsilon_ladder' entries must be positive"),
+    ([0.1, math.nan, 0.02, 0.01, 0.005], "'epsilon_ladder' entries must be positive"),
+    ([0.1, 0.05, 0.05, 0.02, 0.01], "'epsilon_ladder' must be strictly decreasing"),
+    ([0.1, 0.05, "0.02", 0.01, 0.005], "'epsilon_ladder' must be an array of numbers"),
+    ([0.1, 0.05, True, 0.01, 0.005], "'epsilon_ladder' must be an array of numbers")],
+    ids=["too-short", "non-positive", "nan-entry", "not-decreasing", "string-entry",
+         "bool-entry"])
+def test_converge_bad_ladder_names_epsilon_ladder(tmp_path, capsys, ladder,
+                                                  message):
+    # the rules live in equations.checked_ladder; the cli only checks the
+    # JSON types and names the config key
+    cfg = write_config(tmp_path, {"scenario": "sphere",
+                                  "run": {"epsilon_ladder": ladder}})
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
 
 
 def test_converge_numerical_failure_exits_3(tmp_path, capsys):

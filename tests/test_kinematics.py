@@ -5,14 +5,15 @@ from hypothesis import strategies as st
 from scipy.integrate import quad_vec
 
 from geodev.errors import DomainError, EvaluationError, NullVectorError
-from geodev.geometry import ChartPoint, MetricField, Tangent
+from geodev.geometry import MetricField, Tangent, metric_dot, sign_of_square
 from geodev.kinematics import (MassSurface, Scenario, WorldSurface,
-                               connecting_path, delta_field, deviation_vector,
-                               force_field, infinitesimal_deviation, momentum,
+                               back_transport, connecting_path, delta_field,
+                               deviation_vector, force_field,
+                               infinitesimal_deviation, momentum,
                                relative_acceleration, relative_energy,
                                relative_force, relative_momentum,
                                relative_velocity, worldline)
-from geodev.scenarios import ScenarioSpec, build
+from geodev.scenarios import LINEAR_DRIFT_MASSES, ScenarioSpec, build
 from geodev.transport import (law_from_connection, pullback_integral,
                               transport_components, transport_matrix)
 
@@ -241,9 +242,7 @@ def test_ratio_h_over_eps_converges_to_r_tangent(sphere):
 # --------------------------------------------------------------- delta field
 
 def test_delta_field_zero_separation(sphere):
-    field = lambda s, r: Tangent(sphere.surface.point(s, r),
-                                 sphere.surface.d_s(s, r))
-    d = delta_field(sphere, 0.1, 0.0, field)
+    d = delta_field(sphere, 0.1, 0.0, sphere.surface.d_s)
     assert np.all(d.components == 0.0)
 
 
@@ -257,22 +256,53 @@ def test_delta_field_transport_invariant_field(sphere):
     def field(s, r):
         assert s == s0
         mat = transport_matrix(sphere.law, cpath, r0, r)
-        return Tangent(cpath.map(r), mat.entries @ seed)
+        return mat.entries @ seed
 
     d = delta_field(sphere, s0, 0.15, field)
     assert np.abs(d.components).max() < 1e-9
 
 
-def test_delta_field_base_mismatch(sphere):
-    bad = lambda s, r: Tangent(ChartPoint([1.0, 1.0]), np.array([1.0, 0.0]))
-    with pytest.raises(EvaluationError):
-        delta_field(sphere, 0.1, 0.1, bad)
+@pytest.mark.parametrize("value,message", [
+    (np.array([1.0, 0.0, 0.0]), "field components have shape"),
+    (np.array([1.0, np.nan]), "non-finite field components")],
+    ids=["wrong-shape", "non-finite"])
+def test_delta_field_rejects_bad_field_components(sphere, value, message):
+    # a bad value at r' or at r'' alike: each is checked once
+    for at_r2 in (True, False):
+        r2 = sphere.surface.r_base + 0.1
+        bad = lambda s, r: value if (r == r2) == at_r2 else np.array([1.0, 0.0])
+        with pytest.raises(EvaluationError, match=message):
+            delta_field(sphere, 0.1, 0.1, bad)
+
+
+def test_relative_quantities_are_one_pull_back_minus_the_value_at_r1():
+    sc = build(ScenarioSpec("offset-transport",
+                            {"accel": 0.3, **LINEAR_DRIFT_MASSES}))
+    s0, surf, mass = 0.1, sc.surface, sc.mass
+    r1, r2 = sc.separation_endpoints(EPS)
+    pull = back_transport(sc, s0, EPS)[0]
+    fields = {
+        relative_velocity: surf.d_s,
+        relative_acceleration: lambda s, r: force_field(sc, s, r).components,
+        relative_momentum: lambda s, r: mass.value(s, r) * surf.d_s(s, r),
+        relative_force: lambda s, r: (mass.value(s, r)
+                                      * force_field(sc, s, r).components),
+    }
+    for fn, field in fields.items():
+        by_hand = pull.entries @ field(s0, r2) - field(s0, r1)
+        assert np.array_equal(fn(sc, s0, EPS).components, by_hand)
+        assert np.array_equal(fn(sc, s0, EPS, pullback=pull).components, by_hand)
+    x1 = surf.point(s0, r1)
+    v1 = Tangent(x1, surf.d_s(s0, r1))
+    pulled_p2 = Tangent(x1, pull.entries @ (mass.value(s0, r2) * surf.d_s(s0, r2)))
+    by_hand = (sign_of_square(sc.metric, x1, v1)
+               * metric_dot(sc.metric, x1, pulled_p2, v1))
+    assert relative_energy(sc, s0, EPS) == by_hand
+    assert relative_energy(sc, s0, EPS, pullback=pull) == by_hand
 
 
 def test_relative_velocity_equals_delta_of_velocity_field(sphere):
-    field = lambda s, r: Tangent(sphere.surface.point(s, r),
-                                 sphere.surface.d_s(s, r))
-    via_delta = delta_field(sphere, 0.1, EPS, field).components
+    via_delta = delta_field(sphere, 0.1, EPS, sphere.surface.d_s).components
     direct = relative_velocity(sphere, 0.1, EPS).components
     assert np.abs(via_delta - direct).max() < 1e-12
 
@@ -282,12 +312,10 @@ def test_relative_quantities_equal_delta_of_their_fields(sphere_accel):
                             s_eval=0.1))
     surf, mass = sc.surface, sc.mass
     cases = {
-        relative_acceleration: lambda s, r: force_field(sc, s, r),
-        relative_momentum: lambda s, r: Tangent(
-            surf.point(s, r), mass.value(s, r) * np.asarray(surf.d_s(s, r))),
-        relative_force: lambda s, r: Tangent(
-            surf.point(s, r),
-            mass.value(s, r) * force_field(sc, s, r).components),
+        relative_acceleration: lambda s, r: force_field(sc, s, r).components,
+        relative_momentum: lambda s, r: mass.value(s, r) * surf.d_s(s, r),
+        relative_force: lambda s, r: (mass.value(s, r)
+                                      * force_field(sc, s, r).components),
     }
     for direct_fn, field in cases.items():
         via_delta = delta_field(sc, 0.1, EPS, field).components
@@ -360,7 +388,6 @@ def test_relative_energy_two_forms_agree(minkowski):
     p1 = momentum(minkowski, 1, s0)
     line = worldline(minkowski, 1)
     v1 = line.tangent(s0)
-    from geodev.geometry import metric_dot, sign_of_square
     x1 = line.map(s0)
     sign = sign_of_square(minkowski.metric, x1, v1)
     other = sign * (metric_dot(minkowski.metric, x1, dp, v1)

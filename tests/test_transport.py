@@ -9,7 +9,8 @@ from scipy.linalg import expm
 import geodev.transport as transport
 from geodev.cli import _latitude_path
 from geodev.errors import EvaluationError, TransportError
-from geodev.geometry import ChartPoint, PathCurve, Tangent, metric_dot
+from geodev.geometry import (ChartPoint, ConnectionField, PathCurve, Tangent,
+                             metric_dot)
 from geodev.kinematics import back_transport, worldline
 from geodev.scenarios import ScenarioSpec, build, exp_law_generator
 from geodev.transport import (MIN_REL_TOL, OdeConfig, TransportLaw,
@@ -242,6 +243,24 @@ def test_non_finite_coefficients_error():
     law = TransportLaw(coeff_at=lambda s, path: np.full((2, 2, 2), np.nan))
     path = line_path([0.0, 0.0], [1.0, 0.0])
     with pytest.raises(EvaluationError):
+        transport_matrix(law, path, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("make_law", [
+    law_from_connection,
+    lambda conn: law_with_offset(conn, lambda pt: np.zeros((2, 2, 2)))],
+    ids=["parallel", "offset"])
+def test_connection_laws_leave_the_check_to_the_law(make_law, monkeypatch):
+    # the laws read Gamma unchecked; TransportLaw.coefficients checks H once,
+    # so a Gamma that turns non-finite inside a solve is named by the law
+    def gamma_at(pt):
+        return np.full((2, 2, 2), np.nan if pt.coords[0] > 0.3 else 0.0)
+
+    law = make_law(ConnectionField(gamma_at=gamma_at))
+    monkeypatch.setattr(ConnectionField, "coefficients",
+                        lambda self, point: pytest.fail("Gamma checked twice"))
+    path = line_path([0.0, 0.0], [1.0, 0.0])
+    with pytest.raises(EvaluationError, match="non-finite transport coefficients"):
         transport_matrix(law, path, 0.0, 0.5)
 
 
