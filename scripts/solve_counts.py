@@ -13,8 +13,10 @@ Every ODE solve of the package goes through ``transport._integrate``; the
 script counts those calls (solves), the right-hand-side evaluations they
 make, and the ``TransportLaw.coefficients`` calls made inside them
 (``coeff_evals``, one per distinct RHS parameter), and prints one JSON
-object.  A solve makes 2 RHS calls to pick its first step and 6 per
-attempted step; ``attempted_steps`` is derived from that.  The counts do not
+object.  A solve makes 2 RHS calls to pick its first step and then one per
+stage of its Runge-Kutta pair in each attempted step (6 for the RK 5(4) of
+``pullback_integral``, 12 for the DOP853 of ``transport_components``);
+``attempted_steps`` is derived from that, solve by solve.  The counts do not
 depend on the machine.
 """
 
@@ -45,21 +47,24 @@ STUDIES = {
 
 def counted(work) -> dict:
     """Counts of the solves that ``work()`` makes."""
-    counts = {"solves": 0, "rhs_calls": 0, "coeff_evals": 0}
+    counts = {"solves": 0, "rhs_calls": 0, "coeff_evals": 0, "attempted_steps": 0}
     integrate, coefficients = transport._integrate, transport.TransportLaw.coefficients
     inside = [False]
 
-    def counting(law, path, rhs, *args, **kwargs):
+    def counting(law, path, rhs, y0, s, t, cfg, tableau):
         counts["solves"] += 1
+        calls = [0]
 
         def counted_rhs(u, m, y):
-            counts["rhs_calls"] += 1
+            calls[0] += 1
             return rhs(u, m, y)
         inside[0] = True
         try:
-            return integrate(law, path, counted_rhs, *args, **kwargs)
+            return integrate(law, path, counted_rhs, y0, s, t, cfg, tableau)
         finally:
             inside[0] = False
+            counts["rhs_calls"] += calls[0]
+            counts["attempted_steps"] += (calls[0] - 2) // len(tableau.b)
 
     def counting_coefficients(law, s, path):
         if inside[0]:  # s_tensor also reads coefficients, outside any solve
@@ -73,7 +78,6 @@ def counted(work) -> dict:
     finally:
         transport._integrate = integrate
         transport.TransportLaw.coefficients = coefficients
-    counts["attempted_steps"] = (counts["rhs_calls"] - 2 * counts["solves"]) // 6
     return counts
 
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as dop853
 from scipy.linalg import expm
 
 import geodev.transport as transport
@@ -133,12 +134,13 @@ def record_rhs_calls(monkeypatch) -> list:
 
 
 def test_step_budget_counts_attempted_steps(monkeypatch):
-    # 2 RHS calls pick the first step, then 6 per attempted step; this solve
-    # rejects steps (test_stepper_matches_scipy_rk45), and they count too
+    # 2 RHS calls pick the first step, then 12 per attempted DOP853 step;
+    # this solve rejects steps (test_stepper_matches_scipy_rk45), and they
+    # count too
     calls = record_rhs_calls(monkeypatch)
     law = bump_law()
     free = transport_matrix(law, X_AXIS, 0.9, 0.02, REJECTING).entries
-    attempts, rest = divmod(len(calls) - 2, 6)
+    attempts, rest = divmod(len(calls) - 2, 12)
     assert rest == 0 and attempts > 10
     exact = replace(REJECTING, max_steps=attempts)
     assert np.array_equal(transport_matrix(law, X_AXIS, 0.9, 0.02, exact).entries, free)
@@ -148,8 +150,9 @@ def test_step_budget_counts_attempted_steps(monkeypatch):
 
 
 def test_one_generator_per_rhs_parameter(monkeypatch):
-    # stage 6 and the FSAL stage share u + h, and so one evaluation of M;
-    # the M an RHS receives is read-only, so no RHS can corrupt the memo
+    # DOP853's stage 12 (c = 1) and the FSAL stage share u + h, and so one
+    # evaluation of M; the M an RHS receives is read-only, so no RHS can
+    # corrupt the memo
     sphere_law, coeff_calls = build(ScenarioSpec("sphere")).law, []
 
     def coeff_at(u, path):
@@ -159,26 +162,58 @@ def test_one_generator_per_rhs_parameter(monkeypatch):
     calls = record_rhs_calls(monkeypatch)
     transport_matrix(TransportLaw(coeff_at), _latitude_path(math.pi / 4),
                      0.0, 2.0 * math.pi)
-    attempts = (len(calls) - 2) // 6
-    assert len(coeff_calls) == len({u for u, _ in calls}) == 2 + 5 * attempts
+    attempts, rest = divmod(len(calls) - 2, 12)
+    assert rest == 0
+    assert len(coeff_calls) == len({u for u, _ in calls}) == 2 + 11 * attempts
     assert attempts > 10
     for _, m in calls:
         with pytest.raises(ValueError, match="read-only"):
             m[0, 0] = 0.0
 
 
-def scipy_integrate(params: list, accepted: list):
+def test_holonomy_rhs_calls(monkeypatch):
+    # the sphere's latitude holonomy with DOP853 at the default tolerances;
+    # these counts pin the pair's gain, as RK 5(4) needs 1,196 / 854 / 212
+    calls = record_rhs_calls(monkeypatch)
+    law = build(ScenarioSpec("sphere")).law
+    counts = []
+    for theta0 in (0.15, math.pi / 4, 1.4):
+        calls.clear()
+        transport_matrix(law, _latitude_path(theta0), 0.0, 2.0 * math.pi)
+        counts.append(len(calls))
+    assert counts == [266, 194, 74]
+
+
+def test_dop853_coefficients_match_scipy():
+    tab = transport._DOP853
+    assert len(tab.c) == len(tab.a) == len(tab.b) == dop853.N_STAGES == 12
+    np.testing.assert_array_equal(tab.c, dop853.C[:12])
+    for i, row in enumerate(tab.a):
+        np.testing.assert_array_equal(row, dop853.A[i, :i])
+    np.testing.assert_array_equal(tab.b, dop853.B)
+    np.testing.assert_array_equal(transport._DOP853_E3, dop853.E3)
+    np.testing.assert_array_equal(transport._DOP853_E5, dop853.E5)
+    assert tab.order == 7
+
+
+SCIPY_METHODS = ((transport._RK45, "RK45"), (transport._DOP853, "DOP853"))
+
+
+def scipy_integrate(params: list, accepted: list, methods: list):
     """Stand-in for ``transport._integrate`` that solves the same ODE with
-    SciPy's RK45, recording each RHS parameter and the accepted steps."""
-    def integrate(law, path, rhs, y0, s, t, cfg):
+    ``solve_ivp`` and the method of the given tableau, recording each RHS
+    parameter, the accepted steps and the method."""
+    def integrate(law, path, rhs, y0, s, t, cfg, tableau):
         def fun(u, y):
             params.append(u)
             coeff = law.coefficients(u, path)
             return rhs(u, np.einsum("ijk,k->ij", coeff, path.tangent(u).components), y)
-        sol = solve_ivp(fun, (s, t), y0, method="RK45", rtol=cfg.rel_tol,
+        [method] = [name for tab, name in SCIPY_METHODS if tab is tableau]
+        sol = solve_ivp(fun, (s, t), y0, method=method, rtol=cfg.rel_tol,
                         atol=cfg.abs_tol)
         assert sol.success, sol.message
         accepted.append(len(sol.t) - 1)
+        methods.append(method)
         return sol.y[:, -1]
     return integrate
 
@@ -197,22 +232,25 @@ def minkowski_pullback() -> np.ndarray:
     return np.concatenate((pull.entries.reshape(-1), h.components))
 
 
-ORACLE_CASES = {
-    "latitude-holonomy": lambda: transport_matrix(
+ORACLE_CASES = {  # each case: the solve, and the solve_ivp method it uses
+    "latitude-holonomy": (lambda: transport_matrix(
         build(ScenarioSpec("sphere")).law, _latitude_path(math.pi / 4),
-        0.0, 2.0 * math.pi).entries,
-    "backward-worldline": backward_worldline,
-    "minkowski-pullback": minkowski_pullback,
+        0.0, 2.0 * math.pi).entries, "DOP853"),
+    "backward-worldline": (backward_worldline, "DOP853"),
+    "minkowski-pullback": (minkowski_pullback, "RK45"),
     # rejects steps, caps the growth of steps accepted right after a
     # rejection, and its clipped last step has u + h != t in floating point
-    "rejecting": lambda: transport_matrix(
-        bump_law(), X_AXIS, 0.9, 0.02, REJECTING).entries,
+    "rejecting": (lambda: transport_matrix(
+        bump_law(), X_AXIS, 0.9, 0.02, REJECTING).entries, "DOP853"),
 }
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_stepper_matches_scipy_rk45(case, monkeypatch):
-    ours_params, oracle_params, accepted = [], [], []
+    # each case names the solve_ivp method of the pair its call site fixes:
+    # DOP853 for transport_components, RK45 for pullback_integral
+    solve, method = ORACLE_CASES[case]
+    ours_params, oracle_params, accepted, methods = [], [], [], []
     integrate = transport._integrate
 
     def counting(law, path, rhs, *args):
@@ -222,15 +260,16 @@ def test_stepper_matches_scipy_rk45(case, monkeypatch):
         return integrate(law, path, counted, *args)
 
     monkeypatch.setattr(transport, "_integrate", counting)
-    ours = ORACLE_CASES[case]()
+    ours = solve()
     monkeypatch.setattr(transport, "_integrate",
-                        scipy_integrate(oracle_params, accepted))
-    theirs = ORACLE_CASES[case]()
+                        scipy_integrate(oracle_params, accepted, methods))
+    theirs = solve()
+    assert methods == [method]
     np.testing.assert_array_equal(ours, theirs)
     assert ours_params == oracle_params
     if case == "rejecting":
         [steps] = accepted
-        assert (len(oracle_params) - 2) // 6 > steps
+        assert (len(oracle_params) - 2) // 12 > steps
 
 
 def test_non_finite_initial_state_error(sphere):
