@@ -41,7 +41,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EvaluationError
-from .geometry import (ChartPoint, Tangent, cov_tensor_components,
+from .geometry import (ChartPoint, Tangent, bilinear, cov_tensor_components,
                        curvature_apply, curvature_at, sign_of_square,
                        torsion_apply, torsion_components)
 # deviation_vector stays bound here, unused: perfbench/tracer.py wraps it
@@ -132,30 +132,39 @@ class ConvergenceReport:
 # shared per-(scenario, eps) evaluation workspace
 
 
-def _apply_s(s_entries: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
-    return np.einsum("ijk,j,k->i", s_entries, b, z)
-
-
 class _Workspace:
     """Lazy, memoized evaluations at one separation, shared by the residual
     formulas of every equation evaluated on it; each memoized value is a
     deterministic function of its key (quantity, s), so evaluation order
     changes no residual.  All public-ish methods take the worldline
     parameter, so the same machinery serves the centered s-differences.
+    Quantities of (s, r') alone (``_BASE``) go read-only to the ``base``
+    memo, which a convergence study shares across its whole ladder; those
+    that depend on eps stay in the workspace's own memo.
     """
 
-    def __init__(self, scenario: Scenario, eps: float, cfg: OdeConfig):
+    _BASE = frozenset({"map", "d_s", "d_r", "d_sr", "x1pt", "gam", "dgam",
+                       "a1", "T", "R", "S", "DT", "DS", "g", "Dg", "DFdr"})
+
+    def __init__(self, scenario: Scenario, eps: float, cfg: OdeConfig,
+                 base: Optional[dict] = None):
         self.sc = scenario
         self.eps = eps
         self.cfg = cfg
         self.surf = scenario.surface
         self.r1, self.r2 = scenario.separation_endpoints(eps)
         self._memo: dict = {}
+        self._base: dict = {} if base is None else base
 
     def _get(self, key, fn):
-        if key not in self._memo:
-            self._memo[key] = fn()
-        return self._memo[key]
+        memo = self._base if key[0] in self._BASE else self._memo
+        if key not in memo:
+            value = fn()
+            if memo is self._base and isinstance(value, np.ndarray):
+                value = value.view()  # read-only, without freezing its source
+                value.flags.writeable = False
+            memo[key] = value
+        return memo[key]
 
     # -- pointwise geometry -------------------------------------------------
     def surface(self, name: str, s: float) -> np.ndarray:
@@ -172,6 +181,10 @@ class _Workspace:
     def gam(self, s: float) -> np.ndarray:
         return self._get(("gam", s),
                          lambda: self.sc.conn.coefficients(self.x1_point(s)))
+
+    def dgam(self, s: float) -> np.ndarray:
+        return self._get(("dgam", s),
+                         lambda: self.sc.conn.partials(self.x1_point(s)))
 
     def v1(self, s: float) -> np.ndarray:
         return self.surface("d_s", s)
@@ -215,7 +228,7 @@ class _Workspace:
     def d_torsion(self, s: float) -> np.ndarray:
         """Covariant derivative of the torsion field along x1."""
         def make():
-            dg = self.sc.conn.partials(self.x1_point(s))
+            dg = self.dgam(s)
             dt_ds = torsion_components(np.einsum("ijkl,l->ijk", dg, self.v1(s)))
             return cov_tensor_components(self.gam(s), self.v1(s), self.torsion(s),
                                          dt_ds, (1, 2))
@@ -255,7 +268,7 @@ class _Workspace:
         """Analytic covariant derivative of zeta along x1."""
         def make():
             dsr = self.surface("d_sr", s)
-            corr = np.einsum("ijk,j,k->i", self.gam(s), self.rdot(s), self.v1(s))
+            corr = bilinear(self.gam(s), self.rdot(s), self.v1(s))
             return self.eps * (dsr + corr)
         return self._get(("Dzeta", s), make)
 
@@ -268,9 +281,8 @@ class _Workspace:
         along gamma_s.  The third surface partial d_ssr comes from one
         central s-difference of the analytic d_sr data."""
         def make():
-            point = self.x1_point(s)
             gam = self.gam(s)
-            dgam = self.sc.conn.partials(point)
+            dgam = self.dgam(s)
             ds = self.v1(s)
             dsr = self.surface("d_sr", s)
             rdot = self.rdot(s)
@@ -281,10 +293,10 @@ class _Workspace:
             # not be symmetric in its lower indices
             df = (d_ssr
                   + np.einsum("ijkl,l,j,k->i", dgam, rdot, ds, ds)
-                  + np.einsum("ijk,j,k->i", gam, dsr, ds)
-                  + np.einsum("ijk,j,k->i", gam, ds, dsr))
+                  + bilinear(gam, dsr, ds)
+                  + bilinear(gam, ds, dsr))
             f1 = self.a1(s)
-            return df + np.einsum("ijk,j,k->i", gam, f1, rdot)
+            return df + bilinear(gam, f1, rdot)
         return self._get(("DFdr", s), make)
 
     def transport(self, s: float) -> Tuple[TransportMatrix, Tangent]:
@@ -322,7 +334,7 @@ class _Workspace:
                h: float) -> np.ndarray:
         """Covariant central difference along x1 of a component field."""
         deriv = (fn(s + h) - fn(s - h)) / (2.0 * h)
-        return deriv + np.einsum("ijk,j,k->i", self.gam(s), fn(s), self.v1(s))
+        return deriv + bilinear(self.gam(s), fn(s), self.v1(s))
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +349,8 @@ def _r_e2_10(w: _Workspace, s: float) -> np.ndarray:
                           w.transport(s)[0]).components
     b1 = np.asarray(field.value(s, w.r1), float)
     db_dr = (np.asarray(field.d_r(s, w.r1), float)
-             + np.einsum("ijk,j,k->i", w.gam(s), b1, w.rdot(s)))
-    return delta_b - w.eps * db_dr - _apply_s(w.s_tensor(s), b1, w.zeta(s))
+             + bilinear(w.gam(s), b1, w.rdot(s)))
+    return delta_b - w.eps * db_dr - bilinear(w.s_tensor(s), b1, w.zeta(s))
 
 
 def _r_e3_1(w: _Workspace, s: float) -> np.ndarray:
@@ -357,20 +369,20 @@ def _r_e4_1(w: _Workspace, s: float) -> np.ndarray:
 
 def _r_e4_3(w: _Workspace, s: float) -> np.ndarray:
     dsr = w.surface("d_sr", s)
-    dv_dr = dsr + np.einsum("ijk,j,k->i", w.gam(s), w.v1(s), w.rdot(s))
+    dv_dr = dsr + bilinear(w.gam(s), w.v1(s), w.rdot(s))
     return (w.delta_v(s) - w.eps * dv_dr
-            - _apply_s(w.s_tensor(s), w.v1(s), w.zeta(s)))
+            - bilinear(w.s_tensor(s), w.v1(s), w.zeta(s)))
 
 
 def _r_e4_4(w: _Workspace, s: float) -> np.ndarray:
     return (w.d_zeta(s) - w.delta_v(s)
             - torsion_apply(w.torsion(s), w.v1(s), w.zeta(s))
-            + _apply_s(w.s_tensor(s), w.v1(s), w.zeta(s)))
+            + bilinear(w.s_tensor(s), w.v1(s), w.zeta(s)))
 
 
 def _r_e4_5(w: _Workspace, s: float) -> np.ndarray:
     d_dv = w.cov_fd(w.delta_v, s, H_S)
-    s_term = w.cov_fd(lambda u: _apply_s(w.s_tensor(u), w.v1(u), w.zeta(u)), s, H_S)
+    s_term = w.cov_fd(lambda u: bilinear(w.s_tensor(u), w.v1(u), w.zeta(u)), s, H_S)
     rhs = (curvature_apply(w.curvature(s), w.v1(s), w.zeta(s), w.v1(s))
            + s_term + w.eps * w.df_dr(s))
     return d_dv - rhs
@@ -387,7 +399,7 @@ def _r_e5_2(w: _Workspace, s: float) -> np.ndarray:
     curv = (mu2 / mu1**2) * curvature_apply(w.curvature(s), w.p1(s), w.zeta(s),
                                             w.p1(s))
     s_term = mu2 * w.cov_fd(
-        lambda u: _apply_s(w.s_tensor(u), w.p1(u), w.zeta(u)) / w.mu1(u), s, H_S)
+        lambda u: bilinear(w.s_tensor(u), w.p1(u), w.zeta(u)) / w.mu1(u), s, H_S)
     mass_term = w.cov_fd(lambda u: (w.mu2(u) / w.mu1(u) - 1.0) * w.p1(u), s, H_S)
     rhs = (curv + s_term + w.dmu2(s) * w.delta_v(s) + mass_term
            + mu2 * w.eps * w.df_dr(s))
@@ -396,7 +408,7 @@ def _r_e5_2(w: _Workspace, s: float) -> np.ndarray:
 
 def _r_e6_2(w: _Workspace, s: float) -> np.ndarray:
     return (w.delta_a(s) - w.eps * w.df_dr(s)
-            - _apply_s(w.s_tensor(s), w.a1(s), w.zeta(s)))
+            - bilinear(w.s_tensor(s), w.a1(s), w.zeta(s)))
 
 
 def _r_e6_3(w: _Workspace, s: float) -> np.ndarray:
@@ -411,7 +423,7 @@ def _r_e6_4(w: _Workspace, s: float) -> np.ndarray:
     rhs = (w.delta_a(s)
            + curvature_apply(w.curvature(s), w.v1(s), w.zeta(s), w.v1(s))
            + torsion_apply(t, w.a1(s), w.zeta(s))
-           - _apply_s(s_ten, w.a1(s), w.zeta(s))
+           - bilinear(s_ten, w.a1(s), w.zeta(s))
            + torsion_apply(t, w.v1(s), w.d_zeta(s))
            + torsion_apply(w.d_torsion(s), w.v1(s), w.zeta(s)))
     return w.d2_zeta(s) - rhs
@@ -421,15 +433,15 @@ def _r_e6_5(w: _Workspace, s: float) -> np.ndarray:
     d_dv = w.cov_fd(w.delta_v, s, H_S)
     rhs = (d_dv
            - curvature_apply(w.curvature(s), w.v1(s), w.zeta(s), w.v1(s))
-           - _apply_s(w.s_tensor(s), w.v1(s), w.d_zeta(s))
-           - _apply_s(w.d_s_tensor(s), w.v1(s), w.zeta(s)))
+           - bilinear(w.s_tensor(s), w.v1(s), w.d_zeta(s))
+           - bilinear(w.d_s_tensor(s), w.v1(s), w.zeta(s)))
     return w.delta_a(s) - rhs
 
 
 def _r_e7_1(w: _Workspace, s: float) -> np.ndarray:
     mu1, mu2 = w.mu1(s), w.mu2(s)
     rhs = ((mu2 - mu1) * w.a1(s) + mu2 * w.eps * w.df_dr(s)
-           + mu2 * _apply_s(w.s_tensor(s), w.a1(s), w.zeta(s)))
+           + mu2 * bilinear(w.s_tensor(s), w.a1(s), w.zeta(s)))
     return w.delta_k(s) - rhs
 
 
@@ -438,8 +450,8 @@ def _r_e7_2(w: _Workspace, s: float) -> np.ndarray:
     d_dp = w.cov_fd(w.delta_p, s, H_S)
     rhs = ((mu2 / mu1**2) * curvature_apply(w.curvature(s), w.p1(s), w.zeta(s),
                                             w.p1(s))
-           + (mu2 / mu1) * (_apply_s(w.s_tensor(s), w.p1(s), w.d_zeta(s))
-                            + _apply_s(w.d_s_tensor(s), w.p1(s), w.zeta(s)))
+           + (mu2 / mu1) * (bilinear(w.s_tensor(s), w.p1(s), w.d_zeta(s))
+                            + bilinear(w.d_s_tensor(s), w.p1(s), w.zeta(s)))
            + w.dmu2(s) * w.delta_v(s)
            + ((w.dmu2(s) - w.dmu1(s)) / mu1) * w.p1(s)
            + w.delta_k(s))
@@ -461,8 +473,8 @@ def _r_e7_4(w: _Workspace, s: float) -> float:
         return float(x @ g @ y)
 
     curv_vec = curvature_apply(w.curvature(s), p1, w.zeta(s), p1)
-    s_vec = (_apply_s(w.s_tensor(s), p1, w.d_zeta(s))
-             + _apply_s(w.d_s_tensor(s), p1, w.zeta(s)))
+    s_vec = (bilinear(w.s_tensor(s), p1, w.d_zeta(s))
+             + bilinear(w.d_s_tensor(s), p1, w.zeta(s)))
     rhs = sign * (
         (mu2 / mu1**3) * dot(curv_vec, p1)
         + (mu2 / mu1**2) * dot(p1, s_vec)
@@ -568,7 +580,8 @@ def convergence_study(equations: Sequence[EquationId], scenario: Scenario,
     residual against log eps, excluding floor-level points; one report per
     entry of ``equations``.  Ladder-major: every equation shares one workspace
     per eps, so shared quantities are computed once per eps; it is dropped
-    before the next eps."""
+    before the next eps.  The quantities of (s, r') alone live in one base
+    memo shared by the whole ladder, so they are computed once per study."""
     if isinstance(equations, str):
         raise TypeError("convergence_study expects a sequence of EquationId, "
                         f"got the single id {equations!r}")
@@ -577,8 +590,9 @@ def convergence_study(equations: Sequence[EquationId], scenario: Scenario,
 
     equations = tuple(equations)
     columns = [[] for _ in equations]
+    base: dict = {}
     for e in ladder:
-        workspace = _Workspace(scenario, e, cfg)
+        workspace = _Workspace(scenario, e, cfg, base)
         for eq, column in zip(equations, columns):
             column.append(_sample(eq, workspace, s))
         del workspace

@@ -46,6 +46,7 @@ __all__ = [
     "cov_tensor_components",
     "metric_dot",
     "sign_of_square",
+    "bilinear",
     "torsion_apply",
     "curvature_apply",
 ]
@@ -187,9 +188,9 @@ class MetricField:
     def partials(self, point: ChartPoint) -> np.ndarray:
         """``partials[i, j, l] = d_l g_{ij}``, by central differences with
         step ``DEFAULT_FD_STEP`` unless ``partials_at`` is given."""
-        if self.partials_at is not None:
-            return np.asarray(self.partials_at(point), dtype=float)
-        return _central_partials(self.matrix, point)
+        out = (_central_partials(self.matrix, point)
+               if self.partials_at is None else self.partials_at(point))
+        return checked_array(out, (point.dimension,) * 3, "metric partials", point)
 
 
 @dataclass(frozen=True)
@@ -230,10 +231,16 @@ class PathCurve:
 # contraction helpers (raw arrays; the slot order encodes the conventions
 # stated in the module docstring)
 
+def bilinear(t: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``t[i, j, k] b^j v^k``, e.g. the correction ``Gamma^i_{jk} B^j xdot^k``
+    of a covariant derivative or ``S(B, Z)``."""
+    return np.einsum("ijk,j,k->i", t, b, v)
+
+
 def torsion_apply(torsion: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``T(X, Y)^i = T[i, j, k] Y^j X^k`` (first argument in the direction
     slot), matching ``T(X,Y) = D_X Y - D_Y X`` on commuting fields."""
-    return np.einsum("ijk,j,k->i", torsion, y, x)
+    return bilinear(torsion, y, x)
 
 
 def curvature_apply(curv: np.ndarray, x: np.ndarray, y: np.ndarray,

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError
 from .geometry import (ChartPoint, ConnectionField, MetricField, PathCurve,
-                       Tangent, checked_array, metric_dot, sign_of_square)
+                       Tangent, bilinear, checked_array, metric_dot,
+                       sign_of_square)
 # transport_components stays bound here, unused: perfbench/tracer.py wraps it
 from .transport import (DEFAULT_ODE_CONFIG, OdeConfig, TransportLaw,
                         TransportMatrix, pullback_integral, transport_components)
@@ -54,7 +55,8 @@ class WorldSurface:
     ``map(s, r)`` returns the chart coordinates; ``d_s``/``d_r`` the first
     partials and ``d_ss``/``d_sr``/``d_rr`` the second partials, all as
     read-only component arrays.  The built-in families state their surface
-    once and serve all six from one evaluation per point
+    once, by order, and serve the three order-1 values from one order-1
+    evaluation per point and all six from one order-2 evaluation
     (``scenarios._surface``).  ``r_base`` is the r-parameter of the first
     worldline.
     """
@@ -159,11 +161,11 @@ def force_field(scenario: Scenario, s: float, r: float) -> Tangent:
     surf = scenario.surface
     surf.require_s(s)
     surf.require_r(r)
+    dss = np.asarray(surf.d_ss(s, r), float)  # first: one order-2 surface call
     point = surf.point(s, r)
     gamma = scenario.conn.coefficients(point)
     ds = np.asarray(surf.d_s(s, r), float)
-    comps = np.asarray(surf.d_ss(s, r), float) + np.einsum("ijk,j,k->i", gamma, ds, ds)
-    return Tangent(point, comps)
+    return Tangent(point, dss + bilinear(gamma, ds, ds))
 
 
 def infinitesimal_deviation(scenario: Scenario, s: float, eps: float) -> Tangent:
@@ -179,14 +181,13 @@ def back_transport(scenario: Scenario, s: float, eps: float,
                    cfg: OdeConfig = DEFAULT_ODE_CONFIG
                    ) -> Tuple[TransportMatrix, Tangent]:
     """``(L_{r''->r'}, h)`` along gamma_s from one adaptive solve
-    (``pullback_integral`` with ``f = d_r(s, .)``): the map that carries
-    particle 2's vectors to r', and the deviation vector at x_1(s)."""
+    (``pullback_integral``, whose integrand is the connecting-path tangent
+    ``d_r(s, .)``): the map that carries particle 2's vectors to r', and the
+    deviation vector at x_1(s)."""
     cpath = connecting_path(scenario, s)
     r1, r2 = scenario.separation_endpoints(eps)
-    surf = scenario.surface
-    pull, value = pullback_integral(scenario.law, cpath, r1, r2,
-                                    lambda u: surf.d_r(s, u), cfg)
-    return pull, Tangent(surf.point(s, r1), value)
+    pull, value = pullback_integral(scenario.law, cpath, r1, r2, cfg)
+    return pull, Tangent(scenario.surface.point(s, r1), value)
 
 
 def deviation_vector(scenario: Scenario, s: float, eps: float,

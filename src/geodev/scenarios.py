@@ -6,10 +6,11 @@ second partials, a mass function, and a probe field into an immutable
 Scenario.  Custom geometry is limited to the documented parameters of the
 registered families, which keeps every analytic partial exact.
 
-A surface family states its surface once, as one ``jets(s, r)`` function
-returning the point and its five partials; ``_surface`` turns it into a
-WorldSurface that evaluates it once per point and hands out read-only
-arrays.
+A surface family states its surface once, as one ``jets(s, r, order)``
+function returning the point and its first partials, and at order 2 also
+its second partials, the order-1 part computed first and alike at either
+order; ``_surface`` turns it into a WorldSurface that keeps the last point's
+jets in a one-slot memo and hands out read-only arrays.
 
 Family structure matrix (enforced by tests):
 
@@ -29,7 +30,6 @@ S, DS/ds, R and force terms are all active at once.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Mapping, Optional, Tuple
@@ -142,21 +142,28 @@ def _check_dim(p: Dict[str, float]) -> int:
     return int(dim)
 
 
-def _surface(jets: Callable[[float, float], Tuple[np.ndarray, ...]],
+def _surface(jets: Callable[[float, float, int], Tuple[np.ndarray, ...]],
              s_domain: Tuple[float, float],
              r_domain: Tuple[float, float]) -> WorldSurface:
-    """WorldSurface of a family stated once as ``jets(s, r) -> (x, x_s, x_r,
-    x_ss, x_sr, x_rr)``.  The last point's jets are kept, read-only, so the
-    six partials at one (s, r) cost one ``jets`` call."""
-    @functools.lru_cache(maxsize=1)
-    def at(s: float, r: float) -> Tuple[np.ndarray, ...]:
-        values = jets(s, r)
-        for value in values:
-            value.flags.writeable = False
-        return values
+    """WorldSurface of a family stated once as ``jets(s, r, order) -> (x,
+    x_s, x_r)`` at order 1, ``+ (x_ss, x_sr, x_rr)`` at order 2.  The last
+    point's jets are kept, read-only, as one tuple ``(s, r, values)`` that a
+    thread swaps whole; ``map``/``d_s``/``d_r`` read order 1, which an order-2
+    entry also serves, and the second partials read order 2."""
+    memo = [(None, None, ())]
+
+    def at(s: float, r: float, order: int) -> Tuple[np.ndarray, ...]:
+        entry = memo[0]
+        if entry[0] != s or entry[1] != r or len(entry[2]) < 3 * order:
+            values = jets(s, r, order)
+            for value in values:
+                value.flags.writeable = False
+            entry = memo[0] = (s, r, values)
+        return entry[2]
 
     def partial(i: int) -> Callable[[float, float], np.ndarray]:
-        return lambda s, r: at(s, r)[i]
+        order = 1 + i // 3
+        return lambda s, r: at(s, r, order)[i]
 
     return WorldSurface(*map(partial, range(6)), s_domain=s_domain,
                         r_domain=r_domain)
@@ -176,9 +183,11 @@ def _flat_ruled_surface(dim: int, p: Dict[str, float]) -> WorldSurface:
         beta[i] = 0.25 + 0.1 * (i - 2)
         kappa[i] = 0.15 - 0.05 * (i - 2)
 
-    def jets(s, r):
-        return (alpha * s + beta * r + kappa * s * r, alpha + kappa * r,
-                beta + kappa * s, np.zeros(dim), kappa, np.zeros(dim))
+    def jets(s, r, order):
+        first = (alpha * s + beta * r + kappa * s * r, alpha + kappa * r,
+                 beta + kappa * s)
+        return first if order == 1 else first + (np.zeros(dim), kappa,
+                                                 np.zeros(dim))
 
     return _surface(jets, s_domain=(-0.6, 0.6), r_domain=(-0.35, 0.35))
 
@@ -192,7 +201,7 @@ def _flat_quadratic_surface(dim: int, p: Dict[str, float]) -> WorldSurface:
         beta[i] = 0.25 + 0.1 * (i - 2)
         kappa[i] = 0.15 - 0.05 * (i - 2)
 
-    def jets(s, r):
+    def jets(s, r, order):
         x, x_s, x_r, x_ss, x_sr, x_rr = np.zeros((6, dim))
         x[0] = s + a * r + c * s * r + 0.5 * w1 * r * r
         x[1] = b * r + 0.5 * q * (1.0 + k * r) ** 2 * s * s + 0.5 * w2 * r * r
@@ -203,6 +212,8 @@ def _flat_quadratic_surface(dim: int, p: Dict[str, float]) -> WorldSurface:
         x_r[0] = a + c * s + w1 * r
         x_r[1] = b + q * k * (1.0 + k * r) * s * s + w2 * r
         x_r[2:] = beta[2:] + kappa[2:] * s
+        if order == 1:
+            return x, x_s, x_r
         x_ss[1] = q * (1.0 + k * r) ** 2
         x_sr[0] = c
         x_sr[1] = 2.0 * q * k * (1.0 + k * r) * s
@@ -323,28 +334,28 @@ def _sphere_metric() -> MetricField:
     return MetricField(g_at=g_at, partials_at=partials_at)
 
 
+def _comb(a: float, p: tuple, b: float, q: tuple) -> tuple:  # a p + b q
+    return (a * p[0] + b * q[0], a * p[1] + b * q[1], a * p[2] + b * q[2])
+
+
 def _sphere_surface(tilt: float, accel: float) -> WorldSurface:
     """Family of great circles: the embedded surface is
     cos(f(s)) u(r) + sin(f(s)) w(r) with orthonormal u(r), w(r) and
     f(s) = s + accel s^2/2; chart partials follow by exact chain rules
-    through theta = arccos z, phi = atan2(y, x)."""
+    through theta = arccos z, phi = atan2(y, x), on 3-vectors as tuples."""
     cb, sb = math.cos(tilt), math.sin(tilt)
 
-    def jets(s, r):
-        u = np.array([math.cos(r), math.sin(r), 0.0])
-        w = np.array([-math.sin(r) * cb, math.cos(r) * cb, sb])
-        du = np.array([-math.sin(r), math.cos(r), 0.0])
-        dw = np.array([-math.cos(r) * cb, -math.sin(r) * cb, 0.0])
+    def jets(s, r, order):
+        cr, sr = math.cos(r), math.sin(r)
+        u, w = (cr, sr, 0.0), (-sr * cb, cr * cb, sb)
+        du, dw = (-sr, cr, 0.0), (-cr * cb, -sr * cb, 0.0)
         f = s + 0.5 * accel * s * s
         fp = 1.0 + accel * s
         cf, sf = math.cos(f), math.sin(f)
-        e = cf * u + sf * w
-        e_s = fp * (-sf * u + cf * w)
-        e_ss = accel * (-sf * u + cf * w) + fp * fp * (-cf * u - sf * w)
-        e_r = cf * du + sf * dw
-        e_sr = fp * (-sf * du + cf * dw)
-        e_rr = cf * (-u) + sf * (-np.array([w[0], w[1], 0.0]))
-        x, y, z = e
+        x, y, z = _comb(cf, u, sf, w)
+        e_f = _comb(-sf, u, cf, w)  # d e / d f
+        e_s = (fp * e_f[0], fp * e_f[1], fp * e_f[2])
+        e_r = _comb(cf, du, sf, dw)
         rho2 = x * x + y * y
         sth = math.sqrt(rho2)
         cth = z
@@ -369,6 +380,11 @@ def _sphere_surface(tilt: float, accel: float) -> WorldSurface:
         point = np.array([math.acos(z), math.atan2(y, x)])
         j_s = np.array([theta_first(e_s), phi_first(e_s)])
         j_r = np.array([theta_first(e_r), phi_first(e_r)])
+        if order == 1:
+            return point, j_s, j_r
+        e_ss = _comb(accel, e_f, fp * fp, _comb(-cf, u, -sf, w))
+        e_sr = tuple(fp * c for c in _comb(-sf, du, cf, dw))
+        e_rr = _comb(cf, (-cr, -sr, -0.0), sf, (-w[0], -w[1], -0.0))
         j_ss = np.array([theta_second(e_s, e_s, e_ss),
                          phi_second(e_s, e_s, e_ss)])
         j_sr = np.array([theta_second(e_r, e_s, e_sr),
@@ -411,7 +427,7 @@ def _minkowski_surface(p: Dict[str, float]) -> WorldSurface:
     a1, w, c2 = p["drag_1"], p["curve_2"], p["cross_2"]
     a3, c3 = p["spread_3"], p["cross_3"]
 
-    def jets(s, r):
+    def jets(s, r, order):
         x = np.array([
             s,
             v * s + 0.5 * q * (1.0 + k * r) ** 2 * s * s + a1 * r,
@@ -421,6 +437,8 @@ def _minkowski_surface(p: Dict[str, float]) -> WorldSurface:
         x_s = np.array([1.0, v + q * (1.0 + k * r) ** 2 * s, c2 * r, c3 * r])
         x_r = np.array([0.0, q * k * (1.0 + k * r) * s * s + a1,
                         1.0 + w * r + c2 * s, a3 + c3 * s])
+        if order == 1:
+            return x, x_s, x_r
         x_ss = np.array([0.0, q * (1.0 + k * r) ** 2, 0.0, 0.0])
         x_sr = np.array([0.0, 2.0 * q * k * (1.0 + k * r) * s, c2, c3])
         x_rr = np.array([0.0, q * k * k * s * s, w, 0.0])

@@ -216,10 +216,7 @@ def _integrate(law: TransportLaw, path: PathCurve,
     Sec. II.4, as in SciPy's ``solve_ivp``: safety 0.9, step factors within
     [0.2, 10], error exponent -1/(q + 1); with ``_RK45`` or ``_DOP853`` the
     loop reproduces ``solve_ivp`` with that method bit for bit.  Each caller
-    fixes its pair: ``transport_components`` takes DOP853, 3-4.5x fewer RHS
-    calls on its long solves at the default tolerances, and
-    ``pullback_integral`` takes RK 5(4), as DOP853 costs 29-39% more RHS
-    calls on its short ones.
+    fixes its pair (see the module docstring).
     """
     last = [None, None]  # the last parameter and its M, shared by the stages at u + h
 
@@ -300,17 +297,16 @@ def transport_components(law: TransportLaw, path: PathCurve, s: float, t: float,
 
 
 def pullback_integral(law: TransportLaw, path: PathCurve, s: float, t: float,
-                      f: Callable[[float], np.ndarray],
                       cfg: OdeConfig = DEFAULT_ODE_CONFIG
                       ) -> Tuple[TransportMatrix, np.ndarray]:
-    """``L_{t->s}`` and ``int_s^t L_{u->s} f(u) du`` from one RK 5(4) solve.
+    """``L_{t->s}`` and ``int_s^t L_{u->s} xdot(u) du``, the path's own
+    tangents pulled back to ``s`` and integrated, from one RK 5(4) solve.
 
     ``Phi(u) = L_{u->s}`` obeys ``dPhi/du = -Phi M(u)``, ``Phi(s) = I``; the
-    integral rides along as ``d`` extra state components ``Phi(u) f(u)``.
-    These solves span short stretches of the surface's r-lines, where the
-    5(4) pair is cheaper than DOP853: over all sixteen equations DOP853 would
-    take 29-39% more RHS calls (offset-transport 936 -> 1,206,
-    flat-euclidean/quadratic 936 -> 1,302, Minkowski 882 -> 1,206).
+    integral rides along as ``d`` extra state components ``Phi(u) xdot(u)``,
+    with the ``path.tangent(u)`` already read for ``M(u)``.  These solves span
+    short stretches of the surface's r-lines, where DOP853 would take 29-39%
+    more RHS calls over all sixteen equations.
     """
     path.require(s)
     path.require(t)
@@ -318,7 +314,8 @@ def pullback_integral(law: TransportLaw, path: PathCurve, s: float, t: float,
 
     def rhs(u, m, y):
         phi = y[:d * d].reshape(d, d)
-        return np.concatenate(((-phi @ m).reshape(-1), phi @ f(u)))
+        return np.concatenate(((-phi @ m).reshape(-1),
+                               phi @ path.tangent(u).components))
 
     y = np.concatenate((np.eye(d).reshape(-1), np.zeros(d)))
     if t != s:

@@ -451,7 +451,9 @@ def test_cli_import_loads_no_heavy_scipy_subpackage():
     probe = ("import geodev.cli, sys; print(sorted(m for m in sys.modules "
              "if m.split('.')[:2] in (['scipy', 'integrate'], "
              "['scipy', 'special'], ['scipy', 'linalg'])))")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+    # -B: the child's environment drops PYTHONDONTWRITEBYTECODE, and the
+    # suite must not leave a bytecode cache in src/
+    out = subprocess.run([sys.executable, "-B", "-c", probe], capture_output=True,
                          text=True, check=True, cwd=src,
                          env={"PYTHONPATH": src}).stdout
     assert out.strip() == "[]"

@@ -1,14 +1,16 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import geodev.equations
 import geodev.transport
 from geodev.equations import (DEFAULT_LADDER, FIT_EXCLUSION, EquationId,
-                              _Workspace, _apply_s, convergence_study,
+                              _Workspace, convergence_study,
                               equation_info, residual, residual_components)
 from geodev.errors import DomainError, EvaluationError
-from geodev.geometry import torsion_apply
+from geodev.geometry import ConnectionField, bilinear, torsion_apply
 from geodev.kinematics import Scenario, WorldSurface
 from geodev.scenarios import (EQUATION_SCENARIOS, LINEAR_DRIFT_MASSES,
                               ScenarioSpec, build)
@@ -161,7 +163,7 @@ def test_e7_1_mu1_and_mu2_forms_differ_second_order():
         w = _Workspace(sc, eps, DEFAULT_ODE_CONFIG)
         mu1, mu2 = w.mu1(S0), w.mu2(S0)
         rhs = ((mu2 - mu1) * w.a1(S0) + mu1 * eps * w.df_dr(S0)
-               + mu1 * _apply_s(w.s_tensor(S0), w.a1(S0), w.zeta(S0)))
+               + mu1 * bilinear(w.s_tensor(S0), w.a1(S0), w.zeta(S0)))
         return w.delta_k(S0) - rhs
 
     diffs = []
@@ -194,11 +196,11 @@ def test_leibniz_consistency_of_contracted_derivatives(name, params):
            + torsion_apply(w.torsion(S0), w.v1(S0), w.d_zeta(S0)))
     assert np.abs(lhs - rhs).max() < 1e-9
 
-    s_of = lambda u: _apply_s(w.s_tensor(u), w.v1(u), w.zeta(u))
+    s_of = lambda u: bilinear(w.s_tensor(u), w.v1(u), w.zeta(u))
     lhs = w.cov_fd(s_of, S0, 1e-5)
-    rhs = (_apply_s(w.d_s_tensor(S0), w.v1(S0), w.zeta(S0))
-           + _apply_s(w.s_tensor(S0), w.a1(S0), w.zeta(S0))
-           + _apply_s(w.s_tensor(S0), w.v1(S0), w.d_zeta(S0)))
+    rhs = (bilinear(w.d_s_tensor(S0), w.v1(S0), w.zeta(S0))
+           + bilinear(w.s_tensor(S0), w.a1(S0), w.zeta(S0))
+           + bilinear(w.s_tensor(S0), w.v1(S0), w.d_zeta(S0)))
     assert np.abs(lhs - rhs).max() < 1e-9
 
 
@@ -208,14 +210,14 @@ def test_s_term_toggles_with_the_law(flat_torsion, offset_transport):
     # sigma contraction
     eps = 0.02
     w = _Workspace(flat_torsion, eps, DEFAULT_ODE_CONFIG)
-    s_term = _apply_s(w.s_tensor(S0), w.v1(S0), w.zeta(S0))
+    s_term = bilinear(w.s_tensor(S0), w.v1(S0), w.zeta(S0))
     assert np.all(s_term == 0.0)
 
     w = _Workspace(offset_transport, eps, DEFAULT_ODE_CONFIG)
     sigma = np.zeros((2, 2, 2))
     sigma[0, 1, 1] = 0.2
     expected = np.einsum("ijk,j,k->i", sigma, w.v1(S0), w.zeta(S0))
-    s_term = _apply_s(w.s_tensor(S0), w.v1(S0), w.zeta(S0))
+    s_term = bilinear(w.s_tensor(S0), w.v1(S0), w.zeta(S0))
     assert np.abs(s_term - expected).max() < 1e-12
 
 
@@ -299,3 +301,55 @@ def test_shared_workspace_study_saves_transport_solves(monkeypatch):
     solves[0] = 0
     convergence_study(list(EquationId), sc, S0, DEFAULT_LADDER)
     assert solves[0] == 9 * len(DEFAULT_LADDER) == 63
+
+
+def test_study_evaluates_base_geometry_once_per_s(monkeypatch):
+    # Gamma's partials and R depend on (s, r') alone: one base memo serves
+    # the whole ladder, so a default-ladder study evaluates them at x_1(s)
+    # once, not once per eps.  curvature_at reads the partials itself; the
+    # second partials call is the dGamma that DT and DF/dr share
+    sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
+    calls = []
+    partials, curvature = ConnectionField.partials, geodev.equations.curvature_at
+
+    def counted_partials(conn, point):
+        calls.append(("partials", tuple(point.coords)))
+        return partials(conn, point)
+
+    def counted_curvature(conn, point):
+        calls.append(("curvature_at", tuple(point.coords)))
+        return curvature(conn, point)
+
+    monkeypatch.setattr(ConnectionField, "partials", counted_partials)
+    monkeypatch.setattr(geodev.equations, "curvature_at", counted_curvature)
+    convergence_study(list(EquationId), sc, S0, DEFAULT_LADDER)
+    x1 = tuple(sc.surface.map(S0, sc.surface.r_base))
+    assert Counter(calls) == {("partials", x1): 2, ("curvature_at", x1): 1}
+
+
+@pytest.mark.parametrize("partials,message", [
+    (np.zeros((4, 4)), "metric partials have shape"),
+    (np.full((4, 4, 4), np.nan), "non-finite metric partials"),
+])
+def test_bad_analytic_metric_partials_are_named(partials, message):
+    # a malformed analytic d_l g_ij is named where it is read, not left to
+    # an einsum subscript error or a NaN residual norm
+    sc = build(ScenarioSpec("minkowski", LINEAR_DRIFT_MASSES))
+    metric = dataclasses.replace(sc.metric, partials_at=lambda pt: partials)
+    with pytest.raises(EvaluationError, match=message):
+        residual(EquationId.E7_4, dataclasses.replace(sc, metric=metric), S0,
+                 0.01)
+
+
+def test_base_quantities_are_read_only(flat_torsion):
+    # one base memo serves every eps of a study, so no residual formula may
+    # write into a value that another eps reads; the sources stay writeable
+    w = _Workspace(flat_torsion, 0.01, DEFAULT_ODE_CONFIG)
+    for value in (w.surface("d_sr", S0), w.gam(S0), w.dgam(S0), w.a1(S0),
+                  w.torsion(S0), w.curvature(S0), w.s_tensor(S0),
+                  w.d_torsion(S0), w.d_s_tensor(S0), w.metric(S0),
+                  w.d_metric(S0), w.df_dr(S0)):
+        with pytest.raises(ValueError):
+            value.flat[0] = 1.0
+    assert flat_torsion.conn.gamma_at(w.x1_point(S0)).flags.writeable
+    assert flat_torsion.metric.g_at(w.x1_point(S0)).flags.writeable

@@ -104,6 +104,17 @@ def test_metric_must_be_symmetric_and_nondegenerate():
         degenerate.matrix(pt)
 
 
+@pytest.mark.parametrize("partials,message", [
+    (np.zeros((2, 2)), "metric partials have shape"),
+    (np.array([[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [math.nan, 0.0]]]),
+     "non-finite metric partials"),
+])
+def test_analytic_metric_partials_are_checked(partials, message):
+    metric = MetricField(g_at=lambda p: np.eye(2), partials_at=lambda p: partials)
+    with pytest.raises(EvaluationError, match=message):
+        metric.partials(ChartPoint([0.0, 0.0]))
+
+
 def test_path_jets_evaluated_once_per_parameter():
     calls = []
 

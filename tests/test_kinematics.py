@@ -180,7 +180,7 @@ def test_deviation_vector_matches_gauss_kronrod_oracle(name):
             r1, r1 + eps, epsabs=1e-13, epsrel=1e-14, quadrature="gk15")
         h = deviation_vector(sc, s0, eps).components
         assert np.abs(h - oracle).max() < 1e-12
-        back, integral = pullback_integral(sc.law, cpath, r1, r1 + eps, rdot)
+        back, integral = pullback_integral(sc.law, cpath, r1, r1 + eps)
         assert np.array_equal(integral, h)
         expected = transport_matrix(sc.law, cpath, r1 + eps, r1).entries
         assert np.abs(back.entries - expected).max() < 1e-10

@@ -77,19 +77,95 @@ def test_r_base_override():
 def test_surface_jets_evaluated_once_per_point():
     calls = []
 
-    def jets(s, r):
-        calls.append((s, r))
-        return tuple(np.full(2, i + s + r) for i in range(6))
+    def jets(s, r, order):
+        calls.append((s, r, order))
+        return tuple(np.full(2, i + s + r) for i in range(3 * order))
 
     surf = _surface(jets, s_domain=(-1.0, 1.0), r_domain=(-1.0, 1.0))
-    partials = (surf.map, surf.d_s, surf.d_r, surf.d_ss, surf.d_sr, surf.d_rr)
-    values = [f(0.25, 0.5) for f in partials]
-    assert calls == [(0.25, 0.5)]
-    assert [v[0] for v in values] == [i + 0.75 for i in range(6)]
+    first = [f(0.25, 0.5) for f in (surf.map, surf.d_s, surf.d_r)]
+    assert calls == [(0.25, 0.5, 1)]  # order-1 reads never ask for order 2
+    assert [v[0] for v in first] == [0.75, 1.75, 2.75]
+    second = [f(0.25, 0.5) for f in (surf.d_ss, surf.d_sr, surf.d_rr)]
+    assert calls == [(0.25, 0.5, 1), (0.25, 0.5, 2)]  # exactly one more
+    assert [v[0] for v in second] == [3.75, 4.75, 5.75]
+    assert [f(0.25, 0.5)[0] for f in (surf.map, surf.d_s, surf.d_r)] == [
+        0.75, 1.75, 2.75]
+    assert len(calls) == 2  # order-1 reads after order 2 make none
     assert surf.d_r(0.125, 0.5)[0] == 2.625
-    assert calls == [(0.25, 0.5), (0.125, 0.5)]
-    with pytest.raises(ValueError):
-        values[0][0] = 1.0
+    assert calls[2:] == [(0.125, 0.5, 1)]
+    for value in first + second:
+        with pytest.raises(ValueError):
+            value[0] = 1.0
+
+
+@pytest.mark.parametrize("name", ALL_FAMILIES)
+def test_order_one_jets_equal_the_first_order_two_jets(name):
+    # the memo answers order-1 reads from either order, so a family's
+    # order-1 jets must be the first three of its order-2 jets, bit for bit
+    rng = np.random.default_rng(13)
+    schema = {e["name"]: e["parameters"] for e in list_scenarios()}[name]
+    for _ in range(20):
+        params = {key: (float(rng.integers(spec["min"], spec["max"] + 1))
+                        if key == "dim" else rng.uniform(spec["min"], spec["max"]))
+                  for key, spec in schema.items()}
+        order_1 = build(ScenarioSpec(name, params)).surface
+        order_2 = build(ScenarioSpec(name, params)).surface
+        s, r = rng.uniform(*order_1.s_domain), rng.uniform(*order_1.r_domain)
+        order_2.d_ss(s, r)
+        for key in ("map", "d_s", "d_r"):
+            assert np.array_equal(getattr(order_1, key)(s, r),
+                                  getattr(order_2, key)(s, r))
+
+
+def _numpy_sphere_jets(tilt, accel, s, r):
+    # reference: the sphere jets in numpy 3-vector arithmetic, as the family
+    # computed them before its scalar form; same operations, same order
+    cb, sb = math.cos(tilt), math.sin(tilt)
+    u = np.array([math.cos(r), math.sin(r), 0.0])
+    w = np.array([-math.sin(r) * cb, math.cos(r) * cb, sb])
+    du = np.array([-math.sin(r), math.cos(r), 0.0])
+    dw = np.array([-math.cos(r) * cb, -math.sin(r) * cb, 0.0])
+    f = s + 0.5 * accel * s * s
+    fp = 1.0 + accel * s
+    cf, sf = math.cos(f), math.sin(f)
+    e = cf * u + sf * w
+    e_s = fp * (-sf * u + cf * w)
+    e_ss = accel * (-sf * u + cf * w) + fp * fp * (-cf * u - sf * w)
+    e_r = cf * du + sf * dw
+    e_sr = fp * (-sf * du + cf * dw)
+    e_rr = cf * (-u) + sf * (-np.array([w[0], w[1], 0.0]))
+    x, y, z = e
+    rho2 = x * x + y * y
+    sth = math.sqrt(rho2)
+
+    def first(e_a):
+        return np.array([-e_a[2] / sth, (x * e_a[1] - y * e_a[0]) / rho2])
+
+    def second(e_a, e_b, e_ab):
+        th_a, th_b = -e_a[2] / sth, -e_b[2] / sth
+        num = e_b[0] * e_a[1] + x * e_ab[1] - e_b[1] * e_a[0] - y * e_ab[0]
+        corr = (x * e_a[1] - y * e_a[0]) * (2.0 * x * e_b[0] + 2.0 * y * e_b[1])
+        return np.array([-(e_ab[2] + z * th_a * th_b) / sth,
+                         num / rho2 - corr / (rho2 * rho2)])
+
+    return (np.array([math.acos(z), math.atan2(y, x)]), first(e_s), first(e_r),
+            second(e_s, e_s, e_ss), second(e_r, e_s, e_sr),
+            second(e_r, e_r, e_rr))
+
+
+def test_sphere_jets_match_the_numpy_reference():
+    # the scalar sphere jets keep the numpy form's operations in order, so
+    # every partial is the same float, signed zeros included
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        tilt, accel = rng.uniform(0.2, 1.2), rng.uniform(-1.0, 1.0)
+        surf = build(ScenarioSpec("sphere", {"tilt": tilt, "accel": accel})).surface
+        s, r = rng.uniform(*surf.s_domain), rng.uniform(*surf.r_domain)
+        got = [f(s, r) for f in (surf.d_rr, surf.map, surf.d_s, surf.d_r,
+                                 surf.d_ss, surf.d_sr)]
+        got = got[1:] + got[:1]
+        for value, expected in zip(got, _numpy_sphere_jets(tilt, accel, s, r)):
+            assert value.tobytes() == expected.tobytes()
 
 
 def test_surface_memo_is_safe_across_threads():
