@@ -8,13 +8,11 @@ __version__ = "0.1.0"
 from .errors import (ConfigError, DomainError, EvaluationError, GeodevError,
                      NullVectorError, TransportError)
 from .geometry import (ChartPoint, ConnectionField, MetricField, PathCurve,
-                       Tangent, Tensor, cov_derivative_along,
-                       cov_derivative_tensor_along, curvature_at, metric_dot,
-                       sign_of_square, torsion_at)
-from .transport import (OdeConfig, TransportLaw, TransportMatrix,
-                        approx_transport, coordinate_probes,
-                        extract_first_coeff, law_from_connection,
-                        law_with_offset, s_tensor, transport_matrix)
+                       curvature_at, metric_dot, sign_of_square, torsion_at)
+from .transport import (OdeConfig, TransportLaw, approx_transport,
+                        coordinate_probes, extract_first_coeff,
+                        law_from_connection, law_with_offset, s_tensor,
+                        transport_matrix)
 from .kinematics import (MassSurface, Scenario, SurfaceField, WorldSurface,
                          connecting_path, delta_field, deviation_vector,
                          force_field, infinitesimal_deviation, momentum,
@@ -32,11 +30,10 @@ __all__ = [
     "GeodevError", "EvaluationError", "DomainError", "NullVectorError",
     "TransportError", "ConfigError",
     # geometry
-    "ChartPoint", "Tangent", "Tensor", "ConnectionField", "MetricField",
-    "PathCurve", "torsion_at", "curvature_at", "cov_derivative_along",
-    "cov_derivative_tensor_along", "metric_dot", "sign_of_square",
+    "ChartPoint", "ConnectionField", "MetricField", "PathCurve", "torsion_at",
+    "curvature_at", "metric_dot", "sign_of_square",
     # transport
-    "OdeConfig", "TransportLaw", "TransportMatrix", "transport_matrix",
+    "OdeConfig", "TransportLaw", "transport_matrix",
     "law_from_connection", "law_with_offset", "extract_first_coeff",
     "approx_transport", "s_tensor", "coordinate_probes",
     # kinematics

@@ -334,7 +334,7 @@ def cmd_inspect(args) -> int:
         try:
             point = (line.map(at_s) if args.point is None
                      else ChartPoint(np.asarray(args.point, float)))
-            out["components"] = operation(scenario.conn, point).entries.tolist()
+            out["components"] = operation(scenario.conn, point).tolist()
         except (DomainError, EvaluationError) as exc:
             if args.point is None:
                 raise
@@ -344,7 +344,7 @@ def cmd_inspect(args) -> int:
         out["at_s"] = at_s
         out["point"] = line.map(at_s).coords.tolist()
         out["components"] = s_tensor(scenario.law, scenario.conn, line,
-                                     at_s).entries.tolist()
+                                     at_s).tolist()
     else:  # transport
         if args.latitude is not None:
             if scenario.label not in ("sphere", "offset-transport"):
@@ -362,7 +362,7 @@ def cmd_inspect(args) -> int:
         mat = transport_matrix(scenario.law, path, frm, to)
         out["from"] = frm
         out["to"] = to
-        out["components"] = mat.entries.tolist()
+        out["components"] = mat.tolist()
     print(dump_json(out))
     return 0
 

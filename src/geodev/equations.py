@@ -41,7 +41,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EvaluationError
-from .geometry import (ChartPoint, Tangent, bilinear, cov_tensor_components,
+from .geometry import (ChartPoint, bilinear, cov_tensor_components,
                        curvature_apply, curvature_at, sign_of_square,
                        torsion_apply, torsion_components)
 # deviation_vector stays bound here, unused: perfbench/tracer.py wraps it
@@ -49,7 +49,7 @@ from .kinematics import (Scenario, back_transport, connecting_path,
                          delta_field, deviation_vector, force_field,
                          relative_acceleration, relative_energy,
                          relative_force, relative_momentum, relative_velocity)
-from .transport import DEFAULT_ODE_CONFIG, OdeConfig, TransportMatrix, s_tensor
+from .transport import DEFAULT_ODE_CONFIG, OdeConfig, s_tensor
 
 __all__ = [
     "EquationId",
@@ -194,7 +194,7 @@ class _Workspace:
 
     def a1(self, s: float) -> np.ndarray:
         return self._get(("a1", s),
-                         lambda: force_field(self.sc, s, self.r1).components)
+                         lambda: force_field(self.sc, s, self.r1))
 
     def mu1(self, s: float) -> float:
         return self.sc.mass.value(s, self.r1)
@@ -216,12 +216,12 @@ class _Workspace:
 
     def curvature(self, s: float) -> np.ndarray:
         return self._get(("R", s),
-                         lambda: curvature_at(self.sc.conn, self.x1_point(s)).entries)
+                         lambda: curvature_at(self.sc.conn, self.x1_point(s)))
 
     def s_tensor(self, s: float) -> np.ndarray:
         def make():
             cpath = connecting_path(self.sc, s)
-            return s_tensor(self.sc.law, self.sc.conn, cpath, self.r1).entries
+            return s_tensor(self.sc.law, self.sc.conn, cpath, self.r1)
         return self._get(("S", s), make)
 
     # -- covariant s-derivatives of tensor fields along x1 -------------------
@@ -247,14 +247,10 @@ class _Workspace:
     def d_metric(self, s: float) -> np.ndarray:
         """Covariant derivative of the metric along x1 (nonmetricity)."""
         def make():
-            point = self.x1_point(s)
-            dg = self.sc.metric.partials(point)
+            dg = self.sc.metric.partials(self.x1_point(s))
             dg_ds = np.einsum("ijl,l->ij", dg, self.v1(s))
-            g = self.metric(s)
-            gam = self.gam(s)
-            v = self.v1(s)
-            corr = np.einsum("min,mj,n->ij", gam, g, v)
-            return dg_ds - corr - corr.T
+            return cov_tensor_components(self.gam(s), self.v1(s), self.metric(s),
+                                         dg_ds, (0, 2))
         return self._get(("Dg", s), make)
 
     def metric(self, s: float) -> np.ndarray:
@@ -299,26 +295,26 @@ class _Workspace:
             return df + bilinear(gam, f1, rdot)
         return self._get(("DFdr", s), make)
 
-    def transport(self, s: float) -> Tuple[TransportMatrix, Tangent]:
+    def transport(self, s: float) -> Tuple[np.ndarray, np.ndarray]:
         """(L_{r''->r'}, h) at s: the one solve every quantity at s reads."""
         return self._get(("Lh", s),
                          lambda: back_transport(self.sc, s, self.eps, self.cfg))
 
     def delta_v(self, s: float) -> np.ndarray:
         return self._get(("dV", s), lambda: relative_velocity(
-            self.sc, s, self.eps, self.cfg, self.transport(s)[0]).components)
+            self.sc, s, self.eps, self.cfg, self.transport(s)[0]))
 
     def delta_a(self, s: float) -> np.ndarray:
         return self._get(("dA", s), lambda: relative_acceleration(
-            self.sc, s, self.eps, self.cfg, self.transport(s)[0]).components)
+            self.sc, s, self.eps, self.cfg, self.transport(s)[0]))
 
     def delta_p(self, s: float) -> np.ndarray:
         return self._get(("dp", s), lambda: relative_momentum(
-            self.sc, s, self.eps, self.cfg, self.transport(s)[0]).components)
+            self.sc, s, self.eps, self.cfg, self.transport(s)[0]))
 
     def delta_k(self, s: float) -> np.ndarray:
         return self._get(("dK", s), lambda: relative_force(
-            self.sc, s, self.eps, self.cfg, self.transport(s)[0]).components)
+            self.sc, s, self.eps, self.cfg, self.transport(s)[0]))
 
     def energy(self, s: float) -> float:
         return self._get(("E", s), lambda: relative_energy(
@@ -327,7 +323,7 @@ class _Workspace:
     def dev_difference(self, s: float) -> np.ndarray:
         """h - zeta, the O(eps^2) part of the deviation vector."""
         return self._get(("psi", s), lambda: (
-            self.transport(s)[1].components - self.zeta(s)))
+            self.transport(s)[1] - self.zeta(s)))
 
     # -- finite differences ---------------------------------------------------
     def cov_fd(self, fn: Callable[[float], np.ndarray], s: float,
@@ -346,7 +342,7 @@ def _r_e2_10(w: _Workspace, s: float) -> np.ndarray:
     if field is None:
         raise EvaluationError("scenario provides no probe field for E2_10")
     delta_b = delta_field(w.sc, s, w.eps, field.value, w.cfg,
-                          w.transport(s)[0]).components
+                          w.transport(s)[0])
     b1 = np.asarray(field.value(s, w.r1), float)
     db_dr = (np.asarray(field.d_r(s, w.r1), float)
              + bilinear(w.gam(s), b1, w.rdot(s)))
@@ -462,7 +458,7 @@ def _r_e7_4(w: _Workspace, s: float) -> float:
     if w.sc.metric is None:
         raise EvaluationError("E7_4 requires a scenario metric")
     x1 = w.x1_point(s)
-    sign = sign_of_square(w.sc.metric, x1, Tangent(x1, w.v1(s)))
+    sign = sign_of_square(w.sc.metric, x1, w.v1(s))
     g = w.metric(s)
     dg = w.d_metric(s)
     mu1, mu2 = w.mu1(s), w.mu2(s)

@@ -1,9 +1,10 @@
-"""Chart-based differential geometry: points, tangents, tensors, connection
-and metric fields, torsion, curvature, and covariant derivatives along
-parametrized curves.
+"""Chart-based differential geometry: points, connection and metric fields,
+parametrized paths, torsion, curvature, and the covariant derivative of
+tensor components along a curve.
 
-Everything lives in a single global chart of dimension ``d``; components are
-plain numpy arrays.
+Everything lives in a single global chart of dimension ``d``: a vector is a
+``(d,)`` array of components and a tensor a ``(d,) * (p + q)`` array, upper
+indices first.
 
 Index convention, fixed for the whole package::
 
@@ -32,8 +33,6 @@ from .errors import DomainError, EvaluationError, NullVectorError
 
 __all__ = [
     "ChartPoint",
-    "Tangent",
-    "Tensor",
     "ConnectionField",
     "MetricField",
     "PathCurve",
@@ -41,8 +40,6 @@ __all__ = [
     "torsion_at",
     "torsion_components",
     "curvature_at",
-    "cov_derivative_along",
-    "cov_derivative_tensor_along",
     "cov_tensor_components",
     "metric_dot",
     "sign_of_square",
@@ -103,43 +100,6 @@ class ChartPoint:
         return f"ChartPoint({np.array2string(self.coords, precision=6)})"
 
 
-@dataclass(frozen=True, eq=False)
-class Tangent:
-    """A tangent vector attached to a chart point."""
-
-    base: ChartPoint
-    components: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", checked_array(
-            self.components, (self.base.dimension,), "tangent components",
-            self.base))
-
-    def __repr__(self):
-        return f"Tangent({np.array2string(self.components, precision=6)})"
-
-
-@dataclass(frozen=True, eq=False)
-class Tensor:
-    """A small dense tensor of valence ``(p, q)`` at a chart point.
-
-    Entries are indexed upper indices first: a (1,2) tensor ``W`` has
-    ``entries[i, j, k]`` with ``i`` contravariant.
-    """
-
-    base: ChartPoint
-    valence: Tuple[int, int]
-    entries: np.ndarray
-
-    def __post_init__(self):
-        p, q = self.valence
-        if p < 0 or q < 0:
-            raise EvaluationError("tensor valence must be non-negative")
-        object.__setattr__(self, "entries", checked_array(
-            self.entries, (self.base.dimension,) * (p + q),
-            f"valence {self.valence} tensor entries", self.base))
-
-
 @dataclass(frozen=True)
 class ConnectionField:
     """Affine connection given by its coefficient field ``Gamma^i_{jk}(x)``.
@@ -197,7 +157,8 @@ class MetricField:
 class PathCurve:
     """A C^1 path in the chart over ``domain``, stated once as ``jets(u) ->
     (coords, velocity)``.  ``map`` and ``tangent`` share one memoized
-    evaluation of the last parameter and hand out read-only arrays."""
+    ``(ChartPoint, velocity)`` of the last parameter; the velocity is checked
+    once against the chart dimension, and both arrays are read-only."""
 
     jets: Callable[[float], Tuple[np.ndarray, np.ndarray]]
     domain: Tuple[float, float]
@@ -206,20 +167,22 @@ class PathCurve:
         jets = self.jets
 
         @functools.lru_cache(maxsize=1)
-        def at(u: float) -> Tangent:
+        def at(u: float) -> Tuple[ChartPoint, np.ndarray]:
             coords, velocity = jets(u)
-            tangent = Tangent(ChartPoint(coords), velocity)
-            tangent.base.coords.flags.writeable = False
-            tangent.components.flags.writeable = False
-            return tangent
+            point = ChartPoint(coords)
+            velocity = checked_array(velocity, (point.dimension,),
+                                     "tangent components", point)
+            point.coords.flags.writeable = False
+            velocity.flags.writeable = False
+            return point, velocity
 
         object.__setattr__(self, "_at", at)
 
     def map(self, u: float) -> ChartPoint:
-        return self._at(u).base
+        return self._at(u)[0]
 
-    def tangent(self, u: float) -> Tangent:
-        return self._at(u)
+    def tangent(self, u: float) -> np.ndarray:
+        return self._at(u)[1]
 
     def require(self, s: float) -> None:
         lo, hi = self.domain
@@ -257,17 +220,17 @@ def torsion_components(gamma: np.ndarray) -> np.ndarray:
     return gamma - np.swapaxes(gamma, 1, 2)
 
 
-def torsion_at(conn: ConnectionField, x: ChartPoint) -> Tensor:
+def torsion_at(conn: ConnectionField, x: ChartPoint) -> np.ndarray:
     """Torsion tensor of the connection at ``x``, valence (1,2).
 
     This is the commutator definition evaluated on coordinate vector fields,
     whose Lie bracket vanishes; the result is exactly antisymmetric in its
     two lower indices.
     """
-    return Tensor(x, (1, 2), torsion_components(conn.coefficients(x)))
+    return torsion_components(conn.coefficients(x))
 
 
-def curvature_at(conn: ConnectionField, x: ChartPoint) -> Tensor:
+def curvature_at(conn: ConnectionField, x: ChartPoint) -> np.ndarray:
     """Curvature tensor of the connection at ``x``, valence (1,3).
 
     ``R^i_{jkl} = d_k G^i_{jl} - d_l G^i_{jk} + G^i_{mk} G^m_{jl}
@@ -277,24 +240,7 @@ def curvature_at(conn: ConnectionField, x: ChartPoint) -> Tensor:
     dgamma = conn.partials(x)  # dgamma[i, j, k, l] = d_l G^i_{jk}
     term_dk = np.transpose(dgamma, (0, 1, 3, 2))  # [i,j,k,l] -> d_k G^i_{jl}
     quad = np.einsum("imk,mjl->ijkl", gamma, gamma)
-    entries = term_dk - dgamma + quad - np.swapaxes(quad, 2, 3)
-    return Tensor(x, (1, 3), entries)
-
-
-def cov_derivative_along(path: PathCurve, field: Callable[[float], Tangent],
-                         s: float, conn: ConnectionField,
-                         d_components: Optional[Callable[[float], np.ndarray]] = None,
-                         ) -> Tangent:
-    """Covariant derivative ``(DB/ds)^i = dB^i/ds + G^i_{jk} B^j xdot^k`` of a
-    tangent field along the path at parameter ``s``: the valence (1,0) case
-    of ``cov_derivative_tensor_along``, whose component-derivative rule
-    ``d_components`` follows."""
-    def as_tensor(u: float) -> Tensor:
-        value = field(u)
-        return Tensor(value.base, (1, 0), value.components)
-
-    out = cov_derivative_tensor_along(path, as_tensor, s, conn, d_components)
-    return Tangent(out.base, out.entries)
+    return term_dk - dgamma + quad - np.swapaxes(quad, 2, 3)
 
 
 def cov_tensor_components(gamma: np.ndarray, xdot: np.ndarray,
@@ -319,44 +265,18 @@ def cov_tensor_components(gamma: np.ndarray, xdot: np.ndarray,
     return out
 
 
-def cov_derivative_tensor_along(path: PathCurve,
-                                tfield: Callable[[float], Tensor],
-                                s: float, conn: ConnectionField,
-                                d_entries: Optional[Callable[[float], np.ndarray]] = None,
-                                ) -> Tensor:
-    """Covariant derivative along the path of a tensor field of constant
-    valence (``cov_tensor_components``).  The component derivative is taken
-    from ``d_entries`` when given, else by a central difference with step
-    ``DEFAULT_FD_STEP``."""
-    path.require(s)
-    value = tfield(s)
-    base = path.map(s)
-    if not value.base.close_to(base):
-        raise EvaluationError("field base point does not lie on the path",
-                              point=value.base)
-    if d_entries is not None:
-        dw = d_entries(s)
-    else:
-        h = DEFAULT_FD_STEP
-        dw = (tfield(s + h).entries - tfield(s - h).entries) / (2.0 * h)
-    out = cov_tensor_components(conn.coefficients(base),
-                                path.tangent(s).components, value.entries, dw,
-                                value.valence)
-    return Tensor(base, value.valence, out)
-
-
-def metric_dot(metric: MetricField, x: ChartPoint, u: Tangent, v: Tangent) -> float:
-    """Scalar product ``g_{ij}(x) U^i V^j``."""
-    if not (u.base.close_to(x) and v.base.close_to(x)):
-        raise EvaluationError("metric_dot arguments attached to different points",
-                              point=x)
+def metric_dot(metric: MetricField, x: ChartPoint, u: np.ndarray,
+               v: np.ndarray) -> float:
+    """Scalar product ``g_{ij}(x) U^i V^j`` of the components ``u``, ``v`` of
+    two vectors at ``x``."""
+    u, v = (checked_array(w, (x.dimension,), "vector components", x)
+            for w in (u, v))
     g = metric.matrix(x)
     # evaluated symmetrically so dot(U, V) == dot(V, U) holds exactly
-    return 0.5 * (float(u.components @ (g @ v.components))
-                  + float(v.components @ (g @ u.components)))
+    return 0.5 * (float(u @ (g @ v)) + float(v @ (g @ u)))
 
 
-def sign_of_square(metric: MetricField, x: ChartPoint, u: Tangent) -> int:
+def sign_of_square(metric: MetricField, x: ChartPoint, u: np.ndarray) -> int:
     """Causal sign of ``(U)^2``: +1 or -1; raises NullVectorError when the
     scalar square is within ``NULL_TOL`` of zero."""
     square = metric_dot(metric, x, u, u)

@@ -21,11 +21,10 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError
 from .geometry import (ChartPoint, ConnectionField, MetricField, PathCurve,
-                       Tangent, bilinear, checked_array, metric_dot,
-                       sign_of_square)
+                       bilinear, checked_array, metric_dot, sign_of_square)
 # transport_components stays bound here, unused: perfbench/tracer.py wraps it
 from .transport import (DEFAULT_ODE_CONFIG, OdeConfig, TransportLaw,
-                        TransportMatrix, pullback_integral, transport_components)
+                        pullback_integral, transport_components)
 
 __all__ = [
     "WorldSurface",
@@ -152,7 +151,7 @@ def worldline(scenario: Scenario, which: int, eps: float = 0.0) -> PathCurve:
     return PathCurve(lambda s: (surf.map(s, r), surf.d_s(s, r)), surf.s_domain)
 
 
-def force_field(scenario: Scenario, s: float, r: float) -> Tangent:
+def force_field(scenario: Scenario, s: float, r: float) -> np.ndarray:
     """Force field F_s(r): covariant s-acceleration of the surface,
     ``F^i = d_ss^i + Gamma^i_{jk} d_s^j d_s^k`` at ``gamma(s, r)``.
 
@@ -161,37 +160,39 @@ def force_field(scenario: Scenario, s: float, r: float) -> Tangent:
     surf = scenario.surface
     surf.require_s(s)
     surf.require_r(r)
-    dss = np.asarray(surf.d_ss(s, r), float)  # first: one order-2 surface call
+    shape = (scenario.dimension,)
+    # d_ss first: one order-2 surface call serves all three reads
+    dss = checked_array(surf.d_ss(s, r), shape, "d_ss components")
     point = surf.point(s, r)
     gamma = scenario.conn.coefficients(point)
-    ds = np.asarray(surf.d_s(s, r), float)
-    return Tangent(point, dss + bilinear(gamma, ds, ds))
+    ds = checked_array(surf.d_s(s, r), shape, "d_s components", point)
+    return dss + bilinear(gamma, ds, ds)
 
 
-def infinitesimal_deviation(scenario: Scenario, s: float, eps: float) -> Tangent:
-    """Infinitesimal deviation vector: the connecting-path tangent at r'
-    scaled by eps, attached at x_1(s).  Exactly linear in eps."""
+def infinitesimal_deviation(scenario: Scenario, s: float, eps: float) -> np.ndarray:
+    """Infinitesimal deviation vector at x_1(s): the connecting-path tangent
+    at r' scaled by eps.  Exactly linear in eps."""
     surf = scenario.surface
     surf.require_s(s)
     r1, _ = scenario.separation_endpoints(eps)
-    return Tangent(surf.point(s, r1), eps * np.asarray(surf.d_r(s, r1), float))
+    return eps * checked_array(surf.d_r(s, r1), (scenario.dimension,),
+                               "d_r components")
 
 
 def back_transport(scenario: Scenario, s: float, eps: float,
                    cfg: OdeConfig = DEFAULT_ODE_CONFIG
-                   ) -> Tuple[TransportMatrix, Tangent]:
+                   ) -> Tuple[np.ndarray, np.ndarray]:
     """``(L_{r''->r'}, h)`` along gamma_s from one adaptive solve
     (``pullback_integral``, whose integrand is the connecting-path tangent
-    ``d_r(s, .)``): the map that carries particle 2's vectors to r', and the
-    deviation vector at x_1(s)."""
+    ``d_r(s, .)``): the ``(d, d)`` map that carries particle 2's vectors to
+    r', and the deviation vector at x_1(s)."""
     cpath = connecting_path(scenario, s)
     r1, r2 = scenario.separation_endpoints(eps)
-    pull, value = pullback_integral(scenario.law, cpath, r1, r2, cfg)
-    return pull, Tangent(scenario.surface.point(s, r1), value)
+    return pullback_integral(scenario.law, cpath, r1, r2, cfg)
 
 
 def deviation_vector(scenario: Scenario, s: float, eps: float,
-                     cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> Tangent:
+                     cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> np.ndarray:
     """Deviation vector of particle 2 with respect to particle 1 at x_1(s):
     ``h = int_{r'}^{r'+eps} L_{u->r'} rdot(u) du``, the connecting-path
     tangents transported back to r' and integrated (``back_transport``)."""
@@ -200,7 +201,7 @@ def deviation_vector(scenario: Scenario, s: float, eps: float,
 
 def _pull_back(scenario: Scenario, s: float, eps: float,
                field: Callable[[float, float], np.ndarray], cfg: OdeConfig,
-               pullback: Optional[TransportMatrix]) -> np.ndarray:
+               pullback: Optional[np.ndarray]) -> np.ndarray:
     """``field(s, r'')`` carried to r' by ``pullback``, the ``L_{r''->r'}``
     of ``back_transport`` (solved here when None)."""
     scenario.surface.require_s(s)
@@ -208,13 +209,13 @@ def _pull_back(scenario: Scenario, s: float, eps: float,
     b2 = checked_array(field(s, r2), (scenario.dimension,), "field components")
     if pullback is None:
         pullback = back_transport(scenario, s, eps, cfg)[0]
-    return pullback.entries @ b2
+    return pullback @ b2
 
 
 def delta_field(scenario: Scenario, s: float, eps: float,
                 field: Callable[[float, float], np.ndarray],
                 cfg: OdeConfig = DEFAULT_ODE_CONFIG,
-                pullback: Optional[TransportMatrix] = None) -> Tangent:
+                pullback: Optional[np.ndarray] = None) -> np.ndarray:
     """Covariant difference of a surface field between the particles:
     ``field(s, r'')`` carried back along gamma_s to r' by ``pullback`` (the
     L_{r''->r'} of ``back_transport``, solved when None) minus ``field(s, r')``.
@@ -222,7 +223,7 @@ def delta_field(scenario: Scenario, s: float, eps: float,
     pulled = _pull_back(scenario, s, eps, field, cfg, pullback)
     r1, _ = scenario.separation_endpoints(eps)
     b1 = checked_array(field(s, r1), (scenario.dimension,), "field components")
-    return Tangent(scenario.surface.point(s, r1), pulled - b1)
+    return pulled - b1
 
 
 def _momentum_field(scenario: Scenario) -> Callable[[float, float], np.ndarray]:
@@ -233,45 +234,45 @@ def _momentum_field(scenario: Scenario) -> Callable[[float, float], np.ndarray]:
 
 def _force_density_field(scenario: Scenario) -> Callable[[float, float], np.ndarray]:
     mass = scenario.mass
-    return lambda s, r: mass.value(s, r) * force_field(scenario, s, r).components
+    return lambda s, r: mass.value(s, r) * force_field(scenario, s, r)
 
 
 def relative_velocity(scenario: Scenario, s: float, eps: float,
                       cfg: OdeConfig = DEFAULT_ODE_CONFIG,
-                      pullback: Optional[TransportMatrix] = None) -> Tangent:
+                      pullback: Optional[np.ndarray] = None) -> np.ndarray:
     """Relative velocity: back-transported V_2 minus V_1 at x_1(s)."""
     return delta_field(scenario, s, eps, scenario.surface.d_s, cfg, pullback)
 
 
 def relative_acceleration(scenario: Scenario, s: float, eps: float,
                           cfg: OdeConfig = DEFAULT_ODE_CONFIG,
-                          pullback: Optional[TransportMatrix] = None) -> Tangent:
+                          pullback: Optional[np.ndarray] = None) -> np.ndarray:
     """Relative acceleration: back-transported F_s(r'') minus F_s(r'),
     using that the particle accelerations are values of the force field."""
     return delta_field(scenario, s, eps,
-                       lambda u, r: force_field(scenario, u, r).components, cfg,
-                       pullback)
+                       lambda u, r: force_field(scenario, u, r), cfg, pullback)
 
 
-def momentum(scenario: Scenario, which: int, s: float, eps: float = 0.0) -> Tangent:
+def momentum(scenario: Scenario, which: int, s: float, eps: float = 0.0) -> np.ndarray:
     """Particle momentum ``p_a = mu_a V_a`` at x_a(s)."""
     if which not in (1, 2):
         raise ValueError("particle index must be 1 or 2")
     r1, r2 = scenario.separation_endpoints(eps)
     r = r1 if which == 1 else r2
-    return Tangent(scenario.surface.point(s, r), _momentum_field(scenario)(s, r))
+    return checked_array(_momentum_field(scenario)(s, r), (scenario.dimension,),
+                         "momentum components")
 
 
 def relative_momentum(scenario: Scenario, s: float, eps: float,
                       cfg: OdeConfig = DEFAULT_ODE_CONFIG,
-                      pullback: Optional[TransportMatrix] = None) -> Tangent:
+                      pullback: Optional[np.ndarray] = None) -> np.ndarray:
     """Relative momentum: back-transported p_2 minus p_1 at x_1(s)."""
     return delta_field(scenario, s, eps, _momentum_field(scenario), cfg, pullback)
 
 
 def relative_force(scenario: Scenario, s: float, eps: float,
                    cfg: OdeConfig = DEFAULT_ODE_CONFIG,
-                   pullback: Optional[TransportMatrix] = None) -> Tangent:
+                   pullback: Optional[np.ndarray] = None) -> np.ndarray:
     """Covariant difference of the forces ``K(s, r) = mu F_s(r)`` acting on
     the two particles."""
     return delta_field(scenario, s, eps, _force_density_field(scenario), cfg,
@@ -280,7 +281,7 @@ def relative_force(scenario: Scenario, s: float, eps: float,
 
 def relative_energy(scenario: Scenario, s: float, eps: float,
                     cfg: OdeConfig = DEFAULT_ODE_CONFIG,
-                    pullback: Optional[TransportMatrix] = None) -> float:
+                    pullback: Optional[np.ndarray] = None) -> float:
     """Relative energy of particle 2 with respect to particle 1:
     the metric pairing of the back-transported p_2 with V_1, signed by the
     causal character of V_1.
@@ -291,8 +292,8 @@ def relative_energy(scenario: Scenario, s: float, eps: float,
         raise EvaluationError("relative_energy requires a scenario metric")
     r1, _ = scenario.separation_endpoints(eps)
     x1 = scenario.surface.point(s, r1)
-    v1 = Tangent(x1, scenario.surface.d_s(s, r1))
+    v1 = scenario.surface.d_s(s, r1)
     sign = sign_of_square(scenario.metric, x1, v1)
     pulled = _pull_back(scenario, s, eps, _momentum_field(scenario), cfg,
                         pullback)
-    return sign * metric_dot(scenario.metric, x1, Tangent(x1, pulled), v1)
+    return sign * metric_dot(scenario.metric, x1, pulled, v1)

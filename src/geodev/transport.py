@@ -29,13 +29,11 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from .errors import EvaluationError, TransportError
-from .geometry import (ChartPoint, ConnectionField, PathCurve, Tensor,
-                       checked_array)
+from .geometry import ChartPoint, ConnectionField, PathCurve, checked_array
 
 __all__ = [
     "OdeConfig",
     "TransportLaw",
-    "TransportMatrix",
     "DEFAULT_ODE_CONFIG",
     "MIN_REL_TOL",
     "transport_matrix",
@@ -86,17 +84,6 @@ class TransportLaw:
         point = path.map(s)
         return checked_array(self.coeff_at(s, path), (point.dimension,) * 3,
                              "transport coefficients", point)
-
-
-@dataclass(frozen=True)
-class TransportMatrix:
-    """Matrix of ``L_{s->t}`` along a path, mapping components at
-    ``from_param`` to components at ``to_param``."""
-
-    from_param: float
-    to_param: float
-    path: PathCurve
-    entries: np.ndarray
 
 
 def _rms(x: np.ndarray) -> float:  # as np.linalg.norm(x) / sqrt(x.size)
@@ -222,7 +209,7 @@ def _integrate(law: TransportLaw, path: PathCurve,
 
     def fun(u, y):  # rhs gets M read-only, so it cannot write into the memo
         if u != last[0]:
-            last[:] = u, law.coefficients(u, path) @ path.tangent(u).components
+            last[:] = u, law.coefficients(u, path) @ path.tangent(u)
             last[1].flags.writeable = False
         return rhs(u, last[1], y)
 
@@ -267,16 +254,16 @@ def _integrate(law: TransportLaw, path: PathCurve,
 
 
 def transport_matrix(law: TransportLaw, path: PathCurve, s: float, t: float,
-                     cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> TransportMatrix:
-    """Transport matrix ``H(t, s; path)`` from parameter ``s`` to ``t``: the
-    identity carried along by ``transport_components``.
+                     cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> np.ndarray:
+    """Transport matrix ``H(t, s; path)`` from parameter ``s`` to ``t``, as a
+    ``(d, d)`` array: the identity carried along by ``transport_components``.
 
     ``H(s, s)`` is the exact identity (no integration is performed); the
     flow property ``H(t, r) H(r, s) = H(t, s)`` holds within ODE tolerance.
     """
     path.require(s)
     eye = np.eye(path.map(s).dimension)
-    return TransportMatrix(s, t, path, transport_components(law, path, s, t, eye, cfg))
+    return transport_components(law, path, s, t, eye, cfg)
 
 
 def transport_components(law: TransportLaw, path: PathCurve, s: float, t: float,
@@ -298,7 +285,7 @@ def transport_components(law: TransportLaw, path: PathCurve, s: float, t: float,
 
 def pullback_integral(law: TransportLaw, path: PathCurve, s: float, t: float,
                       cfg: OdeConfig = DEFAULT_ODE_CONFIG
-                      ) -> Tuple[TransportMatrix, np.ndarray]:
+                      ) -> Tuple[np.ndarray, np.ndarray]:
     """``L_{t->s}`` and ``int_s^t L_{u->s} xdot(u) du``, the path's own
     tangents pulled back to ``s`` and integrated, from one RK 5(4) solve.
 
@@ -315,12 +302,12 @@ def pullback_integral(law: TransportLaw, path: PathCurve, s: float, t: float,
     def rhs(u, m, y):
         phi = y[:d * d].reshape(d, d)
         return np.concatenate(((-phi @ m).reshape(-1),
-                               phi @ path.tangent(u).components))
+                               phi @ path.tangent(u)))
 
     y = np.concatenate((np.eye(d).reshape(-1), np.zeros(d)))
     if t != s:
         y = _integrate(law, path, rhs, y, s, t, cfg, _RK45)
-    return TransportMatrix(t, s, path, y[:d * d].reshape(d, d)), y[d * d:]
+    return y[:d * d].reshape(d, d), y[d * d:]
 
 
 def law_from_connection(conn: ConnectionField) -> TransportLaw:
@@ -344,12 +331,10 @@ def law_with_offset(conn: ConnectionField,
 
 
 def s_tensor(law: TransportLaw, conn: ConnectionField, path: PathCurve,
-             r: float) -> Tensor:
+             r: float) -> np.ndarray:
     """S-tensor ``S^i_{jk} = -H^i_{jk}(r; path) - Gamma^i_{jk}(path(r))``,
     valence (1,2) at ``path(r)``."""
-    point = path.map(r)
-    entries = -law.coefficients(r, path) - conn.coefficients(point)
-    return Tensor(point, (1, 2), entries)
+    return -law.coefficients(r, path) - conn.coefficients(path.map(r))
 
 
 def coordinate_probes(x: ChartPoint) -> list:
@@ -384,11 +369,11 @@ def extract_first_coeff(law: TransportLaw, x: ChartPoint,
         if not probe.map(0.0).close_to(x):
             raise EvaluationError("probe path does not pass through x at 0",
                                   point=probe.map(0.0))
-        tangents[m] = probe.tangent(0.0).components
+        tangents[m] = probe.tangent(0.0)
 
         def first_deriv(h: float) -> np.ndarray:
-            plus = transport_matrix(law, probe, 0.0, h, cfg).entries
-            minus = transport_matrix(law, probe, 0.0, -h, cfg).entries
+            plus = transport_matrix(law, probe, 0.0, h, cfg)
+            minus = transport_matrix(law, probe, 0.0, -h, cfg)
             return (plus - minus) / (2.0 * h)
 
         coarse = first_deriv(PROBE_STEP)
@@ -403,7 +388,7 @@ def extract_first_coeff(law: TransportLaw, x: ChartPoint,
 
 def approx_transport(law: TransportLaw, path: PathCurve, s: float, t: float,
                      order: int,
-                     cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> TransportMatrix:
+                     cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> np.ndarray:
     """N-th order approximant of the transport matrix in powers of the
     endpoint separation, N in {0, 1}.
 
@@ -417,8 +402,7 @@ def approx_transport(law: TransportLaw, path: PathCurve, s: float, t: float,
     path.require(t)
     d = path.map(s).dimension
     if order == 0:
-        return TransportMatrix(s, t, path, np.eye(d))
+        return np.eye(d)
     coeff = law.coefficients(s, path)
     gap = path.map(t).coords - path.map(s).coords
-    entries = np.eye(d) + np.einsum("ijk,k->ij", coeff, gap)
-    return TransportMatrix(s, t, path, entries)
+    return np.eye(d) + np.einsum("ijk,k->ij", coeff, gap)

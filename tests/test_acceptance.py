@@ -49,13 +49,13 @@ def test_criterion_1_transport_axioms():
         sc = build(ScenarioSpec(name))
         line = worldline(sc, 1)
         lo, hi = line.domain
-        ident = transport_matrix(sc.law, line, 0.2, 0.2).entries
+        ident = transport_matrix(sc.law, line, 0.2, 0.2)
         assert np.array_equal(ident, np.eye(sc.dimension))
         for _ in range(50):
             r, s, t = rng.uniform(lo, hi, size=3)
-            lhs = (transport_matrix(sc.law, line, r, t).entries
-                   @ transport_matrix(sc.law, line, s, r).entries)
-            rhs = transport_matrix(sc.law, line, s, t).entries
+            lhs = (transport_matrix(sc.law, line, r, t)
+                   @ transport_matrix(sc.law, line, s, r))
+            rhs = transport_matrix(sc.law, line, s, t)
             worst = max(worst, float(np.abs(lhs - rhs).max()))
     ok = worst < 1e-8
     announce(1, ok, f"flow property worst error {worst:.2e} over 100 triples",
@@ -89,8 +89,8 @@ def test_criterion_3_approximant_orders():
     for order in (0, 1):
         errs = []
         for gap in gaps:
-            full = transport_matrix(sc.law, line, 0.0, gap).entries
-            approx = approx_transport(sc.law, line, 0.0, gap, order).entries
+            full = transport_matrix(sc.law, line, 0.0, gap)
+            approx = approx_transport(sc.law, line, 0.0, gap, order)
             errs.append(float(np.abs(full - approx).max()))
         ratios[order] = [big / small for big, small in zip(errs, errs[1:])]
     ok = (all(1.8 <= r <= 2.2 for r in ratios[0])
@@ -216,7 +216,7 @@ def test_criterion_7_holonomy_oracle():
         rotation = np.array([[math.cos(alpha), math.sin(alpha) * st],
                              [-math.sin(alpha) / st, math.cos(alpha)]])
         path = _latitude_path(theta0)
-        ode = transport_matrix(sc.law, path, 0.0, 2.0 * math.pi).entries
+        ode = transport_matrix(sc.law, path, 0.0, 2.0 * math.pi)
         oracle = _latitude_product_integration(theta0, 40_000)
         worst_ode = max(worst_ode, float(np.abs(ode - rotation).max()))
         worst_oracle = max(worst_oracle, float(np.abs(oracle - rotation).max()))

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -457,6 +458,18 @@ def test_cli_import_loads_no_heavy_scipy_subpackage():
                          text=True, check=True, cwd=src,
                          env={"PYTHONPATH": src}).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["geodev", "geodev.cli", "geodev.equations",
+                                    "geodev.geometry", "geodev.kinematics",
+                                    "geodev.scenarios", "geodev.transport"])
+def test_every_exported_name_resolves(module):
+    # a name left in __all__ after its definition is gone breaks
+    # ``from geodev import *`` and misleads readers of the public surface
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
+    assert len(set(mod.__all__)) == len(mod.__all__)
 
 
 # ------------------------------------------------------------- serializer

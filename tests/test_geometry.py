@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from geodev.errors import EvaluationError, NullVectorError
 from geodev.geometry import (DEFAULT_FD_STEP, ChartPoint, ConnectionField,
-                             MetricField, PathCurve, Tangent, Tensor,
-                             cov_derivative_along, cov_derivative_tensor_along,
-                             checked_array, cov_tensor_components,
-                             curvature_at, metric_dot, sign_of_square,
-                             torsion_at)
+                             MetricField, PathCurve, checked_array,
+                             cov_tensor_components, curvature_at, metric_dot,
+                             sign_of_square, torsion_at)
 
 
 def zero_connection(d=2):
@@ -83,15 +81,20 @@ def test_finiteness_check_is_exact(shape):
 
 
 def test_tangent_dimension_mismatch():
-    with pytest.raises(EvaluationError):
-        Tangent(ChartPoint([0.0, 0.0]), [1.0, 0.0, 0.0])
-
-
-def test_tensor_shape_check():
-    pt = ChartPoint([0.0, 0.0])
-    Tensor(pt, (1, 2), np.zeros((2, 2, 2)))
-    with pytest.raises(EvaluationError):
-        Tensor(pt, (1, 2), np.zeros((2, 2)))
+    # a path velocity of the wrong shape, or a non-finite one, is named
+    for velocity in ([1.0, 0.0, 0.0], [1.0, math.nan]):
+        path = PathCurve(lambda u, v=np.array(velocity): (np.array([u, 0.0]), v),
+                         (-1.0, 1.0))
+        with pytest.raises(EvaluationError, match="tangent components"):
+            path.tangent(0.0)
+    # so is a vector of the wrong dimension given to the metric products
+    g, x = euclidean_metric(), ChartPoint([0.0, 0.0])
+    for bad in ([1.0, 0.0, 0.0], [1.0]):
+        for call in (lambda: metric_dot(g, x, bad, [1.0, 0.0]),
+                     lambda: metric_dot(g, x, [1.0, 0.0], bad),
+                     lambda: sign_of_square(g, x, bad)):
+            with pytest.raises(EvaluationError, match="vector components"):
+                call()
 
 
 def test_metric_must_be_symmetric_and_nondegenerate():
@@ -125,35 +128,38 @@ def test_path_jets_evaluated_once_per_parameter():
     path = PathCurve(jets, (-1.0, 1.0))
     point, tangent = path.map(0.25), path.tangent(0.25)
     assert calls == [0.25]
-    assert tangent.base is point
     assert point.coords.tolist() == [0.25, 0.5]
-    assert path.tangent(0.5).components.tolist() == [1.0, 2.0]
+    assert tangent.tolist() == [1.0, 2.0]
+    assert path.tangent(0.5).tolist() == [1.0, 2.0]
     assert calls == [0.25, 0.5]
-    for values in (point.coords, tangent.components):
+    for values in (point.coords, tangent):
         with pytest.raises(ValueError):
             values[0] = 1.0
 
 
 def test_path_memo_is_safe_across_threads():
     # threads evaluating one path at different parameters each get the
-    # point and tangent of their own parameter, never another thread's
-    path = line_path([0.3, -0.2], [1.0, 0.5])
-    params = [0.05 * i - 0.5 for i in range(20)]
-    expected = {u: (0.3 + u, -0.2 + 0.5 * u) for u in params}
+    # point and velocity of their own parameter, never another thread's; the
+    # velocity depends on u, so a torn memo entry shows in either array, and
+    # with four parameters for four threads a reader often asks for the one
+    # another thread is writing
+    path = PathCurve(lambda u: (np.array([0.3 + u, -0.2 + u * u]),
+                                np.array([1.0, 2.0 * u])), (-1.0, 1.0))
+    params = [-0.5, -0.2, 0.1, 0.4]
+    expected = {u: ((0.3 + u, -0.2 + u * u), (1.0, 2.0 * u)) for u in params}
     errors = []
 
     def work(offset):
-        for k in range(1000):
+        for k in range(8000):
             u = params[(offset + k) % len(params)]
-            point = path.map(u)
-            if (tuple(point.coords) != expected[u]
-                    or path.tangent(u).base.coords[0] != expected[u][0]):
+            got = tuple(path.map(u).coords), tuple(path.tangent(u))
+            if got != expected[u]:
                 errors.append(u)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -168,12 +174,12 @@ def test_path_memo_is_safe_across_threads():
 
 def test_torsion_zero_connection():
     t = torsion_at(zero_connection(), ChartPoint([0.3, 0.4]))
-    assert np.all(t.entries == 0.0)
+    assert np.all(t == 0.0)
 
 
 def test_torsion_symmetric_connection_vanishes():
     t = torsion_at(sphere_connection(), ChartPoint([1.1, 0.2]))
-    assert np.max(np.abs(t.entries)) == 0.0
+    assert np.max(np.abs(t)) == 0.0
 
 
 def test_torsion_constant_nonsymmetric():
@@ -181,47 +187,47 @@ def test_torsion_constant_nonsymmetric():
     gamma = np.zeros((2, 2, 2))
     gamma[0, 1, 0] = c  # Gamma^1_{.21}
     t = torsion_at(constant_connection(gamma), ChartPoint([0.0, 0.0]))
-    assert t.entries[0, 1, 0] == pytest.approx(c)
-    assert t.entries[0, 0, 1] == pytest.approx(-c)
+    assert t[0, 1, 0] == pytest.approx(c)
+    assert t[0, 0, 1] == pytest.approx(-c)
     mask = np.ones((2, 2, 2), bool)
     mask[0, 1, 0] = mask[0, 0, 1] = False
-    assert np.all(t.entries[mask] == 0.0)
+    assert np.all(t[mask] == 0.0)
 
 
 def test_torsion_exactly_antisymmetric(rng):
     gamma = rng.normal(size=(3, 3, 3))
     t = torsion_at(constant_connection(gamma), ChartPoint([0.0, 0.0, 0.0]))
-    assert np.all(t.entries + np.swapaxes(t.entries, 1, 2) == 0.0)
+    assert np.all(t + np.swapaxes(t, 1, 2) == 0.0)
 
 
 # ----------------------------------------------------------------- curvature
 
 def test_curvature_zero_connection():
     r = curvature_at(zero_connection(), ChartPoint([0.1, 0.2]))
-    assert np.all(r.entries == 0.0)
+    assert np.all(r == 0.0)
 
 
 def test_curvature_constant_torsion_connection_is_flat():
     gamma = np.zeros((2, 2, 2))
     gamma[0, 1, 0] = 0.3
     r = curvature_at(constant_connection(gamma), ChartPoint([0.0, 0.0]))
-    assert np.max(np.abs(r.entries)) == 0.0
+    assert np.max(np.abs(r)) == 0.0
 
 
 def test_sphere_curvature_equator_component():
     # R^theta_{.phi theta phi} = sin^2(theta); equals 1 on the equator
     r = curvature_at(sphere_connection(), ChartPoint([math.pi / 2, 0.3]))
-    assert r.entries[0, 1, 0, 1] == pytest.approx(1.0, abs=1e-12)
+    assert r[0, 1, 0, 1] == pytest.approx(1.0, abs=1e-12)
     th = 1.1
     r = curvature_at(sphere_connection(), ChartPoint([th, -0.4]))
-    assert r.entries[0, 1, 0, 1] == pytest.approx(math.sin(th) ** 2, abs=1e-12)
+    assert r[0, 1, 0, 1] == pytest.approx(math.sin(th) ** 2, abs=1e-12)
 
 
 def test_curvature_antisymmetry_last_two_indices():
     r = curvature_at(sphere_connection(False), ChartPoint([1.2, 0.1]))
-    assert np.max(np.abs(r.entries + np.swapaxes(r.entries, 2, 3))) < 1e-9
+    assert np.max(np.abs(r + np.swapaxes(r, 2, 3))) < 1e-9
     r = curvature_at(sphere_connection(True), ChartPoint([1.2, 0.1]))
-    assert np.all(r.entries + np.swapaxes(r.entries, 2, 3) == 0.0)
+    assert np.all(r + np.swapaxes(r, 2, 3) == 0.0)
 
 
 def test_fd_partials_match_analytic():
@@ -248,98 +254,104 @@ def test_small_loop_holonomy_matches_curvature():
     ]
     loop = np.eye(2)
     for path, a, b in legs:
-        loop = transport_matrix(law, path, a, b).entries @ loop
+        loop = transport_matrix(law, path, a, b) @ loop
     defect = (loop - np.eye(2)) / d**2
-    r = curvature_at(conn, ChartPoint([th0, ph0])).entries
+    r = curvature_at(conn, ChartPoint([th0, ph0]))
     assert np.abs(defect + r[:, :, 0, 1]).max() < 5e-3
 
 
 # -------------------------------------------------- covariant derivatives
 
+def cov_along(path, conn, s, field, d_field=None, valence=(1, 0)):
+    """Covariant derivative at ``s`` along ``path`` of the component field
+    ``field`` by ``cov_tensor_components``; the component derivative is
+    ``d_field(s)``, or a central difference with step ``DEFAULT_FD_STEP``."""
+    if d_field is None:
+        h = DEFAULT_FD_STEP
+        d_field = lambda u: (field(u + h) - field(u - h)) / (2.0 * h)
+    return cov_tensor_components(conn.coefficients(path.map(s)), path.tangent(s),
+                                 field(s), d_field(s), valence)
+
+
 def test_cov_derivative_flat_constant_field():
     path = line_path([0.0, 0.0], [1.0, 0.0])
-    field = lambda s: Tangent(path.map(s), np.array([2.0, -1.0]))
-    d = cov_derivative_along(path, field, 0.2, zero_connection())
-    assert np.abs(d.components).max() < 1e-10
+    d = cov_along(path, zero_connection(), 0.2, lambda s: np.array([2.0, -1.0]))
+    assert np.abs(d).max() < 1e-10
 
 
 def test_cov_derivative_flat_linear_field():
     path = line_path([0.0, 0.0], [1.0, 1.0])
-    field = lambda s: Tangent(path.map(s), np.array([s, 0.0]))
-    d = cov_derivative_along(path, field, 0.1, zero_connection(),
-                             d_components=lambda s: np.array([1.0, 0.0]))
-    assert np.allclose(d.components, [1.0, 0.0])
+    d = cov_along(path, zero_connection(), 0.1, lambda s: np.array([s, 0.0]),
+                  lambda s: np.array([1.0, 0.0]))
+    assert np.allclose(d, [1.0, 0.0])
 
 
 def test_cov_derivative_equator_tangent_is_geodesic():
     conn = sphere_connection()
     path = line_path([math.pi / 2, 0.0], [0.0, 1.0], domain=(-4.0, 4.0))
-    field = lambda s: path.tangent(s)
-    d = cov_derivative_along(path, field, 0.7, conn)
-    assert np.abs(d.components).max() < 1e-8
+    d = cov_along(path, conn, 0.7, path.tangent)
+    assert np.abs(d).max() < 1e-8
 
 
 def test_cov_derivative_linearity():
     conn = sphere_connection()
     path = line_path([1.0, 0.2], [0.3, 1.0])
-    f1 = lambda s: Tangent(path.map(s), np.array([math.sin(s), s * s]))
+    f1 = lambda s: np.array([math.sin(s), s * s])
     d1 = lambda s: np.array([math.cos(s), 2 * s])
-    f2 = lambda s: Tangent(path.map(s), np.array([1.0 + s, math.cos(s)]))
+    f2 = lambda s: np.array([1.0 + s, math.cos(s)])
     d2 = lambda s: np.array([1.0, -math.sin(s)])
     a, b = 1.7, -0.6
-    combo = lambda s: Tangent(path.map(s), a * f1(s).components + b * f2(s).components)
+    combo = lambda s: a * f1(s) + b * f2(s)
     dcombo = lambda s: a * d1(s) + b * d2(s)
-    lhs = cov_derivative_along(path, combo, 0.15, conn,
-                               d_components=dcombo).components
-    rhs = (a * cov_derivative_along(path, f1, 0.15, conn,
-                                    d_components=d1).components
-           + b * cov_derivative_along(path, f2, 0.15, conn,
-                                      d_components=d2).components)
+    lhs = cov_along(path, conn, 0.15, combo, dcombo)
+    rhs = (a * cov_along(path, conn, 0.15, f1, d1)
+           + b * cov_along(path, conn, 0.15, f2, d2))
     assert np.abs(lhs - rhs).max() < 1e-12
     # with finite-difference component derivatives the 1/(2h) amplification
     # of roundoff still keeps linearity far below any geometric scale
-    lhs_fd = cov_derivative_along(path, combo, 0.15, conn).components
-    rhs_fd = (a * cov_derivative_along(path, f1, 0.15, conn).components
-              + b * cov_derivative_along(path, f2, 0.15, conn).components)
+    lhs_fd = cov_along(path, conn, 0.15, combo)
+    rhs_fd = (a * cov_along(path, conn, 0.15, f1)
+              + b * cov_along(path, conn, 0.15, f2))
     assert np.abs(lhs_fd - rhs_fd).max() < 1e-10
 
 
 def test_cov_derivative_leibniz_scalar():
     conn = sphere_connection()
     path = line_path([1.0, 0.2], [0.3, 1.0])
-    base = lambda s: Tangent(path.map(s), np.array([math.sin(s), s]))
+    base = lambda s: np.array([math.sin(s), s])
     f = lambda s: 1.0 + 0.5 * s * s
     fprime = lambda s: s
-    scaled = lambda s: Tangent(path.map(s), f(s) * base(s).components)
+    scaled = lambda s: f(s) * base(s)
     s0 = 0.2
-    lhs = cov_derivative_along(path, scaled, s0, conn).components
-    rhs = (fprime(s0) * base(s0).components
-           + f(s0) * cov_derivative_along(path, base, s0, conn).components)
+    lhs = cov_along(path, conn, s0, scaled)
+    rhs = fprime(s0) * base(s0) + f(s0) * cov_along(path, conn, s0, base)
     assert np.abs(lhs - rhs).max() < 1e-6
-
-
-def test_cov_derivative_base_mismatch():
-    path = line_path([0.0, 0.0], [1.0, 0.0])
-    off_path = lambda s: Tangent(ChartPoint([s, 1.0]), np.array([1.0, 0.0]))
-    with pytest.raises(EvaluationError):
-        cov_derivative_along(path, off_path, 0.0, zero_connection())
 
 
 def test_cov_tensor_derivative_constant_flat():
     path = line_path([0.0, 0.0], [1.0, 0.5])
     w = np.arange(8.0).reshape(2, 2, 2)
-    tfield = lambda s: Tensor(path.map(s), (1, 2), w)
-    d = cov_derivative_tensor_along(path, tfield, 0.1, zero_connection(),
-                                    d_entries=lambda s: np.zeros((2, 2, 2)))
-    assert np.all(d.entries == 0.0)
+    d = cov_along(path, zero_connection(), 0.1, lambda s: w,
+                  lambda s: np.zeros((2, 2, 2)), (1, 2))
+    assert np.all(d == 0.0)
 
 
 def test_cov_tensor_derivative_metric_compatible_pair():
     path = line_path([0.0, 0.0], [1.0, 0.0])
-    tfield = lambda s: Tensor(path.map(s), (0, 2), np.eye(2))
-    d = cov_derivative_tensor_along(path, tfield, 0.3, zero_connection(),
-                                    d_entries=lambda s: np.zeros((2, 2)))
-    assert np.all(d.entries == 0.0)
+    d = cov_along(path, zero_connection(), 0.3, lambda s: np.eye(2),
+                  lambda s: np.zeros((2, 2)), (0, 2))
+    assert np.all(d == 0.0)
+    # the sphere's metric diag(1, sin^2 theta) is parallel for its
+    # Levi-Civita connection along any curve
+    path = line_path([1.0, 0.2], [0.3, 1.0])
+    metric = MetricField(g_at=lambda pt: np.diag([1.0, math.sin(pt.coords[0]) ** 2]))
+    g = lambda s: metric.matrix(path.map(s))
+    dg = lambda s: np.diag([0.0, 0.3 * math.sin(2.0 * path.map(s).coords[0])])
+    for s0 in (-0.5, 0.1, 0.6):
+        d = cov_along(path, sphere_connection(), s0, g, dg, (0, 2))
+        assert np.abs(d).max() < 1e-15
+        assert np.abs(cov_along(path, sphere_connection(), s0, g,
+                                valence=(0, 2))).max() < 1e-9
 
 
 def test_cov_tensor_derivative_identity_metric_with_torsion():
@@ -352,12 +364,11 @@ def test_cov_tensor_derivative_identity_metric_with_torsion():
     conn = constant_connection(gamma)
     direction = np.array([0.8, -0.3])
     path = line_path([0.0, 0.0], direction)
-    tfield = lambda s: Tensor(path.map(s), (0, 2), np.eye(2))
-    d = cov_derivative_tensor_along(path, tfield, 0.1, conn,
-                                    d_entries=lambda s: np.zeros((2, 2)))
+    d = cov_along(path, conn, 0.1, lambda s: np.eye(2),
+                  lambda s: np.zeros((2, 2)), (0, 2))
     expected = np.zeros((2, 2))
     expected[0, 1] = expected[1, 0] = -c * direction[0]
-    assert np.abs(d.entries - expected).max() < 1e-12
+    assert np.abs(d - expected).max() < 1e-12
 
 
 def test_cov_tensor_components_match_tensordot_reference(rng):
@@ -388,13 +399,13 @@ def test_cov_tensor_components_match_tensordot_reference(rng):
 def test_metric_dot_euclidean_orthogonal():
     g = euclidean_metric()
     x = ChartPoint([0.0, 0.0])
-    assert metric_dot(g, x, Tangent(x, [1.0, 0.0]), Tangent(x, [0.0, 1.0])) == 0.0
+    assert metric_dot(g, x, [1.0, 0.0], [0.0, 1.0]) == 0.0
 
 
 def test_metric_dot_minkowski_timelike():
     g = minkowski_metric()
     x = ChartPoint([0.0, 0.0, 0.0, 0.0])
-    u = Tangent(x, [1.0, 0.0, 0.0, 0.0])
+    u = [1.0, 0.0, 0.0, 0.0]
     assert metric_dot(g, x, u, u) == pytest.approx(1.0)
 
 
@@ -404,16 +415,15 @@ def test_metric_dot_minkowski_timelike():
 def test_metric_dot_symmetry(u_comp, v_comp):
     g = MetricField(g_at=lambda pt: np.array([[2.0, 0.3], [0.3, 1.5]]))
     x = ChartPoint([0.0, 0.0])
-    u, v = Tangent(x, u_comp), Tangent(x, v_comp)
-    assert metric_dot(g, x, u, v) == metric_dot(g, x, v, u)
+    assert metric_dot(g, x, u_comp, v_comp) == metric_dot(g, x, v_comp, u_comp)
 
 
 def test_sign_of_square():
     x4 = ChartPoint([0.0, 0.0, 0.0, 0.0])
     g4 = minkowski_metric()
-    assert sign_of_square(g4, x4, Tangent(x4, [1.0, 0.0, 0.0, 0.0])) == 1
-    assert sign_of_square(g4, x4, Tangent(x4, [0.0, 1.0, 0.0, 0.0])) == -1
+    assert sign_of_square(g4, x4, [1.0, 0.0, 0.0, 0.0]) == 1
+    assert sign_of_square(g4, x4, [0.0, 1.0, 0.0, 0.0]) == -1
     with pytest.raises(NullVectorError):
-        sign_of_square(g4, x4, Tangent(x4, [1.0, 1.0, 0.0, 0.0]))
+        sign_of_square(g4, x4, [1.0, 1.0, 0.0, 0.0])
     x2 = ChartPoint([0.0, 0.0])
-    assert sign_of_square(euclidean_metric(), x2, Tangent(x2, [1.0, 0.0])) == 1
+    assert sign_of_square(euclidean_metric(), x2, [1.0, 0.0]) == 1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from geodev.errors import ConfigError
-from geodev.geometry import ChartPoint, Tangent, curvature_at, torsion_at
+from geodev.geometry import ChartPoint, curvature_at, torsion_at
 from geodev.kinematics import connecting_path, worldline
 from geodev.scenarios import (EQUATION_SCENARIOS, LINEAR_DRIFT_MASSES,
                               ScenarioSpec, _surface, build, family_names,
@@ -227,21 +227,21 @@ def _max_structure(scenario, fn, n=25):
 def _torsion_mag(scenario):
     def fn(s, r):
         pt = scenario.surface.point(s, r)
-        return np.abs(torsion_at(scenario.conn, pt).entries).max()
+        return np.abs(torsion_at(scenario.conn, pt)).max()
     return _max_structure(scenario, fn)
 
 
 def _curvature_mag(scenario):
     def fn(s, r):
         pt = scenario.surface.point(s, r)
-        return np.abs(curvature_at(scenario.conn, pt).entries).max()
+        return np.abs(curvature_at(scenario.conn, pt)).max()
     return _max_structure(scenario, fn)
 
 
 def _s_tensor_mag(scenario):
     def fn(s, r):
         cpath = connecting_path(scenario, s)
-        return np.abs(s_tensor(scenario.law, scenario.conn, cpath, r).entries).max()
+        return np.abs(s_tensor(scenario.law, scenario.conn, cpath, r)).max()
     return _max_structure(scenario, fn, n=8)
 
 
@@ -267,7 +267,7 @@ def test_structure_matrix(name, torsion, curv, s_ten):
 def test_flat_torsion_values():
     sc = build(ScenarioSpec("flat-torsion", {"torsion_c": 0.3}))
     pt = sc.surface.point(0.1, 0.0)
-    t = torsion_at(sc.conn, pt).entries
+    t = torsion_at(sc.conn, pt)
     assert t[0, 1, 0] == pytest.approx(0.3)
     assert t[0, 0, 1] == pytest.approx(-0.3)
 
@@ -279,7 +279,7 @@ def test_sphere_curvature_everywhere_on_surface():
         s = rng.uniform(*sc.surface.s_domain)
         r = rng.uniform(*sc.surface.r_domain)
         pt = sc.surface.point(s, r)
-        assert np.abs(curvature_at(sc.conn, pt).entries).max() > 0.5
+        assert np.abs(curvature_at(sc.conn, pt)).max() > 0.5
 
 
 # ----------------------------------------------- analytic data consistency

@@ -10,8 +10,7 @@ from scipy.linalg import expm
 import geodev.transport as transport
 from geodev.cli import _latitude_path
 from geodev.errors import EvaluationError, TransportError
-from geodev.geometry import (ChartPoint, ConnectionField, PathCurve, Tangent,
-                             metric_dot)
+from geodev.geometry import ChartPoint, ConnectionField, PathCurve, metric_dot
 from geodev.kinematics import back_transport, worldline
 from geodev.scenarios import ScenarioSpec, build, exp_law_generator
 from geodev.transport import (MIN_REL_TOL, OdeConfig, TransportLaw,
@@ -37,13 +36,13 @@ def test_ode_config_validation():
 def test_identity_at_equal_parameters(sphere):
     line = worldline(sphere, 1)
     mat = transport_matrix(sphere.law, line, 0.2, 0.2)
-    assert np.array_equal(mat.entries, np.eye(2))
+    assert np.array_equal(mat, np.eye(2))
 
 
 def test_flat_parallel_transport_is_identity(flat_ruled):
     line = worldline(flat_ruled, 1)
     mat = transport_matrix(flat_ruled.law, line, -0.3, 0.4)
-    assert np.abs(mat.entries - np.eye(2)).max() < 1e-12
+    assert np.abs(mat - np.eye(2)).max() < 1e-12
 
 
 def test_flow_property_random_triples(sphere, rng):
@@ -51,16 +50,16 @@ def test_flow_property_random_triples(sphere, rng):
     lo, hi = line.domain
     for _ in range(10):
         r, s, t = rng.uniform(lo, hi, size=3)
-        lhs = (transport_matrix(sphere.law, line, r, t).entries
-               @ transport_matrix(sphere.law, line, s, r).entries)
-        rhs = transport_matrix(sphere.law, line, s, t).entries
+        lhs = (transport_matrix(sphere.law, line, r, t)
+               @ transport_matrix(sphere.law, line, s, r))
+        rhs = transport_matrix(sphere.law, line, s, t)
         assert np.abs(lhs - rhs).max() < 1e-8
 
 
 def test_round_trip_is_identity(sphere):
     line = worldline(sphere, 1)
-    fwd = transport_matrix(sphere.law, line, -0.2, 0.35).entries
-    back = transport_matrix(sphere.law, line, 0.35, -0.2).entries
+    fwd = transport_matrix(sphere.law, line, -0.2, 0.35)
+    back = transport_matrix(sphere.law, line, 0.35, -0.2)
     assert np.abs(back @ fwd - np.eye(2)).max() < 1e-9
 
 
@@ -69,7 +68,7 @@ def test_transport_components_matches_matrix_and_linearity(sphere):
     # they agree (and the vector map is linear) within solver tolerance
     line = worldline(sphere, 1)
     s, t = -0.1, 0.3
-    mat = transport_matrix(sphere.law, line, s, t).entries
+    mat = transport_matrix(sphere.law, line, s, t)
     u = np.array([0.7, -0.4])
     v = np.array([0.1, 1.2])
     for comps in (u, v, 2.5 * u - 1.25 * v):
@@ -139,11 +138,11 @@ def test_step_budget_counts_attempted_steps(monkeypatch):
     # count too
     calls = record_rhs_calls(monkeypatch)
     law = bump_law()
-    free = transport_matrix(law, X_AXIS, 0.9, 0.02, REJECTING).entries
+    free = transport_matrix(law, X_AXIS, 0.9, 0.02, REJECTING)
     attempts, rest = divmod(len(calls) - 2, 12)
     assert rest == 0 and attempts > 10
     exact = replace(REJECTING, max_steps=attempts)
-    assert np.array_equal(transport_matrix(law, X_AXIS, 0.9, 0.02, exact).entries, free)
+    assert np.array_equal(transport_matrix(law, X_AXIS, 0.9, 0.02, exact), free)
     short = replace(REJECTING, max_steps=attempts - 1)
     with pytest.raises(TransportError, match=f"exceeded {attempts - 1} steps"):
         transport_matrix(law, X_AXIS, 0.9, 0.02, short)
@@ -207,7 +206,7 @@ def scipy_integrate(params: list, accepted: list, methods: list):
         def fun(u, y):
             params.append(u)
             coeff = law.coefficients(u, path)
-            return rhs(u, np.einsum("ijk,k->ij", coeff, path.tangent(u).components), y)
+            return rhs(u, np.einsum("ijk,k->ij", coeff, path.tangent(u)), y)
         [method] = [name for tab, name in SCIPY_METHODS if tab is tableau]
         sol = solve_ivp(fun, (s, t), y0, method=method, rtol=cfg.rel_tol,
                         atol=cfg.abs_tol)
@@ -229,19 +228,19 @@ def minkowski_pullback() -> np.ndarray:
     """L_{r''->r'} (16 components) and h (4 more), riding along in one solve."""
     sc = build(ScenarioSpec("minkowski"))
     pull, h = back_transport(sc, sc.s_eval, 0.1)
-    return np.concatenate((pull.entries.reshape(-1), h.components))
+    return np.concatenate((pull.reshape(-1), h))
 
 
 ORACLE_CASES = {  # each case: the solve, and the solve_ivp method it uses
     "latitude-holonomy": (lambda: transport_matrix(
         build(ScenarioSpec("sphere")).law, _latitude_path(math.pi / 4),
-        0.0, 2.0 * math.pi).entries, "DOP853"),
+        0.0, 2.0 * math.pi), "DOP853"),
     "backward-worldline": (backward_worldline, "DOP853"),
     "minkowski-pullback": (minkowski_pullback, "RK45"),
     # rejects steps, caps the growth of steps accepted right after a
     # rejection, and its clipped last step has u + h != t in floating point
     "rejecting": (lambda: transport_matrix(
-        bump_law(), X_AXIS, 0.9, 0.02, REJECTING).entries, "DOP853"),
+        bump_law(), X_AXIS, 0.9, 0.02, REJECTING), "DOP853"),
 }
 
 
@@ -328,8 +327,8 @@ def test_parallel_law_coefficient_sign():
     direction = np.array([0.6, 0.8])
     path = line_path([0.0, 0.0], direction)
     h = 1e-6
-    plus = transport_matrix(law, path, 0.0, h).entries
-    minus = transport_matrix(law, path, 0.0, -h).entries
+    plus = transport_matrix(law, path, 0.0, h)
+    minus = transport_matrix(law, path, 0.0, -h)
     deriv = (plus - minus) / (2 * h)
     expected = -np.einsum("ijk,k->ij", gamma, direction)
     assert np.abs(deriv - expected).max() < 1e-9
@@ -338,12 +337,12 @@ def test_parallel_law_coefficient_sign():
 def test_parallel_transport_preserves_sphere_metric(sphere):
     line = worldline(sphere, 1)
     s, t = -0.4, 0.5
-    u = Tangent(line.map(s), [0.3, 1.1])
-    v = Tangent(line.map(s), [-0.8, 0.2])
+    u = np.array([0.3, 1.1])
+    v = np.array([-0.8, 0.2])
     before = metric_dot(sphere.metric, line.map(s), u, v)
-    mat = transport_matrix(sphere.law, line, s, t).entries
-    lu = Tangent(line.map(t), mat @ u.components)
-    lv = Tangent(line.map(t), mat @ v.components)
+    mat = transport_matrix(sphere.law, line, s, t)
+    lu = mat @ u
+    lv = mat @ v
     after = metric_dot(sphere.metric, line.map(t), lu, lv)
     assert abs(after - before) < 1e-9
 
@@ -369,13 +368,13 @@ def test_law_with_offset_matrix_exponential_oracle():
     gap = 0.7
     mat = transport_matrix(law, path, 0.0, gap)
     gen = -np.einsum("ijk,k->ij", sigma, direction)
-    assert np.abs(mat.entries - expm(gen * gap)).max() < 1e-9
+    assert np.abs(mat - expm(gen * gap)).max() < 1e-9
 
 
 def test_s_tensor_parallel_law_vanishes(sphere):
     line = worldline(sphere, 1)
     s = s_tensor(sphere.law, sphere.conn, line, 0.2)
-    assert np.all(s.entries == 0.0)
+    assert np.all(s == 0.0)
 
 
 def test_s_tensor_offset_round_trip():
@@ -385,7 +384,7 @@ def test_s_tensor_offset_round_trip():
     law = law_with_offset(conn, lambda pt: sigma)
     path = line_path([1.1, 0.0], [0.0, 1.0])
     s = s_tensor(law, conn, path, 0.4)
-    assert np.abs(s.entries - sigma).max() < 1e-12
+    assert np.abs(s - sigma).max() < 1e-12
 
 
 def test_s_tensor_exp_law(exp_transport):
@@ -395,7 +394,7 @@ def test_s_tensor_exp_law(exp_transport):
     s = s_tensor(exp_transport.law, exp_transport.conn, line, 0.1)
     expected = np.zeros((2, 2, 2))
     expected[:, :, 0] = -gen
-    assert np.abs(s.entries - expected).max() < 1e-12
+    assert np.abs(s - expected).max() < 1e-12
 
 
 def test_extract_first_coeff_parallel_matches_gamma():
@@ -438,7 +437,7 @@ def test_extract_first_coeff_rank_deficient(sphere):
 def test_approx_transport_order_zero_is_identity(sphere):
     line = worldline(sphere, 1)
     mat = approx_transport(sphere.law, line, -0.2, 0.4, 0)
-    assert np.array_equal(mat.entries, np.eye(2))
+    assert np.array_equal(mat, np.eye(2))
 
 
 def test_approx_transport_first_order_constant_gamma():
@@ -451,7 +450,7 @@ def test_approx_transport_first_order_constant_gamma():
     gap = 0.3
     mat = approx_transport(law, path, 0.0, gap, 1)
     expected = np.eye(2) - np.einsum("ijk,k->ij", gamma, direction) * gap
-    assert np.abs(mat.entries - expected).max() < 1e-14
+    assert np.abs(mat - expected).max() < 1e-14
 
 
 def test_approx_transport_error_halving(exp_transport):
@@ -460,9 +459,9 @@ def test_approx_transport_error_halving(exp_transport):
     for order, band in ((0, (1.8, 2.2)), (1, (3.5, 4.5))):
         errs = []
         for gap in (0.1, 0.05, 0.025):
-            full = transport_matrix(exp_transport.law, line, s0, s0 + gap).entries
+            full = transport_matrix(exp_transport.law, line, s0, s0 + gap)
             approx = approx_transport(exp_transport.law, line, s0, s0 + gap,
-                                      order).entries
+                                      order)
             errs.append(np.abs(full - approx).max())
         for big, small in zip(errs, errs[1:]):
             assert band[0] <= big / small <= band[1]
@@ -480,12 +479,12 @@ def test_determinant_liouville_bound(sphere):
     line = worldline(sphere, 1)
     s, t = -0.4, 0.5
     mat = transport_matrix(sphere.law, line, s, t)
-    det = np.linalg.det(mat.entries)
+    det = np.linalg.det(mat)
     us = np.linspace(s, t, 201)
     norms = []
     for u in us:
         coeff = sphere.law.coefficients(u, line)
-        m = np.einsum("ijk,k->ij", coeff, line.tangent(u).components)
+        m = np.einsum("ijk,k->ij", coeff, line.tangent(u))
         norms.append(np.linalg.svd(m, compute_uv=False).sum())
     bound = np.trapezoid(norms, us)
     assert math.exp(-bound) <= det <= math.exp(bound)
