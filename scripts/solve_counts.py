@@ -4,16 +4,18 @@ and one holonomy.
     python3 scripts/solve_counts.py
 
 Runs ``convergence_study`` with the ``geodev`` package of this checkout's
-``src/`` on offset-transport with ``LINEAR_DRIFT_MASSES``, the default ladder
-and the default ``s_eval``, for the 13 equations that never difference the
-deviation vector, for all 16 equations, and for the 3 deviation equations;
-then the sphere's transport once around the latitude circle at pi/4 (the
-solve of ``geodev inspect --what transport --latitude 0.785...``).
-Every ODE solve of the package goes through ``transport._integrate``; the
-script counts those calls (solves), the right-hand-side evaluations they
-make, and the ``TransportLaw.coefficients`` calls made inside them
-(``coeff_evals``, one per distinct RHS parameter), and prints one JSON
-object.  A solve makes 2 RHS calls to pick its first step and then one per
+``src/`` on offset-transport with ``LINEAR_DRIFT_MASSES`` (a freshly built
+scenario per study), the default ladder and the default ``s_eval``, for the
+13 equations that never difference the deviation vector, for all 16
+equations, and for the 3 deviation equations; then the sphere's transport
+once around the latitude circle at pi/4 (the solve of ``geodev inspect
+--what transport --latitude 0.785...``).  Every ODE solve of the package
+goes through ``transport._integrate``; the script counts those calls
+(solves), the right-hand-side evaluations they make, and the
+``TransportLaw.coefficients`` calls made inside them (``coeff_evals``: the
+generator M(u) is memoized on the path, so this is one per distinct (path,
+parameter) of the study, not one per solve), and prints one JSON object.
+A solve makes 2 RHS calls to pick its first step and then one per
 stage of its Runge-Kutta pair in each attempted step (6 for the RK 5(4) of
 ``pullback_integral``, 12 for the DOP853 of ``transport_components``);
 ``attempted_steps`` is derived from that, solve by solve.
@@ -123,9 +125,11 @@ def counted(work) -> dict:
 
 def main() -> None:
     scenarios._surface = counting_surface(scenarios._surface)
-    scenario = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
     out = {}
     for name, eqs in STUDIES.items():
+        # a fresh scenario per study: its surface memo keeps the points of
+        # earlier studies, which would make the counts depend on run order
+        scenario = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
         out[name] = counted(lambda: convergence_study(
             eqs, scenario, scenario.s_eval, DEFAULT_LADDER))
         out[name]["solves_per_eps"] = out[name]["solves"] / len(DEFAULT_LADDER)

@@ -12,6 +12,7 @@ config/arguments, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -374,6 +375,7 @@ def cmd_list(_args) -> int:
 
 # ---------------------------------------------------------------------- main
 
+@functools.lru_cache(maxsize=1)  # built once per process; parsing leaves it as is
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="geodev",

@@ -20,9 +20,9 @@ expansion of the relative acceleration, and is confirmed by the momentum
 equation of motion at unit masses.
 
 Transport policy: a workspace makes one back-transport solve per distinct s
-(``kinematics.back_transport``); every relative quantity at s applies its
-pull-back map L_{r''->r'} to particle 2's vector, and the deviation vector h
-rides on the same solve.
+along gamma_s, which a study builds once per s; every relative quantity at s
+applies its pull-back map L_{r''->r'} to particle 2's vector, and the
+deviation vector h rides on the same solve.
 
 Numerical differentiation policy: s-derivatives of analytically-evaluable
 data use central differences with step 1e-5; s-derivatives of the deviation
@@ -41,15 +41,16 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EvaluationError
-from .geometry import (ChartPoint, bilinear, cov_tensor_components,
+from .geometry import (ChartPoint, PathCurve, bilinear, cov_tensor_components,
                        curvature_apply, curvature_at, sign_of_square,
                        torsion_apply, torsion_components)
 # deviation_vector stays bound here, unused: perfbench/tracer.py wraps it
-from .kinematics import (Scenario, back_transport, connecting_path,
-                         delta_field, deviation_vector, force_field,
-                         relative_acceleration, relative_energy,
-                         relative_force, relative_momentum, relative_velocity)
-from .transport import DEFAULT_ODE_CONFIG, OdeConfig, s_tensor
+from .kinematics import (Scenario, connecting_path, delta_field,
+                         deviation_vector, force_field, relative_acceleration,
+                         relative_energy, relative_force, relative_momentum,
+                         relative_velocity)
+from .transport import (DEFAULT_ODE_CONFIG, OdeConfig, pullback_integral,
+                        s_tensor)
 
 __all__ = [
     "EquationId",
@@ -144,7 +145,7 @@ class _Workspace:
     """
 
     _BASE = frozenset({"map", "d_s", "d_r", "d_sr", "x1pt", "gam", "dgam",
-                       "a1", "T", "R", "S", "DT", "DS", "g", "Dg", "DFdr"})
+                       "a1", "T", "R", "S", "DT", "DS", "g", "Dg", "DFdr", "path"})
 
     def __init__(self, scenario: Scenario, eps: float, cfg: OdeConfig,
                  base: Optional[dict] = None):
@@ -218,11 +219,13 @@ class _Workspace:
         return self._get(("R", s),
                          lambda: curvature_at(self.sc.conn, self.x1_point(s)))
 
+    def path(self, s: float) -> PathCurve:
+        """gamma_s: one PathCurve, and so one set of its memos, per s."""
+        return self._get(("path", s), lambda: connecting_path(self.sc, s))
+
     def s_tensor(self, s: float) -> np.ndarray:
-        def make():
-            cpath = connecting_path(self.sc, s)
-            return s_tensor(self.sc.law, self.sc.conn, cpath, self.r1)
-        return self._get(("S", s), make)
+        return self._get(("S", s), lambda: s_tensor(
+            self.sc.law, self.sc.conn, self.path(s), self.r1))
 
     # -- covariant s-derivatives of tensor fields along x1 -------------------
     def d_torsion(self, s: float) -> np.ndarray:
@@ -297,8 +300,8 @@ class _Workspace:
 
     def transport(self, s: float) -> Tuple[np.ndarray, np.ndarray]:
         """(L_{r''->r'}, h) at s: the one solve every quantity at s reads."""
-        return self._get(("Lh", s),
-                         lambda: back_transport(self.sc, s, self.eps, self.cfg))
+        return self._get(("Lh", s), lambda: pullback_integral(
+            self.sc.law, self.path(s), self.r1, self.r2, self.cfg))
 
     def delta_v(self, s: float) -> np.ndarray:
         return self._get(("dV", s), lambda: relative_velocity(
@@ -576,8 +579,8 @@ def convergence_study(equations: Sequence[EquationId], scenario: Scenario,
     residual against log eps, excluding floor-level points; one report per
     entry of ``equations``.  Ladder-major: every equation shares one workspace
     per eps, so shared quantities are computed once per eps; it is dropped
-    before the next eps.  The quantities of (s, r') alone live in one base
-    memo shared by the whole ladder, so they are computed once per study."""
+    before the next eps.  The quantities of (s, r') alone, gamma_s too, live
+    in one base memo shared by the whole ladder: computed once per study."""
     if isinstance(equations, str):
         raise TypeError("convergence_study expects a sequence of EquationId, "
                         f"got the single id {equations!r}")

@@ -24,6 +24,7 @@ deviation-equation set before this module was written):
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -37,6 +38,7 @@ __all__ = [
     "MetricField",
     "PathCurve",
     "checked_array",
+    "memo_put",
     "torsion_at",
     "torsion_components",
     "curvature_at",
@@ -52,6 +54,8 @@ DEFAULT_FD_STEP = 1e-5
 METRIC_SYMMETRY_TOL = 1e-12
 METRIC_DET_TOL = 1e-12
 NULL_TOL = 1e-10  # |U^2| at or below this is null for sign_of_square
+MEMO_SIZE = 4096  # entries of each keyed memo (paths, generators, surfaces)
+_MEMO_LOCK = threading.Lock()  # makes memo_put's check-then-store atomic
 
 
 def checked_array(values, shape: Tuple[int, ...], what: str,
@@ -153,12 +157,23 @@ class MetricField:
         return checked_array(out, (point.dimension,) * 3, "metric partials", point)
 
 
+def memo_put(memo: dict, key, value):
+    """``memo[key] = value``, one whole entry for readers in other threads,
+    emptying a memo of ``MEMO_SIZE`` entries first; returns ``value``."""
+    with _MEMO_LOCK:
+        if len(memo) >= MEMO_SIZE:
+            memo.clear()
+        memo[key] = value
+    return value
+
+
 @dataclass(frozen=True)
 class PathCurve:
     """A C^1 path in the chart over ``domain``, stated once as ``jets(u) ->
-    (coords, velocity)``.  ``map`` and ``tangent`` share one memoized
-    ``(ChartPoint, velocity)`` of the last parameter; the velocity is checked
-    once against the chart dimension, and both arrays are read-only."""
+    (coords, velocity)``.  ``map`` and ``tangent`` share one LRU memo of at
+    most ``MEMO_SIZE`` ``(ChartPoint, velocity)`` by u, the velocity checked
+    once against the chart dimension, both arrays read-only; ``memo(key)``
+    keeps more values on the path, such as a transport law's M by u."""
 
     jets: Callable[[float], Tuple[np.ndarray, np.ndarray]]
     domain: Tuple[float, float]
@@ -166,7 +181,7 @@ class PathCurve:
     def __post_init__(self):
         jets = self.jets
 
-        @functools.lru_cache(maxsize=1)
+        @functools.lru_cache(maxsize=MEMO_SIZE)
         def at(u: float) -> Tuple[ChartPoint, np.ndarray]:
             coords, velocity = jets(u)
             point = ChartPoint(coords)
@@ -177,6 +192,12 @@ class PathCurve:
             return point, velocity
 
         object.__setattr__(self, "_at", at)
+        object.__setattr__(self, "_memos", {})
+
+    def memo(self, key) -> dict:
+        """This path's dict for ``key``, made on first use by ``memo_put``."""
+        memo = self._memos.get(key)
+        return memo_put(self._memos, key, {}) if memo is None else memo
 
     def map(self, u: float) -> ChartPoint:
         return self._at(u)[0]

@@ -54,10 +54,10 @@ class WorldSurface:
     ``map(s, r)`` returns the chart coordinates; ``d_s``/``d_r`` the first
     partials and ``d_ss``/``d_sr``/``d_rr`` the second partials, all as
     read-only component arrays.  The built-in families state their surface
-    once, by order, and serve the three order-1 values from one order-1
-    evaluation per point and all six from one order-2 evaluation
-    (``scenarios._surface``).  ``r_base`` is the r-parameter of the first
-    worldline.
+    once, by order, and keep its values in a memo keyed by (s, r), so the
+    six partials at one point cost at most one order-1 and one order-2
+    evaluation (``scenarios._surface``).  ``r_base`` is the r-parameter of
+    the first worldline.
     """
 
     map: Callable[[float, float], np.ndarray]

@@ -9,8 +9,8 @@ registered families, which keeps every analytic partial exact.
 A surface family states its surface once, as one ``jets(s, r, order)``
 function returning the point and its first partials, and at order 2 also
 its second partials, the order-1 part computed first and alike at either
-order; ``_surface`` turns it into a WorldSurface that keeps the last point's
-jets in a one-slot memo and hands out read-only arrays.
+order; ``_surface`` turns it into a WorldSurface that keeps each point's
+jets in a memo keyed by (s, r) and hands out read-only arrays.
 
 Family structure matrix (enforced by tests):
 
@@ -38,7 +38,7 @@ import numpy as np
 
 from .equations import EquationId
 from .errors import ConfigError, DomainError
-from .geometry import ConnectionField, MetricField
+from .geometry import ConnectionField, MetricField, memo_put
 from .kinematics import MassSurface, Scenario, SurfaceField, WorldSurface
 from .transport import TransportLaw, law_from_connection, law_with_offset
 
@@ -146,20 +146,20 @@ def _surface(jets: Callable[[float, float, int], Tuple[np.ndarray, ...]],
              s_domain: Tuple[float, float],
              r_domain: Tuple[float, float]) -> WorldSurface:
     """WorldSurface of a family stated once as ``jets(s, r, order) -> (x,
-    x_s, x_r)`` at order 1, ``+ (x_ss, x_sr, x_rr)`` at order 2.  The last
-    point's jets are kept, read-only, as one tuple ``(s, r, values)`` that a
-    thread swaps whole; ``map``/``d_s``/``d_r`` read order 1, which an order-2
-    entry also serves, and the second partials read order 2."""
-    memo = [(None, None, ())]
+    x_s, x_r)`` at order 1, ``+ (x_ss, x_sr, x_rr)`` at order 2, kept
+    read-only in a memo keyed by (s, r) (``geometry.memo_put``); ``map``,
+    ``d_s``, ``d_r`` read order 1, which an order-2 entry also serves, and the
+    second partials read order 2, which replaces an order-1 entry."""
+    memo: dict = {}
 
     def at(s: float, r: float, order: int) -> Tuple[np.ndarray, ...]:
-        entry = memo[0]
-        if entry[0] != s or entry[1] != r or len(entry[2]) < 3 * order:
+        values = memo.get((s, r), ())
+        if len(values) < 3 * order:
             values = jets(s, r, order)
             for value in values:
                 value.flags.writeable = False
-            entry = memo[0] = (s, r, values)
-        return entry[2]
+            memo_put(memo, (s, r), values)
+        return values
 
     def partial(i: int) -> Callable[[float, float], np.ndarray]:
         order = 1 + i // 3

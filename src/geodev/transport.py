@@ -29,7 +29,8 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from .errors import EvaluationError, TransportError
-from .geometry import ChartPoint, ConnectionField, PathCurve, checked_array
+from .geometry import (ChartPoint, ConnectionField, PathCurve, checked_array,
+                       memo_put)
 
 __all__ = [
     "OdeConfig",
@@ -205,13 +206,15 @@ def _integrate(law: TransportLaw, path: PathCurve,
     loop reproduces ``solve_ivp`` with that method bit for bit.  Each caller
     fixes its pair (see the module docstring).
     """
-    last = [None, None]  # the last parameter and its M, shared by the stages at u + h
+    generators = path.memo(law)  # M by u, shared by every solve along path
 
     def fun(u, y):  # rhs gets M read-only, so it cannot write into the memo
-        if u != last[0]:
-            last[:] = u, law.coefficients(u, path) @ path.tangent(u)
-            last[1].flags.writeable = False
-        return rhs(u, last[1], y)
+        m = generators.get(u)
+        if m is None:
+            m = law.coefficients(u, path) @ path.tangent(u)
+            m.flags.writeable = False
+            memo_put(generators, u, m)
+        return rhs(u, m, y)
 
     c, a, b, exponent = tableau.c, tableau.a, tableau.b, -1 / (tableau.order + 1)
     u, t, y = float(s), float(t), checked_array(y0, y0.shape, "initial transport state")

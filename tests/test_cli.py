@@ -68,6 +68,27 @@ def test_list_stable_across_runs(capsys):
     assert first == second
 
 
+def test_parser_built_once_gives_the_same_answers_on_repeated_calls(capsys):
+    # the parser is built once per process; parsing, a usage error included,
+    # must leave it as it was, so every call answers as a first call would
+    calls = (["list"], ["converge", "--no-such-flag"], ["list"],
+             ["inspect", "--what", "torsion"])
+
+    def run_all():
+        results = []
+        for argv in calls:
+            code = main(argv)
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    first = run_all()
+    assert [code for code, _, _ in first] == [0, 2, 0, 2]
+    assert first[2] == first[0]
+    assert "the following arguments are required: --config" in first[3][2]
+    assert run_all() == first
+    assert geodev.cli._build_parser() is geodev.cli._build_parser()
+
+
 # -------------------------------------------------------------- converge
 
 def test_converge_passes_on_torsion_config(tmp_path, capsys):

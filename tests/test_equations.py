@@ -303,6 +303,48 @@ def test_shared_workspace_study_saves_transport_solves(monkeypatch):
     assert solves[0] == 9 * len(DEFAULT_LADDER) == 63
 
 
+def test_study_evaluates_each_generator_once_per_rhs_parameter(monkeypatch):
+    # gamma_s is built once per s for the whole ladder and keeps M(u) by u,
+    # so the coefficients of the transport law are evaluated once per
+    # distinct (s, u) RHS parameter of the study, however many of the 63
+    # solves (7 ladder endpoints per s) meet that parameter
+    sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
+    integrate, coefficients = (geodev.transport._integrate,
+                               geodev.transport.TransportLaw.coefficients)
+    connecting_path = geodev.equations.connecting_path
+    s_of, rhs_params, coeff_params, inside, solves = {}, [], [], [False], [0]
+
+    def recording_path(scenario, s):
+        path = connecting_path(scenario, s)
+        s_of[id(path)] = s
+        return path
+
+    def recording(law, path, rhs, *args):
+        def recorded(u, m, y):
+            rhs_params.append((s_of[id(path)], u))
+            return rhs(u, m, y)
+        inside[0], solves[0] = True, solves[0] + 1
+        try:
+            return integrate(law, path, recorded, *args)
+        finally:
+            inside[0] = False
+
+    def counted_coefficients(law, u, path):
+        if inside[0]:  # S reads the coefficients too, outside any solve
+            coeff_params.append((s_of[id(path)], u))
+        return coefficients(law, u, path)
+
+    monkeypatch.setattr(geodev.equations, "connecting_path", recording_path)
+    monkeypatch.setattr(geodev.transport, "_integrate", recording)
+    monkeypatch.setattr(geodev.transport.TransportLaw, "coefficients",
+                        counted_coefficients)
+    convergence_study(list(EquationId), sc, S0, DEFAULT_LADDER)
+    assert len(s_of) == 9  # s_eval and the eight stencil offsets
+    assert (solves[0], len(rhs_params)) == (63, 936)
+    assert sorted(coeff_params) == sorted(set(rhs_params))
+    assert len(coeff_params) == 423
+
+
 def test_study_evaluates_base_geometry_once_per_s(monkeypatch):
     # Gamma's partials and R depend on (s, r') alone: one base memo serves
     # the whole ladder, so a default-ladder study evaluates them at x_1(s)

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import geodev.geometry
 from geodev.errors import EvaluationError, NullVectorError
 from geodev.geometry import (DEFAULT_FD_STEP, ChartPoint, ConnectionField,
                              MetricField, PathCurve, checked_array,
-                             cov_tensor_components, curvature_at, metric_dot,
-                             sign_of_square, torsion_at)
+                             cov_tensor_components, curvature_at, memo_put,
+                             metric_dot, sign_of_square, torsion_at)
 
 
 def zero_connection(d=2):
@@ -132,17 +133,35 @@ def test_path_jets_evaluated_once_per_parameter():
     assert tangent.tolist() == [1.0, 2.0]
     assert path.tangent(0.5).tolist() == [1.0, 2.0]
     assert calls == [0.25, 0.5]
+    assert path.map(0.25).coords.tolist() == [0.25, 0.5]  # keyed by u
+    assert path.tangent(0.25) is tangent
+    assert calls == [0.25, 0.5]
     for values in (point.coords, tangent):
         with pytest.raises(ValueError):
             values[0] = 1.0
 
 
-def test_path_memo_is_safe_across_threads():
+def test_memos_hold_at_most_memo_size_entries(monkeypatch):
+    monkeypatch.setattr(geodev.geometry, "MEMO_SIZE", 3)
+    memo, calls = {}, []
+    for key in range(7):
+        assert memo_put(memo, key, -key) == -key
+        assert len(memo) <= 3 and memo[key] == -key
+    path = PathCurve(lambda u: (calls.append(u) or np.array([u]),
+                                np.array([1.0])), (0.0, 1.0))
+    for u in (0.1, 0.2, 0.3, 0.4, 0.1):
+        path.map(u)
+    assert calls == [0.1, 0.2, 0.3, 0.4, 0.1]  # 0.1, least recently used, went
+    assert path.memo("a") is path.memo("a") is not path.memo("b")
+
+
+def test_path_memo_is_safe_across_threads(monkeypatch):
     # threads evaluating one path at different parameters each get the
     # point and velocity of their own parameter, never another thread's; the
     # velocity depends on u, so a torn memo entry shows in either array, and
-    # with four parameters for four threads a reader often asks for the one
-    # another thread is writing
+    # with four parameters for a memo of two entries a reader often asks for
+    # one that another thread is writing
+    monkeypatch.setattr(geodev.geometry, "MEMO_SIZE", 2)
     path = PathCurve(lambda u: (np.array([0.3 + u, -0.2 + u * u]),
                                 np.array([1.0, 2.0 * u])), (-1.0, 1.0))
     params = [-0.5, -0.2, 0.1, 0.4]

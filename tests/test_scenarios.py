@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+import geodev.geometry
 from geodev.errors import ConfigError
 from geodev.geometry import ChartPoint, curvature_at, torsion_at
 from geodev.kinematics import connecting_path, worldline
@@ -93,6 +94,10 @@ def test_surface_jets_evaluated_once_per_point():
     assert len(calls) == 2  # order-1 reads after order 2 make none
     assert surf.d_r(0.125, 0.5)[0] == 2.625
     assert calls[2:] == [(0.125, 0.5, 1)]
+    # keyed by (s, r): returning to the first point, at either order, makes
+    # no new call
+    assert surf.d_s(0.25, 0.5)[0] == 1.75 and surf.d_rr(0.25, 0.5) is second[2]
+    assert len(calls) == 3
     for value in first + second:
         with pytest.raises(ValueError):
             value[0] = 1.0
@@ -168,9 +173,12 @@ def test_sphere_jets_match_the_numpy_reference():
             assert value.tobytes() == expected.tobytes()
 
 
-def test_surface_memo_is_safe_across_threads():
+def test_surface_memo_is_safe_across_threads(monkeypatch):
     # threads evaluating one surface at different points each get the jets
-    # of their own point, never the memo entry another thread left behind
+    # of their own point, never the memo entry another thread left behind;
+    # with 20 points for a memo of 4 entries the memo is emptied and
+    # refilled while the others read it
+    monkeypatch.setattr(geodev.geometry, "MEMO_SIZE", 4)
     surf = build(ScenarioSpec("sphere", {"accel": 0.3})).surface
     points = [(0.02 * i - 0.3, 0.01 * i - 0.1) for i in range(20)]
     expected = {pt: surf.d_sr(*pt).copy() for pt in points}

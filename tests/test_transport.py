@@ -1,4 +1,8 @@
 import math
+import os
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -7,17 +11,20 @@ from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as dop853
 from scipy.linalg import expm
 
+import geodev.geometry
 import geodev.transport as transport
 from geodev.cli import _latitude_path
 from geodev.errors import EvaluationError, TransportError
 from geodev.geometry import ChartPoint, ConnectionField, PathCurve, metric_dot
-from geodev.kinematics import back_transport, worldline
-from geodev.scenarios import ScenarioSpec, build, exp_law_generator
+from geodev.equations import DEFAULT_LADDER
+from geodev.kinematics import back_transport, connecting_path, worldline
+from geodev.scenarios import (LINEAR_DRIFT_MASSES, ScenarioSpec, build,
+                              exp_law_generator)
 from geodev.transport import (MIN_REL_TOL, OdeConfig, TransportLaw,
                               approx_transport, coordinate_probes,
                               extract_first_coeff, law_from_connection,
-                              law_with_offset, s_tensor, transport_components,
-                              transport_matrix)
+                              law_with_offset, pullback_integral, s_tensor,
+                              transport_components, transport_matrix)
 
 from test_geometry import (constant_connection, line_path, sphere_connection,
                            zero_connection)
@@ -95,6 +102,54 @@ def test_one_path_evaluation_per_rhs_parameter():
     transport_matrix(TransportLaw(coeff_at), path, 0.0, 2.0 * math.pi)
     assert len(params) > 50
     assert len(jets_calls) <= len(params)
+
+
+def test_pullback_along_a_shared_path_is_safe_across_threads(monkeypatch):
+    # more threads than cores solve along one connecting path to different
+    # endpoints.  The law and the path yield the GIL inside every evaluation,
+    # so other threads run while a memo entry is being computed, and the
+    # memos (path points, generators, surface points) are bounded at 8
+    # entries here, so they are emptied and refilled under the readers;
+    # every thread must still get the serial result, and no error
+    monkeypatch.setattr(geodev.geometry, "MEMO_SIZE", 8)
+    sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
+    surf, s, r1 = sc.surface, sc.s_eval, sc.surface.r_base
+
+    def yielding(value):
+        time.sleep(0)
+        return value
+
+    law = TransportLaw(lambda u, path: yielding(sc.law.coeff_at(u, path)))
+    ends = [r1 + eps for eps in DEFAULT_LADDER]
+    serial = {t: pullback_integral(sc.law, connecting_path(sc, s), r1, t)
+              for t in ends}
+    shared = PathCurve(lambda r: yielding((surf.map(s, r), surf.d_r(s, r))),
+                       surf.r_domain)
+    errors = []
+
+    def work(offset):
+        try:
+            for k in range(2 * len(ends)):
+                t = ends[(offset + k) % len(ends)]
+                got = pullback_integral(law, shared, r1, t)
+                if not all(map(np.array_equal, got, serial[t])):
+                    errors.append(t)
+        except Exception as exc:  # an error in a thread fails the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range((os.cpu_count() or 1) + 2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
 
 
 def test_step_budget_exhaustion(sphere):
