@@ -26,8 +26,14 @@ order and returns every partial) and how often the study's workspace computes
 each quantity of (s, r') alone, such as Gamma, R or S (``base_evals``, one
 entry per workspace memo key of ``BASE_KEYS``).  Both are counted by wrapping
 ``scenarios._surface`` and ``equations._Workspace._get`` here, so the script
-runs unchanged on checkouts before and after the base memo.  The counts do
-not depend on the machine.
+runs unchanged on checkouts before and after the base memo.
+
+Three work counts trace a cheaper RHS to less work and not to fewer checks:
+``path_reads`` (calls of ``PathCurve.map`` and ``PathCurve.tangent``),
+``points_built`` (``ChartPoint`` constructions) and ``checks`` (calls of
+``geometry.checked_array``, the package's one shape-and-finiteness check,
+wherever a module has bound it).  They too are counted by wrappers installed
+from here.  The counts do not depend on the machine.
 """
 
 from __future__ import annotations
@@ -42,6 +48,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import geodev.equations as equations  # noqa: E402
+import geodev.geometry as geometry  # noqa: E402
+import geodev.kinematics as kinematics  # noqa: E402
 import geodev.scenarios as scenarios  # noqa: E402
 import geodev.transport as transport  # noqa: E402
 from geodev.cli import _latitude_path  # noqa: E402
@@ -60,6 +68,13 @@ STUDIES = {
 BASE_KEYS = ("map", "d_s", "d_r", "d_sr", "x1pt", "gam", "dgam", "a1", "T", "R",
              "S", "DT", "DS", "g", "Dg", "DFdr")
 JETS_CALLS = Counter()  # filled by the jets of scenarios built under main()
+# (owner, attribute, work count) of every call counted by ``work_counts``
+WORK_CALLS = ([(geometry.PathCurve, "map", "path_reads"),
+               (geometry.PathCurve, "tangent", "path_reads"),
+               (geometry.ChartPoint, "__init__", "points_built")]
+              + [(module, "checked_array", "checks")
+                 for module in (geometry, transport, kinematics, equations)
+                 if "checked_array" in vars(module)])
 
 
 def counting_surface(surface):
@@ -70,6 +85,27 @@ def counting_surface(surface):
             return jets(s, r, *order)
         return surface(counted_jets, s_domain, r_domain)
     return make
+
+
+def work_counts(work) -> Counter:
+    """Counts of ``WORK_CALLS`` made by ``work()``."""
+    counts = Counter()
+
+    def counting(fn, key):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    originals = [(owner, attr, vars(owner)[attr]) for owner, attr, _ in WORK_CALLS]
+    for (owner, attr, key), (_, _, fn) in zip(WORK_CALLS, originals):
+        setattr(owner, attr, counting(fn, key))
+    try:
+        work()
+    finally:
+        for owner, attr, fn in originals:
+            setattr(owner, attr, fn)
+    return counts
 
 
 def counted(work) -> dict:
@@ -112,7 +148,7 @@ def counted(work) -> dict:
     equations._Workspace._get = counting_get
     JETS_CALLS.clear()
     try:
-        work()
+        work_done = work_counts(work)
     finally:
         transport._integrate = integrate
         transport.TransportLaw.coefficients = coefficients
@@ -120,6 +156,7 @@ def counted(work) -> dict:
     counts["jets_calls"] = {str(k): n for k, n in sorted(JETS_CALLS.items(), key=str)}
     counts["base_evals"] = {k: base_evals[k] for k in BASE_KEYS if base_evals[k]}
     counts["base_evals_total"] = sum(base_evals.values())
+    counts.update((key, work_done[key]) for _, _, key in WORK_CALLS)
     return counts
 
 

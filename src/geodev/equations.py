@@ -309,7 +309,7 @@ class _Workspace:
 
     def delta_a(self, s: float) -> np.ndarray:
         return self._get(("dA", s), lambda: relative_acceleration(
-            self.sc, s, self.eps, self.cfg, self.transport(s)[0]))
+            self.sc, s, self.eps, self.cfg, self.transport(s)[0], self.a1(s)))
 
     def delta_p(self, s: float) -> np.ndarray:
         return self._get(("dp", s), lambda: relative_momentum(
@@ -317,11 +317,11 @@ class _Workspace:
 
     def delta_k(self, s: float) -> np.ndarray:
         return self._get(("dK", s), lambda: relative_force(
-            self.sc, s, self.eps, self.cfg, self.transport(s)[0]))
+            self.sc, s, self.eps, self.cfg, self.transport(s)[0], self.a1(s)))
 
-    def energy(self, s: float) -> float:
+    def energy(self, s: float) -> float:  # E7_4 alone reads it, with a metric
         return self._get(("E", s), lambda: relative_energy(
-            self.sc, s, self.eps, self.cfg, self.transport(s)[0]))
+            self.sc, s, self.eps, self.cfg, self.transport(s)[0], self.metric(s)))
 
     def dev_difference(self, s: float) -> np.ndarray:
         """h - zeta, the O(eps^2) part of the deviation vector."""
@@ -460,9 +460,8 @@ def _r_e7_2(w: _Workspace, s: float) -> np.ndarray:
 def _r_e7_4(w: _Workspace, s: float) -> float:
     if w.sc.metric is None:
         raise EvaluationError("E7_4 requires a scenario metric")
-    x1 = w.x1_point(s)
-    sign = sign_of_square(w.sc.metric, x1, w.v1(s))
     g = w.metric(s)
+    sign = sign_of_square(g, w.x1_point(s), w.v1(s))
     dg = w.d_metric(s)
     mu1, mu2 = w.mu1(s), w.mu2(s)
     p1, v1, a1 = w.p1(s), w.v1(s), w.a1(s)

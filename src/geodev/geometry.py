@@ -24,8 +24,9 @@ deviation-equation set before this module was written):
 from __future__ import annotations
 
 import functools
+import math
 import threading
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -33,21 +34,10 @@ import numpy as np
 from .errors import DomainError, EvaluationError, NullVectorError
 
 __all__ = [
-    "ChartPoint",
-    "ConnectionField",
-    "MetricField",
-    "PathCurve",
-    "checked_array",
-    "memo_put",
-    "torsion_at",
-    "torsion_components",
-    "curvature_at",
-    "cov_tensor_components",
-    "metric_dot",
-    "sign_of_square",
-    "bilinear",
-    "torsion_apply",
-    "curvature_apply",
+    "ChartPoint", "ConnectionField", "MetricField", "PathCurve",
+    "checked_array", "memo_put", "torsion_at", "torsion_components",
+    "curvature_at", "cov_tensor_components", "metric_dot", "sign_of_square",
+    "bilinear", "torsion_apply", "curvature_apply",
 ]
 
 DEFAULT_FD_STEP = 1e-5
@@ -58,6 +48,14 @@ MEMO_SIZE = 4096  # entries of each keyed memo (paths, generators, surfaces)
 _MEMO_LOCK = threading.Lock()  # makes memo_put's check-then-store atomic
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry of ``arr`` is finite: a NaN or an infinity makes a
+    float sum non-finite, and NumPy decides past 16 entries, where it is
+    the cheaper test, and after a non-finite sum."""
+    return ((arr.size <= 16 and math.isfinite(sum(arr.ravel().tolist())))
+            or np.count_nonzero(np.isfinite(arr)) == arr.size)
+
+
 def checked_array(values, shape: Tuple[int, ...], what: str,
                   point: Optional["ChartPoint"] = None) -> np.ndarray:
     """``values`` as a float array, which must have ``shape`` and finite
@@ -66,7 +64,7 @@ def checked_array(values, shape: Tuple[int, ...], what: str,
     if arr.shape != shape:
         raise EvaluationError(f"{what} have shape {arr.shape}, expected {shape}",
                               point=point)
-    if np.count_nonzero(np.isfinite(arr)) != arr.size:
+    if not _all_finite(arr):
         raise EvaluationError(f"non-finite {what}", point=point)
     return arr
 
@@ -80,17 +78,24 @@ def _central_partials(field_at, point) -> np.ndarray:
                      for step in h * np.eye(point.dimension)], axis=-1)
 
 
-@dataclass(frozen=True, eq=False)
 class ChartPoint:
-    """A point of the manifold, given by its chart coordinates."""
+    """A point of the manifold, by its flat, finite chart coordinates; immutable."""
 
-    coords: np.ndarray
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
-        if coords.ndim != 1 or np.count_nonzero(np.isfinite(coords)) != coords.size:
+    def __init__(self, coords):
+        coords = np.asarray(coords, dtype=float)
+        if coords.ndim != 1 or not _all_finite(coords):
             raise EvaluationError(f"chart coordinates must be flat and finite: {coords!r}")
         object.__setattr__(self, "coords", coords)
+
+    def __setattr__(self, name, *value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle without assigning a field
+        return ChartPoint, (self.coords,)
 
     @property
     def dimension(self) -> int:
@@ -185,10 +190,10 @@ class PathCurve:
         def at(u: float) -> Tuple[ChartPoint, np.ndarray]:
             coords, velocity = jets(u)
             point = ChartPoint(coords)
-            velocity = checked_array(velocity, (point.dimension,),
+            velocity = checked_array(velocity, point.coords.shape,
                                      "tangent components", point)
-            point.coords.flags.writeable = False
-            velocity.flags.writeable = False
+            point.coords.setflags(write=False)
+            velocity.setflags(write=False)
             return point, velocity
 
         object.__setattr__(self, "_at", at)
@@ -289,17 +294,18 @@ def cov_tensor_components(gamma: np.ndarray, xdot: np.ndarray,
 def metric_dot(metric: MetricField, x: ChartPoint, u: np.ndarray,
                v: np.ndarray) -> float:
     """Scalar product ``g_{ij}(x) U^i V^j`` of the components ``u``, ``v`` of
-    two vectors at ``x``."""
+    two vectors at ``x``; ``metric`` is the field or its ``matrix(x)``."""
     u, v = (checked_array(w, (x.dimension,), "vector components", x)
             for w in (u, v))
-    g = metric.matrix(x)
+    g = metric.matrix(x) if isinstance(metric, MetricField) else metric
     # evaluated symmetrically so dot(U, V) == dot(V, U) holds exactly
     return 0.5 * (float(u @ (g @ v)) + float(v @ (g @ u)))
 
 
 def sign_of_square(metric: MetricField, x: ChartPoint, u: np.ndarray) -> int:
     """Causal sign of ``(U)^2``: +1 or -1; raises NullVectorError when the
-    scalar square is within ``NULL_TOL`` of zero."""
+    scalar square is within ``NULL_TOL`` of zero.  ``metric`` as for
+    ``metric_dot``."""
     square = metric_dot(metric, x, u, u)
     if abs(square) <= NULL_TOL:
         raise NullVectorError(

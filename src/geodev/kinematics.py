@@ -27,22 +27,10 @@ from .transport import (DEFAULT_ODE_CONFIG, OdeConfig, TransportLaw,
                         pullback_integral, transport_components)
 
 __all__ = [
-    "WorldSurface",
-    "MassSurface",
-    "SurfaceField",
-    "Scenario",
-    "connecting_path",
-    "worldline",
-    "force_field",
-    "infinitesimal_deviation",
-    "back_transport",
-    "deviation_vector",
-    "delta_field",
-    "relative_velocity",
-    "relative_acceleration",
-    "momentum",
-    "relative_momentum",
-    "relative_force",
+    "WorldSurface", "MassSurface", "SurfaceField", "Scenario",
+    "connecting_path", "worldline", "force_field", "infinitesimal_deviation",
+    "back_transport", "deviation_vector", "delta_field", "relative_velocity",
+    "relative_acceleration", "momentum", "relative_momentum", "relative_force",
     "relative_energy",
 ]
 
@@ -232,9 +220,12 @@ def _momentum_field(scenario: Scenario) -> Callable[[float, float], np.ndarray]:
     return lambda s, r: mass.value(s, r) * np.asarray(surf.d_s(s, r), float)
 
 
-def _force_density_field(scenario: Scenario) -> Callable[[float, float], np.ndarray]:
-    mass = scenario.mass
-    return lambda s, r: mass.value(s, r) * force_field(scenario, s, r)
+def _force_field(scenario: Scenario, force1: Optional[np.ndarray]
+                 ) -> Callable[[float, float], np.ndarray]:
+    """``force_field`` of (s, r), giving ``force1`` (F_s(r'), when known) at r'."""
+    r1 = scenario.surface.r_base
+    return lambda s, r: (force1 if force1 is not None and r == r1
+                         else force_field(scenario, s, r))
 
 
 def relative_velocity(scenario: Scenario, s: float, eps: float,
@@ -246,11 +237,12 @@ def relative_velocity(scenario: Scenario, s: float, eps: float,
 
 def relative_acceleration(scenario: Scenario, s: float, eps: float,
                           cfg: OdeConfig = DEFAULT_ODE_CONFIG,
-                          pullback: Optional[np.ndarray] = None) -> np.ndarray:
-    """Relative acceleration: back-transported F_s(r'') minus F_s(r'),
-    using that the particle accelerations are values of the force field."""
-    return delta_field(scenario, s, eps,
-                       lambda u, r: force_field(scenario, u, r), cfg, pullback)
+                          pullback: Optional[np.ndarray] = None,
+                          force1: Optional[np.ndarray] = None) -> np.ndarray:
+    """Relative acceleration: back-transported F_s(r'') minus F_s(r') (``force1``
+    when known), as the particle accelerations are values of the force field."""
+    return delta_field(scenario, s, eps, _force_field(scenario, force1), cfg,
+                       pullback)
 
 
 def momentum(scenario: Scenario, which: int, s: float, eps: float = 0.0) -> np.ndarray:
@@ -272,19 +264,22 @@ def relative_momentum(scenario: Scenario, s: float, eps: float,
 
 def relative_force(scenario: Scenario, s: float, eps: float,
                    cfg: OdeConfig = DEFAULT_ODE_CONFIG,
-                   pullback: Optional[np.ndarray] = None) -> np.ndarray:
+                   pullback: Optional[np.ndarray] = None,
+                   force1: Optional[np.ndarray] = None) -> np.ndarray:
     """Covariant difference of the forces ``K(s, r) = mu F_s(r)`` acting on
-    the two particles."""
-    return delta_field(scenario, s, eps, _force_density_field(scenario), cfg,
-                       pullback)
+    the two particles; ``force1`` as for ``relative_acceleration``."""
+    mass, force = scenario.mass, _force_field(scenario, force1)
+    return delta_field(scenario, s, eps, lambda u, r: mass.value(u, r) * force(u, r),
+                       cfg, pullback)
 
 
 def relative_energy(scenario: Scenario, s: float, eps: float,
                     cfg: OdeConfig = DEFAULT_ODE_CONFIG,
-                    pullback: Optional[np.ndarray] = None) -> float:
+                    pullback: Optional[np.ndarray] = None,
+                    metric1: Optional[np.ndarray] = None) -> float:
     """Relative energy of particle 2 with respect to particle 1:
     the metric pairing of the back-transported p_2 with V_1, signed by the
-    causal character of V_1.
+    causal character of V_1; ``metric1`` is the metric matrix at x_1 when known.
 
     Requires the scenario metric; raises NullVectorError when V_1 is null.
     """
@@ -293,7 +288,8 @@ def relative_energy(scenario: Scenario, s: float, eps: float,
     r1, _ = scenario.separation_endpoints(eps)
     x1 = scenario.surface.point(s, r1)
     v1 = scenario.surface.d_s(s, r1)
-    sign = sign_of_square(scenario.metric, x1, v1)
+    metric = scenario.metric if metric1 is None else metric1
+    sign = sign_of_square(metric, x1, v1)
     pulled = _pull_back(scenario, s, eps, _momentum_field(scenario), cfg,
                         pullback)
-    return sign * metric_dot(scenario.metric, x1, pulled, v1)
+    return sign * metric_dot(metric, x1, pulled, v1)

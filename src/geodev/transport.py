@@ -13,6 +13,8 @@ DOP853: their solves can be long (a latitude holonomy), and at the default
 latitude holonomy at theta0 0.15 / pi/4 / 1.4: 1,196 / 854 / 212 RHS calls
 with RK 5(4), 266 / 194 / 74 with DOP853).  ``pullback_integral`` keeps the
 Dormand-Prince 5(4) pair, which is the cheaper one on its short solves.
+A new stage parameter costs one generator evaluation with its checks (see
+``_integrate``); one met again along the same path costs a lookup.
 
 Parallel transport of an affine connection is the special case
 ``H^i_{jk} = -Gamma^i_{jk}``; the S-tensor ``S = -H - Gamma`` measures the
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,19 +35,10 @@ from .geometry import (ChartPoint, ConnectionField, PathCurve, checked_array,
                        memo_put)
 
 __all__ = [
-    "OdeConfig",
-    "TransportLaw",
-    "DEFAULT_ODE_CONFIG",
-    "MIN_REL_TOL",
-    "transport_matrix",
-    "transport_components",
-    "pullback_integral",
-    "law_from_connection",
-    "law_with_offset",
-    "extract_first_coeff",
-    "approx_transport",
-    "s_tensor",
-    "coordinate_probes",
+    "OdeConfig", "TransportLaw", "DEFAULT_ODE_CONFIG", "MIN_REL_TOL",
+    "transport_matrix", "transport_components", "pullback_integral",
+    "law_from_connection", "law_with_offset", "extract_first_coeff",
+    "approx_transport", "s_tensor", "coordinate_probes",
 ]
 
 
@@ -77,14 +70,16 @@ DEFAULT_ODE_CONFIG = OdeConfig()
 
 @dataclass(frozen=True)
 class TransportLaw:
-    """Coefficient field ``H^i_{jk}(s; path)`` defining a linear transport."""
+    """Coefficient field ``H^i_{jk}(s; path)`` defining a linear transport; a
+    law of the path point x = path(s) alone also gives it as ``at_point(x)``."""
 
     coeff_at: Callable[[float, PathCurve], np.ndarray]
+    at_point: Optional[Callable[[ChartPoint], np.ndarray]] = None
 
     def coefficients(self, s: float, path: PathCurve) -> np.ndarray:
         point = path.map(s)
-        return checked_array(self.coeff_at(s, path), (point.dimension,) * 3,
-                             "transport coefficients", point)
+        h = self.coeff_at(s, path) if self.at_point is None else self.at_point(point)
+        return checked_array(h, point.coords.shape * 3, "transport coefficients", point)
 
 
 def _rms(x: np.ndarray) -> float:  # as np.linalg.norm(x) / sqrt(x.size)
@@ -205,20 +200,25 @@ def _integrate(law: TransportLaw, path: PathCurve,
     [0.2, 10], error exponent -1/(q + 1); with ``_RK45`` or ``_DOP853`` the
     loop reproduces ``solve_ivp`` with that method bit for bit.  Each caller
     fixes its pair (see the module docstring).
-    """
+
+    A new stage parameter u makes one ``jets`` call, one ``ChartPoint`` and one
+    ``TransportLaw.coefficients`` call, checking the chart coordinates, the
+    tangent components and H in this order; M(u) goes read-only into a memo on
+    the path, read by every later solve along it."""
     generators = path.memo(law)  # M by u, shared by every solve along path
+    coefficients, tangent = law.coefficients, path.tangent
 
     def fun(u, y):  # rhs gets M read-only, so it cannot write into the memo
         m = generators.get(u)
         if m is None:
-            m = law.coefficients(u, path) @ path.tangent(u)
-            m.flags.writeable = False
+            m = coefficients(u, path) @ tangent(u)
+            m.setflags(write=False)
             memo_put(generators, u, m)
         return rhs(u, m, y)
 
-    c, a, b, exponent = tableau.c, tableau.a, tableau.b, -1 / (tableau.order + 1)
+    c, a, b, exponent = tableau.c.tolist(), tableau.a, tableau.b, -1 / (tableau.order + 1)
     u, t, y = float(s), float(t), checked_array(y0, y0.shape, "initial transport state")
-    direction, f = np.sign(t - u), fun(u, y)
+    direction, f = float(np.sign(t - u)), fun(u, y)
     scale = cfg.abs_tol + np.abs(y) * cfg.rel_tol  # first step: one more RHS call
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t - u))
@@ -226,6 +226,7 @@ def _integrate(law: TransportLaw, path: PathCurve,
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** (1 / (tableau.order + 1)))
     h_abs, k, attempts = min(100 * h0, h1, abs(t - u)), np.empty((len(b) + 1, y.size)), 0
+    k_t = [k[:i].T for i in range(len(b) + 1)]
     while direction * (u - t) < 0:
         min_step = 10 * abs(math.nextafter(u, direction * math.inf) - u)
         h_abs, rejected = max(h_abs, min_step), False
@@ -241,8 +242,8 @@ def _integrate(law: TransportLaw, path: PathCurve,
             h = u_new - u
             h_abs, k[0] = abs(h), f
             for i in range(1, len(b)):
-                k[i] = fun(u + c[i] * h, y + np.dot(k[:i].T, a[i]) * h)
-            y_new = y + h * np.dot(k[:-1].T, b)
+                k[i] = fun(u + c[i] * h, y + np.dot(k_t[i], a[i]) * h)
+            y_new = y + h * np.dot(k_t[-1], b)
             k[-1] = f_new = fun(u + h, y_new)  # stage at u + h, not u_new
             scale = cfg.abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rel_tol
             error = tableau.error(k, h, scale)
@@ -294,9 +295,9 @@ def pullback_integral(law: TransportLaw, path: PathCurve, s: float, t: float,
 
     ``Phi(u) = L_{u->s}`` obeys ``dPhi/du = -Phi M(u)``, ``Phi(s) = I``; the
     integral rides along as ``d`` extra state components ``Phi(u) xdot(u)``,
-    with the ``path.tangent(u)`` already read for ``M(u)``.  These solves span
-    short stretches of the surface's r-lines, where DOP853 would take 29-39%
-    more RHS calls over all sixteen equations.
+    with ``path.tangent(u)`` read by each RHS call (an RHS gets only u, M(u)
+    and y).  These solves span short stretches of the surface's r-lines,
+    where DOP853 would take 29-39% more RHS calls over all sixteen equations.
     """
     path.require(s)
     path.require(t)
@@ -304,8 +305,7 @@ def pullback_integral(law: TransportLaw, path: PathCurve, s: float, t: float,
 
     def rhs(u, m, y):
         phi = y[:d * d].reshape(d, d)
-        return np.concatenate(((-phi @ m).reshape(-1),
-                               phi @ path.tangent(u)))
+        return np.concatenate(((-phi @ m).reshape(-1), phi @ path.tangent(u)))
 
     y = np.concatenate((np.eye(d).reshape(-1), np.zeros(d)))
     if t != s:
@@ -317,20 +317,19 @@ def law_from_connection(conn: ConnectionField) -> TransportLaw:
     """Parallel-transport law of the connection: ``H^i_{jk} = -Gamma^i_{jk}``
     evaluated at the path point.  Gamma is read unchecked:
     ``TransportLaw.coefficients`` checks H once."""
-    def coeff(s: float, path: PathCurve) -> np.ndarray:
-        return -np.asarray(conn.gamma_at(path.map(s)), dtype=float)
-    return TransportLaw(coeff)
+    def coeff(point):
+        return -np.asarray(conn.gamma_at(point), dtype=float)
+    return TransportLaw(lambda s, path: coeff(path.map(s)), coeff)
 
 
 def law_with_offset(conn: ConnectionField,
                     sigma: Callable[[ChartPoint], np.ndarray]) -> TransportLaw:
     """Transport law ``H = -Gamma - sigma``, so that the S-tensor recovers
     ``sigma`` exactly."""
-    def coeff(s: float, path: PathCurve) -> np.ndarray:
-        point = path.map(s)
+    def coeff(point):
         return (-np.asarray(conn.gamma_at(point), dtype=float)
                 - np.asarray(sigma(point), dtype=float))
-    return TransportLaw(coeff)
+    return TransportLaw(lambda s, path: coeff(path.map(s)), coeff)
 
 
 def s_tensor(law: TransportLaw, conn: ConnectionField, path: PathCurve,

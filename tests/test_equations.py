@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 import geodev.equations
+import geodev.kinematics
 import geodev.transport
-from geodev.equations import (DEFAULT_LADDER, FIT_EXCLUSION, EquationId,
+from geodev.equations import (DEFAULT_LADDER, FIT_EXCLUSION, H_S, EquationId,
                               _Workspace, convergence_study,
                               equation_info, residual, residual_components)
 from geodev.errors import DomainError, EvaluationError
-from geodev.geometry import ConnectionField, bilinear, torsion_apply
+from geodev.geometry import (ConnectionField, MetricField, bilinear,
+                             torsion_apply)
 from geodev.kinematics import Scenario, WorldSurface
 from geodev.scenarios import (EQUATION_SCENARIOS, LINEAR_DRIFT_MASSES,
                               ScenarioSpec, build)
@@ -346,27 +348,38 @@ def test_study_evaluates_each_generator_once_per_rhs_parameter(monkeypatch):
 
 
 def test_study_evaluates_base_geometry_once_per_s(monkeypatch):
-    # Gamma's partials and R depend on (s, r') alone: one base memo serves
-    # the whole ladder, so a default-ladder study evaluates them at x_1(s)
-    # once, not once per eps.  curvature_at reads the partials itself; the
-    # second partials call is the dGamma that DT and DF/dr share
+    # Gamma's partials, R, the force F_s(r') and the metric at x_1(s) depend
+    # on (s, r') alone: one base memo serves the whole ladder, so a
+    # default-ladder study evaluates them at x_1(s) once, not once per eps.
+    # curvature_at reads the partials itself; the second partials call is
+    # the dGamma that DT and DF/dr share.  The relative acceleration and
+    # force read F_s(r') from the memo (a_1), and E7_4 reads the metric at
+    # x_1(s) and at x_1(s +- H_S) once each
     sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
     calls = []
     partials, curvature = ConnectionField.partials, geodev.equations.curvature_at
+    force, matrix = geodev.kinematics.force_field, MetricField.matrix
 
-    def counted_partials(conn, point):
-        calls.append(("partials", tuple(point.coords)))
-        return partials(conn, point)
+    def counted(name, fn, where=lambda field, point: tuple(point.coords)):
+        def call(*args):
+            calls.append((name, where(*args)))
+            return fn(*args)
+        return call
 
-    def counted_curvature(conn, point):
-        calls.append(("curvature_at", tuple(point.coords)))
-        return curvature(conn, point)
-
-    monkeypatch.setattr(ConnectionField, "partials", counted_partials)
-    monkeypatch.setattr(geodev.equations, "curvature_at", counted_curvature)
+    monkeypatch.setattr(ConnectionField, "partials", counted("partials", partials))
+    monkeypatch.setattr(geodev.equations, "curvature_at",
+                        counted("curvature_at", curvature))
+    monkeypatch.setattr(geodev.kinematics, "force_field",
+                        counted("force", force, lambda sc, s, r: (s, r)))
+    monkeypatch.setattr(MetricField, "matrix", counted("metric", matrix))
     convergence_study(list(EquationId), sc, S0, DEFAULT_LADDER)
-    x1 = tuple(sc.surface.map(S0, sc.surface.r_base))
-    assert Counter(calls) == {("partials", x1): 2, ("curvature_at", x1): 1}
+    r1 = sc.surface.r_base
+    x1 = {s: tuple(sc.surface.map(s, r1)) for s in (S0 - H_S, S0, S0 + H_S)}
+    at_x1 = Counter(call for call in calls
+                    if call[1] in x1.values() or call[1] == (S0, r1))
+    assert at_x1 == {("partials", x1[S0]): 2, ("curvature_at", x1[S0]): 1,
+                     ("metric", x1[S0 - H_S]): 1, ("metric", x1[S0]): 1,
+                     ("metric", x1[S0 + H_S]): 1}
 
 
 @pytest.mark.parametrize("partials,message", [

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import sys
 import threading
 
@@ -62,6 +64,21 @@ def line_path(start, direction, domain=(-1.0, 1.0)):
 def test_chart_point_rejects_non_finite():
     with pytest.raises(EvaluationError):
         ChartPoint([0.0, np.nan])
+
+
+def test_chart_point_is_immutable():
+    # a point is shared through the path memo, so no caller may rebind or
+    # drop its coordinates or give it other attributes; it still copies and
+    # pickles
+    point = ChartPoint([0.3, 0.4])
+    for change in (lambda: setattr(point, "coords", np.zeros(2)),
+                   lambda: delattr(point, "coords"),
+                   lambda: setattr(point, "label", "x1")):
+        with pytest.raises(AttributeError):
+            change()
+    assert point.coords.tolist() == [0.3, 0.4]
+    for clone in (copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))):
+        assert clone(point).coords.tolist() == [0.3, 0.4]
 
 
 @pytest.mark.parametrize("shape", [(2,), (2, 2, 2), (4, 4, 4, 4)])

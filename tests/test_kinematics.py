@@ -322,6 +322,13 @@ def test_relative_quantities_are_one_pull_back_minus_the_value_at_r1():
                * metric_dot(sc.metric, x1, pulled_p2, v1))
     assert relative_energy(sc, s0, EPS) == by_hand
     assert relative_energy(sc, s0, EPS, pullback=pull) == by_hand
+    # F_s(r') and the metric at x_1, when given, are the values computed here
+    force1 = force_field(sc, s0, r1)
+    for fn in (relative_acceleration, relative_force):
+        assert np.array_equal(fn(sc, s0, EPS, pullback=pull, force1=force1),
+                              fn(sc, s0, EPS))
+    assert relative_energy(sc, s0, EPS, pullback=pull,
+                           metric1=sc.metric.matrix(x1)) == by_hand
 
 
 def test_relative_velocity_equals_delta_of_velocity_field(sphere):
