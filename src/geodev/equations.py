@@ -41,14 +41,15 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EvaluationError
-from .geometry import (ChartPoint, PathCurve, bilinear, cov_tensor_components,
-                       curvature_apply, curvature_at, sign_of_square,
+from .geometry import (ChartPoint, PathCurve, _matrix_sign, bilinear,
+                       cov_tensor_components, curvature_apply, curvature_at,
                        torsion_apply, torsion_components)
-# deviation_vector stays bound here, unused: perfbench/tracer.py wraps it
-from .kinematics import (Scenario, connecting_path, delta_field,
-                         deviation_vector, force_field, relative_acceleration,
-                         relative_energy, relative_force, relative_momentum,
-                         relative_velocity)
+# deviation_vector, relative_acceleration, relative_force and relative_energy
+# stay bound here, unused: perfbench/tracer.py wraps them
+from .kinematics import (Scenario, _delta_force, _relative_energy,
+                         connecting_path, delta_field, deviation_vector,
+                         force_field, relative_acceleration, relative_energy,
+                         relative_force, relative_momentum, relative_velocity)
 from .transport import (DEFAULT_ODE_CONFIG, OdeConfig, pullback_integral,
                         s_tensor)
 
@@ -308,19 +309,19 @@ class _Workspace:
             self.sc, s, self.eps, self.cfg, self.transport(s)[0]))
 
     def delta_a(self, s: float) -> np.ndarray:
-        return self._get(("dA", s), lambda: relative_acceleration(
-            self.sc, s, self.eps, self.cfg, self.transport(s)[0], self.a1(s)))
+        return self._get(("dA", s), lambda: _delta_force(
+            self.sc, s, self.eps, self.cfg, self.transport(s)[0], self.a1(s), False))
 
     def delta_p(self, s: float) -> np.ndarray:
         return self._get(("dp", s), lambda: relative_momentum(
             self.sc, s, self.eps, self.cfg, self.transport(s)[0]))
 
     def delta_k(self, s: float) -> np.ndarray:
-        return self._get(("dK", s), lambda: relative_force(
-            self.sc, s, self.eps, self.cfg, self.transport(s)[0], self.a1(s)))
+        return self._get(("dK", s), lambda: _delta_force(
+            self.sc, s, self.eps, self.cfg, self.transport(s)[0], self.a1(s), True))
 
     def energy(self, s: float) -> float:  # E7_4 alone reads it, with a metric
-        return self._get(("E", s), lambda: relative_energy(
+        return self._get(("E", s), lambda: _relative_energy(
             self.sc, s, self.eps, self.cfg, self.transport(s)[0], self.metric(s)))
 
     def dev_difference(self, s: float) -> np.ndarray:
@@ -461,7 +462,7 @@ def _r_e7_4(w: _Workspace, s: float) -> float:
     if w.sc.metric is None:
         raise EvaluationError("E7_4 requires a scenario metric")
     g = w.metric(s)
-    sign = sign_of_square(g, w.x1_point(s), w.v1(s))
+    sign = _matrix_sign(g, w.x1_point(s), w.v1(s))
     dg = w.d_metric(s)
     mu1, mu2 = w.mu1(s), w.mu2(s)
     p1, v1, a1 = w.p1(s), w.v1(s), w.a1(s)

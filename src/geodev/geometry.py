@@ -34,10 +34,21 @@ import numpy as np
 from .errors import DomainError, EvaluationError, NullVectorError
 
 __all__ = [
-    "ChartPoint", "ConnectionField", "MetricField", "PathCurve",
-    "checked_array", "memo_put", "torsion_at", "torsion_components",
-    "curvature_at", "cov_tensor_components", "metric_dot", "sign_of_square",
-    "bilinear", "torsion_apply", "curvature_apply",
+    "ChartPoint",
+    "ConnectionField",
+    "MetricField",
+    "PathCurve",
+    "checked_array",
+    "memo_put",
+    "torsion_at",
+    "torsion_components",
+    "curvature_at",
+    "cov_tensor_components",
+    "metric_dot",
+    "sign_of_square",
+    "bilinear",
+    "torsion_apply",
+    "curvature_apply",
 ]
 
 DEFAULT_FD_STEP = 1e-5
@@ -294,19 +305,27 @@ def cov_tensor_components(gamma: np.ndarray, xdot: np.ndarray,
 def metric_dot(metric: MetricField, x: ChartPoint, u: np.ndarray,
                v: np.ndarray) -> float:
     """Scalar product ``g_{ij}(x) U^i V^j`` of the components ``u``, ``v`` of
-    two vectors at ``x``; ``metric`` is the field or its ``matrix(x)``."""
+    two vectors at ``x``."""
+    return _matrix_dot(metric.matrix(x), x, u, v)
+
+
+def _matrix_dot(g: np.ndarray, x: ChartPoint, u, v) -> float:
+    """``metric_dot`` given the checked metric matrix ``g`` at ``x``."""
     u, v = (checked_array(w, (x.dimension,), "vector components", x)
             for w in (u, v))
-    g = metric.matrix(x) if isinstance(metric, MetricField) else metric
     # evaluated symmetrically so dot(U, V) == dot(V, U) holds exactly
     return 0.5 * (float(u @ (g @ v)) + float(v @ (g @ u)))
 
 
 def sign_of_square(metric: MetricField, x: ChartPoint, u: np.ndarray) -> int:
     """Causal sign of ``(U)^2``: +1 or -1; raises NullVectorError when the
-    scalar square is within ``NULL_TOL`` of zero.  ``metric`` as for
-    ``metric_dot``."""
-    square = metric_dot(metric, x, u, u)
+    scalar square is within ``NULL_TOL`` of zero."""
+    return _matrix_sign(metric.matrix(x), x, u)
+
+
+def _matrix_sign(g: np.ndarray, x: ChartPoint, u) -> int:
+    """``sign_of_square`` given the checked metric matrix ``g`` at ``x``."""
+    square = _matrix_dot(g, x, u, u)
     if abs(square) <= NULL_TOL:
         raise NullVectorError(
             f"scalar square {square} within null tolerance {NULL_TOL}")

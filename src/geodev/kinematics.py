@@ -21,16 +21,28 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError
 from .geometry import (ChartPoint, ConnectionField, MetricField, PathCurve,
-                       bilinear, checked_array, metric_dot, sign_of_square)
+                       _matrix_dot, _matrix_sign, bilinear, checked_array)
 # transport_components stays bound here, unused: perfbench/tracer.py wraps it
 from .transport import (DEFAULT_ODE_CONFIG, OdeConfig, TransportLaw,
                         pullback_integral, transport_components)
 
 __all__ = [
-    "WorldSurface", "MassSurface", "SurfaceField", "Scenario",
-    "connecting_path", "worldline", "force_field", "infinitesimal_deviation",
-    "back_transport", "deviation_vector", "delta_field", "relative_velocity",
-    "relative_acceleration", "momentum", "relative_momentum", "relative_force",
+    "WorldSurface",
+    "MassSurface",
+    "SurfaceField",
+    "Scenario",
+    "connecting_path",
+    "worldline",
+    "force_field",
+    "infinitesimal_deviation",
+    "back_transport",
+    "deviation_vector",
+    "delta_field",
+    "relative_velocity",
+    "relative_acceleration",
+    "momentum",
+    "relative_momentum",
+    "relative_force",
     "relative_energy",
 ]
 
@@ -220,12 +232,17 @@ def _momentum_field(scenario: Scenario) -> Callable[[float, float], np.ndarray]:
     return lambda s, r: mass.value(s, r) * np.asarray(surf.d_s(s, r), float)
 
 
-def _force_field(scenario: Scenario, force1: Optional[np.ndarray]
-                 ) -> Callable[[float, float], np.ndarray]:
-    """``force_field`` of (s, r), giving ``force1`` (F_s(r'), when known) at r'."""
-    r1 = scenario.surface.r_base
-    return lambda s, r: (force1 if force1 is not None and r == r1
-                         else force_field(scenario, s, r))
+def _delta_force(scenario: Scenario, s: float, eps: float, cfg: OdeConfig,
+                 pullback: Optional[np.ndarray], force1: Optional[np.ndarray],
+                 density: bool) -> np.ndarray:
+    """``delta_field`` of the force F_s, or of ``mu F_s`` when ``density``;
+    ``force1``, when given, is F_s(r') and serves r'."""
+    mass, r1 = scenario.mass, scenario.surface.r_base
+
+    def field(u: float, r: float) -> np.ndarray:
+        force = force_field(scenario, u, r) if force1 is None or r != r1 else force1
+        return mass.value(u, r) * force if density else force
+    return delta_field(scenario, s, eps, field, cfg, pullback)
 
 
 def relative_velocity(scenario: Scenario, s: float, eps: float,
@@ -237,12 +254,10 @@ def relative_velocity(scenario: Scenario, s: float, eps: float,
 
 def relative_acceleration(scenario: Scenario, s: float, eps: float,
                           cfg: OdeConfig = DEFAULT_ODE_CONFIG,
-                          pullback: Optional[np.ndarray] = None,
-                          force1: Optional[np.ndarray] = None) -> np.ndarray:
-    """Relative acceleration: back-transported F_s(r'') minus F_s(r') (``force1``
-    when known), as the particle accelerations are values of the force field."""
-    return delta_field(scenario, s, eps, _force_field(scenario, force1), cfg,
-                       pullback)
+                          pullback: Optional[np.ndarray] = None) -> np.ndarray:
+    """Relative acceleration: back-transported F_s(r'') minus F_s(r'),
+    using that the particle accelerations are values of the force field."""
+    return _delta_force(scenario, s, eps, cfg, pullback, None, False)
 
 
 def momentum(scenario: Scenario, which: int, s: float, eps: float = 0.0) -> np.ndarray:
@@ -264,32 +279,35 @@ def relative_momentum(scenario: Scenario, s: float, eps: float,
 
 def relative_force(scenario: Scenario, s: float, eps: float,
                    cfg: OdeConfig = DEFAULT_ODE_CONFIG,
-                   pullback: Optional[np.ndarray] = None,
-                   force1: Optional[np.ndarray] = None) -> np.ndarray:
+                   pullback: Optional[np.ndarray] = None) -> np.ndarray:
     """Covariant difference of the forces ``K(s, r) = mu F_s(r)`` acting on
-    the two particles; ``force1`` as for ``relative_acceleration``."""
-    mass, force = scenario.mass, _force_field(scenario, force1)
-    return delta_field(scenario, s, eps, lambda u, r: mass.value(u, r) * force(u, r),
-                       cfg, pullback)
+    the two particles."""
+    return _delta_force(scenario, s, eps, cfg, pullback, None, True)
 
 
 def relative_energy(scenario: Scenario, s: float, eps: float,
                     cfg: OdeConfig = DEFAULT_ODE_CONFIG,
-                    pullback: Optional[np.ndarray] = None,
-                    metric1: Optional[np.ndarray] = None) -> float:
+                    pullback: Optional[np.ndarray] = None) -> float:
     """Relative energy of particle 2 with respect to particle 1:
     the metric pairing of the back-transported p_2 with V_1, signed by the
-    causal character of V_1; ``metric1`` is the metric matrix at x_1 when known.
+    causal character of V_1.
 
     Requires the scenario metric; raises NullVectorError when V_1 is null.
     """
+    return _relative_energy(scenario, s, eps, cfg, pullback, None)
+
+
+def _relative_energy(scenario: Scenario, s: float, eps: float, cfg: OdeConfig,
+                     pullback: Optional[np.ndarray], g1: Optional[np.ndarray]
+                     ) -> float:
+    """``relative_energy``; ``g1``, when given, is the metric matrix at x_1."""
     if scenario.metric is None:
         raise EvaluationError("relative_energy requires a scenario metric")
     r1, _ = scenario.separation_endpoints(eps)
     x1 = scenario.surface.point(s, r1)
     v1 = scenario.surface.d_s(s, r1)
-    metric = scenario.metric if metric1 is None else metric1
-    sign = sign_of_square(metric, x1, v1)
+    g1 = scenario.metric.matrix(x1) if g1 is None else g1
+    sign = _matrix_sign(g1, x1, v1)
     pulled = _pull_back(scenario, s, eps, _momentum_field(scenario), cfg,
                         pullback)
-    return sign * metric_dot(metric, x1, pulled, v1)
+    return sign * _matrix_dot(g1, x1, pulled, v1)

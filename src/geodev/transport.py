@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -35,10 +35,19 @@ from .geometry import (ChartPoint, ConnectionField, PathCurve, checked_array,
                        memo_put)
 
 __all__ = [
-    "OdeConfig", "TransportLaw", "DEFAULT_ODE_CONFIG", "MIN_REL_TOL",
-    "transport_matrix", "transport_components", "pullback_integral",
-    "law_from_connection", "law_with_offset", "extract_first_coeff",
-    "approx_transport", "s_tensor", "coordinate_probes",
+    "OdeConfig",
+    "TransportLaw",
+    "DEFAULT_ODE_CONFIG",
+    "MIN_REL_TOL",
+    "transport_matrix",
+    "transport_components",
+    "pullback_integral",
+    "law_from_connection",
+    "law_with_offset",
+    "extract_first_coeff",
+    "approx_transport",
+    "s_tensor",
+    "coordinate_probes",
 ]
 
 
@@ -70,16 +79,14 @@ DEFAULT_ODE_CONFIG = OdeConfig()
 
 @dataclass(frozen=True)
 class TransportLaw:
-    """Coefficient field ``H^i_{jk}(s; path)`` defining a linear transport; a
-    law of the path point x = path(s) alone also gives it as ``at_point(x)``."""
+    """Coefficient field ``H^i_{jk}(s; path)`` defining a linear transport."""
 
     coeff_at: Callable[[float, PathCurve], np.ndarray]
-    at_point: Optional[Callable[[ChartPoint], np.ndarray]] = None
 
     def coefficients(self, s: float, path: PathCurve) -> np.ndarray:
         point = path.map(s)
-        h = self.coeff_at(s, path) if self.at_point is None else self.at_point(point)
-        return checked_array(h, point.coords.shape * 3, "transport coefficients", point)
+        return checked_array(self.coeff_at(s, path), point.coords.shape * 3,
+                             "transport coefficients", point)
 
 
 def _rms(x: np.ndarray) -> float:  # as np.linalg.norm(x) / sqrt(x.size)
@@ -202,16 +209,14 @@ def _integrate(law: TransportLaw, path: PathCurve,
     fixes its pair (see the module docstring).
 
     A new stage parameter u makes one ``jets`` call, one ``ChartPoint`` and one
-    ``TransportLaw.coefficients`` call, checking the chart coordinates, the
-    tangent components and H in this order; M(u) goes read-only into a memo on
-    the path, read by every later solve along it."""
+    ``TransportLaw.coefficients`` call, which check the chart coordinates, the
+    tangent components and H in this order; M(u) is memoized on the path."""
     generators = path.memo(law)  # M by u, shared by every solve along path
-    coefficients, tangent = law.coefficients, path.tangent
 
     def fun(u, y):  # rhs gets M read-only, so it cannot write into the memo
         m = generators.get(u)
         if m is None:
-            m = coefficients(u, path) @ tangent(u)
+            m = law.coefficients(u, path) @ path.tangent(u)
             m.setflags(write=False)
             memo_put(generators, u, m)
         return rhs(u, m, y)
@@ -305,7 +310,8 @@ def pullback_integral(law: TransportLaw, path: PathCurve, s: float, t: float,
 
     def rhs(u, m, y):
         phi = y[:d * d].reshape(d, d)
-        return np.concatenate(((-phi @ m).reshape(-1), phi @ path.tangent(u)))
+        return np.concatenate(((-phi @ m).reshape(-1),
+                               phi @ path.tangent(u)))
 
     y = np.concatenate((np.eye(d).reshape(-1), np.zeros(d)))
     if t != s:
@@ -317,19 +323,20 @@ def law_from_connection(conn: ConnectionField) -> TransportLaw:
     """Parallel-transport law of the connection: ``H^i_{jk} = -Gamma^i_{jk}``
     evaluated at the path point.  Gamma is read unchecked:
     ``TransportLaw.coefficients`` checks H once."""
-    def coeff(point):
-        return -np.asarray(conn.gamma_at(point), dtype=float)
-    return TransportLaw(lambda s, path: coeff(path.map(s)), coeff)
+    def coeff(s: float, path: PathCurve) -> np.ndarray:
+        return -np.asarray(conn.gamma_at(path.map(s)), dtype=float)
+    return TransportLaw(coeff)
 
 
 def law_with_offset(conn: ConnectionField,
                     sigma: Callable[[ChartPoint], np.ndarray]) -> TransportLaw:
     """Transport law ``H = -Gamma - sigma``, so that the S-tensor recovers
     ``sigma`` exactly."""
-    def coeff(point):
+    def coeff(s: float, path: PathCurve) -> np.ndarray:
+        point = path.map(s)
         return (-np.asarray(conn.gamma_at(point), dtype=float)
                 - np.asarray(sigma(point), dtype=float))
-    return TransportLaw(lambda s, path: coeff(path.map(s)), coeff)
+    return TransportLaw(coeff)
 
 
 def s_tensor(law: TransportLaw, conn: ConnectionField, path: PathCurve,

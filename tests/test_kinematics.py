@@ -8,15 +8,16 @@ from geodev.errors import DomainError, EvaluationError, NullVectorError
 from geodev.geometry import (MetricField, cov_tensor_components, metric_dot,
                              sign_of_square)
 from geodev.kinematics import (MassSurface, Scenario, WorldSurface,
-                               back_transport, connecting_path, delta_field,
-                               deviation_vector, force_field,
-                               infinitesimal_deviation, momentum,
+                               _delta_force, _relative_energy, back_transport,
+                               connecting_path, delta_field, deviation_vector,
+                               force_field, infinitesimal_deviation, momentum,
                                relative_acceleration, relative_energy,
                                relative_force, relative_momentum,
                                relative_velocity, worldline)
 from geodev.scenarios import LINEAR_DRIFT_MASSES, ScenarioSpec, build
-from geodev.transport import (law_from_connection, pullback_integral,
-                              transport_components, transport_matrix)
+from geodev.transport import (DEFAULT_ODE_CONFIG, law_from_connection,
+                              pullback_integral, transport_components,
+                              transport_matrix)
 
 from test_geometry import zero_connection
 
@@ -322,13 +323,15 @@ def test_relative_quantities_are_one_pull_back_minus_the_value_at_r1():
                * metric_dot(sc.metric, x1, pulled_p2, v1))
     assert relative_energy(sc, s0, EPS) == by_hand
     assert relative_energy(sc, s0, EPS, pullback=pull) == by_hand
-    # F_s(r') and the metric at x_1, when given, are the values computed here
+    # the helpers that take F_s(r') and the metric at x_1 from a study's
+    # base memo give the same values
     force1 = force_field(sc, s0, r1)
-    for fn in (relative_acceleration, relative_force):
-        assert np.array_equal(fn(sc, s0, EPS, pullback=pull, force1=force1),
-                              fn(sc, s0, EPS))
-    assert relative_energy(sc, s0, EPS, pullback=pull,
-                           metric1=sc.metric.matrix(x1)) == by_hand
+    for fn, density in ((relative_acceleration, False), (relative_force, True)):
+        assert np.array_equal(
+            _delta_force(sc, s0, EPS, DEFAULT_ODE_CONFIG, pull, force1, density),
+            fn(sc, s0, EPS))
+    assert _relative_energy(sc, s0, EPS, DEFAULT_ODE_CONFIG, pull,
+                            sc.metric.matrix(x1)) == by_hand
 
 
 def test_relative_velocity_equals_delta_of_velocity_field(sphere):

@@ -85,10 +85,9 @@ def test_transport_components_matches_matrix_and_linearity(sphere):
 
 
 def test_one_path_evaluation_per_rhs_parameter(monkeypatch):
-    # a new stage parameter costs one jets call, one ChartPoint, one
-    # TransportLaw.coefficients and one call of the law's field: coeff_at, or
-    # at_point for a law of the path point alone, which is handed the point
-    # that coefficients read; a parameter met again costs none of them
+    # a new stage parameter of a parallel transport costs one jets call, one
+    # ChartPoint, one TransportLaw.coefficients and one coeff_at of the law;
+    # a parameter met again costs none of them
     counts = Counter()
 
     def counted(name, fn):
@@ -102,27 +101,23 @@ def test_one_path_evaluation_per_rhs_parameter(monkeypatch):
     monkeypatch.setattr(TransportLaw, "coefficients",
                         counted("coefficients", TransportLaw.coefficients))
     calls = record_rhs_calls(monkeypatch)
-    parallel = law_from_connection(sphere_connection())
-    for law in (TransportLaw(counted("field", parallel.coeff_at)),
-                TransportLaw(parallel.coeff_at, counted("field", parallel.at_point))):
-        counts.clear()
-        calls.clear()
-        path = PathCurve(counted("jets", lambda t: (np.array([0.8, t]),
-                                                    np.array([0.0, 1.0]))),
-                         (0.0, 2.0 * math.pi))
-        transport_matrix(law, path, 0.0, 2.0 * math.pi)
-        new = len({u for u, _ in calls})
-        assert new > 50 and len(calls) > new
-        assert counts == {"jets": new, "ChartPoint": new, "coefficients": new,
-                          "field": new}
+    law = law_from_connection(sphere_connection())
+    path = PathCurve(counted("jets", lambda t: (np.array([0.8, t]),
+                                                np.array([0.0, 1.0]))),
+                     (0.0, 2.0 * math.pi))
+    transport_matrix(TransportLaw(counted("coeff_at", law.coeff_at)), path,
+                     0.0, 2.0 * math.pi)
+    new = len({u for u, _ in calls})
+    assert new > 50 and len(calls) > new
+    assert counts == {"jets": new, "ChartPoint": new, "coefficients": new,
+                      "coeff_at": new}
 
 
 @pytest.mark.parametrize("d", [2, 4])
 def test_non_finite_values_met_inside_a_solve_are_named(d):
     # NaN, +inf and -inf at each entry of H, of the path velocity and of the
     # path coordinates, from the third new parameter of a transport_matrix
-    # solve on, raise the EvaluationError of the check that meets them, for
-    # a law of the path point alone and for one given by coeff_at; d = 4
+    # solve on, raise the EvaluationError of the check that meets them; d = 4
     # gives H 64 entries, so both sizes of finiteness test are met
     gamma, start = np.full((d, d, d), 0.01), np.full(d, 0.1)
     direction = np.linspace(1.0, 0.5, d)
@@ -130,7 +125,7 @@ def test_non_finite_values_met_inside_a_solve_are_named(d):
               "velocity": ((d,), "non-finite tangent components"),
               "coords": ((d,), "chart coordinates must be flat and finite")}
 
-    def solve(spoilt, index, bad, by_point):
+    def solve(spoilt, index, bad):
         seen = Counter()
 
         def value(name, values):
@@ -144,17 +139,15 @@ def test_non_finite_values_met_inside_a_solve_are_named(d):
         path = PathCurve(lambda u: (value("coords", start + u * direction),
                                     value("velocity", direction)), (0.0, 1.0))
         try:
-            transport_matrix(law if by_point else TransportLaw(law.coeff_at),
-                             path, 0.0, 1.0)
+            transport_matrix(law, path, 0.0, 1.0)
         finally:
             assert seen[spoilt] == 3
 
     for spoilt, (shape, message) in checks.items():
         for index in np.ndindex(shape):
             for bad in (math.nan, math.inf, -math.inf):
-                for by_point in (True, False):
-                    with pytest.raises(EvaluationError, match=message):
-                        solve(spoilt, index, bad, by_point)
+                with pytest.raises(EvaluationError, match=message):
+                    solve(spoilt, index, bad)
 
 
 def test_pullback_along_a_shared_path_is_safe_across_threads(monkeypatch):
