@@ -11,14 +11,22 @@ equations, and for the 3 deviation equations; then the sphere's transport
 once around the latitude circle at pi/4 (the solve of ``geodev inspect
 --what transport --latitude 0.785...``).  Every ODE solve of the package
 goes through ``transport._integrate``; the script counts those calls
-(solves), the right-hand-side evaluations they make, and the
-``TransportLaw.coefficients`` calls made inside them (``coeff_evals``: the
-generator M(u) is memoized on the path, so this is one per distinct (path,
-parameter) of the study, not one per solve), and prints one JSON object.
-A solve makes 2 RHS calls to pick its first step and then one per
-stage of its Runge-Kutta pair in each attempted step (6 for the RK 5(4) of
-``pullback_integral``, 12 for the DOP853 of ``transport_components``);
-``attempted_steps`` is derived from that, solve by solve.
+(solves), the ``TransportLaw.coefficients`` calls made inside them
+(``coeff_evals``, the generator evaluations: M(u) is memoized on the path, so
+this is one per distinct (path, parameter) of the study, not one per solve)
+and the attempted steps, and prints one JSON object.
+
+``steppers`` splits the solves by the stepper ``_integrate`` was given,
+named as in ``geodev.transport``.  A Runge-Kutta pair (``_DOP853`` of
+``transport_components``; ``_RK45``, which ``pullback_integral`` used
+before the Magnus pair) makes 2 RHS calls to pick its first step and then
+one per stage in each attempted step (12 for DOP853, 6 for RK 5(4)): its
+``rhs_calls`` are the calls of the right-hand side ``_integrate`` builds.
+The Magnus pair ``_Magnus`` of ``pullback_integral`` takes its first step
+over the whole interval and evaluates the generator at its 3 Gauss nodes in
+each attempted step: its ``generator_calls``.  ``attempted_steps`` is derived
+from those calls, solve by solve, so the script runs on checkouts before and
+after the Magnus pair.
 
 It also counts, per run, the calls of each surface family's ``jets`` by the
 order they ask for (``jets_calls``; ``"all"`` where ``jets(s, r)`` takes no
@@ -110,26 +118,34 @@ def work_counts(work) -> Counter:
 
 def counted(work) -> dict:
     """Counts of the solves, surface jets and base quantities of ``work()``."""
-    counts = {"solves": 0, "rhs_calls": 0, "coeff_evals": 0, "attempted_steps": 0}
+    counts = {"solves": 0, "coeff_evals": 0, "attempted_steps": 0}
+    steppers = {}
     integrate, coefficients = transport._integrate, transport.TransportLaw.coefficients
     get = equations._Workspace._get
     inside = [False]
     base_evals = Counter()
 
-    def counting(law, path, rhs, y0, s, t, cfg, tableau):
-        counts["solves"] += 1
+    def counting(law, path, field, y0, s, t, cfg, stepper):
         calls = [0]
 
-        def counted_rhs(u, m, y):
+        def counted_field(*args):  # the RHS, or the generator of a Magnus pair
             calls[0] += 1
-            return rhs(u, m, y)
+            return field(*args)
         inside[0] = True
         try:
-            return integrate(law, path, counted_rhs, y0, s, t, cfg, tableau)
+            return integrate(law, path, counted_field, y0, s, t, cfg, stepper)
         finally:
             inside[0] = False
-            counts["rhs_calls"] += calls[0]
-            counts["attempted_steps"] += (calls[0] - 2) // len(tableau.b)
+            runge_kutta = hasattr(stepper, "b")
+            name = next(n for n, v in vars(transport).items() if v is stepper)
+            kind = steppers.setdefault(name, {
+                "solves": 0, "rhs_calls" if runge_kutta else "generator_calls": 0,
+                "attempted_steps": 0})
+            steps = (calls[0] - 2 * runge_kutta) // len(stepper.c)
+            for key, n in (("solves", 1), ("attempted_steps", steps)):
+                counts[key] += n
+                kind[key] += n
+            kind["rhs_calls" if runge_kutta else "generator_calls"] += calls[0]
 
     def counting_coefficients(law, s, path):
         if inside[0]:  # s_tensor also reads coefficients, outside any solve
@@ -153,6 +169,7 @@ def counted(work) -> dict:
         transport._integrate = integrate
         transport.TransportLaw.coefficients = coefficients
         equations._Workspace._get = get
+    counts["steppers"] = steppers
     counts["jets_calls"] = {str(k): n for k, n in sorted(JETS_CALLS.items(), key=str)}
     counts["base_evals"] = {k: base_evals[k] for k in BASE_KEYS if base_evals[k]}
     counts["base_evals_total"] = sum(base_evals.values())

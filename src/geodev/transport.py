@@ -6,15 +6,12 @@ transport matrices are generated by integrating the linear ODE
     dH(u, s)/du = M(u) H(u, s),     H(s, s) = I,
     M(u)^i_j = H^i_{jk}(u; path) * xdot^k(u),
 
-with an adaptive embedded Runge-Kutta pair in one step loop, ``_integrate``.
-``transport_components`` and ``transport_matrix`` use the 8th-order pair
-DOP853: their solves can be long (a latitude holonomy), and at the default
-``rel_tol`` 1e-10 DOP853 takes 3-4.5x fewer RHS calls than RK 5(4) (sphere
-latitude holonomy at theta0 0.15 / pi/4 / 1.4: 1,196 / 854 / 212 RHS calls
-with RK 5(4), 266 / 194 / 74 with DOP853).  ``pullback_integral`` keeps the
-Dormand-Prince 5(4) pair, which is the cheaper one on its short solves.
-A new stage parameter costs one generator evaluation with its checks (see
-``_integrate``); one met again along the same path costs a lookup.
+in one adaptive step loop, ``_integrate``: with the Runge-Kutta pair DOP853
+for the long solves of ``transport_components`` (a sphere latitude holonomy),
+and with a Magnus 6(4) pair, exact for a constant generator, for the short
+solves of ``pullback_integral``: one step of 3 generator values each, 189 for
+all sixteen equations (RK 5(4) took 423).  A new stage parameter costs one
+generator evaluation with its checks (see ``_integrate``).
 
 Parallel transport of an affine connection is the special case
 ``H^i_{jk} = -Gamma^i_{jk}``; the S-tensor ``S = -H - Gamma`` measures the
@@ -108,18 +105,31 @@ class _Tableau:
     error: Callable[[np.ndarray, float, np.ndarray], float]
     order: int
 
+    def start(self, generator, u: float, t: float, y: np.ndarray, cfg: OdeConfig):
+        """(first step, y' at u, step function): y flat, 2 RHS calls."""
+        def fun(u, y):
+            m = generator(u)
+            return (m @ y.reshape(m.shape[0], -1)).reshape(-1)
+        direction, f = float(np.sign(t - u)), fun(u, y)
+        scale = cfg.abs_tol + np.abs(y) * cfg.rel_tol
+        d0, d1 = _rms(y / scale), _rms(f / scale)
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t - u))
+        d2 = _rms((fun(u + h0 * direction, y + h0 * direction * f) - f) / scale) / h0
+        h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+              else (0.01 / max(d1, d2)) ** (1 / (self.order + 1)))
+        c, a, b, k = self.c.tolist(), self.a, self.b, np.empty((len(self.b) + 1, y.size))
+        k_t = [k[:i].T for i in range(len(b) + 1)]
 
-# Dormand & Prince (1980) 5(4) pair, as SciPy's RK45.
-_RK45_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
-_RK45 = _Tableau(
-    c=np.array([0, 1/5, 3/10, 4/5, 8/9, 1]),
-    a=tuple(np.array(a) for a in (
-        [], [1/5], [3/40, 9/40], [44/45, -56/15, 32/9],
-        [19372/6561, -25360/2187, 64448/6561, -212/729],
-        [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656])),
-    b=np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84]),
-    error=lambda k, h, scale: _rms(np.dot(k.T, _RK45_E) * h / scale),
-    order=4)
+        def step(u, h, y, f):
+            k[0] = f
+            for i in range(1, len(b)):
+                k[i] = fun(u + c[i] * h, y + np.dot(k_t[i], a[i]) * h)
+            y_new = y + h * np.dot(k_t[-1], b)
+            k[-1] = f_new = fun(u + h, y_new)  # stage at u + h, not u_new
+            scale = cfg.abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rel_tol
+            return y_new, f_new, self.error(k, h, scale)
+        return min(100 * h0, h1, abs(t - u)), f, step
+
 
 # Dormand & Prince 8(5,3) pair DOP853 (Hairer, Norsett & Wanner, Solving
 # ODEs I, 2nd ed.), as SciPy's DOP853 without the extra stages of its dense
@@ -194,44 +204,71 @@ _DOP853 = _Tableau(
     order=7)
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a): [6/6] Pade approximant of a / 2^s, Frobenius norm at most
+    theta_6 = 0.54, squared s times (Higham, SIAM J. Matrix Anal. 26, 2005)."""
+    norm = math.sqrt(np.vdot(a, a))
+    s = math.ceil(math.log2(norm / 0.54)) if norm > 0.54 else 0
+    a, eye = a / 2.0 ** s, np.eye(len(a))
+    a2 = a @ a
+    a4 = a2 @ a2
+    odd = a @ (eye / 2 + a2 / 66 + a4 / 15840)
+    even = eye + 5 / 44 * a2 + a4 / 792 + (a2 @ a4) / 665280
+    return np.linalg.matrix_power(np.linalg.solve(even - odd, even + odd), 2 ** s)
+
+
+class _Magnus:
+    """Magnus 6(4) pair on Gauss nodes ``c`` (Blanes, Casas & Ros, BIT 40,
+    2000); the first step is the whole interval.  Omega4 shares Omega6's Gauss
+    rule for int A, so the error (Omega6 - Omega4) Y adds the rule's error
+    h b6 / 2800 of ``A = sum_k b_k ((u - mid) / h)^k``, b6 = b2 (b2 / b1)^4."""
+
+    c, order = (0.5 - 15 ** 0.5 / 10, 0.5, 0.5 + 15 ** 0.5 / 10), 4
+
+    @classmethod
+    def start(cls, generator, u: float, t: float, y: np.ndarray, cfg: OdeConfig):
+        def step(u, h, y, _):
+            a1, a2, a3 = (h * generator(u + c * h) for c in cls.c)
+            x1, x2, x3 = a2, 15 ** 0.5 / 3 * (a3 - a1), 10 / 3 * (a3 - 2 * a2 + a1)
+            c1 = x1 @ x2 - x2 @ x1
+            c2 = 2 * x3 + c1
+            p, q = c1 - 20 * x1 - x3, x2 - (x1 @ c2 - c2 @ x1) / 60
+            n2, n3 = np.vdot(x2, x2), np.vdot(x3, x3)  # squared norms
+            decay = (n3 / max(n2, n3 / 1e6)) ** 2 if n3 else 0.0  # (b2 / b1)^4
+            high = (p @ q - q @ p) / 240
+            y_new = _expm(x1 + x3 / 12 + high) @ y
+            scale = cfg.abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rel_tol
+            delta = high + c1 / 12 + decay / 2800 * x3
+            return y_new, None, _rms((delta @ y / scale).reshape(-1))
+        return abs(t - u), None, step
+
+
 def _integrate(law: TransportLaw, path: PathCurve,
-               rhs: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
+               generator: Callable[[float, np.ndarray], np.ndarray],
                y0: np.ndarray, s: float, t: float, cfg: OdeConfig,
-               tableau: _Tableau) -> np.ndarray:
-    """y(t) for dy/du = rhs(u, M(u), y), ``M(u)^i_j = H^i_{jk}(u; path) xdot^k(u)``,
-    from y(s) = y0 in at most ``cfg.max_steps`` attempted steps of the pair
-    ``tableau``.
-
-    The step control is that of Hairer, Norsett & Wanner, Solving ODEs I,
-    Sec. II.4, as in SciPy's ``solve_ivp``: safety 0.9, step factors within
-    [0.2, 10], error exponent -1/(q + 1); with ``_RK45`` or ``_DOP853`` the
-    loop reproduces ``solve_ivp`` with that method bit for bit.  Each caller
-    fixes its pair (see the module docstring).
-
-    A new stage parameter u makes one ``jets`` call, one ``ChartPoint`` and one
-    ``TransportLaw.coefficients`` call, which check the chart coordinates, the
-    tangent components and H in this order; M(u) is memoized on the path."""
+               stepper) -> np.ndarray:
+    """y(t) for y' = A(u) y, ``A(u) = generator(u, M(u))``, ``M(u)^i_j =
+    H^i_{jk}(u; path) xdot^k(u)``, from y(s) = y0 in at most ``cfg.max_steps``
+    attempted steps of ``stepper`` (``_DOP853`` or ``_Magnus``), with the step
+    control of SciPy's ``solve_ivp`` (Hairer, Norsett & Wanner, Sec. II.4):
+    safety 0.9, step factors within [0.2, 10], exponent -1/(q + 1) for an
+    estimate of order q; with ``_DOP853`` it reproduces ``solve_ivp`` bit for
+    bit.  A new stage parameter makes one ``jets`` call, one ``ChartPoint`` and
+    one ``TransportLaw.coefficients`` call (checking the coordinates, tangent
+    and H in this order); M(u) is memoized on the path, read-only."""
     generators = path.memo(law)  # M by u, shared by every solve along path
 
-    def fun(u, y):  # rhs gets M read-only, so it cannot write into the memo
+    def matrix(u):
         m = generators.get(u)
         if m is None:
             m = law.coefficients(u, path) @ path.tangent(u)
             m.setflags(write=False)
             memo_put(generators, u, m)
-        return rhs(u, m, y)
+        return generator(u, m)
 
-    c, a, b, exponent = tableau.c.tolist(), tableau.a, tableau.b, -1 / (tableau.order + 1)
     u, t, y = float(s), float(t), checked_array(y0, y0.shape, "initial transport state")
-    direction, f = float(np.sign(t - u)), fun(u, y)
-    scale = cfg.abs_tol + np.abs(y) * cfg.rel_tol  # first step: one more RHS call
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t - u))
-    d2 = _rms((fun(u + h0 * direction, y + h0 * direction * f) - f) / scale) / h0
-    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
-          else (0.01 / max(d1, d2)) ** (1 / (tableau.order + 1)))
-    h_abs, k, attempts = min(100 * h0, h1, abs(t - u)), np.empty((len(b) + 1, y.size)), 0
-    k_t = [k[:i].T for i in range(len(b) + 1)]
+    direction, exponent, attempts = float(np.sign(t - u)), -1 / (stepper.order + 1), 0
+    h_abs, f, step = stepper.start(matrix, u, t, y, cfg)
     while direction * (u - t) < 0:
         min_step = 10 * abs(math.nextafter(u, direction * math.inf) - u)
         h_abs, rejected = max(h_abs, min_step), False
@@ -245,13 +282,8 @@ def _integrate(law: TransportLaw, path: PathCurve,
             u_new = u + h_abs * direction
             u_new = t if direction * (u_new - t) > 0 else u_new
             h = u_new - u
-            h_abs, k[0] = abs(h), f
-            for i in range(1, len(b)):
-                k[i] = fun(u + c[i] * h, y + np.dot(k_t[i], a[i]) * h)
-            y_new = y + h * np.dot(k_t[-1], b)
-            k[-1] = f_new = fun(u + h, y_new)  # stage at u + h, not u_new
-            scale = cfg.abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rel_tol
-            error = tableau.error(k, h, scale)
+            h_abs = abs(h)
+            y_new, f_new, error = step(u, h, y, f)
             if error < 1:
                 break
             h_abs *= max(0.2, 0.9 * error ** exponent)
@@ -286,9 +318,7 @@ def transport_components(law: TransportLaw, path: PathCurve, s: float, t: float,
     y0 = np.asarray(components, dtype=float)
     if t == s:
         return y0.copy()
-    def linear(u, m, y):  # dY/du = M(u) Y, Y flattened
-        return (m @ y.reshape(m.shape[0], -1)).reshape(-1)
-    return _integrate(law, path, linear, y0.reshape(-1), s, t, cfg,
+    return _integrate(law, path, lambda u, m: m, y0.reshape(-1), s, t, cfg,
                       _DOP853).reshape(y0.shape)
 
 
@@ -296,27 +326,22 @@ def pullback_integral(law: TransportLaw, path: PathCurve, s: float, t: float,
                       cfg: OdeConfig = DEFAULT_ODE_CONFIG
                       ) -> Tuple[np.ndarray, np.ndarray]:
     """``L_{t->s}`` and ``int_s^t L_{u->s} xdot(u) du``, the path's own
-    tangents pulled back to ``s`` and integrated, from one RK 5(4) solve.
-
-    ``Phi(u) = L_{u->s}`` obeys ``dPhi/du = -Phi M(u)``, ``Phi(s) = I``; the
-    integral rides along as ``d`` extra state components ``Phi(u) xdot(u)``,
-    with ``path.tangent(u)`` read by each RHS call (an RHS gets only u, M(u)
-    and y).  These solves span short stretches of the surface's r-lines,
-    where DOP853 would take 29-39% more RHS calls over all sixteen equations.
-    """
+    tangents pulled back to ``s`` and integrated, from one Magnus solve of
+    ``Z = [[Phi^T], [h^T]]``: ``Z' = G(u) Z`` with ``G = [[-M^T, 0], [xdot^T,
+    0]]``, built per Gauss node from M(u) and ``path.tangent(u)``, carries
+    ``Phi(u) = L_{u->s}`` (``Phi' = -Phi M``) and h (``h' = Phi xdot``)."""
     path.require(s)
     path.require(t)
     d = path.map(s).dimension
 
-    def rhs(u, m, y):
-        phi = y[:d * d].reshape(d, d)
-        return np.concatenate(((-phi @ m).reshape(-1),
-                               phi @ path.tangent(u)))
+    def generator(u, m):
+        g = np.zeros((d + 1, d + 1))
+        g[:d, :d], g[d, :d] = -m.T, path.tangent(u)
+        return g
 
-    y = np.concatenate((np.eye(d).reshape(-1), np.zeros(d)))
-    if t != s:
-        y = _integrate(law, path, rhs, y, s, t, cfg, _RK45)
-    return y[:d * d].reshape(d, d), y[d * d:]
+    z = np.eye(d + 1, d)
+    z = z if t == s else _integrate(law, path, generator, z, s, t, cfg, _Magnus)
+    return z[:d].T, z[d]
 
 
 def law_from_connection(conn: ConnectionField) -> TransportLaw:

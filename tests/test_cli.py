@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from geodev.cli import dump_json, main, run_converge
 from geodev.equations import EquationId
 from geodev.errors import ConfigError
 from geodev.scenarios import ScenarioSpec, build, family_names, list_scenarios
-from geodev.transport import DEFAULT_ODE_CONFIG
+from geodev.transport import DEFAULT_ODE_CONFIG, TransportLaw
 
 TORSION_CONFIG = {
     "scenario": "flat-torsion",
@@ -260,7 +261,20 @@ def test_converge_bad_ladder_names_epsilon_ladder(tmp_path, capsys, ladder,
     assert f"config error: {message}" in capsys.readouterr().err
 
 
-def test_converge_numerical_failure_exits_3(tmp_path, capsys):
+def test_converge_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # on flat-torsion one Magnus step meets rel_tol 1e-13 within max_steps
+    # 1, so the built scenario's law gets a fast-varying term: the
+    # back-transport solve rejects its one allowed step and raises a genuine
+    # TransportError
+    build = geodev.cli.build
+
+    def fast_varying(spec):
+        sc = build(spec)
+        wiggle = np.ones((sc.dimension,) * 3)
+        return replace(sc, law=TransportLaw(lambda u, path: (
+            sc.law.coeff_at(u, path) + 5.0 * math.sin(200.0 * u) * wiggle)))
+
+    monkeypatch.setattr(geodev.cli, "build", fast_varying)
     config = dict(TORSION_CONFIG)
     config["run"] = dict(config["run"])
     config["run"]["tolerances"] = {"rel_tol": 1e-13, "abs_tol": 1e-14,

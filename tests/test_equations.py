@@ -308,23 +308,24 @@ def test_shared_workspace_study_saves_transport_solves(monkeypatch):
 def test_study_evaluates_each_generator_once_per_rhs_parameter(monkeypatch):
     # gamma_s is built once per s for the whole ladder and keeps M(u) by u,
     # so the coefficients of the transport law are evaluated once per
-    # distinct (s, u) RHS parameter of the study, however many of the 63
-    # solves (7 ladder endpoints per s) meet that parameter
+    # distinct (s, u) generator parameter of the study; each of the 63
+    # Magnus solves (7 ladder endpoints per s) takes one step of 3 Gauss
+    # nodes, and no two solves share a node
     sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
     integrate, coefficients = (geodev.transport._integrate,
                                geodev.transport.TransportLaw.coefficients)
     connecting_path = geodev.equations.connecting_path
-    s_of, rhs_params, coeff_params, inside, solves = {}, [], [], [False], [0]
+    s_of, gen_params, coeff_params, inside, solves = {}, [], [], [False], [0]
 
     def recording_path(scenario, s):
         path = connecting_path(scenario, s)
         s_of[id(path)] = s
         return path
 
-    def recording(law, path, rhs, *args):
-        def recorded(u, m, y):
-            rhs_params.append((s_of[id(path)], u))
-            return rhs(u, m, y)
+    def recording(law, path, generator, *args):
+        def recorded(u, m):
+            gen_params.append((s_of[id(path)], u))
+            return generator(u, m)
         inside[0], solves[0] = True, solves[0] + 1
         try:
             return integrate(law, path, recorded, *args)
@@ -342,9 +343,9 @@ def test_study_evaluates_each_generator_once_per_rhs_parameter(monkeypatch):
                         counted_coefficients)
     convergence_study(list(EquationId), sc, S0, DEFAULT_LADDER)
     assert len(s_of) == 9  # s_eval and the eight stencil offsets
-    assert (solves[0], len(rhs_params)) == (63, 936)
-    assert sorted(coeff_params) == sorted(set(rhs_params))
-    assert len(coeff_params) == 423
+    assert (solves[0], len(gen_params)) == (63, 189)
+    assert sorted(coeff_params) == sorted(set(gen_params))
+    assert len(coeff_params) == 189
 
 
 def test_study_evaluates_base_geometry_once_per_s(monkeypatch):

@@ -18,10 +18,10 @@ from geodev.cli import _latitude_path
 from geodev.errors import EvaluationError, TransportError
 from geodev.geometry import ChartPoint, ConnectionField, PathCurve, metric_dot
 from geodev.equations import DEFAULT_LADDER
-from geodev.kinematics import back_transport, connecting_path, worldline
+from geodev.kinematics import connecting_path, worldline
 from geodev.scenarios import (LINEAR_DRIFT_MASSES, ScenarioSpec, build,
-                              exp_law_generator)
-from geodev.transport import (MIN_REL_TOL, OdeConfig, TransportLaw,
+                              exp_law_generator, family_names)
+from geodev.transport import (DEFAULT_ODE_CONFIG, MIN_REL_TOL, OdeConfig, TransportLaw,
                               approx_transport, coordinate_probes,
                               extract_first_coeff, law_from_connection,
                               law_with_offset, pullback_integral, s_tensor,
@@ -218,15 +218,15 @@ REJECTING = OdeConfig(rel_tol=1e-6, abs_tol=1e-8)
 
 
 def record_rhs_calls(monkeypatch) -> list:
-    """Wrap ``transport._integrate`` so that each RHS call of every later
-    solve appends its parameter and generator ``(u, M)`` to the returned
-    list."""
+    """Wrap ``transport._integrate`` so that each generator call of every
+    later solve (one per RHS call of DOP853, one per Gauss node of a Magnus
+    step) appends its parameter and ``M(u)`` to the returned list."""
     calls, integrate = [], transport._integrate
 
-    def recording(law, path, rhs, *args):
-        def recorded(u, m, y):
+    def recording(law, path, generator, *args):
+        def recorded(u, m):
             calls.append((u, m))
-            return rhs(u, m, y)
+            return generator(u, m)
         return integrate(law, path, recorded, *args)
 
     monkeypatch.setattr(transport, "_integrate", recording)
@@ -251,8 +251,8 @@ def test_step_budget_counts_attempted_steps(monkeypatch):
 
 def test_one_generator_per_rhs_parameter(monkeypatch):
     # DOP853's stage 12 (c = 1) and the FSAL stage share u + h, and so one
-    # evaluation of M; the M an RHS receives is read-only, so no RHS can
-    # corrupt the memo
+    # evaluation of M; the M a call site's generator receives is read-only,
+    # so no generator can corrupt the memo
     sphere_law, coeff_calls = build(ScenarioSpec("sphere")).law, []
 
     def coeff_at(u, path):
@@ -296,18 +296,19 @@ def test_dop853_coefficients_match_scipy():
     assert tab.order == 7
 
 
-SCIPY_METHODS = ((transport._RK45, "RK45"), (transport._DOP853, "DOP853"))
+SCIPY_METHODS = ((transport._DOP853, "DOP853"),)
 
 
 def scipy_integrate(params: list, accepted: list, methods: list):
     """Stand-in for ``transport._integrate`` that solves the same ODE with
     ``solve_ivp`` and the method of the given tableau, recording each RHS
     parameter, the accepted steps and the method."""
-    def integrate(law, path, rhs, y0, s, t, cfg, tableau):
+    def integrate(law, path, generator, y0, s, t, cfg, tableau):
         def fun(u, y):
             params.append(u)
             coeff = law.coefficients(u, path)
-            return rhs(u, np.einsum("ijk,k->ij", coeff, path.tangent(u)), y)
+            m = generator(u, np.einsum("ijk,k->ij", coeff, path.tangent(u)))
+            return (m @ y.reshape(m.shape[0], -1)).reshape(-1)
         [method] = [name for tab, name in SCIPY_METHODS if tab is tableau]
         sol = solve_ivp(fun, (s, t), y0, method=method, rtol=cfg.rel_tol,
                         atol=cfg.abs_tol)
@@ -325,19 +326,11 @@ def backward_worldline() -> np.ndarray:
                                 np.array([0.3, -0.7]))
 
 
-def minkowski_pullback() -> np.ndarray:
-    """L_{r''->r'} (16 components) and h (4 more), riding along in one solve."""
-    sc = build(ScenarioSpec("minkowski"))
-    pull, h = back_transport(sc, sc.s_eval, 0.1)
-    return np.concatenate((pull.reshape(-1), h))
-
-
 ORACLE_CASES = {  # each case: the solve, and the solve_ivp method it uses
     "latitude-holonomy": (lambda: transport_matrix(
         build(ScenarioSpec("sphere")).law, _latitude_path(math.pi / 4),
         0.0, 2.0 * math.pi), "DOP853"),
     "backward-worldline": (backward_worldline, "DOP853"),
-    "minkowski-pullback": (minkowski_pullback, "RK45"),
     # rejects steps, caps the growth of steps accepted right after a
     # rejection, and its clipped last step has u + h != t in floating point
     "rejecting": (lambda: transport_matrix(
@@ -348,15 +341,16 @@ ORACLE_CASES = {  # each case: the solve, and the solve_ivp method it uses
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_stepper_matches_scipy_rk45(case, monkeypatch):
     # each case names the solve_ivp method of the pair its call site fixes:
-    # DOP853 for transport_components, RK45 for pullback_integral
+    # DOP853 for transport_components (pullback_integral's Magnus pair has
+    # its own oracle, test_magnus_pullback_matches_tight_dop853)
     solve, method = ORACLE_CASES[case]
     ours_params, oracle_params, accepted, methods = [], [], [], []
     integrate = transport._integrate
 
-    def counting(law, path, rhs, *args):
-        def counted(u, m, y):
+    def counting(law, path, generator, *args):
+        def counted(u, m):
             ours_params.append(u)
-            return rhs(u, m, y)
+            return generator(u, m)
         return integrate(law, path, counted, *args)
 
     monkeypatch.setattr(transport, "_integrate", counting)
@@ -370,6 +364,104 @@ def test_stepper_matches_scipy_rk45(case, monkeypatch):
     if case == "rejecting":
         [steps] = accepted
         assert (len(oracle_params) - 2) // 12 > steps
+
+
+def expm_generators():
+    """(kind, generator) pairs of 1-norm 1e-3 to 30: rotations, nilpotent
+    and zero generators, and 5 x 5 blocks shaped as a 4-d pull-back's G."""
+    rng = np.random.default_rng(7)
+    block = np.zeros((5, 5))
+    block[:4, :4], block[4, :4] = -rng.normal(size=(4, 4)).T, rng.normal(size=4)
+    kinds = {"rotation": np.array([[0.0, 1.0], [-1.0, 0.0]]),
+             "nilpotent": np.triu(rng.normal(size=(4, 4)), 1), "block": block}
+    for norm in np.geomspace(1e-3, 30.0, 13):
+        for kind, gen in kinds.items():
+            yield kind, gen * norm / np.abs(gen).sum(axis=0).max()
+
+
+def test_expm_matches_scipy():
+    # norms above 0.54 take the scaling and squaring branch (7 squarings at
+    # the top); a rotation's reference is its closed form, since SciPy's
+    # expm is itself 1.9e-13 off it at angle 30
+    assert np.array_equal(transport._expm(np.zeros((3, 3))), np.eye(3))
+    for kind, gen in expm_generators():
+        if kind == "rotation":
+            c, s = math.cos(gen[0, 1]), math.sin(gen[0, 1])
+            ref = np.array([[c, s], [-s, c]])
+        else:
+            ref = expm(gen)
+        got = transport._expm(gen)
+        assert np.abs(got - ref).sum(axis=0).max() <= 1e-13 * np.abs(ref).sum(axis=0).max()
+
+
+def tight_pullback(law: TransportLaw, path: PathCurve, s: float, t: float):
+    """``pullback_integral`` by ``solve_ivp``'s DOP853 at ``rtol`` 3e-14, on
+    the flattened ``(Phi, h)`` of dPhi/du = -Phi M, dh/du = Phi xdot."""
+    d = path.map(s).dimension
+
+    def fun(u, y):
+        phi = y[:d * d].reshape(d, d)
+        m = law.coefficients(u, path) @ path.tangent(u)
+        return np.concatenate(((-phi @ m).reshape(-1), phi @ path.tangent(u)))
+    sol = solve_ivp(fun, (s, t), np.concatenate((np.eye(d).reshape(-1), np.zeros(d))),
+                    method="DOP853", rtol=3e-14, atol=1e-16)
+    assert sol.success, sol.message
+    return sol.y[:d * d, -1].reshape(d, d), sol.y[d * d:, -1]
+
+
+def pullback_cases():
+    """(label, law, path, s, t, cfg): on each family's connecting path from
+    r_base to eps 0.1 and to 96% of the r-domain on each side, and across
+    the bump of ``bump_law``, where steps are rejected."""
+    for name in family_names():
+        sc = build(ScenarioSpec(name))
+        path, r1 = connecting_path(sc, sc.s_eval), sc.surface.r_base
+        lo, hi = sc.surface.r_domain
+        for label, t in (("eps", r1 + 0.1), ("high", r1 + 0.96 * (hi - r1)),
+                         ("low", r1 - 0.96 * (r1 - lo))):
+            yield f"{name}-{label}", sc.law, path, r1, t, DEFAULT_ODE_CONFIG
+    yield "bump", bump_law(), X_AXIS, 0.9, 0.02, REJECTING
+
+
+def magnus_steps(calls: list) -> tuple:
+    """Attempted and rejected Magnus steps from the generator calls of one
+    solve: each attempt evaluates 3 Gauss nodes, and a rejected attempt is
+    retried from the same u."""
+    c = transport._Magnus.c
+    us = [u for u, _ in calls]
+    starts = [a - c[0] * (b - a) / (c[2] - c[0]) for a, b in zip(us[0::3], us[2::3])]
+    return len(starts), sum(math.isclose(a, b, rel_tol=0.0, abs_tol=1e-12)
+                            for a, b in zip(starts, starts[1:]))
+
+
+@pytest.mark.parametrize("case", list(pullback_cases()), ids=lambda case: case[0])
+def test_magnus_pullback_matches_tight_dop853(case, monkeypatch):
+    label, law, path, s, t, cfg = case
+    calls = record_rhs_calls(monkeypatch)
+    ours = pullback_integral(law, path, s, t, cfg)
+    assert len(calls) % 3 == 0
+    if label == "bump":
+        attempts, rejected = magnus_steps(calls)
+        assert attempts > 10 and rejected > 0
+    for got, ref in zip(ours, tight_pullback(law, path, s, t)):
+        assert np.all(np.abs(got - ref) <= 10 * cfg.rel_tol * np.maximum(1.0, np.abs(ref)))
+
+
+def test_magnus_step_budget_counts_attempted_steps(monkeypatch):
+    # 3 generator values per attempted Magnus step and none to pick the
+    # first; this solve rejects steps (test_magnus_pullback_matches_tight_
+    # dop853), and they count too
+    calls = record_rhs_calls(monkeypatch)
+    law = bump_law()
+    free = pullback_integral(law, X_AXIS, 0.9, 0.02, REJECTING)
+    attempts, rest = divmod(len(calls), 3)
+    assert rest == 0 and attempts > 10
+    exact = replace(REJECTING, max_steps=attempts)
+    got = pullback_integral(law, X_AXIS, 0.9, 0.02, exact)
+    assert all(map(np.array_equal, got, free))
+    short = replace(REJECTING, max_steps=attempts - 1)
+    with pytest.raises(TransportError, match=f"exceeded {attempts - 1} steps"):
+        pullback_integral(law, X_AXIS, 0.9, 0.02, short)
 
 
 def test_non_finite_initial_state_error(sphere):
