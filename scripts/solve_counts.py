@@ -9,39 +9,29 @@ scenario per study), the default ladder and the default ``s_eval``, for the
 13 equations that never difference the deviation vector, for all 16
 equations, and for the 3 deviation equations; then the sphere's transport
 once around the latitude circle at pi/4 (the solve of ``geodev inspect
---what transport --latitude 0.785...``).  Every ODE solve of the package
-goes through ``transport._integrate``; the script counts those calls
-(solves), the ``TransportLaw.coefficients`` calls made inside them
-(``coeff_evals``, the generator evaluations: M(u) is memoized on the path, so
-this is one per distinct (path, parameter) of the study, not one per solve)
-and the attempted steps, and prints one JSON object.
+--what transport --latitude 0.785...``), and prints one JSON object.
 
-``steppers`` splits the solves by the stepper ``_integrate`` was given,
-named as in ``geodev.transport``.  A Runge-Kutta pair (``_DOP853`` of
-``transport_components``; ``_RK45``, which ``pullback_integral`` used
-before the Magnus pair) makes 2 RHS calls to pick its first step and then
-one per stage in each attempted step (12 for DOP853, 6 for RK 5(4)): its
-``rhs_calls`` are the calls of the right-hand side ``_integrate`` builds.
-The Magnus pair ``_Magnus`` of ``pullback_integral`` takes its first step
-over the whole interval and evaluates the generator at its 3 Gauss nodes in
-each attempted step: its ``generator_calls``.  ``attempted_steps`` is derived
-from those calls, solve by solve, so the script runs on checkouts before and
-after the Magnus pair.
+The transport work is read from the package's own counters
+(``transport.work_counts``): ``solves`` (one per lane: a convergence study
+solves the pull-backs of its whole ladder along one connecting path as the
+lanes of one solve), ``stacked_attempts`` (step computations: one stack of
+the first attempts of all lanes of a solve, then one per further attempt),
+``attempted_steps`` (summed over the lanes), ``generator_evals`` (the
+generator values the steppers take: 3 per lane of a Magnus attempt; 2 to
+start and 12 per attempted DOP853 step) and ``continued_lanes`` (lanes that
+their first attempt did not finish and that go on stepping).
 
 It also counts, per run, the calls of each surface family's ``jets`` by the
 order they ask for (``jets_calls``; ``"all"`` where ``jets(s, r)`` takes no
 order and returns every partial) and how often the study's workspace computes
 each quantity of (s, r') alone, such as Gamma, R or S (``base_evals``, one
 entry per workspace memo key of ``BASE_KEYS``).  Both are counted by wrapping
-``scenarios._surface`` and ``equations._Workspace._get`` here, so the script
-runs unchanged on checkouts before and after the base memo.
-
-Three work counts trace a cheaper RHS to less work and not to fewer checks:
+``scenarios._surface`` and ``equations._Workspace._get`` here, as are three
+work counts that trace a cheaper RHS to less work and not to fewer checks:
 ``path_reads`` (calls of ``PathCurve.map`` and ``PathCurve.tangent``),
 ``points_built`` (``ChartPoint`` constructions) and ``checks`` (calls of
 ``geometry.checked_array``, the package's one shape-and-finiteness check,
-wherever a module has bound it).  They too are counted by wrappers installed
-from here.  The counts do not depend on the machine.
+wherever a module has bound it).  The counts do not depend on the machine.
 """
 
 from __future__ import annotations
@@ -75,8 +65,11 @@ STUDIES = {
 # workspace memo keys of the quantities that depend on (s, r') and not on eps
 BASE_KEYS = ("map", "d_s", "d_r", "d_sr", "x1pt", "gam", "dgam", "a1", "T", "R",
              "S", "DT", "DS", "g", "Dg", "DFdr")
+# the counters of transport.work_counts
+TRANSPORT_KEYS = ("solves", "stacked_attempts", "attempted_steps", "generator_evals",
+                  "continued_lanes")
 JETS_CALLS = Counter()  # filled by the jets of scenarios built under main()
-# (owner, attribute, work count) of every call counted by ``work_counts``
+# (owner, attribute, work count) of every call counted by ``call_counts``
 WORK_CALLS = ([(geometry.PathCurve, "map", "path_reads"),
                (geometry.PathCurve, "tangent", "path_reads"),
                (geometry.ChartPoint, "__init__", "points_built")]
@@ -95,7 +88,7 @@ def counting_surface(surface):
     return make
 
 
-def work_counts(work) -> Counter:
+def call_counts(work) -> Counter:
     """Counts of ``WORK_CALLS`` made by ``work()``."""
     counts = Counter()
 
@@ -117,40 +110,10 @@ def work_counts(work) -> Counter:
 
 
 def counted(work) -> dict:
-    """Counts of the solves, surface jets and base quantities of ``work()``."""
-    counts = {"solves": 0, "coeff_evals": 0, "attempted_steps": 0}
-    steppers = {}
-    integrate, coefficients = transport._integrate, transport.TransportLaw.coefficients
+    """Counts of the transport work, surface jets and base quantities of
+    ``work()``."""
     get = equations._Workspace._get
-    inside = [False]
     base_evals = Counter()
-
-    def counting(law, path, field, y0, s, t, cfg, stepper):
-        calls = [0]
-
-        def counted_field(*args):  # the RHS, or the generator of a Magnus pair
-            calls[0] += 1
-            return field(*args)
-        inside[0] = True
-        try:
-            return integrate(law, path, counted_field, y0, s, t, cfg, stepper)
-        finally:
-            inside[0] = False
-            runge_kutta = hasattr(stepper, "b")
-            name = next(n for n, v in vars(transport).items() if v is stepper)
-            kind = steppers.setdefault(name, {
-                "solves": 0, "rhs_calls" if runge_kutta else "generator_calls": 0,
-                "attempted_steps": 0})
-            steps = (calls[0] - 2 * runge_kutta) // len(stepper.c)
-            for key, n in (("solves", 1), ("attempted_steps", steps)):
-                counts[key] += n
-                kind[key] += n
-            kind["rhs_calls" if runge_kutta else "generator_calls"] += calls[0]
-
-    def counting_coefficients(law, s, path):
-        if inside[0]:  # s_tensor also reads coefficients, outside any solve
-            counts["coeff_evals"] += 1
-        return coefficients(law, s, path)
 
     def counting_get(workspace, key, fn):
         def evaluate():
@@ -159,17 +122,14 @@ def counted(work) -> dict:
             return fn()
         return get(workspace, key, evaluate)
 
-    transport._integrate = counting
-    transport.TransportLaw.coefficients = counting_coefficients
     equations._Workspace._get = counting_get
     JETS_CALLS.clear()
     try:
-        work_done = work_counts(work)
+        with transport.work_counts() as work_done:
+            work_done.update(call_counts(work))
     finally:
-        transport._integrate = integrate
-        transport.TransportLaw.coefficients = coefficients
         equations._Workspace._get = get
-    counts["steppers"] = steppers
+    counts = {key: work_done[key] for key in TRANSPORT_KEYS}
     counts["jets_calls"] = {str(k): n for k, n in sorted(JETS_CALLS.items(), key=str)}
     counts["base_evals"] = {k: base_evals[k] for k in BASE_KEYS if base_evals[k]}
     counts["base_evals_total"] = sum(base_evals.values())

@@ -50,8 +50,7 @@ from .kinematics import (Scenario, _delta_force, _relative_energy,
                          connecting_path, delta_field, deviation_vector,
                          force_field, relative_acceleration, relative_energy,
                          relative_force, relative_momentum, relative_velocity)
-from .transport import (DEFAULT_ODE_CONFIG, OdeConfig, pullback_integral,
-                        s_tensor)
+from .transport import DEFAULT_ODE_CONFIG, OdeConfig, _pullbacks, s_tensor
 
 __all__ = [
     "EquationId",
@@ -142,16 +141,17 @@ class _Workspace:
     parameter, so the same machinery serves the centered s-differences.
     Quantities of (s, r') alone (``_BASE``) go read-only to the ``base``
     memo, which a convergence study shares across its whole ladder; those
-    that depend on eps stay in the workspace's own memo.
+    that depend on eps stay in the workspace's own memo, bar the pull-backs
+    along gamma_s: one stacked solve for all of ``ladder`` (default: eps).
     """
 
-    _BASE = frozenset({"map", "d_s", "d_r", "d_sr", "x1pt", "gam", "dgam",
-                       "a1", "T", "R", "S", "DT", "DS", "g", "Dg", "DFdr", "path"})
+    _BASE = frozenset({"map", "d_s", "d_r", "d_sr", "x1pt", "gam", "dgam", "a1",
+                       "T", "R", "S", "DT", "DS", "g", "Dg", "DFdr", "path", "Lh"})
 
     def __init__(self, scenario: Scenario, eps: float, cfg: OdeConfig,
-                 base: Optional[dict] = None):
+                 base: Optional[dict] = None, ladder: Sequence[float] = ()):
         self.sc = scenario
-        self.eps = eps
+        self.eps, self.ladder = eps, tuple(ladder) or (eps,)
         self.cfg = cfg
         self.surf = scenario.surface
         self.r1, self.r2 = scenario.separation_endpoints(eps)
@@ -300,9 +300,11 @@ class _Workspace:
         return self._get(("DFdr", s), make)
 
     def transport(self, s: float) -> Tuple[np.ndarray, np.ndarray]:
-        """(L_{r''->r'}, h) at s: the one solve every quantity at s reads."""
-        return self._get(("Lh", s), lambda: pullback_integral(
-            self.sc.law, self.path(s), self.r1, self.r2, self.cfg))
+        """(L_{r''->r'}, h) at s, which every quantity at s reads: this eps's
+        lane of the ladder's pull-backs along gamma_s."""
+        return self._get(("Lh", s), lambda: _pullbacks(
+            self.sc.law, self.path(s), self.r1, [self.r1 + e for e in self.ladder],
+            self.cfg))[self.ladder.index(self.eps)]
 
     def delta_v(self, s: float) -> np.ndarray:
         return self._get(("dV", s), lambda: relative_velocity(
@@ -580,7 +582,8 @@ def convergence_study(equations: Sequence[EquationId], scenario: Scenario,
     entry of ``equations``.  Ladder-major: every equation shares one workspace
     per eps, so shared quantities are computed once per eps; it is dropped
     before the next eps.  The quantities of (s, r') alone, gamma_s too, live
-    in one base memo shared by the whole ladder: computed once per study."""
+    in one base memo shared by the whole ladder: computed once per study, as
+    are the pull-backs along gamma_s, one stacked solve for the ladder per s."""
     if isinstance(equations, str):
         raise TypeError("convergence_study expects a sequence of EquationId, "
                         f"got the single id {equations!r}")
@@ -591,7 +594,7 @@ def convergence_study(equations: Sequence[EquationId], scenario: Scenario,
     columns = [[] for _ in equations]
     base: dict = {}
     for e in ladder:
-        workspace = _Workspace(scenario, e, cfg, base)
+        workspace = _Workspace(scenario, e, cfg, base, ladder)
         for eq, column in zip(equations, columns):
             column.append(_sample(eq, workspace, s))
         del workspace

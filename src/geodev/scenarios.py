@@ -591,13 +591,13 @@ def list_scenarios() -> list:
 # S-tensor and DS/ds terms on offset-transport, mass terms via linear-drift
 # masses, the energy equation on minkowski plus a nonmetricity case).
 EQUATION_SCENARIOS: Dict[EquationId, Tuple[ScenarioSpec, ...]] = {
-    EquationId.E2_10: (ScenarioSpec("offset-transport"),),
+    EquationId.E2_10: (ScenarioSpec("offset-transport"), ScenarioSpec("flat-torsion")),
     EquationId.E2_13: (ScenarioSpec("sphere"),
                        ScenarioSpec("flat-euclidean/quadratic")),
     EquationId.E3_1: (ScenarioSpec("flat-torsion"), ScenarioSpec("sphere")),
     EquationId.E4_1: (ScenarioSpec("sphere"),
                       ScenarioSpec("flat-euclidean/quadratic")),
-    EquationId.E4_3: (ScenarioSpec("offset-transport"),),
+    EquationId.E4_3: (ScenarioSpec("offset-transport"), ScenarioSpec("flat-torsion")),
     EquationId.E4_4: (ScenarioSpec("flat-torsion"),
                       ScenarioSpec("offset-transport")),
     EquationId.E4_5: (ScenarioSpec("offset-transport"), ScenarioSpec("sphere")),

@@ -6,12 +6,11 @@ transport matrices are generated by integrating the linear ODE
     dH(u, s)/du = M(u) H(u, s),     H(s, s) = I,
     M(u)^i_j = H^i_{jk}(u; path) * xdot^k(u),
 
-in one adaptive step loop, ``_integrate``: with the Runge-Kutta pair DOP853
-for the long solves of ``transport_components`` (a sphere latitude holonomy),
-and with a Magnus 6(4) pair, exact for a constant generator, for the short
-solves of ``pullback_integral``: one step of 3 generator values each, 189 for
-all sixteen equations (RK 5(4) took 423).  A new stage parameter costs one
-generator evaluation with its checks (see ``_integrate``).
+by one adaptive step control, ``_integrate``: with the Runge-Kutta pair
+DOP853 for the long solves of ``transport_components`` (a sphere latitude
+holonomy), and with a Magnus 6(4) pair, exact for a constant generator, for
+the short pull-backs, whose 7 ladder lanes along one path take their first
+step, mostly their only one, as one stack; ``work_counts`` counts the work.
 
 Parallel transport of an affine connection is the special case
 ``H^i_{jk} = -Gamma^i_{jk}``; the S-tensor ``S = -H - Gamma`` measures the
@@ -21,7 +20,10 @@ the connection's parallel transport).
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
@@ -45,12 +47,14 @@ __all__ = [
     "approx_transport",
     "s_tensor",
     "coordinate_probes",
+    "work_counts",
 ]
 
 
 MIN_REL_TOL = 100 * math.ulp(1.0)  # 100 machine epsilons
 PROBE_EXTENT = 1e-3  # half-length of the coordinate_probes paths
 PROBE_STEP = 1e-5    # difference step of extract_first_coeff
+_COUNTS = contextvars.ContextVar("work_counts", default=())  # active Counters
 
 
 @dataclass(frozen=True)
@@ -90,50 +94,6 @@ def _rms(x: np.ndarray) -> float:  # as np.linalg.norm(x) / sqrt(x.size)
     return math.sqrt(np.dot(x, x)) / x.size ** 0.5
 
 
-@dataclass(frozen=True)
-class _Tableau:
-    """Explicit embedded Runge-Kutta pair.  Stage ``i`` is evaluated at
-    ``u + c[i] h`` and ``y + h sum_j a[i][j] k_j``; the step is
-    ``h sum_i b[i] k_i``.  ``error(k, h, scale)`` is the scaled norm of the
-    error estimate from the stage rows ``k``, whose last row is the
-    derivative at the new point; ``order`` is the order q of that estimate,
-    and the step control scales steps by ``error ** (-1 / (q + 1))``."""
-
-    c: np.ndarray
-    a: Tuple[np.ndarray, ...]
-    b: np.ndarray
-    error: Callable[[np.ndarray, float, np.ndarray], float]
-    order: int
-
-    def start(self, generator, u: float, t: float, y: np.ndarray, cfg: OdeConfig):
-        """(first step, y' at u, step function): y flat, 2 RHS calls."""
-        def fun(u, y):
-            m = generator(u)
-            return (m @ y.reshape(m.shape[0], -1)).reshape(-1)
-        direction, f = float(np.sign(t - u)), fun(u, y)
-        scale = cfg.abs_tol + np.abs(y) * cfg.rel_tol
-        d0, d1 = _rms(y / scale), _rms(f / scale)
-        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t - u))
-        d2 = _rms((fun(u + h0 * direction, y + h0 * direction * f) - f) / scale) / h0
-        h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
-              else (0.01 / max(d1, d2)) ** (1 / (self.order + 1)))
-        c, a, b, k = self.c.tolist(), self.a, self.b, np.empty((len(self.b) + 1, y.size))
-        k_t = [k[:i].T for i in range(len(b) + 1)]
-
-        def step(u, h, y, f):
-            k[0] = f
-            for i in range(1, len(b)):
-                k[i] = fun(u + c[i] * h, y + np.dot(k_t[i], a[i]) * h)
-            y_new = y + h * np.dot(k_t[-1], b)
-            k[-1] = f_new = fun(u + h, y_new)  # stage at u + h, not u_new
-            scale = cfg.abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rel_tol
-            return y_new, f_new, self.error(k, h, scale)
-        return min(100 * h0, h1, abs(t - u)), f, step
-
-
-# Dormand & Prince 8(5,3) pair DOP853 (Hairer, Norsett & Wanner, Solving
-# ODEs I, 2nd ed.), as SciPy's DOP853 without the extra stages of its dense
-# output; the coefficients are those of SciPy's dop853_coefficients.
 _DOP853_B = np.array([
     5.42937341165687622380535766363e-2, 0, 0, 0, 0,
     4.45031289275240888144113950566, 1.89151789931450038304281599044,
@@ -152,24 +112,21 @@ _DOP853_E3 = np.append(_DOP853_B, 0.0) - np.array([
     0.220588235294117647058823529412e-1, 0])
 
 
-def _dop853_error(k: np.ndarray, h: float, scale: np.ndarray) -> float:
-    """Scaled norm of DOP853's combined 5th/3rd-order error estimate; the
-    squared norms are taken as ``norm(x) ** 2``, as SciPy does."""
-    e5, e3 = np.dot(k.T, _DOP853_E5) / scale, np.dot(k.T, _DOP853_E3) / scale
-    n5, n3 = np.sqrt(np.dot(e5, e5)) ** 2, np.sqrt(np.dot(e3, e3)) ** 2
-    if n5 == 0 and n3 == 0:
-        return 0.0
-    return abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * scale.size)
+class _DOP853:
+    """Dormand & Prince 8(5,3) pair DOP853 (Hairer, Norsett & Wanner, Solving
+    ODEs I, 2nd ed.) with the coefficients of SciPy's dop853_coefficients and
+    without the extra stages of its dense output.  Stage ``i`` is evaluated at
+    ``u + c[i] h`` and ``y + h sum_j a[i][j] k_j``; the step is ``h sum_i b[i]
+    k_i``; the error is the combined 5th/3rd-order estimate, of order 7, with
+    squared norms taken as ``norm(x) ** 2``, as SciPy does."""
 
-
-_DOP853 = _Tableau(
-    c=np.array([
+    c = np.array([
         0.0, 0.526001519587677318785587544488e-01,
         0.789002279381515978178381316732e-01, 0.118350341907227396726757197510,
         0.281649658092772603273242802490, 0.333333333333333333333333333333,
         0.25, 0.307692307692307692307692307692, 0.651282051282051282051282051282,
-        0.6, 0.857142857142857142857142857142, 1.0]),
-    a=tuple(np.array(a) for a in (
+        0.6, 0.857142857142857142857142857142, 1.0])
+    a = tuple(np.array(a) for a in (
         [],
         [5.26001519587677318785587544488e-2],
         [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2],
@@ -198,77 +155,105 @@ _DOP853 = _Tableau(
          -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
          2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
          -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
-         6.43392746015763530355970484046e-1])),
-    b=_DOP853_B,
-    error=_dop853_error,
-    order=7)
+         6.43392746015763530355970484046e-1]))
+    b, order = _DOP853_B, 7
+
+    @classmethod
+    def start(cls, generator, u: float, ends, y: np.ndarray, cfg: OdeConfig):
+        """([first step], y' at u, step) for one end: 2 RHS calls, 12 a step."""
+        def fun(u, y):
+            m = generator(u)
+            return (m @ y.reshape(m.shape[0], -1)).reshape(-1)
+        [t] = ends
+        direction, f = float(np.sign(t - u)), fun(u, y)
+        _count(generator_evals=2)
+        scale = cfg.abs_tol + np.abs(y) * cfg.rel_tol
+        d0, d1 = _rms(y / scale), _rms(f / scale)
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t - u))
+        d2 = _rms((fun(u + h0 * direction, y + h0 * direction * f) - f) / scale) / h0
+        h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+              else (0.01 / max(d1, d2)) ** (1 / (cls.order + 1)))
+        c, a, b, k = cls.c.tolist(), cls.a, cls.b, np.empty((len(cls.b) + 1, y.size))
+        k_t = [k[:i].T for i in range(len(b) + 1)]
+
+        def step(u, h, y, f):
+            if _COUNTS.get():  # no keyword dict per step when nothing counts
+                _count(stacked_attempts=1, generator_evals=12)
+            k[0] = f
+            for i in range(1, len(b)):
+                k[i] = fun(u + c[i] * h, y + np.dot(k_t[i], a[i]) * h)
+            y_new = y + h * np.dot(k_t[-1], b)
+            k[-1] = f_new = fun(u + h, y_new)  # stage at u + h, not u_new
+            scale = cfg.abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rel_tol
+            e5, e3 = np.dot(k.T, _DOP853_E5) / scale, np.dot(k.T, _DOP853_E3) / scale
+            n5, n3 = np.sqrt(np.dot(e5, e5)) ** 2, np.sqrt(np.dot(e3, e3)) ** 2
+            error = (abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * scale.size)
+                     if n5 or n3 else 0.0)
+            return y_new, f_new, error
+        return [min(100 * h0, h1, abs(t - u))], f, step
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a): [6/6] Pade approximant of a / 2^s, Frobenius norm at most
-    theta_6 = 0.54, squared s times (Higham, SIAM J. Matrix Anal. 26, 2005)."""
-    norm = math.sqrt(np.vdot(a, a))
-    s = math.ceil(math.log2(norm / 0.54)) if norm > 0.54 else 0
-    a, eye = a / 2.0 ** s, np.eye(len(a))
+    """exp of a square matrix, or of each matrix of a stack: [6/6] Pade
+    approximant of a / 2^s, Frobenius norm at most theta_6 = 0.54, squared s
+    times (Higham, SIAM J. Matrix Anal. 26, 2005), with each matrix's own s."""
+    shape, a = a.shape, a.reshape(-1, *a.shape[-2:])
+    norms = [math.sqrt(np.vdot(x, x)) for x in a]
+    s = np.array([math.ceil(math.log2(n / 0.54)) if n > 0.54 else 0 for n in norms])
+    a, eye = a / (2.0 ** s)[:, None, None], np.eye(shape[-1])
     a2 = a @ a
     a4 = a2 @ a2
     odd = a @ (eye / 2 + a2 / 66 + a4 / 15840)
     even = eye + 5 / 44 * a2 + a4 / 792 + (a2 @ a4) / 665280
-    return np.linalg.matrix_power(np.linalg.solve(even - odd, even + odd), 2 ** s)
+    e = np.linalg.solve(even - odd, even + odd)
+    for i in range(s.max()):  # as matrix_power(e, 2^s): s squarings
+        e[s > i] = e[s > i] @ e[s > i]
+    return e.reshape(shape)
 
 
 class _Magnus:
     """Magnus 6(4) pair on Gauss nodes ``c`` (Blanes, Casas & Ros, BIT 40,
-    2000); the first step is the whole interval.  Omega4 shares Omega6's Gauss
-    rule for int A, so the error (Omega6 - Omega4) Y adds the rule's error
-    h b6 / 2800 of ``A = sum_k b_k ((u - mid) / h)^k``, b6 = b2 (b2 / b1)^4."""
+    2000) on stacks of lanes (u, h, y); the first step is the whole interval,
+    one stack for all lanes.  Omega4 shares Omega6's Gauss rule for int A, so
+    the error (Omega6 - Omega4) Y adds the rule's error h b6 / 2800 of
+    ``A = sum_k b_k ((u - mid) / h)^k``, b6 = b2 (b2 / b1)^4 (``decay``)."""
 
     c, order = (0.5 - 15 ** 0.5 / 10, 0.5, 0.5 + 15 ** 0.5 / 10), 4
 
     @classmethod
-    def start(cls, generator, u: float, t: float, y: np.ndarray, cfg: OdeConfig):
-        def step(u, h, y, _):
-            a1, a2, a3 = (h * generator(u + c * h) for c in cls.c)
+    def start(cls, generator, u: float, ends, y: np.ndarray, cfg: OdeConfig):
+        def stacked(attempts):  # [(u, h, y)] -> [(y_new, None, error)]
+            _count(stacked_attempts=1, generator_evals=3 * len(attempts))
+            a1, a2, a3 = np.array([[h * generator(u + c * h) for u, h, _ in attempts]
+                                   for c in cls.c])
             x1, x2, x3 = a2, 15 ** 0.5 / 3 * (a3 - a1), 10 / 3 * (a3 - 2 * a2 + a1)
             c1 = x1 @ x2 - x2 @ x1
             c2 = 2 * x3 + c1
             p, q = c1 - 20 * x1 - x3, x2 - (x1 @ c2 - c2 @ x1) / 60
-            n2, n3 = np.vdot(x2, x2), np.vdot(x3, x3)  # squared norms
-            decay = (n3 / max(n2, n3 / 1e6)) ** 2 if n3 else 0.0  # (b2 / b1)^4
+            norms = zip(map(np.vdot, x2, x2), map(np.vdot, x3, x3))  # squared, per lane
+            decay = np.array([(n / max(m, n / 1e6)) ** 2 if n else 0.0 for m, n in norms])
             high = (p @ q - q @ p) / 240
+            y = np.array([y for _, _, y in attempts])
             y_new = _expm(x1 + x3 / 12 + high) @ y
             scale = cfg.abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rel_tol
-            delta = high + c1 / 12 + decay / 2800 * x3
-            return y_new, None, _rms((delta @ y / scale).reshape(-1))
-        return abs(t - u), None, step
+            delta = high + c1 / 12 + (decay / 2800)[:, None, None] * x3
+            errors = (delta @ y / scale).reshape(len(y), -1)
+            return [(lane, None, _rms(e)) for lane, e in zip(y_new, errors)]
+        hs = [t - u for t in ends if t != u]
+        first = dict(zip(hs, stacked([(u, h, y) for h in hs]))) if hs else {}
+
+        def step(u_at, h, y_at, _):  # an attempt from u starts from y: keyed by h
+            return (first.get(h) if u_at == u else None) or stacked([(u_at, h, y_at)])[0]
+        return [abs(t - u) for t in ends], None, step
 
 
-def _integrate(law: TransportLaw, path: PathCurve,
-               generator: Callable[[float, np.ndarray], np.ndarray],
-               y0: np.ndarray, s: float, t: float, cfg: OdeConfig,
-               stepper) -> np.ndarray:
-    """y(t) for y' = A(u) y, ``A(u) = generator(u, M(u))``, ``M(u)^i_j =
-    H^i_{jk}(u; path) xdot^k(u)``, from y(s) = y0 in at most ``cfg.max_steps``
-    attempted steps of ``stepper`` (``_DOP853`` or ``_Magnus``), with the step
-    control of SciPy's ``solve_ivp`` (Hairer, Norsett & Wanner, Sec. II.4):
-    safety 0.9, step factors within [0.2, 10], exponent -1/(q + 1) for an
-    estimate of order q; with ``_DOP853`` it reproduces ``solve_ivp`` bit for
-    bit.  A new stage parameter makes one ``jets`` call, one ``ChartPoint`` and
-    one ``TransportLaw.coefficients`` call (checking the coordinates, tangent
-    and H in this order); M(u) is memoized on the path, read-only."""
-    generators = path.memo(law)  # M by u, shared by every solve along path
-
-    def matrix(u):
-        m = generators.get(u)
-        if m is None:
-            m = law.coefficients(u, path) @ path.tangent(u)
-            m.setflags(write=False)
-            memo_put(generators, u, m)
-        return generator(u, m)
-
-    u, t, y = float(s), float(t), checked_array(y0, y0.shape, "initial transport state")
-    direction, exponent, attempts = float(np.sign(t - u)), -1 / (stepper.order + 1), 0
-    h_abs, f, step = stepper.start(matrix, u, t, y, cfg)
+def _solve(u: float, t: float, h_abs: float, y: np.ndarray, f, cfg: OdeConfig,
+           order: int, step) -> Tuple[np.ndarray, int]:
+    """(y(t), attempted steps) of one lane in at most ``cfg.max_steps`` attempts
+    of ``step(u, h, y, y')``, with the step control of SciPy's ``solve_ivp``
+    (Hairer, Norsett & Wanner, Sec. II.4): safety 0.9, step factors within
+    [0.2, 10], exponent -1/(q + 1) for an estimate of order q."""
+    direction, exponent, attempts = float(np.sign(t - u)), -1 / (order + 1), 0
     while direction * (u - t) < 0:
         min_step = 10 * abs(math.nextafter(u, direction * math.inf) - u)
         h_abs, rejected = max(h_abs, min_step), False
@@ -291,7 +276,54 @@ def _integrate(law: TransportLaw, path: PathCurve,
         factor = 10 if error == 0 else min(10, 0.9 * error ** exponent)
         h_abs *= min(1, factor) if rejected else factor
         u, y, f = u_new, y_new, f_new
-    return y
+    return y, attempts
+
+
+def _integrate(law: TransportLaw, path: PathCurve,
+               generator: Callable[[float, np.ndarray], np.ndarray],
+               y0: np.ndarray, s: float, t, cfg: OdeConfig, stepper):
+    """y(t) for y' = A(u) y, ``A(u) = generator(u, M(u))``, ``M(u)^i_j =
+    H^i_{jk}(u; path) xdot^k(u)``, from y(s) = y0, or the list of y at each
+    entry of a sequence t: lanes, each solved by ``_solve`` with ``stepper``
+    (``_DOP853``: bit for bit ``solve_ivp``; ``_Magnus``).  A new stage
+    parameter makes one ``jets``, ``ChartPoint`` and checked coefficients
+    call (coordinates, tangent, H); M(u) is memoized on the path, read-only."""
+    generators = path.memo(law)  # M by u, shared along the path
+
+    def matrix(u):
+        m = generators.get(u)
+        if m is None:
+            m = law.coefficients(u, path) @ path.tangent(u)
+            m.setflags(write=False)
+            memo_put(generators, u, m)
+        return generator(u, m)
+
+    u, ends = float(s), np.atleast_1d(np.asarray(t, dtype=float)).tolist()
+    y = checked_array(y0, y0.shape, "initial transport state")
+    first, f, step = stepper.start(matrix, u, ends, y, cfg)
+    ys, attempts = zip(*(_solve(u, end, h, y, f, cfg, stepper.order, step)
+                         for end, h in zip(ends, first)))
+    _count(solves=len(ends), attempted_steps=sum(attempts),
+           continued_lanes=sum(n > 1 for n in attempts))
+    return list(ys) if np.ndim(t) else ys[0]
+
+
+def _count(**work) -> None:
+    """Adds ``work`` to every ``work_counts`` of this context."""
+    for counts in _COUNTS.get():
+        counts.update(work)
+
+
+@contextlib.contextmanager
+def work_counts():
+    """``Counter`` of this context's transport work inside the block: ``solves``
+    (lanes), ``generator_evals`` (A(u) values taken), ``stacked_attempts`` (step
+    computations), ``attempted_steps`` and ``continued_lanes`` (past one)."""
+    token = _COUNTS.set(_COUNTS.get() + (Counter(),))
+    try:
+        yield _COUNTS.get()[-1]
+    finally:
+        _COUNTS.reset(token)
 
 
 def transport_matrix(law: TransportLaw, path: PathCurve, s: float, t: float,
@@ -330,8 +362,14 @@ def pullback_integral(law: TransportLaw, path: PathCurve, s: float, t: float,
     ``Z = [[Phi^T], [h^T]]``: ``Z' = G(u) Z`` with ``G = [[-M^T, 0], [xdot^T,
     0]]``, built per Gauss node from M(u) and ``path.tangent(u)``, carries
     ``Phi(u) = L_{u->s}`` (``Phi' = -Phi M``) and h (``h' = Phi xdot``)."""
-    path.require(s)
-    path.require(t)
+    return _pullbacks(law, path, s, [t], cfg)[0]
+
+
+def _pullbacks(law: TransportLaw, path: PathCurve, s: float, ends: Sequence[float],
+               cfg: OdeConfig) -> list:
+    """``pullback_integral`` to each of ``ends``, bit for bit, in one solve."""
+    for t in (s, *ends):
+        path.require(t)
     d = path.map(s).dimension
 
     def generator(u, m):
@@ -339,9 +377,8 @@ def pullback_integral(law: TransportLaw, path: PathCurve, s: float, t: float,
         g[:d, :d], g[d, :d] = -m.T, path.tangent(u)
         return g
 
-    z = np.eye(d + 1, d)
-    z = z if t == s else _integrate(law, path, generator, z, s, t, cfg, _Magnus)
-    return z[:d].T, z[d]
+    zs = _integrate(law, path, generator, np.eye(d + 1, d), s, ends, cfg, _Magnus)
+    return [(z[:d].T, z[d]) for z in zs]
 
 
 def law_from_connection(conn: ConnectionField) -> TransportLaw:

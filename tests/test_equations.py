@@ -16,7 +16,7 @@ from geodev.geometry import (ConnectionField, MetricField, bilinear,
 from geodev.kinematics import Scenario, WorldSurface
 from geodev.scenarios import (EQUATION_SCENARIOS, LINEAR_DRIFT_MASSES,
                               ScenarioSpec, build)
-from geodev.transport import DEFAULT_ODE_CONFIG
+from geodev.transport import DEFAULT_ODE_CONFIG, work_counts
 
 S0 = 0.15
 
@@ -273,36 +273,32 @@ def test_shared_workspace_study_matches_fresh_workspace_residuals(family):
             assert [smp.residual_norm for smp in rep.samples] == fresh
 
 
-def test_shared_workspace_study_saves_transport_solves(monkeypatch):
+def test_shared_workspace_study_saves_transport_solves():
     # one back-transport solve per distinct s serves every relative quantity
     # and the deviation vector: the 13 equations that never difference h
     # read s and s +- H_S (3 solves per eps), all 16 add the deviation
     # stencils s +- H_DEV_FIRST, s +- H_DEV_SECOND, s +- 2 H_DEV_SECOND
-    # (9 per eps); the shared study gives bit-identical residuals
+    # (9 per eps); each s stacks its solves for the whole ladder into one
+    # Magnus attempt, and the shared study gives bit-identical residuals
     sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
     deviation = (EquationId.E2_13, EquationId.E4_1, EquationId.E6_3)
     relative = [eq for eq in EquationId if eq not in deviation]
     assert len(relative) == 13
-    solves = [0]
-    original = geodev.transport._integrate
-
-    def counted(*args, **kwargs):
-        solves[0] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(geodev.transport, "_integrate", counted)
-    per_equation = []
-    for eq in relative:
-        per_equation.extend(convergence_study([eq], sc, S0, DEFAULT_LADDER))
-    assert solves[0] > 21
-    solves[0] = 0
-    shared = convergence_study(relative, sc, S0, DEFAULT_LADDER)
-    assert solves[0] == 3 * len(DEFAULT_LADDER) == 21
+    with work_counts() as counts:
+        per_equation = []
+        for eq in relative:
+            per_equation.extend(convergence_study([eq], sc, S0, DEFAULT_LADDER))
+    assert counts["solves"] > 21
+    with work_counts() as counts:
+        shared = convergence_study(relative, sc, S0, DEFAULT_LADDER)
+    assert counts["solves"] == 3 * len(DEFAULT_LADDER) == 21
+    assert counts["stacked_attempts"] == 3
     assert ([smp.residual_norm for rep in shared for smp in rep.samples]
             == [smp.residual_norm for rep in per_equation for smp in rep.samples])
-    solves[0] = 0
-    convergence_study(list(EquationId), sc, S0, DEFAULT_LADDER)
-    assert solves[0] == 9 * len(DEFAULT_LADDER) == 63
+    with work_counts() as counts:
+        convergence_study(list(EquationId), sc, S0, DEFAULT_LADDER)
+    assert counts["solves"] == 9 * len(DEFAULT_LADDER) == 63
+    assert counts["stacked_attempts"] == 9
 
 
 def test_study_evaluates_each_generator_once_per_rhs_parameter(monkeypatch):
@@ -312,40 +308,29 @@ def test_study_evaluates_each_generator_once_per_rhs_parameter(monkeypatch):
     # Magnus solves (7 ladder endpoints per s) takes one step of 3 Gauss
     # nodes, and no two solves share a node
     sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
-    integrate, coefficients = (geodev.transport._integrate,
-                               geodev.transport.TransportLaw.coefficients)
+    coefficients = geodev.transport.TransportLaw.coefficients
     connecting_path = geodev.equations.connecting_path
-    s_of, gen_params, coeff_params, inside, solves = {}, [], [], [False], [0]
+    s_of, coeff_params = {}, []
 
     def recording_path(scenario, s):
         path = connecting_path(scenario, s)
         s_of[id(path)] = s
         return path
 
-    def recording(law, path, generator, *args):
-        def recorded(u, m):
-            gen_params.append((s_of[id(path)], u))
-            return generator(u, m)
-        inside[0], solves[0] = True, solves[0] + 1
-        try:
-            return integrate(law, path, recorded, *args)
-        finally:
-            inside[0] = False
-
     def counted_coefficients(law, u, path):
-        if inside[0]:  # S reads the coefficients too, outside any solve
+        if u != sc.surface.r_base:  # S reads the coefficients at r' alone
             coeff_params.append((s_of[id(path)], u))
         return coefficients(law, u, path)
 
     monkeypatch.setattr(geodev.equations, "connecting_path", recording_path)
-    monkeypatch.setattr(geodev.transport, "_integrate", recording)
     monkeypatch.setattr(geodev.transport.TransportLaw, "coefficients",
                         counted_coefficients)
-    convergence_study(list(EquationId), sc, S0, DEFAULT_LADDER)
+    with work_counts() as counts:
+        convergence_study(list(EquationId), sc, S0, DEFAULT_LADDER)
     assert len(s_of) == 9  # s_eval and the eight stencil offsets
-    assert (solves[0], len(gen_params)) == (63, 189)
-    assert sorted(coeff_params) == sorted(set(gen_params))
-    assert len(coeff_params) == 189
+    assert (counts["solves"], counts["generator_evals"]) == (63, 189)
+    assert (counts["attempted_steps"], counts["continued_lanes"]) == (63, 0)
+    assert len(coeff_params) == len(set(coeff_params)) == 189
 
 
 def test_study_evaluates_base_geometry_once_per_s(monkeypatch):

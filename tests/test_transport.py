@@ -394,6 +394,17 @@ def test_expm_matches_scipy():
         assert np.abs(got - ref).sum(axis=0).max() <= 1e-13 * np.abs(ref).sum(axis=0).max()
 
 
+def test_stacked_expm_equals_each_matrix_alone():
+    # one stack of 5 x 5 blocks at Frobenius norms 1e-3 to 30, interleaved,
+    # so its lanes take 0 to 7 squarings: each lane equals its 2-D exp
+    blocks = [gen for kind, gen in expm_generators() if kind == "block"]
+    stack = np.array(blocks[::2] + blocks[1::2])
+    squarings = {max(0, math.ceil(math.log2(np.linalg.norm(a) / 0.54))) for a in stack}
+    assert len(squarings) > 5
+    for lane, gen in zip(transport._expm(stack), stack):
+        assert np.array_equal(lane, transport._expm(gen))
+
+
 def tight_pullback(law: TransportLaw, path: PathCurve, s: float, t: float):
     """``pullback_integral`` by ``solve_ivp``'s DOP853 at ``rtol`` 3e-14, on
     the flattened ``(Phi, h)`` of dPhi/du = -Phi M, dh/du = Phi xdot."""
@@ -445,6 +456,68 @@ def test_magnus_pullback_matches_tight_dop853(case, monkeypatch):
         assert attempts > 10 and rejected > 0
     for got, ref in zip(ours, tight_pullback(law, path, s, t)):
         assert np.all(np.abs(got - ref) <= 10 * cfg.rel_tol * np.maximum(1.0, np.abs(ref)))
+
+
+def ladder_lanes():
+    """(label, law, path, s, ends, cfg): each family's connecting path from
+    r_base to the end of every separation of ``DEFAULT_LADDER``, and lanes
+    across the bump of ``bump_law``, where steps are rejected."""
+    for name in family_names():
+        sc = build(ScenarioSpec(name))
+        r1 = sc.surface.r_base
+        yield (name, sc.law, connecting_path(sc, sc.s_eval), r1,
+               [r1 + eps for eps in DEFAULT_LADDER], DEFAULT_ODE_CONFIG)
+    yield ("bump", bump_law(), X_AXIS, 0.9, [0.9 - 8.8 * eps for eps in DEFAULT_LADDER],
+           REJECTING)
+
+
+@pytest.mark.parametrize("case", list(ladder_lanes()), ids=lambda case: case[0])
+def test_stacked_pullbacks_equal_one_lane_solves(case):
+    # the lanes of one stacked solve equal the per-endpoint solves bit for
+    # bit; exp-transport's and the bump's lanes take further steps after
+    # their stacked first attempt
+    label, law, path, s, ends, cfg = case
+    with transport.work_counts() as counts:
+        stacked = transport._pullbacks(law, path, s, ends, cfg)
+    assert counts["solves"] == len(ends)
+    assert (counts["continued_lanes"] > 0) == (label in ("exp-transport", "bump"))
+    for t, lane in zip(ends, stacked):
+        alone = pullback_integral(law, path, s, t, cfg)
+        assert all(map(np.array_equal, lane, alone))
+
+
+def test_work_counts_are_context_local():
+    # a block counts the solves of its own context inside it, nested blocks
+    # each count all of theirs, and a thread's solves run in another context
+    sc = build(ScenarioSpec("offset-transport"))
+    path, r1 = connecting_path(sc, sc.s_eval), sc.surface.r_base
+    with transport.work_counts() as outer:
+        pullback_integral(sc.law, path, r1, r1 + 0.1)
+        with transport.work_counts() as inner:
+            pullback_integral(sc.law, path, r1, r1 + 0.05)
+            thread = threading.Thread(target=pullback_integral,
+                                      args=(sc.law, path, r1, r1 + 0.02))
+            thread.start()
+            thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert dict(inner) == {"solves": 1, "generator_evals": 3, "stacked_attempts": 1,
+                           "attempted_steps": 1, "continued_lanes": 0}
+    assert outer == inner + inner
+
+
+def test_generator_evals_count_the_generator_calls(monkeypatch):
+    # generator_evals, counted per step computation, equals the generator
+    # calls of a DOP853 holonomy and of Magnus lanes that reject steps
+    calls = record_rhs_calls(monkeypatch)
+    sphere_law = build(ScenarioSpec("sphere")).law
+    for solve in (lambda: transport_matrix(sphere_law, _latitude_path(math.pi / 4),
+                                           0.0, 2.0 * math.pi),
+                  lambda: transport._pullbacks(bump_law(), X_AXIS, 0.9, [0.02, 0.5, 0.85],
+                                               REJECTING)):
+        calls.clear()
+        with transport.work_counts() as counts:
+            solve()
+        assert counts["generator_evals"] == len(calls) > 100
 
 
 def test_magnus_step_budget_counts_attempted_steps(monkeypatch):
