@@ -14,8 +14,9 @@ once around the latitude circle at pi/4 (the solve of ``geodev inspect
 The transport work is read from the package's own counters
 (``transport.work_counts``): ``solves`` (one per lane: a convergence study
 solves the pull-backs of its whole ladder along one connecting path as the
-lanes of one solve), ``stacked_attempts`` (step computations: one stack of
-the first attempts of all lanes of a solve, then one per further attempt),
+lanes of one solve), ``stacked_attempts`` (Magnus step computations: one
+stack of the first attempts of all lanes of a solve, then one per further
+attempt; a DOP853 step is not stacked and not counted here),
 ``attempted_steps`` (summed over the lanes), ``generator_evals`` (the
 generator values the steppers take: 3 per lane of a Magnus attempt; 2 to
 start and 12 per attempted DOP853 step) and ``continued_lanes`` (lanes that

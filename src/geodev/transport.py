@@ -54,7 +54,7 @@ __all__ = [
 MIN_REL_TOL = 100 * math.ulp(1.0)  # 100 machine epsilons
 PROBE_EXTENT = 1e-3  # half-length of the coordinate_probes paths
 PROBE_STEP = 1e-5    # difference step of extract_first_coeff
-_COUNTS = contextvars.ContextVar("work_counts", default=())  # active Counters
+_COUNTS = contextvars.ContextVar("work_counts", default=None)  # active Counter
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,51 @@ def _rms(x: np.ndarray) -> float:  # as np.linalg.norm(x) / sqrt(x.size)
     return math.sqrt(np.dot(x, x)) / x.size ** 0.5
 
 
+@dataclass(frozen=True)
+class _Tableau:
+    """Explicit embedded Runge-Kutta pair.  Stage ``i`` is evaluated at
+    ``u + c[i] h`` and ``y + h sum_j a[i][j] k_j``; the step is
+    ``h sum_i b[i] k_i``.  ``error(k, h, scale)`` is the scaled norm of the
+    error estimate from the stage rows ``k``, whose last row is the
+    derivative at the new point; ``order`` is the order q of that estimate,
+    and the step control scales steps by ``error ** (-1 / (q + 1))``."""
+
+    c: np.ndarray
+    a: Tuple[np.ndarray, ...]
+    b: np.ndarray
+    error: Callable[[np.ndarray, float, np.ndarray], float]
+    order: int
+
+    def start(self, generator, u: float, ends, y: np.ndarray, cfg: OdeConfig):
+        """([first step], y' at u, step function) for one end: 2 RHS calls."""
+        def fun(u, y):
+            m = generator(u)
+            return (m @ y.reshape(m.shape[0], -1)).reshape(-1)
+        [t] = ends
+        direction, f = float(np.sign(t - u)), fun(u, y)
+        scale = cfg.abs_tol + np.abs(y) * cfg.rel_tol
+        d0, d1 = _rms(y / scale), _rms(f / scale)
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t - u))
+        d2 = _rms((fun(u + h0 * direction, y + h0 * direction * f) - f) / scale) / h0
+        h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+              else (0.01 / max(d1, d2)) ** (1 / (self.order + 1)))
+        c, a, b, k = self.c.tolist(), self.a, self.b, np.empty((len(self.b) + 1, y.size))
+        k_t = [k[:i].T for i in range(len(b) + 1)]
+
+        def step(u, h, y, f):
+            k[0] = f
+            for i in range(1, len(b)):
+                k[i] = fun(u + c[i] * h, y + np.dot(k_t[i], a[i]) * h)
+            y_new = y + h * np.dot(k_t[-1], b)
+            k[-1] = f_new = fun(u + h, y_new)  # stage at u + h, not u_new
+            scale = cfg.abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rel_tol
+            return y_new, f_new, self.error(k, h, scale)
+        return [min(100 * h0, h1, abs(t - u))], f, step
+
+
+# Dormand & Prince 8(5,3) pair DOP853 (Hairer, Norsett & Wanner, Solving
+# ODEs I, 2nd ed.), as SciPy's DOP853 without the extra stages of its dense
+# output; the coefficients are those of SciPy's dop853_coefficients.
 _DOP853_B = np.array([
     5.42937341165687622380535766363e-2, 0, 0, 0, 0,
     4.45031289275240888144113950566, 1.89151789931450038304281599044,
@@ -112,21 +157,24 @@ _DOP853_E3 = np.append(_DOP853_B, 0.0) - np.array([
     0.220588235294117647058823529412e-1, 0])
 
 
-class _DOP853:
-    """Dormand & Prince 8(5,3) pair DOP853 (Hairer, Norsett & Wanner, Solving
-    ODEs I, 2nd ed.) with the coefficients of SciPy's dop853_coefficients and
-    without the extra stages of its dense output.  Stage ``i`` is evaluated at
-    ``u + c[i] h`` and ``y + h sum_j a[i][j] k_j``; the step is ``h sum_i b[i]
-    k_i``; the error is the combined 5th/3rd-order estimate, of order 7, with
-    squared norms taken as ``norm(x) ** 2``, as SciPy does."""
+def _dop853_error(k: np.ndarray, h: float, scale: np.ndarray) -> float:
+    """Scaled norm of DOP853's combined 5th/3rd-order error estimate; the
+    squared norms are taken as ``norm(x) ** 2``, as SciPy does."""
+    e5, e3 = np.dot(k.T, _DOP853_E5) / scale, np.dot(k.T, _DOP853_E3) / scale
+    n5, n3 = np.sqrt(np.dot(e5, e5)) ** 2, np.sqrt(np.dot(e3, e3)) ** 2
+    if n5 == 0 and n3 == 0:
+        return 0.0
+    return abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * scale.size)
 
-    c = np.array([
+
+_DOP853 = _Tableau(
+    c=np.array([
         0.0, 0.526001519587677318785587544488e-01,
         0.789002279381515978178381316732e-01, 0.118350341907227396726757197510,
         0.281649658092772603273242802490, 0.333333333333333333333333333333,
         0.25, 0.307692307692307692307692307692, 0.651282051282051282051282051282,
-        0.6, 0.857142857142857142857142857142, 1.0])
-    a = tuple(np.array(a) for a in (
+        0.6, 0.857142857142857142857142857142, 1.0]),
+    a=tuple(np.array(a) for a in (
         [],
         [5.26001519587677318785587544488e-2],
         [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2],
@@ -155,42 +203,10 @@ class _DOP853:
          -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
          2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
          -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
-         6.43392746015763530355970484046e-1]))
-    b, order = _DOP853_B, 7
-
-    @classmethod
-    def start(cls, generator, u: float, ends, y: np.ndarray, cfg: OdeConfig):
-        """([first step], y' at u, step) for one end: 2 RHS calls, 12 a step."""
-        def fun(u, y):
-            m = generator(u)
-            return (m @ y.reshape(m.shape[0], -1)).reshape(-1)
-        [t] = ends
-        direction, f = float(np.sign(t - u)), fun(u, y)
-        _count(generator_evals=2)
-        scale = cfg.abs_tol + np.abs(y) * cfg.rel_tol
-        d0, d1 = _rms(y / scale), _rms(f / scale)
-        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t - u))
-        d2 = _rms((fun(u + h0 * direction, y + h0 * direction * f) - f) / scale) / h0
-        h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
-              else (0.01 / max(d1, d2)) ** (1 / (cls.order + 1)))
-        c, a, b, k = cls.c.tolist(), cls.a, cls.b, np.empty((len(cls.b) + 1, y.size))
-        k_t = [k[:i].T for i in range(len(b) + 1)]
-
-        def step(u, h, y, f):
-            if _COUNTS.get():  # no keyword dict per step when nothing counts
-                _count(stacked_attempts=1, generator_evals=12)
-            k[0] = f
-            for i in range(1, len(b)):
-                k[i] = fun(u + c[i] * h, y + np.dot(k_t[i], a[i]) * h)
-            y_new = y + h * np.dot(k_t[-1], b)
-            k[-1] = f_new = fun(u + h, y_new)  # stage at u + h, not u_new
-            scale = cfg.abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rel_tol
-            e5, e3 = np.dot(k.T, _DOP853_E5) / scale, np.dot(k.T, _DOP853_E3) / scale
-            n5, n3 = np.sqrt(np.dot(e5, e5)) ** 2, np.sqrt(np.dot(e3, e3)) ** 2
-            error = (abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * scale.size)
-                     if n5 or n3 else 0.0)
-            return y_new, f_new, error
-        return [min(100 * h0, h1, abs(t - u))], f, step
+         6.43392746015763530355970484046e-1])),
+    b=_DOP853_B,
+    error=_dop853_error,
+    order=7)
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -223,7 +239,8 @@ class _Magnus:
     @classmethod
     def start(cls, generator, u: float, ends, y: np.ndarray, cfg: OdeConfig):
         def stacked(attempts):  # [(u, h, y)] -> [(y_new, None, error)]
-            _count(stacked_attempts=1, generator_evals=3 * len(attempts))
+            if (counts := _COUNTS.get()) is not None:
+                counts["stacked_attempts"] += 1
             a1, a2, a3 = np.array([[h * generator(u + c * h) for u, h, _ in attempts]
                                    for c in cls.c])
             x1, x2, x3 = a2, 15 ** 0.5 / 3 * (a3 - a1), 10 / 3 * (a3 - 2 * a2 + a1)
@@ -281,14 +298,14 @@ def _solve(u: float, t: float, h_abs: float, y: np.ndarray, f, cfg: OdeConfig,
 
 def _integrate(law: TransportLaw, path: PathCurve,
                generator: Callable[[float, np.ndarray], np.ndarray],
-               y0: np.ndarray, s: float, t, cfg: OdeConfig, stepper):
-    """y(t) for y' = A(u) y, ``A(u) = generator(u, M(u))``, ``M(u)^i_j =
-    H^i_{jk}(u; path) xdot^k(u)``, from y(s) = y0, or the list of y at each
-    entry of a sequence t: lanes, each solved by ``_solve`` with ``stepper``
-    (``_DOP853``: bit for bit ``solve_ivp``; ``_Magnus``).  A new stage
-    parameter makes one ``jets``, ``ChartPoint`` and checked coefficients
-    call (coordinates, tangent, H); M(u) is memoized on the path, read-only."""
-    generators = path.memo(law)  # M by u, shared along the path
+               y0: np.ndarray, s: float, ends: Sequence[float], cfg: OdeConfig,
+               stepper) -> list:
+    """[y(t) for t in ends] for y' = A(u) y, ``A(u) = generator(u, M(u))``,
+    ``M(u)^i_j = H^i_{jk}(u; path) xdot^k(u)``, y(s) = y0: one ``_solve`` lane
+    per end (``_DOP853``, one lane: ``solve_ivp`` bit for bit; ``_Magnus``).
+    A new stage parameter makes one ``jets``, ``ChartPoint`` and checked H call
+    (coordinates, tangent, H); M(u) is memoized on the path, read-only."""
+    generators, counts = path.memo(law), _COUNTS.get()  # M by u, along the path
 
     def matrix(u):
         m = generators.get(u)
@@ -296,32 +313,29 @@ def _integrate(law: TransportLaw, path: PathCurve,
             m = law.coefficients(u, path) @ path.tangent(u)
             m.setflags(write=False)
             memo_put(generators, u, m)
+        if counts is not None:
+            counts["generator_evals"] += 1
         return generator(u, m)
 
-    u, ends = float(s), np.atleast_1d(np.asarray(t, dtype=float)).tolist()
+    u, ends = float(s), [float(t) for t in ends]
     y = checked_array(y0, y0.shape, "initial transport state")
     first, f, step = stepper.start(matrix, u, ends, y, cfg)
     ys, attempts = zip(*(_solve(u, end, h, y, f, cfg, stepper.order, step)
                          for end, h in zip(ends, first)))
-    _count(solves=len(ends), attempted_steps=sum(attempts),
-           continued_lanes=sum(n > 1 for n in attempts))
-    return list(ys) if np.ndim(t) else ys[0]
-
-
-def _count(**work) -> None:
-    """Adds ``work`` to every ``work_counts`` of this context."""
-    for counts in _COUNTS.get():
-        counts.update(work)
+    if counts is not None:
+        counts.update(solves=len(ends), attempted_steps=sum(attempts),
+                      continued_lanes=sum(n > 1 for n in attempts))
+    return list(ys)
 
 
 @contextlib.contextmanager
 def work_counts():
-    """``Counter`` of this context's transport work inside the block: ``solves``
-    (lanes), ``generator_evals`` (A(u) values taken), ``stacked_attempts`` (step
-    computations), ``attempted_steps`` and ``continued_lanes`` (past one)."""
-    token = _COUNTS.set(_COUNTS.get() + (Counter(),))
+    """``Counter`` of this context's transport work in the block (an inner
+    block counts alone): ``solves`` (lanes), ``generator_evals``, Magnus
+    ``stacked_attempts``, ``attempted_steps`` and ``continued_lanes``."""
+    token = _COUNTS.set(Counter())
     try:
-        yield _COUNTS.get()[-1]
+        yield _COUNTS.get()
     finally:
         _COUNTS.reset(token)
 
@@ -350,8 +364,8 @@ def transport_components(law: TransportLaw, path: PathCurve, s: float, t: float,
     y0 = np.asarray(components, dtype=float)
     if t == s:
         return y0.copy()
-    return _integrate(law, path, lambda u, m: m, y0.reshape(-1), s, t, cfg,
-                      _DOP853).reshape(y0.shape)
+    return _integrate(law, path, lambda u, m: m, y0.reshape(-1), s, [t], cfg,
+                      _DOP853)[0].reshape(y0.shape)
 
 
 def pullback_integral(law: TransportLaw, path: PathCurve, s: float, t: float,

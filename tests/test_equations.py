@@ -308,29 +308,42 @@ def test_study_evaluates_each_generator_once_per_rhs_parameter(monkeypatch):
     # Magnus solves (7 ladder endpoints per s) takes one step of 3 Gauss
     # nodes, and no two solves share a node
     sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
-    coefficients = geodev.transport.TransportLaw.coefficients
+    integrate, coefficients = (geodev.transport._integrate,
+                               geodev.transport.TransportLaw.coefficients)
     connecting_path = geodev.equations.connecting_path
-    s_of, coeff_params = {}, []
+    s_of, gen_params, coeff_params, inside = {}, [], [], [False]
 
     def recording_path(scenario, s):
         path = connecting_path(scenario, s)
         s_of[id(path)] = s
         return path
 
+    def recording(law, path, generator, *args):
+        def recorded(u, m):
+            gen_params.append((s_of[id(path)], u))
+            return generator(u, m)
+        inside[0] = True
+        try:
+            return integrate(law, path, recorded, *args)
+        finally:
+            inside[0] = False
+
     def counted_coefficients(law, u, path):
-        if u != sc.surface.r_base:  # S reads the coefficients at r' alone
+        if inside[0]:  # S reads the coefficients too, outside any solve
             coeff_params.append((s_of[id(path)], u))
         return coefficients(law, u, path)
 
     monkeypatch.setattr(geodev.equations, "connecting_path", recording_path)
+    monkeypatch.setattr(geodev.transport, "_integrate", recording)
     monkeypatch.setattr(geodev.transport.TransportLaw, "coefficients",
                         counted_coefficients)
     with work_counts() as counts:
         convergence_study(list(EquationId), sc, S0, DEFAULT_LADDER)
     assert len(s_of) == 9  # s_eval and the eight stencil offsets
-    assert (counts["solves"], counts["generator_evals"]) == (63, 189)
+    assert (counts["solves"], counts["generator_evals"], len(gen_params)) == (63, 189, 189)
     assert (counts["attempted_steps"], counts["continued_lanes"]) == (63, 0)
-    assert len(coeff_params) == len(set(coeff_params)) == 189
+    assert sorted(coeff_params) == sorted(set(gen_params))
+    assert len(coeff_params) == 189
 
 
 def test_study_evaluates_base_geometry_once_per_s(monkeypatch):

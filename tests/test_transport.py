@@ -273,13 +273,16 @@ def test_one_generator_per_rhs_parameter(monkeypatch):
 
 def test_holonomy_rhs_calls(monkeypatch):
     # the sphere's latitude holonomy with DOP853 at the default tolerances;
-    # these counts pin the pair's gain, as RK 5(4) needs 1,196 / 854 / 212
+    # these counts pin the pair's gain, as RK 5(4) needs 1,196 / 854 / 212;
+    # work_counts' generator_evals counts the same calls
     calls = record_rhs_calls(monkeypatch)
     law = build(ScenarioSpec("sphere")).law
     counts = []
     for theta0 in (0.15, math.pi / 4, 1.4):
         calls.clear()
-        transport_matrix(law, _latitude_path(theta0), 0.0, 2.0 * math.pi)
+        with transport.work_counts() as work:
+            transport_matrix(law, _latitude_path(theta0), 0.0, 2.0 * math.pi)
+        assert work["generator_evals"] == len(calls)
         counts.append(len(calls))
     assert counts == [266, 194, 74]
 
@@ -303,7 +306,8 @@ def scipy_integrate(params: list, accepted: list, methods: list):
     """Stand-in for ``transport._integrate`` that solves the same ODE with
     ``solve_ivp`` and the method of the given tableau, recording each RHS
     parameter, the accepted steps and the method."""
-    def integrate(law, path, generator, y0, s, t, cfg, tableau):
+    def integrate(law, path, generator, y0, s, ends, cfg, tableau):
+        [t] = ends
         def fun(u, y):
             params.append(u)
             coeff = law.coefficients(u, path)
@@ -315,7 +319,7 @@ def scipy_integrate(params: list, accepted: list, methods: list):
         assert sol.success, sol.message
         accepted.append(len(sol.t) - 1)
         methods.append(method)
-        return sol.y[:, -1]
+        return [sol.y[:, -1]]
     return integrate
 
 
@@ -487,48 +491,34 @@ def test_stacked_pullbacks_equal_one_lane_solves(case):
 
 
 def test_work_counts_are_context_local():
-    # a block counts the solves of its own context inside it, nested blocks
-    # each count all of theirs, and a thread's solves run in another context
+    # a block counts the solves of its own context inside it, and a
+    # thread's solves run in another context
     sc = build(ScenarioSpec("offset-transport"))
     path, r1 = connecting_path(sc, sc.s_eval), sc.surface.r_base
-    with transport.work_counts() as outer:
-        pullback_integral(sc.law, path, r1, r1 + 0.1)
-        with transport.work_counts() as inner:
-            pullback_integral(sc.law, path, r1, r1 + 0.05)
-            thread = threading.Thread(target=pullback_integral,
-                                      args=(sc.law, path, r1, r1 + 0.02))
-            thread.start()
-            thread.join(timeout=60)
+    pullback_integral(sc.law, path, r1, r1 + 0.1)
+    with transport.work_counts() as counts:
+        pullback_integral(sc.law, path, r1, r1 + 0.05)
+        thread = threading.Thread(target=pullback_integral,
+                                  args=(sc.law, path, r1, r1 + 0.02))
+        thread.start()
+        thread.join(timeout=60)
     assert not thread.is_alive()
-    assert dict(inner) == {"solves": 1, "generator_evals": 3, "stacked_attempts": 1,
-                           "attempted_steps": 1, "continued_lanes": 0}
-    assert outer == inner + inner
-
-
-def test_generator_evals_count_the_generator_calls(monkeypatch):
-    # generator_evals, counted per step computation, equals the generator
-    # calls of a DOP853 holonomy and of Magnus lanes that reject steps
-    calls = record_rhs_calls(monkeypatch)
-    sphere_law = build(ScenarioSpec("sphere")).law
-    for solve in (lambda: transport_matrix(sphere_law, _latitude_path(math.pi / 4),
-                                           0.0, 2.0 * math.pi),
-                  lambda: transport._pullbacks(bump_law(), X_AXIS, 0.9, [0.02, 0.5, 0.85],
-                                               REJECTING)):
-        calls.clear()
-        with transport.work_counts() as counts:
-            solve()
-        assert counts["generator_evals"] == len(calls) > 100
+    assert dict(counts) == {"solves": 1, "generator_evals": 3, "stacked_attempts": 1,
+                            "attempted_steps": 1, "continued_lanes": 0}
 
 
 def test_magnus_step_budget_counts_attempted_steps(monkeypatch):
     # 3 generator values per attempted Magnus step and none to pick the
     # first; this solve rejects steps (test_magnus_pullback_matches_tight_
-    # dop853), and they count too
+    # dop853), and they count too, in the budget and in work_counts
     calls = record_rhs_calls(monkeypatch)
     law = bump_law()
-    free = pullback_integral(law, X_AXIS, 0.9, 0.02, REJECTING)
+    with transport.work_counts() as work:
+        free = pullback_integral(law, X_AXIS, 0.9, 0.02, REJECTING)
     attempts, rest = divmod(len(calls), 3)
     assert rest == 0 and attempts > 10
+    assert work == {"solves": 1, "generator_evals": len(calls), "continued_lanes": 1,
+                    "stacked_attempts": attempts, "attempted_steps": attempts}
     exact = replace(REJECTING, max_steps=attempts)
     got = pullback_integral(law, X_AXIS, 0.9, 0.02, exact)
     assert all(map(np.array_equal, got, free))
