@@ -18,21 +18,23 @@ lanes of one solve), ``stacked_attempts`` (Magnus step computations: one
 stack of the first attempts of all lanes of a solve, then one per further
 attempt; a DOP853 step is not stacked and not counted here),
 ``attempted_steps`` (summed over the lanes), ``generator_evals`` (the
-generator values the steppers take: 3 per lane of a Magnus attempt; 2 to
-start and 12 per attempted DOP853 step) and ``continued_lanes`` (lanes that
-their first attempt did not finish and that go on stepping).
+generator values the steppers take: 3 per lane of a Magnus attempt, all read
+in one stacked call; 2 to start and 12 per attempted DOP853 step) and
+``continued_lanes`` (lanes that their first attempt did not finish and that
+go on stepping).  The same counters give the surface work: ``jets_calls``,
+the calls of the surface family's point ``jets`` by the order they ask for,
+and ``surface_stacks`` and ``surface_stack_points``, its stacked calls (one
+per Magnus attempt on a connecting path) and the points they evaluate.
 
-It also counts, per run, the calls of each surface family's ``jets`` by the
-order they ask for (``jets_calls``; ``"all"`` where ``jets(s, r)`` takes no
-order and returns every partial) and how often the study's workspace computes
-each quantity of (s, r') alone, such as Gamma, R or S (``base_evals``, one
-entry per workspace memo key of ``BASE_KEYS``).  Both are counted by wrapping
-``scenarios._surface`` and ``equations._Workspace._get`` here, as are three
-work counts that trace a cheaper RHS to less work and not to fewer checks:
-``path_reads`` (calls of ``PathCurve.map`` and ``PathCurve.tangent``),
+It also counts how often the study's workspace computes each quantity of
+(s, r') alone, such as Gamma, R or S (``base_evals``, one entry per
+workspace memo key of ``BASE_KEYS``), by wrapping ``equations._Workspace._get``
+here, as are four work counts that trace a cheaper RHS to less work and not
+to fewer checks: ``path_reads`` (calls of ``PathCurve.map`` and
+``PathCurve.tangent``), ``path_stacks`` (calls of ``PathCurve.points``),
 ``points_built`` (``ChartPoint`` constructions) and ``checks`` (calls of
-``geometry.checked_array``, the package's one shape-and-finiteness check,
-wherever a module has bound it).  The counts do not depend on the machine.
+``geometry.checked_array`` and of its stacked form ``_checked_stack``,
+wherever a module has bound them).  The counts do not depend on the machine.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ sys.path.insert(0, str(ROOT / "src"))
 import geodev.equations as equations  # noqa: E402
 import geodev.geometry as geometry  # noqa: E402
 import geodev.kinematics as kinematics  # noqa: E402
-import geodev.scenarios as scenarios  # noqa: E402
 import geodev.transport as transport  # noqa: E402
 from geodev.cli import _latitude_path  # noqa: E402
 from geodev.equations import (DEFAULT_LADDER, EquationId,  # noqa: E402
@@ -68,25 +69,15 @@ BASE_KEYS = ("map", "d_s", "d_r", "d_sr", "x1pt", "gam", "dgam", "a1", "T", "R",
              "S", "DT", "DS", "g", "Dg", "DFdr")
 # the counters of transport.work_counts
 TRANSPORT_KEYS = ("solves", "stacked_attempts", "attempted_steps", "generator_evals",
-                  "continued_lanes")
-JETS_CALLS = Counter()  # filled by the jets of scenarios built under main()
+                  "continued_lanes", "surface_stacks", "surface_stack_points")
 # (owner, attribute, work count) of every call counted by ``call_counts``
 WORK_CALLS = ([(geometry.PathCurve, "map", "path_reads"),
                (geometry.PathCurve, "tangent", "path_reads"),
+               (geometry.PathCurve, "points", "path_stacks"),
                (geometry.ChartPoint, "__init__", "points_built")]
-              + [(module, "checked_array", "checks")
+              + [(module, name, "checks")
                  for module in (geometry, transport, kinematics, equations)
-                 if "checked_array" in vars(module)])
-
-
-def counting_surface(surface):
-    """``scenarios._surface`` whose ``jets`` count their calls by order."""
-    def make(jets, s_domain, r_domain):
-        def counted_jets(s, r, *order):
-            JETS_CALLS[order[0] if order else "all"] += 1
-            return jets(s, r, *order)
-        return surface(counted_jets, s_domain, r_domain)
-    return make
+                 for name in ("checked_array", "_checked_stack") if name in vars(module)])
 
 
 def call_counts(work) -> Counter:
@@ -124,14 +115,14 @@ def counted(work) -> dict:
         return get(workspace, key, evaluate)
 
     equations._Workspace._get = counting_get
-    JETS_CALLS.clear()
     try:
         with transport.work_counts() as work_done:
             work_done.update(call_counts(work))
     finally:
         equations._Workspace._get = get
     counts = {key: work_done[key] for key in TRANSPORT_KEYS}
-    counts["jets_calls"] = {str(k): n for k, n in sorted(JETS_CALLS.items(), key=str)}
+    counts["jets_calls"] = {str(order): work_done[f"jets_order_{order}"]
+                            for order in (1, 2) if work_done[f"jets_order_{order}"]}
     counts["base_evals"] = {k: base_evals[k] for k in BASE_KEYS if base_evals[k]}
     counts["base_evals_total"] = sum(base_evals.values())
     counts.update((key, work_done[key]) for _, _, key in WORK_CALLS)
@@ -139,7 +130,6 @@ def counted(work) -> dict:
 
 
 def main() -> None:
-    scenarios._surface = counting_surface(scenarios._surface)
     out = {}
     for name, eqs in STUDIES.items():
         # a fresh scenario per study: its surface memo keeps the points of

@@ -80,6 +80,17 @@ def checked_array(values, shape: Tuple[int, ...], what: str,
     return arr
 
 
+def _checked_stack(values, shape: Tuple[int, ...], what: str, coords) -> np.ndarray:
+    """``checked_array`` of one ``shape`` entry per row of the checked
+    ``coords``, made once on the stack; a bad entry raises at its row's point."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != (len(coords), *shape) or not _all_finite(arr):
+        for x, row in zip(coords, np.atleast_1d(arr)):
+            checked_array(row, shape, what, ChartPoint(x))
+        raise EvaluationError(f"{what} have shape {arr.shape}")
+    return arr
+
+
 def _central_partials(field_at, point) -> np.ndarray:
     """Partials of ``field_at`` at ``point`` by central differences with step
     ``DEFAULT_FD_STEP``, the derivative index last."""
@@ -129,10 +140,13 @@ class ConnectionField:
     ``(d, d, d, d)`` array of coordinate partials with the derivative index
     last (``partials[i, j, k, l] = d_l Gamma^i_{jk}``); otherwise partials
     are approximated by central differences with step ``DEFAULT_FD_STEP``.
+    ``gammas_at``, when given, is ``gamma_at`` on an ``(n, d)`` stack of
+    coordinates, bit for bit, as an ``(n, d, d, d)`` array.
     """
 
     gamma_at: Callable[[ChartPoint], np.ndarray]
     partials_at: Optional[Callable[[ChartPoint], np.ndarray]] = None
+    gammas_at: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def coefficients(self, point: ChartPoint) -> np.ndarray:
         return checked_array(self.gamma_at(point), (point.dimension,) * 3,
@@ -189,10 +203,13 @@ class PathCurve:
     (coords, velocity)``.  ``map`` and ``tangent`` share one LRU memo of at
     most ``MEMO_SIZE`` ``(ChartPoint, velocity)`` by u, the velocity checked
     once against the chart dimension, both arrays read-only; ``memo(key)``
-    keeps more values on the path, such as a transport law's M by u."""
+    keeps more values on the path, such as a transport law's M by u.  ``points``
+    reads a stack of u unmemoized, by ``points_at(us) -> (coords, velocity)``
+    (bit for bit as ``jets``) where the path states one, else by ``jets``."""
 
     jets: Callable[[float], Tuple[np.ndarray, np.ndarray]]
     domain: Tuple[float, float]
+    points_at: Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
 
     def __post_init__(self):
         jets = self.jets
@@ -220,6 +237,18 @@ class PathCurve:
 
     def tangent(self, u: float) -> np.ndarray:
         return self._at(u)[1]
+
+    def points(self, us) -> Tuple[np.ndarray, np.ndarray]:
+        """(coords, velocity), ``(len(us), d)`` each, checked once: a bad
+        entry raises the error of ``map`` or ``tangent`` at its parameter."""
+        stack = (zip(*map(self.jets, us)) if self.points_at is None
+                 else self.points_at(np.array(us, dtype=float)))
+        coords, velocity = (np.asarray(a, dtype=float) for a in stack)
+        if coords.ndim != 2 or not _all_finite(coords):
+            list(map(ChartPoint, coords))  # raises at the first bad row
+        coords.setflags(write=False)  # rows become the laws' ChartPoints
+        return coords, _checked_stack(velocity, coords.shape[1:],
+                                      "tangent components", coords)
 
     def require(self, s: float) -> None:
         lo, hi = self.domain

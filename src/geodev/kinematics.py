@@ -14,6 +14,7 @@ fixed and ``eps`` shrinks along a ladder, which is what turns the
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -57,7 +58,8 @@ class WorldSurface:
     once, by order, and keep its values in a memo keyed by (s, r), so the
     six partials at one point cost at most one order-1 and one order-2
     evaluation (``scenarios._surface``).  ``r_base`` is the r-parameter of
-    the first worldline.
+    the first worldline.  ``along_r(s, rs)``, when given, is ``(map, d_r)``
+    at each r of an array, bit for bit: ``connecting_path``'s ``points_at``.
     """
 
     map: Callable[[float, float], np.ndarray]
@@ -69,6 +71,7 @@ class WorldSurface:
     s_domain: Tuple[float, float]
     r_domain: Tuple[float, float]
     r_base: float = 0.0
+    along_r: Optional[Callable[[float, np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
 
     def point(self, s: float, r: float) -> ChartPoint:
         return ChartPoint(self.map(s, r))
@@ -137,7 +140,9 @@ def connecting_path(scenario: Scenario, s: float) -> PathCurve:
     """The path ``gamma_s: r -> gamma(s, r)`` joining the two particles."""
     surf = scenario.surface
     surf.require_s(s)
-    return PathCurve(lambda r: (surf.map(s, r), surf.d_r(s, r)), surf.r_domain)
+    stacked = None if surf.along_r is None else functools.partial(surf.along_r, s)
+    return PathCurve(lambda r: (surf.map(s, r), surf.d_r(s, r)), surf.r_domain,
+                     stacked)
 
 
 def worldline(scenario: Scenario, which: int, eps: float = 0.0) -> PathCurve:

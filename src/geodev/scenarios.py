@@ -10,7 +10,9 @@ A surface family states its surface once, as one ``jets(s, r, order)``
 function returning the point and its first partials, and at order 2 also
 its second partials, the order-1 part computed first and alike at either
 order; ``_surface`` turns it into a WorldSurface that keeps each point's
-jets in a memo keyed by (s, r) and hands out read-only arrays.
+jets in a memo keyed by (s, r) and hands out read-only arrays.  The sphere
+and flat-quadratic surfaces, and the sphere's Gamma, also state a stacked
+form for the Gauss nodes of the Magnus pull-backs.
 
 Family structure matrix (enforced by tests):
 
@@ -38,9 +40,9 @@ import numpy as np
 
 from .equations import EquationId
 from .errors import ConfigError, DomainError
-from .geometry import ConnectionField, MetricField, memo_put
+from .geometry import ChartPoint, ConnectionField, MetricField, memo_put
 from .kinematics import MassSurface, Scenario, SurfaceField, WorldSurface
-from .transport import TransportLaw, law_from_connection, law_with_offset
+from .transport import _COUNTS, TransportLaw, law_from_connection, law_with_offset
 
 __all__ = [
     "ScenarioSpec",
@@ -143,18 +145,22 @@ def _check_dim(p: Dict[str, float]) -> int:
 
 
 def _surface(jets: Callable[[float, float, int], Tuple[np.ndarray, ...]],
-             s_domain: Tuple[float, float],
-             r_domain: Tuple[float, float]) -> WorldSurface:
+             s_domain: Tuple[float, float], r_domain: Tuple[float, float],
+             along_r: Optional[Callable] = None) -> WorldSurface:
     """WorldSurface of a family stated once as ``jets(s, r, order) -> (x,
     x_s, x_r)`` at order 1, ``+ (x_ss, x_sr, x_rr)`` at order 2, kept
     read-only in a memo keyed by (s, r) (``geometry.memo_put``); ``map``,
     ``d_s``, ``d_r`` read order 1, which an order-2 entry also serves, and the
-    second partials read order 2, which replaces an order-1 entry."""
+    second partials read order 2, which replaces an order-1 entry; its
+    ``along_r`` is ``along_r(s, rs) -> (x, x_r)``, unmemoized.  ``jets`` and
+    ``along_r`` calls and points count in ``transport.work_counts``."""
     memo: dict = {}
 
     def at(s: float, r: float, order: int) -> Tuple[np.ndarray, ...]:
         values = memo.get((s, r), ())
         if len(values) < 3 * order:
+            if (counts := _COUNTS.get()) is not None:
+                counts[f"jets_order_{order}"] += 1
             values = jets(s, r, order)
             for value in values:
                 value.flags.writeable = False
@@ -165,8 +171,13 @@ def _surface(jets: Callable[[float, float, int], Tuple[np.ndarray, ...]],
         order = 1 + i // 3
         return lambda s, r: at(s, r, order)[i]
 
+    def stacked(s: float, rs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        if (counts := _COUNTS.get()) is not None:
+            counts.update(surface_stacks=1, surface_stack_points=len(rs))
+        return along_r(s, rs)
+
     return WorldSurface(*map(partial, range(6)), s_domain=s_domain,
-                        r_domain=r_domain)
+                        r_domain=r_domain, along_r=along_r and stacked)
 
 
 # ---------------------------------------------------------------- flat charts
@@ -222,7 +233,17 @@ def _flat_quadratic_surface(dim: int, p: Dict[str, float]) -> WorldSurface:
         x_rr[1] = q * k * k * s * s + w2
         return x, x_s, x_r, x_ss, x_sr, x_rr
 
-    return _surface(jets, s_domain=(-0.6, 0.6), r_domain=(-0.35, 0.35))
+    def along_r(s, r):  # jets' (x, x_r) at each r of an array; ** as Python's pow
+        x, x_r = np.zeros((2, len(r), dim))
+        x[:, 0] = s + a * r + c * s * r + 0.5 * w1 * r * r
+        x[:, 1] = b * r + 0.5 * q * np.float_power(1.0 + k * r, 2) * s * s + 0.5 * w2 * r * r
+        x[:, 2:] = np.outer(r, beta[2:]) + np.outer(r, kappa[2:] * s)
+        x_r[:, 0] = a + c * s + w1 * r
+        x_r[:, 1] = b + q * k * (1.0 + k * r) * s * s + w2 * r
+        x_r[:, 2:] = beta[2:] + kappa[2:] * s
+        return x, x_r
+
+    return _surface(jets, (-0.6, 0.6), (-0.35, 0.35), along_r)
 
 
 _FLAT_RULED_SCHEMA = {
@@ -307,6 +328,15 @@ def _sphere_connection() -> ConnectionField:
             raise DomainError(f"sphere chart is singular at theta = {th}") from None
         return g
 
+    def gammas_at(coords):  # gamma_at on a stack of theta; tan per entry with math
+        th, g = coords[:, 0], np.zeros((len(coords), 2, 2, 2))
+        g[:, 0, 1, 1] = -np.sin(th) * np.cos(th)
+        try:
+            g[:, 1, 0, 1] = g[:, 1, 1, 0] = [1.0 / math.tan(t) for t in th.tolist()]
+        except ZeroDivisionError:  # gamma_at raises at the first singular point
+            list(map(gamma_at, map(ChartPoint, coords)))
+        return g
+
     def partials_at(pt):
         th = pt.coords[0]
         dg = np.zeros((2, 2, 2, 2))
@@ -317,7 +347,7 @@ def _sphere_connection() -> ConnectionField:
             raise DomainError(f"sphere chart is singular at theta = {th}") from None
         return dg
 
-    return ConnectionField(gamma_at=gamma_at, partials_at=partials_at)
+    return ConnectionField(gamma_at, partials_at, gammas_at)
 
 
 def _sphere_metric() -> MetricField:
@@ -393,7 +423,18 @@ def _sphere_surface(tilt: float, accel: float) -> WorldSurface:
                          phi_second(e_r, e_r, e_rr)])
         return point, j_s, j_r, j_ss, j_sr, j_rr
 
-    return _surface(jets, s_domain=(-0.5, 0.5), r_domain=(-0.3, 0.3))
+    def along_r(s, r):  # jets' (x, x_r) at each r of an array; acos, atan2 with math
+        cr, sr = np.cos(r), np.sin(r)
+        f = s + 0.5 * accel * s * s
+        cf, sf = math.cos(f), math.sin(f)
+        x, y, z = _comb(cf, (cr, sr, 0.0), sf, (-sr * cb, cr * cb, sb))
+        e_r = _comb(cf, (-sr, cr, 0.0), sf, (-cr * cb, -sr * cb, 0.0))
+        rho2 = x * x + y * y
+        point = [(math.acos(z), math.atan2(b, a)) for a, b in zip(x.tolist(), y.tolist())]
+        return np.array(point), np.stack([-e_r[2] / np.sqrt(rho2),
+                                          (x * e_r[1] - y * e_r[0]) / rho2], axis=1)
+
+    return _surface(jets, (-0.5, 0.5), (-0.3, 0.3), along_r)
 
 
 _SPHERE_SCHEMA = {

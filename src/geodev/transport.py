@@ -8,9 +8,11 @@ transport matrices are generated by integrating the linear ODE
 
 by one adaptive step control, ``_integrate``: with the Runge-Kutta pair
 DOP853 for the long solves of ``transport_components`` (a sphere latitude
-holonomy), and with a Magnus 6(4) pair, exact for a constant generator, for
-the short pull-backs, whose 7 ladder lanes along one path take their first
-step, mostly their only one, as one stack; ``work_counts`` counts the work.
+holonomy), read one point at a time, and with a Magnus 6(4) pair, exact for a
+constant generator, for the short pull-backs, whose 7 ladder lanes along one
+path take their first step, mostly their only one, as one stack, its Gauss
+nodes read in one stacked path and one stacked law call; ``work_counts``
+counts the work.
 
 Parallel transport of an affine connection is the special case
 ``H^i_{jk} = -Gamma^i_{jk}``; the S-tensor ``S = -H - Gamma`` measures the
@@ -25,13 +27,13 @@ import contextvars
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import EvaluationError, TransportError
 from .geometry import (ChartPoint, ConnectionField, PathCurve, checked_array,
-                       memo_put)
+                       _checked_stack, memo_put)
 
 __all__ = [
     "OdeConfig",
@@ -80,14 +82,24 @@ DEFAULT_ODE_CONFIG = OdeConfig()
 
 @dataclass(frozen=True)
 class TransportLaw:
-    """Coefficient field ``H^i_{jk}(s; path)`` defining a linear transport."""
+    """Coefficient field ``H^i_{jk}(s; path)`` defining a linear transport;
+    ``coeffs_at(us, path, coords)``, when given, is ``coeff_at`` at each of
+    ``us`` (path coordinates: the rows of ``coords``), bit for bit."""
 
     coeff_at: Callable[[float, PathCurve], np.ndarray]
+    coeffs_at: Optional[Callable[..., np.ndarray]] = None
 
     def coefficients(self, s: float, path: PathCurve) -> np.ndarray:
         point = path.map(s)
         return checked_array(self.coeff_at(s, path), point.coords.shape * 3,
                              "transport coefficients", point)
+
+    def stacked_coefficients(self, us: Sequence[float], path: PathCurve,
+                             coords: np.ndarray) -> np.ndarray:
+        """``coefficients`` at each of ``us``, ``(n, d, d, d)``, checked once."""
+        out = (self.coeffs_at(us, path, coords) if self.coeffs_at is not None
+               else [self.coeff_at(u, path) for u in us])
+        return _checked_stack(out, coords.shape[1:] * 3, "transport coefficients", coords)
 
 
 def _rms(x: np.ndarray) -> float:  # as np.linalg.norm(x) / sqrt(x.size)
@@ -232,7 +244,8 @@ class _Magnus:
     2000) on stacks of lanes (u, h, y); the first step is the whole interval,
     one stack for all lanes.  Omega4 shares Omega6's Gauss rule for int A, so
     the error (Omega6 - Omega4) Y adds the rule's error h b6 / 2800 of
-    ``A = sum_k b_k ((u - mid) / h)^k``, b6 = b2 (b2 / b1)^4 (``decay``)."""
+    ``A = sum_k b_k ((u - mid) / h)^k``, b6 = b2 (b2 / b1)^4 (``decay``);
+    ``generator(us)`` is A at all 3 K nodes of a stack, ``(3 K, n, n)``."""
 
     c, order = (0.5 - 15 ** 0.5 / 10, 0.5, 0.5 + 15 ** 0.5 / 10), 4
 
@@ -241,8 +254,9 @@ class _Magnus:
         def stacked(attempts):  # [(u, h, y)] -> [(y_new, None, error)]
             if (counts := _COUNTS.get()) is not None:
                 counts["stacked_attempts"] += 1
-            a1, a2, a3 = np.array([[h * generator(u + c * h) for u, h, _ in attempts]
-                                   for c in cls.c])
+            g = generator([u + c * h for c in cls.c for u, h, _ in attempts])
+            hs = np.array([h for _, h, _ in attempts])[:, None, None]
+            a1, a2, a3 = g.reshape(3, len(attempts), *g.shape[1:]) * hs
             x1, x2, x3 = a2, 15 ** 0.5 / 3 * (a3 - a1), 10 / 3 * (a3 - 2 * a2 + a1)
             c1 = x1 @ x2 - x2 @ x1
             c2 = 2 * x3 + c1
@@ -297,25 +311,36 @@ def _solve(u: float, t: float, h_abs: float, y: np.ndarray, f, cfg: OdeConfig,
 
 
 def _integrate(law: TransportLaw, path: PathCurve,
-               generator: Callable[[float, np.ndarray], np.ndarray],
+               generator: Callable[..., np.ndarray],
                y0: np.ndarray, s: float, ends: Sequence[float], cfg: OdeConfig,
                stepper) -> list:
-    """[y(t) for t in ends] for y' = A(u) y, ``A(u) = generator(u, M(u))``,
-    ``M(u)^i_j = H^i_{jk}(u; path) xdot^k(u)``, y(s) = y0: one ``_solve`` lane
-    per end (``_DOP853``, one lane: ``solve_ivp`` bit for bit; ``_Magnus``).
-    A new stage parameter makes one ``jets``, ``ChartPoint`` and checked H call
-    (coordinates, tangent, H); M(u) is memoized on the path, read-only."""
-    generators, counts = path.memo(law), _COUNTS.get()  # M by u, along the path
+    """[y(t) for t in ends] for y' = A(u) y, ``M(u)^i_j = H^i_{jk}(u; path)
+    xdot^k(u)``, y(s) = y0: one ``_solve`` lane per end.  ``_DOP853`` (one
+    lane: ``solve_ivp`` bit for bit) takes ``A(u) = generator(u, M(u))``: a
+    new stage parameter makes one ``jets``, ``ChartPoint`` and checked H call
+    (coordinates, tangent, H), and M(u) is memoized on the path, read-only.
+    ``_Magnus`` takes the generators ``generator(us, M, xdot)`` of a stack of
+    nodes ``us`` from one ``path.points`` and one stacked law call, no memo."""
+    counts = _COUNTS.get()
+    if stepper is _Magnus:
+        def matrix(us):
+            coords, xdot = path.points(us)
+            h = law.stacked_coefficients(us, path, coords)
+            if counts is not None:
+                counts["generator_evals"] += len(us)
+            return generator(us, np.matmul(h, xdot[:, None, :, None])[..., 0], xdot)
+    else:
+        generators = path.memo(law)  # M by u, along the path
 
-    def matrix(u):
-        m = generators.get(u)
-        if m is None:
-            m = law.coefficients(u, path) @ path.tangent(u)
-            m.setflags(write=False)
-            memo_put(generators, u, m)
-        if counts is not None:
-            counts["generator_evals"] += 1
-        return generator(u, m)
+        def matrix(u):
+            m = generators.get(u)
+            if m is None:
+                m = law.coefficients(u, path) @ path.tangent(u)
+                m.setflags(write=False)
+                memo_put(generators, u, m)
+            if counts is not None:
+                counts["generator_evals"] += 1
+            return generator(u, m)
 
     u, ends = float(s), [float(t) for t in ends]
     y = checked_array(y0, y0.shape, "initial transport state")
@@ -332,7 +357,9 @@ def _integrate(law: TransportLaw, path: PathCurve,
 def work_counts():
     """``Counter`` of this context's transport work in the block (an inner
     block counts alone): ``solves`` (lanes), ``generator_evals``, Magnus
-    ``stacked_attempts``, ``attempted_steps`` and ``continued_lanes``."""
+    ``stacked_attempts``, ``attempted_steps``, ``continued_lanes``; and the
+    built-in surfaces' ``jets_order_1``, ``jets_order_2`` (point calls by
+    order), ``surface_stacks`` and ``surface_stack_points`` (stacked calls)."""
     token = _COUNTS.set(Counter())
     try:
         yield _COUNTS.get()
@@ -374,8 +401,8 @@ def pullback_integral(law: TransportLaw, path: PathCurve, s: float, t: float,
     """``L_{t->s}`` and ``int_s^t L_{u->s} xdot(u) du``, the path's own
     tangents pulled back to ``s`` and integrated, from one Magnus solve of
     ``Z = [[Phi^T], [h^T]]``: ``Z' = G(u) Z`` with ``G = [[-M^T, 0], [xdot^T,
-    0]]``, built per Gauss node from M(u) and ``path.tangent(u)``, carries
-    ``Phi(u) = L_{u->s}`` (``Phi' = -Phi M``) and h (``h' = Phi xdot``)."""
+    0]]``, built on a stack of Gauss nodes from M and the path's tangents,
+    carries ``Phi(u) = L_{u->s}`` (``Phi' = -Phi M``) and h (``h' = Phi xdot``)."""
     return _pullbacks(law, path, s, [t], cfg)[0]
 
 
@@ -386,9 +413,9 @@ def _pullbacks(law: TransportLaw, path: PathCurve, s: float, ends: Sequence[floa
         path.require(t)
     d = path.map(s).dimension
 
-    def generator(u, m):
-        g = np.zeros((d + 1, d + 1))
-        g[:d, :d], g[d, :d] = -m.T, path.tangent(u)
+    def generator(us, m, xdot):  # G at each node of a stack
+        g = np.zeros((len(us), d + 1, d + 1))
+        g[:, :d, :d], g[:, d, :d] = -m.transpose(0, 2, 1), xdot
         return g
 
     zs = _integrate(law, path, generator, np.eye(d + 1, d), s, ends, cfg, _Magnus)
@@ -397,22 +424,33 @@ def _pullbacks(law: TransportLaw, path: PathCurve, s: float, ends: Sequence[floa
 
 def law_from_connection(conn: ConnectionField) -> TransportLaw:
     """Parallel-transport law of the connection: ``H^i_{jk} = -Gamma^i_{jk}``
-    evaluated at the path point.  Gamma is read unchecked:
-    ``TransportLaw.coefficients`` checks H once."""
+    evaluated at the path point (or a stack of them, by ``conn.gammas_at``
+    where given).  Gamma is read unchecked: the law's calls check H once."""
     def coeff(s: float, path: PathCurve) -> np.ndarray:
         return -np.asarray(conn.gamma_at(path.map(s)), dtype=float)
-    return TransportLaw(coeff)
+
+    def coeffs(us, path: PathCurve, coords: np.ndarray) -> np.ndarray:
+        if conn.gammas_at is not None:
+            return -np.asarray(conn.gammas_at(coords), dtype=float)
+        return -np.array([conn.gamma_at(x) for x in map(ChartPoint, coords)], dtype=float)
+    return TransportLaw(coeff, coeffs)
 
 
 def law_with_offset(conn: ConnectionField,
                     sigma: Callable[[ChartPoint], np.ndarray]) -> TransportLaw:
     """Transport law ``H = -Gamma - sigma``, so that the S-tensor recovers
     ``sigma`` exactly."""
+    parallel = law_from_connection(conn).coeffs_at
+
     def coeff(s: float, path: PathCurve) -> np.ndarray:
         point = path.map(s)
         return (-np.asarray(conn.gamma_at(point), dtype=float)
                 - np.asarray(sigma(point), dtype=float))
-    return TransportLaw(coeff)
+
+    def coeffs(us, path: PathCurve, coords: np.ndarray) -> np.ndarray:
+        return parallel(us, path, coords) - np.array(
+            [sigma(x) for x in map(ChartPoint, coords)], dtype=float)
+    return TransportLaw(coeff, coeffs)
 
 
 def s_tensor(law: TransportLaw, conn: ConnectionField, path: PathCurve,

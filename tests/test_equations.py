@@ -302,16 +302,17 @@ def test_shared_workspace_study_saves_transport_solves():
 
 
 def test_study_evaluates_each_generator_once_per_rhs_parameter(monkeypatch):
-    # gamma_s is built once per s for the whole ladder and keeps M(u) by u,
-    # so the coefficients of the transport law are evaluated once per
-    # distinct (s, u) generator parameter of the study; each of the 63
-    # Magnus solves (7 ladder endpoints per s) takes one step of 3 Gauss
-    # nodes, and no two solves share a node
+    # gamma_s is built once per s for the whole ladder, so the coefficients
+    # of the transport law are evaluated once per distinct (s, u) generator
+    # parameter of the study; each of the 63 Magnus solves (7 ladder
+    # endpoints per s) takes one step of 3 Gauss nodes, no two solves share
+    # a node, and each stacked attempt evaluates its nodes in one stacked
+    # generator and one stacked law call
     sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
     integrate, coefficients = (geodev.transport._integrate,
-                               geodev.transport.TransportLaw.coefficients)
+                               geodev.transport.TransportLaw.stacked_coefficients)
     connecting_path = geodev.equations.connecting_path
-    s_of, gen_params, coeff_params, inside = {}, [], [], [False]
+    s_of, gen_params, coeff_params, stacks = {}, [], [], []
 
     def recording_path(scenario, s):
         path = connecting_path(scenario, s)
@@ -319,23 +320,20 @@ def test_study_evaluates_each_generator_once_per_rhs_parameter(monkeypatch):
         return path
 
     def recording(law, path, generator, *args):
-        def recorded(u, m):
-            gen_params.append((s_of[id(path)], u))
-            return generator(u, m)
-        inside[0] = True
-        try:
-            return integrate(law, path, recorded, *args)
-        finally:
-            inside[0] = False
+        def recorded(us, m, xdot):
+            gen_params.extend((s_of[id(path)], u) for u in us)
+            stacks.append(("generator", len(us)))
+            return generator(us, m, xdot)
+        return integrate(law, path, recorded, *args)
 
-    def counted_coefficients(law, u, path):
-        if inside[0]:  # S reads the coefficients too, outside any solve
-            coeff_params.append((s_of[id(path)], u))
-        return coefficients(law, u, path)
+    def counted_coefficients(law, us, path, coords):
+        coeff_params.extend((s_of[id(path)], u) for u in us)
+        stacks.append(("law", len(us)))
+        return coefficients(law, us, path, coords)
 
     monkeypatch.setattr(geodev.equations, "connecting_path", recording_path)
     monkeypatch.setattr(geodev.transport, "_integrate", recording)
-    monkeypatch.setattr(geodev.transport.TransportLaw, "coefficients",
+    monkeypatch.setattr(geodev.transport.TransportLaw, "stacked_coefficients",
                         counted_coefficients)
     with work_counts() as counts:
         convergence_study(list(EquationId), sc, S0, DEFAULT_LADDER)
@@ -344,6 +342,23 @@ def test_study_evaluates_each_generator_once_per_rhs_parameter(monkeypatch):
     assert (counts["attempted_steps"], counts["continued_lanes"]) == (63, 0)
     assert sorted(coeff_params) == sorted(set(gen_params))
     assert len(coeff_params) == 189
+    assert stacks == [("law", 21), ("generator", 21)] * 9
+
+
+def test_deviation_study_reads_each_magnus_stack_at_once():
+    # the 3 deviation equations read 7 values of s; the 7 ladder lanes
+    # along each gamma_s make one stacked attempt of 21 Gauss nodes, read in
+    # one stacked surface call, and no node is read through the point jets
+    # (their 7 calls read x_1(s)): a fall-back to per-node evaluation
+    # changes these counts
+    sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
+    deviation = [EquationId.E2_13, EquationId.E4_1, EquationId.E6_3]
+    with work_counts() as counts:
+        convergence_study(deviation, sc, S0, DEFAULT_LADDER)
+    assert dict(counts) == {
+        "solves": 49, "stacked_attempts": 7, "attempted_steps": 49,
+        "continued_lanes": 0, "generator_evals": 147, "surface_stacks": 7,
+        "surface_stack_points": 147, "jets_order_1": 7}
 
 
 def test_study_evaluates_base_geometry_once_per_s(monkeypatch):

@@ -218,15 +218,16 @@ REJECTING = OdeConfig(rel_tol=1e-6, abs_tol=1e-8)
 
 
 def record_rhs_calls(monkeypatch) -> list:
-    """Wrap ``transport._integrate`` so that each generator call of every
-    later solve (one per RHS call of DOP853, one per Gauss node of a Magnus
-    step) appends its parameter and ``M(u)`` to the returned list."""
+    """Wrap ``transport._integrate`` so that every later solve appends the
+    parameter and ``M(u)`` of each generator value to the returned list: one
+    per RHS call of DOP853, one per Gauss node of a Magnus attempt's stacked
+    generator call, in node order."""
     calls, integrate = [], transport._integrate
 
     def recording(law, path, generator, *args):
-        def recorded(u, m):
-            calls.append((u, m))
-            return generator(u, m)
+        def recorded(u, m, *xdot):  # a point, or a stack of nodes with xdot
+            calls.extend(zip(u, m) if xdot else [(u, m)])
+            return generator(u, m, *xdot)
         return integrate(law, path, recorded, *args)
 
     monkeypatch.setattr(transport, "_integrate", recording)
@@ -504,7 +505,8 @@ def test_work_counts_are_context_local():
         thread.join(timeout=60)
     assert not thread.is_alive()
     assert dict(counts) == {"solves": 1, "generator_evals": 3, "stacked_attempts": 1,
-                            "attempted_steps": 1, "continued_lanes": 0}
+                            "attempted_steps": 1, "continued_lanes": 0,
+                            "surface_stacks": 1, "surface_stack_points": 3}
 
 
 def test_magnus_step_budget_counts_attempted_steps(monkeypatch):
