@@ -16,15 +16,16 @@ The transport work is read from the package's own counters
 solves the pull-backs of its whole ladder along one connecting path as the
 lanes of one solve), ``stacked_attempts`` (Magnus step computations: one
 stack of the first attempts of all lanes of a solve, then one per further
-attempt; a DOP853 step is not stacked and not counted here),
+attempt; a DOP853 step has one lane and is not counted here),
 ``attempted_steps`` (summed over the lanes), ``generator_evals`` (the
-generator values the steppers take: 3 per lane of a Magnus attempt, all read
-in one stacked call; 2 to start and 12 per attempted DOP853 step) and
-``continued_lanes`` (lanes that their first attempt did not finish and that
-go on stepping).  The same counters give the surface work: ``jets_calls``,
-the calls of the surface family's point ``jets`` by the order they ask for,
-and ``surface_stacks`` and ``surface_stack_points``, its stacked calls (one
-per Magnus attempt on a connecting path) and the points they evaluate.
+generator values the steppers take, each step's read in one stacked call:
+3 per lane of a Magnus attempt; 2 to start and 11 per attempted DOP853
+step) and ``continued_lanes`` (lanes that their first attempt did not
+finish and that go on stepping).  The same counters give the surface work:
+``jets_calls``, the calls of the surface family's point ``jets`` by the
+order they ask for, and ``surface_stacks`` and ``surface_stack_points``, its
+stacked calls (one per Magnus attempt on a connecting path) and the points
+they evaluate.
 
 It also counts how often the study's workspace computes each quantity of
 (s, r') alone, such as Gamma, R or S (``base_evals``, one entry per

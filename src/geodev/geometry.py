@@ -55,7 +55,7 @@ DEFAULT_FD_STEP = 1e-5
 METRIC_SYMMETRY_TOL = 1e-12
 METRIC_DET_TOL = 1e-12
 NULL_TOL = 1e-10  # |U^2| at or below this is null for sign_of_square
-MEMO_SIZE = 4096  # entries of each keyed memo (paths, generators, surfaces)
+MEMO_SIZE = 4096  # entries of each keyed memo (paths, surfaces)
 _MEMO_LOCK = threading.Lock()  # makes memo_put's check-then-store atomic
 
 
@@ -202,10 +202,10 @@ class PathCurve:
     """A C^1 path in the chart over ``domain``, stated once as ``jets(u) ->
     (coords, velocity)``.  ``map`` and ``tangent`` share one LRU memo of at
     most ``MEMO_SIZE`` ``(ChartPoint, velocity)`` by u, the velocity checked
-    once against the chart dimension, both arrays read-only; ``memo(key)``
-    keeps more values on the path, such as a transport law's M by u.  ``points``
-    reads a stack of u unmemoized, by ``points_at(us) -> (coords, velocity)``
-    (bit for bit as ``jets``) where the path states one, else by ``jets``."""
+    once against the chart dimension, both arrays read-only.  ``points``,
+    which the transport solves read, takes a stack of u unmemoized, by
+    ``points_at(us) -> (coords, velocity)`` (bit for bit as ``jets``) where
+    the path states one, else by ``jets``."""
 
     jets: Callable[[float], Tuple[np.ndarray, np.ndarray]]
     domain: Tuple[float, float]
@@ -225,12 +225,6 @@ class PathCurve:
             return point, velocity
 
         object.__setattr__(self, "_at", at)
-        object.__setattr__(self, "_memos", {})
-
-    def memo(self, key) -> dict:
-        """This path's dict for ``key``, made on first use by ``memo_put``."""
-        memo = self._memos.get(key)
-        return memo_put(self._memos, key, {}) if memo is None else memo
 
     def map(self, u: float) -> ChartPoint:
         return self._at(u)[0]

@@ -509,7 +509,7 @@ def _build_offset(p: Dict[str, float], r_base: float, s_eval: float) -> Scenario
     sigma = np.zeros((2, 2, 2))
     sigma[0, 1, 1] = p["sigma"]
     return _assemble("offset-transport", 2, conn, _sphere_metric(),
-                     law_with_offset(conn, lambda pt: sigma),
+                     law_with_offset(conn, sigma),
                      _sphere_surface(p["tilt"], p["accel"]), p, r_base, s_eval)
 
 

@@ -8,11 +8,11 @@ transport matrices are generated by integrating the linear ODE
 
 by one adaptive step control, ``_integrate``: with the Runge-Kutta pair
 DOP853 for the long solves of ``transport_components`` (a sphere latitude
-holonomy), read one point at a time, and with a Magnus 6(4) pair, exact for a
-constant generator, for the short pull-backs, whose 7 ladder lanes along one
-path take their first step, mostly their only one, as one stack, its Gauss
-nodes read in one stacked path and one stacked law call; ``work_counts``
-counts the work.
+holonomy), and with a Magnus 6(4) pair, exact for a constant generator, for
+the short pull-backs, whose 7 ladder lanes along one path take their first
+step, mostly their only one, as one stack.  Both read the generator at a
+whole step's nodes in one stacked path and one stacked law call;
+``work_counts`` counts the work.
 
 Parallel transport of an affine connection is the special case
 ``H^i_{jk} = -Gamma^i_{jk}``; the S-tensor ``S = -H - Gamma`` measures the
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import EvaluationError, TransportError
 from .geometry import (ChartPoint, ConnectionField, PathCurve, checked_array,
-                       _checked_stack, memo_put)
+                       _checked_stack)
 
 __all__ = [
     "OdeConfig",
@@ -82,21 +82,18 @@ DEFAULT_ODE_CONFIG = OdeConfig()
 
 @dataclass(frozen=True)
 class TransportLaw:
-    """Coefficient field ``H^i_{jk}(s; path)`` defining a linear transport;
-    ``coeffs_at(us, path, coords)``, when given, is ``coeff_at`` at each of
-    ``us`` (path coordinates: the rows of ``coords``), bit for bit."""
+    """Coefficient field ``H^i_{jk}(s; path)`` defining a linear transport,
+    stated at one path parameter as ``coeff_at(s, path)``; ``coeffs_at(us,
+    path, coords)``, when given, is ``coeff_at`` at each of ``us`` (path
+    coordinates: the rows of ``coords``), bit for bit."""
 
     coeff_at: Callable[[float, PathCurve], np.ndarray]
     coeffs_at: Optional[Callable[..., np.ndarray]] = None
 
-    def coefficients(self, s: float, path: PathCurve) -> np.ndarray:
-        point = path.map(s)
-        return checked_array(self.coeff_at(s, path), point.coords.shape * 3,
-                             "transport coefficients", point)
-
-    def stacked_coefficients(self, us: Sequence[float], path: PathCurve,
-                             coords: np.ndarray) -> np.ndarray:
-        """``coefficients`` at each of ``us``, ``(n, d, d, d)``, checked once."""
+    def coefficients(self, us: Sequence[float], path: PathCurve,
+                     coords: np.ndarray) -> np.ndarray:
+        """H at each of ``us``, ``(n, d, d, d)``, checked once; ``coords`` are
+        the path's coordinates there, ``(n, d)``."""
         out = (self.coeffs_at(us, path, coords) if self.coeffs_at is not None
                else [self.coeff_at(u, path) for u in us])
         return _checked_stack(out, coords.shape[1:] * 3, "transport coefficients", coords)
@@ -106,87 +103,23 @@ def _rms(x: np.ndarray) -> float:  # as np.linalg.norm(x) / sqrt(x.size)
     return math.sqrt(np.dot(x, x)) / x.size ** 0.5
 
 
-@dataclass(frozen=True)
-class _Tableau:
-    """Explicit embedded Runge-Kutta pair.  Stage ``i`` is evaluated at
-    ``u + c[i] h`` and ``y + h sum_j a[i][j] k_j``; the step is
-    ``h sum_i b[i] k_i``.  ``error(k, h, scale)`` is the scaled norm of the
-    error estimate from the stage rows ``k``, whose last row is the
-    derivative at the new point; ``order`` is the order q of that estimate,
-    and the step control scales steps by ``error ** (-1 / (q + 1))``."""
+class _DOP853:
+    """Dormand & Prince 8(5,3) pair DOP853 (Hairer, Norsett & Wanner, Solving
+    ODEs I, 2nd ed.), as SciPy's DOP853 without the extra stages of its dense
+    output, on one lane (u, h, y); the coefficients are those of SciPy's
+    ``dop853_coefficients``.  Stage ``i`` is taken at ``u + c[i] h`` and ``y + h
+    sum_j a[i][j] k_j``, the step is ``h sum_i b[i] k_i``; the linear ODE's
+    generator is known at every stage parameter before any stage, so a step
+    reads its 11 distinct ones, ``generator(us)`` ``(11, n, n)``, at once
+    (c = 1 gives u + h, shared by the last stage and the next step's first)."""
 
-    c: np.ndarray
-    a: Tuple[np.ndarray, ...]
-    b: np.ndarray
-    error: Callable[[np.ndarray, float, np.ndarray], float]
-    order: int
-
-    def start(self, generator, u: float, ends, y: np.ndarray, cfg: OdeConfig):
-        """([first step], y' at u, step function) for one end: 2 RHS calls."""
-        def fun(u, y):
-            m = generator(u)
-            return (m @ y.reshape(m.shape[0], -1)).reshape(-1)
-        [t] = ends
-        direction, f = float(np.sign(t - u)), fun(u, y)
-        scale = cfg.abs_tol + np.abs(y) * cfg.rel_tol
-        d0, d1 = _rms(y / scale), _rms(f / scale)
-        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t - u))
-        d2 = _rms((fun(u + h0 * direction, y + h0 * direction * f) - f) / scale) / h0
-        h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
-              else (0.01 / max(d1, d2)) ** (1 / (self.order + 1)))
-        c, a, b, k = self.c.tolist(), self.a, self.b, np.empty((len(self.b) + 1, y.size))
-        k_t = [k[:i].T for i in range(len(b) + 1)]
-
-        def step(u, h, y, f):
-            k[0] = f
-            for i in range(1, len(b)):
-                k[i] = fun(u + c[i] * h, y + np.dot(k_t[i], a[i]) * h)
-            y_new = y + h * np.dot(k_t[-1], b)
-            k[-1] = f_new = fun(u + h, y_new)  # stage at u + h, not u_new
-            scale = cfg.abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rel_tol
-            return y_new, f_new, self.error(k, h, scale)
-        return [min(100 * h0, h1, abs(t - u))], f, step
-
-
-# Dormand & Prince 8(5,3) pair DOP853 (Hairer, Norsett & Wanner, Solving
-# ODEs I, 2nd ed.), as SciPy's DOP853 without the extra stages of its dense
-# output; the coefficients are those of SciPy's dop853_coefficients.
-_DOP853_B = np.array([
-    5.42937341165687622380535766363e-2, 0, 0, 0, 0,
-    4.45031289275240888144113950566, 1.89151789931450038304281599044,
-    -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
-    -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
-    4.47106157277725905176885569043e-2])
-_DOP853_E5 = np.array([
-    0.1312004499419488073250102996e-1, 0, 0, 0, 0,
-    -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
-    0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
-    0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
-    -0.2235530786388629525884427845e-1, 0])
-_DOP853_E3 = np.append(_DOP853_B, 0.0) - np.array([
-    0.244094488188976377952755905512, 0, 0, 0, 0, 0, 0, 0,
-    0.733846688281611857341361741547, 0, 0,
-    0.220588235294117647058823529412e-1, 0])
-
-
-def _dop853_error(k: np.ndarray, h: float, scale: np.ndarray) -> float:
-    """Scaled norm of DOP853's combined 5th/3rd-order error estimate; the
-    squared norms are taken as ``norm(x) ** 2``, as SciPy does."""
-    e5, e3 = np.dot(k.T, _DOP853_E5) / scale, np.dot(k.T, _DOP853_E3) / scale
-    n5, n3 = np.sqrt(np.dot(e5, e5)) ** 2, np.sqrt(np.dot(e3, e3)) ** 2
-    if n5 == 0 and n3 == 0:
-        return 0.0
-    return abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * scale.size)
-
-
-_DOP853 = _Tableau(
-    c=np.array([
+    c = np.array([
         0.0, 0.526001519587677318785587544488e-01,
         0.789002279381515978178381316732e-01, 0.118350341907227396726757197510,
         0.281649658092772603273242802490, 0.333333333333333333333333333333,
         0.25, 0.307692307692307692307692307692, 0.651282051282051282051282051282,
-        0.6, 0.857142857142857142857142857142, 1.0]),
-    a=tuple(np.array(a) for a in (
+        0.6, 0.857142857142857142857142857142, 1.0])
+    a = tuple(np.array(a) for a in (
         [],
         [5.26001519587677318785587544488e-2],
         [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2],
@@ -215,10 +148,58 @@ _DOP853 = _Tableau(
          -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
          2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
          -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
-         6.43392746015763530355970484046e-1])),
-    b=_DOP853_B,
-    error=_dop853_error,
-    order=7)
+         6.43392746015763530355970484046e-1]))
+    b = np.array([
+        5.42937341165687622380535766363e-2, 0, 0, 0, 0,
+        4.45031289275240888144113950566, 1.89151789931450038304281599044,
+        -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+        -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+        4.47106157277725905176885569043e-2])
+    e5 = np.array([  # 5th- and 3rd-order error estimates from the stage rows
+        0.1312004499419488073250102996e-1, 0, 0, 0, 0,
+        -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+        0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+        0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+        -0.2235530786388629525884427845e-1, 0])
+    e3 = np.append(b, 0.0) - np.array([
+        0.244094488188976377952755905512, 0, 0, 0, 0, 0, 0, 0,
+        0.733846688281611857341361741547, 0, 0,
+        0.220588235294117647058823529412e-1, 0])
+    order = 7  # of the error estimate: steps scale by error ** (-1 / 8)
+
+    @classmethod
+    def start(cls, generator, u: float, ends, y: np.ndarray, cfg: OdeConfig):
+        """([first step], y' at u, step function) for one end, by SciPy's
+        initial-step heuristic: 2 generator reads, at u and at u + h0."""
+        def rhs(m, y):
+            return (m @ y.reshape(m.shape[0], -1)).reshape(-1)
+        [t] = ends
+        direction, f = float(np.sign(t - u)), rhs(generator([u])[0], y)
+        scale = cfg.abs_tol + np.abs(y) * cfg.rel_tol
+        d0, d1 = _rms(y / scale), _rms(f / scale)
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t - u))
+        f0 = rhs(generator([u + h0 * direction])[0], y + h0 * direction * f)
+        d2 = _rms((f0 - f) / scale) / h0
+        h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+              else (0.01 / max(d1, d2)) ** (1 / (cls.order + 1)))
+        nodes, a, b, k = cls.c[1:].tolist(), cls.a, cls.b, np.empty((len(cls.b) + 1, y.size))
+        k_t = [k[:i].T for i in range(len(b) + 1)]
+
+        def step(u, h, y, f):
+            ms = generator([u + c * h for c in nodes])
+            k[0] = f
+            for i in range(1, len(b)):
+                k[i] = rhs(ms[i - 1], y + np.dot(k_t[i], a[i]) * h)
+            y_new = y + h * np.dot(k_t[-1], b)
+            k[-1] = f_new = rhs(ms[-1], y_new)  # at u + 1.0 * h, not u_new
+            scale = cfg.abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rel_tol
+            # squared norms taken as norm(x) ** 2, as SciPy does
+            e5, e3 = np.dot(k.T, cls.e5) / scale, np.dot(k.T, cls.e3) / scale
+            n5, n3 = np.sqrt(np.dot(e5, e5)) ** 2, np.sqrt(np.dot(e3, e3)) ** 2
+            error = 0.0 if n5 == 0 and n3 == 0 else abs(h) * n5 / math.sqrt(
+                (n5 + 0.01 * n3) * scale.size)
+            return y_new, f_new, error
+        return [min(100 * h0, h1, abs(t - u))], f, step
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -314,33 +295,19 @@ def _integrate(law: TransportLaw, path: PathCurve,
                generator: Callable[..., np.ndarray],
                y0: np.ndarray, s: float, ends: Sequence[float], cfg: OdeConfig,
                stepper) -> list:
-    """[y(t) for t in ends] for y' = A(u) y, ``M(u)^i_j = H^i_{jk}(u; path)
-    xdot^k(u)``, y(s) = y0: one ``_solve`` lane per end.  ``_DOP853`` (one
-    lane: ``solve_ivp`` bit for bit) takes ``A(u) = generator(u, M(u))``: a
-    new stage parameter makes one ``jets``, ``ChartPoint`` and checked H call
-    (coordinates, tangent, H), and M(u) is memoized on the path, read-only.
-    ``_Magnus`` takes the generators ``generator(us, M, xdot)`` of a stack of
-    nodes ``us`` from one ``path.points`` and one stacked law call, no memo."""
+    """[y(t) for t in ends] for y' = A(u) y, y(s) = y0: one ``_solve`` lane
+    per end, stepped by ``_DOP853`` (one lane, ``solve_ivp`` bit for bit) or
+    ``_Magnus``.  Both read A at a stack of nodes ``us`` in one call: one
+    ``path.points``, one law read and ``M^i_j = H^i_{jk} xdot^k`` on the
+    stack give ``A = generator(us, M, xdot)``, ``(len(us), n, n)``."""
     counts = _COUNTS.get()
-    if stepper is _Magnus:
-        def matrix(us):
-            coords, xdot = path.points(us)
-            h = law.stacked_coefficients(us, path, coords)
-            if counts is not None:
-                counts["generator_evals"] += len(us)
-            return generator(us, np.matmul(h, xdot[:, None, :, None])[..., 0], xdot)
-    else:
-        generators = path.memo(law)  # M by u, along the path
 
-        def matrix(u):
-            m = generators.get(u)
-            if m is None:
-                m = law.coefficients(u, path) @ path.tangent(u)
-                m.setflags(write=False)
-                memo_put(generators, u, m)
-            if counts is not None:
-                counts["generator_evals"] += 1
-            return generator(u, m)
+    def matrix(us):
+        coords, xdot = path.points(us)
+        h = law.coefficients(us, path, coords)
+        if counts is not None:
+            counts["generator_evals"] += len(us)
+        return generator(us, np.matmul(h, xdot[:, None, :, None])[..., 0], xdot)
 
     u, ends = float(s), [float(t) for t in ends]
     y = checked_array(y0, y0.shape, "initial transport state")
@@ -356,10 +323,12 @@ def _integrate(law: TransportLaw, path: PathCurve,
 @contextlib.contextmanager
 def work_counts():
     """``Counter`` of this context's transport work in the block (an inner
-    block counts alone): ``solves`` (lanes), ``generator_evals``, Magnus
-    ``stacked_attempts``, ``attempted_steps``, ``continued_lanes``; and the
-    built-in surfaces' ``jets_order_1``, ``jets_order_2`` (point calls by
-    order), ``surface_stacks`` and ``surface_stack_points`` (stacked calls)."""
+    block counts alone): ``solves`` (lanes), ``generator_evals`` (the nodes
+    of the generator reads: 2, then 11 per attempted DOP853 step; 3 per lane
+    of a Magnus attempt), Magnus ``stacked_attempts``, ``attempted_steps``,
+    ``continued_lanes``; and the built-in surfaces' ``jets_order_1``,
+    ``jets_order_2`` (point calls by order), ``surface_stacks`` and
+    ``surface_stack_points`` (stacked calls)."""
     token = _COUNTS.set(Counter())
     try:
         yield _COUNTS.get()
@@ -391,8 +360,8 @@ def transport_components(law: TransportLaw, path: PathCurve, s: float, t: float,
     y0 = np.asarray(components, dtype=float)
     if t == s:
         return y0.copy()
-    return _integrate(law, path, lambda u, m: m, y0.reshape(-1), s, [t], cfg,
-                      _DOP853)[0].reshape(y0.shape)
+    return _integrate(law, path, lambda us, m, xdot: m, y0.reshape(-1), s, [t],
+                      cfg, _DOP853)[0].reshape(y0.shape)
 
 
 def pullback_integral(law: TransportLaw, path: PathCurve, s: float, t: float,
@@ -436,28 +405,20 @@ def law_from_connection(conn: ConnectionField) -> TransportLaw:
     return TransportLaw(coeff, coeffs)
 
 
-def law_with_offset(conn: ConnectionField,
-                    sigma: Callable[[ChartPoint], np.ndarray]) -> TransportLaw:
-    """Transport law ``H = -Gamma - sigma``, so that the S-tensor recovers
-    ``sigma`` exactly."""
-    parallel = law_from_connection(conn).coeffs_at
-
-    def coeff(s: float, path: PathCurve) -> np.ndarray:
-        point = path.map(s)
-        return (-np.asarray(conn.gamma_at(point), dtype=float)
-                - np.asarray(sigma(point), dtype=float))
-
-    def coeffs(us, path: PathCurve, coords: np.ndarray) -> np.ndarray:
-        return parallel(us, path, coords) - np.array(
-            [sigma(x) for x in map(ChartPoint, coords)], dtype=float)
-    return TransportLaw(coeff, coeffs)
+def law_with_offset(conn: ConnectionField, sigma: np.ndarray) -> TransportLaw:
+    """Transport law ``H = -Gamma - sigma`` for a constant ``(d, d, d)`` array
+    ``sigma``, so that the S-tensor recovers ``sigma`` exactly."""
+    parallel, sigma = law_from_connection(conn), np.asarray(sigma, dtype=float)
+    return TransportLaw(lambda s, path: parallel.coeff_at(s, path) - sigma,
+                        lambda us, path, coords: parallel.coeffs_at(us, path, coords) - sigma)
 
 
 def s_tensor(law: TransportLaw, conn: ConnectionField, path: PathCurve,
              r: float) -> np.ndarray:
     """S-tensor ``S^i_{jk} = -H^i_{jk}(r; path) - Gamma^i_{jk}(path(r))``,
     valence (1,2) at ``path(r)``."""
-    return -law.coefficients(r, path) - conn.coefficients(path.map(r))
+    point = path.map(r)
+    return -law.coefficients([r], path, point.coords[None])[0] - conn.coefficients(point)
 
 
 def coordinate_probes(x: ChartPoint) -> list:
@@ -526,6 +487,7 @@ def approx_transport(law: TransportLaw, path: PathCurve, s: float, t: float,
     d = path.map(s).dimension
     if order == 0:
         return np.eye(d)
-    coeff = law.coefficients(s, path)
-    gap = path.map(t).coords - path.map(s).coords
+    start = path.map(s).coords
+    coeff = law.coefficients([s], path, start[None])[0]
+    gap = path.map(t).coords - start
     return np.eye(d) + np.einsum("ijk,k->ij", coeff, gap)

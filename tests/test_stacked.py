@@ -1,10 +1,11 @@
-"""Stacked evaluation of the Magnus nodes against the point forms.
+"""Stacked evaluation of the transport nodes against the point forms.
 
-A Magnus attempt reads all its Gauss nodes in one ``PathCurve.points`` and
-one ``TransportLaw.stacked_coefficients`` call; where a family states a
-stacked form (the sphere and flat-quadratic surfaces, the sphere's Gamma),
-it must give the point forms' values bit for bit, and the errors of a bad
-node must be the point forms' errors at that node.
+A Magnus attempt reads all its Gauss nodes, and a DOP853 step all its stage
+nodes, in one ``PathCurve.points`` and one ``TransportLaw.coefficients``
+call; where a family states a stacked form (the sphere and flat-quadratic
+surfaces, the sphere's Gamma), it must give the point forms' values bit for
+bit, and the errors of a bad node must be the point forms' errors at that
+node.
 """
 
 import math
@@ -19,7 +20,9 @@ from geodev.geometry import ChartPoint, PathCurve
 from geodev.kinematics import connecting_path, worldline
 from geodev.scenarios import ScenarioSpec, build, family_names, list_scenarios
 from geodev.transport import (TransportLaw, coordinate_probes, law_from_connection,
-                              pullback_integral)
+                              pullback_integral, transport_matrix)
+
+from test_transport import point_coefficients, record_rhs_calls
 
 STACKED_SURFACES = {"flat-euclidean/quadratic", "flat-torsion", "sphere",
                     "offset-transport", "exp-transport"}
@@ -93,8 +96,8 @@ def test_stacked_law_equals_coefficients_per_node(name, rng):
         for path in family_paths(sc, rng):
             us = stack_of(path, rng)
             coords, _ = path.points(us)
-            stacked = sc.law.stacked_coefficients(us, path, coords)
-            alone = np.array([sc.law.coefficients(u, path) for u in us])
+            stacked = sc.law.coefficients(us, path, coords)
+            alone = np.array([sc.law.coeff_at(u, path) for u in us])
             assert np.array_equal(stacked, alone)
 
 
@@ -153,8 +156,8 @@ def test_stacked_law_receives_the_path(rng):
     stacked, point_only = start_law(sc, seen), start_law(sc)
     us = stack_of(path, rng)
     coords, _ = path.points(us)
-    assert np.array_equal(stacked.stacked_coefficients(us, path, coords),
-                          np.array([stacked.coefficients(u, path) for u in us]))
+    assert np.array_equal(stacked.coefficients(us, path, coords),
+                          np.array([stacked.coeff_at(u, path) for u in us]))
     ends = [r1 + 0.1, r1 + 0.01]
     seen.clear()
     lanes = transport._pullbacks(stacked, path, r1, ends, transport.DEFAULT_ODE_CONFIG)
@@ -198,28 +201,63 @@ def same_error(got, expected):
         assert getattr(got, "point", None) is None
 
 
-@pytest.mark.parametrize("d", [2, 4])
-@pytest.mark.parametrize("stacked", [True, False])
-@pytest.mark.parametrize("spoilt", ["coords", "velocity", "coefficients"])
-def test_a_bad_node_raises_the_point_error(d, stacked, spoilt):
-    # the one-lane pull-back from 0 to 1 reads its Gauss nodes 0.11, 0.5 and
-    # 0.89 in one stack; only the last one is bad, and the error is the one
-    # the point reads raise there, naming its point
-    last = transport._Magnus.c[2]
+def bad_node_error(solve, d: int, stacked: bool, spoilt: str, monkeypatch):
+    """Check that ``solve(law, path, 0, 1)`` on a line whose nodes are bad
+    from 0.8 on raises the error the point reads raise at the first bad node
+    that a clean solve reads, and return that node."""
     gamma = np.full((d, d, d), 0.01)
 
-    def coeff_at(u, path):
-        return gamma * math.nan if spoilt == "coefficients" and u >= 0.8 else gamma
-    law = TransportLaw(coeff_at, (lambda us, path, coords: [coeff_at(u, path) for u in us])
-                       if stacked else None)
-    path = spoilt_line(d, spoilt, stacked, 0.8)
-    got = raised(lambda: pullback_integral(law, path, 0.0, 1.0))
-    fresh = spoilt_line(d, spoilt, stacked, 0.8)
-    expected = raised(lambda: law.coefficients(last, fresh))
+    def case(from_u):  # the law and the path, bad from from_u on
+        def coeff_at(u, path):
+            return gamma * math.nan if spoilt == "coefficients" and u >= from_u else gamma
+        law = TransportLaw(coeff_at, (lambda us, path, coords: [coeff_at(u, path) for u in us])
+                           if stacked else None)
+        return law, spoilt_line(d, spoilt, stacked, from_u)
+
+    calls = record_rhs_calls(monkeypatch)
+    solve(*case(math.inf), 0.0, 1.0)
+    first = next(u for u, _ in calls if u >= 0.8)
+    got = raised(lambda: solve(*case(0.8), 0.0, 1.0))
+    law, fresh = case(0.8)
+    expected = raised(lambda: point_coefficients(law, first, fresh))
     same_error(got, expected)
     assert isinstance(got, EvaluationError)
     if spoilt != "coords":
-        assert np.array_equal(got.point.coords, np.full(d, 0.3) + last * np.linspace(1.0, 0.5, d))
+        assert np.array_equal(got.point.coords, np.full(d, 0.3) + first * np.linspace(1.0, 0.5, d))
+    return first
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("stacked", [True, False])
+@pytest.mark.parametrize("spoilt", ["coords", "velocity", "coefficients"])
+def test_a_bad_node_raises_the_point_error(d, stacked, spoilt, monkeypatch):
+    # the one-lane pull-back from 0 to 1 reads its Gauss nodes 0.11, 0.5 and
+    # 0.89 in one stack; only the last one is bad, and the error is the one
+    # the point reads raise there, naming its point
+    last = bad_node_error(pullback_integral, d, stacked, spoilt, monkeypatch)
+    assert last == transport._Magnus.c[2]
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("stacked", [True, False])
+@pytest.mark.parametrize("spoilt", ["coords", "velocity", "coefficients"])
+def test_a_bad_stage_node_of_a_transport_raises_the_point_error(d, stacked, spoilt,
+                                                                monkeypatch):
+    # the transport from 0 to 1 reads its start nodes, then each DOP853
+    # step's 11 stage nodes in one stack; the first bad node of a stack
+    # raises the point reads' error there
+    first = bad_node_error(transport_matrix, d, stacked, spoilt, monkeypatch)
+    assert 0.8 <= first < 1.0
+
+
+def pole_path(stacked: bool):
+    """The line theta = u, phi = 0.3: the sphere's pole at u = 0."""
+    def jets(u):
+        return np.array([u, 0.3]), np.array([1.0, 0.0])
+
+    def points_at(us):
+        return np.stack([us, np.full(len(us), 0.3)], axis=1), np.tile([1.0, 0.0], (len(us), 1))
+    return PathCurve(jets, (-1.0, 1.0), points_at if stacked else None)
 
 
 @pytest.mark.parametrize("family", ["sphere", "offset-transport"])
@@ -227,14 +265,18 @@ def test_a_bad_node_raises_the_point_error(d, stacked, spoilt):
 def test_a_sphere_node_at_the_pole_raises_the_domain_error(family, stacked):
     # the middle Gauss node of the pull-back from -0.5 to 0.5 sits at theta = 0
     law = build(ScenarioSpec(family)).law
+    got = raised(lambda: pullback_integral(law, pole_path(stacked), -0.5, 0.5))
+    expected = raised(lambda: point_coefficients(law, 0.0, pole_path(False)))
+    assert isinstance(expected, DomainError)
+    same_error(got, expected)
 
-    def jets(u):
-        return np.array([u, 0.3]), np.array([1.0, 0.0])
 
-    def points_at(us):
-        return np.stack([us, np.full(len(us), 0.3)], axis=1), np.tile([1.0, 0.0], (len(us), 1))
-    path = PathCurve(jets, (-1.0, 1.0), points_at if stacked else None)
-    got = raised(lambda: pullback_integral(law, path, -0.5, 0.5))
-    expected = raised(lambda: law.coefficients(0.0, PathCurve(jets, (-1.0, 1.0))))
+@pytest.mark.parametrize("family", ["sphere", "offset-transport"])
+@pytest.mark.parametrize("stacked", [True, False])
+def test_a_transport_from_the_pole_raises_the_domain_error(family, stacked):
+    # the transport from 0 to 0.5 reads its start node at theta = 0 first
+    law = build(ScenarioSpec(family)).law
+    got = raised(lambda: transport_matrix(law, pole_path(stacked), 0.0, 0.5))
+    expected = raised(lambda: point_coefficients(law, 0.0, pole_path(False)))
     assert isinstance(expected, DomainError)
     same_error(got, expected)

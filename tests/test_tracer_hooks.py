@@ -1,13 +1,15 @@
-"""The benchmark's tracer (``perfbench/tracer.py``) wraps module bindings of
-geodev by name; a refactor that drops one of those bindings makes every
-traced benchmark run fail with a KeyError.  These checks load the tracer
-as it is and install and remove its wrappers."""
+"""The benchmark's tracer (``perfbench/tracer.py``) wraps module bindings and
+class methods of geodev by name; a refactor that drops one of those names
+makes every traced benchmark run fail with a KeyError.  These checks load
+the tracer as it is and install and remove its wrappers."""
 
 import types
 from pathlib import Path
 
 import geodev.equations
 import geodev.kinematics
+from geodev.geometry import ConnectionField
+from geodev.transport import TransportLaw
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -24,7 +26,8 @@ def test_tracer_installs_and_uninstalls_on_the_current_bindings():
         (geodev.equations, n) for n in (
             "deviation_vector", "relative_energy", "delta_field",
             "relative_velocity", "relative_acceleration", "relative_momentum",
-            "relative_force", "curvature_at"))
+            "relative_force", "curvature_at")), (TransportLaw, "coefficients"), *(
+        (ConnectionField, n) for n in ("coefficients", "partials"))
     before = {(m.__name__, n): m.__dict__[n] for m, n in names}
     tracer = _load_tracer().Tracer()
     try:

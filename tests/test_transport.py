@@ -85,9 +85,10 @@ def test_transport_components_matches_matrix_and_linearity(sphere):
 
 
 def test_one_path_evaluation_per_rhs_parameter(monkeypatch):
-    # a new stage parameter of a parallel transport costs one jets call, one
-    # ChartPoint, one TransportLaw.coefficients and one coeff_at of the law;
-    # a parameter met again costs none of them
+    # each generator read of a parallel transport is one PathCurve.points and
+    # one TransportLaw.coefficients call, and costs one jets call and one
+    # ChartPoint (for the connection's Gamma) per node; no node is read twice,
+    # and transport_matrix reads the start point once more for the dimension
     counts = Counter()
 
     def counted(name, fn):
@@ -100,25 +101,28 @@ def test_one_path_evaluation_per_rhs_parameter(monkeypatch):
                         counted("ChartPoint", ChartPoint.__init__))
     monkeypatch.setattr(TransportLaw, "coefficients",
                         counted("coefficients", TransportLaw.coefficients))
+    monkeypatch.setattr(PathCurve, "points", counted("points", PathCurve.points))
     calls = record_rhs_calls(monkeypatch)
-    law = law_from_connection(sphere_connection())
     path = PathCurve(counted("jets", lambda t: (np.array([0.8, t]),
                                                 np.array([0.0, 1.0]))),
                      (0.0, 2.0 * math.pi))
-    transport_matrix(TransportLaw(counted("coeff_at", law.coeff_at)), path,
-                     0.0, 2.0 * math.pi)
-    new = len({u for u, _ in calls})
-    assert new > 50 and len(calls) > new
-    assert counts == {"jets": new, "ChartPoint": new, "coefficients": new,
-                      "coeff_at": new}
+    transport_matrix(law_from_connection(sphere_connection()), path, 0.0, 2.0 * math.pi)
+    nodes, (attempts, rest) = len(calls), divmod(len(calls) - 2, 11)
+    assert rest == 0 and nodes > 50 and len({u for u, _ in calls}) == nodes
+    assert counts == {"jets": nodes + 1, "ChartPoint": nodes + 1,
+                      "coefficients": 2 + attempts, "points": 2 + attempts}
 
 
 @pytest.mark.parametrize("d", [2, 4])
 def test_non_finite_values_met_inside_a_solve_are_named(d):
     # NaN, +inf and -inf at each entry of H, of the path velocity and of the
-    # path coordinates, from the third new parameter of a transport_matrix
-    # solve on, raise the EvaluationError of the check that meets them; d = 4
-    # gives H 64 entries, so both sizes of finiteness test are met
+    # path coordinates, from their third evaluation in a transport_matrix
+    # solve on, raise the EvaluationError of the check that meets them, and
+    # the solve reads nothing past that generator read: the path's third
+    # jets call is the start's second read at u + h0 (the first was
+    # transport_matrix's map(s)), Gamma's third is in the first step's read
+    # of 11 nodes; d = 4 gives H 64 entries, so both sizes of finiteness
+    # test are met
     gamma, start = np.full((d, d, d), 0.01), np.full(d, 0.1)
     direction = np.linspace(1.0, 0.5, d)
     checks = {"gamma": ((d, d, d), "non-finite transport coefficients"),
@@ -141,7 +145,7 @@ def test_non_finite_values_met_inside_a_solve_are_named(d):
         try:
             transport_matrix(law, path, 0.0, 1.0)
         finally:
-            assert seen[spoilt] == 3
+            assert seen[spoilt] == {"gamma": 13, "velocity": 3, "coords": 3}[spoilt]
 
     for spoilt, (shape, message) in checks.items():
         for index in np.ndindex(shape):
@@ -154,7 +158,7 @@ def test_pullback_along_a_shared_path_is_safe_across_threads(monkeypatch):
     # more threads than cores solve along one connecting path to different
     # endpoints.  The law and the path yield the GIL inside every evaluation,
     # so other threads run while a memo entry is being computed, and the
-    # memos (path points, generators, surface points) are bounded at 8
+    # memos (path points, surface points) are bounded at 8
     # entries here, so they are emptied and refilled under the readers;
     # every thread must still get the serial result, and no error
     monkeypatch.setattr(geodev.geometry, "MEMO_SIZE", 8)
@@ -219,15 +223,15 @@ REJECTING = OdeConfig(rel_tol=1e-6, abs_tol=1e-8)
 
 def record_rhs_calls(monkeypatch) -> list:
     """Wrap ``transport._integrate`` so that every later solve appends the
-    parameter and ``M(u)`` of each generator value to the returned list: one
-    per RHS call of DOP853, one per Gauss node of a Magnus attempt's stacked
-    generator call, in node order."""
+    parameter and ``M(u)`` of each generator value to the returned list, in
+    node order: one per node of a generator read (a DOP853 start's node, a
+    DOP853 step's 11 stage nodes, a Magnus attempt's Gauss nodes)."""
     calls, integrate = [], transport._integrate
 
     def recording(law, path, generator, *args):
-        def recorded(u, m, *xdot):  # a point, or a stack of nodes with xdot
-            calls.extend(zip(u, m) if xdot else [(u, m)])
-            return generator(u, m, *xdot)
+        def recorded(us, m, xdot):
+            calls.extend(zip(us, m))
+            return generator(us, m, xdot)
         return integrate(law, path, recorded, *args)
 
     monkeypatch.setattr(transport, "_integrate", recording)
@@ -235,13 +239,13 @@ def record_rhs_calls(monkeypatch) -> list:
 
 
 def test_step_budget_counts_attempted_steps(monkeypatch):
-    # 2 RHS calls pick the first step, then 12 per attempted DOP853 step;
-    # this solve rejects steps (test_stepper_matches_scipy_rk45), and they
-    # count too
+    # 2 generator values pick the first step, then 11 per attempted DOP853
+    # step; this solve rejects steps (test_stepper_matches_scipy_rk45), and
+    # they count too
     calls = record_rhs_calls(monkeypatch)
     law = bump_law()
     free = transport_matrix(law, X_AXIS, 0.9, 0.02, REJECTING)
-    attempts, rest = divmod(len(calls) - 2, 12)
+    attempts, rest = divmod(len(calls) - 2, 11)
     assert rest == 0 and attempts > 10
     exact = replace(REJECTING, max_steps=attempts)
     assert np.array_equal(transport_matrix(law, X_AXIS, 0.9, 0.02, exact), free)
@@ -252,8 +256,8 @@ def test_step_budget_counts_attempted_steps(monkeypatch):
 
 def test_one_generator_per_rhs_parameter(monkeypatch):
     # DOP853's stage 12 (c = 1) and the FSAL stage share u + h, and so one
-    # evaluation of M; the M a call site's generator receives is read-only,
-    # so no generator can corrupt the memo
+    # node of the step's generator read: a point-only law is read once per
+    # node, and no node twice
     sphere_law, coeff_calls = build(ScenarioSpec("sphere")).law, []
 
     def coeff_at(u, path):
@@ -263,19 +267,18 @@ def test_one_generator_per_rhs_parameter(monkeypatch):
     calls = record_rhs_calls(monkeypatch)
     transport_matrix(TransportLaw(coeff_at), _latitude_path(math.pi / 4),
                      0.0, 2.0 * math.pi)
-    attempts, rest = divmod(len(calls) - 2, 12)
+    attempts, rest = divmod(len(calls) - 2, 11)
     assert rest == 0
-    assert len(coeff_calls) == len({u for u, _ in calls}) == 2 + 11 * attempts
+    assert coeff_calls == [u for u, _ in calls]
+    assert len(coeff_calls) == len(set(coeff_calls)) == 2 + 11 * attempts
     assert attempts > 10
-    for _, m in calls:
-        with pytest.raises(ValueError, match="read-only"):
-            m[0, 0] = 0.0
 
 
 def test_holonomy_rhs_calls(monkeypatch):
-    # the sphere's latitude holonomy with DOP853 at the default tolerances;
-    # these counts pin the pair's gain, as RK 5(4) needs 1,196 / 854 / 212;
-    # work_counts' generator_evals counts the same calls
+    # the sphere's latitude holonomy with DOP853 at the default tolerances:
+    # 2 + 11 generator values per attempted step (22 / 16 / 6 steps); these
+    # counts pin the pair's gain, as RK 5(4) needs 1,196 / 854 / 212 RHS
+    # calls; work_counts' generator_evals counts the same values
     calls = record_rhs_calls(monkeypatch)
     law = build(ScenarioSpec("sphere")).law
     counts = []
@@ -285,7 +288,7 @@ def test_holonomy_rhs_calls(monkeypatch):
             transport_matrix(law, _latitude_path(theta0), 0.0, 2.0 * math.pi)
         assert work["generator_evals"] == len(calls)
         counts.append(len(calls))
-    assert counts == [266, 194, 74]
+    assert counts == [244, 178, 68]
 
 
 def test_dop853_coefficients_match_scipy():
@@ -295,9 +298,14 @@ def test_dop853_coefficients_match_scipy():
     for i, row in enumerate(tab.a):
         np.testing.assert_array_equal(row, dop853.A[i, :i])
     np.testing.assert_array_equal(tab.b, dop853.B)
-    np.testing.assert_array_equal(transport._DOP853_E3, dop853.E3)
-    np.testing.assert_array_equal(transport._DOP853_E5, dop853.E5)
+    np.testing.assert_array_equal(tab.e3, dop853.E3)
+    np.testing.assert_array_equal(tab.e5, dop853.E5)
     assert tab.order == 7
+
+
+def point_coefficients(law: TransportLaw, u: float, path: PathCurve) -> np.ndarray:
+    """The law's checked H at one parameter: its read of a stack of one node."""
+    return law.coefficients([u], path, path.map(u).coords[None])[0]
 
 
 SCIPY_METHODS = ((transport._DOP853, "DOP853"),)
@@ -305,16 +313,16 @@ SCIPY_METHODS = ((transport._DOP853, "DOP853"),)
 
 def scipy_integrate(params: list, accepted: list, methods: list):
     """Stand-in for ``transport._integrate`` that solves the same ODE with
-    ``solve_ivp`` and the method of the given tableau, recording each RHS
+    ``solve_ivp`` and the method of the given stepper, recording each RHS
     parameter, the accepted steps and the method."""
-    def integrate(law, path, generator, y0, s, ends, cfg, tableau):
+    def integrate(law, path, generator, y0, s, ends, cfg, stepper):
         [t] = ends
         def fun(u, y):
             params.append(u)
-            coeff = law.coefficients(u, path)
-            m = generator(u, np.einsum("ijk,k->ij", coeff, path.tangent(u)))
+            coeff, xdot = point_coefficients(law, u, path), path.tangent(u)
+            [m] = generator([u], np.einsum("ijk,k->ij", coeff, xdot)[None], xdot[None])
             return (m @ y.reshape(m.shape[0], -1)).reshape(-1)
-        [method] = [name for tab, name in SCIPY_METHODS if tab is tableau]
+        [method] = [name for tab, name in SCIPY_METHODS if tab is stepper]
         sol = solve_ivp(fun, (s, t), y0, method=method, rtol=cfg.rel_tol,
                         atol=cfg.abs_tol)
         assert sol.success, sol.message
@@ -347,25 +355,23 @@ ORACLE_CASES = {  # each case: the solve, and the solve_ivp method it uses
 def test_stepper_matches_scipy_rk45(case, monkeypatch):
     # each case names the solve_ivp method of the pair its call site fixes:
     # DOP853 for transport_components (pullback_integral's Magnus pair has
-    # its own oracle, test_magnus_pullback_matches_tight_dop853)
+    # its own oracle, test_magnus_pullback_matches_tight_dop853); our nodes
+    # are the oracle's RHS parameters with each step's u + h, where its last
+    # stage and its FSAL call both sit, taken once
     solve, method = ORACLE_CASES[case]
-    ours_params, oracle_params, accepted, methods = [], [], [], []
-    integrate = transport._integrate
-
-    def counting(law, path, generator, *args):
-        def counted(u, m):
-            ours_params.append(u)
-            return generator(u, m)
-        return integrate(law, path, counted, *args)
-
-    monkeypatch.setattr(transport, "_integrate", counting)
+    oracle_params, accepted, methods = [], [], []
+    calls = record_rhs_calls(monkeypatch)
     ours = solve()
     monkeypatch.setattr(transport, "_integrate",
                         scipy_integrate(oracle_params, accepted, methods))
     theirs = solve()
     assert methods == [method]
     np.testing.assert_array_equal(ours, theirs)
-    assert ours_params == oracle_params
+    assert (len(oracle_params) - 2) % 12 == 0
+    assert all(oracle_params[i] == oracle_params[i + 1]
+               for i in range(12, len(oracle_params), 12))
+    assert [u for u, _ in calls] == [u for i, u in enumerate(oracle_params)
+                                     if i < 2 or (i - 2) % 12 != 11]
     if case == "rejecting":
         [steps] = accepted
         assert (len(oracle_params) - 2) // 12 > steps
@@ -417,7 +423,7 @@ def tight_pullback(law: TransportLaw, path: PathCurve, s: float, t: float):
 
     def fun(u, y):
         phi = y[:d * d].reshape(d, d)
-        m = law.coefficients(u, path) @ path.tangent(u)
+        m = point_coefficients(law, u, path) @ path.tangent(u)
         return np.concatenate(((-phi @ m).reshape(-1), phi @ path.tangent(u)))
     sol = solve_ivp(fun, (s, t), np.concatenate((np.eye(d).reshape(-1), np.zeros(d))),
                     method="DOP853", rtol=3e-14, atol=1e-16)
@@ -544,7 +550,7 @@ def test_non_finite_coefficients_error():
 
 @pytest.mark.parametrize("make_law", [
     law_from_connection,
-    lambda conn: law_with_offset(conn, lambda pt: np.zeros((2, 2, 2)))],
+    lambda conn: law_with_offset(conn, np.zeros((2, 2, 2)))],
     ids=["parallel", "offset"])
 def test_connection_laws_leave_the_check_to_the_law(make_law, monkeypatch):
     # the laws read Gamma unchecked; TransportLaw.coefficients checks H once,
@@ -572,7 +578,7 @@ def test_coefficients_must_be_a_cube_of_the_path_dimension(shape):
 def test_parallel_law_zero_connection():
     law = law_from_connection(zero_connection())
     path = line_path([0.0, 0.0], [1.0, 0.0])
-    assert np.all(law.coefficients(0.3, path) == 0.0)
+    assert np.all(point_coefficients(law, 0.3, path) == 0.0)
 
 
 def test_parallel_law_coefficient_sign():
@@ -608,10 +614,10 @@ def test_parallel_transport_preserves_sphere_metric(sphere):
 def test_law_with_offset_reduces_to_parallel():
     conn = sphere_connection()
     law0 = law_from_connection(conn)
-    law = law_with_offset(conn, lambda pt: np.zeros((2, 2, 2)))
+    law = law_with_offset(conn, np.zeros((2, 2, 2)))
     path = line_path([1.0, 0.3], [0.2, 1.0])
-    assert np.array_equal(law.coefficients(0.1, path),
-                          law0.coefficients(0.1, path))
+    assert np.array_equal(point_coefficients(law, 0.1, path),
+                          point_coefficients(law0, 0.1, path))
 
 
 def test_law_with_offset_matrix_exponential_oracle():
@@ -620,7 +626,7 @@ def test_law_with_offset_matrix_exponential_oracle():
     sigma = np.zeros((2, 2, 2))
     sigma[0, 1, 1] = 0.4
     sigma[1, 0, 0] = -0.3
-    law = law_with_offset(zero_connection(), lambda pt: sigma)
+    law = law_with_offset(zero_connection(), sigma)
     direction = np.array([1.0, 0.8])
     path = line_path([0.0, 0.0], direction)
     gap = 0.7
@@ -639,7 +645,7 @@ def test_s_tensor_offset_round_trip():
     conn = sphere_connection()
     sigma = np.zeros((2, 2, 2))
     sigma[0, 1, 1] = 0.25
-    law = law_with_offset(conn, lambda pt: sigma)
+    law = law_with_offset(conn, sigma)
     path = line_path([1.1, 0.0], [0.0, 1.0])
     s = s_tensor(law, conn, path, 0.4)
     assert np.abs(s - sigma).max() < 1e-12
@@ -668,7 +674,7 @@ def test_extract_first_coeff_offset():
     sigma = np.zeros((2, 2, 2))
     sigma[0, 1, 1] = 0.3
     sigma[1, 0, 1] = -0.15
-    law = law_with_offset(conn, lambda pt: sigma)
+    law = law_with_offset(conn, sigma)
     pt = ChartPoint([1.0, -0.2])
     coeff = extract_first_coeff(law, pt, coordinate_probes(pt))
     assert np.abs(coeff + conn.coefficients(pt) + sigma).max() < 1e-6
@@ -741,7 +747,7 @@ def test_determinant_liouville_bound(sphere):
     us = np.linspace(s, t, 201)
     norms = []
     for u in us:
-        coeff = sphere.law.coefficients(u, line)
+        coeff = point_coefficients(sphere.law, u, line)
         m = np.einsum("ijk,k->ij", coeff, line.tangent(u))
         norms.append(np.linalg.svd(m, compute_uv=False).sum())
     bound = np.trapezoid(norms, us)
