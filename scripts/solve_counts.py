@@ -1,13 +1,16 @@
-"""Deterministic transport and surface work of three convergence studies
+"""Deterministic transport and surface work of four convergence studies
 and one holonomy.
 
     python3 scripts/solve_counts.py
 
 Runs ``convergence_study`` with the ``geodev`` package of this checkout's
-``src/`` on offset-transport with ``LINEAR_DRIFT_MASSES`` (a freshly built
-scenario per study), the default ladder and the default ``s_eval``, for the
+``src/`` with ``LINEAR_DRIFT_MASSES`` (a freshly built scenario per study),
+the default ladder and the default ``s_eval``: on offset-transport for the
 13 equations that never difference the deviation vector, for all 16
-equations, and for the 3 deviation equations; then the sphere's transport
+equations, and for the 3 deviation equations, and on flat-torsion, whose
+constant Gamma is read on the same stacks as the sphere's, for all 16
+equations (``all_16_flat_torsion``, so that the Gamma work of the two kinds
+of connection can be compared); then the sphere's transport
 once around the latitude circle at pi/4 (the solve of ``geodev inspect
 --what transport --latitude 0.785...``), and prints one JSON object.
 
@@ -60,10 +63,11 @@ from geodev.scenarios import (LINEAR_DRIFT_MASSES, ScenarioSpec,  # noqa: E402
                               build)
 
 DEVIATION = (EquationId.E2_13, EquationId.E4_1, EquationId.E6_3)
-STUDIES = {
-    "relative_13": [eq for eq in EquationId if eq not in DEVIATION],
-    "all_16": list(EquationId),
-    "deviation_3": list(DEVIATION),
+STUDIES = {  # name: (family, equations)
+    "relative_13": ("offset-transport", [eq for eq in EquationId if eq not in DEVIATION]),
+    "all_16": ("offset-transport", list(EquationId)),
+    "deviation_3": ("offset-transport", list(DEVIATION)),
+    "all_16_flat_torsion": ("flat-torsion", list(EquationId)),
 }
 # workspace memo keys of the quantities that depend on (s, r') and not on eps
 BASE_KEYS = ("map", "d_s", "d_r", "d_sr", "x1pt", "gam", "dgam", "a1", "T", "R",
@@ -132,10 +136,10 @@ def counted(work) -> dict:
 
 def main() -> None:
     out = {}
-    for name, eqs in STUDIES.items():
+    for name, (family, eqs) in STUDIES.items():
         # a fresh scenario per study: its surface memo keeps the points of
         # earlier studies, which would make the counts depend on run order
-        scenario = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
+        scenario = build(ScenarioSpec(family, LINEAR_DRIFT_MASSES))
         out[name] = counted(lambda: convergence_study(
             eqs, scenario, scenario.s_eval, DEFAULT_LADDER))
         out[name]["solves_per_eps"] = out[name]["solves"] / len(DEFAULT_LADDER)

@@ -298,7 +298,9 @@ def cmd_converge(args) -> int:
 
 def _latitude_path(theta0: float) -> PathCurve:
     return PathCurve(lambda t: (np.array([theta0, t]), np.array([0.0, 1.0])),
-                     (0.0, 2.0 * math.pi))
+                     (0.0, 2.0 * math.pi),
+                     lambda ts: (np.column_stack((np.full(len(ts), theta0), ts)),
+                                 np.repeat([[0.0, 1.0]], len(ts), axis=0)))
 
 
 # the flags each --what reads; the first one, when given, excludes the rest
@@ -375,7 +377,7 @@ def cmd_list(_args) -> int:
 
 # ---------------------------------------------------------------------- main
 
-@functools.lru_cache(maxsize=1)  # built once per process; parsing leaves it as is
+@functools.cache  # built once per process; parsing leaves it as is
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="geodev",

@@ -23,7 +23,6 @@ deviation-equation set before this module was written):
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from dataclasses import FrozenInstanceError, dataclass
@@ -55,7 +54,7 @@ DEFAULT_FD_STEP = 1e-5
 METRIC_SYMMETRY_TOL = 1e-12
 METRIC_DET_TOL = 1e-12
 NULL_TOL = 1e-10  # |U^2| at or below this is null for sign_of_square
-MEMO_SIZE = 4096  # entries of each keyed memo (paths, surfaces)
+MEMO_SIZE = 4096  # entries of each surface memo (memo_put)
 _MEMO_LOCK = threading.Lock()  # makes memo_put's check-then-store atomic
 
 
@@ -135,22 +134,21 @@ class ChartPoint:
 class ConnectionField:
     """Affine connection given by its coefficient field ``Gamma^i_{jk}(x)``.
 
-    ``gamma_at`` maps a ChartPoint to a ``(d, d, d)`` array laid out per the
-    module index convention.  ``partials_at``, when given, returns the
-    ``(d, d, d, d)`` array of coordinate partials with the derivative index
-    last (``partials[i, j, k, l] = d_l Gamma^i_{jk}``); otherwise partials
-    are approximated by central differences with step ``DEFAULT_FD_STEP``.
-    ``gammas_at``, when given, is ``gamma_at`` on an ``(n, d)`` stack of
-    coordinates, bit for bit, as an ``(n, d, d, d)`` array.
+    ``gamma_at`` maps an ``(n, d)`` stack of coordinates to the ``(n, d, d,
+    d)`` stack of Gamma there, laid out per the module index convention;
+    ``coefficients`` reads it at one ChartPoint as a stack of one.
+    ``partials_at``, when given, returns the ``(d, d, d, d)`` array of
+    coordinate partials at a ChartPoint with the derivative index last
+    (``partials[i, j, k, l] = d_l Gamma^i_{jk}``); otherwise partials are
+    approximated by central differences with step ``DEFAULT_FD_STEP``.
     """
 
-    gamma_at: Callable[[ChartPoint], np.ndarray]
+    gamma_at: Callable[[np.ndarray], np.ndarray]
     partials_at: Optional[Callable[[ChartPoint], np.ndarray]] = None
-    gammas_at: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def coefficients(self, point: ChartPoint) -> np.ndarray:
-        return checked_array(self.gamma_at(point), (point.dimension,) * 3,
-                             "connection coefficients", point)
+        return _checked_stack(self.gamma_at(point.coords[None]), (point.dimension,) * 3,
+                              "connection coefficients", point.coords[None])[0]
 
     def partials(self, point: ChartPoint) -> np.ndarray:
         out = (_central_partials(self.coefficients, point)
@@ -200,37 +198,25 @@ def memo_put(memo: dict, key, value):
 @dataclass(frozen=True)
 class PathCurve:
     """A C^1 path in the chart over ``domain``, stated once as ``jets(u) ->
-    (coords, velocity)``.  ``map`` and ``tangent`` share one LRU memo of at
-    most ``MEMO_SIZE`` ``(ChartPoint, velocity)`` by u, the velocity checked
-    once against the chart dimension, both arrays read-only.  ``points``,
-    which the transport solves read, takes a stack of u unmemoized, by
-    ``points_at(us) -> (coords, velocity)`` (bit for bit as ``jets``) where
-    the path states one, else by ``jets``."""
+    (coords, velocity)``, read at one u, point and velocity checked, by ``map``
+    and ``tangent``; ``points``, which the transport solves read, takes a stack
+    of u by ``points_at(us)`` (bit for bit as ``jets``) where the path states
+    one, else by ``jets``."""
 
     jets: Callable[[float], Tuple[np.ndarray, np.ndarray]]
     domain: Tuple[float, float]
     points_at: Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
 
-    def __post_init__(self):
-        jets = self.jets
-
-        @functools.lru_cache(maxsize=MEMO_SIZE)
-        def at(u: float) -> Tuple[ChartPoint, np.ndarray]:
-            coords, velocity = jets(u)
-            point = ChartPoint(coords)
-            velocity = checked_array(velocity, point.coords.shape,
-                                     "tangent components", point)
-            point.coords.setflags(write=False)
-            velocity.setflags(write=False)
-            return point, velocity
-
-        object.__setattr__(self, "_at", at)
+    def _jet(self, u: float) -> Tuple[ChartPoint, np.ndarray]:
+        coords, velocity = self.jets(u)
+        point = ChartPoint(coords)
+        return point, checked_array(velocity, point.coords.shape, "tangent components", point)
 
     def map(self, u: float) -> ChartPoint:
-        return self._at(u)[0]
+        return self._jet(u)[0]
 
     def tangent(self, u: float) -> np.ndarray:
-        return self._at(u)[1]
+        return self._jet(u)[1]
 
     def points(self, us) -> Tuple[np.ndarray, np.ndarray]:
         """(coords, velocity), ``(len(us), d)`` each, checked once: a bad

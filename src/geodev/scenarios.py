@@ -11,8 +11,8 @@ function returning the point and its first partials, and at order 2 also
 its second partials, the order-1 part computed first and alike at either
 order; ``_surface`` turns it into a WorldSurface that keeps each point's
 jets in a memo keyed by (s, r) and hands out read-only arrays.  The sphere
-and flat-quadratic surfaces, and the sphere's Gamma, also state a stacked
-form for the Gauss nodes of the Magnus pull-backs.
+and flat-quadratic surfaces also state a stacked form for the Gauss nodes
+of the Magnus pull-backs; each Gamma and each law is stated on a stack.
 
 Family structure matrix (enforced by tests):
 
@@ -40,7 +40,7 @@ import numpy as np
 
 from .equations import EquationId
 from .errors import ConfigError, DomainError
-from .geometry import ChartPoint, ConnectionField, MetricField, memo_put
+from .geometry import ConnectionField, MetricField, memo_put
 from .kinematics import MassSurface, Scenario, SurfaceField, WorldSurface
 from .transport import _COUNTS, TransportLaw, law_from_connection, law_with_offset
 
@@ -123,11 +123,15 @@ def _probe_field(dim: int) -> SurfaceField:
     return SurfaceField(value=value, d_r=d_r)
 
 
+def _constant_connection(gamma: np.ndarray) -> ConnectionField:
+    """Gamma the same at every point, repeated over each stack; zero partials."""
+    dgamma = np.zeros(gamma.shape + gamma.shape[:1])
+    return ConnectionField(lambda coords: np.repeat(gamma[None], len(coords), axis=0),
+                           lambda pt: dgamma)
+
+
 def _zero_connection(dim: int) -> ConnectionField:
-    zeros = np.zeros((dim, dim, dim))
-    dzeros = np.zeros((dim, dim, dim, dim))
-    return ConnectionField(gamma_at=lambda pt: zeros,
-                           partials_at=lambda pt: dzeros)
+    return _constant_connection(np.zeros((dim, dim, dim)))
 
 
 def _identity_metric(dim: int, signature: Optional[np.ndarray] = None) -> MetricField:
@@ -302,9 +306,7 @@ del _FLAT_TORSION_SCHEMA["dim"]
 def _torsion_connection(c: float) -> ConnectionField:
     gamma = np.zeros((2, 2, 2))
     gamma[0, 1, 0] = c  # Gamma^1_{21}: vector slot j=2, direction slot k=1
-    dgamma = np.zeros((2, 2, 2, 2))
-    return ConnectionField(gamma_at=lambda pt: gamma,
-                           partials_at=lambda pt: dgamma)
+    return _constant_connection(gamma)
 
 
 def _build_flat_torsion(p: Dict[str, float], r_base: float,
@@ -318,23 +320,14 @@ def _build_flat_torsion(p: Dict[str, float], r_base: float,
 # --------------------------------------------------------------------- sphere
 
 def _sphere_connection() -> ConnectionField:
-    def gamma_at(pt):
-        th = pt.coords[0]
-        g = np.zeros((2, 2, 2))
-        g[0, 1, 1] = -math.sin(th) * math.cos(th)
-        try:
-            g[1, 0, 1] = g[1, 1, 0] = 1.0 / math.tan(th)
-        except ZeroDivisionError:
-            raise DomainError(f"sphere chart is singular at theta = {th}") from None
-        return g
-
-    def gammas_at(coords):  # gamma_at on a stack of theta; tan per entry with math
+    def gamma_at(coords):  # on a stack of theta; tan per entry with math
         th, g = coords[:, 0], np.zeros((len(coords), 2, 2, 2))
         g[:, 0, 1, 1] = -np.sin(th) * np.cos(th)
         try:
             g[:, 1, 0, 1] = g[:, 1, 1, 0] = [1.0 / math.tan(t) for t in th.tolist()]
-        except ZeroDivisionError:  # gamma_at raises at the first singular point
-            list(map(gamma_at, map(ChartPoint, coords)))
+        except ZeroDivisionError:  # named at the first singular theta
+            t = next(t for t in th.tolist() if math.tan(t) == 0.0)
+            raise DomainError(f"sphere chart is singular at theta = {t}") from None
         return g
 
     def partials_at(pt):
@@ -347,7 +340,7 @@ def _sphere_connection() -> ConnectionField:
             raise DomainError(f"sphere chart is singular at theta = {th}") from None
         return dg
 
-    return ConnectionField(gamma_at, partials_at, gammas_at)
+    return ConnectionField(gamma_at, partials_at)
 
 
 def _sphere_metric() -> MetricField:
@@ -533,7 +526,7 @@ def _build_exp(p: Dict[str, float], r_base: float, s_eval: float) -> Scenario:
     coeff = np.zeros((2, 2, 2))
     # M(u) = A * xdot^0, so H(t,s) = expm(A (x^0(t)-x^0(s)))
     coeff[:, :, 0] = exp_law_generator(p)
-    law = TransportLaw(coeff_at=lambda s, path: coeff)
+    law = TransportLaw(lambda us, path, coords: np.repeat(coeff[None], len(us), axis=0))
     return _assemble("exp-transport", 2, _zero_connection(2), _identity_metric(2),
                      law, _flat_quadratic_surface(2, p), p, r_base, s_eval)
 

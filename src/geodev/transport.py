@@ -27,7 +27,7 @@ import contextvars
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -82,21 +82,19 @@ DEFAULT_ODE_CONFIG = OdeConfig()
 
 @dataclass(frozen=True)
 class TransportLaw:
-    """Coefficient field ``H^i_{jk}(s; path)`` defining a linear transport,
-    stated at one path parameter as ``coeff_at(s, path)``; ``coeffs_at(us,
-    path, coords)``, when given, is ``coeff_at`` at each of ``us`` (path
-    coordinates: the rows of ``coords``), bit for bit."""
+    """Coefficient field ``H^i_{jk}(u; path)`` defining a linear transport,
+    stated on a stack: ``coeffs_at(us, path, coords)`` is H at each of the
+    path parameters ``us``, ``(n, d, d, d)``, given the path's coordinates
+    there, the rows of ``coords``."""
 
-    coeff_at: Callable[[float, PathCurve], np.ndarray]
-    coeffs_at: Optional[Callable[..., np.ndarray]] = None
+    coeffs_at: Callable[..., np.ndarray]
 
     def coefficients(self, us: Sequence[float], path: PathCurve,
                      coords: np.ndarray) -> np.ndarray:
         """H at each of ``us``, ``(n, d, d, d)``, checked once; ``coords`` are
         the path's coordinates there, ``(n, d)``."""
-        out = (self.coeffs_at(us, path, coords) if self.coeffs_at is not None
-               else [self.coeff_at(u, path) for u in us])
-        return _checked_stack(out, coords.shape[1:] * 3, "transport coefficients", coords)
+        return _checked_stack(self.coeffs_at(us, path, coords), coords.shape[1:] * 3,
+                              "transport coefficients", coords)
 
 
 def _rms(x: np.ndarray) -> float:  # as np.linalg.norm(x) / sqrt(x.size)
@@ -393,24 +391,15 @@ def _pullbacks(law: TransportLaw, path: PathCurve, s: float, ends: Sequence[floa
 
 def law_from_connection(conn: ConnectionField) -> TransportLaw:
     """Parallel-transport law of the connection: ``H^i_{jk} = -Gamma^i_{jk}``
-    evaluated at the path point (or a stack of them, by ``conn.gammas_at``
-    where given).  Gamma is read unchecked: the law's calls check H once."""
-    def coeff(s: float, path: PathCurve) -> np.ndarray:
-        return -np.asarray(conn.gamma_at(path.map(s)), dtype=float)
-
-    def coeffs(us, path: PathCurve, coords: np.ndarray) -> np.ndarray:
-        if conn.gammas_at is not None:
-            return -np.asarray(conn.gammas_at(coords), dtype=float)
-        return -np.array([conn.gamma_at(x) for x in map(ChartPoint, coords)], dtype=float)
-    return TransportLaw(coeff, coeffs)
+    at the path's points, Gamma read unchecked: the law's calls check H once."""
+    return TransportLaw(lambda us, path, coords: -np.asarray(conn.gamma_at(coords), float))
 
 
 def law_with_offset(conn: ConnectionField, sigma: np.ndarray) -> TransportLaw:
     """Transport law ``H = -Gamma - sigma`` for a constant ``(d, d, d)`` array
     ``sigma``, so that the S-tensor recovers ``sigma`` exactly."""
     parallel, sigma = law_from_connection(conn), np.asarray(sigma, dtype=float)
-    return TransportLaw(lambda s, path: parallel.coeff_at(s, path) - sigma,
-                        lambda us, path, coords: parallel.coeffs_at(us, path, coords) - sigma)
+    return TransportLaw(lambda us, path, coords: parallel.coeffs_at(us, path, coords) - sigma)
 
 
 def s_tensor(law: TransportLaw, conn: ConnectionField, path: PathCurve,

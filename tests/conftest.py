@@ -1,7 +1,21 @@
 import numpy as np
 import pytest
 
+from geodev.geometry import ChartPoint
 from geodev.scenarios import ScenarioSpec, build
+from geodev.transport import TransportLaw
+
+
+def stacked_gamma(gamma_at):
+    """``ConnectionField.gamma_at`` on a stack of coordinates from a Gamma
+    stated at one ChartPoint, read at each row."""
+    return lambda coords: np.array([gamma_at(ChartPoint(x)) for x in coords])
+
+
+def point_law(coeff_at) -> TransportLaw:
+    """TransportLaw of a coefficient field stated at one path parameter,
+    ``coeff_at(u, path)``, read at each parameter of a stack."""
+    return TransportLaw(lambda us, path, coords: np.array([coeff_at(u, path) for u in us]))
 
 
 @pytest.fixture(scope="session")

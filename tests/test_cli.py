@@ -271,8 +271,9 @@ def test_converge_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     def fast_varying(spec):
         sc = build(spec)
         wiggle = np.ones((sc.dimension,) * 3)
-        return replace(sc, law=TransportLaw(lambda u, path: (
-            sc.law.coeff_at(u, path) + 5.0 * math.sin(200.0 * u) * wiggle)))
+        return replace(sc, law=TransportLaw(lambda us, path, coords: (
+            sc.law.coeffs_at(us, path, coords)
+            + 5.0 * np.sin(200.0 * np.array(us))[:, None, None, None] * wiggle)))
 
     monkeypatch.setattr(geodev.cli, "build", fast_varying)
     config = dict(TORSION_CONFIG)

@@ -11,7 +11,7 @@ from geodev.equations import (DEFAULT_LADDER, FIT_EXCLUSION, H_S, EquationId,
                               _Workspace, convergence_study,
                               equation_info, residual, residual_components)
 from geodev.errors import DomainError, EvaluationError
-from geodev.geometry import (ConnectionField, MetricField, bilinear,
+from geodev.geometry import (ChartPoint, ConnectionField, MetricField, bilinear,
                              torsion_apply)
 from geodev.kinematics import Scenario, WorldSurface
 from geodev.scenarios import (EQUATION_SCENARIOS, LINEAR_DRIFT_MASSES,
@@ -367,6 +367,26 @@ def test_deviation_study_reads_each_magnus_stack_at_once():
         "surface_stack_points": 147, "jets_order_1": 7}
 
 
+def test_constant_connections_build_no_point_per_node(monkeypatch):
+    # the constant Gamma of the flat families is read on a solve's stack of
+    # nodes, as the sphere's is, so an all-16 study builds as many ChartPoints
+    # on them as on offset-transport (a Gamma read at one point per node
+    # builds one more per Gauss node)
+    built, init = [], ChartPoint.__init__
+    monkeypatch.setattr(ChartPoint, "__init__",
+                        lambda self, coords: built.append(coords) or init(self, coords))
+
+    def points_built(name):
+        sc = build(ScenarioSpec(name, LINEAR_DRIFT_MASSES))
+        built.clear()
+        convergence_study(list(EquationId), sc, sc.s_eval, DEFAULT_LADDER)
+        return len(built)
+
+    flat = ("flat-torsion", "flat-euclidean/quadratic", "minkowski")
+    reference = points_built("offset-transport")
+    assert {name: points_built(name) for name in flat} == dict.fromkeys(flat, reference)
+
+
 def test_study_evaluates_base_geometry_once_per_s(monkeypatch):
     # Gamma's partials, R, the force F_s(r') and the metric at x_1(s) depend
     # on (s, r') alone: one base memo serves the whole ladder, so a
@@ -432,5 +452,5 @@ def test_base_quantities_are_read_only(flat_torsion):
                   w.d_metric(S0), w.df_dr(S0)):
         with pytest.raises(ValueError):
             value.flat[0] = 1.0
-    assert flat_torsion.conn.gamma_at(w.x1_point(S0)).flags.writeable
+    assert flat_torsion.conn.gamma_at(w.x1_point(S0).coords[None]).flags.writeable
     assert flat_torsion.metric.g_at(w.x1_point(S0)).flags.writeable

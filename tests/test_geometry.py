@@ -16,14 +16,16 @@ from geodev.geometry import (DEFAULT_FD_STEP, ChartPoint, ConnectionField,
                              cov_tensor_components, curvature_at, memo_put,
                              metric_dot, sign_of_square, torsion_at)
 
+from conftest import stacked_gamma
+
 
 def zero_connection(d=2):
-    return ConnectionField(gamma_at=lambda pt: np.zeros((d, d, d)))
+    return ConnectionField(gamma_at=stacked_gamma(lambda pt: np.zeros((d, d, d))))
 
 
 def constant_connection(gamma):
     gamma = np.asarray(gamma, float)
-    return ConnectionField(gamma_at=lambda pt: gamma)
+    return ConnectionField(gamma_at=stacked_gamma(lambda pt: gamma))
 
 
 def sphere_connection(analytic_partials=True):
@@ -41,7 +43,7 @@ def sphere_connection(analytic_partials=True):
         dg[1, 0, 1, 0] = dg[1, 1, 0, 0] = -1.0 / math.sin(th) ** 2
         return dg
 
-    return ConnectionField(gamma_at=gamma_at,
+    return ConnectionField(gamma_at=stacked_gamma(gamma_at),
                            partials_at=partials_at if analytic_partials else None)
 
 
@@ -67,8 +69,8 @@ def test_chart_point_rejects_non_finite():
 
 
 def test_chart_point_is_immutable():
-    # a point is shared through the path memo, so no caller may rebind or
-    # drop its coordinates or give it other attributes; it still copies and
+    # a point is shared through the workspace memos, so no caller may rebind
+    # or drop its coordinates or give it other attributes; it still copies and
     # pickles
     point = ChartPoint([0.3, 0.4])
     for change in (lambda: setattr(point, "coords", np.zeros(2)),
@@ -136,48 +138,19 @@ def test_analytic_metric_partials_are_checked(partials, message):
         metric.partials(ChartPoint([0.0, 0.0]))
 
 
-def test_path_jets_evaluated_once_per_parameter():
-    calls = []
-
-    def jets(u):
-        calls.append(u)
-        return np.array([u, 2.0 * u]), np.array([1.0, 2.0])
-
-    path = PathCurve(jets, (-1.0, 1.0))
-    point, tangent = path.map(0.25), path.tangent(0.25)
-    assert calls == [0.25]
-    assert point.coords.tolist() == [0.25, 0.5]
-    assert tangent.tolist() == [1.0, 2.0]
-    assert path.tangent(0.5).tolist() == [1.0, 2.0]
-    assert calls == [0.25, 0.5]
-    assert path.map(0.25).coords.tolist() == [0.25, 0.5]  # keyed by u
-    assert path.tangent(0.25) is tangent
-    assert calls == [0.25, 0.5]
-    for values in (point.coords, tangent):
-        with pytest.raises(ValueError):
-            values[0] = 1.0
-
-
 def test_memos_hold_at_most_memo_size_entries(monkeypatch):
     monkeypatch.setattr(geodev.geometry, "MEMO_SIZE", 3)
-    memo, calls = {}, []
+    memo = {}
     for key in range(7):
         assert memo_put(memo, key, -key) == -key
         assert len(memo) <= 3 and memo[key] == -key
-    path = PathCurve(lambda u: (calls.append(u) or np.array([u]),
-                                np.array([1.0])), (0.0, 1.0))
-    for u in (0.1, 0.2, 0.3, 0.4, 0.1):
-        path.map(u)
-    assert calls == [0.1, 0.2, 0.3, 0.4, 0.1]  # 0.1, least recently used, went
 
 
-def test_path_memo_is_safe_across_threads(monkeypatch):
+def test_path_memo_is_safe_across_threads():
     # threads evaluating one path at different parameters each get the
     # point and velocity of their own parameter, never another thread's; the
-    # velocity depends on u, so a torn memo entry shows in either array, and
-    # with four parameters for a memo of two entries a reader often asks for
-    # one that another thread is writing
-    monkeypatch.setattr(geodev.geometry, "MEMO_SIZE", 2)
+    # velocity depends on u, so a read mixed up between threads shows in
+    # either array
     path = PathCurve(lambda u: (np.array([0.3 + u, -0.2 + u * u]),
                                 np.array([1.0, 2.0 * u])), (-1.0, 1.0))
     params = [-0.5, -0.2, 0.1, 0.4]

@@ -1,11 +1,12 @@
-"""Stacked evaluation of the transport nodes against the point forms.
+"""Stacked evaluation of the transport nodes against the point reads.
 
 A Magnus attempt reads all its Gauss nodes, and a DOP853 step all its stage
 nodes, in one ``PathCurve.points`` and one ``TransportLaw.coefficients``
-call; where a family states a stacked form (the sphere and flat-quadratic
-surfaces, the sphere's Gamma), it must give the point forms' values bit for
-bit, and the errors of a bad node must be the point forms' errors at that
-node.
+call; where a path states a stacked form (the sphere and flat-quadratic
+surfaces' connecting paths, the latitude circles), it must give ``map`` and
+``tangent`` bit for bit; a law's stack must equal its stacks of one, the
+sphere's Gamma its closed form at each point, and the errors of a bad node
+must be the point reads' errors at that node.
 """
 
 import math
@@ -22,6 +23,7 @@ from geodev.scenarios import ScenarioSpec, build, family_names, list_scenarios
 from geodev.transport import (TransportLaw, coordinate_probes, law_from_connection,
                               pullback_integral, transport_matrix)
 
+from conftest import point_law
 from test_transport import point_coefficients, record_rhs_calls
 
 STACKED_SURFACES = {"flat-euclidean/quadratic", "flat-torsion", "sphere",
@@ -55,11 +57,9 @@ def stack_of(path, rng, n=21):
 
 
 def point_reads(path, us):
-    """(coords, velocity) from ``map`` and ``tangent`` on a fresh copy of
-    ``path``, whose memos the stacked reads did not fill."""
-    fresh = PathCurve(path.jets, path.domain)
-    return (np.array([fresh.map(u).coords for u in us]),
-            np.array([fresh.tangent(u) for u in us]))
+    """(coords, velocity) from ``map`` and ``tangent`` at each of ``us``."""
+    return (np.array([path.map(u).coords for u in us]),
+            np.array([path.tangent(u) for u in us]))
 
 
 @pytest.mark.parametrize("name", family_names())
@@ -78,11 +78,12 @@ def test_points_equal_map_and_tangent(name, rng):
 
 
 def test_points_of_latitude_and_probe_paths(rng):
-    # paths that state no stacked form read their point jets at each node
-    paths = [_latitude_path(0.7), _latitude_path(2.9),
-             *coordinate_probes(ChartPoint([0.3, -0.2, 0.5, 0.1]))]
-    for path in paths:
-        assert path.points_at is None
+    # the latitude circles state a stacked form; the probe paths state none
+    # and read their point jets at each node
+    latitudes = [_latitude_path(0.7), _latitude_path(2.9)]
+    probes = coordinate_probes(ChartPoint([0.3, -0.2, 0.5, 0.1]))
+    for path in latitudes + probes:
+        assert (path.points_at is None) == (path in probes)
         us = stack_of(path, rng)
         coords, velocity = path.points(us)
         ref_coords, ref_velocity = point_reads(path, us)
@@ -97,8 +98,16 @@ def test_stacked_law_equals_coefficients_per_node(name, rng):
             us = stack_of(path, rng)
             coords, _ = path.points(us)
             stacked = sc.law.coefficients(us, path, coords)
-            alone = np.array([sc.law.coeff_at(u, path) for u in us])
+            alone = np.array([point_coefficients(sc.law, u, path) for u in us])
             assert np.array_equal(stacked, alone)
+
+
+def sphere_gamma(theta: float) -> np.ndarray:
+    """The sphere's Gamma at one theta, in closed form with ``math``."""
+    g = np.zeros((2, 2, 2))
+    g[0, 1, 1] = -math.sin(theta) * math.cos(theta)
+    g[1, 0, 1] = g[1, 1, 0] = 1.0 / math.tan(theta)
+    return g
 
 
 def test_sphere_stacked_gamma_equals_gamma_at(rng):
@@ -107,57 +116,42 @@ def test_sphere_stacked_gamma_equals_gamma_at(rng):
                             rng.uniform(-3.0, 3.0, 1000),
                             [1e-300, 5e-324, -1e-12, math.pi, math.pi / 2, 3.5]])
     coords = np.stack([theta, rng.uniform(-3.0, 3.0, theta.size)], axis=1)
-    stacked = conn.gammas_at(coords)
-    alone = np.array([conn.gamma_at(ChartPoint(x)) for x in coords])
+    stacked = conn.gamma_at(coords)
+    alone = np.array([sphere_gamma(t) for t in theta.tolist()])
     assert np.array_equal(stacked, alone)
-
-
-def test_point_only_custom_law_loops_coeff_at():
-    # a law that states no stacked form is read by coeff_at at each node;
-    # its pull-backs equal those of the built-in law it wraps, bit for bit
-    sc = build(ScenarioSpec("offset-transport"))
-    path, r1 = connecting_path(sc, sc.s_eval), sc.surface.r_base
-    nodes = []
-
-    def coeff_at(u, path):
-        nodes.append(u)
-        return sc.law.coeff_at(u, path)
-
-    custom = TransportLaw(coeff_at)
-    assert custom.coeffs_at is None
-    got = pullback_integral(custom, path, r1, r1 + 0.1)
-    assert len(nodes) == 3
-    assert all(map(np.array_equal, got, pullback_integral(sc.law, path, r1, r1 + 0.1)))
+    # the first singular theta of a stack is named
+    coords[[7, 9, 12], 0] = 0.0, -0.0, 0.0
+    with pytest.raises(DomainError, match=r"^sphere chart is singular at theta = -0\.0$"):
+        conn.gamma_at(coords[8:])
 
 
 def start_law(sc, seen=None) -> TransportLaw:
     """H = -Gamma - (1 + 0.8 gamma^0(lo)) sigma with an asymmetric sigma, a
-    law that depends on where the path starts, not only on the point; with
-    a stacked form that records the paths it reads in ``seen``, unless None."""
+    law that depends on where the path starts, not only on the point; it
+    records the paths it reads in ``seen``, unless None."""
     sigma = np.zeros((2, 2, 2))
     sigma[0, 1, 1], sigma[0, 0, 1], sigma[1, 0, 1] = 0.2, 0.1, -0.15
     weight = lambda path: 1.0 + 0.8 * path.map(path.domain[0]).coords[0]
     law = law_from_connection(sc.conn)
 
-    def coeff_at(u, path):
-        return law.coeff_at(u, path) - weight(path) * sigma
-
     def coeffs_at(us, path, coords):
-        seen.append(path)
+        if seen is not None:
+            seen.append(path)
         return law.coeffs_at(us, path, coords) - weight(path) * sigma
-    return TransportLaw(coeff_at, None if seen is None else coeffs_at)
+    return TransportLaw(coeffs_at)
 
 
 def test_stacked_law_receives_the_path(rng):
     # a path-dependent law reads the solve's own path in the stacked call,
-    # and its stacked and point-only forms agree bit for bit
+    # and its stacks and its stacks of one agree bit for bit
     sc = build(ScenarioSpec("offset-transport"))
     path, r1, seen = connecting_path(sc, sc.s_eval), sc.surface.r_base, []
-    stacked, point_only = start_law(sc, seen), start_law(sc)
+    stacked = start_law(sc, seen)
+    point_only = point_law(lambda u, path: point_coefficients(start_law(sc), u, path))
     us = stack_of(path, rng)
     coords, _ = path.points(us)
     assert np.array_equal(stacked.coefficients(us, path, coords),
-                          np.array([stacked.coeff_at(u, path) for u in us]))
+                          np.array([point_coefficients(stacked, u, path) for u in us]))
     ends = [r1 + 0.1, r1 + 0.01]
     seen.clear()
     lanes = transport._pullbacks(stacked, path, r1, ends, transport.DEFAULT_ODE_CONFIG)
@@ -210,9 +204,7 @@ def bad_node_error(solve, d: int, stacked: bool, spoilt: str, monkeypatch):
     def case(from_u):  # the law and the path, bad from from_u on
         def coeff_at(u, path):
             return gamma * math.nan if spoilt == "coefficients" and u >= from_u else gamma
-        law = TransportLaw(coeff_at, (lambda us, path, coords: [coeff_at(u, path) for u in us])
-                           if stacked else None)
-        return law, spoilt_line(d, spoilt, stacked, from_u)
+        return point_law(coeff_at), spoilt_line(d, spoilt, stacked, from_u)
 
     calls = record_rhs_calls(monkeypatch)
     solve(*case(math.inf), 0.0, 1.0)

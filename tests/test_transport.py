@@ -27,6 +27,7 @@ from geodev.transport import (DEFAULT_ODE_CONFIG, MIN_REL_TOL, OdeConfig, Transp
                               law_with_offset, pullback_integral, s_tensor,
                               transport_components, transport_matrix)
 
+from conftest import point_law, stacked_gamma
 from test_geometry import (constant_connection, line_path, sphere_connection,
                            zero_connection)
 
@@ -87,7 +88,8 @@ def test_transport_components_matches_matrix_and_linearity(sphere):
 def test_one_path_evaluation_per_rhs_parameter(monkeypatch):
     # each generator read of a parallel transport is one PathCurve.points and
     # one TransportLaw.coefficients call, and costs one jets call and one
-    # ChartPoint (for the connection's Gamma) per node; no node is read twice,
+    # ChartPoint (for this connection's Gamma, stated at a point) per node;
+    # no node is read twice,
     # and transport_matrix reads the start point once more for the dimension
     counts = Counter()
 
@@ -139,7 +141,8 @@ def test_non_finite_values_met_inside_a_solve_are_named(d):
                 values[index] = bad
             return values
 
-        law = law_from_connection(ConnectionField(lambda pt: value("gamma", gamma)))
+        law = law_from_connection(ConnectionField(stacked_gamma(
+            lambda pt: value("gamma", gamma))))
         path = PathCurve(lambda u: (value("coords", start + u * direction),
                                     value("velocity", direction)), (0.0, 1.0))
         try:
@@ -158,9 +161,9 @@ def test_pullback_along_a_shared_path_is_safe_across_threads(monkeypatch):
     # more threads than cores solve along one connecting path to different
     # endpoints.  The law and the path yield the GIL inside every evaluation,
     # so other threads run while a memo entry is being computed, and the
-    # memos (path points, surface points) are bounded at 8
-    # entries here, so they are emptied and refilled under the readers;
-    # every thread must still get the serial result, and no error
+    # surface memo is bounded at 8 entries here, so it is emptied and
+    # refilled under the readers; every thread must still get the serial
+    # result, and no error
     monkeypatch.setattr(geodev.geometry, "MEMO_SIZE", 8)
     sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
     surf, s, r1 = sc.surface, sc.s_eval, sc.surface.r_base
@@ -169,7 +172,7 @@ def test_pullback_along_a_shared_path_is_safe_across_threads(monkeypatch):
         time.sleep(0)
         return value
 
-    law = TransportLaw(lambda u, path: yielding(sc.law.coeff_at(u, path)))
+    law = TransportLaw(lambda us, path, coords: yielding(sc.law.coeffs_at(us, path, coords)))
     ends = [r1 + eps for eps in DEFAULT_LADDER]
     serial = {t: pullback_integral(sc.law, connecting_path(sc, s), r1, t)
               for t in ends}
@@ -214,7 +217,7 @@ def bump_law() -> TransportLaw:
     steps grow on the flat part and are rejected at the bump."""
     gen = np.zeros((2, 2, 2))
     gen[0, 1, 0], gen[1, 0, 0] = 1.0, -1.0
-    return TransportLaw(lambda u, path: 5.0 * math.exp(-((u - 0.3) / 0.1) ** 2) * gen)
+    return point_law(lambda u, path: 5.0 * math.exp(-((u - 0.3) / 0.1) ** 2) * gen)
 
 
 X_AXIS = line_path([0.0, 0.0], [1.0, 0.0])
@@ -256,16 +259,16 @@ def test_step_budget_counts_attempted_steps(monkeypatch):
 
 def test_one_generator_per_rhs_parameter(monkeypatch):
     # DOP853's stage 12 (c = 1) and the FSAL stage share u + h, and so one
-    # node of the step's generator read: a point-only law is read once per
-    # node, and no node twice
+    # node of the step's generator read: a law stated at one parameter is
+    # read once per node, and no node twice
     sphere_law, coeff_calls = build(ScenarioSpec("sphere")).law, []
 
     def coeff_at(u, path):
         coeff_calls.append(u)
-        return sphere_law.coeff_at(u, path)
+        return point_coefficients(sphere_law, u, path)
 
     calls = record_rhs_calls(monkeypatch)
-    transport_matrix(TransportLaw(coeff_at), _latitude_path(math.pi / 4),
+    transport_matrix(point_law(coeff_at), _latitude_path(math.pi / 4),
                      0.0, 2.0 * math.pi)
     attempts, rest = divmod(len(calls) - 2, 11)
     assert rest == 0
@@ -542,7 +545,7 @@ def test_non_finite_initial_state_error(sphere):
 
 
 def test_non_finite_coefficients_error():
-    law = TransportLaw(coeff_at=lambda s, path: np.full((2, 2, 2), np.nan))
+    law = point_law(lambda s, path: np.full((2, 2, 2), np.nan))
     path = line_path([0.0, 0.0], [1.0, 0.0])
     with pytest.raises(EvaluationError):
         transport_matrix(law, path, 0.0, 0.5)
@@ -558,7 +561,7 @@ def test_connection_laws_leave_the_check_to_the_law(make_law, monkeypatch):
     def gamma_at(pt):
         return np.full((2, 2, 2), np.nan if pt.coords[0] > 0.3 else 0.0)
 
-    law = make_law(ConnectionField(gamma_at=gamma_at))
+    law = make_law(ConnectionField(gamma_at=stacked_gamma(gamma_at)))
     monkeypatch.setattr(ConnectionField, "coefficients",
                         lambda self, point: pytest.fail("Gamma checked twice"))
     path = line_path([0.0, 0.0], [1.0, 0.0])
@@ -569,7 +572,7 @@ def test_connection_laws_leave_the_check_to_the_law(make_law, monkeypatch):
 @pytest.mark.parametrize("shape", [(3, 3, 3), (2, 2), (2, 2, 3)])
 def test_coefficients_must_be_a_cube_of_the_path_dimension(shape):
     # a cube of the wrong side used to reach the RHS einsum and fail there
-    law = TransportLaw(coeff_at=lambda s, path: np.zeros(shape))
+    law = point_law(lambda s, path: np.zeros(shape))
     path = line_path([0.0, 0.0], [1.0, 0.0])
     with pytest.raises(EvaluationError, match=r"expected \(2, 2, 2\)"):
         transport_matrix(law, path, 0.0, 0.5)
