@@ -1,5 +1,5 @@
-"""Deterministic transport and surface work of four convergence studies
-and one holonomy.
+"""Deterministic transport, surface and residual work of four convergence
+studies and one holonomy.
 
     python3 scripts/solve_counts.py
 
@@ -28,17 +28,17 @@ finish and that go on stepping).  The same counters give the surface work:
 ``jets_calls``, the calls of the surface family's point ``jets`` by the
 order they ask for, and ``surface_stacks`` and ``surface_stack_points``, its
 stacked calls (one per Magnus attempt on a connecting path) and the points
-they evaluate.
+they evaluate.  They also give the residual work: ``residual_evals``, the
+calls of the residual formulas (one per equation and study: each formula
+evaluates the whole ladder as one stack), and ``residual_lanes``, the
+separations those calls cover.
 
-It also counts how often the study's workspace computes each quantity of
-(s, r') alone, such as Gamma, R or S (``base_evals``, one entry per
-workspace memo key of ``BASE_KEYS``), by wrapping ``equations._Workspace._get``
-here, as are four work counts that trace a cheaper RHS to less work and not
-to fewer checks: ``path_reads`` (calls of ``PathCurve.map`` and
-``PathCurve.tangent``), ``path_stacks`` (calls of ``PathCurve.points``),
-``points_built`` (``ChartPoint`` constructions) and ``checks`` (calls of
-``geometry.checked_array`` and of its stacked form ``_checked_stack``,
-wherever a module has bound them).  The counts do not depend on the machine.
+Four more work counts, which trace a cheaper RHS to less work and not to
+fewer checks, are counted by wrapping the calls here: ``path_reads``
+(calls of ``PathCurve.map`` and ``PathCurve.tangent``), ``path_stacks``
+(calls of ``PathCurve.points``), ``points_built`` (``ChartPoint``
+constructions) and ``checks`` (calls of ``geometry.checked_array`` and of
+its stacked form ``_checked_stack``, wherever a module has bound them).  The counts do not depend on the machine.
 """
 
 from __future__ import annotations
@@ -69,12 +69,10 @@ STUDIES = {  # name: (family, equations)
     "deviation_3": ("offset-transport", list(DEVIATION)),
     "all_16_flat_torsion": ("flat-torsion", list(EquationId)),
 }
-# workspace memo keys of the quantities that depend on (s, r') and not on eps
-BASE_KEYS = ("map", "d_s", "d_r", "d_sr", "x1pt", "gam", "dgam", "a1", "T", "R",
-             "S", "DT", "DS", "g", "Dg", "DFdr")
 # the counters of transport.work_counts
-TRANSPORT_KEYS = ("solves", "stacked_attempts", "attempted_steps", "generator_evals",
-                  "continued_lanes", "surface_stacks", "surface_stack_points")
+WORK_KEYS = ("solves", "stacked_attempts", "attempted_steps", "generator_evals",
+             "continued_lanes", "surface_stacks", "surface_stack_points",
+             "residual_evals", "residual_lanes")
 # (owner, attribute, work count) of every call counted by ``call_counts``
 WORK_CALLS = ([(geometry.PathCurve, "map", "path_reads"),
                (geometry.PathCurve, "tangent", "path_reads"),
@@ -107,29 +105,12 @@ def call_counts(work) -> Counter:
 
 
 def counted(work) -> dict:
-    """Counts of the transport work, surface jets and base quantities of
-    ``work()``."""
-    get = equations._Workspace._get
-    base_evals = Counter()
-
-    def counting_get(workspace, key, fn):
-        def evaluate():
-            if key[0] in BASE_KEYS:
-                base_evals[key[0]] += 1
-            return fn()
-        return get(workspace, key, evaluate)
-
-    equations._Workspace._get = counting_get
-    try:
-        with transport.work_counts() as work_done:
-            work_done.update(call_counts(work))
-    finally:
-        equations._Workspace._get = get
-    counts = {key: work_done[key] for key in TRANSPORT_KEYS}
+    """Counts of the transport, surface and residual work of ``work()``."""
+    with transport.work_counts() as work_done:
+        work_done.update(call_counts(work))
+    counts = {key: work_done[key] for key in WORK_KEYS}
     counts["jets_calls"] = {str(order): work_done[f"jets_order_{order}"]
                             for order in (1, 2) if work_done[f"jets_order_{order}"]}
-    counts["base_evals"] = {k: base_evals[k] for k in BASE_KEYS if base_evals[k]}
-    counts["base_evals_total"] = sum(base_evals.values())
     counts.update((key, work_done[key]) for _, _, key in WORK_CALLS)
     return counts
 

@@ -9,10 +9,8 @@ from .errors import (ConfigError, DomainError, EvaluationError, GeodevError,
                      NullVectorError, TransportError)
 from .geometry import (ChartPoint, ConnectionField, MetricField, PathCurve,
                        curvature_at, metric_dot, sign_of_square, torsion_at)
-from .transport import (OdeConfig, TransportLaw, approx_transport,
-                        coordinate_probes, extract_first_coeff,
-                        law_from_connection, law_with_offset, s_tensor,
-                        transport_matrix)
+from .transport import (OdeConfig, TransportLaw, law_from_connection,
+                        law_with_offset, s_tensor, transport_matrix)
 from .kinematics import (MassSurface, Scenario, SurfaceField, WorldSurface,
                          connecting_path, delta_field, deviation_vector,
                          force_field, infinitesimal_deviation, momentum,
@@ -34,8 +32,7 @@ __all__ = [
     "curvature_at", "metric_dot", "sign_of_square",
     # transport
     "OdeConfig", "TransportLaw", "transport_matrix",
-    "law_from_connection", "law_with_offset", "extract_first_coeff",
-    "approx_transport", "s_tensor", "coordinate_probes",
+    "law_from_connection", "law_with_offset", "s_tensor",
     # kinematics
     "WorldSurface", "MassSurface", "SurfaceField", "Scenario",
     "connecting_path", "worldline", "force_field", "infinitesimal_deviation",

@@ -49,32 +49,47 @@ def _format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def dump_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f"{inner}{json.dumps(str(k))}: {dump_json(obj[k], indent + 1)}"
-                 for k in sorted(obj)]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
+def _write_json(obj, pad: str, out: List[str], keys: Dict[str, str]) -> None:
+    """Append the JSON text of ``obj``, indented from ``pad``, to ``out``;
+    ``keys`` keeps the text of each dict key already written."""
+    if type(obj) is float:  # most values of a report
+        out.append(_format_float(obj))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_format_float(float(obj)))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, (dict, list, tuple)):
+        is_dict = isinstance(obj, dict)
         if not len(obj):
-            return "[]"
-        items = [f"{inner}{dump_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    raise ConfigError(f"cannot serialize {type(obj).__name__} to JSON")
+            out.append("{}" if is_dict else "[]")
+            return
+        inner, sep = pad + "  ", "{\n" if is_dict else "[\n"
+        for key in sorted(obj) if is_dict else range(len(obj)):
+            out.append(sep + inner)
+            if is_dict:
+                name = str(key)
+                if name not in keys:
+                    keys[name] = json.dumps(name) + ": "
+                out.append(keys[name])
+            _write_json(obj[key], inner, out, keys)
+            sep = ",\n"
+        out.append(f"\n{pad}}}" if is_dict else f"\n{pad}]")
+    else:
+        raise ConfigError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def dump_json(obj, indent: int = 0) -> str:
+    """Deterministic JSON: sorted keys, floats at 17 significant digits;
+    one writer appends every piece to one list."""
+    out: List[str] = []
+    _write_json(obj, "  " * indent, out, {})
+    return "".join(out)
 
 
 # ------------------------------------------------------------- config parsing

@@ -19,10 +19,13 @@ variant follows from combining the relative-velocity equation with the
 expansion of the relative acceleration, and is confirmed by the momentum
 equation of motion at unit masses.
 
-Transport policy: a workspace makes one back-transport solve per distinct s
-along gamma_s, which a study builds once per s; every relative quantity at s
-applies its pull-back map L_{r''->r'} to particle 2's vector, and the
-deviation vector h rides on the same solve.
+Evaluation policy: a study evaluates each residual once, on stacks over its
+eps-ladder: the workspace carries every eps-dependent quantity with a leading
+ladder axis, each lane computed bit for bit as its eps alone would be, and
+the formula's value is split into one sample per eps.  A workspace makes one
+back-transport solve per distinct s along gamma_s, one lane per eps; every
+relative quantity at s applies its pull-back map L_{r''->r'} to particle 2's
+vector, and the deviation vector h rides on the same solve.
 
 Numerical differentiation policy: s-derivatives of analytically-evaluable
 data use central differences with step 1e-5; s-derivatives of the deviation
@@ -41,16 +44,17 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EvaluationError
-from .geometry import (ChartPoint, PathCurve, _matrix_sign, bilinear,
-                       cov_tensor_components, curvature_apply, curvature_at,
-                       torsion_apply, torsion_components)
-# deviation_vector, relative_acceleration, relative_force and relative_energy
-# stay bound here, unused: perfbench/tracer.py wraps them
-from .kinematics import (Scenario, _delta_force, _relative_energy,
-                         connecting_path, delta_field, deviation_vector,
-                         force_field, relative_acceleration, relative_energy,
-                         relative_force, relative_momentum, relative_velocity)
-from .transport import DEFAULT_ODE_CONFIG, OdeConfig, _pullbacks, s_tensor
+from .geometry import (ChartPoint, PathCurve, _matrix_dot, _matrix_sign, bilinear,
+                       checked_array, cov_tensor_components, curvature_apply,
+                       curvature_at, torsion_apply, torsion_components)
+# delta_field, deviation_vector and the relative_* functions stay bound here,
+# unused: perfbench/tracer.py wraps them
+from .kinematics import (Scenario, _forces, _momentum_field, connecting_path,
+                         delta_field, deviation_vector, force_field,
+                         relative_acceleration, relative_energy, relative_force,
+                         relative_momentum, relative_velocity)
+from .transport import (_COUNTS, DEFAULT_ODE_CONFIG, OdeConfig, _pullbacks,
+                        s_tensor)
 
 __all__ = [
     "EquationId",
@@ -97,7 +101,9 @@ class EquationId(str, enum.Enum):
 
 @dataclass(frozen=True)
 class ResidualSample:
-    """One equation residual at one separation."""
+    """One equation residual at one separation; ``wall_time`` is the time
+    of the equation's one evaluation on its study's ladder stack, split
+    evenly over the stack's samples."""
 
     eq: EquationId
     s: float
@@ -130,43 +136,42 @@ class ConvergenceReport:
 
 
 # ---------------------------------------------------------------------------
-# shared per-(scenario, eps) evaluation workspace
+# evaluation workspace of one study, on the stack of its ladder
 
 
 class _Workspace:
-    """Lazy, memoized evaluations at one separation, shared by the residual
-    formulas of every equation evaluated on it; each memoized value is a
-    deterministic function of its key (quantity, s), so evaluation order
-    changes no residual.  All public-ish methods take the worldline
-    parameter, so the same machinery serves the centered s-differences.
-    Quantities of (s, r') alone (``_BASE``) go read-only to the ``base``
-    memo, which a convergence study shares across its whole ladder; those
-    that depend on eps stay in the workspace's own memo, bar the pull-backs
-    along gamma_s: one stacked solve for all of ``ladder`` (default: eps).
+    """Lazy, memoized evaluations of one study, shared by the residual
+    formulas of every equation evaluated on it.  A quantity that depends on
+    eps carries a leading ladder axis: a ``(K, d)`` stack over the K
+    separations of ``ladder`` (a ``(K, 1)`` column for a scalar, so that it
+    scales a stack lane by lane), each lane computed as that separation
+    alone would be; the quantities of (s, r') alone are computed once for
+    the whole ladder.  Each memoized value is a deterministic function of
+    its key (quantity, s), so evaluation order changes no residual, and
+    read-only, so that no formula writes into what another reads.  All
+    public-ish methods take the worldline parameter, so the same machinery
+    serves the centered s-differences; the pull-backs along gamma_s are one
+    stacked solve for the whole ladder per s.
     """
 
-    _BASE = frozenset({"map", "d_s", "d_r", "d_sr", "x1pt", "gam", "dgam", "a1",
-                       "T", "R", "S", "DT", "DS", "g", "Dg", "DFdr", "path", "Lh"})
-
-    def __init__(self, scenario: Scenario, eps: float, cfg: OdeConfig,
-                 base: Optional[dict] = None, ladder: Sequence[float] = ()):
+    def __init__(self, scenario: Scenario, ladder: Sequence[float], cfg: OdeConfig):
         self.sc = scenario
-        self.eps, self.ladder = eps, tuple(ladder) or (eps,)
+        self.ladder = tuple(ladder)
+        self.r2 = [scenario.separation_endpoints(e)[1] for e in self.ladder]
+        self.eps = np.array(self.ladder, dtype=float)[:, None]
         self.cfg = cfg
         self.surf = scenario.surface
-        self.r1, self.r2 = scenario.separation_endpoints(eps)
+        self.r1 = self.surf.r_base
         self._memo: dict = {}
-        self._base: dict = {} if base is None else base
 
     def _get(self, key, fn):
-        memo = self._base if key[0] in self._BASE else self._memo
-        if key not in memo:
+        if key not in self._memo:
             value = fn()
-            if memo is self._base and isinstance(value, np.ndarray):
+            if isinstance(value, np.ndarray):
                 value = value.view()  # read-only, without freezing its source
                 value.flags.writeable = False
-            memo[key] = value
-        return memo[key]
+            self._memo[key] = value
+        return self._memo[key]
 
     # -- pointwise geometry -------------------------------------------------
     def surface(self, name: str, s: float) -> np.ndarray:
@@ -201,14 +206,8 @@ class _Workspace:
     def mu1(self, s: float) -> float:
         return self.sc.mass.value(s, self.r1)
 
-    def mu2(self, s: float) -> float:
-        return self.sc.mass.value(s, self.r2)
-
     def dmu1(self, s: float) -> float:
         return float(self.sc.mass.d_s_mu(s, self.r1))
-
-    def dmu2(self, s: float) -> float:
-        return float(self.sc.mass.d_s_mu(s, self.r2))
 
     def p1(self, s: float) -> np.ndarray:
         return self.mu1(s) * self.v1(s)
@@ -260,7 +259,7 @@ class _Workspace:
     def metric(self, s: float) -> np.ndarray:
         return self._get(("g", s), lambda: self.sc.metric.matrix(self.x1_point(s)))
 
-    # -- deviation quantities ------------------------------------------------
+    # -- deviation quantities, on the ladder stack ----------------------------
     def zeta(self, s: float) -> np.ndarray:
         return self.eps * self.rdot(s)
 
@@ -300,31 +299,65 @@ class _Workspace:
         return self._get(("DFdr", s), make)
 
     def transport(self, s: float) -> Tuple[np.ndarray, np.ndarray]:
-        """(L_{r''->r'}, h) at s, which every quantity at s reads: this eps's
-        lane of the ladder's pull-backs along gamma_s."""
+        """(L_{r''->r'}, h) at s, which every quantity at s reads: the
+        ``(K, d, d)`` and ``(K, d)`` lanes of the ladder's pull-backs along
+        gamma_s."""
         return self._get(("Lh", s), lambda: _pullbacks(
-            self.sc.law, self.path(s), self.r1, [self.r1 + e for e in self.ladder],
-            self.cfg))[self.ladder.index(self.eps)]
+            self.sc.law, self.path(s), self.r1, self.r2, self.cfg))
+
+    def mu2(self, s: float) -> np.ndarray:
+        return self._get(("mu2", s), lambda: np.array(
+            [[self.sc.mass.value(s, r)] for r in self.r2]))
+
+    def dmu2(self, s: float) -> np.ndarray:
+        return self._get(("dmu2", s), lambda: np.array(
+            [[float(self.sc.mass.d_s_mu(s, r))] for r in self.r2]))
+
+    def pulled(self, s: float, b2: np.ndarray) -> np.ndarray:
+        """Each lane of ``b2``, a vector at r'', carried to r' by its
+        pull-back: ``(K, d)``."""
+        return np.matmul(self.transport(s)[0], b2[..., None])[..., 0]
+
+    def at_particles(self, s: float, field) -> np.ndarray:
+        """``field(s, r)`` at r' and at each r'' of the ladder, one point
+        read each, checked: ``(1 + K, d)``, r' first."""
+        self.surf.require_s(s)
+        return np.array([checked_array(field(s, r), (self.sc.dimension,),
+                                       "field components")
+                         for r in (self.r1, *self.r2)])
+
+    def forces2(self, s: float) -> np.ndarray:
+        """F_s(r'') at each r'' of the ladder, Gamma read in one call."""
+        return self._get(("F2", s), lambda: _forces(self.sc, s, self.r2))
 
     def delta_v(self, s: float) -> np.ndarray:
-        return self._get(("dV", s), lambda: relative_velocity(
-            self.sc, s, self.eps, self.cfg, self.transport(s)[0]))
+        def make():
+            v = self.at_particles(s, self.surf.d_s)
+            return self.pulled(s, v[1:]) - v[0]
+        return self._get(("dV", s), make)
 
-    def delta_a(self, s: float) -> np.ndarray:
-        return self._get(("dA", s), lambda: _delta_force(
-            self.sc, s, self.eps, self.cfg, self.transport(s)[0], self.a1(s), False))
+    def momenta(self, s: float) -> np.ndarray:
+        return self._get(("p", s), lambda: self.at_particles(s, _momentum_field(self.sc)))
 
     def delta_p(self, s: float) -> np.ndarray:
-        return self._get(("dp", s), lambda: relative_momentum(
-            self.sc, s, self.eps, self.cfg, self.transport(s)[0]))
+        return self._get(("dp", s), lambda: (
+            self.pulled(s, self.momenta(s)[1:]) - self.momenta(s)[0]))
+
+    def delta_a(self, s: float) -> np.ndarray:
+        return self._get(("dA", s), lambda: self.pulled(s, self.forces2(s)) - self.a1(s))
 
     def delta_k(self, s: float) -> np.ndarray:
-        return self._get(("dK", s), lambda: _delta_force(
-            self.sc, s, self.eps, self.cfg, self.transport(s)[0], self.a1(s), True))
+        return self._get(("dK", s), lambda: (
+            self.pulled(s, self.mu2(s) * self.forces2(s)) - self.mu1(s) * self.a1(s)))
 
-    def energy(self, s: float) -> float:  # E7_4 alone reads it, with a metric
-        return self._get(("E", s), lambda: _relative_energy(
-            self.sc, s, self.eps, self.cfg, self.transport(s)[0], self.metric(s)))
+    def energy(self, s: float) -> np.ndarray:  # E7_4 alone reads it, with a metric
+        """The relative energy on the ladder, ``(K, 1)``."""
+        def make():
+            g, x1, v1 = self.metric(s), self.x1_point(s), self.v1(s)
+            sign = _matrix_sign(g, x1, v1)
+            pulled = self.pulled(s, self.momenta(s)[1:])
+            return (sign * _matrix_dot(g, x1, pulled, v1))[:, None]
+        return self._get(("E", s), make)
 
     def dev_difference(self, s: float) -> np.ndarray:
         """h - zeta, the O(eps^2) part of the deviation vector."""
@@ -347,9 +380,9 @@ def _r_e2_10(w: _Workspace, s: float) -> np.ndarray:
     field = w.sc.probe_field
     if field is None:
         raise EvaluationError("scenario provides no probe field for E2_10")
-    delta_b = delta_field(w.sc, s, w.eps, field.value, w.cfg,
-                          w.transport(s)[0])
-    b1 = np.asarray(field.value(s, w.r1), float)
+    b = w.at_particles(s, field.value)
+    b1 = b[0]
+    delta_b = w.pulled(s, b[1:]) - b1
     db_dr = (np.asarray(field.d_r(s, w.r1), float)
              + bilinear(w.gam(s), b1, w.rdot(s)))
     return delta_b - w.eps * db_dr - bilinear(w.s_tensor(s), b1, w.zeta(s))
@@ -460,7 +493,7 @@ def _r_e7_2(w: _Workspace, s: float) -> np.ndarray:
     return d_dp - rhs
 
 
-def _r_e7_4(w: _Workspace, s: float) -> float:
+def _r_e7_4(w: _Workspace, s: float) -> np.ndarray:
     if w.sc.metric is None:
         raise EvaluationError("E7_4 requires a scenario metric")
     g = w.metric(s)
@@ -470,8 +503,8 @@ def _r_e7_4(w: _Workspace, s: float) -> float:
     p1, v1, a1 = w.p1(s), w.v1(s), w.a1(s)
     dp = w.delta_p(s)
 
-    def dot(x, y):
-        return float(x @ g @ y)
+    def dot(x, y, m=g):  # x @ m @ y on each lane: (K, 1), or (1,) for two vectors
+        return (x[..., None, :] @ m @ y[..., None])[..., 0]
 
     curv_vec = curvature_apply(w.curvature(s), p1, w.zeta(s), p1)
     s_vec = (bilinear(w.s_tensor(s), p1, w.d_zeta(s))
@@ -482,13 +515,13 @@ def _r_e7_4(w: _Workspace, s: float) -> float:
         + w.dmu2(s) * dot(v1, w.delta_v(s))
         + ((w.dmu2(s) - w.dmu1(s)) / mu1**2) * dot(p1, p1)
         + dot(v1, w.delta_k(s))
-        + float(dp @ dg @ v1)
+        + dot(dp, v1, dg)
         + dot(dp, a1)
         + w.dmu1(s) * dot(v1, v1)
         + mu1 * (2.0 * dot(v1, a1) + float(v1 @ dg @ v1)))
     h = H_S
     de_ds = (w.energy(s + h) - w.energy(s - h)) / (2.0 * h)
-    return de_ds - rhs
+    return (de_ds - rhs)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -524,27 +557,34 @@ def equation_info(eq: EquationId) -> _EquationInfo:
     return _INFO[eq]
 
 
-def _sample(eq: EquationId, workspace: _Workspace, s: float) -> ResidualSample:
-    """Residual of ``eq`` on ``workspace``: the norm is the max-abs chart
-    component at x_1(s) (absolute value for the scalar energy equation)."""
+def _samples(eq: EquationId, workspace: _Workspace, s: float) -> list:
+    """Residuals of ``eq`` on ``workspace``, one evaluation on its ladder
+    stack split into one sample per lane: the norm is the max-abs chart
+    component at x_1(s) (absolute value for the scalar energy equation), the
+    wall time the evaluation's, split evenly over the lanes."""
+    lanes = len(workspace.ladder)
     start = time.perf_counter()
     value = _INFO[eq].residual(workspace, s)
-    elapsed = time.perf_counter() - start
-    return ResidualSample(eq, s, workspace.eps, float(np.max(np.abs(value))),
-                          elapsed)
+    elapsed = (time.perf_counter() - start) / lanes
+    if (counts := _COUNTS.get()) is not None:
+        counts.update(residual_evals=1, residual_lanes=lanes)
+    norms = np.abs(value).reshape(lanes, -1).max(axis=1)
+    return [ResidualSample(eq, s, e, float(norm), elapsed)
+            for e, norm in zip(workspace.ladder, norms)]
 
 
 def residual_components(eq: EquationId, scenario: Scenario, s: float,
                         epsilon: float, cfg: OdeConfig = DEFAULT_ODE_CONFIG):
     """Raw residual (component array, or scalar for the energy equation) on
-    a fresh workspace."""
-    return _INFO[eq].residual(_Workspace(scenario, epsilon, cfg), s)
+    a fresh workspace of the one-point ladder ``(epsilon,)``."""
+    return _INFO[eq].residual(_Workspace(scenario, (epsilon,), cfg), s)[0]
 
 
 def residual(eq: EquationId, scenario: Scenario, s: float, epsilon: float,
              cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> ResidualSample:
-    """Evaluate one equation residual on a fresh workspace."""
-    return _sample(eq, _Workspace(scenario, epsilon, cfg), s)
+    """Evaluate one equation residual on a fresh workspace of the one-point
+    ladder ``(epsilon,)``."""
+    return _samples(eq, _Workspace(scenario, (epsilon,), cfg), s)[0]
 
 
 def _fit_order(eps: np.ndarray, norms: np.ndarray) -> Tuple[float, float]:
@@ -579,27 +619,18 @@ def convergence_study(equations: Sequence[EquationId], scenario: Scenario,
     """Evaluate each equation's residual over a strictly decreasing
     separation ladder and fit its order as the least-squares slope of log
     residual against log eps, excluding floor-level points; one report per
-    entry of ``equations``.  Ladder-major: every equation shares one workspace
-    per eps, so shared quantities are computed once per eps; it is dropped
-    before the next eps.  The quantities of (s, r') alone, gamma_s too, live
-    in one base memo shared by the whole ladder: computed once per study, as
-    are the pull-backs along gamma_s, one stacked solve for the ladder per s."""
+    entry of ``equations``.  Every equation shares one workspace, which
+    carries the eps-dependent quantities as stacks over the ladder: each
+    quantity, and each equation's residual, is evaluated once per study,
+    the pull-backs along gamma_s as one stacked solve for the ladder per s."""
     if isinstance(equations, str):
         raise TypeError("convergence_study expects a sequence of EquationId, "
                         f"got the single id {equations!r}")
     ladder = checked_ladder(epsilon_ladder)
-    scenario.separation_endpoints(max(ladder))
-
-    equations = tuple(equations)
-    columns = [[] for _ in equations]
-    base: dict = {}
-    for e in ladder:
-        workspace = _Workspace(scenario, e, cfg, base, ladder)
-        for eq, column in zip(equations, columns):
-            column.append(_sample(eq, workspace, s))
-        del workspace
+    workspace = _Workspace(scenario, ladder, cfg)
     reports = []
-    for eq, samples in zip(equations, columns):
+    for eq in equations:
+        samples = _samples(eq, workspace, s)
         norms = np.array([smp.residual_norm for smp in samples])
         include = norms > FIT_EXCLUSION
         n_fit = int(np.count_nonzero(include))

@@ -242,8 +242,10 @@ class PathCurve:
 
 def bilinear(t: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``t[i, j, k] b^j v^k``, e.g. the correction ``Gamma^i_{jk} B^j xdot^k``
-    of a covariant derivative or ``S(B, Z)``."""
-    return np.einsum("ijk,j,k->i", t, b, v)
+    of a covariant derivative or ``S(B, Z)``.  Each of the three, and of the
+    vectors of ``torsion_apply`` and ``curvature_apply``, may carry leading
+    stack axes, which broadcast: row by row, bit for bit as one at a time."""
+    return np.einsum("...ijk,...j,...k->...i", t, b, v)
 
 
 def torsion_apply(torsion: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -255,7 +257,7 @@ def torsion_apply(torsion: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarr
 def curvature_apply(curv: np.ndarray, x: np.ndarray, y: np.ndarray,
                     z: np.ndarray) -> np.ndarray:
     """``R(X, Y)Z^i = R[i, j, k, l] Z^j X^k Y^l``."""
-    return np.einsum("ijkl,j,k,l->i", curv, z, x, y)
+    return np.einsum("...ijkl,...j,...k,...l->...i", curv, z, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +321,13 @@ def metric_dot(metric: MetricField, x: ChartPoint, u: np.ndarray,
 
 
 def _matrix_dot(g: np.ndarray, x: ChartPoint, u, v) -> float:
-    """``metric_dot`` given the checked metric matrix ``g`` at ``x``."""
-    u, v = (checked_array(w, (x.dimension,), "vector components", x)
+    """``metric_dot`` given the checked metric matrix ``g`` at ``x``; a ``(K,
+    d)`` stack of vectors gives the ``(K,)`` products, row by row."""
+    u, v = (checked_array(w, np.shape(w)[:-1] + (x.dimension,), "vector components", x)
             for w in (u, v))
     # evaluated symmetrically so dot(U, V) == dot(V, U) holds exactly
-    return 0.5 * (float(u @ (g @ v)) + float(v @ (g @ u)))
+    return 0.5 * ((u[..., None, :] @ (g @ v[..., None]))
+                  + (v[..., None, :] @ (g @ u[..., None])))[..., 0, 0]
 
 
 def sign_of_square(metric: MetricField, x: ChartPoint, u: np.ndarray) -> int:

@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError
 from .geometry import (ChartPoint, ConnectionField, MetricField, PathCurve,
-                       _matrix_dot, _matrix_sign, bilinear, checked_array)
+                       _checked_stack, _matrix_dot, _matrix_sign, bilinear,
+                       checked_array)
 # transport_components stays bound here, unused: perfbench/tracer.py wraps it
 from .transport import (DEFAULT_ODE_CONFIG, OdeConfig, TransportLaw,
                         pullback_integral, transport_components)
@@ -162,15 +163,25 @@ def force_field(scenario: Scenario, s: float, r: float) -> np.ndarray:
 
     Coincides with the particle accelerations at the worldline parameters.
     """
+    return _forces(scenario, s, [r])[0]
+
+
+def _forces(scenario: Scenario, s: float, rs) -> np.ndarray:
+    """``force_field`` at each r of ``rs``, ``(len(rs), d)``: one point read
+    of the surface per r, and Gamma read at all the points in one call."""
     surf = scenario.surface
     surf.require_s(s)
-    surf.require_r(r)
+    for r in rs:
+        surf.require_r(r)
     shape = (scenario.dimension,)
     # d_ss first: one order-2 surface call serves all three reads
-    dss = checked_array(surf.d_ss(s, r), shape, "d_ss components")
-    point = surf.point(s, r)
-    gamma = scenario.conn.coefficients(point)
-    ds = checked_array(surf.d_s(s, r), shape, "d_s components", point)
+    dss = np.array([checked_array(surf.d_ss(s, r), shape, "d_ss components") for r in rs])
+    points = [surf.point(s, r) for r in rs]
+    coords = np.array([point.coords for point in points])
+    gamma = _checked_stack(scenario.conn.gamma_at(coords), shape * 3,
+                           "connection coefficients", coords)
+    ds = np.array([checked_array(surf.d_s(s, r), shape, "d_s components", point)
+                   for r, point in zip(rs, points)])
     return dss + bilinear(gamma, ds, ds)
 
 
@@ -237,19 +248,6 @@ def _momentum_field(scenario: Scenario) -> Callable[[float, float], np.ndarray]:
     return lambda s, r: mass.value(s, r) * np.asarray(surf.d_s(s, r), float)
 
 
-def _delta_force(scenario: Scenario, s: float, eps: float, cfg: OdeConfig,
-                 pullback: Optional[np.ndarray], force1: Optional[np.ndarray],
-                 density: bool) -> np.ndarray:
-    """``delta_field`` of the force F_s, or of ``mu F_s`` when ``density``;
-    ``force1``, when given, is F_s(r') and serves r'."""
-    mass, r1 = scenario.mass, scenario.surface.r_base
-
-    def field(u: float, r: float) -> np.ndarray:
-        force = force_field(scenario, u, r) if force1 is None or r != r1 else force1
-        return mass.value(u, r) * force if density else force
-    return delta_field(scenario, s, eps, field, cfg, pullback)
-
-
 def relative_velocity(scenario: Scenario, s: float, eps: float,
                       cfg: OdeConfig = DEFAULT_ODE_CONFIG,
                       pullback: Optional[np.ndarray] = None) -> np.ndarray:
@@ -262,7 +260,8 @@ def relative_acceleration(scenario: Scenario, s: float, eps: float,
                           pullback: Optional[np.ndarray] = None) -> np.ndarray:
     """Relative acceleration: back-transported F_s(r'') minus F_s(r'),
     using that the particle accelerations are values of the force field."""
-    return _delta_force(scenario, s, eps, cfg, pullback, None, False)
+    return delta_field(scenario, s, eps, lambda u, r: force_field(scenario, u, r),
+                       cfg, pullback)
 
 
 def momentum(scenario: Scenario, which: int, s: float, eps: float = 0.0) -> np.ndarray:
@@ -287,7 +286,10 @@ def relative_force(scenario: Scenario, s: float, eps: float,
                    pullback: Optional[np.ndarray] = None) -> np.ndarray:
     """Covariant difference of the forces ``K(s, r) = mu F_s(r)`` acting on
     the two particles."""
-    return _delta_force(scenario, s, eps, cfg, pullback, None, True)
+    mass = scenario.mass
+    return delta_field(scenario, s, eps,
+                       lambda u, r: mass.value(u, r) * force_field(scenario, u, r),
+                       cfg, pullback)
 
 
 def relative_energy(scenario: Scenario, s: float, eps: float,
@@ -299,19 +301,12 @@ def relative_energy(scenario: Scenario, s: float, eps: float,
 
     Requires the scenario metric; raises NullVectorError when V_1 is null.
     """
-    return _relative_energy(scenario, s, eps, cfg, pullback, None)
-
-
-def _relative_energy(scenario: Scenario, s: float, eps: float, cfg: OdeConfig,
-                     pullback: Optional[np.ndarray], g1: Optional[np.ndarray]
-                     ) -> float:
-    """``relative_energy``; ``g1``, when given, is the metric matrix at x_1."""
     if scenario.metric is None:
         raise EvaluationError("relative_energy requires a scenario metric")
     r1, _ = scenario.separation_endpoints(eps)
     x1 = scenario.surface.point(s, r1)
     v1 = scenario.surface.d_s(s, r1)
-    g1 = scenario.metric.matrix(x1) if g1 is None else g1
+    g1 = scenario.metric.matrix(x1)
     sign = _matrix_sign(g1, x1, v1)
     pulled = _pull_back(scenario, s, eps, _momentum_field(scenario), cfg,
                         pullback)

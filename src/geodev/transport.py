@@ -31,9 +31,8 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .errors import EvaluationError, TransportError
-from .geometry import (ChartPoint, ConnectionField, PathCurve, checked_array,
-                       _checked_stack)
+from .errors import TransportError
+from .geometry import ConnectionField, PathCurve, checked_array, _checked_stack
 
 __all__ = [
     "OdeConfig",
@@ -45,17 +44,12 @@ __all__ = [
     "pullback_integral",
     "law_from_connection",
     "law_with_offset",
-    "extract_first_coeff",
-    "approx_transport",
     "s_tensor",
-    "coordinate_probes",
     "work_counts",
 ]
 
 
 MIN_REL_TOL = 100 * math.ulp(1.0)  # 100 machine epsilons
-PROBE_EXTENT = 1e-3  # half-length of the coordinate_probes paths
-PROBE_STEP = 1e-5    # difference step of extract_first_coeff
 _COUNTS = contextvars.ContextVar("work_counts", default=None)  # active Counter
 
 
@@ -324,9 +318,11 @@ def work_counts():
     block counts alone): ``solves`` (lanes), ``generator_evals`` (the nodes
     of the generator reads: 2, then 11 per attempted DOP853 step; 3 per lane
     of a Magnus attempt), Magnus ``stacked_attempts``, ``attempted_steps``,
-    ``continued_lanes``; and the built-in surfaces' ``jets_order_1``,
+    ``continued_lanes``; the built-in surfaces' ``jets_order_1``,
     ``jets_order_2`` (point calls by order), ``surface_stacks`` and
-    ``surface_stack_points`` (stacked calls)."""
+    ``surface_stack_points`` (stacked calls); and the residual formulas'
+    ``residual_evals`` (one per equation and study) and ``residual_lanes``
+    (the separations they cover)."""
     token = _COUNTS.set(Counter())
     try:
         yield _COUNTS.get()
@@ -370,12 +366,14 @@ def pullback_integral(law: TransportLaw, path: PathCurve, s: float, t: float,
     ``Z = [[Phi^T], [h^T]]``: ``Z' = G(u) Z`` with ``G = [[-M^T, 0], [xdot^T,
     0]]``, built on a stack of Gauss nodes from M and the path's tangents,
     carries ``Phi(u) = L_{u->s}`` (``Phi' = -Phi M``) and h (``h' = Phi xdot``)."""
-    return _pullbacks(law, path, s, [t], cfg)[0]
+    pullback, h = _pullbacks(law, path, s, [t], cfg)
+    return pullback[0], h[0]
 
 
 def _pullbacks(law: TransportLaw, path: PathCurve, s: float, ends: Sequence[float],
-               cfg: OdeConfig) -> list:
-    """``pullback_integral`` to each of ``ends``, bit for bit, in one solve."""
+               cfg: OdeConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """``pullback_integral`` to each of ``ends``, bit for bit, in one solve:
+    the ``(K, d, d)`` stack of the maps and the ``(K, d)`` stack of h."""
     for t in (s, *ends):
         path.require(t)
     d = path.map(s).dimension
@@ -385,8 +383,8 @@ def _pullbacks(law: TransportLaw, path: PathCurve, s: float, ends: Sequence[floa
         g[:, :d, :d], g[:, d, :d] = -m.transpose(0, 2, 1), xdot
         return g
 
-    zs = _integrate(law, path, generator, np.eye(d + 1, d), s, ends, cfg, _Magnus)
-    return [(z[:d].T, z[d]) for z in zs]
+    z = np.array(_integrate(law, path, generator, np.eye(d + 1, d), s, ends, cfg, _Magnus))
+    return z[:, :d].transpose(0, 2, 1), z[:, d]
 
 
 def law_from_connection(conn: ConnectionField) -> TransportLaw:
@@ -408,75 +406,3 @@ def s_tensor(law: TransportLaw, conn: ConnectionField, path: PathCurve,
     valence (1,2) at ``path(r)``."""
     point = path.map(r)
     return -law.coefficients([r], path, point.coords[None])[0] - conn.coefficients(point)
-
-
-def coordinate_probes(x: ChartPoint) -> list:
-    """Straight coordinate-line probe paths through ``x`` at parameter 0 over
-    ``[-PROBE_EXTENT, PROBE_EXTENT]``, one per chart axis; suitable input for
-    extract_first_coeff."""
-    def probe(ei: np.ndarray) -> PathCurve:
-        return PathCurve(lambda t: (x.coords + t * ei, ei),
-                         (-PROBE_EXTENT, PROBE_EXTENT))
-    return [probe(e) for e in np.eye(x.dimension)]
-
-
-def extract_first_coeff(law: TransportLaw, x: ChartPoint,
-                        probe_paths: Sequence[PathCurve],
-                        cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> np.ndarray:
-    """Recover the first-order transport coefficients ``H^i_{jk}`` at ``x``
-    from the transport matrices themselves.
-
-    Differentiates ``H(t, 0)`` in ``t`` at 0 along each probe path (central
-    difference with step ``PROBE_STEP`` and one Richardson level), giving
-    ``M_m = H_k tdot_m^k`` per probe, then solves the linear system for the
-    ``d`` matrices ``H_k``.
-    Probe paths must pass through ``x`` at parameter 0 with tangents that
-    span the tangent space.
-    """
-    d = x.dimension
-    if len(probe_paths) != d:
-        raise EvaluationError(f"need exactly {d} probe paths, got {len(probe_paths)}")
-    tangents = np.empty((d, d))
-    derivs = np.empty((d, d, d))
-    for m, probe in enumerate(probe_paths):
-        if not probe.map(0.0).close_to(x):
-            raise EvaluationError("probe path does not pass through x at 0",
-                                  point=probe.map(0.0))
-        tangents[m] = probe.tangent(0.0)
-
-        def first_deriv(h: float) -> np.ndarray:
-            plus = transport_matrix(law, probe, 0.0, h, cfg)
-            minus = transport_matrix(law, probe, 0.0, -h, cfg)
-            return (plus - minus) / (2.0 * h)
-
-        coarse = first_deriv(PROBE_STEP)
-        fine = first_deriv(PROBE_STEP / 2.0)
-        derivs[m] = (4.0 * fine - coarse) / 3.0
-    if np.linalg.cond(tangents) >= 1e6:
-        raise EvaluationError("probe tangents are rank deficient", point=x)
-    # solve tangents @ U = derivs for U[k] = H_k, componentwise over (i, j)
-    stacked = np.linalg.solve(tangents, derivs.reshape(d, d * d))
-    return np.moveaxis(stacked.reshape(d, d, d), 0, -1)
-
-
-def approx_transport(law: TransportLaw, path: PathCurve, s: float, t: float,
-                     order: int,
-                     cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> np.ndarray:
-    """N-th order approximant of the transport matrix in powers of the
-    endpoint separation, N in {0, 1}.
-
-    N=0 is the identity; N=1 is ``I + H_k(s)(x^k(t) - x^k(s))`` with the
-    coefficients taken from the law's own field (the laws in this package
-    are all coefficient-generated).
-    """
-    if order not in (0, 1):
-        raise ValueError("approximation order must be 0 or 1")
-    path.require(s)
-    path.require(t)
-    d = path.map(s).dimension
-    if order == 0:
-        return np.eye(d)
-    start = path.map(s).coords
-    coeff = law.coefficients([s], path, start[None])[0]
-    gap = path.map(t).coords - start
-    return np.eye(d) + np.einsum("ijk,k->ij", coeff, gap)

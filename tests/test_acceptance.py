@@ -7,7 +7,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from geodev.cli import main as cli_main
 from geodev.equations import (DEFAULT_LADDER, EquationId, convergence_study,
@@ -16,9 +15,9 @@ from geodev.geometry import ChartPoint
 from geodev.kinematics import worldline
 from geodev.scenarios import (EQUATION_SCENARIOS, LINEAR_DRIFT_MASSES,
                               ScenarioSpec, build, family_names)
-from geodev.transport import (approx_transport, coordinate_probes,
-                              extract_first_coeff, transport_matrix)
+from geodev.transport import transport_matrix
 
+from oracles import approx_transport, coordinate_probes, extract_first_coeff
 from test_cli import strip_timing
 
 

@@ -13,7 +13,7 @@ from geodev.equations import (DEFAULT_LADDER, FIT_EXCLUSION, H_S, EquationId,
 from geodev.errors import DomainError, EvaluationError
 from geodev.geometry import (ChartPoint, ConnectionField, MetricField, bilinear,
                              torsion_apply)
-from geodev.kinematics import Scenario, WorldSurface
+from geodev.kinematics import WorldSurface
 from geodev.scenarios import (EQUATION_SCENARIOS, LINEAR_DRIFT_MASSES,
                               ScenarioSpec, build)
 from geodev.transport import DEFAULT_ODE_CONFIG, work_counts
@@ -162,11 +162,11 @@ def test_e7_1_mu1_and_mu2_forms_differ_second_order():
     sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
 
     def mu1_form_residual(eps):
-        w = _Workspace(sc, eps, DEFAULT_ODE_CONFIG)
-        mu1, mu2 = w.mu1(S0), w.mu2(S0)
+        w = _Workspace(sc, (eps,), DEFAULT_ODE_CONFIG)  # a ladder of one
+        mu1, mu2 = w.mu1(S0), w.mu2(S0)[0]
         rhs = ((mu2 - mu1) * w.a1(S0) + mu1 * eps * w.df_dr(S0)
-               + mu1 * bilinear(w.s_tensor(S0), w.a1(S0), w.zeta(S0)))
-        return w.delta_k(S0) - rhs
+               + mu1 * bilinear(w.s_tensor(S0), w.a1(S0), w.zeta(S0)[0]))
+        return w.delta_k(S0)[0] - rhs
 
     diffs = []
     for eps in (0.08, 0.04, 0.02):
@@ -189,7 +189,7 @@ def test_leibniz_consistency_of_contracted_derivatives(name, params):
     # must agree, which is what makes the equation set mutually consistent
     sc = build(ScenarioSpec(name, params))
     eps = 0.02
-    w = _Workspace(sc, eps, DEFAULT_ODE_CONFIG)
+    w = _Workspace(sc, (eps,), DEFAULT_ODE_CONFIG)  # a ladder of one
 
     t_of = lambda u: torsion_apply(w.torsion(u), w.v1(u), w.zeta(u))
     lhs = w.cov_fd(t_of, S0, 1e-5)
@@ -211,15 +211,15 @@ def test_s_term_toggles_with_the_law(flat_torsion, offset_transport):
     # is identically zero; switching to an offset law turns it into the
     # sigma contraction
     eps = 0.02
-    w = _Workspace(flat_torsion, eps, DEFAULT_ODE_CONFIG)
-    s_term = bilinear(w.s_tensor(S0), w.v1(S0), w.zeta(S0))
+    w = _Workspace(flat_torsion, (eps,), DEFAULT_ODE_CONFIG)  # a ladder of one
+    s_term = bilinear(w.s_tensor(S0), w.v1(S0), w.zeta(S0)[0])
     assert np.all(s_term == 0.0)
 
-    w = _Workspace(offset_transport, eps, DEFAULT_ODE_CONFIG)
+    w = _Workspace(offset_transport, (eps,), DEFAULT_ODE_CONFIG)
     sigma = np.zeros((2, 2, 2))
     sigma[0, 1, 1] = 0.2
-    expected = np.einsum("ijk,j,k->i", sigma, w.v1(S0), w.zeta(S0))
-    s_term = bilinear(w.s_tensor(S0), w.v1(S0), w.zeta(S0))
+    expected = np.einsum("ijk,j,k->i", sigma, w.v1(S0), w.zeta(S0)[0])
+    s_term = bilinear(w.s_tensor(S0), w.v1(S0), w.zeta(S0)[0])
     assert np.abs(s_term - expected).max() < 1e-12
 
 
@@ -245,7 +245,7 @@ def test_delta_quantities_vanish_at_zero_separation(offset_transport):
         assert np.abs(np.asarray(value)).max() < 1e-12
 
 
-# ------------------------------------------------- ladder-major study
+# ------------------------------------------------- studies on ladder stacks
 
 _CELLS_BY_FAMILY = {}
 for _eq, _specs in EQUATION_SCENARIOS.items():
@@ -256,8 +256,8 @@ for _eq, _specs in EQUATION_SCENARIOS.items():
 @pytest.mark.parametrize("family", sorted(_CELLS_BY_FAMILY))
 def test_shared_workspace_study_matches_fresh_workspace_residuals(family):
     # one study over every equation the family's cells use shares one
-    # workspace per eps; each residual norm must equal, bit for bit, the
-    # residual evaluated alone on a fresh workspace
+    # workspace, on the stack of its ladder; each residual norm must equal,
+    # bit for bit, the residual evaluated alone on a fresh workspace
     groups = {}
     for eq, spec in _CELLS_BY_FAMILY[family]:
         key = tuple(sorted(spec.parameters.items()))
@@ -364,7 +364,8 @@ def test_deviation_study_reads_each_magnus_stack_at_once():
     assert dict(counts) == {
         "solves": 49, "stacked_attempts": 7, "attempted_steps": 49,
         "continued_lanes": 0, "generator_evals": 147, "surface_stacks": 7,
-        "surface_stack_points": 147, "jets_order_1": 7}
+        "surface_stack_points": 147, "jets_order_1": 7, "residual_evals": 3,
+        "residual_lanes": 21}
 
 
 def test_constant_connections_build_no_point_per_node(monkeypatch):
@@ -389,7 +390,7 @@ def test_constant_connections_build_no_point_per_node(monkeypatch):
 
 def test_study_evaluates_base_geometry_once_per_s(monkeypatch):
     # Gamma's partials, R, the force F_s(r') and the metric at x_1(s) depend
-    # on (s, r') alone: one base memo serves the whole ladder, so a
+    # on (s, r') alone: one memo serves the whole ladder, so a
     # default-ladder study evaluates them at x_1(s) once, not once per eps.
     # curvature_at reads the partials itself; the second partials call is
     # the dGamma that DT and DF/dr share.  The relative acceleration and
@@ -443,14 +444,32 @@ def test_bad_analytic_metric_partials_are_named(partials, message):
 
 
 def test_base_quantities_are_read_only(flat_torsion):
-    # one base memo serves every eps of a study, so no residual formula may
-    # write into a value that another eps reads; the sources stay writeable
-    w = _Workspace(flat_torsion, 0.01, DEFAULT_ODE_CONFIG)
+    # one memo serves every equation of a study, so no residual formula may
+    # write into a value that another reads; the sources stay writeable
+    w = _Workspace(flat_torsion, (0.01,), DEFAULT_ODE_CONFIG)  # a ladder of one
     for value in (w.surface("d_sr", S0), w.gam(S0), w.dgam(S0), w.a1(S0),
                   w.torsion(S0), w.curvature(S0), w.s_tensor(S0),
                   w.d_torsion(S0), w.d_s_tensor(S0), w.metric(S0),
-                  w.d_metric(S0), w.df_dr(S0)):
+                  w.d_metric(S0), w.df_dr(S0), w.d_zeta(S0), w.delta_v(S0),
+                  w.delta_k(S0), w.energy(S0)):
         with pytest.raises(ValueError):
             value.flat[0] = 1.0
     assert flat_torsion.conn.gamma_at(w.x1_point(S0).coords[None]).flags.writeable
     assert flat_torsion.metric.g_at(w.x1_point(S0)).flags.writeable
+
+
+def test_study_reads_gamma_at_particle_2_in_one_call_per_s():
+    # the relative acceleration and force read F_s(r'') at every eps of the
+    # ladder; Gamma at those K points x_2(s) is one stacked read, shared by
+    # both (the law keeps its own reference to the connection, so its reads
+    # inside the pull-back solves are not recorded here)
+    sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
+    sizes, gamma_at = [], sc.conn.gamma_at
+
+    def recording(coords):
+        sizes.append(len(coords))
+        return gamma_at(coords)
+
+    recorded = dataclasses.replace(sc, conn=dataclasses.replace(sc.conn, gamma_at=recording))
+    convergence_study([EquationId.E6_2, EquationId.E7_1], recorded, S0, DEFAULT_LADDER)
+    assert [n for n in sizes if n > 1] == [len(DEFAULT_LADDER)]

@@ -146,7 +146,7 @@ def test_memos_hold_at_most_memo_size_entries(monkeypatch):
         assert len(memo) <= 3 and memo[key] == -key
 
 
-def test_path_memo_is_safe_across_threads():
+def test_concurrent_path_reads_get_their_own_parameters_values():
     # threads evaluating one path at different parameters each get the
     # point and velocity of their own parameter, never another thread's; the
     # velocity depends on u, so a read mixed up between threads shows in

@@ -7,9 +7,9 @@ from scipy.integrate import quad_vec
 from geodev.errors import DomainError, EvaluationError, NullVectorError
 from geodev.geometry import (MetricField, cov_tensor_components, metric_dot,
                              sign_of_square)
+from geodev.equations import _Workspace
 from geodev.kinematics import (MassSurface, Scenario, WorldSurface,
-                               _delta_force, _relative_energy, back_transport,
-                               connecting_path, delta_field, deviation_vector,
+                               back_transport, connecting_path, delta_field, deviation_vector,
                                force_field, infinitesimal_deviation, momentum,
                                relative_acceleration, relative_energy,
                                relative_force, relative_momentum,
@@ -323,15 +323,14 @@ def test_relative_quantities_are_one_pull_back_minus_the_value_at_r1():
                * metric_dot(sc.metric, x1, pulled_p2, v1))
     assert relative_energy(sc, s0, EPS) == by_hand
     assert relative_energy(sc, s0, EPS, pullback=pull) == by_hand
-    # the helpers that take F_s(r') and the metric at x_1 from a study's
-    # base memo give the same values
-    force1 = force_field(sc, s0, r1)
-    for fn, density in ((relative_acceleration, False), (relative_force, True)):
-        assert np.array_equal(
-            _delta_force(sc, s0, EPS, DEFAULT_ODE_CONFIG, pull, force1, density),
-            fn(sc, s0, EPS))
-    assert _relative_energy(sc, s0, EPS, DEFAULT_ODE_CONFIG, pull,
-                            sc.metric.matrix(x1)) == by_hand
+    # a study's workspace, which takes F_s(r') and the metric at x_1 from its
+    # memo and reads them on its ladder stack, gives the same values on a
+    # ladder of one
+    w = _Workspace(sc, (EPS,), DEFAULT_ODE_CONFIG)
+    for fn, stacked in ((relative_velocity, w.delta_v), (relative_acceleration, w.delta_a),
+                        (relative_momentum, w.delta_p), (relative_force, w.delta_k)):
+        assert np.array_equal(stacked(s0)[0], fn(sc, s0, EPS))
+    assert w.energy(s0)[0, 0] == by_hand
 
 
 def test_relative_velocity_equals_delta_of_velocity_field(sphere):

@@ -7,8 +7,8 @@ import pytest
 
 import geodev.geometry
 from geodev.errors import ConfigError
-from geodev.geometry import ChartPoint, curvature_at, torsion_at
-from geodev.kinematics import connecting_path, worldline
+from geodev.geometry import curvature_at, torsion_at
+from geodev.kinematics import connecting_path
 from geodev.scenarios import (EQUATION_SCENARIOS, LINEAR_DRIFT_MASSES,
                               ScenarioSpec, _surface, build, family_names,
                               list_scenarios)

@@ -20,10 +20,11 @@ from geodev.errors import DomainError, EvaluationError
 from geodev.geometry import ChartPoint, PathCurve
 from geodev.kinematics import connecting_path, worldline
 from geodev.scenarios import ScenarioSpec, build, family_names, list_scenarios
-from geodev.transport import (TransportLaw, coordinate_probes, law_from_connection,
-                              pullback_integral, transport_matrix)
+from geodev.transport import (TransportLaw, law_from_connection, pullback_integral,
+                              transport_matrix)
 
 from conftest import point_law
+from oracles import coordinate_probes
 from test_transport import point_coefficients, record_rhs_calls
 
 STACKED_SURFACES = {"flat-euclidean/quadratic", "flat-torsion", "sphere",
@@ -156,7 +157,7 @@ def test_stacked_law_receives_the_path(rng):
     seen.clear()
     lanes = transport._pullbacks(stacked, path, r1, ends, transport.DEFAULT_ODE_CONFIG)
     assert len(seen) == 1 and seen[0] is path
-    for t, lane in zip(ends, lanes):
+    for t, lane in zip(ends, zip(*lanes)):
         assert all(map(np.array_equal, lane, pullback_integral(point_only, path, r1, t)))
     weightless = pullback_integral(build(ScenarioSpec("offset-transport")).law,
                                    path, r1, r1 + 0.1)

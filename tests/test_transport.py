@@ -22,12 +22,12 @@ from geodev.kinematics import connecting_path, worldline
 from geodev.scenarios import (LINEAR_DRIFT_MASSES, ScenarioSpec, build,
                               exp_law_generator, family_names)
 from geodev.transport import (DEFAULT_ODE_CONFIG, MIN_REL_TOL, OdeConfig, TransportLaw,
-                              approx_transport, coordinate_probes,
-                              extract_first_coeff, law_from_connection,
-                              law_with_offset, pullback_integral, s_tensor,
-                              transport_components, transport_matrix)
+                              law_from_connection, law_with_offset,
+                              pullback_integral, s_tensor, transport_components,
+                              transport_matrix)
 
 from conftest import point_law, stacked_gamma
+from oracles import approx_transport, coordinate_probes, extract_first_coeff
 from test_geometry import (constant_connection, line_path, sphere_connection,
                            zero_connection)
 
@@ -495,7 +495,7 @@ def test_stacked_pullbacks_equal_one_lane_solves(case):
         stacked = transport._pullbacks(law, path, s, ends, cfg)
     assert counts["solves"] == len(ends)
     assert (counts["continued_lanes"] > 0) == (label in ("exp-transport", "bump"))
-    for t, lane in zip(ends, stacked):
+    for t, lane in zip(ends, zip(*stacked)):
         alone = pullback_integral(law, path, s, t, cfg)
         assert all(map(np.array_equal, lane, alone))
 
