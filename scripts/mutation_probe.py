@@ -1,8 +1,7 @@
 """Mutation probe of the residual formulas: does the acceptance gate see
 every term?
 
-    python3 scripts/mutation_probe.py            # summary and survivors
-    python3 scripts/mutation_probe.py --json     # one JSON object
+    python3 scripts/mutation_probe.py
 
 Reads ``src/geodev/equations.py`` of this checkout and makes one mutant per
 site in its targets, the ``_r_e*`` residual formulas and the workspace
@@ -27,10 +26,8 @@ takes about 15 s on a 2-core x86-64 host.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import copy
-import json
 import sys
 import types
 from pathlib import Path
@@ -157,13 +154,7 @@ def run() -> dict:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--json", action="store_true", help="print one JSON object")
-    args = parser.parse_args()
     result = run()
-    if args.json:
-        print(json.dumps(result, indent=1))
-        return
     print(f"{result['killed']} of {result['mutants']} mutants killed, "
           f"{len(result['survivors'])} survive:")
     for line in result["survivors"]:

@@ -44,15 +44,16 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EvaluationError
-from .geometry import (ChartPoint, PathCurve, _matrix_dot, _matrix_sign, bilinear,
-                       checked_array, cov_tensor_components, curvature_apply,
-                       curvature_at, torsion_apply, torsion_components)
+from .geometry import (ChartPoint, PathCurve, _matrix_sign, bilinear,
+                       cov_tensor_components, curvature_apply, curvature_at,
+                       torsion_apply, torsion_components)
 # delta_field, deviation_vector and the relative_* functions stay bound here,
 # unused: perfbench/tracer.py wraps them
-from .kinematics import (Scenario, _forces, _momentum_field, connecting_path,
-                         delta_field, deviation_vector, force_field,
-                         relative_acceleration, relative_energy, relative_force,
-                         relative_momentum, relative_velocity)
+from .kinematics import (Scenario, _at, _carry, _energies, _forces,
+                         _momentum_field, connecting_path, delta_field,
+                         deviation_vector, force_field, relative_acceleration,
+                         relative_energy, relative_force, relative_momentum,
+                         relative_velocity)
 from .transport import (_COUNTS, DEFAULT_ODE_CONFIG, OdeConfig, _pullbacks,
                         s_tensor)
 
@@ -313,51 +314,39 @@ class _Workspace:
         return self._get(("dmu2", s), lambda: np.array(
             [[float(self.sc.mass.d_s_mu(s, r))] for r in self.r2]))
 
-    def pulled(self, s: float, b2: np.ndarray) -> np.ndarray:
-        """Each lane of ``b2``, a vector at r'', carried to r' by its
-        pull-back: ``(K, d)``."""
-        return np.matmul(self.transport(s)[0], b2[..., None])[..., 0]
-
-    def at_particles(self, s: float, field) -> np.ndarray:
-        """``field(s, r)`` at r' and at each r'' of the ladder, one point
-        read each, checked: ``(1 + K, d)``, r' first."""
-        self.surf.require_s(s)
-        return np.array([checked_array(field(s, r), (self.sc.dimension,),
-                                       "field components")
-                         for r in (self.r1, *self.r2)])
-
     def forces2(self, s: float) -> np.ndarray:
         """F_s(r'') at each r'' of the ladder, Gamma read in one call."""
         return self._get(("F2", s), lambda: _forces(self.sc, s, self.r2))
 
+    def momenta(self, s: float) -> np.ndarray:
+        """p at r' and at each r'' of the ladder: ``(1 + K, d)``, r' first."""
+        return self._get(("p", s), lambda: _at(
+            self.sc, s, (self.r1, *self.r2), _momentum_field(self.sc)))
+
     def delta_v(self, s: float) -> np.ndarray:
         def make():
-            v = self.at_particles(s, self.surf.d_s)
-            return self.pulled(s, v[1:]) - v[0]
+            v = _at(self.sc, s, (self.r1, *self.r2), self.surf.d_s)
+            return _carry(self.transport(s)[0], v[1:]) - v[0]
         return self._get(("dV", s), make)
-
-    def momenta(self, s: float) -> np.ndarray:
-        return self._get(("p", s), lambda: self.at_particles(s, _momentum_field(self.sc)))
 
     def delta_p(self, s: float) -> np.ndarray:
         return self._get(("dp", s), lambda: (
-            self.pulled(s, self.momenta(s)[1:]) - self.momenta(s)[0]))
+            _carry(self.transport(s)[0], self.momenta(s)[1:]) - self.momenta(s)[0]))
 
     def delta_a(self, s: float) -> np.ndarray:
-        return self._get(("dA", s), lambda: self.pulled(s, self.forces2(s)) - self.a1(s))
+        return self._get(("dA", s), lambda: (
+            _carry(self.transport(s)[0], self.forces2(s)) - self.a1(s)))
 
     def delta_k(self, s: float) -> np.ndarray:
         return self._get(("dK", s), lambda: (
-            self.pulled(s, self.mu2(s) * self.forces2(s)) - self.mu1(s) * self.a1(s)))
+            _carry(self.transport(s)[0], self.mu2(s) * self.forces2(s))
+            - self.mu1(s) * self.a1(s)))
 
     def energy(self, s: float) -> np.ndarray:  # E7_4 alone reads it, with a metric
         """The relative energy on the ladder, ``(K, 1)``."""
-        def make():
-            g, x1, v1 = self.metric(s), self.x1_point(s), self.v1(s)
-            sign = _matrix_sign(g, x1, v1)
-            pulled = self.pulled(s, self.momenta(s)[1:])
-            return (sign * _matrix_dot(g, x1, pulled, v1))[:, None]
-        return self._get(("E", s), make)
+        return self._get(("E", s), lambda: _energies(
+            self.metric(s), self.x1_point(s), self.v1(s),
+            _carry(self.transport(s)[0], self.momenta(s)[1:]))[:, None])
 
     def dev_difference(self, s: float) -> np.ndarray:
         """h - zeta, the O(eps^2) part of the deviation vector."""
@@ -380,9 +369,9 @@ def _r_e2_10(w: _Workspace, s: float) -> np.ndarray:
     field = w.sc.probe_field
     if field is None:
         raise EvaluationError("scenario provides no probe field for E2_10")
-    b = w.at_particles(s, field.value)
+    b = _at(w.sc, s, (w.r1, *w.r2), field.value)
     b1 = b[0]
-    delta_b = w.pulled(s, b[1:]) - b1
+    delta_b = _carry(w.transport(s)[0], b[1:]) - b1
     db_dr = (np.asarray(field.d_r(s, w.r1), float)
              + bilinear(w.gam(s), b1, w.rdot(s)))
     return delta_b - w.eps * db_dr - bilinear(w.s_tensor(s), b1, w.zeta(s))

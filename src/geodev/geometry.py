@@ -321,10 +321,15 @@ def metric_dot(metric: MetricField, x: ChartPoint, u: np.ndarray,
 
 
 def _matrix_dot(g: np.ndarray, x: ChartPoint, u, v) -> float:
-    """``metric_dot`` given the checked metric matrix ``g`` at ``x``; a ``(K,
-    d)`` stack of vectors gives the ``(K,)`` products, row by row."""
-    u, v = (checked_array(w, np.shape(w)[:-1] + (x.dimension,), "vector components", x)
+    """``metric_dot`` given the checked metric matrix ``g`` at ``x``."""
+    u, v = (checked_array(w, (x.dimension,), "vector components", x)
             for w in (u, v))
+    return float(_stacked_dot(g, u, v))
+
+
+def _stacked_dot(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``g_{ij} U^i V^j`` of checked components, row by row over the leading
+    stack axes of ``u`` and ``v``: ``(K,)`` for ``(K, d)`` stacks."""
     # evaluated symmetrically so dot(U, V) == dot(V, U) holds exactly
     return 0.5 * ((u[..., None, :] @ (g @ v[..., None]))
                   + (v[..., None, :] @ (g @ u[..., None])))[..., 0, 0]

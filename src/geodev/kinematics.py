@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError
 from .geometry import (ChartPoint, ConnectionField, MetricField, PathCurve,
-                       _checked_stack, _matrix_dot, _matrix_sign, bilinear,
+                       _checked_stack, _matrix_sign, _stacked_dot, bilinear,
                        checked_array)
 # transport_components stays bound here, unused: perfbench/tracer.py wraps it
 from .transport import (DEFAULT_ODE_CONFIG, OdeConfig, TransportLaw,
@@ -215,17 +215,34 @@ def deviation_vector(scenario: Scenario, s: float, eps: float,
     return back_transport(scenario, s, eps, cfg)[1]
 
 
+def _at(scenario: Scenario, s: float, rs, field: Callable[[float, float], np.ndarray]
+        ) -> np.ndarray:
+    """``field(s, r)`` at each r of ``rs``, one checked point read each:
+    ``(len(rs), d)``."""
+    scenario.surface.require_s(s)
+    return np.array([checked_array(field(s, r), (scenario.dimension,),
+                                   "field components") for r in rs])
+
+
+def _carry(pullbacks: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """Particle 2's vectors carried to r', the one place this is done: each
+    row of ``b2``, the vector at one r'' of a ladder, times its lane of
+    ``pullbacks``, the ``(K, d, d)`` L_{r''->r'} of ``transport._pullbacks``:
+    ``(K, d)``.  A relative quantity is one of these minus the value at r'."""
+    return np.matmul(pullbacks, b2[..., None])[..., 0]
+
+
 def _pull_back(scenario: Scenario, s: float, eps: float,
                field: Callable[[float, float], np.ndarray], cfg: OdeConfig,
                pullback: Optional[np.ndarray]) -> np.ndarray:
     """``field(s, r'')`` carried to r' by ``pullback``, the ``L_{r''->r'}``
-    of ``back_transport`` (solved here when None)."""
-    scenario.surface.require_s(s)
+    of ``back_transport`` (solved here when None): ``_carry`` on a ladder of
+    one."""
     _, r2 = scenario.separation_endpoints(eps)
-    b2 = checked_array(field(s, r2), (scenario.dimension,), "field components")
+    b2 = _at(scenario, s, [r2], field)
     if pullback is None:
         pullback = back_transport(scenario, s, eps, cfg)[0]
-    return pullback @ b2
+    return _carry(pullback[None], b2)[0]
 
 
 def delta_field(scenario: Scenario, s: float, eps: float,
@@ -238,8 +255,15 @@ def delta_field(scenario: Scenario, s: float, eps: float,
     ``field(s, r)`` returns the components at gamma(s, r)."""
     pulled = _pull_back(scenario, s, eps, field, cfg, pullback)
     r1, _ = scenario.separation_endpoints(eps)
-    b1 = checked_array(field(s, r1), (scenario.dimension,), "field components")
-    return pulled - b1
+    return pulled - _at(scenario, s, [r1], field)[0]
+
+
+def _energies(g1: np.ndarray, x1: ChartPoint, v1: np.ndarray,
+              pulled: np.ndarray) -> np.ndarray:
+    """``relative_energy`` on a ladder: each row of ``pulled``, particle 2's
+    momentum carried to r' (``_carry``), paired by the metric matrix ``g1``
+    at x_1 with V_1 and signed by the causal character of V_1: ``(K,)``."""
+    return _matrix_sign(g1, x1, v1) * _stacked_dot(g1, pulled, v1)
 
 
 def _momentum_field(scenario: Scenario) -> Callable[[float, float], np.ndarray]:
@@ -305,9 +329,7 @@ def relative_energy(scenario: Scenario, s: float, eps: float,
         raise EvaluationError("relative_energy requires a scenario metric")
     r1, _ = scenario.separation_endpoints(eps)
     x1 = scenario.surface.point(s, r1)
-    v1 = scenario.surface.d_s(s, r1)
-    g1 = scenario.metric.matrix(x1)
-    sign = _matrix_sign(g1, x1, v1)
+    v1 = _at(scenario, s, [r1], scenario.surface.d_s)[0]
     pulled = _pull_back(scenario, s, eps, _momentum_field(scenario), cfg,
                         pullback)
-    return sign * _matrix_dot(g1, x1, pulled, v1)
+    return float(_energies(scenario.metric.matrix(x1), x1, v1, pulled[None])[0])

@@ -394,12 +394,14 @@ def test_study_evaluates_base_geometry_once_per_s(monkeypatch):
     # default-ladder study evaluates them at x_1(s) once, not once per eps.
     # curvature_at reads the partials itself; the second partials call is
     # the dGamma that DT and DF/dr share.  The relative acceleration and
-    # force read F_s(r') from the memo (a_1), and E7_4 reads the metric at
-    # x_1(s) and at x_1(s +- H_S) once each
+    # force read F_s(r') from the memo (a_1) and F_s(r'') in one stacked read
+    # per s, and E7_4 reads the metric at x_1(s) and at x_1(s +- H_S) once
+    # each
     sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
     calls = []
     partials, curvature = ConnectionField.partials, geodev.equations.curvature_at
-    force, matrix = geodev.kinematics.force_field, MetricField.matrix
+    force, forces = geodev.equations.force_field, geodev.equations._forces
+    matrix = MetricField.matrix
 
     def counted(name, fn, where=lambda field, point: tuple(point.coords)):
         def call(*args):
@@ -410,21 +412,24 @@ def test_study_evaluates_base_geometry_once_per_s(monkeypatch):
     monkeypatch.setattr(ConnectionField, "partials", counted("partials", partials))
     monkeypatch.setattr(geodev.equations, "curvature_at",
                         counted("curvature_at", curvature))
-    monkeypatch.setattr(geodev.kinematics, "force_field",
+    monkeypatch.setattr(geodev.equations, "force_field",
                         counted("force", force, lambda sc, s, r: (s, r)))
+    monkeypatch.setattr(geodev.equations, "_forces",
+                        counted("forces", forces, lambda sc, s, rs: (s, tuple(rs))))
     monkeypatch.setattr(MetricField, "matrix", counted("metric", matrix))
     convergence_study(list(EquationId), sc, S0, DEFAULT_LADDER)
     r1 = sc.surface.r_base
+    r2s = tuple(sc.separation_endpoints(eps)[1] for eps in DEFAULT_LADDER)
     x1 = {s: tuple(sc.surface.map(s, r1)) for s in (S0 - H_S, S0, S0 + H_S)}
     # Gamma's partials and R are evaluated nowhere else in the study; the
-    # force runs at every r'' and the metric's partials shift x_1, so those
-    # two are counted at (s, r') and x_1 alone (a_1 calls the force through
-    # the equations module's own binding, uncounted here)
+    # metric's partials shift x_1, so the metric is counted at x_1 alone
     geometry = Counter(call for call in calls
                        if call[0] in ("partials", "curvature_at"))
     assert geometry == {("partials", x1[S0]): 2, ("curvature_at", x1[S0]): 1}
-    at_x1 = Counter(call for call in calls if call[0] in ("force", "metric")
-                    and (call[1] in x1.values() or call[1] == (S0, r1)))
+    assert Counter(call for call in calls if call[0] in ("force", "forces")) == {
+        ("force", (S0, r1)): 1, ("forces", (S0, r2s)): 1}
+    at_x1 = Counter(call for call in calls
+                    if call[0] == "metric" and call[1] in x1.values())
     assert at_x1 == {("metric", x1[S0 - H_S]): 1, ("metric", x1[S0]): 1,
                      ("metric", x1[S0 + H_S]): 1}
 

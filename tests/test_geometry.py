@@ -107,9 +107,10 @@ def test_tangent_dimension_mismatch():
                          (-1.0, 1.0))
         with pytest.raises(EvaluationError, match="tangent components"):
             path.tangent(0.0)
-    # so is a vector of the wrong dimension given to the metric products
+    # so is a vector of the wrong dimension or rank given to the metric
+    # products
     g, x = euclidean_metric(), ChartPoint([0.0, 0.0])
-    for bad in ([1.0, 0.0, 0.0], [1.0]):
+    for bad in ([1.0, 0.0, 0.0], [1.0], [[1.0, 0.0], [0.0, 1.0]]):
         for call in (lambda: metric_dot(g, x, bad, [1.0, 0.0]),
                      lambda: metric_dot(g, x, [1.0, 0.0], bad),
                      lambda: sign_of_square(g, x, bad)):
