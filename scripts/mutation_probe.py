@@ -21,7 +21,9 @@ when no order is fitted) on the cells of the mutant's own equation, or of
 every equation for a workspace method, and criterion 4 (the momentum
 identity below 1e-9 on every family at eps 1e-1, 1e-2, 1e-3) for E5_1.  A
 mutant is killed when a cell fails or raises.  The run is deterministic and
-takes about 15 s on a 2-core x86-64 host.
+takes about 15 s on a 2-core x86-64 host.  A name of ``WORKSPACE_TARGETS``
+that is not a method of ``_Workspace`` ends the run with exit status 1 and
+names it, before any mutant is made.
 """
 
 from __future__ import annotations
@@ -53,6 +55,13 @@ def targets(tree: ast.Module):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and item.name in WORKSPACE_TARGETS:
                     yield f"_Workspace.{item.name}", item
+
+
+def missing_targets(tree: ast.Module) -> list:
+    """The names of ``WORKSPACE_TARGETS`` that are no method of ``_Workspace``
+    in the module: their mutants would be silently left out."""
+    found = {label.split(".", 1)[1] for label, _ in targets(tree) if "." in label}
+    return [name for name in WORKSPACE_TARGETS if name not in found]
 
 
 def sites(function: ast.FunctionDef):
@@ -133,6 +142,9 @@ def gate(module, equations) -> bool:
 
 def run() -> dict:
     tree = ast.parse(SOURCE.read_text())
+    if missing := missing_targets(tree):
+        raise SystemExit("mutation_probe: no target " + ", ".join(
+            f"_Workspace.{name}" for name in missing) + f" in {SOURCE}")
     formula_eqs = {}
     for eq in EquationId:
         formula_eqs.setdefault(equation_info(eq).residual.__name__, []).append(eq)

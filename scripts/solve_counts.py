@@ -39,6 +39,10 @@ fewer checks, are counted by wrapping the calls here: ``path_reads``
 (calls of ``PathCurve.points``), ``points_built`` (``ChartPoint``
 constructions) and ``checks`` (calls of ``geometry.checked_array`` and of
 its stacked form ``_checked_stack``, wherever a module has bound them).  The counts do not depend on the machine.
+
+``tests/work_counts.json`` is this output, and a tier-1 test recomputes it
+through ``work()`` and compares exactly: a change that changes the work
+re-records it with ``python3 scripts/solve_counts.py > tests/work_counts.json``.
 """
 
 from __future__ import annotations
@@ -115,7 +119,8 @@ def counted(work) -> dict:
     return counts
 
 
-def main() -> None:
+def work() -> dict:
+    """The counts ``main`` prints, by study."""
     out = {}
     for name, (family, eqs) in STUDIES.items():
         # a fresh scenario per study: its surface memo keeps the points of
@@ -127,7 +132,11 @@ def main() -> None:
     sphere = build(ScenarioSpec("sphere"))
     out["sphere_latitude_holonomy"] = counted(lambda: transport.transport_matrix(
         sphere.law, _latitude_path(math.pi / 4), 0.0, 2.0 * math.pi))
-    print(json.dumps(out, indent=1))
+    return out
+
+
+def main() -> None:
+    print(json.dumps(work(), indent=1))
 
 
 if __name__ == "__main__":

@@ -20,9 +20,11 @@ expansion of the relative acceleration, and is confirmed by the momentum
 equation of motion at unit masses.
 
 Evaluation policy: a study evaluates each residual once, on stacks over its
-eps-ladder: the workspace carries every eps-dependent quantity with a leading
-ladder axis, each lane computed bit for bit as its eps alone would be, and
-the formula's value is split into one sample per eps.  A workspace makes one
+eps-ladder, and splits the formula's value into one sample per eps.  Its
+workspace is a ``kinematics._Ladder``, the one implementation of the
+relative quantities, whose public functions read lane 0 of a ladder of one:
+every eps-dependent quantity carries a leading ladder axis, each lane
+computed bit for bit as its eps alone would be.  The ladder makes one
 back-transport solve per distinct s along gamma_s, one lane per eps; every
 relative quantity at s applies its pull-back map L_{r''->r'} to particle 2's
 vector, and the deviation vector h rides on the same solve.
@@ -44,18 +46,15 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EvaluationError
-from .geometry import (ChartPoint, PathCurve, _matrix_sign, bilinear,
-                       cov_tensor_components, curvature_apply, curvature_at,
-                       torsion_apply, torsion_components)
+from .geometry import (_matrix_sign, bilinear, cov_tensor_components,
+                       curvature_apply, curvature_at, torsion_apply,
+                       torsion_components)
 # delta_field, deviation_vector and the relative_* functions stay bound here,
 # unused: perfbench/tracer.py wraps them
-from .kinematics import (Scenario, _at, _carry, _energies, _forces,
-                         _momentum_field, connecting_path, delta_field,
-                         deviation_vector, force_field, relative_acceleration,
-                         relative_energy, relative_force, relative_momentum,
-                         relative_velocity)
-from .transport import (_COUNTS, DEFAULT_ODE_CONFIG, OdeConfig, _pullbacks,
-                        s_tensor)
+from .kinematics import (Scenario, _Ladder, delta_field, deviation_vector,
+                         relative_acceleration, relative_energy, relative_force,
+                         relative_momentum, relative_velocity)
+from .transport import _COUNTS, DEFAULT_ODE_CONFIG, OdeConfig, s_tensor
 
 __all__ = [
     "EquationId",
@@ -140,51 +139,13 @@ class ConvergenceReport:
 # evaluation workspace of one study, on the stack of its ladder
 
 
-class _Workspace:
+class _Workspace(_Ladder):
     """Lazy, memoized evaluations of one study, shared by the residual
-    formulas of every equation evaluated on it.  A quantity that depends on
-    eps carries a leading ladder axis: a ``(K, d)`` stack over the K
-    separations of ``ladder`` (a ``(K, 1)`` column for a scalar, so that it
-    scales a stack lane by lane), each lane computed as that separation
-    alone would be; the quantities of (s, r') alone are computed once for
-    the whole ladder.  Each memoized value is a deterministic function of
-    its key (quantity, s), so evaluation order changes no residual, and
-    read-only, so that no formula writes into what another reads.  All
-    public-ish methods take the worldline parameter, so the same machinery
-    serves the centered s-differences; the pull-backs along gamma_s are one
-    stacked solve for the whole ladder per s.
+    formulas of every equation evaluated on it: the relative kinematics of
+    ``_Ladder`` on the study's ladder, and the connection, curvature and
+    S-tensor at x_1(s) with their covariant s-derivatives, which depend on
+    (s, r') alone and so are computed once for the whole ladder.
     """
-
-    def __init__(self, scenario: Scenario, ladder: Sequence[float], cfg: OdeConfig):
-        self.sc = scenario
-        self.ladder = tuple(ladder)
-        self.r2 = [scenario.separation_endpoints(e)[1] for e in self.ladder]
-        self.eps = np.array(self.ladder, dtype=float)[:, None]
-        self.cfg = cfg
-        self.surf = scenario.surface
-        self.r1 = self.surf.r_base
-        self._memo: dict = {}
-
-    def _get(self, key, fn):
-        if key not in self._memo:
-            value = fn()
-            if isinstance(value, np.ndarray):
-                value = value.view()  # read-only, without freezing its source
-                value.flags.writeable = False
-            self._memo[key] = value
-        return self._memo[key]
-
-    # -- pointwise geometry -------------------------------------------------
-    def surface(self, name: str, s: float) -> np.ndarray:
-        """Surface callable ``name`` (``map``, ``d_s``, ``d_r``, ``d_sr``)
-        at (s, r'); s is checked against the surface s-domain first."""
-        def make():
-            self.surf.require_s(s)
-            return np.asarray(getattr(self.surf, name)(s, self.r1), float)
-        return self._get((name, s), make)
-
-    def x1_point(self, s: float) -> ChartPoint:
-        return self._get(("x1pt", s), lambda: ChartPoint(self.surface("map", s)))
 
     def gam(self, s: float) -> np.ndarray:
         return self._get(("gam", s),
@@ -194,35 +155,12 @@ class _Workspace:
         return self._get(("dgam", s),
                          lambda: self.sc.conn.partials(self.x1_point(s)))
 
-    def v1(self, s: float) -> np.ndarray:
-        return self.surface("d_s", s)
-
-    def rdot(self, s: float) -> np.ndarray:
-        return self.surface("d_r", s)
-
-    def a1(self, s: float) -> np.ndarray:
-        return self._get(("a1", s),
-                         lambda: force_field(self.sc, s, self.r1))
-
-    def mu1(self, s: float) -> float:
-        return self.sc.mass.value(s, self.r1)
-
-    def dmu1(self, s: float) -> float:
-        return float(self.sc.mass.d_s_mu(s, self.r1))
-
-    def p1(self, s: float) -> np.ndarray:
-        return self.mu1(s) * self.v1(s)
-
     def torsion(self, s: float) -> np.ndarray:
         return self._get(("T", s), lambda: torsion_components(self.gam(s)))
 
     def curvature(self, s: float) -> np.ndarray:
         return self._get(("R", s),
                          lambda: curvature_at(self.sc.conn, self.x1_point(s)))
-
-    def path(self, s: float) -> PathCurve:
-        """gamma_s: one PathCurve, and so one set of its memos, per s."""
-        return self._get(("path", s), lambda: connecting_path(self.sc, s))
 
     def s_tensor(self, s: float) -> np.ndarray:
         return self._get(("S", s), lambda: s_tensor(
@@ -257,13 +195,7 @@ class _Workspace:
                                          dg_ds, (0, 2))
         return self._get(("Dg", s), make)
 
-    def metric(self, s: float) -> np.ndarray:
-        return self._get(("g", s), lambda: self.sc.metric.matrix(self.x1_point(s)))
-
     # -- deviation quantities, on the ladder stack ----------------------------
-    def zeta(self, s: float) -> np.ndarray:
-        return self.eps * self.rdot(s)
-
     def d_zeta(self, s: float) -> np.ndarray:
         """Analytic covariant derivative of zeta along x1."""
         def make():
@@ -299,60 +231,6 @@ class _Workspace:
             return df + bilinear(gam, f1, rdot)
         return self._get(("DFdr", s), make)
 
-    def transport(self, s: float) -> Tuple[np.ndarray, np.ndarray]:
-        """(L_{r''->r'}, h) at s, which every quantity at s reads: the
-        ``(K, d, d)`` and ``(K, d)`` lanes of the ladder's pull-backs along
-        gamma_s."""
-        return self._get(("Lh", s), lambda: _pullbacks(
-            self.sc.law, self.path(s), self.r1, self.r2, self.cfg))
-
-    def mu2(self, s: float) -> np.ndarray:
-        return self._get(("mu2", s), lambda: np.array(
-            [[self.sc.mass.value(s, r)] for r in self.r2]))
-
-    def dmu2(self, s: float) -> np.ndarray:
-        return self._get(("dmu2", s), lambda: np.array(
-            [[float(self.sc.mass.d_s_mu(s, r))] for r in self.r2]))
-
-    def forces2(self, s: float) -> np.ndarray:
-        """F_s(r'') at each r'' of the ladder, Gamma read in one call."""
-        return self._get(("F2", s), lambda: _forces(self.sc, s, self.r2))
-
-    def momenta(self, s: float) -> np.ndarray:
-        """p at r' and at each r'' of the ladder: ``(1 + K, d)``, r' first."""
-        return self._get(("p", s), lambda: _at(
-            self.sc, s, (self.r1, *self.r2), _momentum_field(self.sc)))
-
-    def delta_v(self, s: float) -> np.ndarray:
-        def make():
-            v = _at(self.sc, s, (self.r1, *self.r2), self.surf.d_s)
-            return _carry(self.transport(s)[0], v[1:]) - v[0]
-        return self._get(("dV", s), make)
-
-    def delta_p(self, s: float) -> np.ndarray:
-        return self._get(("dp", s), lambda: (
-            _carry(self.transport(s)[0], self.momenta(s)[1:]) - self.momenta(s)[0]))
-
-    def delta_a(self, s: float) -> np.ndarray:
-        return self._get(("dA", s), lambda: (
-            _carry(self.transport(s)[0], self.forces2(s)) - self.a1(s)))
-
-    def delta_k(self, s: float) -> np.ndarray:
-        return self._get(("dK", s), lambda: (
-            _carry(self.transport(s)[0], self.mu2(s) * self.forces2(s))
-            - self.mu1(s) * self.a1(s)))
-
-    def energy(self, s: float) -> np.ndarray:  # E7_4 alone reads it, with a metric
-        """The relative energy on the ladder, ``(K, 1)``."""
-        return self._get(("E", s), lambda: _energies(
-            self.metric(s), self.x1_point(s), self.v1(s),
-            _carry(self.transport(s)[0], self.momenta(s)[1:]))[:, None])
-
-    def dev_difference(self, s: float) -> np.ndarray:
-        """h - zeta, the O(eps^2) part of the deviation vector."""
-        return self._get(("psi", s), lambda: (
-            self.transport(s)[1] - self.zeta(s)))
-
     # -- finite differences ---------------------------------------------------
     def cov_fd(self, fn: Callable[[float], np.ndarray], s: float,
                h: float) -> np.ndarray:
@@ -369,9 +247,9 @@ def _r_e2_10(w: _Workspace, s: float) -> np.ndarray:
     field = w.sc.probe_field
     if field is None:
         raise EvaluationError("scenario provides no probe field for E2_10")
-    b = _at(w.sc, s, (w.r1, *w.r2), field.value)
+    b = w.values(field.value, s)
     b1 = b[0]
-    delta_b = _carry(w.transport(s)[0], b[1:]) - b1
+    delta_b = w.carry(s, b[1:]) - b1
     db_dr = (np.asarray(field.d_r(s, w.r1), float)
              + bilinear(w.gam(s), b1, w.rdot(s)))
     return delta_b - w.eps * db_dr - bilinear(w.s_tensor(s), b1, w.zeta(s))
@@ -560,13 +438,6 @@ def _samples(eq: EquationId, workspace: _Workspace, s: float) -> list:
     norms = np.abs(value).reshape(lanes, -1).max(axis=1)
     return [ResidualSample(eq, s, e, float(norm), elapsed)
             for e, norm in zip(workspace.ladder, norms)]
-
-
-def residual_components(eq: EquationId, scenario: Scenario, s: float,
-                        epsilon: float, cfg: OdeConfig = DEFAULT_ODE_CONFIG):
-    """Raw residual (component array, or scalar for the energy equation) on
-    a fresh workspace of the one-point ladder ``(epsilon,)``."""
-    return _INFO[eq].residual(_Workspace(scenario, (epsilon,), cfg), s)[0]
 
 
 def residual(eq: EquationId, scenario: Scenario, s: float, epsilon: float,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,8 +25,8 @@ from .geometry import (ChartPoint, ConnectionField, MetricField, PathCurve,
                        _checked_stack, _matrix_sign, _stacked_dot, bilinear,
                        checked_array)
 # transport_components stays bound here, unused: perfbench/tracer.py wraps it
-from .transport import (DEFAULT_ODE_CONFIG, OdeConfig, TransportLaw,
-                        pullback_integral, transport_components)
+from .transport import (DEFAULT_ODE_CONFIG, OdeConfig, TransportLaw, _pullbacks,
+                        transport_components)
 
 __all__ = [
     "WorldSurface",
@@ -195,16 +195,174 @@ def infinitesimal_deviation(scenario: Scenario, s: float, eps: float) -> np.ndar
                                "d_r components")
 
 
+def _momentum_field(scenario: Scenario) -> Callable[[float, float], np.ndarray]:
+    surf = scenario.surface
+    mass = scenario.mass
+    return lambda s, r: mass.value(s, r) * np.asarray(surf.d_s(s, r), float)
+
+
+class _Ladder:
+    """The relative kinematics of a scenario on a ladder of separations, the
+    one implementation of each relative quantity: lazy, memoized, and shared
+    by every reader.  A quantity that depends on eps carries a leading
+    ladder axis: a ``(K, d)`` stack over the K separations of ``ladder`` (a
+    ``(K, 1)`` column for a scalar, so that it scales a stack lane by lane),
+    each lane computed bit for bit as that separation alone would be, so the
+    public functions below read lane 0 of a ladder of one (as writeable
+    copies); the reads at (s, r') are made once for the whole ladder.  Each memoized value is a
+    deterministic function of its key (quantity, s), so evaluation order
+    changes no value, and read-only, so that no reader writes into what
+    another reads.  Every quantity takes the worldline parameter s; the
+    pull-backs along gamma_s are one stacked solve for the ladder per s.
+    """
+
+    def __init__(self, scenario: Scenario, ladder: Sequence[float], cfg: OdeConfig):
+        self.sc = scenario
+        self.ladder = tuple(ladder)
+        self.r2 = [scenario.separation_endpoints(e)[1] for e in self.ladder]
+        self.eps = np.array(self.ladder, dtype=float)[:, None]
+        self.cfg = cfg
+        self.surf = scenario.surface
+        self.r1 = self.surf.r_base
+        self.momentum = _momentum_field(scenario)
+        self._memo: dict = {}
+
+    def _get(self, key, fn):
+        if key not in self._memo:
+            value = fn()
+            if isinstance(value, np.ndarray):
+                value = value.view()  # read-only, without freezing its source
+                value.flags.writeable = False
+            self._memo[key] = value
+        return self._memo[key]
+
+    # -- reads at (s, r') ---------------------------------------------------
+    def surface(self, name: str, s: float) -> np.ndarray:
+        """Surface callable ``name`` (``map``, ``d_s``, ``d_r``, ``d_sr``)
+        at (s, r'); s is checked against the surface s-domain first."""
+        def make():
+            self.surf.require_s(s)
+            return np.asarray(getattr(self.surf, name)(s, self.r1), float)
+        return self._get((name, s), make)
+
+    def x1_point(self, s: float) -> ChartPoint:
+        return self._get(("x1pt", s), lambda: ChartPoint(self.surface("map", s)))
+
+    def v1(self, s: float) -> np.ndarray:
+        return self.surface("d_s", s)
+
+    def rdot(self, s: float) -> np.ndarray:
+        return self.surface("d_r", s)
+
+    def a1(self, s: float) -> np.ndarray:
+        return self._get(("a1", s), lambda: force_field(self.sc, s, self.r1))
+
+    def mu1(self, s: float) -> float:
+        return self.sc.mass.value(s, self.r1)
+
+    def dmu1(self, s: float) -> float:
+        return float(self.sc.mass.d_s_mu(s, self.r1))
+
+    def p1(self, s: float) -> np.ndarray:
+        return self.mu1(s) * self.v1(s)
+
+    def metric(self, s: float) -> np.ndarray:
+        return self._get(("g", s), lambda: self.sc.metric.matrix(self.x1_point(s)))
+
+    # -- along gamma_s ------------------------------------------------------
+    def path(self, s: float) -> PathCurve:
+        """gamma_s: one PathCurve, and so one set of its memos, per s."""
+        return self._get(("path", s), lambda: connecting_path(self.sc, s))
+
+    def transport(self, s: float) -> Tuple[np.ndarray, np.ndarray]:
+        """(L_{r''->r'}, h) at s, which every relative quantity at s reads:
+        the ``(K, d, d)`` and ``(K, d)`` lanes of the ladder's pull-backs
+        along gamma_s (``transport._pullbacks``), h being the deviation
+        vector at x_1(s)."""
+        return self._get(("Lh", s), lambda: _pullbacks(
+            self.sc.law, self.path(s), self.r1, self.r2, self.cfg))
+
+    # -- relative quantities, on the ladder stack ----------------------------
+    def values(self, field: Callable[[float, float], np.ndarray], s: float) -> np.ndarray:
+        """``field(s, .)`` at r' and at each r'' of the ladder, one checked
+        point read each: ``(1 + K, d)``, r' first."""
+        self.surf.require_s(s)
+        return np.array([checked_array(field(s, r), (self.sc.dimension,),
+                                       "field components") for r in (self.r1, *self.r2)])
+
+    def carry(self, s: float, b2: np.ndarray) -> np.ndarray:
+        """Particle 2's vectors carried to r', the one place this is done:
+        each row of ``b2``, the vector at one r'' of the ladder, times its
+        lane of L_{r''->r'}: ``(K, d)``.  A relative quantity is one of
+        these minus the value at r'."""
+        return np.matmul(self.transport(s)[0], b2[..., None])[..., 0]
+
+    def delta(self, field: Callable[[float, float], np.ndarray], s: float) -> np.ndarray:
+        """Covariant difference of a surface field between the particles:
+        ``field(s, r'')`` carried back along gamma_s to r' minus
+        ``field(s, r')``, ``(K, d)``."""
+        b = self.values(field, s)
+        return self.carry(s, b[1:]) - b[0]
+
+    def zeta(self, s: float) -> np.ndarray:
+        return self.eps * self.rdot(s)
+
+    def mu2(self, s: float) -> np.ndarray:
+        return self._get(("mu2", s), lambda: np.array(
+            [[self.sc.mass.value(s, r)] for r in self.r2]))
+
+    def dmu2(self, s: float) -> np.ndarray:
+        return self._get(("dmu2", s), lambda: np.array(
+            [[float(self.sc.mass.d_s_mu(s, r))] for r in self.r2]))
+
+    def forces2(self, s: float) -> np.ndarray:
+        """F_s(r'') at each r'' of the ladder, Gamma read in one call."""
+        return self._get(("F2", s), lambda: _forces(self.sc, s, self.r2))
+
+    def momenta(self, s: float) -> np.ndarray:
+        """p at r' and at each r'' of the ladder: ``(1 + K, d)``, r' first."""
+        return self._get(("p", s), lambda: self.values(self.momentum, s))
+
+    def delta_v(self, s: float) -> np.ndarray:
+        return self._get(("dV", s), lambda: self.delta(self.surf.d_s, s))
+
+    def delta_p(self, s: float) -> np.ndarray:
+        return self._get(("dp", s), lambda: (
+            self.carry(s, self.momenta(s)[1:]) - self.momenta(s)[0]))
+
+    def delta_a(self, s: float) -> np.ndarray:
+        return self._get(("dA", s), lambda: self.carry(s, self.forces2(s)) - self.a1(s))
+
+    def delta_k(self, s: float) -> np.ndarray:
+        return self._get(("dK", s), lambda: (
+            self.carry(s, self.mu2(s) * self.forces2(s)) - self.mu1(s) * self.a1(s)))
+
+    def energy(self, s: float) -> np.ndarray:
+        """The relative energy, ``(K, 1)``: particle 2's momentum carried to
+        r', paired by the metric at x_1 with V_1 and signed by the causal
+        character of V_1."""
+        def make():
+            g1, v1 = self.metric(s), self.v1(s)
+            pulled = self.carry(s, self.momenta(s)[1:])
+            return (_matrix_sign(g1, self.x1_point(s), v1)
+                    * _stacked_dot(g1, pulled, v1))[:, None]
+        return self._get(("E", s), make)
+
+    def dev_difference(self, s: float) -> np.ndarray:
+        """h - zeta, the O(eps^2) part of the deviation vector."""
+        return self._get(("psi", s), lambda: (
+            self.transport(s)[1] - self.zeta(s)))
+
+
 def back_transport(scenario: Scenario, s: float, eps: float,
                    cfg: OdeConfig = DEFAULT_ODE_CONFIG
                    ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(L_{r''->r'}, h)`` along gamma_s from one adaptive solve
-    (``pullback_integral``, whose integrand is the connecting-path tangent
-    ``d_r(s, .)``): the ``(d, d)`` map that carries particle 2's vectors to
-    r', and the deviation vector at x_1(s)."""
-    cpath = connecting_path(scenario, s)
-    r1, r2 = scenario.separation_endpoints(eps)
-    return pullback_integral(scenario.law, cpath, r1, r2, cfg)
+    """``(L_{r''->r'}, h)`` along gamma_s from one adaptive solve, whose
+    integrand is the connecting-path tangent ``d_r(s, .)``: the ``(d, d)``
+    map that carries particle 2's vectors to r', and the deviation vector at
+    x_1(s) (``_Ladder.transport``)."""
+    pullback, h = _Ladder(scenario, (eps,), cfg).transport(s)
+    return np.array(pullback[0]), np.array(h[0])
 
 
 def deviation_vector(scenario: Scenario, s: float, eps: float,
@@ -215,77 +373,27 @@ def deviation_vector(scenario: Scenario, s: float, eps: float,
     return back_transport(scenario, s, eps, cfg)[1]
 
 
-def _at(scenario: Scenario, s: float, rs, field: Callable[[float, float], np.ndarray]
-        ) -> np.ndarray:
-    """``field(s, r)`` at each r of ``rs``, one checked point read each:
-    ``(len(rs), d)``."""
-    scenario.surface.require_s(s)
-    return np.array([checked_array(field(s, r), (scenario.dimension,),
-                                   "field components") for r in rs])
-
-
-def _carry(pullbacks: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    """Particle 2's vectors carried to r', the one place this is done: each
-    row of ``b2``, the vector at one r'' of a ladder, times its lane of
-    ``pullbacks``, the ``(K, d, d)`` L_{r''->r'} of ``transport._pullbacks``:
-    ``(K, d)``.  A relative quantity is one of these minus the value at r'."""
-    return np.matmul(pullbacks, b2[..., None])[..., 0]
-
-
-def _pull_back(scenario: Scenario, s: float, eps: float,
-               field: Callable[[float, float], np.ndarray], cfg: OdeConfig,
-               pullback: Optional[np.ndarray]) -> np.ndarray:
-    """``field(s, r'')`` carried to r' by ``pullback``, the ``L_{r''->r'}``
-    of ``back_transport`` (solved here when None): ``_carry`` on a ladder of
-    one."""
-    _, r2 = scenario.separation_endpoints(eps)
-    b2 = _at(scenario, s, [r2], field)
-    if pullback is None:
-        pullback = back_transport(scenario, s, eps, cfg)[0]
-    return _carry(pullback[None], b2)[0]
-
-
 def delta_field(scenario: Scenario, s: float, eps: float,
                 field: Callable[[float, float], np.ndarray],
-                cfg: OdeConfig = DEFAULT_ODE_CONFIG,
-                pullback: Optional[np.ndarray] = None) -> np.ndarray:
+                cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> np.ndarray:
     """Covariant difference of a surface field between the particles:
-    ``field(s, r'')`` carried back along gamma_s to r' by ``pullback`` (the
-    L_{r''->r'} of ``back_transport``, solved when None) minus ``field(s, r')``.
-    ``field(s, r)`` returns the components at gamma(s, r)."""
-    pulled = _pull_back(scenario, s, eps, field, cfg, pullback)
-    r1, _ = scenario.separation_endpoints(eps)
-    return pulled - _at(scenario, s, [r1], field)[0]
-
-
-def _energies(g1: np.ndarray, x1: ChartPoint, v1: np.ndarray,
-              pulled: np.ndarray) -> np.ndarray:
-    """``relative_energy`` on a ladder: each row of ``pulled``, particle 2's
-    momentum carried to r' (``_carry``), paired by the metric matrix ``g1``
-    at x_1 with V_1 and signed by the causal character of V_1: ``(K,)``."""
-    return _matrix_sign(g1, x1, v1) * _stacked_dot(g1, pulled, v1)
-
-
-def _momentum_field(scenario: Scenario) -> Callable[[float, float], np.ndarray]:
-    surf = scenario.surface
-    mass = scenario.mass
-    return lambda s, r: mass.value(s, r) * np.asarray(surf.d_s(s, r), float)
+    ``field(s, r'')`` carried back along gamma_s to r' minus ``field(s, r')``
+    (``_Ladder.delta``).  ``field(s, r)`` returns the components at
+    gamma(s, r)."""
+    return np.array(_Ladder(scenario, (eps,), cfg).delta(field, s)[0])
 
 
 def relative_velocity(scenario: Scenario, s: float, eps: float,
-                      cfg: OdeConfig = DEFAULT_ODE_CONFIG,
-                      pullback: Optional[np.ndarray] = None) -> np.ndarray:
+                      cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> np.ndarray:
     """Relative velocity: back-transported V_2 minus V_1 at x_1(s)."""
-    return delta_field(scenario, s, eps, scenario.surface.d_s, cfg, pullback)
+    return np.array(_Ladder(scenario, (eps,), cfg).delta_v(s)[0])
 
 
 def relative_acceleration(scenario: Scenario, s: float, eps: float,
-                          cfg: OdeConfig = DEFAULT_ODE_CONFIG,
-                          pullback: Optional[np.ndarray] = None) -> np.ndarray:
+                          cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> np.ndarray:
     """Relative acceleration: back-transported F_s(r'') minus F_s(r'),
     using that the particle accelerations are values of the force field."""
-    return delta_field(scenario, s, eps, lambda u, r: force_field(scenario, u, r),
-                       cfg, pullback)
+    return np.array(_Ladder(scenario, (eps,), cfg).delta_a(s)[0])
 
 
 def momentum(scenario: Scenario, which: int, s: float, eps: float = 0.0) -> np.ndarray:
@@ -299,26 +407,20 @@ def momentum(scenario: Scenario, which: int, s: float, eps: float = 0.0) -> np.n
 
 
 def relative_momentum(scenario: Scenario, s: float, eps: float,
-                      cfg: OdeConfig = DEFAULT_ODE_CONFIG,
-                      pullback: Optional[np.ndarray] = None) -> np.ndarray:
+                      cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> np.ndarray:
     """Relative momentum: back-transported p_2 minus p_1 at x_1(s)."""
-    return delta_field(scenario, s, eps, _momentum_field(scenario), cfg, pullback)
+    return np.array(_Ladder(scenario, (eps,), cfg).delta_p(s)[0])
 
 
 def relative_force(scenario: Scenario, s: float, eps: float,
-                   cfg: OdeConfig = DEFAULT_ODE_CONFIG,
-                   pullback: Optional[np.ndarray] = None) -> np.ndarray:
+                   cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> np.ndarray:
     """Covariant difference of the forces ``K(s, r) = mu F_s(r)`` acting on
     the two particles."""
-    mass = scenario.mass
-    return delta_field(scenario, s, eps,
-                       lambda u, r: mass.value(u, r) * force_field(scenario, u, r),
-                       cfg, pullback)
+    return np.array(_Ladder(scenario, (eps,), cfg).delta_k(s)[0])
 
 
 def relative_energy(scenario: Scenario, s: float, eps: float,
-                    cfg: OdeConfig = DEFAULT_ODE_CONFIG,
-                    pullback: Optional[np.ndarray] = None) -> float:
+                    cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> float:
     """Relative energy of particle 2 with respect to particle 1:
     the metric pairing of the back-transported p_2 with V_1, signed by the
     causal character of V_1.
@@ -327,9 +429,4 @@ def relative_energy(scenario: Scenario, s: float, eps: float,
     """
     if scenario.metric is None:
         raise EvaluationError("relative_energy requires a scenario metric")
-    r1, _ = scenario.separation_endpoints(eps)
-    x1 = scenario.surface.point(s, r1)
-    v1 = _at(scenario, s, [r1], scenario.surface.d_s)[0]
-    pulled = _pull_back(scenario, s, eps, _momentum_field(scenario), cfg,
-                        pullback)
-    return float(_energies(scenario.metric.matrix(x1), x1, v1, pulled[None])[0])
+    return float(_Ladder(scenario, (eps,), cfg).energy(s)[0, 0])

@@ -1,5 +1,8 @@
 import dataclasses
+import importlib.util
+import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +11,8 @@ import geodev.equations
 import geodev.kinematics
 import geodev.transport
 from geodev.equations import (DEFAULT_LADDER, FIT_EXCLUSION, H_S, EquationId,
-                              _Workspace, convergence_study,
-                              equation_info, residual, residual_components)
+                              _INFO, _Workspace, convergence_study,
+                              equation_info, residual)
 from geodev.errors import DomainError, EvaluationError
 from geodev.geometry import (ChartPoint, ConnectionField, MetricField, bilinear,
                              torsion_apply)
@@ -19,6 +22,12 @@ from geodev.scenarios import (EQUATION_SCENARIOS, LINEAR_DRIFT_MASSES,
 from geodev.transport import DEFAULT_ODE_CONFIG, work_counts
 
 S0 = 0.15
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def residual_components(eq, scenario, s, eps, cfg=DEFAULT_ODE_CONFIG):
+    """Raw residual of ``eq`` (components, or a scalar for E7_4) on a ladder of one."""
+    return _INFO[eq].residual(_Workspace(scenario, (eps,), cfg), s)[0]
 
 
 def test_every_equation_has_info_and_formula():
@@ -312,7 +321,7 @@ def test_study_evaluates_each_generator_once_per_rhs_parameter(monkeypatch):
     sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
     integrate, coefficients = (geodev.transport._integrate,
                                geodev.transport.TransportLaw.coefficients)
-    connecting_path = geodev.equations.connecting_path
+    connecting_path = geodev.kinematics.connecting_path
     s_of, gen_params, coeff_params, stacks, solving = {}, [], [], [], []
 
     def recording_path(scenario, s):
@@ -337,7 +346,7 @@ def test_study_evaluates_each_generator_once_per_rhs_parameter(monkeypatch):
             stacks.append(("law", len(us)))
         return coefficients(law, us, path, coords)
 
-    monkeypatch.setattr(geodev.equations, "connecting_path", recording_path)
+    monkeypatch.setattr(geodev.kinematics, "connecting_path", recording_path)
     monkeypatch.setattr(geodev.transport, "_integrate", recording)
     monkeypatch.setattr(geodev.transport.TransportLaw, "coefficients",
                         counted_coefficients)
@@ -366,6 +375,17 @@ def test_deviation_study_reads_each_magnus_stack_at_once():
         "continued_lanes": 0, "generator_evals": 147, "surface_stacks": 7,
         "surface_stack_points": 147, "jets_order_1": 7, "residual_evals": 3,
         "residual_lanes": 21}
+
+
+def test_work_counts_match_the_ledger():
+    # tests/work_counts.json records what scripts/solve_counts.py prints; a
+    # change that changes the work re-records it and says why
+    spec = importlib.util.spec_from_file_location(
+        "solve_counts", ROOT / "scripts" / "solve_counts.py")
+    solve_counts = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(solve_counts)
+    ledger = json.loads((ROOT / "tests" / "work_counts.json").read_text())
+    assert solve_counts.work() == ledger
 
 
 def test_constant_connections_build_no_point_per_node(monkeypatch):
@@ -400,21 +420,27 @@ def test_study_evaluates_base_geometry_once_per_s(monkeypatch):
     sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
     calls = []
     partials, curvature = ConnectionField.partials, geodev.equations.curvature_at
-    force, forces = geodev.equations.force_field, geodev.equations._forces
+    force, forces = geodev.kinematics.force_field, geodev.kinematics._forces
     matrix = MetricField.matrix
+    inside = []
 
     def counted(name, fn, where=lambda field, point: tuple(point.coords)):
         def call(*args):
-            calls.append((name, where(*args)))
-            return fn(*args)
+            if "force" not in inside:  # force_field's own _forces read is not a second one
+                calls.append((name, where(*args)))
+            inside.append(name)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
         return call
 
     monkeypatch.setattr(ConnectionField, "partials", counted("partials", partials))
     monkeypatch.setattr(geodev.equations, "curvature_at",
                         counted("curvature_at", curvature))
-    monkeypatch.setattr(geodev.equations, "force_field",
+    monkeypatch.setattr(geodev.kinematics, "force_field",
                         counted("force", force, lambda sc, s, r: (s, r)))
-    monkeypatch.setattr(geodev.equations, "_forces",
+    monkeypatch.setattr(geodev.kinematics, "_forces",
                         counted("forces", forces, lambda sc, s, rs: (s, tuple(rs))))
     monkeypatch.setattr(MetricField, "matrix", counted("metric", matrix))
     convergence_study(list(EquationId), sc, S0, DEFAULT_LADDER)

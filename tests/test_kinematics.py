@@ -315,14 +315,12 @@ def test_relative_quantities_are_one_pull_back_minus_the_value_at_r1():
     for fn, field in fields.items():
         by_hand = pull @ field(s0, r2) - field(s0, r1)
         assert np.array_equal(fn(sc, s0, EPS), by_hand)
-        assert np.array_equal(fn(sc, s0, EPS, pullback=pull), by_hand)
     x1 = surf.point(s0, r1)
     v1 = surf.d_s(s0, r1)
     pulled_p2 = pull @ (mass.value(s0, r2) * surf.d_s(s0, r2))
     by_hand = (sign_of_square(sc.metric, x1, v1)
                * metric_dot(sc.metric, x1, pulled_p2, v1))
     assert relative_energy(sc, s0, EPS) == by_hand
-    assert relative_energy(sc, s0, EPS, pullback=pull) == by_hand
     # a study's workspace, which takes F_s(r') and the metric at x_1 from its
     # memo and reads them on its ladder stack, gives the same values on a
     # ladder of one

@@ -6,7 +6,8 @@ call; where a path states a stacked form (the sphere and flat-quadratic
 surfaces' connecting paths, the latitude circles), it must give ``map`` and
 ``tangent`` bit for bit; a law's stack must equal its stacks of one, the
 sphere's Gamma its closed form at each point, and the errors of a bad node
-must be the point reads' errors at that node.
+must be the point reads' errors at that node.  The relative quantities of a
+ladder of separations must equal, lane by lane, those of its ladders of one.
 """
 
 import math
@@ -18,8 +19,10 @@ import geodev.transport as transport
 from geodev.cli import _latitude_path
 from geodev.errors import DomainError, EvaluationError
 from geodev.geometry import ChartPoint, PathCurve
-from geodev.kinematics import connecting_path, worldline
-from geodev.scenarios import ScenarioSpec, build, family_names, list_scenarios
+from geodev.equations import DEFAULT_LADDER
+from geodev.kinematics import _Ladder, connecting_path, worldline
+from geodev.scenarios import (LINEAR_DRIFT_MASSES, ScenarioSpec, build,
+                              family_names, list_scenarios)
 from geodev.transport import (TransportLaw, law_from_connection, pullback_integral,
                               transport_matrix)
 
@@ -273,3 +276,29 @@ def test_a_transport_from_the_pole_raises_the_domain_error(family, stacked):
     expected = raised(lambda: point_coefficients(law, 0.0, pole_path(False)))
     assert isinstance(expected, DomainError)
     same_error(got, expected)
+
+
+def ladder_quantities(ladder, s):
+    """Every relative quantity of ``ladder`` at s, by name, stacked by lane."""
+    pullbacks, h = ladder.transport(s)
+    out = {"L": pullbacks, "h": h, "dV": ladder.delta_v(s), "dp": ladder.delta_p(s),
+           "dA": ladder.delta_a(s), "dK": ladder.delta_k(s),
+           "h - zeta": ladder.dev_difference(s)}
+    if ladder.sc.metric is not None:
+        out["energy"] = ladder.energy(s)
+    return out
+
+
+@pytest.mark.parametrize("name", family_names())
+def test_each_lane_of_a_ladder_is_its_ladder_of_one(name):
+    # the public relative_* functions read lane 0 of a ladder of one, and a
+    # study reads its whole ladder: both give the same values only if each
+    # lane is computed bit for bit as its separation alone would be
+    sc = build(ScenarioSpec(name, LINEAR_DRIFT_MASSES))
+    cfg, s = transport.DEFAULT_ODE_CONFIG, sc.s_eval
+    stacked = ladder_quantities(_Ladder(sc, DEFAULT_LADDER, cfg), s)
+    for k, eps in enumerate(DEFAULT_LADDER):
+        alone = ladder_quantities(_Ladder(sc, (eps,), cfg), s)
+        assert alone.keys() == stacked.keys()
+        for key, value in alone.items():
+            assert np.array_equal(stacked[key][k], value[0]), (key, eps)
