@@ -16,10 +16,11 @@ once around the latitude circle at pi/4 (the solve of ``geodev inspect
 
 The transport work is read from the package's own counters
 (``transport.work_counts``): ``solves`` (one per lane: a convergence study
-solves the pull-backs of its whole ladder along one connecting path as the
-lanes of one solve), ``stacked_attempts`` (Magnus step computations: one
-stack of the first attempts of all lanes of a solve, then one per further
-attempt; a DOP853 step has one lane and is not counted here),
+solves the pull-backs of its whole ladder along the connecting path of
+every s its equations read as the lanes of one solve), ``stacked_attempts``
+(Magnus step computations: one stack of the first attempts of all lanes of
+a solve, so one per study, then one per further attempt of a lane; a
+DOP853 step has one lane and is not counted here),
 ``attempted_steps`` (summed over the lanes), ``generator_evals`` (the
 generator values the steppers take, each step's read in one stacked call:
 3 per lane of a Magnus attempt; 2 to start and 11 per attempted DOP853
@@ -27,7 +28,7 @@ step) and ``continued_lanes`` (lanes that their first attempt did not
 finish and that go on stepping).  The same counters give the surface work:
 ``jets_calls``, the calls of the surface family's point ``jets`` by the
 order they ask for, and ``surface_stacks`` and ``surface_stack_points``, its
-stacked calls (one per Magnus attempt on a connecting path) and the points
+stacked calls (one per connecting path of a Magnus attempt) and the points
 they evaluate.  They also give the residual work: ``residual_evals``, the
 calls of the residual formulas (one per equation and study: each formula
 evaluates the whole ladder as one stack), and ``residual_lanes``, the

@@ -24,10 +24,10 @@ eps-ladder, and splits the formula's value into one sample per eps.  Its
 workspace is a ``kinematics._Ladder``, the one implementation of the
 relative quantities, whose public functions read lane 0 of a ladder of one:
 every eps-dependent quantity carries a leading ladder axis, each lane
-computed bit for bit as its eps alone would be.  The ladder makes one
-back-transport solve per distinct s along gamma_s, one lane per eps; every
-relative quantity at s applies its pull-back map L_{r''->r'} to particle 2's
-vector, and the deviation vector h rides on the same solve.
+computed bit for bit as its eps alone would be.  A study makes one solve
+along the paths gamma_s at the s its equations declare, one lane per (s,
+eps); every relative quantity at s applies its pull-back map L_{r''->r'} to
+particle 2's vector, and the deviation vector h rides on the same solve.
 
 Numerical differentiation policy: s-derivatives of analytically-evaluable
 data use central differences with step 1e-5; s-derivatives of the deviation
@@ -247,9 +247,8 @@ def _r_e2_10(w: _Workspace, s: float) -> np.ndarray:
     field = w.sc.probe_field
     if field is None:
         raise EvaluationError("scenario provides no probe field for E2_10")
-    b = w.values(field.value, s)
-    b1 = b[0]
-    delta_b = w.carry(s, b[1:]) - b1
+    b1 = w.at_r1(field.value, s)
+    delta_b = w.carry(s, w.values(field.value, s)) - b1
     db_dr = (np.asarray(field.d_r(s, w.r1), float)
              + bilinear(w.gam(s), b1, w.rdot(s)))
     return delta_b - w.eps * db_dr - bilinear(w.s_tensor(s), b1, w.zeta(s))
@@ -398,25 +397,34 @@ class _EquationInfo:
     # farthest |s - s_eval| at which the residual's s-difference stencil
     # evaluates the surface
     s_reach: float = H_S
+    stencil: Optional[Tuple[float, ...]] = ()  # None: it reads no pull-back
+
+    def pullback_s(self, s: float) -> list:
+        """s and the nested central differences of ``stencil``, as ``cov_fd`` forms them."""
+        ss = [s] * (self.stencil is not None)
+        for h in self.stencil or ():
+            ss = [v for u in ss for v in (u, u + h, u - h)]
+        return list(dict.fromkeys(ss))
 
 
 _INFO: Dict[EquationId, _EquationInfo] = {
     EquationId.E2_10: _EquationInfo(_r_e2_10, s_reach=0.0),
     EquationId.E2_13: _EquationInfo(_Workspace.dev_difference, s_reach=0.0),
-    EquationId.E3_1: _EquationInfo(_r_e3_1),
-    EquationId.E4_1: _EquationInfo(_r_e4_1, s_reach=H_DEV_FIRST),
+    EquationId.E3_1: _EquationInfo(_r_e3_1, stencil=None),
+    EquationId.E4_1: _EquationInfo(_r_e4_1, s_reach=H_DEV_FIRST, stencil=(H_DEV_FIRST,)),
     EquationId.E4_3: _EquationInfo(_r_e4_3, s_reach=0.0),
     EquationId.E4_4: _EquationInfo(_r_e4_4, s_reach=0.0),
-    EquationId.E4_5: _EquationInfo(_r_e4_5),
+    EquationId.E4_5: _EquationInfo(_r_e4_5, stencil=(H_S,)),
     EquationId.E5_1: _EquationInfo(_r_e5_1, exact=True, s_reach=0.0),
-    EquationId.E5_2: _EquationInfo(_r_e5_2),
+    EquationId.E5_2: _EquationInfo(_r_e5_2, stencil=(H_S,)),
     EquationId.E6_2: _EquationInfo(_r_e6_2),
-    EquationId.E6_3: _EquationInfo(_r_e6_3, s_reach=2.0 * H_DEV_SECOND),
+    EquationId.E6_3: _EquationInfo(_r_e6_3, s_reach=2.0 * H_DEV_SECOND,
+                                   stencil=(H_DEV_SECOND,) * 2),
     EquationId.E6_4: _EquationInfo(_r_e6_4),
-    EquationId.E6_5: _EquationInfo(_r_e6_5),
+    EquationId.E6_5: _EquationInfo(_r_e6_5, stencil=(H_S,)),
     EquationId.E7_1: _EquationInfo(_r_e7_1),
-    EquationId.E7_2: _EquationInfo(_r_e7_2),
-    EquationId.E7_4: _EquationInfo(_r_e7_4),
+    EquationId.E7_2: _EquationInfo(_r_e7_2, stencil=(H_S,)),
+    EquationId.E7_4: _EquationInfo(_r_e7_4, stencil=(H_S,)),
 }
 
 
@@ -482,12 +490,13 @@ def convergence_study(equations: Sequence[EquationId], scenario: Scenario,
     entry of ``equations``.  Every equation shares one workspace, which
     carries the eps-dependent quantities as stacks over the ladder: each
     quantity, and each equation's residual, is evaluated once per study,
-    the pull-backs along gamma_s as one stacked solve for the ladder per s."""
+    the pull-backs at every s its equations read as one solve up front."""
     if isinstance(equations, str):
         raise TypeError("convergence_study expects a sequence of EquationId, "
                         f"got the single id {equations!r}")
     ladder = checked_ladder(epsilon_ladder)
     workspace = _Workspace(scenario, ladder, cfg)
+    workspace.solve([u for eq in equations for u in _INFO[eq].pullback_s(s)])
     reports = []
     for eq in equations:
         samples = _samples(eq, workspace, s)

@@ -213,7 +213,7 @@ class _Ladder:
     deterministic function of its key (quantity, s), so evaluation order
     changes no value, and read-only, so that no reader writes into what
     another reads.  Every quantity takes the worldline parameter s; the
-    pull-backs along gamma_s are one stacked solve for the ladder per s.
+    pull-backs along gamma_s at all the s given to ``solve`` are one solve.
     """
 
     def __init__(self, scenario: Scenario, ladder: Sequence[float], cfg: OdeConfig):
@@ -248,8 +248,12 @@ class _Ladder:
     def x1_point(self, s: float) -> ChartPoint:
         return self._get(("x1pt", s), lambda: ChartPoint(self.surface("map", s)))
 
+    def at_r1(self, field: Callable[[float, float], np.ndarray], s: float) -> np.ndarray:
+        """``field(s, r')``, read and checked once (``values``)."""
+        return self._get((field, s), lambda: self.values(field, s, self.r1)[0])
+
     def v1(self, s: float) -> np.ndarray:
-        return self.surface("d_s", s)
+        return self.at_r1(self.surf.d_s, s)
 
     def rdot(self, s: float) -> np.ndarray:
         return self.surface("d_r", s)
@@ -275,20 +279,25 @@ class _Ladder:
         return self._get(("path", s), lambda: connecting_path(self.sc, s))
 
     def transport(self, s: float) -> Tuple[np.ndarray, np.ndarray]:
-        """(L_{r''->r'}, h) at s, which every relative quantity at s reads:
-        the ``(K, d, d)`` and ``(K, d)`` lanes of the ladder's pull-backs
-        along gamma_s (``transport._pullbacks``), h being the deviation
-        vector at x_1(s)."""
-        return self._get(("Lh", s), lambda: _pullbacks(
-            self.sc.law, self.path(s), self.r1, self.r2, self.cfg))
+        """(L_{r''->r'}, h) at s, ``(K, d, d)`` and ``(K, d)``: the ladder's
+        pull-backs along gamma_s and the deviation vectors at x_1(s)."""
+        self.solve([s])
+        return self._memo[("Lh", s)]
+
+    def solve(self, ss: Sequence[float]) -> None:
+        """The pull-backs at each s of ``ss`` not solved yet, in one solve
+        along their paths gamma_s (``transport._pullbacks``)."""
+        if todo := [s for s in dict.fromkeys(ss) if ("Lh", s) not in self._memo]:
+            lanes = _pullbacks(self.sc.law, [self.path(s) for s in todo], self.r1, self.r2,
+                               self.cfg)
+            self._memo.update((("Lh", s), pair) for s, pair in zip(todo, zip(*lanes)))
 
     # -- relative quantities, on the ladder stack ----------------------------
-    def values(self, field: Callable[[float, float], np.ndarray], s: float) -> np.ndarray:
-        """``field(s, .)`` at r' and at each r'' of the ladder, one checked
-        point read each: ``(1 + K, d)``, r' first."""
+    def values(self, field: Callable[[float, float], np.ndarray], s: float, *rs) -> np.ndarray:
+        """``field(s, r)``, checked, at each r of ``rs``, or else of the ladder's r''."""
         self.surf.require_s(s)
         return np.array([checked_array(field(s, r), (self.sc.dimension,),
-                                       "field components") for r in (self.r1, *self.r2)])
+                                       "field components") for r in rs or self.r2])
 
     def carry(self, s: float, b2: np.ndarray) -> np.ndarray:
         """Particle 2's vectors carried to r', the one place this is done:
@@ -301,8 +310,7 @@ class _Ladder:
         """Covariant difference of a surface field between the particles:
         ``field(s, r'')`` carried back along gamma_s to r' minus
         ``field(s, r')``, ``(K, d)``."""
-        b = self.values(field, s)
-        return self.carry(s, b[1:]) - b[0]
+        return self.carry(s, self.values(field, s)) - self.at_r1(field, s)
 
     def zeta(self, s: float) -> np.ndarray:
         return self.eps * self.rdot(s)
@@ -320,15 +328,14 @@ class _Ladder:
         return self._get(("F2", s), lambda: _forces(self.sc, s, self.r2))
 
     def momenta(self, s: float) -> np.ndarray:
-        """p at r' and at each r'' of the ladder: ``(1 + K, d)``, r' first."""
+        """p at each r'' of the ladder: ``(K, d)``."""
         return self._get(("p", s), lambda: self.values(self.momentum, s))
 
     def delta_v(self, s: float) -> np.ndarray:
         return self._get(("dV", s), lambda: self.delta(self.surf.d_s, s))
 
     def delta_p(self, s: float) -> np.ndarray:
-        return self._get(("dp", s), lambda: (
-            self.carry(s, self.momenta(s)[1:]) - self.momenta(s)[0]))
+        return self._get(("dp", s), lambda: self.carry(s, self.momenta(s)) - self.p1(s))
 
     def delta_a(self, s: float) -> np.ndarray:
         return self._get(("dA", s), lambda: self.carry(s, self.forces2(s)) - self.a1(s))
@@ -343,7 +350,7 @@ class _Ladder:
         character of V_1."""
         def make():
             g1, v1 = self.metric(s), self.v1(s)
-            pulled = self.carry(s, self.momenta(s)[1:])
+            pulled = self.carry(s, self.momenta(s))
             return (_matrix_sign(g1, self.x1_point(s), v1)
                     * _stacked_dot(g1, pulled, v1))[:, None]
         return self._get(("E", s), make)

@@ -9,10 +9,10 @@ transport matrices are generated by integrating the linear ODE
 by one adaptive step control, ``_integrate``: with the Runge-Kutta pair
 DOP853 for the long solves of ``transport_components`` (a sphere latitude
 holonomy), and with a Magnus 6(4) pair, exact for a constant generator, for
-the short pull-backs, whose 7 ladder lanes along one path take their first
-step, mostly their only one, as one stack.  Both read the generator at a
-whole step's nodes in one stacked path and one stacked law call;
-``work_counts`` counts the work.
+the short pull-backs, whose lanes, the 7 ladder ends along each connecting
+path of a study, take their first step, mostly their only one, as one stack.
+Both read the generator at a whole step's nodes along one path in one
+stacked path and one stacked law call; ``work_counts`` counts the work.
 
 Parallel transport of an affine connection is the special case
 ``H^i_{jk} = -Gamma^i_{jk}``; the S-tensor ``S = -H - Gamma`` measures the
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -41,7 +42,6 @@ __all__ = [
     "MIN_REL_TOL",
     "transport_matrix",
     "transport_components",
-    "pullback_integral",
     "law_from_connection",
     "law_with_offset",
     "s_tensor",
@@ -160,12 +160,12 @@ class _DOP853:
     order = 7  # of the error estimate: steps scale by error ** (-1 / 8)
 
     @classmethod
-    def start(cls, generator, u: float, ends, y: np.ndarray, cfg: OdeConfig):
-        """([first step], y' at u, step function) for one end, by SciPy's
-        initial-step heuristic: 2 generator reads, at u and at u + h0."""
+    def start(cls, generators, u: float, ends, y: np.ndarray, cfg: OdeConfig):
+        """([first step], y' at u, [step function]) for one path and one end,
+        by SciPy's initial-step heuristic: 2 generator reads, at u and at u + h0."""
         def rhs(m, y):
             return (m @ y.reshape(m.shape[0], -1)).reshape(-1)
-        [t] = ends
+        [generator], [t] = generators, ends
         direction, f = float(np.sign(t - u)), rhs(generator([u])[0], y)
         scale = cfg.abs_tol + np.abs(y) * cfg.rel_tol
         d0, d1 = _rms(y / scale), _rms(f / scale)
@@ -191,7 +191,7 @@ class _DOP853:
             error = 0.0 if n5 == 0 and n3 == 0 else abs(h) * n5 / math.sqrt(
                 (n5 + 0.01 * n3) * scale.size)
             return y_new, f_new, error
-        return [min(100 * h0, h1, abs(t - u))], f, step
+        return [min(100 * h0, h1, abs(t - u))], f, [step]
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -215,21 +215,22 @@ def _expm(a: np.ndarray) -> np.ndarray:
 class _Magnus:
     """Magnus 6(4) pair on Gauss nodes ``c`` (Blanes, Casas & Ros, BIT 40,
     2000) on stacks of lanes (u, h, y); the first step is the whole interval,
-    one stack for all lanes.  Omega4 shares Omega6's Gauss rule for int A, so
-    the error (Omega6 - Omega4) Y adds the rule's error h b6 / 2800 of
-    ``A = sum_k b_k ((u - mid) / h)^k``, b6 = b2 (b2 / b1)^4 (``decay``);
-    ``generator(us)`` is A at all 3 K nodes of a stack, ``(3 K, n, n)``."""
+    one stack for all lanes of all paths.  Omega4 shares Omega6's Gauss rule
+    for int A, so the error (Omega6 - Omega4) Y adds the rule's error h b6 /
+    2800 of ``A = sum_k b_k ((u - mid) / h)^k``, b6 = b2 (b2 / b1)^4 (``decay``); a
+    path's ``generator(us)`` is A at the 3 K nodes of its K lanes."""
 
     c, order = (0.5 - 15 ** 0.5 / 10, 0.5, 0.5 + 15 ** 0.5 / 10), 4
 
     @classmethod
-    def start(cls, generator, u: float, ends, y: np.ndarray, cfg: OdeConfig):
-        def stacked(attempts):  # [(u, h, y)] -> [(y_new, None, error)]
+    def start(cls, generators, u: float, ends, y: np.ndarray, cfg: OdeConfig):
+        def stacked(attempts):  # [(generator, u, [h], y)] -> [(y_new, None, error)] per h
             if (counts := _COUNTS.get()) is not None:
                 counts["stacked_attempts"] += 1
-            g = generator([u + c * h for c in cls.c for u, h, _ in attempts])
-            hs = np.array([h for _, h, _ in attempts])[:, None, None]
-            a1, a2, a3 = g.reshape(3, len(attempts), *g.shape[1:]) * hs
+            gs = [read([u + c * h for c in cls.c for h in hs]) for read, u, hs, _ in attempts]
+            g = np.concatenate([x.reshape(3, -1, *x.shape[1:]) for x in gs], axis=1)
+            hs = np.array([h for _, _, hs, _ in attempts for h in hs])[:, None, None]
+            a1, a2, a3 = g * hs
             x1, x2, x3 = a2, 15 ** 0.5 / 3 * (a3 - a1), 10 / 3 * (a3 - 2 * a2 + a1)
             c1 = x1 @ x2 - x2 @ x1
             c2 = 2 * x3 + c1
@@ -237,18 +238,21 @@ class _Magnus:
             norms = zip(map(np.vdot, x2, x2), map(np.vdot, x3, x3))  # squared, per lane
             decay = np.array([(n / max(m, n / 1e6)) ** 2 if n else 0.0 for m, n in norms])
             high = (p @ q - q @ p) / 240
-            y = np.array([y for _, _, y in attempts])
+            y = np.array([y for _, _, hs, y in attempts for _ in hs])
             y_new = _expm(x1 + x3 / 12 + high) @ y
             scale = cfg.abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rel_tol
             delta = high + c1 / 12 + (decay / 2800)[:, None, None] * x3
             errors = (delta @ y / scale).reshape(len(y), -1)
             return [(lane, None, _rms(e)) for lane, e in zip(y_new, errors)]
         hs = [t - u for t in ends if t != u]
-        first = dict(zip(hs, stacked([(u, h, y) for h in hs]))) if hs else {}
+        first = dict(zip([(read, h) for read in generators for h in hs],
+                         stacked([(read, u, hs, y) for read in generators]))) if hs else {}
 
-        def step(u_at, h, y_at, _):  # an attempt from u starts from y: keyed by h
-            return (first.get(h) if u_at == u else None) or stacked([(u_at, h, y_at)])[0]
-        return [abs(t - u) for t in ends], None, step
+        def step(read):  # an attempt from u starts from y: keyed by (path, h)
+            return lambda u_at, h, y_at, _: ((first.get((read, h)) if u_at == u else None)
+                                             or stacked([(read, u_at, [h], y_at)])[0])
+        return ([abs(t - u) for t in ends] * len(generators), None,
+                [step(read) for read in generators for _ in ends])
 
 
 def _solve(u: float, t: float, h_abs: float, y: np.ndarray, f, cfg: OdeConfig,
@@ -283,18 +287,18 @@ def _solve(u: float, t: float, h_abs: float, y: np.ndarray, f, cfg: OdeConfig,
     return y, attempts
 
 
-def _integrate(law: TransportLaw, path: PathCurve,
+def _integrate(law: TransportLaw, paths: Sequence[PathCurve],
                generator: Callable[..., np.ndarray],
                y0: np.ndarray, s: float, ends: Sequence[float], cfg: OdeConfig,
                stepper) -> list:
-    """[y(t) for t in ends] for y' = A(u) y, y(s) = y0: one ``_solve`` lane
-    per end, stepped by ``_DOP853`` (one lane, ``solve_ivp`` bit for bit) or
-    ``_Magnus``.  Both read A at a stack of nodes ``us`` in one call: one
-    ``path.points``, one law read and ``M^i_j = H^i_{jk} xdot^k`` on the
-    stack give ``A = generator(us, M, xdot)``, ``(len(us), n, n)``."""
+    """[y(t) for path in paths for t in ends] for y' = A(u) y, y(s) = y0: one
+    ``_solve`` lane per (path, end), stepped by ``_DOP853`` (one of each,
+    ``solve_ivp`` bit for bit) or ``_Magnus``.  Both read A at a stack of nodes
+    ``us`` along one path in one call: one ``path.points``, one law read and
+    ``M^i_j = H^i_{jk} xdot^k`` give ``A = generator(us, M, xdot)``."""
     counts = _COUNTS.get()
 
-    def matrix(us):
+    def matrix(path, us):
         coords, xdot = path.points(us)
         h = law.coefficients(us, path, coords)
         if counts is not None:
@@ -303,11 +307,12 @@ def _integrate(law: TransportLaw, path: PathCurve,
 
     u, ends = float(s), [float(t) for t in ends]
     y = checked_array(y0, y0.shape, "initial transport state")
-    first, f, step = stepper.start(matrix, u, ends, y, cfg)
+    reads = [functools.partial(matrix, path) for path in paths]
+    first, f, steps = stepper.start(reads, u, ends, y, cfg)
     ys, attempts = zip(*(_solve(u, end, h, y, f, cfg, stepper.order, step)
-                         for end, h in zip(ends, first)))
+                         for end, h, step in zip(ends * len(paths), first, steps)))
     if counts is not None:
-        counts.update(solves=len(ends), attempted_steps=sum(attempts),
+        counts.update(solves=len(ys), attempted_steps=sum(attempts),
                       continued_lanes=sum(n > 1 for n in attempts))
     return list(ys)
 
@@ -354,37 +359,31 @@ def transport_components(law: TransportLaw, path: PathCurve, s: float, t: float,
     y0 = np.asarray(components, dtype=float)
     if t == s:
         return y0.copy()
-    return _integrate(law, path, lambda us, m, xdot: m, y0.reshape(-1), s, [t],
+    return _integrate(law, [path], lambda us, m, xdot: m, y0.reshape(-1), s, [t],
                       cfg, _DOP853)[0].reshape(y0.shape)
 
 
-def pullback_integral(law: TransportLaw, path: PathCurve, s: float, t: float,
-                      cfg: OdeConfig = DEFAULT_ODE_CONFIG
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-    """``L_{t->s}`` and ``int_s^t L_{u->s} xdot(u) du``, the path's own
-    tangents pulled back to ``s`` and integrated, from one Magnus solve of
-    ``Z = [[Phi^T], [h^T]]``: ``Z' = G(u) Z`` with ``G = [[-M^T, 0], [xdot^T,
-    0]]``, built on a stack of Gauss nodes from M and the path's tangents,
-    carries ``Phi(u) = L_{u->s}`` (``Phi' = -Phi M``) and h (``h' = Phi xdot``)."""
-    pullback, h = _pullbacks(law, path, s, [t], cfg)
-    return pullback[0], h[0]
-
-
-def _pullbacks(law: TransportLaw, path: PathCurve, s: float, ends: Sequence[float],
-               cfg: OdeConfig) -> Tuple[np.ndarray, np.ndarray]:
-    """``pullback_integral`` to each of ``ends``, bit for bit, in one solve:
-    the ``(K, d, d)`` stack of the maps and the ``(K, d)`` stack of h."""
-    for t in (s, *ends):
-        path.require(t)
-    d = path.map(s).dimension
+def _pullbacks(law: TransportLaw, paths: Sequence[PathCurve], s: float,
+               ends: Sequence[float], cfg: OdeConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """``(P, K, d, d)`` ``L_{t->s}`` and ``(P, K, d)`` ``int_s^t L_{u->s}
+    xdot(u) du``, each path's tangents pulled back to ``s`` and integrated, on
+    each of P ``paths`` to each of K ``ends``, from one Magnus solve of ``Z =
+    [[Phi^T], [h^T]]``, each lane bit for bit its solve alone: ``Z' = G(u) Z``
+    with ``G = [[-M^T, 0], [xdot^T, 0]]``, built on a stack of Gauss nodes from
+    M and the path's tangents, carries ``Phi(u) = L_{u->s}`` and h."""
+    for path in paths:
+        for t in (s, *ends):
+            path.require(t)
+        d = path.map(s).dimension
 
     def generator(us, m, xdot):  # G at each node of a stack
         g = np.zeros((len(us), d + 1, d + 1))
         g[:, :d, :d], g[:, d, :d] = -m.transpose(0, 2, 1), xdot
         return g
 
-    z = np.array(_integrate(law, path, generator, np.eye(d + 1, d), s, ends, cfg, _Magnus))
-    return z[:, :d].transpose(0, 2, 1), z[:, d]
+    z = np.array(_integrate(law, paths, generator, np.eye(d + 1, d), s, ends, cfg,
+                            _Magnus)).reshape(len(paths), len(ends), d + 1, d)
+    return z[:, :, :d].transpose(0, 1, 3, 2), z[:, :, d]
 
 
 def law_from_connection(conn: ConnectionField) -> TransportLaw:

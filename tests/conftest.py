@@ -3,7 +3,7 @@ import pytest
 
 from geodev.geometry import ChartPoint
 from geodev.scenarios import ScenarioSpec, build
-from geodev.transport import TransportLaw
+from geodev.transport import DEFAULT_ODE_CONFIG, TransportLaw, _pullbacks
 
 
 def stacked_gamma(gamma_at):
@@ -16,6 +16,13 @@ def point_law(coeff_at) -> TransportLaw:
     """TransportLaw of a coefficient field stated at one path parameter,
     ``coeff_at(u, path)``, read at each parameter of a stack."""
     return TransportLaw(lambda us, path, coords: np.array([coeff_at(u, path) for u in us]))
+
+
+def one_pullback(law, path, s, t, cfg=DEFAULT_ODE_CONFIG):
+    """``(L_{t->s}, h)`` of the bare one-lane pull-back solve,
+    ``_pullbacks(law, [path], s, [t], cfg)``."""
+    pullbacks, h = _pullbacks(law, [path], s, [t], cfg)
+    return pullbacks[0, 0], h[0, 0]
 
 
 @pytest.fixture(scope="session")

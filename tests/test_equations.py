@@ -287,8 +287,8 @@ def test_shared_workspace_study_saves_transport_solves():
     # and the deviation vector: the 13 equations that never difference h
     # read s and s +- H_S (3 solves per eps), all 16 add the deviation
     # stencils s +- H_DEV_FIRST, s +- H_DEV_SECOND, s +- 2 H_DEV_SECOND
-    # (9 per eps); each s stacks its solves for the whole ladder into one
-    # Magnus attempt, and the shared study gives bit-identical residuals
+    # (9 per eps); the study solves them all, every s and eps a lane, in one
+    # stacked Magnus attempt, and gives bit-identical residuals
     sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
     deviation = (EquationId.E2_13, EquationId.E4_1, EquationId.E6_3)
     relative = [eq for eq in EquationId if eq not in deviation]
@@ -301,23 +301,23 @@ def test_shared_workspace_study_saves_transport_solves():
     with work_counts() as counts:
         shared = convergence_study(relative, sc, S0, DEFAULT_LADDER)
     assert counts["solves"] == 3 * len(DEFAULT_LADDER) == 21
-    assert counts["stacked_attempts"] == 3
+    assert counts["stacked_attempts"] == 1
     assert ([smp.residual_norm for rep in shared for smp in rep.samples]
             == [smp.residual_norm for rep in per_equation for smp in rep.samples])
     with work_counts() as counts:
         convergence_study(list(EquationId), sc, S0, DEFAULT_LADDER)
     assert counts["solves"] == 9 * len(DEFAULT_LADDER) == 63
-    assert counts["stacked_attempts"] == 9
+    assert counts["stacked_attempts"] == 1
 
 
 def test_study_evaluates_each_generator_once_per_rhs_parameter(monkeypatch):
     # gamma_s is built once per s for the whole ladder, so the coefficients
     # of the transport law are evaluated once per distinct (s, u) generator
-    # parameter of the study; each of the 63 Magnus solves (7 ladder
-    # endpoints per s) takes one step of 3 Gauss nodes, no two solves share
-    # a node, and each stacked attempt evaluates its nodes in one stacked
-    # generator and one stacked law call (the law's reads outside solves,
-    # such as the S-tensor's, are not counted)
+    # parameter of the study; each of the 63 Magnus lanes (7 ladder
+    # endpoints per s) takes one step of 3 Gauss nodes, no two lanes share
+    # a node, and the one stacked attempt evaluates the nodes of each path
+    # in one stacked law and one stacked generator call (the law's reads
+    # outside solves, such as the S-tensor's, are not counted)
     sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
     integrate, coefficients = (geodev.transport._integrate,
                                geodev.transport.TransportLaw.coefficients)
@@ -329,14 +329,14 @@ def test_study_evaluates_each_generator_once_per_rhs_parameter(monkeypatch):
         s_of[id(path)] = s
         return path
 
-    def recording(law, path, generator, *args):
-        def recorded(us, m, xdot):
-            gen_params.extend((s_of[id(path)], u) for u in us)
+    def recording(law, paths, generator, *args):
+        def recorded(us, m, xdot):  # the path of the law read just before
+            gen_params.extend((coeff_params[-1][0], u) for u in us)
             stacks.append(("generator", len(us)))
             return generator(us, m, xdot)
         solving.append(True)
         try:
-            return integrate(law, path, recorded, *args)
+            return integrate(law, paths, recorded, *args)
         finally:
             solving.pop()
 
@@ -361,20 +361,53 @@ def test_study_evaluates_each_generator_once_per_rhs_parameter(monkeypatch):
 
 
 def test_deviation_study_reads_each_magnus_stack_at_once():
-    # the 3 deviation equations read 7 values of s; the 7 ladder lanes
-    # along each gamma_s make one stacked attempt of 21 Gauss nodes, read in
-    # one stacked surface call, and no node is read through the point jets
-    # (their 7 calls read x_1(s)): a fall-back to per-node evaluation
-    # changes these counts
+    # the 3 deviation equations read 7 values of s; the 49 lanes, 7 ladder
+    # lanes along each gamma_s, make one stacked attempt whose 21 Gauss
+    # nodes along each path are read in one stacked surface call, and no
+    # node is read through the point jets (their 7 calls read x_1(s)): a
+    # fall-back to per-node evaluation changes these counts
     sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
     deviation = [EquationId.E2_13, EquationId.E4_1, EquationId.E6_3]
     with work_counts() as counts:
         convergence_study(deviation, sc, S0, DEFAULT_LADDER)
     assert dict(counts) == {
-        "solves": 49, "stacked_attempts": 7, "attempted_steps": 49,
+        "solves": 49, "stacked_attempts": 1, "attempted_steps": 49,
         "continued_lanes": 0, "generator_evals": 147, "surface_stacks": 7,
         "surface_stack_points": 147, "jets_order_1": 7, "residual_evals": 3,
         "residual_lanes": 21}
+
+
+@pytest.mark.parametrize("family", sorted(_CELLS_BY_FAMILY))
+def test_each_equation_reads_pull_backs_at_its_declared_s(family, monkeypatch):
+    # a study solves the pull-backs at the s that its equations declare
+    # (_EquationInfo.stencil) in one solve before the first residual; a
+    # formula that read them at another s would add that s to the memo and
+    # solve it alone, a second solve and a second stacked attempt.  Lanes
+    # that go on stepping (exp-transport's widest) add attempts of their own
+    workspaces, solves, pullbacks = [], [], geodev.kinematics._pullbacks
+
+    class Recorded(_Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            workspaces.append(self)
+
+    monkeypatch.setattr(geodev.equations, "_Workspace", Recorded)
+    monkeypatch.setattr(geodev.kinematics, "_pullbacks",
+                        lambda *args: solves.append(args) or pullbacks(*args))
+    for eq, spec in _CELLS_BY_FAMILY[family]:
+        sc = build(spec)
+        workspaces.clear()
+        solves.clear()
+        with work_counts() as counts:
+            convergence_study([eq], sc, sc.s_eval, DEFAULT_LADDER)
+        [w] = workspaces
+        declared = equation_info(eq).pullback_s(sc.s_eval)
+        assert [key[1] for key in w._memo if key[0] == "Lh"] == declared, eq
+        assert len(solves) == (1 if declared else 0), eq
+        assert (counts["stacked_attempts"] == len(solves)) or counts["continued_lanes"], eq
+    assert equation_info(EquationId.E3_1).pullback_s(S0) == []
+    assert equation_info(EquationId.E6_3).pullback_s(S0) == [
+        S0, S0 + 0.01, S0 - 0.01, S0 + 0.01 + 0.01, S0 - 0.01 - 0.01]
 
 
 def test_work_counts_match_the_ledger():

@@ -16,8 +16,7 @@ from geodev.kinematics import (MassSurface, Scenario, WorldSurface,
                                relative_velocity, worldline)
 from geodev.scenarios import LINEAR_DRIFT_MASSES, ScenarioSpec, build
 from geodev.transport import (DEFAULT_ODE_CONFIG, law_from_connection,
-                              pullback_integral, transport_components,
-                              transport_matrix)
+                              transport_components, transport_matrix)
 
 from test_geometry import zero_connection
 
@@ -204,7 +203,7 @@ def test_deviation_vector_matches_gauss_kronrod_oracle(name):
             r1, r1 + eps, epsabs=1e-13, epsrel=1e-14, quadrature="gk15")
         h = deviation_vector(sc, s0, eps)
         assert np.abs(h - oracle).max() < 1e-12
-        back, integral = pullback_integral(sc.law, cpath, r1, r1 + eps)
+        back, integral = back_transport(sc, s0, eps)
         assert np.array_equal(integral, h)
         expected = transport_matrix(sc.law, cpath, r1 + eps, r1)
         assert np.abs(back - expected).max() < 1e-10

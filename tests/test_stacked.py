@@ -23,10 +23,9 @@ from geodev.equations import DEFAULT_LADDER
 from geodev.kinematics import _Ladder, connecting_path, worldline
 from geodev.scenarios import (LINEAR_DRIFT_MASSES, ScenarioSpec, build,
                               family_names, list_scenarios)
-from geodev.transport import (TransportLaw, law_from_connection, pullback_integral,
-                              transport_matrix)
+from geodev.transport import TransportLaw, law_from_connection, transport_matrix
 
-from conftest import point_law
+from conftest import one_pullback, point_law
 from oracles import coordinate_probes
 from test_transport import point_coefficients, record_rhs_calls
 
@@ -158,12 +157,13 @@ def test_stacked_law_receives_the_path(rng):
                           np.array([point_coefficients(stacked, u, path) for u in us]))
     ends = [r1 + 0.1, r1 + 0.01]
     seen.clear()
-    lanes = transport._pullbacks(stacked, path, r1, ends, transport.DEFAULT_ODE_CONFIG)
+    lanes = [a[0] for a in transport._pullbacks(stacked, [path], r1, ends,
+                                                 transport.DEFAULT_ODE_CONFIG)]
     assert len(seen) == 1 and seen[0] is path
     for t, lane in zip(ends, zip(*lanes)):
-        assert all(map(np.array_equal, lane, pullback_integral(point_only, path, r1, t)))
-    weightless = pullback_integral(build(ScenarioSpec("offset-transport")).law,
-                                   path, r1, r1 + 0.1)
+        assert all(map(np.array_equal, lane, one_pullback(point_only, path, r1, t)))
+    weightless = one_pullback(build(ScenarioSpec("offset-transport")).law,
+                              path, r1, r1 + 0.1)
     assert not np.array_equal(weightless[0], lanes[0][0])
 
 
@@ -230,7 +230,7 @@ def test_a_bad_node_raises_the_point_error(d, stacked, spoilt, monkeypatch):
     # the one-lane pull-back from 0 to 1 reads its Gauss nodes 0.11, 0.5 and
     # 0.89 in one stack; only the last one is bad, and the error is the one
     # the point reads raise there, naming its point
-    last = bad_node_error(pullback_integral, d, stacked, spoilt, monkeypatch)
+    last = bad_node_error(one_pullback, d, stacked, spoilt, monkeypatch)
     assert last == transport._Magnus.c[2]
 
 
@@ -261,7 +261,7 @@ def pole_path(stacked: bool):
 def test_a_sphere_node_at_the_pole_raises_the_domain_error(family, stacked):
     # the middle Gauss node of the pull-back from -0.5 to 0.5 sits at theta = 0
     law = build(ScenarioSpec(family)).law
-    got = raised(lambda: pullback_integral(law, pole_path(stacked), -0.5, 0.5))
+    got = raised(lambda: one_pullback(law, pole_path(stacked), -0.5, 0.5))
     expected = raised(lambda: point_coefficients(law, 0.0, pole_path(False)))
     assert isinstance(expected, DomainError)
     same_error(got, expected)

@@ -17,16 +17,16 @@ import geodev.transport as transport
 from geodev.cli import _latitude_path
 from geodev.errors import EvaluationError, TransportError
 from geodev.geometry import ChartPoint, ConnectionField, PathCurve, metric_dot
-from geodev.equations import DEFAULT_LADDER
+from geodev.equations import DEFAULT_LADDER, EquationId, equation_info
 from geodev.kinematics import connecting_path, worldline
 from geodev.scenarios import (LINEAR_DRIFT_MASSES, ScenarioSpec, build,
                               exp_law_generator, family_names)
 from geodev.transport import (DEFAULT_ODE_CONFIG, MIN_REL_TOL, OdeConfig, TransportLaw,
                               law_from_connection, law_with_offset,
-                              pullback_integral, s_tensor, transport_components,
+                              s_tensor, transport_components,
                               transport_matrix)
 
-from conftest import point_law, stacked_gamma
+from conftest import one_pullback, point_law, stacked_gamma
 from oracles import approx_transport, coordinate_probes, extract_first_coeff
 from test_geometry import (constant_connection, line_path, sphere_connection,
                            zero_connection)
@@ -174,7 +174,7 @@ def test_pullback_along_a_shared_path_is_safe_across_threads(monkeypatch):
 
     law = TransportLaw(lambda us, path, coords: yielding(sc.law.coeffs_at(us, path, coords)))
     ends = [r1 + eps for eps in DEFAULT_LADDER]
-    serial = {t: pullback_integral(sc.law, connecting_path(sc, s), r1, t)
+    serial = {t: one_pullback(sc.law, connecting_path(sc, s), r1, t)
               for t in ends}
     shared = PathCurve(lambda r: yielding((surf.map(s, r), surf.d_r(s, r))),
                        surf.r_domain)
@@ -184,7 +184,7 @@ def test_pullback_along_a_shared_path_is_safe_across_threads(monkeypatch):
         try:
             for k in range(2 * len(ends)):
                 t = ends[(offset + k) % len(ends)]
-                got = pullback_integral(law, shared, r1, t)
+                got = one_pullback(law, shared, r1, t)
                 if not all(map(np.array_equal, got, serial[t])):
                     errors.append(t)
         except Exception as exc:  # an error in a thread fails the test
@@ -318,8 +318,8 @@ def scipy_integrate(params: list, accepted: list, methods: list):
     """Stand-in for ``transport._integrate`` that solves the same ODE with
     ``solve_ivp`` and the method of the given stepper, recording each RHS
     parameter, the accepted steps and the method."""
-    def integrate(law, path, generator, y0, s, ends, cfg, stepper):
-        [t] = ends
+    def integrate(law, paths, generator, y0, s, ends, cfg, stepper):
+        [path], [t] = paths, ends
         def fun(u, y):
             params.append(u)
             coeff, xdot = point_coefficients(law, u, path), path.tangent(u)
@@ -357,7 +357,7 @@ ORACLE_CASES = {  # each case: the solve, and the solve_ivp method it uses
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_stepper_matches_scipy_rk45(case, monkeypatch):
     # each case names the solve_ivp method of the pair its call site fixes:
-    # DOP853 for transport_components (pullback_integral's Magnus pair has
+    # DOP853 for transport_components (the pull-backs' Magnus pair has
     # its own oracle, test_magnus_pullback_matches_tight_dop853); our nodes
     # are the oracle's RHS parameters with each step's u + h, where its last
     # stage and its FSAL call both sit, taken once
@@ -420,7 +420,7 @@ def test_stacked_expm_equals_each_matrix_alone():
 
 
 def tight_pullback(law: TransportLaw, path: PathCurve, s: float, t: float):
-    """``pullback_integral`` by ``solve_ivp``'s DOP853 at ``rtol`` 3e-14, on
+    """``one_pullback`` by ``solve_ivp``'s DOP853 at ``rtol`` 3e-14, on
     the flattened ``(Phi, h)`` of dPhi/du = -Phi M, dh/du = Phi xdot."""
     d = path.map(s).dimension
 
@@ -463,7 +463,7 @@ def magnus_steps(calls: list) -> tuple:
 def test_magnus_pullback_matches_tight_dop853(case, monkeypatch):
     label, law, path, s, t, cfg = case
     calls = record_rhs_calls(monkeypatch)
-    ours = pullback_integral(law, path, s, t, cfg)
+    ours = one_pullback(law, path, s, t, cfg)
     assert len(calls) % 3 == 0
     if label == "bump":
         attempts, rejected = magnus_steps(calls)
@@ -492,12 +492,55 @@ def test_stacked_pullbacks_equal_one_lane_solves(case):
     # their stacked first attempt
     label, law, path, s, ends, cfg = case
     with transport.work_counts() as counts:
-        stacked = transport._pullbacks(law, path, s, ends, cfg)
+        stacked = [a[0] for a in transport._pullbacks(law, [path], s, ends, cfg)]
     assert counts["solves"] == len(ends)
     assert (counts["continued_lanes"] > 0) == (label in ("exp-transport", "bump"))
     for t, lane in zip(ends, zip(*stacked)):
-        alone = pullback_integral(law, path, s, t, cfg)
+        alone = one_pullback(law, path, s, t, cfg)
         assert all(map(np.array_equal, lane, alone))
+
+
+def path_stacks():
+    """(label, law, paths, s, ends, cfg): each family's connecting paths at
+    the s of E6_3's stencil, from r_base to the end of every separation of
+    ``DEFAULT_LADDER``, also at a tight ``rel_tol`` on exp-transport, and two
+    lines across the bump of ``bump_law``."""
+    for name in family_names():
+        sc = build(ScenarioSpec(name))
+        r1 = sc.surface.r_base
+        paths = [connecting_path(sc, u)
+                 for u in equation_info(EquationId.E6_3).pullback_s(sc.s_eval)]
+        ends = [r1 + eps for eps in DEFAULT_LADDER]
+        yield name, sc.law, paths, r1, ends, DEFAULT_ODE_CONFIG
+        if name == "exp-transport":
+            yield "exp-transport-tight", sc.law, paths, r1, ends, OdeConfig(rel_tol=1e-12)
+    yield ("bump", bump_law(), [X_AXIS, line_path([0.0, 0.0], [0.5, 1.0])], 0.9,
+           [0.9 - 8.8 * eps for eps in DEFAULT_LADDER], REJECTING)
+
+
+@pytest.mark.parametrize("case", list(path_stacks()), ids=lambda case: case[0])
+def test_stacked_paths_equal_one_path_solves(case):
+    # one solve along several paths, whose first attempt stacks the lanes of
+    # all of them, equals the one-path solves and the one-lane solves bit for
+    # bit; on exp-transport and across the bump some lanes fail their
+    # stacked first attempt and go on stepping along their own path, one
+    # attempt at a time (a retry from s whose step is another lane's end
+    # reuses that lane's first attempt, as the bump's do)
+    label, law, paths, s, ends, cfg = case
+    with transport.work_counts() as counts:
+        stacked = transport._pullbacks(law, paths, s, ends, cfg)
+    assert len(paths) > 1 and stacked[0].shape[:2] == (len(paths), len(ends))
+    lanes = len(paths) * len(ends)
+    assert counts["solves"] == lanes
+    assert 1 <= counts["stacked_attempts"] <= 1 + counts["attempted_steps"] - lanes
+    continued = label.startswith(("exp-transport", "bump"))
+    assert (0 < counts["continued_lanes"] < lanes) == continued
+    for k, path in enumerate(paths):
+        alone = transport._pullbacks(law, [path], s, ends, cfg)
+        assert all(np.array_equal(a[k], b[0]) for a, b in zip(stacked, alone))
+        for j, t in enumerate(ends):
+            lane = one_pullback(law, path, s, t, cfg)
+            assert all(np.array_equal(a[k, j], b) for a, b in zip(stacked, lane))
 
 
 def test_work_counts_are_context_local():
@@ -505,10 +548,10 @@ def test_work_counts_are_context_local():
     # thread's solves run in another context
     sc = build(ScenarioSpec("offset-transport"))
     path, r1 = connecting_path(sc, sc.s_eval), sc.surface.r_base
-    pullback_integral(sc.law, path, r1, r1 + 0.1)
+    one_pullback(sc.law, path, r1, r1 + 0.1)
     with transport.work_counts() as counts:
-        pullback_integral(sc.law, path, r1, r1 + 0.05)
-        thread = threading.Thread(target=pullback_integral,
+        one_pullback(sc.law, path, r1, r1 + 0.05)
+        thread = threading.Thread(target=one_pullback,
                                   args=(sc.law, path, r1, r1 + 0.02))
         thread.start()
         thread.join(timeout=60)
@@ -525,17 +568,17 @@ def test_magnus_step_budget_counts_attempted_steps(monkeypatch):
     calls = record_rhs_calls(monkeypatch)
     law = bump_law()
     with transport.work_counts() as work:
-        free = pullback_integral(law, X_AXIS, 0.9, 0.02, REJECTING)
+        free = one_pullback(law, X_AXIS, 0.9, 0.02, REJECTING)
     attempts, rest = divmod(len(calls), 3)
     assert rest == 0 and attempts > 10
     assert work == {"solves": 1, "generator_evals": len(calls), "continued_lanes": 1,
                     "stacked_attempts": attempts, "attempted_steps": attempts}
     exact = replace(REJECTING, max_steps=attempts)
-    got = pullback_integral(law, X_AXIS, 0.9, 0.02, exact)
+    got = one_pullback(law, X_AXIS, 0.9, 0.02, exact)
     assert all(map(np.array_equal, got, free))
     short = replace(REJECTING, max_steps=attempts - 1)
     with pytest.raises(TransportError, match=f"exceeded {attempts - 1} steps"):
-        pullback_integral(law, X_AXIS, 0.9, 0.02, short)
+        one_pullback(law, X_AXIS, 0.9, 0.02, short)
 
 
 def test_non_finite_initial_state_error(sphere):
