@@ -248,12 +248,8 @@ class _Ladder:
     def x1_point(self, s: float) -> ChartPoint:
         return self._get(("x1pt", s), lambda: ChartPoint(self.surface("map", s)))
 
-    def at_r1(self, field: Callable[[float, float], np.ndarray], s: float) -> np.ndarray:
-        """``field(s, r')``, read and checked once (``values``)."""
-        return self._get((field, s), lambda: self.values(field, s, self.r1)[0])
-
     def v1(self, s: float) -> np.ndarray:
-        return self.at_r1(self.surf.d_s, s)
+        return self._get(("V1", s), lambda: self.values(self.surf.d_s, s, self.r1)[0])
 
     def rdot(self, s: float) -> np.ndarray:
         return self.surface("d_r", s)
@@ -285,8 +281,7 @@ class _Ladder:
         return self._memo[("Lh", s)]
 
     def solve(self, ss: Sequence[float]) -> None:
-        """The pull-backs at each s of ``ss`` not solved yet, in one solve
-        along their paths gamma_s (``transport._pullbacks``)."""
+        """The pull-backs along gamma_s at each s of ``ss`` not solved yet, as one solve."""
         if todo := [s for s in dict.fromkeys(ss) if ("Lh", s) not in self._memo]:
             lanes = _pullbacks(self.sc.law, [self.path(s) for s in todo], self.r1, self.r2,
                                self.cfg)
@@ -310,7 +305,8 @@ class _Ladder:
         """Covariant difference of a surface field between the particles:
         ``field(s, r'')`` carried back along gamma_s to r' minus
         ``field(s, r')``, ``(K, d)``."""
-        return self.carry(s, self.values(field, s)) - self.at_r1(field, s)
+        b = self.values(field, s, self.r1, *self.r2)
+        return self.carry(s, b[1:]) - b[0]
 
     def zeta(self, s: float) -> np.ndarray:
         return self.eps * self.rdot(s)
@@ -332,7 +328,8 @@ class _Ladder:
         return self._get(("p", s), lambda: self.values(self.momentum, s))
 
     def delta_v(self, s: float) -> np.ndarray:
-        return self._get(("dV", s), lambda: self.delta(self.surf.d_s, s))
+        return self._get(("dV", s), lambda: (
+            self.carry(s, self.values(self.surf.d_s, s)) - self.v1(s)))
 
     def delta_p(self, s: float) -> np.ndarray:
         return self._get(("dp", s), lambda: self.carry(s, self.momenta(s)) - self.p1(s))

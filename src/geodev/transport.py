@@ -366,11 +366,10 @@ def transport_components(law: TransportLaw, path: PathCurve, s: float, t: float,
 def _pullbacks(law: TransportLaw, paths: Sequence[PathCurve], s: float,
                ends: Sequence[float], cfg: OdeConfig) -> Tuple[np.ndarray, np.ndarray]:
     """``(P, K, d, d)`` ``L_{t->s}`` and ``(P, K, d)`` ``int_s^t L_{u->s}
-    xdot(u) du``, each path's tangents pulled back to ``s`` and integrated, on
-    each of P ``paths`` to each of K ``ends``, from one Magnus solve of ``Z =
-    [[Phi^T], [h^T]]``, each lane bit for bit its solve alone: ``Z' = G(u) Z``
-    with ``G = [[-M^T, 0], [xdot^T, 0]]``, built on a stack of Gauss nodes from
-    M and the path's tangents, carries ``Phi(u) = L_{u->s}`` and h."""
+    xdot(u) du`` on each of P ``paths`` to each of K ``ends``, each lane bit
+    for bit its solve alone, from one Magnus solve of ``Z = [[Phi^T], [h^T]]``:
+    ``Z' = G(u) Z``, ``G = [[-M^T, 0], [xdot^T, 0]]`` on the path's Gauss
+    nodes, carries ``Phi(u) = L_{u->s}`` and h."""
     for path in paths:
         for t in (s, *ends):
             path.require(t)

@@ -380,7 +380,8 @@ def test_deviation_study_reads_each_magnus_stack_at_once():
 @pytest.mark.parametrize("family", sorted(_CELLS_BY_FAMILY))
 def test_each_equation_reads_pull_backs_at_its_declared_s(family, monkeypatch):
     # a study solves the pull-backs at the s that its equations declare
-    # (_EquationInfo.stencil) in one solve before the first residual; a
+    # (_EquationInfo.stencil) in one solve before the first residual that
+    # reads them; a
     # formula that read them at another s would add that s to the memo and
     # solve it alone, a second solve and a second stacked attempt.  Lanes
     # that go on stepping (exp-transport's widest) add attempts of their own

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from geodev.scenarios import LINEAR_DRIFT_MASSES, ScenarioSpec, build
 from geodev.transport import (DEFAULT_ODE_CONFIG, law_from_connection,
                               transport_components, transport_matrix)
 
+from conftest import one_pullback
 from test_geometry import zero_connection
 
 EPS = 0.05
@@ -203,8 +206,9 @@ def test_deviation_vector_matches_gauss_kronrod_oracle(name):
             r1, r1 + eps, epsabs=1e-13, epsrel=1e-14, quadrature="gk15")
         h = deviation_vector(sc, s0, eps)
         assert np.abs(h - oracle).max() < 1e-12
-        back, integral = back_transport(sc, s0, eps)
+        back, integral = one_pullback(sc.law, cpath, r1, r1 + eps)
         assert np.array_equal(integral, h)
+        assert all(map(np.array_equal, back_transport(sc, s0, eps), (back, h)))
         expected = transport_matrix(sc.law, cpath, r1 + eps, r1)
         assert np.abs(back - expected).max() < 1e-10
 
@@ -283,6 +287,18 @@ def test_delta_field_transport_invariant_field(sphere):
 
     d = delta_field(sphere, s0, 0.15, field)
     assert np.abs(d).max() < 1e-9
+
+
+def test_delta_field_takes_an_unhashable_callable(sphere):
+    @dataclass
+    class Velocity:  # eq=True leaves its instances unhashable
+        surf: WorldSurface
+
+        def __call__(self, s, r):
+            return self.surf.d_s(s, r)
+
+    assert np.array_equal(delta_field(sphere, 0.1, EPS, Velocity(sphere.surface)),
+                          delta_field(sphere, 0.1, EPS, sphere.surface.d_s))
 
 
 @pytest.mark.parametrize("value,message", [
