@@ -16,11 +16,16 @@ timing column (``inspect`` writes neither file).
 Two versions of the program give the same outputs when the digests of two
 checkouts are equal, e.g. for a change against its parent::
 
-    git worktree add /tmp/parent HEAD~1
-    cp scripts/output_digest.py /tmp/parent/scripts/   # if it lacks one
-    python3 /tmp/parent/scripts/output_digest.py > parent.txt
+    mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent
+    cp scripts/output_digest.py ../parent/scripts/   # if it lacks one
+    python3 ../parent/scripts/output_digest.py > parent.txt
     python3 scripts/output_digest.py > change.txt
     diff parent.txt change.txt
+
+``tests/output_digest.txt`` is this output, and a tier-1 test recomputes it
+through ``lines()`` and compares exactly: a change that moves an output on
+purpose re-records it with ``python3 scripts/output_digest.py >
+tests/output_digest.txt`` and says which lines moved and why.
 """
 
 from __future__ import annotations
@@ -86,11 +91,16 @@ def digest(config: dict, inspect_flags, workdir: Path) -> str:
     return hashlib.sha256("\0".join(parts).encode()).hexdigest()
 
 
-def run() -> None:
+def lines():
+    """The digest, one ``<sha256>  <label>`` line per call."""
     for label, config, inspect_flags in calls():
         with tempfile.TemporaryDirectory() as tmp:
-            print(f"{digest(config, inspect_flags, Path(tmp))}  {label}",
-                  flush=True)
+            yield f"{digest(config, inspect_flags, Path(tmp))}  {label}"
+
+
+def run() -> None:
+    for line in lines():
+        print(line, flush=True)
 
 
 if __name__ == "__main__":

@@ -19,12 +19,11 @@ The transport work is read from the package's own counters
 solves the pull-backs of its whole ladder along the connecting path of
 every s its equations read as the lanes of one solve), ``stacked_attempts``
 (Magnus step computations: one stack of the first attempts of all lanes of
-a solve, so one per study, then one per further attempt of a lane; a
-DOP853 step has one lane and is not counted here),
-``attempted_steps`` (summed over the lanes), ``generator_evals`` (the
-generator values the steppers take, each step's read in one stacked call:
-3 per lane of a Magnus attempt; 2 to start and 11 per attempted DOP853
-step) and ``continued_lanes`` (lanes that their first attempt did not
+a solve, so one per study and one per holonomy, then one per further
+attempt of a lane), ``attempted_steps`` (summed over the lanes),
+``generator_evals`` (the generator values the stepper takes, each
+attempt's read in one stacked call: 3 per lane of an attempt) and
+``continued_lanes`` (lanes that their first attempt did not
 finish and that go on stepping).  The same counters give the surface work:
 ``jets_calls``, the calls of the surface family's point ``jets`` by the
 order they ask for, and ``surface_stacks`` and ``surface_stack_points``, its

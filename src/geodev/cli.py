@@ -107,7 +107,7 @@ def _require_keys(mapping: dict, allowed, context: str) -> None:
 def load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         config = json.loads(text)

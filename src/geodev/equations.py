@@ -450,11 +450,22 @@ def _samples(eq: EquationId, workspace: _Workspace, s: float) -> list:
             for e, norm in zip(workspace.ladder, norms)]
 
 
+def _evaluate(equations: Sequence[EquationId], workspace: _Workspace, s: float) -> list:
+    """The samples of each of ``equations`` on ``workspace``: the formulas
+    that read no pull-back first, so that the solve's reads of x_1 reuse
+    theirs, then one solve of the pull-backs at every s the equations
+    declare, then the rest."""
+    first = {eq: _samples(eq, workspace, s) for eq in equations if _INFO[eq].stencil is None}
+    workspace.solve([u for eq in equations for u in _INFO[eq].pullback_s(s)])
+    return [first.pop(eq, None) or _samples(eq, workspace, s) for eq in equations]
+
+
 def residual(eq: EquationId, scenario: Scenario, s: float, epsilon: float,
              cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> ResidualSample:
     """Evaluate one equation residual on a fresh workspace of the one-point
-    ladder ``(epsilon,)``."""
-    return _samples(eq, _Workspace(scenario, (epsilon,), cfg), s)[0]
+    ladder ``(epsilon,)``, as a study does."""
+    [[sample]] = _evaluate([eq], _Workspace(scenario, (epsilon,), cfg), s)
+    return sample
 
 
 def _fit_order(eps: np.ndarray, norms: np.ndarray) -> Tuple[float, float]:
@@ -497,13 +508,8 @@ def convergence_study(equations: Sequence[EquationId], scenario: Scenario,
         raise TypeError("convergence_study expects a sequence of EquationId, "
                         f"got the single id {equations!r}")
     ladder = checked_ladder(epsilon_ladder)
-    workspace = _Workspace(scenario, ladder, cfg)
-    # formulas without pull-backs first: the solve's reads of x_1 reuse theirs
-    first = {eq: _samples(eq, workspace, s) for eq in equations if _INFO[eq].stencil is None}
-    workspace.solve([u for eq in equations for u in _INFO[eq].pullback_s(s)])
     reports = []
-    for eq in equations:
-        samples = first.pop(eq, None) or _samples(eq, workspace, s)
+    for eq, samples in zip(equations, _evaluate(equations, _Workspace(scenario, ladder, cfg), s)):
         norms = np.array([smp.residual_norm for smp in samples])
         include = norms > FIT_EXCLUSION
         n_fit = int(np.count_nonzero(include))

@@ -1,11 +1,12 @@
-"""Independent oracles of the transport coefficients, read only by the
-tests: a law's first-order coefficients recovered from its transport
-matrices along coordinate probe paths, and the order-0/1 approximants of a
-transport matrix."""
+"""Independent oracles of the transports, read only by the tests: a law's
+first-order coefficients recovered from its transport matrices along
+coordinate probe paths, the order-0/1 approximants of a transport matrix,
+and a transport solved by SciPy's DOP853 at a tight tolerance."""
 
 from typing import Sequence
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from geodev.errors import EvaluationError
 from geodev.geometry import ChartPoint, PathCurve
@@ -86,3 +87,22 @@ def approx_transport(law: TransportLaw, path: PathCurve, s: float, t: float,
     coeff = law.coefficients([s], path, start[None])[0]
     gap = path.map(t).coords - start
     return np.eye(d) + np.einsum("ijk,k->ij", coeff, gap)
+
+
+def scipy_transport(law: TransportLaw, path: PathCurve, s: float, t: float,
+                    components) -> np.ndarray:
+    """``transport_components(law, path, s, t, components)`` by
+    ``solve_ivp(method="DOP853", rtol=3e-14, atol=1e-16)`` on the flattened
+    ``(d, k)`` block of ``dy/du = M(u) y``, ``M^i_j = H^i_{jk} xdot^k``, with
+    the law read at one point of ``path.map`` and ``path.tangent`` per call:
+    nothing of the package's own stepper, step control or stacked reads."""
+    y0 = np.asarray(components, dtype=float)
+    d = y0.shape[0]
+
+    def fun(u, y):
+        point, xdot = path.map(u), path.tangent(u)
+        m = law.coefficients([u], path, point.coords[None])[0] @ xdot
+        return (m @ y.reshape(d, -1)).reshape(-1)
+    sol = solve_ivp(fun, (s, t), y0.reshape(-1), method="DOP853", rtol=3e-14, atol=1e-16)
+    assert sol.success, sol.message
+    return sol.y[:, -1].reshape(y0.shape)

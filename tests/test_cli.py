@@ -19,7 +19,10 @@ from geodev.cli import dump_json, main, run_converge
 from geodev.equations import EquationId
 from geodev.errors import ConfigError
 from geodev.scenarios import ScenarioSpec, build, family_names, list_scenarios
+from geodev.kinematics import worldline
 from geodev.transport import DEFAULT_ODE_CONFIG, TransportLaw
+
+from oracles import scipy_transport
 
 TORSION_CONFIG = {
     "scenario": "flat-torsion",
@@ -205,6 +208,32 @@ def test_converge_malformed_json_exits_2(tmp_path, capsys):
     code = main(["converge", "--config", str(path), "--out",
                  str(tmp_path / "o")])
     assert code == 2
+
+
+@pytest.mark.parametrize("text, named", [
+    (None, "cannot read config"),  # no such file
+    (b"\xff\xfe{}", "cannot read config"),  # not UTF-8
+    (b"[1, 2]", "config root must be an object"),
+    (b'{"params": {}}', "'scenario'"),
+    (b'{"scenario": 3}', "'scenario'"),
+    (b'{"scenario": "sphere", "params": [1.0]}', "'params'"),
+    (b'{"scenario": "sphere", "run": []}', "'run'"),
+    (b'{"scenario": "sphere", "run": {"tolerances": 1e-10}}', "'tolerances'"),
+    (b'{"scenario": "sphere", "params": {"radius": "1.0"}}', "parameter 'radius'"),
+    (b'{"scenario": "sphere", "params": {"radius": true}}', "parameter 'radius'"),
+])
+def test_load_config_rejections_exit_2_naming_the_key(tmp_path, capsys, text, named):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_bytes(text)
+    out = tmp_path / "out"
+    assert main(["converge", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and named in captured.err
+    if text is None:
+        assert str(path) in captured.err
+    assert not out.exists()
 
 
 def test_converge_ladder_outside_domain_exits_2(tmp_path, capsys):
@@ -416,6 +445,25 @@ def test_inspect_transport_latitude_rotation(tmp_path, capsys):
         [-math.sin(alpha) / math.sin(theta0), math.cos(alpha)],
     ])
     assert np.abs(mat - expected).max() < 1e-6
+
+
+@pytest.mark.parametrize("flags, frm, to", [
+    (["--from-s", "0.4", "--to-s", "-0.3"], 0.4, -0.3),
+    ([], -0.5, 0.5),  # the worldline's whole domain
+])
+def test_inspect_worldline_transport_matches_scipy(tmp_path, capsys, flags, frm, to):
+    # the transport along particle 1's worldline: offset-transport's
+    # generator varies along it, so the solve takes many steps; it matches
+    # the SciPy oracle (DOP853 at rtol 3e-14) within the default rel_tol of
+    # max(1, |entry|) at each entry
+    cfg = write_config(tmp_path, {"scenario": "offset-transport"})
+    assert main(["inspect", "--config", cfg, "--what", "transport"] + flags) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["from"], out["to"]) == (frm, to)
+    sc = build(ScenarioSpec("offset-transport"))
+    ref = scipy_transport(sc.law, worldline(sc, 1), frm, to, np.eye(sc.dimension))
+    err = np.abs(np.array(out["components"]) - ref)
+    assert np.all(err <= DEFAULT_ODE_CONFIG.rel_tol * np.maximum(1.0, np.abs(ref)))
 
 
 def test_inspect_latitude_requires_sphere_chart(tmp_path, capsys):

@@ -308,6 +308,11 @@ def test_shared_workspace_study_saves_transport_solves():
         convergence_study(list(EquationId), sc, S0, DEFAULT_LADDER)
     assert counts["solves"] == 9 * len(DEFAULT_LADDER) == 63
     assert counts["stacked_attempts"] == 1
+    # residual() evaluates as a study does: E6_3's 5 s, one lane each, in
+    # one stacked attempt
+    with work_counts() as counts:
+        residual(EquationId.E6_3, sc, S0, 0.01)
+    assert (counts["solves"], counts["stacked_attempts"]) == (5, 1)
 
 
 def test_study_evaluates_each_generator_once_per_rhs_parameter(monkeypatch):
@@ -411,15 +416,27 @@ def test_each_equation_reads_pull_backs_at_its_declared_s(family, monkeypatch):
         S0, S0 + 0.01, S0 - 0.01, S0 + 0.01 + 0.01, S0 - 0.01 - 0.01]
 
 
+def load_script(name: str):
+    """The module of ``scripts/<name>.py``."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_work_counts_match_the_ledger():
     # tests/work_counts.json records what scripts/solve_counts.py prints; a
     # change that changes the work re-records it and says why
-    spec = importlib.util.spec_from_file_location(
-        "solve_counts", ROOT / "scripts" / "solve_counts.py")
-    solve_counts = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(solve_counts)
     ledger = json.loads((ROOT / "tests" / "work_counts.json").read_text())
-    assert solve_counts.work() == ledger
+    assert load_script("solve_counts").work() == ledger
+
+
+def test_outputs_match_the_recorded_digest():
+    # tests/output_digest.txt records what scripts/output_digest.py prints,
+    # a digest of every output of the 35 acceptance cells and the benchmark
+    # pool's calls; a change that moves an output re-records it and says why
+    recorded = (ROOT / "tests" / "output_digest.txt").read_text().splitlines()
+    assert list(load_script("output_digest").lines()) == recorded
 
 
 def test_constant_connections_build_no_point_per_node(monkeypatch):

@@ -18,9 +18,10 @@ from geodev.kinematics import (MassSurface, Scenario, WorldSurface,
                                relative_velocity, worldline)
 from geodev.scenarios import LINEAR_DRIFT_MASSES, ScenarioSpec, build
 from geodev.transport import (DEFAULT_ODE_CONFIG, law_from_connection,
-                              transport_components, transport_matrix)
+                              transport_matrix)
 
 from conftest import one_pullback
+from oracles import scipy_transport
 from test_geometry import zero_connection
 
 EPS = 0.05
@@ -194,7 +195,8 @@ def test_deviation_vector_quadratic_r_closed_form():
                                   "flat-euclidean/quadratic", "minkowski"])
 def test_deviation_vector_matches_gauss_kronrod_oracle(name):
     # independent oracle: adaptive gk15 quadrature of the connecting-path
-    # tangents, each node back-transported by its own vector solve
+    # tangents, each node back-transported by its own SciPy DOP853 solve
+    # (tests/oracles.py), none of it the package's stepper
     sc = build(ScenarioSpec(name))
     s0 = sc.s_eval
     r1 = sc.surface.r_base
@@ -202,14 +204,14 @@ def test_deviation_vector_matches_gauss_kronrod_oracle(name):
     rdot = lambda u: np.asarray(sc.surface.d_r(s0, u), float)
     for eps in (1e-1, 1e-2, 1e-3):
         oracle, _ = quad_vec(
-            lambda u: transport_components(sc.law, cpath, u, r1, rdot(u)),
+            lambda u: scipy_transport(sc.law, cpath, u, r1, rdot(u)),
             r1, r1 + eps, epsabs=1e-13, epsrel=1e-14, quadrature="gk15")
         h = deviation_vector(sc, s0, eps)
         assert np.abs(h - oracle).max() < 1e-12
         back, integral = one_pullback(sc.law, cpath, r1, r1 + eps)
         assert np.array_equal(integral, h)
         assert all(map(np.array_equal, back_transport(sc, s0, eps), (back, h)))
-        expected = transport_matrix(sc.law, cpath, r1 + eps, r1)
+        expected = scipy_transport(sc.law, cpath, r1 + eps, r1, np.eye(sc.dimension))
         assert np.abs(back - expected).max() < 1e-10
 
 

@@ -1,8 +1,7 @@
 """Stacked evaluation of the transport nodes against the point reads.
 
-A Magnus attempt reads all its Gauss nodes, and a DOP853 step all its stage
-nodes, in one ``PathCurve.points`` and one ``TransportLaw.coefficients``
-call; where a path states a stacked form (the sphere and flat-quadratic
+A Magnus attempt reads all its Gauss nodes in one ``PathCurve.points`` and
+one ``TransportLaw.coefficients`` call; where a path states a stacked form (the sphere and flat-quadratic
 surfaces' connecting paths, the latitude circles), it must give ``map`` and
 ``tangent`` bit for bit; a law's stack must equal its stacks of one, the
 sphere's Gamma its closed form at each point, and the errors of a bad node
@@ -239,9 +238,9 @@ def test_a_bad_node_raises_the_point_error(d, stacked, spoilt, monkeypatch):
 @pytest.mark.parametrize("spoilt", ["coords", "velocity", "coefficients"])
 def test_a_bad_stage_node_of_a_transport_raises_the_point_error(d, stacked, spoilt,
                                                                 monkeypatch):
-    # the transport from 0 to 1 reads its start nodes, then each DOP853
-    # step's 11 stage nodes in one stack; the first bad node of a stack
-    # raises the point reads' error there
+    # the transport from 0 to 1 reads its start node as the law's check,
+    # then each Magnus attempt's 3 Gauss nodes in one stack; the first bad
+    # node of a stack raises the point reads' error there
     first = bad_node_error(transport_matrix, d, stacked, spoilt, monkeypatch)
     assert 0.8 <= first < 1.0
 

@@ -9,7 +9,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.integrate._ivp import dop853_coefficients as dop853
 from scipy.linalg import expm
 
 import geodev.geometry
@@ -27,7 +26,7 @@ from geodev.transport import (DEFAULT_ODE_CONFIG, MIN_REL_TOL, OdeConfig, Transp
                               transport_matrix)
 
 from conftest import one_pullback, point_law, stacked_gamma
-from oracles import approx_transport, coordinate_probes, extract_first_coeff
+from oracles import approx_transport, coordinate_probes, extract_first_coeff, scipy_transport
 from test_geometry import (constant_connection, line_path, sphere_connection,
                            zero_connection)
 
@@ -89,8 +88,10 @@ def test_one_path_evaluation_per_rhs_parameter(monkeypatch):
     # each generator read of a parallel transport is one PathCurve.points and
     # one TransportLaw.coefficients call, and costs one jets call and one
     # ChartPoint (for this connection's Gamma, stated at a point) per node;
-    # no node is read twice,
-    # and transport_matrix reads the start point once more for the dimension
+    # no node is read twice; the start is read once more as the law's check
+    # at s (one of each), and transport_matrix reads it once more for the
+    # dimension.  The path crosses latitudes, so the generator varies and
+    # the Magnus pair takes many steps
     counts = Counter()
 
     def counted(name, fn):
@@ -105,14 +106,14 @@ def test_one_path_evaluation_per_rhs_parameter(monkeypatch):
                         counted("coefficients", TransportLaw.coefficients))
     monkeypatch.setattr(PathCurve, "points", counted("points", PathCurve.points))
     calls = record_rhs_calls(monkeypatch)
-    path = PathCurve(counted("jets", lambda t: (np.array([0.8, t]),
-                                                np.array([0.0, 1.0]))),
+    path = PathCurve(counted("jets", lambda t: (np.array([0.8 + 0.1 * t, t]),
+                                                np.array([0.1, 1.0]))),
                      (0.0, 2.0 * math.pi))
     transport_matrix(law_from_connection(sphere_connection()), path, 0.0, 2.0 * math.pi)
-    nodes, (attempts, rest) = len(calls), divmod(len(calls) - 2, 11)
-    assert rest == 0 and nodes > 50 and len({u for u, _ in calls}) == nodes
-    assert counts == {"jets": nodes + 1, "ChartPoint": nodes + 1,
-                      "coefficients": 2 + attempts, "points": 2 + attempts}
+    nodes, (attempts, rest) = len(calls), divmod(len(calls), 3)
+    assert rest == 0 and attempts > 10 and len({u for u, _ in calls}) == nodes
+    assert counts == {"jets": nodes + 2, "ChartPoint": nodes + 2,
+                      "coefficients": 1 + attempts, "points": 1 + attempts}
 
 
 @pytest.mark.parametrize("d", [2, 4])
@@ -121,10 +122,10 @@ def test_non_finite_values_met_inside_a_solve_are_named(d):
     # path coordinates, from their third evaluation in a transport_matrix
     # solve on, raise the EvaluationError of the check that meets them, and
     # the solve reads nothing past that generator read: the path's third
-    # jets call is the start's second read at u + h0 (the first was
-    # transport_matrix's map(s)), Gamma's third is in the first step's read
-    # of 11 nodes; d = 4 gives H 64 entries, so both sizes of finiteness
-    # test are met
+    # jets call is the first Gauss node of the first Magnus attempt's read of
+    # 3 (the first two were transport_matrix's map(s) and the law's check at
+    # s), Gamma's third its second node; d = 4 gives H 64 entries, so both
+    # sizes of finiteness test are met
     gamma, start = np.full((d, d, d), 0.01), np.full(d, 0.1)
     direction = np.linspace(1.0, 0.5, d)
     checks = {"gamma": ((d, d, d), "non-finite transport coefficients"),
@@ -148,7 +149,7 @@ def test_non_finite_values_met_inside_a_solve_are_named(d):
         try:
             transport_matrix(law, path, 0.0, 1.0)
         finally:
-            assert seen[spoilt] == {"gamma": 13, "velocity": 3, "coords": 3}[spoilt]
+            assert seen[spoilt] == {"gamma": 4, "velocity": 5, "coords": 5}[spoilt]
 
     for spoilt, (shape, message) in checks.items():
         for index in np.ndindex(shape):
@@ -205,13 +206,6 @@ def test_pullback_along_a_shared_path_is_safe_across_threads(monkeypatch):
     assert errors == []
 
 
-def test_step_budget_exhaustion(sphere):
-    line = worldline(sphere, 1)
-    tiny = OdeConfig(rel_tol=1e-13, abs_tol=1e-14, max_steps=1)
-    with pytest.raises(TransportError):
-        transport_matrix(sphere.law, line, line.domain[0], line.domain[1], tiny)
-
-
 def bump_law() -> TransportLaw:
     """A rotation generator switched on by a Gaussian bump at u = 0.3: the
     steps grow on the flat part and are rejected at the bump."""
@@ -224,11 +218,18 @@ X_AXIS = line_path([0.0, 0.0], [1.0, 0.0])
 REJECTING = OdeConfig(rel_tol=1e-6, abs_tol=1e-8)
 
 
+def test_step_budget_exhaustion():
+    # the bump's generator varies, so its first attempt, the whole interval,
+    # is rejected and a second one exceeds the budget of 1
+    tiny = OdeConfig(rel_tol=1e-13, abs_tol=1e-14, max_steps=1)
+    with pytest.raises(TransportError, match="exceeded 1 steps"):
+        transport_matrix(bump_law(), X_AXIS, 0.9, 0.02, tiny)
+
+
 def record_rhs_calls(monkeypatch) -> list:
     """Wrap ``transport._integrate`` so that every later solve appends the
     parameter and ``M(u)`` of each generator value to the returned list, in
-    node order: one per node of a generator read (a DOP853 start's node, a
-    DOP853 step's 11 stage nodes, a Magnus attempt's Gauss nodes)."""
+    node order: one per Gauss node of a Magnus attempt's read."""
     calls, integrate = [], transport._integrate
 
     def recording(law, path, generator, *args):
@@ -242,14 +243,18 @@ def record_rhs_calls(monkeypatch) -> list:
 
 
 def test_step_budget_counts_attempted_steps(monkeypatch):
-    # 2 generator values pick the first step, then 11 per attempted DOP853
-    # step; this solve rejects steps (test_stepper_matches_scipy_rk45), and
-    # they count too
+    # 3 generator values per attempted Magnus step of transport_matrix, and
+    # none to pick the first; this solve rejects steps
+    # (test_stepper_matches_scipy_rk45), and they count too, in the budget
+    # and in work_counts
     calls = record_rhs_calls(monkeypatch)
     law = bump_law()
-    free = transport_matrix(law, X_AXIS, 0.9, 0.02, REJECTING)
-    attempts, rest = divmod(len(calls) - 2, 11)
+    with transport.work_counts() as work:
+        free = transport_matrix(law, X_AXIS, 0.9, 0.02, REJECTING)
+    attempts, rest = divmod(len(calls), 3)
     assert rest == 0 and attempts > 10
+    assert work == {"solves": 1, "generator_evals": len(calls), "continued_lanes": 1,
+                    "stacked_attempts": attempts, "attempted_steps": attempts}
     exact = replace(REJECTING, max_steps=attempts)
     assert np.array_equal(transport_matrix(law, X_AXIS, 0.9, 0.02, exact), free)
     short = replace(REJECTING, max_steps=attempts - 1)
@@ -258,52 +263,44 @@ def test_step_budget_counts_attempted_steps(monkeypatch):
 
 
 def test_one_generator_per_rhs_parameter(monkeypatch):
-    # DOP853's stage 12 (c = 1) and the FSAL stage share u + h, and so one
-    # node of the step's generator read: a law stated at one parameter is
-    # read once per node, and no node twice
-    sphere_law, coeff_calls = build(ScenarioSpec("sphere")).law, []
+    # a law stated at one parameter is read once at the start, as the
+    # check, and then once per Gauss node of each attempt, retries from the
+    # same u included, and no node twice
+    coeff_calls, bump = [], bump_law()
 
     def coeff_at(u, path):
         coeff_calls.append(u)
-        return point_coefficients(sphere_law, u, path)
+        return bump.coeffs_at([u], path, None)[0]
 
     calls = record_rhs_calls(monkeypatch)
-    transport_matrix(point_law(coeff_at), _latitude_path(math.pi / 4),
-                     0.0, 2.0 * math.pi)
-    attempts, rest = divmod(len(calls) - 2, 11)
-    assert rest == 0
-    assert coeff_calls == [u for u, _ in calls]
-    assert len(coeff_calls) == len(set(coeff_calls)) == 2 + 11 * attempts
-    assert attempts > 10
+    transport_matrix(point_law(coeff_at), X_AXIS, 0.9, 0.02, REJECTING)
+    attempts, rest = divmod(len(calls), 3)
+    assert rest == 0 and attempts > 10
+    assert coeff_calls == [0.9] + [u for u, _ in calls]
+    assert len(coeff_calls) == len(set(coeff_calls)) == 1 + 3 * attempts
 
 
 def test_holonomy_rhs_calls(monkeypatch):
-    # the sphere's latitude holonomy with DOP853 at the default tolerances:
-    # 2 + 11 generator values per attempted step (22 / 16 / 6 steps); these
-    # counts pin the pair's gain, as RK 5(4) needs 1,196 / 854 / 212 RHS
-    # calls; work_counts' generator_evals counts the same values
+    # along a latitude the sphere's generator is constant, so the Magnus
+    # pair, exact for a constant generator, takes its whole first attempt:
+    # 3 generator values per holonomy (DOP853 took 244 / 178 / 68 and RK
+    # 5(4) 1,196 / 854 / 212 RHS calls), and the holonomy is the closed-form
+    # rotation by 2 pi cos(theta0) to 1e-12; work_counts' generator_evals
+    # counts the same values
     calls = record_rhs_calls(monkeypatch)
     law = build(ScenarioSpec("sphere")).law
     counts = []
     for theta0 in (0.15, math.pi / 4, 1.4):
         calls.clear()
         with transport.work_counts() as work:
-            transport_matrix(law, _latitude_path(theta0), 0.0, 2.0 * math.pi)
+            got = transport_matrix(law, _latitude_path(theta0), 0.0, 2.0 * math.pi)
         assert work["generator_evals"] == len(calls)
         counts.append(len(calls))
-    assert counts == [244, 178, 68]
-
-
-def test_dop853_coefficients_match_scipy():
-    tab = transport._DOP853
-    assert len(tab.c) == len(tab.a) == len(tab.b) == dop853.N_STAGES == 12
-    np.testing.assert_array_equal(tab.c, dop853.C[:12])
-    for i, row in enumerate(tab.a):
-        np.testing.assert_array_equal(row, dop853.A[i, :i])
-    np.testing.assert_array_equal(tab.b, dop853.B)
-    np.testing.assert_array_equal(tab.e3, dop853.E3)
-    np.testing.assert_array_equal(tab.e5, dop853.E5)
-    assert tab.order == 7
+        alpha, sin = 2.0 * math.pi * math.cos(theta0), math.sin(theta0)
+        closed = np.array([[math.cos(alpha), math.sin(alpha) * sin],
+                           [-math.sin(alpha) / sin, math.cos(alpha)]])
+        assert np.abs(got - closed).max() < 1e-12
+    assert counts == [3, 3, 3]
 
 
 def point_coefficients(law: TransportLaw, u: float, path: PathCurve) -> np.ndarray:
@@ -311,73 +308,39 @@ def point_coefficients(law: TransportLaw, u: float, path: PathCurve) -> np.ndarr
     return law.coefficients([u], path, path.map(u).coords[None])[0]
 
 
-SCIPY_METHODS = ((transport._DOP853, "DOP853"),)
+def oracle_cases():
+    """case: (law, path, s, t, components, cfg, check of the (attempted,
+    rejected) Magnus steps) of a transport_components solve: the latitude
+    holonomy, whose constant generator takes one step; one vector carried
+    back along particle 1 of offset-transport, whose generator varies; and
+    the bump, which rejects steps, caps the growth of steps accepted right
+    after a rejection, and whose clipped last step has u + h != t in
+    floating point."""
+    offset = build(ScenarioSpec("offset-transport"))
+    return {
+        "latitude-holonomy": (build(ScenarioSpec("sphere")).law, _latitude_path(math.pi / 4),
+                              0.0, 2.0 * math.pi, np.eye(2), DEFAULT_ODE_CONFIG,
+                              lambda steps: steps == (1, 0)),
+        "backward-worldline": (offset.law, worldline(offset, 1), 0.4, -0.3,
+                               np.array([0.3, -0.7]), DEFAULT_ODE_CONFIG,
+                               lambda steps: steps[0] > 10),
+        "rejecting": (bump_law(), X_AXIS, 0.9, 0.02, np.eye(2), REJECTING,
+                      lambda steps: steps[0] > 10 and steps[1] > 0),
+    }
 
 
-def scipy_integrate(params: list, accepted: list, methods: list):
-    """Stand-in for ``transport._integrate`` that solves the same ODE with
-    ``solve_ivp`` and the method of the given stepper, recording each RHS
-    parameter, the accepted steps and the method."""
-    def integrate(law, paths, generator, y0, s, ends, cfg, stepper):
-        [path], [t] = paths, ends
-        def fun(u, y):
-            params.append(u)
-            coeff, xdot = point_coefficients(law, u, path), path.tangent(u)
-            [m] = generator([u], np.einsum("ijk,k->ij", coeff, xdot)[None], xdot[None])
-            return (m @ y.reshape(m.shape[0], -1)).reshape(-1)
-        [method] = [name for tab, name in SCIPY_METHODS if tab is stepper]
-        sol = solve_ivp(fun, (s, t), y0, method=method, rtol=cfg.rel_tol,
-                        atol=cfg.abs_tol)
-        assert sol.success, sol.message
-        accepted.append(len(sol.t) - 1)
-        methods.append(method)
-        return [sol.y[:, -1]]
-    return integrate
-
-
-def backward_worldline() -> np.ndarray:
-    """One vector carried from s = 0.4 back to s = -0.3 along particle 1."""
-    sc = build(ScenarioSpec("offset-transport"))
-    return transport_components(sc.law, worldline(sc, 1), 0.4, -0.3,
-                                np.array([0.3, -0.7]))
-
-
-ORACLE_CASES = {  # each case: the solve, and the solve_ivp method it uses
-    "latitude-holonomy": (lambda: transport_matrix(
-        build(ScenarioSpec("sphere")).law, _latitude_path(math.pi / 4),
-        0.0, 2.0 * math.pi), "DOP853"),
-    "backward-worldline": (backward_worldline, "DOP853"),
-    # rejects steps, caps the growth of steps accepted right after a
-    # rejection, and its clipped last step has u + h != t in floating point
-    "rejecting": (lambda: transport_matrix(
-        bump_law(), X_AXIS, 0.9, 0.02, REJECTING), "DOP853"),
-}
-
-
-@pytest.mark.parametrize("case", ORACLE_CASES)
+@pytest.mark.parametrize("case", ["latitude-holonomy", "backward-worldline", "rejecting"])
 def test_stepper_matches_scipy_rk45(case, monkeypatch):
-    # each case names the solve_ivp method of the pair its call site fixes:
-    # DOP853 for transport_components (the pull-backs' Magnus pair has
-    # its own oracle, test_magnus_pullback_matches_tight_dop853); our nodes
-    # are the oracle's RHS parameters with each step's u + h, where its last
-    # stage and its FSAL call both sit, taken once
-    solve, method = ORACLE_CASES[case]
-    oracle_params, accepted, methods = [], [], []
+    # transport_components against the SciPy oracle (DOP853 at rtol 3e-14,
+    # tests/oracles.py), within rel_tol of max(1, |entry|) at each entry (the
+    # worst case, the bump, reads 0.16 rel_tol), stepping as oracle_cases says
+    law, path, s, t, components, cfg, stepped = oracle_cases()[case]
     calls = record_rhs_calls(monkeypatch)
-    ours = solve()
-    monkeypatch.setattr(transport, "_integrate",
-                        scipy_integrate(oracle_params, accepted, methods))
-    theirs = solve()
-    assert methods == [method]
-    np.testing.assert_array_equal(ours, theirs)
-    assert (len(oracle_params) - 2) % 12 == 0
-    assert all(oracle_params[i] == oracle_params[i + 1]
-               for i in range(12, len(oracle_params), 12))
-    assert [u for u, _ in calls] == [u for i, u in enumerate(oracle_params)
-                                     if i < 2 or (i - 2) % 12 != 11]
-    if case == "rejecting":
-        [steps] = accepted
-        assert (len(oracle_params) - 2) // 12 > steps
+    ours = transport_components(law, path, s, t, components, cfg)
+    ref = scipy_transport(law, path, s, t, components)
+    assert ours.shape == ref.shape == np.shape(components)
+    assert np.all(np.abs(ours - ref) <= cfg.rel_tol * np.maximum(1.0, np.abs(ref)))
+    assert stepped(magnus_steps(calls))
 
 
 def expm_generators():
