@@ -42,26 +42,35 @@ DEFAULT_ORDER_THRESHOLD = 1.9
 # ----------------------------------------------------------- deterministic IO
 
 def _format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise ConfigError(f"cannot serialize non-finite float {x}")
-    if x == int(x) and abs(x) < 1e16:
+    if x.is_integer() and abs(x) < 1e16:
         return f"{x:.1f}"
     return f"{x:.17g}"
 
 
-def _write_json(obj, pad: str, out: List[str], keys: Dict[str, str]) -> None:
+class _Texts(dict):
+    """The text of each float, and of each dict key with its colon, formatted
+    once per call.  No zero is kept: 0.0 and -0.0 are one key, two texts."""
+
+    def __missing__(self, x) -> str:
+        text = json.dumps(x) + ": " if type(x) is str else _format_float(x)
+        if x:
+            self[x] = text
+        return text
+
+
+def _write_json(obj, pad: str, out: List[str], texts: _Texts) -> None:
     """Append the JSON text of ``obj``, indented from ``pad``, to ``out``;
-    ``keys`` keeps the text of each dict key already written."""
-    if type(obj) is float:  # most values of a report
-        out.append(_format_float(obj))
-    elif obj is None:
+    float leaves of a dict or list are written inline."""
+    if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(_format_float(float(obj)))
+        out.append(texts[float(obj)])
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, (dict, list, tuple)):
@@ -71,13 +80,13 @@ def _write_json(obj, pad: str, out: List[str], keys: Dict[str, str]) -> None:
             return
         inner, sep = pad + "  ", "{\n" if is_dict else "[\n"
         for key in sorted(obj) if is_dict else range(len(obj)):
-            out.append(sep + inner)
-            if is_dict:
-                name = str(key)
-                if name not in keys:
-                    keys[name] = json.dumps(name) + ": "
-                out.append(keys[name])
-            _write_json(obj[key], inner, out, keys)
+            head = sep + inner + texts[str(key)] if is_dict else sep + inner
+            value = obj[key]
+            if type(value) is float:  # most values of a report
+                out.append(head + texts[value])
+            else:
+                out.append(head)
+                _write_json(value, inner, out, texts)
             sep = ",\n"
         out.append(f"\n{pad}}}" if is_dict else f"\n{pad}]")
     else:
@@ -88,7 +97,7 @@ def dump_json(obj, indent: int = 0) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits;
     one writer appends every piece to one list."""
     out: List[str] = []
-    _write_json(obj, "  " * indent, out, {})
+    _write_json(obj, "  " * indent, out, _Texts())
     return "".join(out)
 
 
@@ -291,17 +300,22 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _write_outputs(outdir: str, result: dict) -> None:
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Build both texts, with one memo of float texts, before writing either
+    file: a value that cannot be written leaves both files as they were."""
+    texts, report = _Texts(), []
     lines = ["equation,scenario,s,epsilon,residual_norm,wall_time_ms"]
     for eq, label, s, eps, norm, ms in result["rows"]:
-        lines.append(f"{eq},{label},{_format_float(s)},{_format_float(eps)},"
-                     f"{_format_float(norm)},{ms:.3f}")
+        lines.append(f"{eq},{label},{texts[s]},{texts[eps]},{texts[norm]},{ms:.3f}")
+    _write_json(result["payload"], "", report, texts)
+    out = Path(outdir)
+    out.mkdir(parents=True, exist_ok=True)
     _write_atomic(out / "samples.csv", "\n".join(lines) + "\n")
-    _write_atomic(out / "report.json", dump_json(result["payload"]) + "\n")
+    _write_atomic(out / "report.json", "".join(report) + "\n")
 
 
 def cmd_converge(args) -> int:
+    if not math.isfinite(args.order_threshold):
+        raise ConfigError(f"--order-threshold must be finite, got {args.order_threshold}")
     config = load_config(args.config)
     result = run_converge(config, threshold=args.order_threshold,
                           stream=None if args.quiet else sys.stdout)

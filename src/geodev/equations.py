@@ -468,15 +468,21 @@ def residual(eq: EquationId, scenario: Scenario, s: float, epsilon: float,
     return sample
 
 
-def _fit_order(eps: np.ndarray, norms: np.ndarray) -> Tuple[float, float]:
-    x = np.log(eps)
-    y = np.log(norms)
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 if ss_tot <= 1e-30 else 1.0 - ss_res / ss_tot
-    return float(slope), r2
+def _fit_orders(ladder: Tuple[float, ...], norms: np.ndarray) -> tuple:
+    """Slope and r^2 of log residual against log eps, and the number of
+    points fitted, for each row of the (E, K) ``norms``: one closed-form
+    centred least squares, each row weighted by its mask of points above
+    ``FIT_EXCLUSION``; a row fitted on fewer than 2 points reads NaN."""
+    w = norms > FIT_EXCLUSION
+    n = w.sum(axis=1)
+    x, y = np.log(ladder), np.log(np.where(w, norms, 1.0))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dx = w * (x - (w @ x / n)[:, None])
+        dy = w * (y - (np.sum(w * y, axis=1) / n)[:, None])
+        slope = np.sum(dx * dy, axis=1) / np.sum(dx * dx, axis=1)
+        ss_res = np.sum((dy - slope[:, None] * dx) ** 2, axis=1)
+        ss_tot = np.sum(dy * dy, axis=1)
+        return slope, np.where(ss_tot <= 1e-30, 1.0, 1.0 - ss_res / ss_tot), n
 
 
 def checked_ladder(epsilon_ladder: Sequence[float]) -> Tuple[float, ...]:
@@ -503,23 +509,18 @@ def convergence_study(equations: Sequence[EquationId], scenario: Scenario,
     entry of ``equations``.  Every equation shares one workspace, which
     carries the eps-dependent quantities as stacks over the ladder: each
     quantity, and each equation's residual, is evaluated once per study,
-    the pull-backs at every s its equations read as one solve up front."""
+    the pull-backs at every s its equations read as one solve up front, and
+    every order in one closed-form fit of the (E, K) stack of norms."""
     if isinstance(equations, str):
         raise TypeError("convergence_study expects a sequence of EquationId, "
                         f"got the single id {equations!r}")
     ladder = checked_ladder(epsilon_ladder)
-    reports = []
-    for eq, samples in zip(equations, _evaluate(equations, _Workspace(scenario, ladder, cfg), s)):
-        norms = np.array([smp.residual_norm for smp in samples])
-        include = norms > FIT_EXCLUSION
-        n_fit = int(np.count_nonzero(include))
-        if n_fit >= 2:
-            order, r2 = _fit_order(np.array(ladder)[include], norms[include])
-        else:
-            order, r2 = None, None
-        reports.append(ConvergenceReport(
-            eq=eq, scenario_label=scenario.label, epsilon_ladder=ladder,
-            samples=tuple(samples), fitted_order=order, fit_r2=r2,
-            floor_detected=bool(np.any(~include)), n_fit_points=n_fit,
-            exact=_INFO[eq].exact))
-    return tuple(reports)
+    studied = _evaluate(equations, _Workspace(scenario, ladder, cfg), s)
+    norms = np.array([[smp.residual_norm for smp in samples] for samples in studied])
+    fits = zip(*_fit_orders(ladder, norms.reshape(len(studied), len(ladder))))
+    return tuple(ConvergenceReport(
+        eq=eq, scenario_label=scenario.label, epsilon_ladder=ladder,
+        samples=tuple(samples), fitted_order=float(order) if n >= 2 else None,
+        fit_r2=float(r2) if n >= 2 else None, floor_detected=bool(n < len(ladder)),
+        n_fit_points=int(n), exact=_INFO[eq].exact)
+        for eq, samples, (order, r2, n) in zip(equations, studied, fits))

@@ -1,7 +1,8 @@
-"""Independent oracles of the transports, read only by the tests: a law's
-first-order coefficients recovered from its transport matrices along
-coordinate probe paths, the order-0/1 approximants of a transport matrix,
-and a transport solved by SciPy's DOP853 at a tight tolerance."""
+"""Independent oracles, read only by the tests: a law's first-order
+coefficients recovered from its transport matrices along coordinate probe
+paths, the order-0/1 approximants of a transport matrix, a transport solved
+by SciPy's DOP853 at a tight tolerance, and the order fit of one residual
+ladder by ``np.polyfit``."""
 
 from typing import Sequence
 
@@ -106,3 +107,15 @@ def scipy_transport(law: TransportLaw, path: PathCurve, s: float, t: float,
     sol = solve_ivp(fun, (s, t), y0.reshape(-1), method="DOP853", rtol=3e-14, atol=1e-16)
     assert sol.success, sol.message
     return sol.y[:, -1].reshape(y0.shape)
+
+
+def polyfit_order(eps, norms) -> tuple:
+    """Slope and r^2 of the least-squares line of log ``norms`` against log
+    ``eps`` by ``np.polyfit`` (an SVD solve), r^2 = 1 when the log norms
+    spread by at most 1e-30 in their sum of squares: one ladder at a time,
+    nothing of the package's stacked fit."""
+    x, y = np.log(eps), np.log(norms)
+    slope, intercept = np.polyfit(x, y, 1)
+    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    return float(slope), 1.0 if ss_tot <= 1e-30 else 1.0 - ss_res / ss_tot

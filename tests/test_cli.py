@@ -144,6 +144,43 @@ def test_converge_failed_write_keeps_previous_outputs(tmp_path, monkeypatch,
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_converge_rejects_a_non_finite_threshold_before_any_study(
+        tmp_path, monkeypatch, capsys, threshold):
+    cfg = write_config(tmp_path, TORSION_CONFIG)
+    out = tmp_path / "out"
+    assert main(["converge", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def no_study(*args, **kwargs):
+        raise AssertionError("a study ran")
+
+    monkeypatch.setattr(geodev.cli, "convergence_study", no_study)
+    code = main(["converge", "--config", cfg, "--out", str(out), "--quiet",
+                 f"--order-threshold={threshold}"])
+    assert code == 2
+    assert "--order-threshold must be finite" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    fresh = tmp_path / "fresh"
+    assert main(["converge", "--config", cfg, "--out", str(fresh),
+                 f"--order-threshold={threshold}"]) == 2
+    assert not fresh.exists()
+
+
+def test_unwritable_result_leaves_both_outputs_as_they_were(tmp_path):
+    # both texts are built before either file is written: a payload value
+    # that cannot be written (here a NaN threshold given to the API) must
+    # not leave a new samples.csv beside the old report.json
+    out = tmp_path / "out"
+    geodev.cli._write_outputs(str(out), run_converge(TORSION_CONFIG))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    result = run_converge(TORSION_CONFIG, threshold=math.nan)
+    result["rows"] = [row[:4] + (row[4] * 2, row[5]) for row in result["rows"]]
+    with pytest.raises(ConfigError, match="non-finite float nan"):
+        geodev.cli._write_outputs(str(out), result)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_converge_exact_identity_never_fails_threshold(tmp_path):
     config = {
         "scenario": "sphere",
@@ -574,3 +611,118 @@ def test_dump_json_round_trips_17_digits():
 def test_dump_json_sorted_keys():
     text = dump_json({"zeta": 1, "alpha": 2})
     assert text.index("alpha") < text.index("zeta")
+
+
+# a payload with every kind of leaf the writer takes, and its text as
+# recorded from a writer that formatted every float anew: the memo of float
+# and key texts must not change a byte
+PINNED_PAYLOAD = {
+    "reports": [{"fitted_order": 1.9996401320466666, "fit_r2": 0.9999999888930624,
+                 "floor_detected": False, "n_fit_points": np.int64(7),
+                 "epsilon_ladder": [0.1, 0.05, 0.02], "exact": True,
+                 "samples": [{"epsilon": 1e-3, "residual_norm": 0.0},
+                             {"epsilon": 5e-3, "residual_norm": -0.0}]}],
+    "zeros": (0.0, -0.0, 0.0), "big": [1e15, -1e15, 1e16, 123456789.0, 2.5e-300],
+    "np": [np.float64(0.1), np.float64(-0.0), np.float32(0.5), np.int64(-3)],
+    "text": 'say "hi" µ', "none": None, "empty": [{}, [], ()],
+    "keys": {3: "int key", 10: True},
+}
+PINNED_TEXT = r'''{
+  "big": [
+    1000000000000000.0,
+    -1000000000000000.0,
+    10000000000000000,
+    123456789.0,
+    2.5e-300
+  ],
+  "empty": [
+    {},
+    [],
+    []
+  ],
+  "keys": {
+    "3": "int key",
+    "10": true
+  },
+  "none": null,
+  "np": [
+    0.10000000000000001,
+    -0.0,
+    0.5,
+    -3
+  ],
+  "reports": [
+    {
+      "epsilon_ladder": [
+        0.10000000000000001,
+        0.050000000000000003,
+        0.02
+      ],
+      "exact": true,
+      "fit_r2": 0.99999998889306241,
+      "fitted_order": 1.9996401320466666,
+      "floor_detected": false,
+      "n_fit_points": 7,
+      "samples": [
+        {
+          "epsilon": 0.001,
+          "residual_norm": 0.0
+        },
+        {
+          "epsilon": 0.0050000000000000001,
+          "residual_norm": -0.0
+        }
+      ]
+    }
+  ],
+  "text": "say \"hi\" \u00b5",
+  "zeros": [
+    0.0,
+    -0.0,
+    0.0
+  ]
+}'''
+
+
+def test_dump_json_text_is_pinned():
+    assert dump_json(PINNED_PAYLOAD) == PINNED_TEXT
+    assert dump_json([1.5, {"a": []}], indent=1) == '[\n    1.5,\n    {\n      "a": []\n    }\n  ]'
+
+
+@pytest.mark.parametrize("order", [(0.0, -0.0), (-0.0, 0.0)])
+def test_writer_keeps_the_sign_of_zero(tmp_path, order):
+    # 0.0 == -0.0 and both hash alike: a memo of float texts must not give
+    # the second the text of the first, in report.json or in samples.csv
+    a, b = order
+    texts = [repr(a), repr(b)]
+    assert json.loads(dump_json([a, b]), parse_float=str) == texts
+    rows = [("E4_4", "flat-torsion", a, 0.1, b, 1.0),
+            ("E4_4", "flat-torsion", b, 0.05, a, 1.0)]
+    geodev.cli._write_outputs(str(tmp_path), {"rows": rows,
+                                              "payload": {"n": [a, b, a]}})
+    csv = (tmp_path / "samples.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[2] for line in csv] == texts
+    assert [line.split(",")[4] for line in csv] == texts[::-1]
+    report = json.loads((tmp_path / "report.json").read_text(), parse_float=str)
+    assert report["n"] == [texts[0], texts[1], texts[0]]
+
+
+@pytest.mark.parametrize("value, text", [
+    (1e15, "1000000000000000.0"), (-1e15, "-1000000000000000.0"),
+    (1e16, "10000000000000000"), (-1e16, "-10000000000000000"),
+    (1e15 + 0.5, "1000000000000000.5"), (2.0**53, "9007199254740992.0"),
+    (np.float64(3.0), "3.0"), (np.float64(0.1), "0.10000000000000001"),
+    (np.int64(3), "3"), (np.int64(-2**40), str(-2**40))])
+def test_writer_integral_and_numpy_values(value, text):
+    # integral floats below 1e16 keep one decimal; at and above it %.17g
+    assert dump_json([value]) == f"[\n  {text}\n]"
+    assert dump_json({"v": value, "w": [value]}) == (
+        f'{{\n  "v": {text},\n  "w": [\n    {text}\n  ]\n}}')
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64(math.nan),
+                                   np.float64(-math.inf)])
+def test_writer_rejects_non_finite_floats(value):
+    for payload in (value, [value], {"x": value}, [1.0, {"y": [value]}]):
+        with pytest.raises(ConfigError, match="non-finite"):
+            dump_json(payload)

@@ -11,8 +11,8 @@ import geodev.equations
 import geodev.kinematics
 import geodev.transport
 from geodev.equations import (DEFAULT_LADDER, FIT_EXCLUSION, H_S, EquationId,
-                              _INFO, _Workspace, convergence_study,
-                              equation_info, residual)
+                              ResidualSample, _INFO, _Workspace, _fit_orders,
+                              convergence_study, equation_info, residual)
 from geodev.errors import DomainError, EvaluationError
 from geodev.geometry import (ChartPoint, ConnectionField, MetricField, bilinear,
                              torsion_apply)
@@ -20,6 +20,8 @@ from geodev.kinematics import WorldSurface
 from geodev.scenarios import (EQUATION_SCENARIOS, LINEAR_DRIFT_MASSES,
                               ScenarioSpec, build)
 from geodev.transport import DEFAULT_ODE_CONFIG, work_counts
+
+from oracles import polyfit_order
 
 S0 = 0.15
 ROOT = Path(__file__).resolve().parent.parent
@@ -113,6 +115,56 @@ def test_floor_detection_on_identically_zero_residual(flat_ruled):
     assert rep.fit_r2 is None
     assert rep.n_fit_points == 0
     assert all(s.residual_norm <= FIT_EXCLUSION for s in rep.samples)
+
+
+def test_stacked_fit_matches_the_polyfit_oracle():
+    # random ladders, each rung 0.2 to 0.8 times the one before (rungs much
+    # closer than that cost polyfit's SVD solve digits of its own), each row
+    # of the stack keeping 2 to 7 points above the fit-exclusion level; the
+    # others sit at, below or far below it
+    rng = np.random.default_rng(25)
+    for _ in range(100):
+        ladder = tuple(0.5 * np.cumprod(rng.uniform(0.2, 0.8, 7)))
+        order = rng.uniform(-1.0, 4.0, (6, 1))
+        norms = rng.uniform(1e-3, 1e2, (6, 1)) * np.array(ladder) ** order
+        norms *= np.exp(rng.normal(0.0, 0.3, norms.shape))
+        norms = np.clip(norms, 1e-9, 1e3)
+        for row in norms:
+            floor = rng.choice(7, 7 - rng.integers(2, 8), replace=False)
+            row[floor] = rng.choice([0.0, FIT_EXCLUSION, 1e-14], len(floor))
+        slopes, r2s, counts = _fit_orders(ladder, norms)
+        for row, slope, r2, n in zip(norms, slopes, r2s, counts):
+            keep = row > FIT_EXCLUSION
+            assert n == np.count_nonzero(keep)
+            want_slope, want_r2 = polyfit_order(np.array(ladder)[keep], row[keep])
+            assert abs(slope - want_slope) <= 1e-12
+            assert abs(r2 - want_r2) <= 1e-12
+
+
+def test_study_fit_rules_on_constant_and_sparse_ladders(flat_torsion, monkeypatch):
+    # the norms of each equation are set; the study only fits and reports
+    floor = [FIT_EXCLUSION] * 6
+    norms = {EquationId.E4_3: [3e-4] * 7,                  # constant
+             EquationId.E4_4: [2e-3, 5e-4] + floor[:5],  # 2 points
+             EquationId.E4_5: [2e-3] + floor,            # 1 point
+             EquationId.E3_1: [0.0] * 7}                 # none
+
+    def evaluate(equations, workspace, s):
+        return [[ResidualSample(eq, s, e, v, 0.0)
+                 for e, v in zip(workspace.ladder, norms[eq])] for eq in equations]
+
+    monkeypatch.setattr(geodev.equations, "_evaluate", evaluate)
+    const, two, one, none = convergence_study(list(norms), flat_torsion, S0,
+                                              DEFAULT_LADDER)
+    assert const.fit_r2 == 1.0 and abs(const.fitted_order) <= 1e-12
+    assert (const.n_fit_points, const.floor_detected) == (7, False)
+    want = polyfit_order(DEFAULT_LADDER[:2], norms[EquationId.E4_4][:2])
+    assert abs(two.fitted_order - want[0]) <= 1e-12
+    assert abs(two.fit_r2 - want[1]) <= 1e-12
+    assert (two.n_fit_points, two.floor_detected) == (2, True)
+    for rep, n in ((one, 1), (none, 0)):
+        assert (rep.fitted_order, rep.fit_r2, rep.n_fit_points) == (None, None, n)
+        assert rep.floor_detected
 
 
 def test_report_bookkeeping(flat_torsion):
