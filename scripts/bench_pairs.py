@@ -2,15 +2,16 @@
 
     python3 scripts/bench_pairs.py --parent REV --out BENCH_<n>.json \
         --workload converge-relative --seeds 2501-2510 \
-        --workload transport-holonomy --seeds 2511-2515 [--seconds 20]
+        --workload transport-holonomy --seeds 2511-2515
 
 For each ``--workload`` (with the ``--seeds`` given after it: a range
 ``A-B`` or a comma list) this runs ``perfbench/run.py --workload W --seed S
 --seconds T --trace 0`` once on each side per seed, the two runs of a seed
-making one pair.  Each run starts from a fresh copy of its side, with no
-bytecode cache, no ``perfbench/out`` and ``PYTHONDONTWRITEBYTECODE=1``: the
-parent side is ``git archive REV``, the change side the working tree's
-tracked and untracked, not ignored, files.  The parent runs first in the
+making one pair; T is ``BENCHMARK.json``'s ``run_seconds``.  Each run
+starts from a fresh copy of its side, in a temporary directory removed
+afterwards, with no bytecode cache, no ``perfbench/out`` and
+``PYTHONDONTWRITEBYTECODE=1``: the parent side is ``git archive REV``, the
+change side the working tree's tracked and untracked, not ignored, files.  The parent runs first in the
 first, third, ... pair of each workload and the change first in the others.
 Pairs run one after another, never two runs at once.
 
@@ -143,9 +144,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", action="append", required=True,
                         help="seeds of the preceding --workload: A-B or A,B,...")
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--workdir", default=None,
-                        help="where the fresh copies go (default: a temp dir)")
     parser.add_argument("--claimed", default="none",
                         help="the gain the change claims, if any")
     args = parser.parse_args(argv)
@@ -154,32 +152,30 @@ def main(argv=None) -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = bench["end_to_end"]
+    seconds = bench["run_seconds"]
     parent_commit = _git("rev-parse", "--short", args.parent, text=True).stdout.strip()
     base = _git("rev-parse", "--short", "HEAD", text=True).stdout.strip()
     dirty = bool(_git("status", "--porcelain", text=True).stdout.strip())
-    workdir = Path(args.workdir or tempfile.mkdtemp(prefix="bench_pairs_"))
-    workdir.mkdir(parents=True, exist_ok=True)
 
     workloads = {}
-    for workload, seed_text in zip(args.workload, args.seeds):
-        seeds = seeds_of(seed_text)
-        runs, first = [], []
-        for i, seed in enumerate(seeds):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {side: run_once(side, args.parent, workload, seed, args.seconds,
-                                   workdir) for side in order}
-            runs.append(pair)
-            first.append(order[0])
-            print(f"{workload} seed {seed}: " + ", ".join(
-                f"{side} verify_s {pair[side]['metrics']['verify_s']['value']:.4f}"
-                for side in ("parent", "change")), file=sys.stderr, flush=True)
-        workloads[workload] = summarize(runs, first, seeds, metrics)
-    if args.workdir is None:
-        workdir.rmdir()  # each run removed its own copy
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        for workload, seed_text in zip(args.workload, args.seeds):
+            seeds = seeds_of(seed_text)
+            runs, first = [], []
+            for i, seed in enumerate(seeds):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                pair = {side: run_once(side, args.parent, workload, seed, seconds,
+                                       Path(tmp)) for side in order}
+                runs.append(pair)
+                first.append(order[0])
+                print(f"{workload} seed {seed}: " + ", ".join(
+                    f"{side} verify_s {pair[side]['metrics']['verify_s']['value']:.4f}"
+                    for side in ("parent", "change")), file=sys.stderr, flush=True)
+            workloads[workload] = summarize(runs, first, seeds, metrics)
 
     result = {
         "benchmark": ("python3 perfbench/run.py --workload W --seed S "
-                      f"--seconds {args.seconds:g} --trace 0"),
+                      f"--seconds {seconds:g} --trace 0"),
         "claimed": args.claimed,
         "host": (f"{os.cpu_count()}-core {platform.system()}, "
                  f"{platform.python_implementation()} {platform.python_version()}, "

@@ -241,6 +241,8 @@ def run_converge(config: dict, threshold: float = DEFAULT_ORDER_THRESHOLD,
     """Run the configured studies and return the full result payload plus
     the csv rows; raises GeodevError subclasses on failure.  One progress
     line per equation goes to ``stream`` unless it is None."""
+    if not math.isfinite(threshold):
+        raise ConfigError(f"--order-threshold (keyword threshold) must be finite, got {threshold}")
     scenario = _scenario_from_config(config)
     run = config.get("run", {})
     equations = _parse_equations(run)
@@ -314,8 +316,6 @@ def _write_outputs(outdir: str, result: dict) -> None:
 
 
 def cmd_converge(args) -> int:
-    if not math.isfinite(args.order_threshold):
-        raise ConfigError(f"--order-threshold must be finite, got {args.order_threshold}")
     config = load_config(args.config)
     result = run_converge(config, threshold=args.order_threshold,
                           stream=None if args.quiet else sys.stdout)

@@ -159,22 +159,25 @@ def test_converge_rejects_a_non_finite_threshold_before_any_study(
     code = main(["converge", "--config", cfg, "--out", str(out), "--quiet",
                  f"--order-threshold={threshold}"])
     assert code == 2
-    assert "--order-threshold must be finite" in capsys.readouterr().err
+    assert "--order-threshold (keyword threshold) must be finite" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     fresh = tmp_path / "fresh"
     assert main(["converge", "--config", cfg, "--out", str(fresh),
                  f"--order-threshold={threshold}"]) == 2
     assert not fresh.exists()
+    with pytest.raises(ConfigError, match="keyword threshold"):
+        run_converge(TORSION_CONFIG, threshold=float(threshold))
 
 
 def test_unwritable_result_leaves_both_outputs_as_they_were(tmp_path):
     # both texts are built before either file is written: a payload value
-    # that cannot be written (here a NaN threshold given to the API) must
-    # not leave a new samples.csv beside the old report.json
+    # that cannot be written (here a NaN in the report) must not leave a new
+    # samples.csv beside the old report.json
     out = tmp_path / "out"
     geodev.cli._write_outputs(str(out), run_converge(TORSION_CONFIG))
     before = {p.name: p.read_bytes() for p in out.iterdir()}
-    result = run_converge(TORSION_CONFIG, threshold=math.nan)
+    result = run_converge(TORSION_CONFIG)
+    result["payload"]["order_threshold"] = math.nan
     result["rows"] = [row[:4] + (row[4] * 2, row[5]) for row in result["rows"]]
     with pytest.raises(ConfigError, match="non-finite float nan"):
         geodev.cli._write_outputs(str(out), result)
