@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .equations import (DEFAULT_LADDER, ConvergenceReport, EquationId,
@@ -120,7 +119,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         config = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be an object")
@@ -279,8 +278,7 @@ def run_converge(config: dict, threshold: float = DEFAULT_ORDER_THRESHOLD,
         "order_threshold": threshold,
         "reports": [_report_payload(rep, s_eval) for rep in reports],
         "tolerances": {"rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol},
-        "versions": {"geodev": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+        "versions": {"geodev": __version__, "numpy": np.__version__},
         "total_wall_time_ms": total,
     }
     rows = [(rep.eq.value, rep.scenario_label, smp.s, smp.epsilon,
@@ -290,20 +288,10 @@ def run_converge(config: dict, threshold: float = DEFAULT_ORDER_THRESHOLD,
     return {"payload": payload, "rows": rows, "failed": failed}
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write a temp file beside ``path`` and rename it over ``path``, so the
-    file is either the old one or complete, never half-written."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def _write_outputs(outdir: str, result: dict) -> None:
-    """Build both texts, with one memo of float texts, before writing either
-    file: a value that cannot be written leaves both files as they were."""
+    """Build both texts, with one memo of float texts, then write both temp
+    files, then rename both: a value or a temp file that cannot be written
+    leaves both files as they were, and no temp file is left behind."""
     texts, report = _Texts(), []
     lines = ["equation,scenario,s,epsilon,residual_norm,wall_time_ms"]
     for eq, label, s, eps, norm, ms in result["rows"]:
@@ -311,8 +299,17 @@ def _write_outputs(outdir: str, result: dict) -> None:
     _write_json(result["payload"], "", report, texts)
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out / "samples.csv", "\n".join(lines) + "\n")
-    _write_atomic(out / "report.json", "".join(report) + "\n")
+    files = {out / "samples.csv": "\n".join(lines) + "\n",
+             out / "report.json": "".join(report) + "\n"}
+    tmps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in files}
+    try:
+        for path, text in files.items():
+            tmps[path].write_text(text)
+        for path, tmp in tmps.items():
+            os.replace(tmp, path)
+    finally:
+        for tmp in tmps.values():
+            tmp.unlink(missing_ok=True)
 
 
 def cmd_converge(args) -> int:

@@ -39,6 +39,7 @@ step-selection noise stays below the fit floor.
 from __future__ import annotations
 
 import enum
+import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
@@ -46,9 +47,8 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EvaluationError
-from .geometry import (_matrix_sign, bilinear, cov_tensor_components,
-                       curvature_apply, curvature_at, torsion_apply,
-                       torsion_components)
+from .geometry import (bilinear, cov_tensor_components, curvature_apply,
+                       curvature_at, torsion_apply, torsion_components)
 # delta_field, deviation_vector and the relative_* functions stay bound here,
 # unused: perfbench/tracer.py wraps them
 from .kinematics import (Scenario, _Ladder, delta_field, deviation_vector,
@@ -363,7 +363,7 @@ def _r_e7_4(w: _Workspace, s: float) -> np.ndarray:
     if w.sc.metric is None:
         raise EvaluationError("E7_4 requires a scenario metric")
     g = w.metric(s)
-    sign = _matrix_sign(g, w.x1_point(s), w.v1(s))
+    sign = w.sign(s)
     dg = w.d_metric(s)
     mu1, mu2 = w.mu1(s), w.mu2(s)
     p1, v1, a1 = w.p1(s), w.v1(s), w.a1(s)
@@ -486,9 +486,12 @@ def _fit_orders(ladder: Tuple[float, ...], norms: np.ndarray) -> tuple:
 
 
 def checked_ladder(epsilon_ladder: Sequence[float]) -> Tuple[float, ...]:
-    """The ladder as floats: at least 5 points, positive and strictly
+    """The ladder as floats: at least 5 points, finite, positive and strictly
     decreasing; ValueError otherwise, its message starting with the
     parameter name ``epsilon_ladder``."""
+    # compared before float(): an integer too large for a float is out of range
+    if any(abs(e) > sys.float_info.max for e in epsilon_ladder):
+        raise ValueError(f"epsilon_ladder entries must be finite, got {tuple(epsilon_ladder)}")
     ladder = tuple(float(e) for e in epsilon_ladder)
     if len(ladder) < 5:
         raise ValueError(f"epsilon_ladder needs at least 5 points, got {len(ladder)}")

@@ -303,7 +303,7 @@ def cov_tensor_components(gamma: np.ndarray, xdot: np.ndarray,
     p, q = valence
     idx = "ijklnopq"[:p + q]
     gdot = np.einsum("ijk,k->ij", gamma, xdot)  # gdot[i, m] = G^i_{mk} xdot^k
-    out = np.array(d_entries, dtype=float)
+    out = np.array(d_entries, dtype=np.result_type(d_entries, float))
     for axis, letter in enumerate(idx):
         summed = idx.replace(letter, "m")
         if axis < p:

@@ -269,6 +269,11 @@ class _Ladder:
     def metric(self, s: float) -> np.ndarray:
         return self._get(("g", s), lambda: self.sc.metric.matrix(self.x1_point(s)))
 
+    def sign(self, s: float) -> int:
+        """The causal sign of V_1 at x_1(s) (``geometry.sign_of_square``)."""
+        return self._get(("sign", s), lambda: _matrix_sign(
+            self.metric(s), self.x1_point(s), self.v1(s)))
+
     # -- along gamma_s ------------------------------------------------------
     def path(self, s: float) -> PathCurve:
         """gamma_s: one PathCurve, and so one set of its memos, per s."""
@@ -348,8 +353,7 @@ class _Ladder:
         def make():
             g1, v1 = self.metric(s), self.v1(s)
             pulled = self.carry(s, self.momenta(s))
-            return (_matrix_sign(g1, self.x1_point(s), v1)
-                    * _stacked_dot(g1, pulled, v1))[:, None]
+            return (self.sign(s) * _stacked_dot(g1, pulled, v1))[:, None]
         return self._get(("E", s), make)
 
     def dev_difference(self, s: float) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Built-in scenario families.
 
-Each family wires a chart, a connection (with analytic partials), a metric,
-a transport law, a two-parameter worldline surface with analytic first and
-second partials, a mass function, and a probe field into an immutable
-Scenario.  Custom geometry is limited to the documented parameters of the
+Each family states its geometry: a chart dimension, a connection (with
+analytic partials), a metric, a transport law and a two-parameter worldline
+surface with analytic first and second partials; ``build`` makes it an
+immutable Scenario with the mass function and probe field every family
+shares.  Custom geometry is limited to the documented parameters of the
 registered families, which keeps every analytic partial exact.
 
 A surface family states its surface once, as one ``jets(s, r, order)``
@@ -11,8 +12,8 @@ function returning the point and its first partials, and at order 2 also
 its second partials, the order-1 part computed first and alike at either
 order; ``_surface`` turns it into a WorldSurface that keeps each point's
 jets in a memo keyed by (s, r) and hands out read-only arrays.  The sphere
-and flat-quadratic surfaces also state a stacked form for the Gauss nodes
-of the Magnus pull-backs; each Gamma and each law is stated on a stack.
+and flat surfaces also state a stacked form for the Gauss nodes of the
+Magnus pull-backs; each Gamma and each law is stated on a stack.
 
 Family structure matrix (enforced by tests):
 
@@ -78,11 +79,15 @@ class _Param:
     doc: str
 
 
+# a family's (dim, conn, metric, law, surface), from its resolved parameters
+_Geometry = Tuple[int, ConnectionField, MetricField, TransportLaw, WorldSurface]
+
+
 @dataclass(frozen=True)
 class _Family:
     description: str
-    schema: Dict[str, _Param]
-    builder: Callable[[Dict[str, float], float, float], Scenario]
+    schema: Dict[str, _Param]  # the family's own keys, which _MASS_SCHEMA's follow
+    builder: Callable[[Dict[str, float]], _Geometry]
 
 
 _MASS_SCHEMA = {
@@ -141,13 +146,6 @@ def _identity_metric(dim: int, signature: Optional[np.ndarray] = None) -> Metric
     return MetricField(g_at=lambda pt: g, partials_at=lambda pt: dg)
 
 
-def _check_dim(p: Dict[str, float]) -> int:
-    dim = p["dim"]
-    if dim != int(dim):
-        raise ConfigError(f"parameter 'dim' must be an integer, got {dim}")
-    return int(dim)
-
-
 def _surface(jets: Callable[[float, float, int], Tuple[np.ndarray, ...]],
              s_domain: Tuple[float, float], r_domain: Tuple[float, float],
              along_r: Optional[Callable] = None) -> WorldSurface:
@@ -186,30 +184,15 @@ def _surface(jets: Callable[[float, float, int], Tuple[np.ndarray, ...]],
 
 # ---------------------------------------------------------------- flat charts
 
-def _flat_ruled_surface(dim: int, p: Dict[str, float]) -> WorldSurface:
-    # gamma^i = alpha_i s + beta_i r + kappa_i s r  (straight worldlines)
-    alpha = np.zeros(dim)
-    beta = np.zeros(dim)
-    kappa = np.zeros(dim)
-    alpha[0] = 1.0
-    beta[0], kappa[0] = p["shear"], p["cross_0"]
-    beta[1], kappa[1] = p["spread"], p["cross_1"]
-    for i in range(2, dim):
-        beta[i] = 0.25 + 0.1 * (i - 2)
-        kappa[i] = 0.15 - 0.05 * (i - 2)
-
-    def jets(s, r, order):
-        first = (alpha * s + beta * r + kappa * s * r, alpha + kappa * r,
-                 beta + kappa * s)
-        return first if order == 1 else first + (np.zeros(dim), kappa,
-                                                 np.zeros(dim))
-
-    return _surface(jets, s_domain=(-0.6, 0.6), r_domain=(-0.35, 0.35))
-
-
-def _flat_quadratic_surface(dim: int, p: Dict[str, float]) -> WorldSurface:
-    a, c, w1 = p["shear"], p["cross_0"], p["curve_0"]
-    b, q, k, w2 = p["spread"], p["accel"], p["accel_grad"], p["curve_1"]
+def _flat_surface(dim: int, p: Dict[str, float]) -> WorldSurface:
+    """The flat families' one surface: x^0 = s + shear r + cross_0 s r +
+    curve_0 r^2/2, x^1 = spread r + cross_1 s r + accel (1 + accel_grad r)^2
+    s^2/2 + curve_1 r^2/2, x^i = beta_i r + kappa_i s r for i >= 2, where a
+    coefficient the family does not publish is 0 (so the ruled family's
+    worldlines are straight)."""
+    a, c, w1, b, c1, q, k, w2 = (p.get(key, 0.0) for key in (
+        "shear", "cross_0", "curve_0", "spread", "cross_1", "accel", "accel_grad",
+        "curve_1"))
     beta = np.zeros(dim)
     kappa = np.zeros(dim)
     for i in range(2, dim):
@@ -219,19 +202,19 @@ def _flat_quadratic_surface(dim: int, p: Dict[str, float]) -> WorldSurface:
     def jets(s, r, order):
         x, x_s, x_r, x_ss, x_sr, x_rr = np.zeros((6, dim))
         x[0] = s + a * r + c * s * r + 0.5 * w1 * r * r
-        x[1] = b * r + 0.5 * q * (1.0 + k * r) ** 2 * s * s + 0.5 * w2 * r * r
+        x[1] = b * r + c1 * s * r + 0.5 * q * (1.0 + k * r) ** 2 * s * s + 0.5 * w2 * r * r
         x[2:] = beta[2:] * r + kappa[2:] * s * r
         x_s[0] = 1.0 + c * r
-        x_s[1] = q * (1.0 + k * r) ** 2 * s
+        x_s[1] = q * (1.0 + k * r) ** 2 * s + c1 * r
         x_s[2:] = kappa[2:] * r
         x_r[0] = a + c * s + w1 * r
-        x_r[1] = b + q * k * (1.0 + k * r) * s * s + w2 * r
+        x_r[1] = b + c1 * s + q * k * (1.0 + k * r) * s * s + w2 * r
         x_r[2:] = beta[2:] + kappa[2:] * s
         if order == 1:
             return x, x_s, x_r
         x_ss[1] = q * (1.0 + k * r) ** 2
         x_sr[0] = c
-        x_sr[1] = 2.0 * q * k * (1.0 + k * r) * s
+        x_sr[1] = 2.0 * q * k * (1.0 + k * r) * s + c1
         x_sr[2:] = kappa[2:]
         x_rr[0] = w1
         x_rr[1] = q * k * k * s * s + w2
@@ -240,10 +223,11 @@ def _flat_quadratic_surface(dim: int, p: Dict[str, float]) -> WorldSurface:
     def along_r(s, r):  # jets' (x, x_r) at each r of an array; ** as Python's pow
         x, x_r = np.zeros((2, len(r), dim))
         x[:, 0] = s + a * r + c * s * r + 0.5 * w1 * r * r
-        x[:, 1] = b * r + 0.5 * q * np.float_power(1.0 + k * r, 2) * s * s + 0.5 * w2 * r * r
+        x[:, 1] = (b * r + c1 * s * r + 0.5 * q * np.float_power(1.0 + k * r, 2) * s * s
+                   + 0.5 * w2 * r * r)
         x[:, 2:] = np.outer(r, beta[2:]) + np.outer(r, kappa[2:] * s)
         x_r[:, 0] = a + c * s + w1 * r
-        x_r[:, 1] = b + q * k * (1.0 + k * r) * s * s + w2 * r
+        x_r[:, 1] = b + c1 * s + q * k * (1.0 + k * r) * s * s + w2 * r
         x_r[:, 2:] = beta[2:] + kappa[2:] * s
         return x, x_r
 
@@ -270,29 +254,11 @@ _FLAT_QUAD_SCHEMA = {
 }
 
 
-def _assemble(label: str, dim: int, conn: ConnectionField, metric: MetricField,
-              law: TransportLaw, surf: WorldSurface, p: Dict[str, float],
-              r_base: float, s_eval: float) -> Scenario:
-    """Scenario on the family's surface rebased to ``r_base``, with the
-    mass function and probe field every family shares; ``r_base`` and
-    ``s_eval`` outside the surface's domains raise ConfigError."""
-    for key, value, (lo, hi) in (("r_base", r_base, surf.r_domain),
-                                 ("s_eval", s_eval, surf.s_domain)):
-        if not (lo <= value <= hi):
-            raise ConfigError(f"{key} {value} outside {key[0]}-domain "
-                              f"[{lo}, {hi}]")
-    return Scenario(dimension=dim, conn=conn, metric=metric, law=law,
-                    surface=replace(surf, r_base=r_base), mass=_mass_surface(p),
-                    label=label, probe_field=_probe_field(dim), s_eval=s_eval)
-
-
-def _build_flat(surface_kind: str, p: Dict[str, float], r_base: float,
-                s_eval: float, label: str) -> Scenario:
-    dim = _check_dim(p)
-    make = _flat_ruled_surface if surface_kind == "ruled" else _flat_quadratic_surface
+def _build_flat(p: Dict[str, float]) -> _Geometry:
+    if p["dim"] != (dim := int(p["dim"])):
+        raise ConfigError(f"parameter 'dim' must be an integer, got {p['dim']}")
     conn = _zero_connection(dim)
-    return _assemble(label, dim, conn, _identity_metric(dim),
-                     law_from_connection(conn), make(dim, p), p, r_base, s_eval)
+    return dim, conn, _identity_metric(dim), law_from_connection(conn), _flat_surface(dim, p)
 
 
 # --------------------------------------------------------------- flat torsion
@@ -309,12 +275,9 @@ def _torsion_connection(c: float) -> ConnectionField:
     return _constant_connection(gamma)
 
 
-def _build_flat_torsion(p: Dict[str, float], r_base: float,
-                        s_eval: float) -> Scenario:
+def _build_flat_torsion(p: Dict[str, float]) -> _Geometry:
     conn = _torsion_connection(p["torsion_c"])
-    return _assemble("flat-torsion", 2, conn, _identity_metric(2),
-                     law_from_connection(conn), _flat_quadratic_surface(2, p),
-                     p, r_base, s_eval)
+    return 2, conn, _identity_metric(2), law_from_connection(conn), _flat_surface(2, p)
 
 
 # --------------------------------------------------------------------- sphere
@@ -436,10 +399,10 @@ _SPHERE_SCHEMA = {
 }
 
 
-def _build_sphere(p: Dict[str, float], r_base: float, s_eval: float) -> Scenario:
+def _build_sphere(p: Dict[str, float]) -> _Geometry:
     conn = _sphere_connection()
-    return _assemble("sphere", 2, conn, _sphere_metric(), law_from_connection(conn),
-                     _sphere_surface(p["tilt"], p["accel"]), p, r_base, s_eval)
+    return (2, conn, _sphere_metric(), law_from_connection(conn),
+            _sphere_surface(p["tilt"], p["accel"]))
 
 
 # ------------------------------------------------------------------ minkowski
@@ -481,11 +444,10 @@ def _minkowski_surface(p: Dict[str, float]) -> WorldSurface:
     return _surface(jets, s_domain=(-0.5, 0.5), r_domain=(-0.25, 0.25))
 
 
-def _build_minkowski(p: Dict[str, float], r_base: float, s_eval: float) -> Scenario:
+def _build_minkowski(p: Dict[str, float]) -> _Geometry:
     conn = _zero_connection(4)
     metric = _identity_metric(4, np.array([1.0, -1.0, -1.0, -1.0]))
-    return _assemble("minkowski", 4, conn, metric, law_from_connection(conn),
-                     _minkowski_surface(p), p, r_base, s_eval)
+    return 4, conn, metric, law_from_connection(conn), _minkowski_surface(p)
 
 
 # ----------------------------------------------------------- offset transport
@@ -497,13 +459,12 @@ _OFFSET_SCHEMA = {
 }
 
 
-def _build_offset(p: Dict[str, float], r_base: float, s_eval: float) -> Scenario:
+def _build_offset(p: Dict[str, float]) -> _Geometry:
     conn = _sphere_connection()
     sigma = np.zeros((2, 2, 2))
     sigma[0, 1, 1] = p["sigma"]
-    return _assemble("offset-transport", 2, conn, _sphere_metric(),
-                     law_with_offset(conn, sigma),
-                     _sphere_surface(p["tilt"], p["accel"]), p, r_base, s_eval)
+    return (2, conn, _sphere_metric(), law_with_offset(conn, sigma),
+            _sphere_surface(p["tilt"], p["accel"]))
 
 
 # -------------------------------------------------------------- exp transport
@@ -522,51 +483,43 @@ def exp_law_generator(p: Mapping[str, float]) -> np.ndarray:
     return np.array([[p["a00"], p["a01"]], [p["a10"], p["a11"]]])
 
 
-def _build_exp(p: Dict[str, float], r_base: float, s_eval: float) -> Scenario:
+def _build_exp(p: Dict[str, float]) -> _Geometry:
     coeff = np.zeros((2, 2, 2))
     # M(u) = A * xdot^0, so H(t,s) = expm(A (x^0(t)-x^0(s)))
     coeff[:, :, 0] = exp_law_generator(p)
     law = TransportLaw(lambda us, path, coords: np.repeat(coeff[None], len(us), axis=0))
-    return _assemble("exp-transport", 2, _zero_connection(2), _identity_metric(2),
-                     law, _flat_quadratic_surface(2, p), p, r_base, s_eval)
+    return 2, _zero_connection(2), _identity_metric(2), law, _flat_surface(2, p)
 
 
 # ------------------------------------------------------------------- registry
 
-def _with_masses(schema: Dict[str, _Param]) -> Dict[str, _Param]:
-    return {**schema, **_MASS_SCHEMA}
-
-
 _FAMILIES: Dict[str, _Family] = {
     "flat-euclidean/ruled": _Family(
         "flat chart, zero connection, straight worldlines (bilinear surface)",
-        _with_masses(_FLAT_RULED_SCHEMA),
-        lambda p, rb, se: _build_flat("ruled", p, rb, se, "flat-euclidean/ruled")),
+        _FLAT_RULED_SCHEMA, _build_flat),
     "flat-euclidean/quadratic": _Family(
         "flat chart, zero connection, accelerating worldlines",
-        _with_masses(_FLAT_QUAD_SCHEMA),
-        lambda p, rb, se: _build_flat("quadratic", p, rb, se,
-                                      "flat-euclidean/quadratic")),
+        _FLAT_QUAD_SCHEMA, _build_flat),
     "flat-torsion": _Family(
         "flat chart, constant non-symmetric connection: torsion without "
         "curvature (and nonmetricity against the identity metric)",
-        _with_masses(_FLAT_TORSION_SCHEMA), _build_flat_torsion),
+        _FLAT_TORSION_SCHEMA, _build_flat_torsion),
     "sphere": _Family(
         "unit 2-sphere chart with the round metric and its parallel "
         "transport; surfaces are families of great circles",
-        _with_masses(_SPHERE_SCHEMA), _build_sphere),
+        _SPHERE_SCHEMA, _build_sphere),
     "minkowski": _Family(
         "flat 4-dimensional chart with Lorentz metric and timelike "
         "accelerating worldlines",
-        _with_masses(_MINKOWSKI_SCHEMA), _build_minkowski),
+        _MINKOWSKI_SCHEMA, _build_minkowski),
     "offset-transport": _Family(
         "sphere geometry with a transport offset from parallel by a "
         "constant sigma: nonzero S-tensor, DS/ds, curvature and force",
-        _with_masses(_OFFSET_SCHEMA), _build_offset),
+        _OFFSET_SCHEMA, _build_offset),
     "exp-transport": _Family(
         "flat chart with the closed-form transport expm(A dx^0): analytic "
         "coefficient and approximant oracle",
-        _with_masses(_EXP_SCHEMA), _build_exp),
+        _EXP_SCHEMA, _build_exp),
 }
 
 
@@ -576,32 +529,42 @@ def family_names() -> Tuple[str, ...]:
 
 def _resolve_parameters(family: _Family, supplied: Mapping[str, float],
                         name: str) -> Dict[str, float]:
-    params = {key: spec.default for key, spec in family.schema.items()}
+    schema = {**family.schema, **_MASS_SCHEMA}
+    params = {key: spec.default for key, spec in schema.items()}
     for key, value in supplied.items():
-        if key not in family.schema:
+        if key not in schema:
             raise ConfigError(f"unknown parameter '{key}' for scenario '{name}'")
-        value = float(value)
-        spec = family.schema[key]
+        spec = schema[key]
+        # compared before float(): an integer too large for a float is out of range
         if not (spec.lo <= value <= spec.hi):
             raise ConfigError(
                 f"parameter '{key}' = {value} outside [{spec.lo}, {spec.hi}] "
                 f"for scenario '{name}'")
-        params[key] = value
+        params[key] = float(value)
     return params
 
 
 def build(spec: ScenarioSpec) -> Scenario:
     """Build a fully wired Scenario from a spec; deterministic for a given
-    spec.  Unknown names, unknown parameter keys, and out-of-range values
-    raise ConfigError naming the offender."""
+    spec, its surface rebased to ``r_base``.  Unknown names, unknown
+    parameter keys, out-of-range values, and ``r_base``/``s_eval`` outside
+    the surface's domains raise ConfigError naming the offender."""
     if spec.name not in _FAMILIES:
         known = ", ".join(_FAMILIES)
         raise ConfigError(f"unknown scenario '{spec.name}' (known: {known})")
     family = _FAMILIES[spec.name]
     params = _resolve_parameters(family, spec.parameters, spec.name)
-    r_base = 0.0 if spec.r_base is None else float(spec.r_base)
-    s_eval = DEFAULT_S_EVAL if spec.s_eval is None else float(spec.s_eval)
-    return family.builder(params, r_base, s_eval)
+    dim, conn, metric, law, surf = family.builder(params)
+    r_base = 0.0 if spec.r_base is None else spec.r_base
+    s_eval = DEFAULT_S_EVAL if spec.s_eval is None else spec.s_eval
+    for key, value, (lo, hi) in (("r_base", r_base, surf.r_domain),
+                                 ("s_eval", s_eval, surf.s_domain)):
+        if not (lo <= value <= hi):  # before float(), as in _resolve_parameters
+            raise ConfigError(f"{key} {value} outside {key[0]}-domain "
+                              f"[{lo}, {hi}]")
+    return Scenario(dimension=dim, conn=conn, metric=metric, law=law,
+                    surface=replace(surf, r_base=float(r_base)), mass=_mass_surface(params),
+                    label=spec.name, probe_field=_probe_field(dim), s_eval=float(s_eval))
 
 
 def list_scenarios() -> list:
@@ -614,7 +577,7 @@ def list_scenarios() -> list:
             "parameters": {
                 key: {"default": spec.default, "min": spec.lo, "max": spec.hi,
                       "doc": spec.doc}
-                for key, spec in family.schema.items()
+                for key, spec in {**family.schema, **_MASS_SCHEMA}.items()
             },
         })
     return out

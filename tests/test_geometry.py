@@ -1,5 +1,6 @@
 import copy
 import math
+from fractions import Fraction
 import pickle
 import sys
 import threading
@@ -401,6 +402,27 @@ def test_cov_tensor_components_match_tensordot_reference(rng):
             w, dw = rng.normal(size=shape), rng.normal(size=shape)
             got = cov_tensor_components(gamma, xdot, w, dw, valence)
             assert np.abs(got - reference(gamma, xdot, w, dw, valence)).max() < 1e-12
+
+
+def test_cov_tensor_components_keeps_an_object_dtype_exact():
+    # built in the entries' result type with float: a float stays float64,
+    # and exact entries (an object array, as a symbolic oracle passes) stay
+    # exact, with the value the float computation rounds
+    gamma = np.array([[[Fraction(1, 3), 0], [Fraction(-2, 7), 1]],
+                      [[0, Fraction(5, 11)], [2, Fraction(1, 2)]]], dtype=object)
+    xdot = np.array([Fraction(3, 2), Fraction(-1, 5)], dtype=object)
+    w = np.array([Fraction(2, 9), Fraction(4, 3)], dtype=object)
+    dw = np.array([Fraction(1, 8), Fraction(-3, 4)], dtype=object)
+    got = cov_tensor_components(gamma, xdot, w, dw, (1, 0))
+    assert got.dtype == object and all(type(v) is Fraction for v in got)
+    gdot = [[sum(gamma[i, m, k] * xdot[k] for k in range(2)) for m in range(2)]
+            for i in range(2)]
+    assert list(got) == [dw[i] + sum(gdot[i][m] * w[m] for m in range(2))
+                         for i in range(2)]
+    as_float = cov_tensor_components(*(a.astype(float) for a in (gamma, xdot, w, dw)),
+                                     (1, 0))
+    assert as_float.dtype == np.float64
+    assert np.allclose(as_float, got.astype(float), rtol=1e-15, atol=0.0)
 
 
 # ---------------------------------------------------------- metric products

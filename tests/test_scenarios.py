@@ -48,6 +48,18 @@ def test_out_of_range_parameter_named_in_error():
         build(ScenarioSpec("sphere", {"tilt": 9.0}))
 
 
+@pytest.mark.parametrize("spec, named", [
+    (ScenarioSpec("sphere", {"tilt": 10**400}), "parameter 'tilt'"),
+    (ScenarioSpec("flat-euclidean/ruled", {"dim": -10**400}), "parameter 'dim'"),
+    (ScenarioSpec("sphere", r_base=-10**400), "r_base"),
+    (ScenarioSpec("sphere", s_eval=10**400), "s_eval"),
+], ids=["tilt", "dim", "r_base", "s_eval"])
+def test_an_integer_too_large_for_a_float_is_out_of_range(spec, named):
+    # the range is compared before float(), which would raise OverflowError
+    with pytest.raises(ConfigError, match=named):
+        build(spec)
+
+
 def test_non_integer_dimension_rejected():
     with pytest.raises(ConfigError, match="dim"):
         build(ScenarioSpec("flat-euclidean/ruled", {"dim": 2.5}))
@@ -171,6 +183,46 @@ def test_sphere_jets_match_the_numpy_reference():
         got = got[1:] + got[:1]
         for value, expected in zip(got, _numpy_sphere_jets(tilt, accel, s, r)):
             assert value.tobytes() == expected.tobytes()
+
+
+def _bilinear_jets(p, dim, s, r):
+    # reference: the ruled family's own closed form before the flat families
+    # shared one surface, gamma^i = alpha_i s + beta_i r + kappa_i s r, with
+    # its partials (x, x_s, x_r, x_ss, x_sr, x_rr); r may be an array
+    alpha, beta, kappa = np.zeros((3, dim))
+    alpha[0] = 1.0
+    beta[0], kappa[0] = p["shear"], p["cross_0"]
+    beta[1], kappa[1] = p["spread"], p["cross_1"]
+    for i in range(2, dim):
+        beta[i] = 0.25 + 0.1 * (i - 2)
+        kappa[i] = 0.15 - 0.05 * (i - 2)
+    r = np.asarray(r)[..., None]
+    return (alpha * s + beta * r + kappa * s * r, alpha + kappa * r, beta + kappa * s,
+            np.zeros(dim), kappa, np.zeros(dim))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_ruled_surface_is_the_bilinear_closed_form(dim):
+    # the ruled family reads the flat families' one surface with the
+    # coefficients it does not publish at 0; its jets at either order and
+    # its stacked connecting paths must be its own bilinear form, bit for bit
+    rng = np.random.default_rng(29 + dim)
+    schema = {e["name"]: e["parameters"] for e in list_scenarios()}["flat-euclidean/ruled"]
+    for _ in range(50):
+        p = {key: rng.uniform(spec["min"], spec["max"]) for key, spec in schema.items()}
+        p["dim"] = float(dim)
+        surf = build(ScenarioSpec("flat-euclidean/ruled", p)).surface
+        s, r = rng.uniform(*surf.s_domain), rng.uniform(*surf.r_domain)
+        expected = _bilinear_jets(p, dim, s, r)
+        order_1 = [f(s, r) for f in (surf.map, surf.d_s, surf.d_r)]
+        order_2 = [f(s, r) for f in (surf.d_ss, surf.d_sr, surf.d_rr)]
+        for value, want in zip(order_1 + order_2, expected):
+            assert np.array_equal(value, want)
+        rs = rng.uniform(*surf.r_domain, 9)
+        x, x_r = surf.along_r(s, rs)
+        stacked = _bilinear_jets(p, dim, s, rs)
+        assert np.array_equal(x, stacked[0])
+        assert np.array_equal(x_r, np.broadcast_to(stacked[2], x_r.shape))
 
 
 def test_surface_memo_is_safe_across_threads(monkeypatch):

@@ -1,7 +1,7 @@
 """Stacked evaluation of the transport nodes against the point reads.
 
 A Magnus attempt reads all its Gauss nodes in one ``PathCurve.points`` and
-one ``TransportLaw.coefficients`` call; where a path states a stacked form (the sphere and flat-quadratic
+one ``TransportLaw.coefficients`` call; where a path states a stacked form (the sphere and flat
 surfaces' connecting paths, the latitude circles), it must give ``map`` and
 ``tangent`` bit for bit; a law's stack must equal its stacks of one, the
 sphere's Gamma its closed form at each point, and the errors of a bad node
@@ -28,8 +28,8 @@ from conftest import one_pullback, point_law
 from oracles import coordinate_probes
 from test_transport import point_coefficients, record_rhs_calls
 
-STACKED_SURFACES = {"flat-euclidean/quadratic", "flat-torsion", "sphere",
-                    "offset-transport", "exp-transport"}
+STACKED_SURFACES = {"flat-euclidean/ruled", "flat-euclidean/quadratic", "flat-torsion",
+                    "sphere", "offset-transport", "exp-transport"}
 
 
 def random_scenarios(name, rng, count=4):
