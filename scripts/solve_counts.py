@@ -26,19 +26,22 @@ attempt's read in one stacked call: 3 per lane of an attempt) and
 ``continued_lanes`` (lanes that their first attempt did not
 finish and that go on stepping).  The same counters give the surface work:
 ``jets_calls``, the calls of the surface family's point ``jets`` by the
-order they ask for, and ``surface_stacks`` and ``surface_stack_points``, its
-stacked calls (one per connecting path of a Magnus attempt) and the points
-they evaluate.  They also give the residual work: ``residual_evals``, the
-calls of the residual formulas (one per equation and study: each formula
-evaluates the whole ladder as one stack), and ``residual_lanes``, the
-separations those calls cover.
+order they ask for, and ``surface_stacks`` and ``surface_stack_points``,
+its stacked calls (one per Magnus attempt, which reads the nodes of all its
+connecting paths at once) and the points they evaluate.  They also give
+the residual work: ``residual_evals``, the calls of the residual formulas
+(one per equation and study: each formula evaluates the whole ladder as one
+stack), and ``residual_lanes``, the separations those calls cover.
 
 Four more work counts, which trace a cheaper RHS to less work and not to
 fewer checks, are counted by wrapping the calls here: ``path_reads``
 (calls of ``PathCurve.map`` and ``PathCurve.tangent``), ``path_stacks``
-(calls of ``PathCurve.points``), ``points_built`` (``ChartPoint``
-constructions) and ``checks`` (calls of ``geometry.checked_array`` and of
-its stacked form ``_checked_stack``, wherever a module has bound them).  The counts do not depend on the machine.
+(calls of ``PathCurve.points``; a study reads its connecting paths through
+their surface in ``geometry.read_points``, and so makes none),
+``points_built`` (``ChartPoint`` constructions) and ``checks`` (calls of
+``geometry.checked_array`` and of its stacked form ``_checked_stack``,
+wherever a module has bound them).  The counts do not depend on the
+machine.
 
 ``tests/work_counts.json`` is this output, and a tier-1 test recomputes it
 through ``work()`` and compares exactly: a change that changes the work

@@ -23,6 +23,7 @@ deviation-equation set before this module was written):
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import FrozenInstanceError, dataclass
@@ -37,6 +38,7 @@ __all__ = [
     "ConnectionField",
     "MetricField",
     "PathCurve",
+    "read_points",
     "checked_array",
     "memo_put",
     "torsion_at",
@@ -200,12 +202,17 @@ class PathCurve:
     """A C^1 path in the chart over ``domain``, stated once as ``jets(u) ->
     (coords, velocity)``, read at one u, point and velocity checked, by ``map``
     and ``tangent``; ``points``, which the transport solves read, takes a stack
-    of u by ``points_at(us)`` (bit for bit as ``jets``) where the path states
-    one, else by ``jets``."""
+    of u (bit for bit as ``jets``) by ``points_at(us)`` where the path states
+    one, or by ``along = (read, key)`` where the path is the line ``key`` of a
+    family whose ``read(keys, us)`` takes one key per row, else by ``jets``.
+    ``read_points`` reads the stacks of several paths, those of one family
+    in one ``read`` call."""
 
     jets: Callable[[float], Tuple[np.ndarray, np.ndarray]]
     domain: Tuple[float, float]
     points_at: Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
+    along: Optional[Tuple[Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]],
+                          float]] = None
 
     def _jet(self, u: float) -> Tuple[ChartPoint, np.ndarray]:
         coords, velocity = self.jets(u)
@@ -221,19 +228,50 @@ class PathCurve:
     def points(self, us) -> Tuple[np.ndarray, np.ndarray]:
         """(coords, velocity), ``(len(us), d)`` each, checked once: a bad
         entry raises the error of ``map`` or ``tangent`` at its parameter."""
-        stack = (zip(*map(self.jets, us)) if self.points_at is None
-                 else self.points_at(np.array(us, dtype=float)))
-        coords, velocity = (np.asarray(a, dtype=float) for a in stack)
-        if coords.ndim != 2 or not _all_finite(coords):
-            list(map(ChartPoint, coords))  # raises at the first bad row
-        coords.setflags(write=False)  # rows become the laws' ChartPoints
-        return coords, _checked_stack(velocity, coords.shape[1:],
-                                      "tangent components", coords)
+        if self.along is not None:
+            read, key = self.along
+            stack = read(key, np.array(us, dtype=float))
+        else:
+            stack = (zip(*map(self.jets, us)) if self.points_at is None
+                     else self.points_at(np.array(us, dtype=float)))
+        return _checked_points(*stack)
 
     def require(self, s: float) -> None:
         lo, hi = self.domain
         if not (lo - 1e-12 <= s <= hi + 1e-12):
             raise DomainError(f"parameter {s} outside path domain [{lo}, {hi}]")
+
+
+def _checked_points(coords, velocity) -> Tuple[np.ndarray, np.ndarray]:
+    """``PathCurve.points``' check of a stack: the coordinates flat and
+    finite, made read-only (rows become the laws' ChartPoints), and the
+    velocities finite, the first bad row raising at its point."""
+    coords, velocity = np.asarray(coords, dtype=float), np.asarray(velocity, dtype=float)
+    if coords.ndim != 2 or not _all_finite(coords):
+        list(map(ChartPoint, coords))  # raises at the first bad row
+    coords.setflags(write=False)
+    return coords, _checked_stack(velocity, coords.shape[1:], "tangent components", coords)
+
+
+def read_points(reads) -> Tuple[np.ndarray, np.ndarray]:
+    """(coords, velocity) at the nodes ``us`` of each ``(path, us)`` of
+    ``reads``, stacked in order and checked as ``PathCurve.points`` checks:
+    each run of two or more paths of one family (``PathCurve.along``) in one
+    ``read`` call, with one key per row, and every other path by its
+    ``points``."""
+    parts = []
+    for read, run in itertools.groupby(reads, lambda pair: pair[0].along and pair[0].along[0]):
+        run = list(run)
+        if read is None or len(run) == 1:
+            parts += [path.points(us) for path, us in run]
+        else:
+            keys = np.repeat([path.along[1] for path, _ in run], [len(us) for _, us in run])
+            parts.append(_checked_points(*read(keys, np.concatenate([us for _, us in run]))))
+    if len(parts) == 1:
+        return parts[0]
+    coords, velocity = (np.concatenate(stack) for stack in zip(*parts))
+    coords.setflags(write=False)
+    return coords, velocity
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ fixed and ``eps`` shrinks along a ladder, which is what turns the
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -60,7 +59,9 @@ class WorldSurface:
     six partials at one point cost at most one order-1 and one order-2
     evaluation (``scenarios._surface``).  ``r_base`` is the r-parameter of
     the first worldline.  ``along_r(s, rs)``, when given, is ``(map, d_r)``
-    at each r of an array, bit for bit: ``connecting_path``'s ``points_at``.
+    at each (s, r) row of the arrays ``s`` and ``rs``, or at each r of ``rs``
+    for one s, bit for bit: the family read (``PathCurve.along``) of the
+    connecting paths, so that one call reads the nodes of many of them.
     """
 
     map: Callable[[float, float], np.ndarray]
@@ -141,9 +142,8 @@ def connecting_path(scenario: Scenario, s: float) -> PathCurve:
     """The path ``gamma_s: r -> gamma(s, r)`` joining the two particles."""
     surf = scenario.surface
     surf.require_s(s)
-    stacked = None if surf.along_r is None else functools.partial(surf.along_r, s)
     return PathCurve(lambda r: (surf.map(s, r), surf.d_r(s, r)), surf.r_domain,
-                     stacked)
+                     along=None if surf.along_r is None else (surf.along_r, s))
 
 
 def worldline(scenario: Scenario, which: int, eps: float = 0.0) -> PathCurve:

@@ -11,9 +11,10 @@ A surface family states its surface once, as one ``jets(s, r, order)``
 function returning the point and its first partials, and at order 2 also
 its second partials, the order-1 part computed first and alike at either
 order; ``_surface`` turns it into a WorldSurface that keeps each point's
-jets in a memo keyed by (s, r) and hands out read-only arrays.  The sphere
-and flat surfaces also state a stacked form for the Gauss nodes of the
-Magnus pull-backs; each Gamma and each law is stated on a stack.
+jets in a memo keyed by (s, r) and hands out read-only arrays.  Every
+surface also states a stacked form, ``along_r(s, r)`` at each (s, r) row,
+which reads the Gauss nodes of all the connecting paths of a Magnus attempt
+in one call; each Gamma and each law is stated on a stack.
 
 Family structure matrix (enforced by tests):
 
@@ -154,7 +155,8 @@ def _surface(jets: Callable[[float, float, int], Tuple[np.ndarray, ...]],
     read-only in a memo keyed by (s, r) (``geometry.memo_put``); ``map``,
     ``d_s``, ``d_r`` read order 1, which an order-2 entry also serves, and the
     second partials read order 2, which replaces an order-1 entry; its
-    ``along_r`` is ``along_r(s, rs) -> (x, x_r)``, unmemoized.  ``jets`` and
+    ``along_r`` is ``along_r(s, rs) -> (x, x_r)`` at each r of ``rs`` and one
+    s, or at each (s, r) row of two arrays, unmemoized.  ``jets`` and
     ``along_r`` calls and points count in ``transport.work_counts``."""
     memo: dict = {}
 
@@ -173,7 +175,7 @@ def _surface(jets: Callable[[float, float, int], Tuple[np.ndarray, ...]],
         order = 1 + i // 3
         return lambda s, r: at(s, r, order)[i]
 
-    def stacked(s: float, rs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def stacked(s, rs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         if (counts := _COUNTS.get()) is not None:
             counts.update(surface_stacks=1, surface_stack_points=len(rs))
         return along_r(s, rs)
@@ -220,15 +222,16 @@ def _flat_surface(dim: int, p: Dict[str, float]) -> WorldSurface:
         x_rr[1] = q * k * k * s * s + w2
         return x, x_s, x_r, x_ss, x_sr, x_rr
 
-    def along_r(s, r):  # jets' (x, x_r) at each r of an array; ** as Python's pow
+    def along_r(s, r):  # jets' (x, x_r) at each (s, r) row; ** as Python's pow
         x, x_r = np.zeros((2, len(r), dim))
         x[:, 0] = s + a * r + c * s * r + 0.5 * w1 * r * r
         x[:, 1] = (b * r + c1 * s * r + 0.5 * q * np.float_power(1.0 + k * r, 2) * s * s
                    + 0.5 * w2 * r * r)
-        x[:, 2:] = np.outer(r, beta[2:]) + np.outer(r, kappa[2:] * s)
+        kappa_s = kappa[2:] * np.reshape(s, (-1, 1))  # one row, or one per r
+        x[:, 2:] = np.outer(r, beta[2:]) + r[:, None] * kappa_s
         x_r[:, 0] = a + c * s + w1 * r
         x_r[:, 1] = b + c1 * s + q * k * (1.0 + k * r) * s * s + w2 * r
-        x_r[:, 2:] = beta[2:] + kappa[2:] * s
+        x_r[:, 2:] = beta[2:] + kappa_s
         return x, x_r
 
     return _surface(jets, (-0.6, 0.6), (-0.35, 0.35), along_r)
@@ -379,14 +382,20 @@ def _sphere_surface(tilt: float, accel: float) -> WorldSurface:
                          phi_second(e_r, e_r, e_rr)])
         return point, j_s, j_r, j_ss, j_sr, j_rr
 
-    def along_r(s, r):  # jets' (x, x_r) at each r of an array; acos, atan2 with math
+    def along_r(s, r):  # jets' (x, x_r) at each (s, r) row; acos, atan2 with math
         cr, sr = np.cos(r), np.sin(r)
-        f = s + 0.5 * accel * s * s
-        cf, sf = math.cos(f), math.sin(f)
+        f = s + 0.5 * accel * s * s  # cos f and sin f with math once per distinct f
+        if np.ndim(f) == 0:
+            cf, sf = (np.full(len(r), trig(f)) for trig in (math.cos, math.sin))
+        else:  # distinct by bits: -0.0 apart from 0.0
+            bits, rows = np.unique(f.view(np.uint64), return_inverse=True)
+            f = bits.view(np.float64).tolist()
+            cf, sf = (np.array([trig(v) for v in f])[rows] for trig in (math.cos, math.sin))
         x, y, z = _comb(cf, (cr, sr, 0.0), sf, (-sr * cb, cr * cb, sb))
         e_r = _comb(cf, (-sr, cr, 0.0), sf, (-cr * cb, -sr * cb, 0.0))
         rho2 = x * x + y * y
-        point = [(math.acos(z), math.atan2(b, a)) for a, b in zip(x.tolist(), y.tolist())]
+        point = [(math.acos(c), math.atan2(b, a))
+                 for a, b, c in zip(x.tolist(), y.tolist(), z.tolist())]
         return np.array(point), np.stack([-e_r[2] / np.sqrt(rho2),
                                           (x * e_r[1] - y * e_r[0]) / rho2], axis=1)
 
@@ -441,7 +450,18 @@ def _minkowski_surface(p: Dict[str, float]) -> WorldSurface:
         x_rr = np.array([0.0, q * k * k * s * s, w, 0.0])
         return x, x_s, x_r, x_ss, x_sr, x_rr
 
-    return _surface(jets, s_domain=(-0.5, 0.5), r_domain=(-0.25, 0.25))
+    def along_r(s, r):  # jets' (x, x_r) at each (s, r) row; ** as Python's pow
+        x, x_r = np.zeros((2, len(r), 4))
+        x[:, 0] = s
+        x[:, 1] = v * s + 0.5 * q * np.float_power(1.0 + k * r, 2) * s * s + a1 * r
+        x[:, 2] = r + 0.5 * w * r * r + c2 * s * r
+        x[:, 3] = a3 * r + c3 * s * r
+        x_r[:, 1] = q * k * (1.0 + k * r) * s * s + a1
+        x_r[:, 2] = 1.0 + w * r + c2 * s
+        x_r[:, 3] = a3 + c3 * s
+        return x, x_r
+
+    return _surface(jets, (-0.5, 0.5), (-0.25, 0.25), along_r)
 
 
 def _build_minkowski(p: Dict[str, float]) -> _Geometry:

@@ -11,9 +11,10 @@ Magnus 6(4) pair, exact for a constant generator, for the long solves of
 ``transport_components`` (a sphere latitude holonomy) and for the short
 pull-backs alike.  A pull-back's lanes, the 7 ladder ends along each
 connecting path of a study, take their first step, mostly their only one,
-as one stack.  Each attempt reads the generator at its Gauss nodes along one
-path in one stacked path and one stacked law call; ``work_counts`` counts
-the work.
+as one stack.  Each attempt reads the path points at all its Gauss nodes,
+along all its paths, in one stacked call (``geometry.read_points``), the law
+once per path on that path's rows, and assembles the generator of the whole
+stack at once; ``work_counts`` counts the work.
 
 Parallel transport of an affine connection is the special case
 ``H^i_{jk} = -Gamma^i_{jk}``; the S-tensor ``S = -H - Gamma`` measures the
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import functools
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -34,7 +35,8 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from .errors import TransportError
-from .geometry import ConnectionField, PathCurve, checked_array, _checked_stack
+from .geometry import (ConnectionField, PathCurve, _checked_stack, checked_array,
+                       read_points)
 
 __all__ = [
     "OdeConfig",
@@ -92,8 +94,12 @@ class TransportLaw:
                               "transport coefficients", coords)
 
 
-def _rms(x: np.ndarray) -> float:  # as np.linalg.norm(x) / sqrt(x.size)
-    return math.sqrt(np.dot(x, x)) / x.size ** 0.5
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    """Sum of squares of the entries of each matrix of a stack, bit for bit
+    ``np.vdot`` of it with itself: one stacked matmul of the flattened rows,
+    each a 1 x n by n x 1 product."""
+    x = x.reshape(len(x), 1, -1)
+    return (x @ x.swapaxes(1, 2)).ravel()
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -101,8 +107,8 @@ def _expm(a: np.ndarray) -> np.ndarray:
     approximant of a / 2^s, Frobenius norm at most theta_6 = 0.54, squared s
     times (Higham, SIAM J. Matrix Anal. 26, 2005), with each matrix's own s."""
     shape, a = a.shape, a.reshape(-1, *a.shape[-2:])
-    norms = [math.sqrt(np.vdot(x, x)) for x in a]
-    s = np.array([math.ceil(math.log2(n / 0.54)) if n > 0.54 else 0 for n in norms])
+    norms = np.sqrt(_squared_norms(a))
+    s = np.array([math.ceil(math.log2(n / 0.54)) if n > 0.54 else 0 for n in norms.tolist()])
     a, eye = a / (2.0 ** s)[:, None, None], np.eye(shape[-1])
     a2 = a @ a
     a4 = a2 @ a2
@@ -110,7 +116,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
     even = eye + 5 / 44 * a2 + a4 / 792 + (a2 @ a4) / 665280
     e = np.linalg.solve(even - odd, even + odd)
     for i in range(s.max()):  # as matrix_power(e, 2^s): s squarings
-        e[s > i] = e[s > i] @ e[s > i]
+        e = np.where((s > i)[:, None, None], e @ e, e)
     return e.reshape(shape)
 
 
@@ -119,42 +125,49 @@ class _Magnus:
     2000) on stacks of lanes (u, h, y); the first step is the whole interval,
     one stack for all lanes of all paths.  Omega4 shares Omega6's Gauss rule
     for int A, so the error (Omega6 - Omega4) Y adds the rule's error h b6 /
-    2800 of ``A = sum_k b_k ((u - mid) / h)^k``, b6 = b2 (b2 / b1)^4 (``decay``); a
-    path's ``generator(us)`` is A at the 3 K nodes of its K lanes."""
+    2800 of ``A = sum_k b_k ((u - mid) / h)^k``, b6 = b2 (b2 / b1)^4 (``decay``).
+    ``matrices([(path, us)])`` is A at the 3 K nodes ``us`` of each path's K
+    lanes, stacked path by path: one read per attempt, its lanes' norms,
+    errors and squarings then taken as stack operations."""
 
     c, order = (0.5 - 15 ** 0.5 / 10, 0.5, 0.5 + 15 ** 0.5 / 10), 4
 
     @classmethod
-    def start(cls, generators, u: float, ends, y: np.ndarray, cfg: OdeConfig):
-        def stacked(attempts):  # [(generator, u, [h], y)] -> [(y_new, error)] per h
+    def start(cls, matrices, paths, u: float, ends, y: np.ndarray, cfg: OdeConfig):
+        def stacked(attempts):  # [(path, u, [h], y)], one count of h -> [(y_new, error)]
             if (counts := _COUNTS.get()) is not None:
                 counts["stacked_attempts"] += 1
-            gs = [read([u + c * h for c in cls.c for h in hs]) for read, u, hs, _ in attempts]
-            g = np.concatenate([x.reshape(3, -1, *x.shape[1:]) for x in gs], axis=1)
+            g = matrices([(path, [u + c * h for c in cls.c for h in hs])
+                          for path, u, hs, _ in attempts])
+            g = g.reshape(len(attempts), 3, -1, *g.shape[1:]).swapaxes(0, 1)
+            g = g.reshape(3, -1, *g.shape[3:])  # node, lane, row, column
             hs = np.array([h for _, _, hs, _ in attempts for h in hs])[:, None, None]
             a1, a2, a3 = g * hs
             x1, x2, x3 = a2, 15 ** 0.5 / 3 * (a3 - a1), 10 / 3 * (a3 - 2 * a2 + a1)
             c1 = x1 @ x2 - x2 @ x1
             c2 = 2 * x3 + c1
             p, q = c1 - 20 * x1 - x3, x2 - (x1 @ c2 - c2 @ x1) / 60
-            norms = zip(map(np.vdot, x2, x2), map(np.vdot, x3, x3))  # squared, per lane
-            decay = np.array([(n / max(m, n / 1e6)) ** 2 if n else 0.0 for m, n in norms])
+            m, n = _squared_norms(x2), _squared_norms(x3)
+            # as (n / max(m, n / 1e6))^2, or 0 for n = 0: the least subnormal
+            # keeps the divisor positive and leaves any positive one as it is
+            decay = (n / np.maximum(m, np.maximum(n / 1e6, math.ulp(0.0)))) ** 2
             high = (p @ q - q @ p) / 240
             y = np.array([y for _, _, hs, y in attempts for _ in hs])
             y_new = _expm(x1 + x3 / 12 + high) @ y
             scale = cfg.abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rel_tol
             delta = high + c1 / 12 + (decay / 2800)[:, None, None] * x3
-            errors = (delta @ y / scale).reshape(len(y), -1)
-            return [(lane, _rms(e)) for lane, e in zip(y_new, errors)]
+            errors = (delta @ y / scale).reshape(len(y), -1)  # rms per lane:
+            rms = np.sqrt(_squared_norms(errors)) / errors.shape[1] ** 0.5
+            return list(zip(y_new, rms.tolist()))
         hs = [t - u for t in ends if t != u]
-        first = dict(zip([(read, h) for read in generators for h in hs],
-                         stacked([(read, u, hs, y) for read in generators]))) if hs else {}
+        first = dict(zip([(k, h) for k in range(len(paths)) for h in hs],
+                         stacked([(path, u, hs, y) for path in paths]))) if hs else {}
 
-        def step(read):  # an attempt from u starts from y: keyed by (path, h)
-            return lambda u_at, h, y_at: ((first.get((read, h)) if u_at == u else None)
-                                          or stacked([(read, u_at, [h], y_at)])[0])
-        return ([abs(t - u) for t in ends] * len(generators),
-                [step(read) for read in generators for _ in ends])
+        def step(k):  # an attempt from u starts from y: keyed by (path, h)
+            return lambda u_at, h, y_at: ((first.get((k, h)) if u_at == u else None)
+                                          or stacked([(paths[k], u_at, [h], y_at)])[0])
+        return ([abs(t - u) for t in ends] * len(paths),
+                [step(k) for k in range(len(paths)) for _ in ends])
 
 
 def _solve(u: float, t: float, h_abs: float, y: np.ndarray, cfg: OdeConfig,
@@ -194,22 +207,25 @@ def _integrate(law: TransportLaw, paths: Sequence[PathCurve],
                y0: np.ndarray, s: float, ends: Sequence[float], cfg: OdeConfig) -> list:
     """[y(t) for path in paths for t in ends] for y' = A(u) y, y(s) = y0 a
     ``(n, k)`` block: one ``_solve`` lane per (path, end), stepped by
-    ``_Magnus``, which reads A at a stack of nodes ``us`` along one path in one
-    call: one ``path.points``, one law read and ``M^i_j = H^i_{jk} xdot^k``
-    give ``A = generator(us, M, xdot)``."""
+    ``_Magnus``, which reads A at the stacks of nodes ``us`` along its paths
+    in one call: one ``read_points`` of every path's nodes, one law read per
+    path on its rows, and ``M^i_j = H^i_{jk} xdot^k`` give ``A =
+    generator(us, M, xdot)`` on the whole stack."""
     counts = _COUNTS.get()
 
-    def matrix(path, us):
-        coords, xdot = path.points(us)
-        h = law.coefficients(us, path, coords)
+    def matrices(reads):
+        coords, xdot = read_points(reads)
+        rows = itertools.accumulate(len(us) for _, us in reads)
+        h = np.concatenate([law.coefficients(us, path, coords[end - len(us):end])
+                            for (path, us), end in zip(reads, rows)])
         if counts is not None:
-            counts["generator_evals"] += len(us)
-        return generator(us, np.matmul(h, xdot[:, None, :, None])[..., 0], xdot)
+            counts["generator_evals"] += len(coords)
+        return generator([u for _, us in reads for u in us],
+                         np.matmul(h, xdot[:, None, :, None])[..., 0], xdot)
 
     u, ends = float(s), [float(t) for t in ends]
     y = checked_array(y0, y0.shape, "initial transport state")
-    reads = [functools.partial(matrix, path) for path in paths]
-    first, steps = _Magnus.start(reads, u, ends, y, cfg)
+    first, steps = _Magnus.start(matrices, paths, u, ends, y, cfg)
     ys, attempts = zip(*(_solve(u, end, h, y, cfg, step)
                          for end, h, step in zip(ends * len(paths), first, steps)))
     if counts is not None:

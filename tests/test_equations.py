@@ -373,8 +373,9 @@ def test_study_evaluates_each_generator_once_per_rhs_parameter(monkeypatch):
     # parameter of the study; each of the 63 Magnus lanes (7 ladder
     # endpoints per s) takes one step of 3 Gauss nodes, no two lanes share
     # a node, and the one stacked attempt evaluates the nodes of each path
-    # in one stacked law and one stacked generator call (the law's reads
-    # outside solves, such as the S-tensor's, are not counted)
+    # in one stacked law call, then the generator of all 9 paths' nodes, in
+    # the order of the law reads, in one call (the law's reads outside
+    # solves, such as the S-tensor's, are not counted)
     sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
     integrate, coefficients = (geodev.transport._integrate,
                                geodev.transport.TransportLaw.coefficients)
@@ -387,8 +388,8 @@ def test_study_evaluates_each_generator_once_per_rhs_parameter(monkeypatch):
         return path
 
     def recording(law, paths, generator, *args):
-        def recorded(us, m, xdot):  # the path of the law read just before
-            gen_params.extend((coeff_params[-1][0], u) for u in us)
+        def recorded(us, m, xdot):  # every path's nodes, as the law read them
+            gen_params.extend(us)
             stacks.append(("generator", len(us)))
             return generator(us, m, xdot)
         solving.append(True)
@@ -412,26 +413,27 @@ def test_study_evaluates_each_generator_once_per_rhs_parameter(monkeypatch):
     assert len(s_of) == 9  # s_eval and the eight stencil offsets
     assert (counts["solves"], counts["generator_evals"], len(gen_params)) == (63, 189, 189)
     assert (counts["attempted_steps"], counts["continued_lanes"]) == (63, 0)
-    assert sorted(coeff_params) == sorted(set(gen_params))
-    assert len(coeff_params) == 189
-    assert stacks == [("law", 21), ("generator", 21)] * 9
+    assert len(set(coeff_params)) == len(coeff_params) == 189
+    assert gen_params == [u for _, u in coeff_params]
+    assert stacks == [("law", 21)] * 9 + [("generator", 189)]
 
 
 def test_deviation_study_reads_each_magnus_stack_at_once():
     # the 3 deviation equations read 7 values of s; the 49 lanes, 7 ladder
-    # lanes along each gamma_s, make one stacked attempt whose 21 Gauss
-    # nodes along each path are read in one stacked surface call, and no
-    # node is read through the point jets (their 7 calls read x_1(s)): a
-    # fall-back to per-node evaluation changes these counts
+    # lanes along each gamma_s, make one stacked attempt whose 147 Gauss
+    # nodes, 21 along each path, are read in one stacked surface call, and
+    # no node is read through the point jets (their 7 calls read x_1(s)): a
+    # fall-back to per-path or per-node evaluation changes these counts,
+    # and the rest are the ledger's (deviation_3 of tests/work_counts.json)
     sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
     deviation = [EquationId.E2_13, EquationId.E4_1, EquationId.E6_3]
     with work_counts() as counts:
         convergence_study(deviation, sc, S0, DEFAULT_LADDER)
-    assert dict(counts) == {
-        "solves": 49, "stacked_attempts": 1, "attempted_steps": 49,
-        "continued_lanes": 0, "generator_evals": 147, "surface_stacks": 7,
-        "surface_stack_points": 147, "jets_order_1": 7, "residual_evals": 3,
-        "residual_lanes": 21}
+    assert (counts["stacked_attempts"], counts["surface_stacks"],
+            counts["surface_stack_points"], counts["jets_order_1"]) == (1, 1, 147, 7)
+    ledger = json.loads((ROOT / "tests" / "work_counts.json").read_text())["deviation_3"]
+    assert dict(counts) == {**{key: ledger[key] for key in load_script("solve_counts").WORK_KEYS},
+                            "jets_order_1": ledger["jets_calls"]["1"]}
 
 
 @pytest.mark.parametrize("family", sorted(_CELLS_BY_FAMILY))

@@ -29,7 +29,7 @@ from oracles import coordinate_probes
 from test_transport import point_coefficients, record_rhs_calls
 
 STACKED_SURFACES = {"flat-euclidean/ruled", "flat-euclidean/quadratic", "flat-torsion",
-                    "sphere", "offset-transport", "exp-transport"}
+                    "sphere", "minkowski", "offset-transport", "exp-transport"}
 
 
 def random_scenarios(name, rng, count=4):
@@ -77,6 +77,43 @@ def test_points_equal_map_and_tangent(name, rng):
             assert np.array_equal(coords, ref_coords)
             assert np.array_equal(velocity, ref_velocity)
             assert coords.shape == velocity.shape == (len(us), sc.dimension)
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_SURFACES))
+def test_along_r_rows_equal_point_jets(name, rng):
+    # one s per row, several rows per s, in one call: each row is the point
+    # jets' (x, x_r) at its (s, r), bit for bit, and one s for all rows stays
+    # a valid call; the domains' ends are among the draws
+    for sc in random_scenarios(name, rng):
+        surf = sc.surface
+        s_values = [*surf.s_domain, sc.s_eval, *rng.uniform(*surf.s_domain, 4)]
+        ss = np.array([s_values[i] for i in rng.integers(0, len(s_values), 40)])
+        rs = np.concatenate([surf.r_domain, rng.uniform(*surf.r_domain, 38)])
+        x, x_r = surf.along_r(ss, rs)
+        assert x.shape == x_r.shape == (len(rs), sc.dimension)
+        for s, r, row, row_r in zip(ss.tolist(), rs.tolist(), x, x_r):
+            assert np.array_equal(row, surf.map(s, r))
+            assert np.array_equal(row_r, surf.d_r(s, r))
+        one_s = surf.along_r(ss[0], rs)
+        rows = surf.along_r(np.full(len(rs), ss[0]), rs)
+        assert all(map(np.array_equal, one_s, rows))
+
+
+def test_along_r_keeps_the_sign_of_a_zero_s():
+    # f(s) = s + accel s^2 / 2 is -0.0 at s = -0.0 for accel < 0, and sin
+    # keeps that sign, which phi keeps at r = -0.0: rows at s = 0.0 and
+    # s = -0.0 of one call each read their own s, as the point jets of two
+    # fresh surfaces do (a surface's memo takes -0.0 for 0.0)
+    spec = ScenarioSpec("sphere", {"accel": -0.5})
+    rs = np.array([-0.0, 0.1, -0.0, 0.1])
+    x, x_r = build(spec).surface.along_r(np.array([0.0, 0.0, -0.0, -0.0]), rs)
+    assert not np.signbit(x[0, 1]) and np.signbit(x[2, 1])
+    for s, rows in ((0.0, slice(0, 2)), (-0.0, slice(2, 4))):
+        surf = build(spec).surface
+        for r, row, row_r in zip(rs[rows].tolist(), x[rows], x_r[rows]):
+            assert np.array_equal(np.signbit(row), np.signbit(surf.map(s, r)))
+            assert np.array_equal(row, surf.map(s, r))
+            assert np.array_equal(row_r, surf.d_r(s, r))
 
 
 def test_points_of_latitude_and_probe_paths(rng):

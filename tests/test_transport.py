@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 import time
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -382,6 +383,44 @@ def test_stacked_expm_equals_each_matrix_alone():
         assert np.array_equal(lane, transport._expm(gen))
 
 
+def test_expm_squares_each_lane_its_own_count():
+    # one stack of pull-back-shaped lanes that need 0, 1 and 7 squarings,
+    # and a zero lane: each lane is its matrix alone and the Pade
+    # approximant at a / 2^s squared s = ceil(log2(|a|_F / 0.54)) times, bit
+    # for bit, and SciPy's expm within 1e-13 relative; the zero lane makes
+    # no log2(0) and no warning at all
+    block = [gen for kind, gen in expm_generators() if kind == "block"][-1]
+    stack = np.array([block * norm / np.linalg.norm(block) for norm in (0.3, 0.8, 50.0)]
+                     + [np.zeros((5, 5))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = transport._expm(stack)
+    norms = [math.sqrt(np.vdot(a, a)) for a in stack]
+    squarings = [math.ceil(math.log2(n / 0.54)) if n > 0.54 else 0 for n in norms]
+    assert squarings == [0, 1, 7, 0]
+    for lane, a, s in zip(got, stack, squarings):
+        assert np.array_equal(lane, transport._expm(a))
+        e = transport._expm(a / 2.0 ** s)
+        for _ in range(s):
+            e = e @ e
+        assert np.array_equal(lane, e)
+        ref = expm(a)
+        assert np.linalg.norm(lane - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("shape", [(2000, 3, 3), (500, 5, 5), (300, 9, 9), (500, 3, 2),
+                                   (400, 10), (1, 4, 4)])
+def test_stacked_squared_norms_equal_vdot(shape, rng):
+    # the Magnus lanes' norms and errors are taken as one stacked matmul of
+    # the flattened rows: each lane bit for bit np.vdot (and np.dot) of it
+    # with itself, also on a transposed view and at magnitudes 1e-3 to 1e3
+    x = rng.normal(size=shape) * np.geomspace(1e-3, 1e3, shape[0]).reshape(-1, *[1] * (len(shape) - 1))
+    for stack in (x, x.swapaxes(1, -1)):
+        got = transport._squared_norms(stack).tolist()
+        assert got == [np.vdot(a, a) for a in stack]
+        assert got == [np.dot(a.ravel(), a.ravel()) for a in stack]
+
+
 def tight_pullback(law: TransportLaw, path: PathCurve, s: float, t: float):
     """``one_pullback`` by ``solve_ivp``'s DOP853 at ``rtol`` 3e-14, on
     the flattened ``(Phi, h)`` of dPhi/du = -Phi M, dh/du = Phi xdot."""
@@ -461,6 +500,21 @@ def test_stacked_pullbacks_equal_one_lane_solves(case):
     for t, lane in zip(ends, zip(*stacked)):
         alone = one_pullback(law, path, s, t, cfg)
         assert all(map(np.array_equal, lane, alone))
+    # the path among hand-made paths, its twin that reads it through its
+    # point jets and a path of 1.01 times its coordinates and velocity: each
+    # run of stacked paths is read in one surface call, every other path
+    # through its own points, and each lane is still its solve alone
+    twin = PathCurve(path.jets, path.domain)
+    scaled = PathCurve(lambda u: tuple(1.01 * x for x in path.jets(u)), path.domain)
+    mixed = [scaled, path, path, twin, scaled, path]
+    with transport.work_counts() as counts:
+        stacked = transport._pullbacks(law, mixed, s, ends, cfg)
+    if path.along is not None and not counts["continued_lanes"]:
+        assert (counts["surface_stacks"], counts["surface_stack_points"]) == (2, 9 * len(ends))
+    for k, p in enumerate(mixed):
+        for j, t in enumerate(ends):
+            alone = one_pullback(law, p, s, t, cfg)
+            assert all(np.array_equal(a[k, j], b) for a, b in zip(stacked, alone))
 
 
 def path_stacks():
