@@ -36,11 +36,12 @@ stack), and ``residual_lanes``, the separations those calls cover.
 Four more work counts, which trace a cheaper RHS to less work and not to
 fewer checks, are counted by wrapping the calls here: ``path_reads``
 (calls of ``PathCurve.map`` and ``PathCurve.tangent``), ``path_stacks``
-(calls of ``PathCurve.points``; a study reads its connecting paths through
-their surface in ``geometry.read_points``, and so makes none),
-``points_built`` (``ChartPoint`` constructions) and ``checks`` (calls of
-``geometry.checked_array`` and of its stacked form ``_checked_stack``,
-wherever a module has bound them).  The counts do not depend on the
+(calls of ``geometry.read_points``, the one stacked read of paths, which
+``PathCurve.points`` and each Magnus attempt make), ``points_built``
+(``ChartPoint`` constructions) and ``checks`` (calls of
+``geometry.checked_array`` and of its stacked form ``_checked_stack``);
+``path_stacks`` and ``checks`` count a call wherever a module has bound
+the function.  The counts do not depend on the
 machine.
 
 ``tests/work_counts.json`` is this output, and a tier-1 test recomputes it
@@ -81,12 +82,13 @@ WORK_KEYS = ("solves", "stacked_attempts", "attempted_steps", "generator_evals",
              "continued_lanes", "surface_stacks", "surface_stack_points",
              "residual_evals", "residual_lanes")
 # (owner, attribute, work count) of every call counted by ``call_counts``
+MODULES = (geometry, transport, kinematics, equations)
 WORK_CALLS = ([(geometry.PathCurve, "map", "path_reads"),
-               (geometry.PathCurve, "tangent", "path_reads"),
-               (geometry.PathCurve, "points", "path_stacks"),
-               (geometry.ChartPoint, "__init__", "points_built")]
-              + [(module, name, "checks")
-                 for module in (geometry, transport, kinematics, equations)
+               (geometry.PathCurve, "tangent", "path_reads")]
+              + [(module, "read_points", "path_stacks")
+                 for module in MODULES if "read_points" in vars(module)]
+              + [(geometry.ChartPoint, "__init__", "points_built")]
+              + [(module, name, "checks") for module in MODULES
                  for name in ("checked_array", "_checked_stack") if name in vars(module)])
 
 

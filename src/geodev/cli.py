@@ -322,11 +322,14 @@ def cmd_converge(args) -> int:
 
 # ------------------------------------------------------------------- inspect
 
+def _latitude_points(thetas: np.ndarray, ts: np.ndarray):
+    """The latitude circles' (coords, velocity) at each (theta, t) row."""
+    return np.column_stack((thetas, ts)), np.repeat([[0.0, 1.0]], len(ts), axis=0)
+
+
 def _latitude_path(theta0: float) -> PathCurve:
     return PathCurve(lambda t: (np.array([theta0, t]), np.array([0.0, 1.0])),
-                     (0.0, 2.0 * math.pi),
-                     lambda ts: (np.column_stack((np.full(len(ts), theta0), ts)),
-                                 np.repeat([[0.0, 1.0]], len(ts), axis=0)))
+                     (0.0, 2.0 * math.pi), along=(_latitude_points, theta0))
 
 
 # the flags each --what reads; the first one, when given, excludes the rest

@@ -201,16 +201,12 @@ def memo_put(memo: dict, key, value):
 class PathCurve:
     """A C^1 path in the chart over ``domain``, stated once as ``jets(u) ->
     (coords, velocity)``, read at one u, point and velocity checked, by ``map``
-    and ``tangent``; ``points``, which the transport solves read, takes a stack
-    of u (bit for bit as ``jets``) by ``points_at(us)`` where the path states
-    one, or by ``along = (read, key)`` where the path is the line ``key`` of a
-    family whose ``read(keys, us)`` takes one key per row, else by ``jets``.
-    ``read_points`` reads the stacks of several paths, those of one family
-    in one ``read`` call."""
+    and ``tangent``, and at a stack of u by ``points`` (``read_points``).  A
+    path that is the line ``key`` of a family whose ``read(keys, us)`` gives
+    the same values at one key per row states ``along = (read, key)``."""
 
     jets: Callable[[float], Tuple[np.ndarray, np.ndarray]]
     domain: Tuple[float, float]
-    points_at: Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
     along: Optional[Tuple[Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]],
                           float]] = None
 
@@ -226,15 +222,8 @@ class PathCurve:
         return self._jet(u)[1]
 
     def points(self, us) -> Tuple[np.ndarray, np.ndarray]:
-        """(coords, velocity), ``(len(us), d)`` each, checked once: a bad
-        entry raises the error of ``map`` or ``tangent`` at its parameter."""
-        if self.along is not None:
-            read, key = self.along
-            stack = read(key, np.array(us, dtype=float))
-        else:
-            stack = (zip(*map(self.jets, us)) if self.points_at is None
-                     else self.points_at(np.array(us, dtype=float)))
-        return _checked_points(*stack)
+        """``read_points([(self, us)])``."""
+        return read_points([(self, us)])
 
     def require(self, s: float) -> None:
         lo, hi = self.domain
@@ -243,9 +232,9 @@ class PathCurve:
 
 
 def _checked_points(coords, velocity) -> Tuple[np.ndarray, np.ndarray]:
-    """``PathCurve.points``' check of a stack: the coordinates flat and
-    finite, made read-only (rows become the laws' ChartPoints), and the
-    velocities finite, the first bad row raising at its point."""
+    """``read_points``' check of a stack: the coordinates flat and finite,
+    made read-only (rows become the laws' ChartPoints), and the velocities
+    finite, the first bad row raising at its point."""
     coords, velocity = np.asarray(coords, dtype=float), np.asarray(velocity, dtype=float)
     if coords.ndim != 2 or not _all_finite(coords):
         list(map(ChartPoint, coords))  # raises at the first bad row
@@ -254,24 +243,21 @@ def _checked_points(coords, velocity) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def read_points(reads) -> Tuple[np.ndarray, np.ndarray]:
-    """(coords, velocity) at the nodes ``us`` of each ``(path, us)`` of
-    ``reads``, stacked in order and checked as ``PathCurve.points`` checks:
-    each run of two or more paths of one family (``PathCurve.along``) in one
-    ``read`` call, with one key per row, and every other path by its
-    ``points``."""
+    """(coords, velocity), ``(n, d)`` each, at the nodes ``us`` of each
+    ``(path, us)`` of ``reads``, stacked in order, bit for bit as ``jets``:
+    each run of paths of one family (``PathCurve.along``) in one ``read``
+    call with one key per row, and every other path by its ``jets`` at each
+    node.  The stack is checked once: a bad entry raises the error of
+    ``map`` or ``tangent`` at its parameter."""
     parts = []
     for read, run in itertools.groupby(reads, lambda pair: pair[0].along and pair[0].along[0]):
         run = list(run)
-        if read is None or len(run) == 1:
-            parts += [path.points(us) for path, us in run]
+        if read is None:
+            parts.append(tuple(zip(*(path.jets(u) for path, us in run for u in us))))
         else:
-            keys = np.repeat([path.along[1] for path, _ in run], [len(us) for _, us in run])
-            parts.append(_checked_points(*read(keys, np.concatenate([us for _, us in run]))))
-    if len(parts) == 1:
-        return parts[0]
-    coords, velocity = (np.concatenate(stack) for stack in zip(*parts))
-    coords.setflags(write=False)
-    return coords, velocity
+            keys = np.array([path.along[1] for path, us in run for _ in us])
+            parts.append(read(keys, np.array([u for _, us in run for u in us], dtype=float)))
+    return _checked_points(*(parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))))
 
 
 # ---------------------------------------------------------------------------

@@ -59,9 +59,9 @@ class WorldSurface:
     six partials at one point cost at most one order-1 and one order-2
     evaluation (``scenarios._surface``).  ``r_base`` is the r-parameter of
     the first worldline.  ``along_r(s, rs)``, when given, is ``(map, d_r)``
-    at each (s, r) row of the arrays ``s`` and ``rs``, or at each r of ``rs``
-    for one s, bit for bit: the family read (``PathCurve.along``) of the
-    connecting paths, so that one call reads the nodes of many of them.
+    at each (s, r) row of the arrays ``s`` and ``rs``, bit for bit: the
+    family read (``PathCurve.along``) of the connecting paths, so that one
+    call reads the nodes of many of them.
     """
 
     map: Callable[[float, float], np.ndarray]
@@ -73,7 +73,7 @@ class WorldSurface:
     s_domain: Tuple[float, float]
     r_domain: Tuple[float, float]
     r_base: float = 0.0
-    along_r: Optional[Callable[[float, np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
+    along_r: Optional[Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
 
     def point(self, s: float, r: float) -> ChartPoint:
         return ChartPoint(self.map(s, r))

@@ -7,14 +7,14 @@ immutable Scenario with the mass function and probe field every family
 shares.  Custom geometry is limited to the documented parameters of the
 registered families, which keeps every analytic partial exact.
 
-A surface family states its surface once, as one ``jets(s, r, order)``
+A surface family states its point jets, as one ``jets(s, r, order)``
 function returning the point and its first partials, and at order 2 also
 its second partials, the order-1 part computed first and alike at either
-order; ``_surface`` turns it into a WorldSurface that keeps each point's
-jets in a memo keyed by (s, r) and hands out read-only arrays.  Every
-surface also states a stacked form, ``along_r(s, r)`` at each (s, r) row,
-which reads the Gauss nodes of all the connecting paths of a Magnus attempt
-in one call; each Gamma and each law is stated on a stack.
+order, and one row read, ``along_r(s, r) -> (x, x_r)`` at each (s, r) row
+of two arrays, which reads the Gauss nodes of all the connecting paths of
+a Magnus attempt in one call; ``_surface`` turns them into a WorldSurface
+that keeps each point's jets in a memo keyed by the bits of (s, r) and
+hands out read-only arrays.  Each Gamma and each law is stated on a stack.
 
 Family structure matrix (enforced by tests):
 
@@ -35,6 +35,7 @@ S, DS/ds, R and force terms are all active at once.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
@@ -147,35 +148,39 @@ def _identity_metric(dim: int, signature: Optional[np.ndarray] = None) -> Metric
     return MetricField(g_at=lambda pt: g, partials_at=lambda pt: dg)
 
 
+_bits = struct.Struct("dd").pack  # the memo key of (s, r): -0.0 is not 0.0
+
+
 def _surface(jets: Callable[[float, float, int], Tuple[np.ndarray, ...]],
              s_domain: Tuple[float, float], r_domain: Tuple[float, float],
              along_r: Optional[Callable] = None) -> WorldSurface:
     """WorldSurface of a family stated once as ``jets(s, r, order) -> (x,
     x_s, x_r)`` at order 1, ``+ (x_ss, x_sr, x_rr)`` at order 2, kept
-    read-only in a memo keyed by (s, r) (``geometry.memo_put``); ``map``,
-    ``d_s``, ``d_r`` read order 1, which an order-2 entry also serves, and the
-    second partials read order 2, which replaces an order-1 entry; its
-    ``along_r`` is ``along_r(s, rs) -> (x, x_r)`` at each r of ``rs`` and one
-    s, or at each (s, r) row of two arrays, unmemoized.  ``jets`` and
-    ``along_r`` calls and points count in ``transport.work_counts``."""
+    read-only in a memo keyed by the bits of (s, r), so that -0.0 reads its
+    own jets (``geometry.memo_put``); ``map``, ``d_s``, ``d_r`` read order 1,
+    which an order-2 entry also serves, and the second partials read order
+    2, which replaces an order-1 entry; its ``along_r`` is ``along_r(s, rs)
+    -> (x, x_r)`` at each (s, r) row of two arrays, unmemoized.  ``jets``
+    and ``along_r`` calls and points count in ``transport.work_counts``."""
     memo: dict = {}
 
     def at(s: float, r: float, order: int) -> Tuple[np.ndarray, ...]:
-        values = memo.get((s, r), ())
+        key = _bits(s, r)
+        values = memo.get(key, ())
         if len(values) < 3 * order:
             if (counts := _COUNTS.get()) is not None:
                 counts[f"jets_order_{order}"] += 1
             values = jets(s, r, order)
             for value in values:
                 value.flags.writeable = False
-            memo_put(memo, (s, r), values)
+            memo_put(memo, key, values)
         return values
 
     def partial(i: int) -> Callable[[float, float], np.ndarray]:
         order = 1 + i // 3
         return lambda s, r: at(s, r, order)[i]
 
-    def stacked(s, rs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def stacked(s: np.ndarray, rs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         if (counts := _COUNTS.get()) is not None:
             counts.update(surface_stacks=1, surface_stack_points=len(rs))
         return along_r(s, rs)
@@ -227,7 +232,7 @@ def _flat_surface(dim: int, p: Dict[str, float]) -> WorldSurface:
         x[:, 0] = s + a * r + c * s * r + 0.5 * w1 * r * r
         x[:, 1] = (b * r + c1 * s * r + 0.5 * q * np.float_power(1.0 + k * r, 2) * s * s
                    + 0.5 * w2 * r * r)
-        kappa_s = kappa[2:] * np.reshape(s, (-1, 1))  # one row, or one per r
+        kappa_s = kappa[2:] * s[:, None]
         x[:, 2:] = np.outer(r, beta[2:]) + r[:, None] * kappa_s
         x_r[:, 0] = a + c * s + w1 * r
         x_r[:, 1] = b + c1 * s + q * k * (1.0 + k * r) * s * s + w2 * r
@@ -384,13 +389,10 @@ def _sphere_surface(tilt: float, accel: float) -> WorldSurface:
 
     def along_r(s, r):  # jets' (x, x_r) at each (s, r) row; acos, atan2 with math
         cr, sr = np.cos(r), np.sin(r)
-        f = s + 0.5 * accel * s * s  # cos f and sin f with math once per distinct f
-        if np.ndim(f) == 0:
-            cf, sf = (np.full(len(r), trig(f)) for trig in (math.cos, math.sin))
-        else:  # distinct by bits: -0.0 apart from 0.0
-            bits, rows = np.unique(f.view(np.uint64), return_inverse=True)
-            f = bits.view(np.float64).tolist()
-            cf, sf = (np.array([trig(v) for v in f])[rows] for trig in (math.cos, math.sin))
+        f = s + 0.5 * accel * s * s  # cos f and sin f with math once per distinct f,
+        bits, rows = np.unique(f.view(np.uint64), return_inverse=True)  # -0.0 apart
+        f = bits.view(np.float64).tolist()
+        cf, sf = (np.array([trig(v) for v in f])[rows] for trig in (math.cos, math.sin))
         x, y, z = _comb(cf, (cr, sr, 0.0), sf, (-sr * cb, cr * cb, sb))
         e_r = _comb(cf, (-sr, cr, 0.0), sf, (-cr * cb, -sr * cb, 0.0))
         rho2 = x * x + y * y

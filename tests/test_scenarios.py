@@ -219,7 +219,7 @@ def test_ruled_surface_is_the_bilinear_closed_form(dim):
         for value, want in zip(order_1 + order_2, expected):
             assert np.array_equal(value, want)
         rs = rng.uniform(*surf.r_domain, 9)
-        x, x_r = surf.along_r(s, rs)
+        x, x_r = surf.along_r(np.full(len(rs), s), rs)
         stacked = _bilinear_jets(p, dim, s, rs)
         assert np.array_equal(x, stacked[0])
         assert np.array_equal(x_r, np.broadcast_to(stacked[2], x_r.shape))

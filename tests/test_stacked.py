@@ -1,12 +1,13 @@
 """Stacked evaluation of the transport nodes against the point reads.
 
-A Magnus attempt reads all its Gauss nodes in one ``PathCurve.points`` and
-one ``TransportLaw.coefficients`` call; where a path states a stacked form (the sphere and flat
-surfaces' connecting paths, the latitude circles), it must give ``map`` and
-``tangent`` bit for bit; a law's stack must equal its stacks of one, the
-sphere's Gamma its closed form at each point, and the errors of a bad node
-must be the point reads' errors at that node.  The relative quantities of a
-ladder of separations must equal, lane by lane, those of its ladders of one.
+A Magnus attempt reads all its Gauss nodes in one ``geometry.read_points``
+and one ``TransportLaw.coefficients`` call per path; where a path is a line
+of a family (the surfaces' connecting paths, the latitude circles), the
+family's row read must give ``map`` and ``tangent`` bit for bit; a law's
+stack must equal its stacks of one, the sphere's Gamma its closed form at
+each point, and the errors of a bad node must be the point reads' errors at
+that node.  The relative quantities of a ladder of separations must equal,
+lane by lane, those of its ladders of one.
 """
 
 import math
@@ -15,9 +16,9 @@ import numpy as np
 import pytest
 
 import geodev.transport as transport
-from geodev.cli import _latitude_path
+from geodev.cli import _latitude_path, _latitude_points
 from geodev.errors import DomainError, EvaluationError
-from geodev.geometry import ChartPoint, PathCurve
+from geodev.geometry import ChartPoint, PathCurve, read_points
 from geodev.equations import DEFAULT_LADDER
 from geodev.kinematics import _Ladder, connecting_path, worldline
 from geodev.scenarios import (LINEAR_DRIFT_MASSES, ScenarioSpec, build,
@@ -79,50 +80,75 @@ def test_points_equal_map_and_tangent(name, rng):
             assert coords.shape == velocity.shape == (len(us), sc.dimension)
 
 
-@pytest.mark.parametrize("name", sorted(STACKED_SURFACES))
-def test_along_r_rows_equal_point_jets(name, rng):
-    # one s per row, several rows per s, in one call: each row is the point
-    # jets' (x, x_r) at its (s, r), bit for bit, and one s for all rows stays
-    # a valid call; the domains' ends are among the draws
+def same_bits(got, expected) -> bool:
+    """Whether two float arrays are equal bit for bit, -0.0 apart from 0.0."""
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    return got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def families(name, rng):
+    """(read, point jets, keys, u domain, d) of a family of paths: the
+    connecting paths of the scenario ``name`` at its defaults and at random
+    parameters (keys in s), or the latitude circles (keys in theta)."""
+    if name == "latitude":
+        yield (_latitude_points, lambda theta, t: _latitude_path(theta).jets(t),
+               [0.7, 2.9, *rng.uniform(0.1, 3.0, 4)], (0.0, 2.0 * math.pi), 2)
+        return
     for sc in random_scenarios(name, rng):
         surf = sc.surface
-        s_values = [*surf.s_domain, sc.s_eval, *rng.uniform(*surf.s_domain, 4)]
-        ss = np.array([s_values[i] for i in rng.integers(0, len(s_values), 40)])
-        rs = np.concatenate([surf.r_domain, rng.uniform(*surf.r_domain, 38)])
-        x, x_r = surf.along_r(ss, rs)
-        assert x.shape == x_r.shape == (len(rs), sc.dimension)
-        for s, r, row, row_r in zip(ss.tolist(), rs.tolist(), x, x_r):
-            assert np.array_equal(row, surf.map(s, r))
-            assert np.array_equal(row_r, surf.d_r(s, r))
-        one_s = surf.along_r(ss[0], rs)
-        rows = surf.along_r(np.full(len(rs), ss[0]), rs)
-        assert all(map(np.array_equal, one_s, rows))
+        yield (surf.along_r, lambda s, r, surf=surf: (surf.map(s, r), surf.d_r(s, r)),
+               [*surf.s_domain, sc.s_eval, *rng.uniform(*surf.s_domain, 4)],
+               surf.r_domain, sc.dimension)
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_SURFACES) + ["latitude"])
+def test_along_r_rows_equal_point_jets(name, rng):
+    # one key per row, several rows per key, in one call: each row is the
+    # point jets' (x, x_r) at its (key, u), bit for bit; the domains' ends
+    # are among the draws, and a second call mixes keys 0.0 and -0.0
+    for read, jets, key_values, domain, d in families(name, rng):
+        signed = ([0.0, -0.0], rng.integers(0, 2, 12))
+        for values, picks in ((key_values, rng.integers(0, len(key_values), 40)), signed):
+            keys = np.array([values[i] for i in picks])
+            us = np.concatenate([domain, [-0.0, 0.0], rng.uniform(*domain, len(keys) - 4)])
+            x, x_r = read(keys, us)
+            assert x.shape == x_r.shape == (len(us), d)
+            for key, u, row, row_r in zip(keys.tolist(), us.tolist(), x, x_r):
+                assert all(map(same_bits, (row, row_r), jets(key, u)))
 
 
 def test_along_r_keeps_the_sign_of_a_zero_s():
     # f(s) = s + accel s^2 / 2 is -0.0 at s = -0.0 for accel < 0, and sin
     # keeps that sign, which phi keeps at r = -0.0: rows at s = 0.0 and
-    # s = -0.0 of one call each read their own s, as the point jets of two
-    # fresh surfaces do (a surface's memo takes -0.0 for 0.0)
-    spec = ScenarioSpec("sphere", {"accel": -0.5})
-    rs = np.array([-0.0, 0.1, -0.0, 0.1])
-    x, x_r = build(spec).surface.along_r(np.array([0.0, 0.0, -0.0, -0.0]), rs)
+    # s = -0.0 of one call each read their own s, as the point jets do
+    surf = build(ScenarioSpec("sphere", {"accel": -0.5})).surface
+    ss, rs = np.array([0.0, 0.0, -0.0, -0.0]), np.array([-0.0, 0.1, -0.0, 0.1])
+    x, x_r = surf.along_r(ss, rs)
     assert not np.signbit(x[0, 1]) and np.signbit(x[2, 1])
-    for s, rows in ((0.0, slice(0, 2)), (-0.0, slice(2, 4))):
-        surf = build(spec).surface
-        for r, row, row_r in zip(rs[rows].tolist(), x[rows], x_r[rows]):
-            assert np.array_equal(np.signbit(row), np.signbit(surf.map(s, r)))
-            assert np.array_equal(row, surf.map(s, r))
-            assert np.array_equal(row_r, surf.d_r(s, r))
+    for s, r, row, row_r in zip(ss.tolist(), rs.tolist(), x, x_r):
+        assert same_bits(row, surf.map(s, r)) and same_bits(row_r, surf.d_r(s, r))
+
+
+def test_surface_memo_tells_a_signed_zero_apart():
+    # the memo is keyed by the bits of (s, r): after the jets at s = 0.0 a
+    # read at s = -0.0 is its own, as on a fresh surface
+    spec = ScenarioSpec("sphere", {"accel": -0.5})
+    fresh = build(spec).surface.map(-0.0, -0.0)
+    surf = build(spec).surface
+    assert not np.signbit(surf.map(0.0, -0.0)[1])
+    assert np.signbit(fresh[1]) and same_bits(surf.map(-0.0, -0.0), fresh)
+    with transport.work_counts() as counts:
+        surf.map(-0.0, -0.0), surf.map(0.0, -0.0)
+    assert counts["jets_order_1"] == 0
 
 
 def test_points_of_latitude_and_probe_paths(rng):
-    # the latitude circles state a stacked form; the probe paths state none
-    # and read their point jets at each node
+    # the latitude circles are lines of one family; the probe paths are
+    # not, and read their point jets at each node
     latitudes = [_latitude_path(0.7), _latitude_path(2.9)]
     probes = coordinate_probes(ChartPoint([0.3, -0.2, 0.5, 0.1]))
     for path in latitudes + probes:
-        assert (path.points_at is None) == (path in probes)
+        assert (path.along is None) == (path in probes)
         us = stack_of(path, rng)
         coords, velocity = path.points(us)
         ref_coords, ref_velocity = point_reads(path, us)
@@ -203,9 +229,18 @@ def test_stacked_law_receives_the_path(rng):
     assert not np.array_equal(weightless[0], lanes[0][0])
 
 
-def spoilt_line(d: int, spoilt: str, stacked: bool, from_u: float):
+def family_of(jets):
+    """A family read, ``read(keys, us)``, whose every line is ``jets``."""
+    def read(keys, us):
+        coords, velocity = zip(*map(jets, us.tolist()))
+        return np.array(coords), np.array(velocity)
+    return read
+
+
+def spoilt_line(d: int, spoilt: str, family_path: bool, from_u: float):
     """A straight path in d dimensions whose coordinates or velocity are NaN
-    from the parameter ``from_u`` on; read by ``points_at`` or by ``jets``."""
+    from the parameter ``from_u`` on: a line of a family, or a path read by
+    its ``jets`` alone."""
     start, direction = np.full(d, 0.3), np.linspace(1.0, 0.5, d)
 
     def jets(u):
@@ -213,11 +248,7 @@ def spoilt_line(d: int, spoilt: str, stacked: bool, from_u: float):
         if u >= from_u:
             (coords if spoilt == "coords" else velocity)[d - 1] = math.nan
         return coords, velocity
-
-    def points_at(us):
-        coords, velocity = zip(*map(jets, us))
-        return np.array(coords), np.array(velocity)
-    return PathCurve(jets, (-1.0, 1.0), points_at if stacked else None)
+    return PathCurve(jets, (-1.0, 1.0), (family_of(jets), 0.0) if family_path else None)
 
 
 def raised(fn):
@@ -235,7 +266,7 @@ def same_error(got, expected):
         assert getattr(got, "point", None) is None
 
 
-def bad_node_error(solve, d: int, stacked: bool, spoilt: str, monkeypatch):
+def bad_node_error(solve, d: int, family_path: bool, spoilt: str, monkeypatch):
     """Check that ``solve(law, path, 0, 1)`` on a line whose nodes are bad
     from 0.8 on raises the error the point reads raise at the first bad node
     that a clean solve reads, and return that node."""
@@ -244,7 +275,7 @@ def bad_node_error(solve, d: int, stacked: bool, spoilt: str, monkeypatch):
     def case(from_u):  # the law and the path, bad from from_u on
         def coeff_at(u, path):
             return gamma * math.nan if spoilt == "coefficients" and u >= from_u else gamma
-        return point_law(coeff_at), spoilt_line(d, spoilt, stacked, from_u)
+        return point_law(coeff_at), spoilt_line(d, spoilt, family_path, from_u)
 
     calls = record_rhs_calls(monkeypatch)
     solve(*case(math.inf), 0.0, 1.0)
@@ -259,59 +290,95 @@ def bad_node_error(solve, d: int, stacked: bool, spoilt: str, monkeypatch):
     return first
 
 
+# family_path: True is a line of a family, False a path read by its jets alone
 @pytest.mark.parametrize("d", [2, 4])
-@pytest.mark.parametrize("stacked", [True, False])
+@pytest.mark.parametrize("family_path", [True, False])
 @pytest.mark.parametrize("spoilt", ["coords", "velocity", "coefficients"])
-def test_a_bad_node_raises_the_point_error(d, stacked, spoilt, monkeypatch):
+def test_a_bad_node_raises_the_point_error(d, family_path, spoilt, monkeypatch):
     # the one-lane pull-back from 0 to 1 reads its Gauss nodes 0.11, 0.5 and
     # 0.89 in one stack; only the last one is bad, and the error is the one
     # the point reads raise there, naming its point
-    last = bad_node_error(one_pullback, d, stacked, spoilt, monkeypatch)
+    last = bad_node_error(one_pullback, d, family_path, spoilt, monkeypatch)
     assert last == transport._Magnus.c[2]
 
 
 @pytest.mark.parametrize("d", [2, 4])
-@pytest.mark.parametrize("stacked", [True, False])
+@pytest.mark.parametrize("family_path", [True, False])
 @pytest.mark.parametrize("spoilt", ["coords", "velocity", "coefficients"])
-def test_a_bad_stage_node_of_a_transport_raises_the_point_error(d, stacked, spoilt,
+def test_a_bad_stage_node_of_a_transport_raises_the_point_error(d, family_path, spoilt,
                                                                 monkeypatch):
     # the transport from 0 to 1 reads its start node as the law's check,
     # then each Magnus attempt's 3 Gauss nodes in one stack; the first bad
     # node of a stack raises the point reads' error there
-    first = bad_node_error(transport_matrix, d, stacked, spoilt, monkeypatch)
+    first = bad_node_error(transport_matrix, d, family_path, spoilt, monkeypatch)
     assert 0.8 <= first < 1.0
 
 
-def pole_path(stacked: bool):
+def pole_path(family_path: bool):
     """The line theta = u, phi = 0.3: the sphere's pole at u = 0."""
     def jets(u):
         return np.array([u, 0.3]), np.array([1.0, 0.0])
 
-    def points_at(us):
-        return np.stack([us, np.full(len(us), 0.3)], axis=1), np.tile([1.0, 0.0], (len(us), 1))
-    return PathCurve(jets, (-1.0, 1.0), points_at if stacked else None)
+    def read(keys, us):
+        return np.stack([us, keys], axis=1), np.tile([1.0, 0.0], (len(us), 1))
+    return PathCurve(jets, (-1.0, 1.0), (read, 0.3) if family_path else None)
 
 
 @pytest.mark.parametrize("family", ["sphere", "offset-transport"])
-@pytest.mark.parametrize("stacked", [True, False])
-def test_a_sphere_node_at_the_pole_raises_the_domain_error(family, stacked):
+@pytest.mark.parametrize("family_path", [True, False])
+def test_a_sphere_node_at_the_pole_raises_the_domain_error(family, family_path):
     # the middle Gauss node of the pull-back from -0.5 to 0.5 sits at theta = 0
     law = build(ScenarioSpec(family)).law
-    got = raised(lambda: one_pullback(law, pole_path(stacked), -0.5, 0.5))
+    got = raised(lambda: one_pullback(law, pole_path(family_path), -0.5, 0.5))
     expected = raised(lambda: point_coefficients(law, 0.0, pole_path(False)))
     assert isinstance(expected, DomainError)
     same_error(got, expected)
 
 
 @pytest.mark.parametrize("family", ["sphere", "offset-transport"])
-@pytest.mark.parametrize("stacked", [True, False])
-def test_a_transport_from_the_pole_raises_the_domain_error(family, stacked):
+@pytest.mark.parametrize("family_path", [True, False])
+def test_a_transport_from_the_pole_raises_the_domain_error(family, family_path):
     # the transport from 0 to 0.5 reads its start node at theta = 0 first
     law = build(ScenarioSpec(family)).law
-    got = raised(lambda: transport_matrix(law, pole_path(stacked), 0.0, 0.5))
+    got = raised(lambda: transport_matrix(law, pole_path(family_path), 0.0, 0.5))
     expected = raised(lambda: point_coefficients(law, 0.0, pole_path(False)))
     assert isinstance(expected, DomainError)
     same_error(got, expected)
+
+
+def mixed_reads(rng):
+    """(path, us) of two connecting paths of the sphere, one of
+    offset-transport, a latitude circle and a coordinate probe (jets only)."""
+    sphere, offset = build(ScenarioSpec("sphere")), build(ScenarioSpec("offset-transport"))
+    paths = [connecting_path(sphere, 0.1), connecting_path(sphere, -0.2),
+             connecting_path(offset, 0.15), _latitude_path(0.7),
+             coordinate_probes(ChartPoint([0.3, -0.2]))[1]]
+    return [(path, stack_of(path, rng, 5)) for path in paths]
+
+
+def test_read_points_equals_the_point_reads_of_each_path(rng):
+    # one call reads the runs of family paths in one family read each and
+    # the probe by its jets, bit for bit as each path's point reads
+    reads = mixed_reads(rng)
+    with transport.work_counts() as counts:
+        coords, velocity = read_points(reads)
+    assert counts["surface_stacks"] == 2
+    assert counts["surface_stack_points"] == 3 * 8
+    assert not coords.flags.writeable
+    ref_coords, ref_velocity = (np.concatenate(part) for part in
+                                zip(*(point_reads(path, us) for path, us in reads)))
+    assert same_bits(coords, ref_coords) and same_bits(velocity, ref_velocity)
+
+
+@pytest.mark.parametrize("family_path", [True, False])
+@pytest.mark.parametrize("spoilt", ["coords", "velocity"])
+def test_read_points_raises_the_point_error_of_a_later_path(spoilt, family_path, rng):
+    # a NaN row in the last path of a mixed read raises the error that map
+    # or tangent raises at that node
+    line = spoilt_line(2, spoilt, family_path, 0.5)
+    reads = mixed_reads(rng) + [(line, [-0.5, 0.6, 0.2, 0.7])]
+    got = raised(lambda: read_points(reads))
+    same_error(got, raised(lambda: (line.map if spoilt == "coords" else line.tangent)(0.6)))
 
 
 def ladder_quantities(ladder, s):

@@ -86,12 +86,12 @@ def test_transport_components_matches_matrix_and_linearity(sphere):
 
 
 def test_one_path_evaluation_per_rhs_parameter(monkeypatch):
-    # each generator read of a parallel transport is one PathCurve.points and
+    # each generator read of a parallel transport is one read_points and
     # one TransportLaw.coefficients call, and costs one jets call and one
     # ChartPoint (for this connection's Gamma, stated at a point) per node;
     # no node is read twice; the start is read once more as the law's check
-    # at s (one of each), and transport_matrix reads it once more for the
-    # dimension.  The path crosses latitudes, so the generator varies and
+    # at s (one of each, read_points through PathCurve.points), and
+    # transport_matrix reads it once more for the dimension.  The path crosses latitudes, so the generator varies and
     # the Magnus pair takes many steps
     counts = Counter()
 
@@ -105,7 +105,8 @@ def test_one_path_evaluation_per_rhs_parameter(monkeypatch):
                         counted("ChartPoint", ChartPoint.__init__))
     monkeypatch.setattr(TransportLaw, "coefficients",
                         counted("coefficients", TransportLaw.coefficients))
-    monkeypatch.setattr(PathCurve, "points", counted("points", PathCurve.points))
+    for module in (geodev.geometry, transport):
+        monkeypatch.setattr(module, "read_points", counted("read_points", module.read_points))
     calls = record_rhs_calls(monkeypatch)
     path = PathCurve(counted("jets", lambda t: (np.array([0.8 + 0.1 * t, t]),
                                                 np.array([0.1, 1.0]))),
@@ -114,7 +115,7 @@ def test_one_path_evaluation_per_rhs_parameter(monkeypatch):
     nodes, (attempts, rest) = len(calls), divmod(len(calls), 3)
     assert rest == 0 and attempts > 10 and len({u for u, _ in calls}) == nodes
     assert counts == {"jets": nodes + 2, "ChartPoint": nodes + 2,
-                      "coefficients": 1 + attempts, "points": 1 + attempts}
+                      "coefficients": 1 + attempts, "read_points": 1 + attempts}
 
 
 @pytest.mark.parametrize("d", [2, 4])
@@ -502,8 +503,8 @@ def test_stacked_pullbacks_equal_one_lane_solves(case):
         assert all(map(np.array_equal, lane, alone))
     # the path among hand-made paths, its twin that reads it through its
     # point jets and a path of 1.01 times its coordinates and velocity: each
-    # run of stacked paths is read in one surface call, every other path
-    # through its own points, and each lane is still its solve alone
+    # run of family paths is read in one surface call, every other path
+    # by its jets, and each lane is still its solve alone
     twin = PathCurve(path.jets, path.domain)
     scaled = PathCurve(lambda u: tuple(1.01 * x for x in path.jets(u)), path.domain)
     mixed = [scaled, path, path, twin, scaled, path]
