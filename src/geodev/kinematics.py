@@ -54,14 +54,15 @@ class WorldSurface:
 
     ``map(s, r)`` returns the chart coordinates; ``d_s``/``d_r`` the first
     partials and ``d_ss``/``d_sr``/``d_rr`` the second partials, all as
-    read-only component arrays.  The built-in families state their surface
-    once, by order, and keep its values in a memo keyed by (s, r), so the
-    six partials at one point cost at most one order-1 and one order-2
-    evaluation (``scenarios._surface``).  ``r_base`` is the r-parameter of
-    the first worldline.  ``along_r(s, rs)``, when given, is ``(map, d_r)``
-    at each (s, r) row of the arrays ``s`` and ``rs``, bit for bit: the
-    family read (``PathCurve.along``) of the connecting paths, so that one
-    call reads the nodes of many of them.
+    read-only component arrays.  The built-in families write their surface
+    once, by order, and read it at a point or on rows; a point's values are
+    kept in a memo keyed by (s, r), so the six partials at one point cost
+    at most one order-1 and one order-2 evaluation (``scenarios._surface``).
+    ``r_base`` is the r-parameter of the first worldline.  ``along_r(s,
+    rs)``, when given, is ``(map, d_r)`` at each (s, r) row of the arrays
+    ``s`` and ``rs``, bit for bit, read from the same statement on the
+    rows: the family read (``PathCurve.along``) of the connecting paths, so
+    that one call reads the nodes of many of them.
     """
 
     map: Callable[[float, float], np.ndarray]

@@ -7,14 +7,17 @@ immutable Scenario with the mass function and probe field every family
 shares.  Custom geometry is limited to the documented parameters of the
 registered families, which keeps every analytic partial exact.
 
-A surface family states its point jets, as one ``jets(s, r, order)``
+A surface family states its surface once, as one ``jets(s, r, order)``
 function returning the point and its first partials, and at order 2 also
 its second partials, the order-1 part computed first and alike at either
-order, and one row read, ``along_r(s, r) -> (x, x_r)`` at each (s, r) row
-of two arrays, which reads the Gauss nodes of all the connecting paths of
-a Magnus attempt in one call; ``_surface`` turns them into a WorldSurface
-that keeps each point's jets in a memo keyed by the bits of (s, r) and
-hands out read-only arrays.  Each Gamma and each law is stated on a stack.
+order; the same expressions read a point, on floats, or a stack of rows, on
+``(n,)`` arrays of s and r, each ``math`` function taken on the rows in a
+form that gives each entry its bits at a point (``_each``), so that a
+row's bits are its point's bits.
+``_surface`` turns it into a WorldSurface that keeps each point's jets in a
+memo keyed by the bits of (s, r) and hands out read-only arrays, and whose
+``along_r`` reads the rows of all the connecting paths of a Magnus attempt
+in one call.  Each Gamma and each law is stated on a stack.
 
 Family structure matrix (enforced by tests):
 
@@ -151,17 +154,51 @@ def _identity_metric(dim: int, signature: Optional[np.ndarray] = None) -> Metric
 _bits = struct.Struct("dd").pack  # the memo key of (s, r): -0.0 is not 0.0
 
 
-def _surface(jets: Callable[[float, float, int], Tuple[np.ndarray, ...]],
-             s_domain: Tuple[float, float], r_domain: Tuple[float, float],
-             along_r: Optional[Callable] = None) -> WorldSurface:
+def _each(fn: Callable[..., float], ufunc: Optional[Callable] = None) -> Callable:
+    """``fn``, a ``math`` function, on floats at a point or on ``(n,)``
+    arrays of rows, so that a row's bits are its point's bits: on rows by
+    ``ufunc``, NumPy's form of ``fn`` where it gives ``fn``'s bits on every
+    entry (``tests/test_stacked.py`` reads rows against points), or else by
+    ``fn`` on each entry (NumPy's ``arccos`` and ``arctan2`` differ from
+    ``math`` in the last bit on some inputs)."""
+    def apply(*args):
+        if not isinstance(args[0], np.ndarray):
+            return fn(*args)
+        if ufunc is not None:
+            return ufunc(*args)
+        return np.array(list(map(fn, *(arg.tolist() for arg in args))))
+    return apply
+
+
+_cos, _sin, _sqrt = _each(math.cos, np.cos), _each(math.sin, np.sin), _each(math.sqrt, np.sqrt)
+_acos, _atan2 = _each(math.acos), _each(math.atan2)
+_square = _each(lambda v: v ** 2, lambda v: np.float_power(v, 2))  # libm pow on each
+
+
+def _vec(r, *components) -> np.ndarray:
+    """A chart vector of its components: floats at a point (float ``r``),
+    ``(d,)``; on rows (an ``(n,)`` array ``r``), ``(n, d)``, where a float
+    component is the same on every row."""
+    if not isinstance(r, np.ndarray):
+        return np.array(components)
+    out = np.empty((len(r), len(components)))
+    for i, component in enumerate(components):
+        out[:, i] = component
+    return out
+
+
+def _surface(jets: Callable[..., Tuple[np.ndarray, ...]],
+             s_domain: Tuple[float, float], r_domain: Tuple[float, float]) -> WorldSurface:
     """WorldSurface of a family stated once as ``jets(s, r, order) -> (x,
-    x_s, x_r)`` at order 1, ``+ (x_ss, x_sr, x_rr)`` at order 2, kept
-    read-only in a memo keyed by the bits of (s, r), so that -0.0 reads its
-    own jets (``geometry.memo_put``); ``map``, ``d_s``, ``d_r`` read order 1,
-    which an order-2 entry also serves, and the second partials read order
-    2, which replaces an order-1 entry; its ``along_r`` is ``along_r(s, rs)
-    -> (x, x_r)`` at each (s, r) row of two arrays, unmemoized.  ``jets``
-    and ``along_r`` calls and points count in ``transport.work_counts``."""
+    x_s, x_r)`` at order 1, ``+ (x_ss, x_sr, x_rr)`` at order 2, on floats
+    at a point or on ``(n,)`` arrays of rows, each value then ``(n, d)``.
+    A point's values are kept read-only in a memo keyed by the bits of (s,
+    r), so that -0.0 reads its own jets (``geometry.memo_put``); ``map``,
+    ``d_s``, ``d_r`` read order 1, which an order-2 entry also serves, and
+    the second partials read order 2, which replaces an order-1 entry.  Its
+    ``along_r(s, rs)`` is the ``(x, x_r)`` of ``jets`` at order 1 on the
+    rows, unmemoized.  Point and row calls and points count in
+    ``transport.work_counts``."""
     memo: dict = {}
 
     def at(s: float, r: float, order: int) -> Tuple[np.ndarray, ...]:
@@ -180,13 +217,14 @@ def _surface(jets: Callable[[float, float, int], Tuple[np.ndarray, ...]],
         order = 1 + i // 3
         return lambda s, r: at(s, r, order)[i]
 
-    def stacked(s: np.ndarray, rs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def along_r(s: np.ndarray, rs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         if (counts := _COUNTS.get()) is not None:
             counts.update(surface_stacks=1, surface_stack_points=len(rs))
-        return along_r(s, rs)
+        x, _, x_r = jets(s, rs, 1)
+        return x, x_r
 
     return WorldSurface(*map(partial, range(6)), s_domain=s_domain,
-                        r_domain=r_domain, along_r=along_r and stacked)
+                        r_domain=r_domain, along_r=along_r)
 
 
 # ---------------------------------------------------------------- flat charts
@@ -200,46 +238,26 @@ def _flat_surface(dim: int, p: Dict[str, float]) -> WorldSurface:
     a, c, w1, b, c1, q, k, w2 = (p.get(key, 0.0) for key in (
         "shear", "cross_0", "curve_0", "spread", "cross_1", "accel", "accel_grad",
         "curve_1"))
-    beta = np.zeros(dim)
-    kappa = np.zeros(dim)
-    for i in range(2, dim):
-        beta[i] = 0.25 + 0.1 * (i - 2)
-        kappa[i] = 0.15 - 0.05 * (i - 2)
+    beta = [0.25 + 0.1 * i for i in range(dim - 2)]
+    kappa = [0.15 - 0.05 * i for i in range(dim - 2)]
 
     def jets(s, r, order):
-        x, x_s, x_r, x_ss, x_sr, x_rr = np.zeros((6, dim))
-        x[0] = s + a * r + c * s * r + 0.5 * w1 * r * r
-        x[1] = b * r + c1 * s * r + 0.5 * q * (1.0 + k * r) ** 2 * s * s + 0.5 * w2 * r * r
-        x[2:] = beta[2:] * r + kappa[2:] * s * r
-        x_s[0] = 1.0 + c * r
-        x_s[1] = q * (1.0 + k * r) ** 2 * s + c1 * r
-        x_s[2:] = kappa[2:] * r
-        x_r[0] = a + c * s + w1 * r
-        x_r[1] = b + c1 * s + q * k * (1.0 + k * r) * s * s + w2 * r
-        x_r[2:] = beta[2:] + kappa[2:] * s
+        g = 1.0 + k * r
+        g2 = _square(g)
+        x = _vec(r, s + a * r + c * s * r + 0.5 * w1 * r * r,
+                 b * r + c1 * s * r + 0.5 * q * g2 * s * s + 0.5 * w2 * r * r,
+                 *(bi * r + ki * s * r for bi, ki in zip(beta, kappa)))
+        x_s = _vec(r, 1.0 + c * r, q * g2 * s + c1 * r, *(ki * r for ki in kappa))
+        x_r = _vec(r, a + c * s + w1 * r, b + c1 * s + q * k * g * s * s + w2 * r,
+                   *(bi + ki * s for bi, ki in zip(beta, kappa)))
         if order == 1:
             return x, x_s, x_r
-        x_ss[1] = q * (1.0 + k * r) ** 2
-        x_sr[0] = c
-        x_sr[1] = 2.0 * q * k * (1.0 + k * r) * s + c1
-        x_sr[2:] = kappa[2:]
-        x_rr[0] = w1
-        x_rr[1] = q * k * k * s * s + w2
+        x_ss = _vec(r, 0.0, q * g2, *(0.0 for _ in kappa))
+        x_sr = _vec(r, c, 2.0 * q * k * g * s + c1, *kappa)
+        x_rr = _vec(r, w1, q * k * k * s * s + w2, *(0.0 for _ in kappa))
         return x, x_s, x_r, x_ss, x_sr, x_rr
 
-    def along_r(s, r):  # jets' (x, x_r) at each (s, r) row; ** as Python's pow
-        x, x_r = np.zeros((2, len(r), dim))
-        x[:, 0] = s + a * r + c * s * r + 0.5 * w1 * r * r
-        x[:, 1] = (b * r + c1 * s * r + 0.5 * q * np.float_power(1.0 + k * r, 2) * s * s
-                   + 0.5 * w2 * r * r)
-        kappa_s = kappa[2:] * s[:, None]
-        x[:, 2:] = np.outer(r, beta[2:]) + r[:, None] * kappa_s
-        x_r[:, 0] = a + c * s + w1 * r
-        x_r[:, 1] = b + c1 * s + q * k * (1.0 + k * r) * s * s + w2 * r
-        x_r[:, 2:] = beta[2:] + kappa_s
-        return x, x_r
-
-    return _surface(jets, (-0.6, 0.6), (-0.35, 0.35), along_r)
+    return _surface(jets, (-0.6, 0.6), (-0.35, 0.35))
 
 
 _FLAT_RULED_SCHEMA = {
@@ -336,22 +354,23 @@ def _sphere_surface(tilt: float, accel: float) -> WorldSurface:
     """Family of great circles: the embedded surface is
     cos(f(s)) u(r) + sin(f(s)) w(r) with orthonormal u(r), w(r) and
     f(s) = s + accel s^2/2; chart partials follow by exact chain rules
-    through theta = arccos z, phi = atan2(y, x), on 3-vectors as tuples."""
+    through theta = arccos z, phi = atan2(y, x), on 3-vectors as tuples
+    (of floats at a point, of arrays on rows)."""
     cb, sb = math.cos(tilt), math.sin(tilt)
 
     def jets(s, r, order):
-        cr, sr = math.cos(r), math.sin(r)
+        cr, sr = _cos(r), _sin(r)
         u, w = (cr, sr, 0.0), (-sr * cb, cr * cb, sb)
         du, dw = (-sr, cr, 0.0), (-cr * cb, -sr * cb, 0.0)
         f = s + 0.5 * accel * s * s
         fp = 1.0 + accel * s
-        cf, sf = math.cos(f), math.sin(f)
+        cf, sf = _cos(f), _sin(f)
         x, y, z = _comb(cf, u, sf, w)
         e_f = _comb(-sf, u, cf, w)  # d e / d f
         e_s = (fp * e_f[0], fp * e_f[1], fp * e_f[2])
         e_r = _comb(cf, du, sf, dw)
         rho2 = x * x + y * y
-        sth = math.sqrt(rho2)
+        sth = _sqrt(rho2)
         cth = z
 
         def theta_first(e_a):
@@ -371,37 +390,20 @@ def _sphere_surface(tilt: float, accel: float) -> WorldSurface:
                                                 + 2.0 * y * e_b[1])
             return num / rho2 - corr / (rho2 * rho2)
 
-        point = np.array([math.acos(z), math.atan2(y, x)])
-        j_s = np.array([theta_first(e_s), phi_first(e_s)])
-        j_r = np.array([theta_first(e_r), phi_first(e_r)])
+        point = _vec(r, _acos(z), _atan2(y, x))
+        j_s = _vec(r, theta_first(e_s), phi_first(e_s))
+        j_r = _vec(r, theta_first(e_r), phi_first(e_r))
         if order == 1:
             return point, j_s, j_r
         e_ss = _comb(accel, e_f, fp * fp, _comb(-cf, u, -sf, w))
         e_sr = tuple(fp * c for c in _comb(-sf, du, cf, dw))
         e_rr = _comb(cf, (-cr, -sr, -0.0), sf, (-w[0], -w[1], -0.0))
-        j_ss = np.array([theta_second(e_s, e_s, e_ss),
-                         phi_second(e_s, e_s, e_ss)])
-        j_sr = np.array([theta_second(e_r, e_s, e_sr),
-                         phi_second(e_r, e_s, e_sr)])
-        j_rr = np.array([theta_second(e_r, e_r, e_rr),
-                         phi_second(e_r, e_r, e_rr)])
+        j_ss = _vec(r, theta_second(e_s, e_s, e_ss), phi_second(e_s, e_s, e_ss))
+        j_sr = _vec(r, theta_second(e_r, e_s, e_sr), phi_second(e_r, e_s, e_sr))
+        j_rr = _vec(r, theta_second(e_r, e_r, e_rr), phi_second(e_r, e_r, e_rr))
         return point, j_s, j_r, j_ss, j_sr, j_rr
 
-    def along_r(s, r):  # jets' (x, x_r) at each (s, r) row; acos, atan2 with math
-        cr, sr = np.cos(r), np.sin(r)
-        f = s + 0.5 * accel * s * s  # cos f and sin f with math once per distinct f,
-        bits, rows = np.unique(f.view(np.uint64), return_inverse=True)  # -0.0 apart
-        f = bits.view(np.float64).tolist()
-        cf, sf = (np.array([trig(v) for v in f])[rows] for trig in (math.cos, math.sin))
-        x, y, z = _comb(cf, (cr, sr, 0.0), sf, (-sr * cb, cr * cb, sb))
-        e_r = _comb(cf, (-sr, cr, 0.0), sf, (-cr * cb, -sr * cb, 0.0))
-        rho2 = x * x + y * y
-        point = [(math.acos(c), math.atan2(b, a))
-                 for a, b, c in zip(x.tolist(), y.tolist(), z.tolist())]
-        return np.array(point), np.stack([-e_r[2] / np.sqrt(rho2),
-                                          (x * e_r[1] - y * e_r[0]) / rho2], axis=1)
-
-    return _surface(jets, (-0.5, 0.5), (-0.3, 0.3), along_r)
+    return _surface(jets, (-0.5, 0.5), (-0.3, 0.3))
 
 
 _SPHERE_SCHEMA = {
@@ -436,34 +438,20 @@ def _minkowski_surface(p: Dict[str, float]) -> WorldSurface:
     a3, c3 = p["spread_3"], p["cross_3"]
 
     def jets(s, r, order):
-        x = np.array([
-            s,
-            v * s + 0.5 * q * (1.0 + k * r) ** 2 * s * s + a1 * r,
-            r + 0.5 * w * r * r + c2 * s * r,
-            a3 * r + c3 * s * r,
-        ])
-        x_s = np.array([1.0, v + q * (1.0 + k * r) ** 2 * s, c2 * r, c3 * r])
-        x_r = np.array([0.0, q * k * (1.0 + k * r) * s * s + a1,
-                        1.0 + w * r + c2 * s, a3 + c3 * s])
+        g = 1.0 + k * r
+        g2 = _square(g)
+        x = _vec(r, s, v * s + 0.5 * q * g2 * s * s + a1 * r, r + 0.5 * w * r * r + c2 * s * r,
+                 a3 * r + c3 * s * r)
+        x_s = _vec(r, 1.0, v + q * g2 * s, c2 * r, c3 * r)
+        x_r = _vec(r, 0.0, q * k * g * s * s + a1, 1.0 + w * r + c2 * s, a3 + c3 * s)
         if order == 1:
             return x, x_s, x_r
-        x_ss = np.array([0.0, q * (1.0 + k * r) ** 2, 0.0, 0.0])
-        x_sr = np.array([0.0, 2.0 * q * k * (1.0 + k * r) * s, c2, c3])
-        x_rr = np.array([0.0, q * k * k * s * s, w, 0.0])
+        x_ss = _vec(r, 0.0, q * g2, 0.0, 0.0)
+        x_sr = _vec(r, 0.0, 2.0 * q * k * g * s, c2, c3)
+        x_rr = _vec(r, 0.0, q * k * k * s * s, w, 0.0)
         return x, x_s, x_r, x_ss, x_sr, x_rr
 
-    def along_r(s, r):  # jets' (x, x_r) at each (s, r) row; ** as Python's pow
-        x, x_r = np.zeros((2, len(r), 4))
-        x[:, 0] = s
-        x[:, 1] = v * s + 0.5 * q * np.float_power(1.0 + k * r, 2) * s * s + a1 * r
-        x[:, 2] = r + 0.5 * w * r * r + c2 * s * r
-        x[:, 3] = a3 * r + c3 * s * r
-        x_r[:, 1] = q * k * (1.0 + k * r) * s * s + a1
-        x_r[:, 2] = 1.0 + w * r + c2 * s
-        x_r[:, 3] = a3 + c3 * s
-        return x, x_r
-
-    return _surface(jets, (-0.5, 0.5), (-0.25, 0.25), along_r)
+    return _surface(jets, (-0.5, 0.5), (-0.25, 0.25))
 
 
 def _build_minkowski(p: Dict[str, float]) -> _Geometry:

@@ -25,6 +25,8 @@ from oracles import polyfit_order
 
 S0 = 0.15
 ROOT = Path(__file__).resolve().parent.parent
+# what scripts/solve_counts.py records, by study: the same scenarios, at S0
+LEDGER = json.loads((ROOT / "tests" / "work_counts.json").read_text())
 
 
 def residual_components(eq, scenario, s, eps, cfg=DEFAULT_ODE_CONFIG):
@@ -349,17 +351,18 @@ def test_shared_workspace_study_saves_transport_solves():
         per_equation = []
         for eq in relative:
             per_equation.extend(convergence_study([eq], sc, S0, DEFAULT_LADDER))
-    assert counts["solves"] > 21
+    relative_13, all_16 = LEDGER["relative_13"], LEDGER["all_16"]
+    assert counts["solves"] > relative_13["solves"]
     with work_counts() as counts:
         shared = convergence_study(relative, sc, S0, DEFAULT_LADDER)
-    assert counts["solves"] == 3 * len(DEFAULT_LADDER) == 21
-    assert counts["stacked_attempts"] == 1
+    assert counts["solves"] == 3 * len(DEFAULT_LADDER) == relative_13["solves"]
+    assert counts["stacked_attempts"] == relative_13["stacked_attempts"]
     assert ([smp.residual_norm for rep in shared for smp in rep.samples]
             == [smp.residual_norm for rep in per_equation for smp in rep.samples])
     with work_counts() as counts:
         convergence_study(list(EquationId), sc, S0, DEFAULT_LADDER)
-    assert counts["solves"] == 9 * len(DEFAULT_LADDER) == 63
-    assert counts["stacked_attempts"] == 1
+    assert counts["solves"] == 9 * len(DEFAULT_LADDER) == all_16["solves"]
+    assert counts["stacked_attempts"] == all_16["stacked_attempts"]
     # residual() evaluates as a study does: E6_3's 5 s, one lane each, in
     # one stacked attempt
     with work_counts() as counts:
@@ -410,12 +413,16 @@ def test_study_evaluates_each_generator_once_per_rhs_parameter(monkeypatch):
                         counted_coefficients)
     with work_counts() as counts:
         convergence_study(list(EquationId), sc, S0, DEFAULT_LADDER)
+    all_16 = LEDGER["all_16"]
+    nodes = all_16["generator_evals"]
     assert len(s_of) == 9  # s_eval and the eight stencil offsets
-    assert (counts["solves"], counts["generator_evals"], len(gen_params)) == (63, 189, 189)
-    assert (counts["attempted_steps"], counts["continued_lanes"]) == (63, 0)
-    assert len(set(coeff_params)) == len(coeff_params) == 189
+    assert (counts["solves"], counts["generator_evals"], len(gen_params)) == (
+        all_16["solves"], nodes, nodes)
+    assert (counts["attempted_steps"], counts["continued_lanes"]) == (
+        all_16["attempted_steps"], all_16["continued_lanes"])
+    assert len(set(coeff_params)) == len(coeff_params) == nodes
     assert gen_params == [u for _, u in coeff_params]
-    assert stacks == [("law", 21)] * 9 + [("generator", 189)]
+    assert stacks == [("law", 3 * len(DEFAULT_LADDER))] * 9 + [("generator", nodes)]
 
 
 def test_deviation_study_reads_each_magnus_stack_at_once():
@@ -424,16 +431,17 @@ def test_deviation_study_reads_each_magnus_stack_at_once():
     # nodes, 21 along each path, are read in one stacked surface call, and
     # no node is read through the point jets (their 7 calls read x_1(s)): a
     # fall-back to per-path or per-node evaluation changes these counts,
-    # and the rest are the ledger's (deviation_3 of tests/work_counts.json)
+    # which are the ledger's (deviation_3 of tests/work_counts.json)
     sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
     deviation = [EquationId.E2_13, EquationId.E4_1, EquationId.E6_3]
     with work_counts() as counts:
         convergence_study(deviation, sc, S0, DEFAULT_LADDER)
-    assert (counts["stacked_attempts"], counts["surface_stacks"],
-            counts["surface_stack_points"], counts["jets_order_1"]) == (1, 1, 147, 7)
-    ledger = json.loads((ROOT / "tests" / "work_counts.json").read_text())["deviation_3"]
+    ledger = LEDGER["deviation_3"]
     assert dict(counts) == {**{key: ledger[key] for key in load_script("solve_counts").WORK_KEYS},
                             "jets_order_1": ledger["jets_calls"]["1"]}
+    assert counts["stacked_attempts"] == counts["surface_stacks"]
+    assert counts["surface_stack_points"] == counts["generator_evals"] == 3 * counts["solves"]
+    assert counts["jets_order_1"] == counts["solves"] // len(DEFAULT_LADDER)
 
 
 @pytest.mark.parametrize("family", sorted(_CELLS_BY_FAMILY))
@@ -481,8 +489,7 @@ def load_script(name: str):
 def test_work_counts_match_the_ledger():
     # tests/work_counts.json records what scripts/solve_counts.py prints; a
     # change that changes the work re-records it and says why
-    ledger = json.loads((ROOT / "tests" / "work_counts.json").read_text())
-    assert load_script("solve_counts").work() == ledger
+    assert load_script("solve_counts").work() == LEDGER
 
 
 def test_outputs_match_the_recorded_digest():

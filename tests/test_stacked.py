@@ -29,9 +29,6 @@ from conftest import one_pullback, point_law
 from oracles import coordinate_probes
 from test_transport import point_coefficients, record_rhs_calls
 
-STACKED_SURFACES = {"flat-euclidean/ruled", "flat-euclidean/quadratic", "flat-torsion",
-                    "sphere", "minkowski", "offset-transport", "exp-transport"}
-
 
 def random_scenarios(name, rng, count=4):
     """The family at its defaults and at ``count`` parameter draws from the
@@ -68,9 +65,10 @@ def point_reads(path, us):
 @pytest.mark.parametrize("name", family_names())
 def test_points_equal_map_and_tangent(name, rng):
     # every built-in family, 4-d minkowski and flat 3- and 4-d charts
-    # included, at its defaults and at random parameters
+    # included, at its defaults and at random parameters, reads its
+    # connecting paths through its surface's row read
     for sc in random_scenarios(name, rng):
-        assert (sc.surface.along_r is not None) == (name in STACKED_SURFACES)
+        assert sc.surface.along_r is not None
         for path in family_paths(sc, rng):
             us = stack_of(path, rng)
             coords, velocity = path.points(us)
@@ -101,11 +99,12 @@ def families(name, rng):
                surf.r_domain, sc.dimension)
 
 
-@pytest.mark.parametrize("name", sorted(STACKED_SURFACES) + ["latitude"])
+@pytest.mark.parametrize("name", [*family_names(), "latitude"])
 def test_along_r_rows_equal_point_jets(name, rng):
     # one key per row, several rows per key, in one call: each row is the
-    # point jets' (x, x_r) at its (key, u), bit for bit; the domains' ends
-    # are among the draws, and a second call mixes keys 0.0 and -0.0
+    # point jets' (x, x_r) at its (key, u), bit for bit (a surface's one
+    # jets on (n,) arrays against the same jets on floats); the domains'
+    # ends are among the draws, and a second call mixes keys 0.0 and -0.0
     for read, jets, key_values, domain, d in families(name, rng):
         signed = ([0.0, -0.0], rng.integers(0, 2, 12))
         for values, picks in ((key_values, rng.integers(0, len(key_values), 40)), signed):
@@ -121,6 +120,7 @@ def test_along_r_keeps_the_sign_of_a_zero_s():
     # f(s) = s + accel s^2 / 2 is -0.0 at s = -0.0 for accel < 0, and sin
     # keeps that sign, which phi keeps at r = -0.0: rows at s = 0.0 and
     # s = -0.0 of one call each read their own s, as the point jets do
+    # (the sphere's sin taken per entry of the rows, as at a point)
     surf = build(ScenarioSpec("sphere", {"accel": -0.5})).surface
     ss, rs = np.array([0.0, 0.0, -0.0, -0.0]), np.array([-0.0, 0.1, -0.0, 0.1])
     x, x_r = surf.along_r(ss, rs)

@@ -1,14 +1,20 @@
 """The benchmark's tracer (``perfbench/tracer.py``) wraps module bindings and
 class methods of geodev by name; a refactor that drops one of those names
-makes every traced benchmark run fail with a KeyError.  These checks load
-the tracer as it is and install and remove its wrappers."""
+makes every traced benchmark run fail with a KeyError, and one that drops a
+``WorldSurface`` field it replaces makes every traced build fail.  These
+checks load the tracer as it is, install and remove its wrappers, and wrap
+the surface of each built-in family."""
 
 import types
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import geodev.equations
 import geodev.kinematics
 from geodev.geometry import ConnectionField
+from geodev.scenarios import ScenarioSpec, build, family_names
 from geodev.transport import TransportLaw
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -37,3 +43,19 @@ def test_tracer_installs_and_uninstalls_on_the_current_bindings():
     finally:
         tracer.uninstall()
     assert all(m.__dict__[n] is before[(m.__name__, n)] for m, n in names)
+
+
+@pytest.mark.parametrize("name", family_names())
+def test_tracer_wraps_the_surface_of_every_family(name):
+    # the tracer replaces the six WorldSurface callables by name with
+    # dataclasses.replace; the wrapped ones return the unwrapped values,
+    # and each call is counted under its name
+    module = _load_tracer()
+    tracer, spec = module.Tracer(), ScenarioSpec(name)
+    plain, traced = build(spec).surface, tracer._traced_build(build)(spec).surface
+    assert traced.along_r is not None
+    s, r = 0.1, plain.r_base + 0.03
+    for key in module.SURFACE_CALLABLES:
+        assert getattr(traced, key) is not getattr(plain, key)
+        assert np.array_equal(getattr(traced, key)(s, r), getattr(plain, key)(s, r))
+        assert tracer.stats[f"scenarios.surface.{key}"][0] == 1
