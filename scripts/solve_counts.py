@@ -128,8 +128,6 @@ def work() -> dict:
     """The counts ``main`` prints, by study."""
     out = {}
     for name, (family, eqs) in STUDIES.items():
-        # a fresh scenario per study: its surface memo keeps the points of
-        # earlier studies, which would make the counts depend on run order
         scenario = build(ScenarioSpec(family, LINEAR_DRIFT_MASSES))
         out[name] = counted(lambda: convergence_study(
             eqs, scenario, scenario.s_eval, DEFAULT_LADDER))

@@ -47,10 +47,10 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EvaluationError
-from .geometry import (bilinear, cov_tensor_components, curvature_apply,
-                       curvature_at, torsion_apply, torsion_components)
-# delta_field, deviation_vector and the relative_* functions stay bound here,
-# unused: perfbench/tracer.py wraps them
+# curvature_at, delta_field, deviation_vector and the relative_* functions
+# stay bound here, unused: perfbench/tracer.py wraps them
+from .geometry import (bilinear, cov_tensor_components, curvature_apply, curvature_at,
+                       curvature_components, torsion_apply, torsion_components)
 from .kinematics import (Scenario, _Ladder, delta_field, deviation_vector,
                          relative_acceleration, relative_energy, relative_force,
                          relative_momentum, relative_velocity)
@@ -147,10 +147,6 @@ class _Workspace(_Ladder):
     (s, r') alone and so are computed once for the whole ladder.
     """
 
-    def gam(self, s: float) -> np.ndarray:
-        return self._get(("gam", s),
-                         lambda: self.sc.conn.coefficients(self.x1_point(s)))
-
     def dgam(self, s: float) -> np.ndarray:
         return self._get(("dgam", s),
                          lambda: self.sc.conn.partials(self.x1_point(s)))
@@ -160,7 +156,7 @@ class _Workspace(_Ladder):
 
     def curvature(self, s: float) -> np.ndarray:
         return self._get(("R", s),
-                         lambda: curvature_at(self.sc.conn, self.x1_point(s)))
+                         lambda: curvature_components(self.gam(s), self.dgam(s)))
 
     def s_tensor(self, s: float) -> np.ndarray:
         return self._get(("S", s), lambda: s_tensor(
@@ -451,13 +447,11 @@ def _samples(eq: EquationId, workspace: _Workspace, s: float) -> list:
 
 
 def _evaluate(equations: Sequence[EquationId], workspace: _Workspace, s: float) -> list:
-    """The samples of each of ``equations`` on ``workspace``: the formulas
-    that read no pull-back first, so that the solve's reads of x_1 reuse
-    theirs, then one solve of the pull-backs at every s the equations
-    declare, then the rest."""
-    first = {eq: _samples(eq, workspace, s) for eq in equations if _INFO[eq].stencil is None}
+    """The samples of each of ``equations`` on ``workspace``: one solve of
+    the pull-backs at every s the equations declare, then each formula in
+    order."""
     workspace.solve([u for eq in equations for u in _INFO[eq].pullback_s(s)])
-    return [first.pop(eq, None) or _samples(eq, workspace, s) for eq in equations]
+    return [_samples(eq, workspace, s) for eq in equations]
 
 
 def residual(eq: EquationId, scenario: Scenario, s: float, epsilon: float,

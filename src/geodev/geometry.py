@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, Optional, Tuple
 
@@ -40,10 +39,10 @@ __all__ = [
     "PathCurve",
     "read_points",
     "checked_array",
-    "memo_put",
     "torsion_at",
     "torsion_components",
     "curvature_at",
+    "curvature_components",
     "cov_tensor_components",
     "metric_dot",
     "sign_of_square",
@@ -56,8 +55,6 @@ DEFAULT_FD_STEP = 1e-5
 METRIC_SYMMETRY_TOL = 1e-12
 METRIC_DET_TOL = 1e-12
 NULL_TOL = 1e-10  # |U^2| at or below this is null for sign_of_square
-MEMO_SIZE = 4096  # entries of each surface memo (memo_put)
-_MEMO_LOCK = threading.Lock()  # makes memo_put's check-then-store atomic
 
 
 def _all_finite(arr: np.ndarray) -> bool:
@@ -187,16 +184,6 @@ class MetricField:
         return checked_array(out, (point.dimension,) * 3, "metric partials", point)
 
 
-def memo_put(memo: dict, key, value):
-    """``memo[key] = value``, one whole entry for readers in other threads,
-    emptying a memo of ``MEMO_SIZE`` entries first; returns ``value``."""
-    with _MEMO_LOCK:
-        if len(memo) >= MEMO_SIZE:
-            memo.clear()
-        memo[key] = value
-    return value
-
-
 @dataclass(frozen=True)
 class PathCurve:
     """A C^1 path in the chart over ``domain``, stated once as ``jets(u) ->
@@ -302,17 +289,19 @@ def torsion_at(conn: ConnectionField, x: ChartPoint) -> np.ndarray:
     return torsion_components(conn.coefficients(x))
 
 
-def curvature_at(conn: ConnectionField, x: ChartPoint) -> np.ndarray:
-    """Curvature tensor of the connection at ``x``, valence (1,3).
-
-    ``R^i_{jkl} = d_k G^i_{jl} - d_l G^i_{jk} + G^i_{mk} G^m_{jl}
-    - G^i_{ml} G^m_{jk}``; antisymmetric in (k, l).
-    """
-    gamma = conn.coefficients(x)
-    dgamma = conn.partials(x)  # dgamma[i, j, k, l] = d_l G^i_{jk}
+def curvature_components(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
+    """``R^i_{jkl} = d_k G^i_{jl} - d_l G^i_{jk} + G^i_{mk} G^m_{jl}
+    - G^i_{ml} G^m_{jk}`` of Gamma and its partials ``dgamma[i, j, k, l] =
+    d_l G^i_{jk}``; antisymmetric in (k, l)."""
     term_dk = np.transpose(dgamma, (0, 1, 3, 2))  # [i,j,k,l] -> d_k G^i_{jl}
     quad = np.einsum("imk,mjl->ijkl", gamma, gamma)
     return term_dk - dgamma + quad - np.swapaxes(quad, 2, 3)
+
+
+def curvature_at(conn: ConnectionField, x: ChartPoint) -> np.ndarray:
+    """Curvature tensor of the connection at ``x``, valence (1,3)
+    (``curvature_components``)."""
+    return curvature_components(conn.coefficients(x), conn.partials(x))
 
 
 def cov_tensor_components(gamma: np.ndarray, xdot: np.ndarray,

@@ -14,7 +14,7 @@ fixed and ``eps`` shrinks along a ladder, which is what turns the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,15 +54,15 @@ class WorldSurface:
 
     ``map(s, r)`` returns the chart coordinates; ``d_s``/``d_r`` the first
     partials and ``d_ss``/``d_sr``/``d_rr`` the second partials, all as
-    read-only component arrays.  The built-in families write their surface
-    once, by order, and read it at a point or on rows; a point's values are
-    kept in a memo keyed by (s, r), so the six partials at one point cost
-    at most one order-1 and one order-2 evaluation (``scenarios._surface``).
-    ``r_base`` is the r-parameter of the first worldline.  ``along_r(s,
-    rs)``, when given, is ``(map, d_r)`` at each (s, r) row of the arrays
-    ``s`` and ``rs``, bit for bit, read from the same statement on the
-    rows: the family read (``PathCurve.along``) of the connecting paths, so
-    that one call reads the nodes of many of them.
+    component arrays.  The built-in families write their surface once, by
+    order, and read it at a point or on rows, each accessor call one
+    evaluation (``scenarios._surface``); a study reads each partial once
+    per point (``_Ladder.surface`` and ``_Ladder.rows``).  ``r_base`` is
+    the r-parameter of the first worldline.  ``along_r(s, rs)``, when
+    given, is ``(map, d_r)`` at each (s, r) row of the arrays ``s`` and
+    ``rs``, bit for bit, read from the same statement on the rows: the
+    family read (``PathCurve.along``) of the connecting paths, so that one
+    call reads the nodes of many of them.
     """
 
     map: Callable[[float, float], np.ndarray]
@@ -160,46 +160,19 @@ def worldline(scenario: Scenario, which: int, eps: float = 0.0) -> PathCurve:
 
 def force_field(scenario: Scenario, s: float, r: float) -> np.ndarray:
     """Force field F_s(r): covariant s-acceleration of the surface,
-    ``F^i = d_ss^i + Gamma^i_{jk} d_s^j d_s^k`` at ``gamma(s, r)``.
+    ``F^i = d_ss^i + Gamma^i_{jk} d_s^j d_s^k`` at ``gamma(s, r)``, the
+    ``a1`` of a ladder of one on the surface rebased to r.
 
     Coincides with the particle accelerations at the worldline parameters.
     """
-    return _forces(scenario, s, [r])[0]
-
-
-def _forces(scenario: Scenario, s: float, rs) -> np.ndarray:
-    """``force_field`` at each r of ``rs``, ``(len(rs), d)``: one point read
-    of the surface per r, and Gamma read at all the points in one call."""
-    surf = scenario.surface
-    surf.require_s(s)
-    for r in rs:
-        surf.require_r(r)
-    shape = (scenario.dimension,)
-    # d_ss first: one order-2 surface call serves all three reads
-    dss = np.array([checked_array(surf.d_ss(s, r), shape, "d_ss components") for r in rs])
-    points = [surf.point(s, r) for r in rs]
-    coords = np.array([point.coords for point in points])
-    gamma = _checked_stack(scenario.conn.gamma_at(coords), shape * 3,
-                           "connection coefficients", coords)
-    ds = np.array([checked_array(surf.d_s(s, r), shape, "d_s components", point)
-                   for r, point in zip(rs, points)])
-    return dss + bilinear(gamma, ds, ds)
+    rebased = replace(scenario, surface=replace(scenario.surface, r_base=r))
+    return np.array(_Ladder(rebased, (0.0,), DEFAULT_ODE_CONFIG).a1(s))
 
 
 def infinitesimal_deviation(scenario: Scenario, s: float, eps: float) -> np.ndarray:
     """Infinitesimal deviation vector at x_1(s): the connecting-path tangent
     at r' scaled by eps.  Exactly linear in eps."""
-    surf = scenario.surface
-    surf.require_s(s)
-    r1, _ = scenario.separation_endpoints(eps)
-    return eps * checked_array(surf.d_r(s, r1), (scenario.dimension,),
-                               "d_r components")
-
-
-def _momentum_field(scenario: Scenario) -> Callable[[float, float], np.ndarray]:
-    surf = scenario.surface
-    mass = scenario.mass
-    return lambda s, r: mass.value(s, r) * np.asarray(surf.d_s(s, r), float)
+    return np.array(_Ladder(scenario, (eps,), DEFAULT_ODE_CONFIG).zeta(s)[0])
 
 
 class _Ladder:
@@ -210,7 +183,9 @@ class _Ladder:
     ``(K, 1)`` column for a scalar, so that it scales a stack lane by lane),
     each lane computed bit for bit as that separation alone would be, so the
     public functions below read lane 0 of a ladder of one (as writeable
-    copies); the reads at (s, r') are made once for the whole ladder.  Each memoized value is a
+    copies); the reads at (s, r') are made once for the whole ladder, and
+    each surface partial is read once per point, checked, through
+    ``surface`` at (s, r') and ``rows`` at the r''.  Each memoized value is a
     deterministic function of its key (quantity, s), so evaluation order
     changes no value, and read-only, so that no reader writes into what
     another reads.  Every quantity takes the worldline parameter s; the
@@ -225,7 +200,6 @@ class _Ladder:
         self.cfg = cfg
         self.surf = scenario.surface
         self.r1 = self.surf.r_base
-        self.momentum = _momentum_field(scenario)
         self._memo: dict = {}
 
     def _get(self, key, fn):
@@ -239,30 +213,34 @@ class _Ladder:
 
     # -- reads at (s, r') ---------------------------------------------------
     def surface(self, name: str, s: float) -> np.ndarray:
-        """Surface callable ``name`` (``map``, ``d_s``, ``d_r``, ``d_sr``)
-        at (s, r'); s is checked against the surface s-domain first."""
-        def make():
-            self.surf.require_s(s)
-            return np.asarray(getattr(self.surf, name)(s, self.r1), float)
-        return self._get((name, s), make)
+        """Surface partial ``name`` (``map``, ``d_s``, ...) at (s, r'),
+        checked by ``values`` as ``f"{name} components"``."""
+        return self._get((name, s), lambda: self.values(
+            getattr(self.surf, name), s, self.r1, what=f"{name} components")[0])
 
     def x1_point(self, s: float) -> ChartPoint:
         return self._get(("x1pt", s), lambda: ChartPoint(self.surface("map", s)))
 
     def v1(self, s: float) -> np.ndarray:
-        return self._get(("V1", s), lambda: self.values(self.surf.d_s, s, self.r1)[0])
+        return self.surface("d_s", s)
 
     def rdot(self, s: float) -> np.ndarray:
         return self.surface("d_r", s)
 
+    def gam(self, s: float) -> np.ndarray:
+        return self._get(("gam", s),
+                         lambda: self.sc.conn.coefficients(self.x1_point(s)))
+
     def a1(self, s: float) -> np.ndarray:
-        return self._get(("a1", s), lambda: force_field(self.sc, s, self.r1))
+        """F_s(r'), ``d_ss + Gamma(V_1, V_1)`` at x_1(s)."""
+        return self._get(("a1", s), lambda: (
+            self.surface("d_ss", s) + bilinear(self.gam(s), self.v1(s), self.v1(s))))
 
     def mu1(self, s: float) -> float:
-        return self.sc.mass.value(s, self.r1)
+        return self._get(("mu1", s), lambda: self.sc.mass.value(s, self.r1))
 
     def dmu1(self, s: float) -> float:
-        return float(self.sc.mass.d_s_mu(s, self.r1))
+        return self._get(("dmu1", s), lambda: float(self.sc.mass.d_s_mu(s, self.r1)))
 
     def p1(self, s: float) -> np.ndarray:
         return self.mu1(s) * self.v1(s)
@@ -294,11 +272,20 @@ class _Ladder:
             self._memo.update((("Lh", s), pair) for s, pair in zip(todo, zip(*lanes)))
 
     # -- relative quantities, on the ladder stack ----------------------------
-    def values(self, field: Callable[[float, float], np.ndarray], s: float, *rs) -> np.ndarray:
-        """``field(s, r)``, checked, at each r of ``rs``, or else of the ladder's r''."""
+    def rows(self, name: str, s: float) -> np.ndarray:
+        """Surface partial ``name`` at (s, r'') for each r'' of the ladder,
+        ``(K, d)``, checked as ``surface`` checks its point."""
+        return self._get(("rows", name, s), lambda: self.values(
+            getattr(self.surf, name), s, what=f"{name} components"))
+
+    def values(self, field: Callable[[float, float], np.ndarray], s: float, *rs,
+               what: str = "field components") -> np.ndarray:
+        """``field(s, r)`` at each r of ``rs``, or else of the ladder's r'',
+        each checked (``checked_array`` naming ``what``); s is checked
+        against the surface s-domain first."""
         self.surf.require_s(s)
-        return np.array([checked_array(field(s, r), (self.sc.dimension,),
-                                       "field components") for r in rs or self.r2])
+        return np.array([checked_array(field(s, r), (self.sc.dimension,), what)
+                         for r in rs or self.r2])
 
     def carry(self, s: float, b2: np.ndarray) -> np.ndarray:
         """Particle 2's vectors carried to r', the one place this is done:
@@ -327,15 +314,19 @@ class _Ladder:
 
     def forces2(self, s: float) -> np.ndarray:
         """F_s(r'') at each r'' of the ladder, Gamma read in one call."""
-        return self._get(("F2", s), lambda: _forces(self.sc, s, self.r2))
+        def make():
+            coords, ds = self.rows("map", s), self.rows("d_s", s)
+            gamma = _checked_stack(self.sc.conn.gamma_at(coords), (self.sc.dimension,) * 3,
+                                   "connection coefficients", coords)
+            return self.rows("d_ss", s) + bilinear(gamma, ds, ds)
+        return self._get(("F2", s), make)
 
     def momenta(self, s: float) -> np.ndarray:
         """p at each r'' of the ladder: ``(K, d)``."""
-        return self._get(("p", s), lambda: self.values(self.momentum, s))
+        return self._get(("p", s), lambda: self.mu2(s) * self.rows("d_s", s))
 
     def delta_v(self, s: float) -> np.ndarray:
-        return self._get(("dV", s), lambda: (
-            self.carry(s, self.values(self.surf.d_s, s)) - self.v1(s)))
+        return self._get(("dV", s), lambda: self.carry(s, self.rows("d_s", s)) - self.v1(s))
 
     def delta_p(self, s: float) -> np.ndarray:
         return self._get(("dp", s), lambda: self.carry(s, self.momenta(s)) - self.p1(s))
@@ -411,8 +402,8 @@ def momentum(scenario: Scenario, which: int, s: float, eps: float = 0.0) -> np.n
         raise ValueError("particle index must be 1 or 2")
     r1, r2 = scenario.separation_endpoints(eps)
     r = r1 if which == 1 else r2
-    return checked_array(_momentum_field(scenario)(s, r), (scenario.dimension,),
-                         "momentum components")
+    return checked_array(scenario.mass.value(s, r) * np.asarray(scenario.surface.d_s(s, r), float),
+                         (scenario.dimension,), "momentum components")
 
 
 def relative_momentum(scenario: Scenario, s: float, eps: float,

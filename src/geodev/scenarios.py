@@ -14,10 +14,11 @@ order; the same expressions read a point, on floats, or a stack of rows, on
 ``(n,)`` arrays of s and r, each ``math`` function taken on the rows in a
 form that gives each entry its bits at a point (``_each``), so that a
 row's bits are its point's bits.
-``_surface`` turns it into a WorldSurface that keeps each point's jets in a
-memo keyed by the bits of (s, r) and hands out read-only arrays, and whose
-``along_r`` reads the rows of all the connecting paths of a Magnus attempt
-in one call.  Each Gamma and each law is stated on a stack.
+``_surface`` turns it into a WorldSurface whose accessors are each one
+``jets`` call at a point, and whose ``along_r`` reads the rows of all the
+connecting paths of a Magnus attempt in one call; a study reads each
+partial once per point (``kinematics._Ladder``).  Each Gamma and each law
+is stated on a stack.
 
 Family structure matrix (enforced by tests):
 
@@ -38,7 +39,6 @@ S, DS/ds, R and force terms are all active at once.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
@@ -46,7 +46,7 @@ import numpy as np
 
 from .equations import EquationId
 from .errors import ConfigError, DomainError
-from .geometry import ConnectionField, MetricField, memo_put
+from .geometry import ConnectionField, MetricField
 from .kinematics import MassSurface, Scenario, SurfaceField, WorldSurface
 from .transport import _COUNTS, TransportLaw, law_from_connection, law_with_offset
 
@@ -151,9 +151,6 @@ def _identity_metric(dim: int, signature: Optional[np.ndarray] = None) -> Metric
     return MetricField(g_at=lambda pt: g, partials_at=lambda pt: dg)
 
 
-_bits = struct.Struct("dd").pack  # the memo key of (s, r): -0.0 is not 0.0
-
-
 def _each(fn: Callable[..., float], ufunc: Optional[Callable] = None) -> Callable:
     """``fn``, a ``math`` function, on floats at a point or on ``(n,)``
     arrays of rows, so that a row's bits are its point's bits: on rows by
@@ -192,30 +189,19 @@ def _surface(jets: Callable[..., Tuple[np.ndarray, ...]],
     """WorldSurface of a family stated once as ``jets(s, r, order) -> (x,
     x_s, x_r)`` at order 1, ``+ (x_ss, x_sr, x_rr)`` at order 2, on floats
     at a point or on ``(n,)`` arrays of rows, each value then ``(n, d)``.
-    A point's values are kept read-only in a memo keyed by the bits of (s,
-    r), so that -0.0 reads its own jets (``geometry.memo_put``); ``map``,
-    ``d_s``, ``d_r`` read order 1, which an order-2 entry also serves, and
-    the second partials read order 2, which replaces an order-1 entry.  Its
+    Each accessor is one ``jets`` call at a point, ``map``, ``d_s``, ``d_r``
+    at order 1 and the second partials at order 2, and its
     ``along_r(s, rs)`` is the ``(x, x_r)`` of ``jets`` at order 1 on the
-    rows, unmemoized.  Point and row calls and points count in
+    rows.  Point and row calls and points count in
     ``transport.work_counts``."""
-    memo: dict = {}
-
-    def at(s: float, r: float, order: int) -> Tuple[np.ndarray, ...]:
-        key = _bits(s, r)
-        values = memo.get(key, ())
-        if len(values) < 3 * order:
-            if (counts := _COUNTS.get()) is not None:
-                counts[f"jets_order_{order}"] += 1
-            values = jets(s, r, order)
-            for value in values:
-                value.flags.writeable = False
-            memo_put(memo, key, values)
-        return values
-
     def partial(i: int) -> Callable[[float, float], np.ndarray]:
         order = 1 + i // 3
-        return lambda s, r: at(s, r, order)[i]
+
+        def read(s: float, r: float) -> np.ndarray:
+            if (counts := _COUNTS.get()) is not None:
+                counts[f"jets_order_{order}"] += 1
+            return jets(s, r, order)[i]
+        return read
 
     def along_r(s: np.ndarray, rs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         if (counts := _COUNTS.get()) is not None:

@@ -292,7 +292,7 @@ def _pullbacks(law: TransportLaw, paths: Sequence[PathCurve], s: float,
     for path in paths:
         for t in (s, *ends):
             path.require(t)
-        d = path.map(s).dimension
+    d = paths[0].map(s).dimension
 
     def generator(us, m, xdot):  # G at each node of a stack
         g = np.zeros((len(us), d + 1, d + 1))

@@ -429,9 +429,12 @@ def test_deviation_study_reads_each_magnus_stack_at_once():
     # the 3 deviation equations read 7 values of s; the 49 lanes, 7 ladder
     # lanes along each gamma_s, make one stacked attempt whose 147 Gauss
     # nodes, 21 along each path, are read in one stacked surface call, and
-    # no node is read through the point jets (their 7 calls read x_1(s)): a
-    # fall-back to per-path or per-node evaluation changes these counts,
-    # which are the ledger's (deviation_3 of tests/work_counts.json)
+    # no node is read through the point jets: their calls read d_r at x_1(s)
+    # for each of the 7 s, map and d_s at the 3 centres of the covariant
+    # differences, and map and d_r at the first path's start, for the
+    # dimension of the solve.  A fall-back to per-path or per-node
+    # evaluation changes these counts, which are the ledger's (deviation_3
+    # of tests/work_counts.json)
     sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
     deviation = [EquationId.E2_13, EquationId.E4_1, EquationId.E6_3]
     with work_counts() as counts:
@@ -441,7 +444,7 @@ def test_deviation_study_reads_each_magnus_stack_at_once():
                             "jets_order_1": ledger["jets_calls"]["1"]}
     assert counts["stacked_attempts"] == counts["surface_stacks"]
     assert counts["surface_stack_points"] == counts["generator_evals"] == 3 * counts["solves"]
-    assert counts["jets_order_1"] == counts["solves"] // len(DEFAULT_LADDER)
+    assert counts["jets_order_1"] == counts["solves"] // len(DEFAULT_LADDER) + 2 * 3 + 2
 
 
 @pytest.mark.parametrize("family", sorted(_CELLS_BY_FAMILY))
@@ -524,48 +527,40 @@ def test_study_evaluates_base_geometry_once_per_s(monkeypatch):
     # Gamma's partials, R, the force F_s(r') and the metric at x_1(s) depend
     # on (s, r') alone: one memo serves the whole ladder, so a
     # default-ladder study evaluates them at x_1(s) once, not once per eps.
-    # curvature_at reads the partials itself; the second partials call is
-    # the dGamma that DT and DF/dr share.  The relative acceleration and
-    # force read F_s(r') from the memo (a_1) and F_s(r'') in one stacked read
-    # per s, and E7_4 reads the metric at x_1(s) and at x_1(s +- H_S) once
-    # each
+    # R is made of the Gamma and dGamma that DT and DF/dr share, so
+    # curvature_at is never called.  The forces F_s(r') and F_s(r'') read
+    # d_ss once at each point, each d_s read serves every reader at its
+    # point (V_1, the momenta, Delta V and the forces), and E7_4 reads the
+    # metric at x_1(s) and at x_1(s +- H_S) once each
     sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
-    calls = []
+    calls, reads, surf = [], Counter(), sc.surface
     partials, curvature = ConnectionField.partials, geodev.equations.curvature_at
-    force, forces = geodev.kinematics.force_field, geodev.kinematics._forces
     matrix = MetricField.matrix
-    inside = []
 
-    def counted(name, fn, where=lambda field, point: tuple(point.coords)):
-        def call(*args):
-            if "force" not in inside:  # force_field's own _forces read is not a second one
-                calls.append((name, where(*args)))
-            inside.append(name)
-            try:
-                return fn(*args)
-            finally:
-                inside.pop()
-        return call
+    def counted(name, fn):
+        return lambda *args: calls.append((name, tuple(args[1].coords))) or fn(*args)
+
+    def read(name):
+        return lambda s, r: reads.update([(name, s, r)]) or getattr(surf, name)(s, r)
 
     monkeypatch.setattr(ConnectionField, "partials", counted("partials", partials))
     monkeypatch.setattr(geodev.equations, "curvature_at",
                         counted("curvature_at", curvature))
-    monkeypatch.setattr(geodev.kinematics, "force_field",
-                        counted("force", force, lambda sc, s, r: (s, r)))
-    monkeypatch.setattr(geodev.kinematics, "_forces",
-                        counted("forces", forces, lambda sc, s, rs: (s, tuple(rs))))
     monkeypatch.setattr(MetricField, "matrix", counted("metric", matrix))
-    convergence_study(list(EquationId), sc, S0, DEFAULT_LADDER)
-    r1 = sc.surface.r_base
+    counting = dataclasses.replace(sc, surface=dataclasses.replace(
+        surf, d_s=read("d_s"), d_ss=read("d_ss")))
+    convergence_study(list(EquationId), counting, S0, DEFAULT_LADDER)
+    r1 = surf.r_base
     r2s = tuple(sc.separation_endpoints(eps)[1] for eps in DEFAULT_LADDER)
-    x1 = {s: tuple(sc.surface.map(s, r1)) for s in (S0 - H_S, S0, S0 + H_S)}
-    # Gamma's partials and R are evaluated nowhere else in the study; the
+    x1 = {s: tuple(surf.map(s, r1)) for s in (S0 - H_S, S0, S0 + H_S)}
+    # Gamma's partials are evaluated nowhere else in the study; the
     # metric's partials shift x_1, so the metric is counted at x_1 alone
     geometry = Counter(call for call in calls
                        if call[0] in ("partials", "curvature_at"))
-    assert geometry == {("partials", x1[S0]): 2, ("curvature_at", x1[S0]): 1}
-    assert Counter(call for call in calls if call[0] in ("force", "forces")) == {
-        ("force", (S0, r1)): 1, ("forces", (S0, r2s)): 1}
+    assert geometry == {("partials", x1[S0]): 1}
+    assert Counter(key for key in reads.elements() if key[0] == "d_ss") == {
+        ("d_ss", S0, r): 1 for r in (r1, *r2s)}
+    assert set(reads.values()) == {1}
     at_x1 = Counter(call for call in calls
                     if call[0] == "metric" and call[1] in x1.values())
     assert at_x1 == {("metric", x1[S0 - H_S]): 1, ("metric", x1[S0]): 1,

@@ -10,11 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import geodev.geometry
 from geodev.errors import EvaluationError, NullVectorError
 from geodev.geometry import (DEFAULT_FD_STEP, ChartPoint, ConnectionField,
                              MetricField, PathCurve, checked_array,
-                             cov_tensor_components, curvature_at, memo_put,
+                             cov_tensor_components, curvature_at,
                              metric_dot, sign_of_square, torsion_at)
 
 from conftest import stacked_gamma
@@ -138,14 +137,6 @@ def test_analytic_metric_partials_are_checked(partials, message):
     metric = MetricField(g_at=lambda p: np.eye(2), partials_at=lambda p: partials)
     with pytest.raises(EvaluationError, match=message):
         metric.partials(ChartPoint([0.0, 0.0]))
-
-
-def test_memos_hold_at_most_memo_size_entries(monkeypatch):
-    monkeypatch.setattr(geodev.geometry, "MEMO_SIZE", 3)
-    memo = {}
-    for key in range(7):
-        assert memo_put(memo, key, -key) == -key
-        assert len(memo) <= 3 and memo[key] == -key
 
 
 def test_concurrent_path_reads_get_their_own_parameters_values():

@@ -9,7 +9,7 @@ from scipy.integrate import quad_vec
 from geodev.errors import DomainError, EvaluationError, NullVectorError
 from geodev.geometry import (MetricField, cov_tensor_components, metric_dot,
                              sign_of_square)
-from geodev.equations import _Workspace
+from geodev.equations import EquationId, _Workspace, residual
 from geodev.kinematics import (MassSurface, Scenario, WorldSurface,
                                back_transport, connecting_path, delta_field, deviation_vector,
                                force_field, infinitesimal_deviation, momentum,
@@ -136,7 +136,9 @@ def test_force_field_great_circles_vanishes(sphere):
 @pytest.mark.parametrize("bad", [np.zeros(3), np.array([0.0, np.nan])])
 def test_surface_vectors_are_checked_where_they_arrive(bad):
     # a surface partial of the wrong shape or with a non-finite entry is named
-    # by the public function that reads it, not passed on as an array
+    # by the public function that reads it, not passed on as an array; a
+    # residual names it too (E3_1 reads no pull-back, whose path would meet
+    # a bad d_r first, as a tangent)
     grid = {"map_fn": lambda s, r: np.array([s, r]),
             "d_s": lambda s, r: np.array([1.0, 0.0]),
             "d_r": lambda s, r: np.array([0.0, 1.0])}
@@ -144,7 +146,9 @@ def test_surface_vectors_are_checked_where_they_arrive(bad):
              ("d_s", lambda sc: force_field(sc, 0.1, 0.0), "d_s components"),
              ("d_s", lambda sc: momentum(sc, 1, 0.1), "momentum components"),
              ("d_r", lambda sc: infinitesimal_deviation(sc, 0.1, EPS),
-              "d_r components")]
+              "d_r components"),
+             ("d_sr", lambda sc: residual(EquationId.E4_3, sc, 0.1, EPS), "d_sr components"),
+             ("d_r", lambda sc: residual(EquationId.E3_1, sc, 0.1, EPS), "d_r components")]
     for partial, call, message in cases:
         sc = simple_flat_scenario(**{**grid, partial: lambda s, r: bad})
         with pytest.raises(EvaluationError, match=message):

@@ -5,14 +5,14 @@ import threading
 import numpy as np
 import pytest
 
-import geodev.geometry
+import geodev.scenarios
 from geodev.errors import ConfigError
 from geodev.geometry import curvature_at, torsion_at
 from geodev.kinematics import connecting_path
 from geodev.scenarios import (EQUATION_SCENARIOS, LINEAR_DRIFT_MASSES,
                               ScenarioSpec, _surface, build, family_names,
                               list_scenarios)
-from geodev.transport import s_tensor
+from geodev.transport import s_tensor, work_counts
 
 ALL_FAMILIES = ("flat-euclidean/ruled", "flat-euclidean/quadratic",
                 "flat-torsion", "sphere", "minkowski", "offset-transport",
@@ -88,6 +88,8 @@ def test_r_base_override():
 
 
 def test_surface_jets_evaluated_once_per_point():
+    # each accessor is one jets call at its point, at its own order, counted
+    # by order in work_counts
     calls = []
 
     def jets(s, r, order):
@@ -95,43 +97,35 @@ def test_surface_jets_evaluated_once_per_point():
         return tuple(np.full(2, i + s + r) for i in range(3 * order))
 
     surf = _surface(jets, s_domain=(-1.0, 1.0), r_domain=(-1.0, 1.0))
-    first = [f(0.25, 0.5) for f in (surf.map, surf.d_s, surf.d_r)]
-    assert calls == [(0.25, 0.5, 1)]  # order-1 reads never ask for order 2
-    assert [v[0] for v in first] == [0.75, 1.75, 2.75]
-    second = [f(0.25, 0.5) for f in (surf.d_ss, surf.d_sr, surf.d_rr)]
-    assert calls == [(0.25, 0.5, 1), (0.25, 0.5, 2)]  # exactly one more
-    assert [v[0] for v in second] == [3.75, 4.75, 5.75]
-    assert [f(0.25, 0.5)[0] for f in (surf.map, surf.d_s, surf.d_r)] == [
-        0.75, 1.75, 2.75]
-    assert len(calls) == 2  # order-1 reads after order 2 make none
+    with work_counts() as counts:
+        first = [f(0.25, 0.5) for f in (surf.map, surf.d_s, surf.d_r)]
+        assert calls == [(0.25, 0.5, 1)] * 3  # order-1 reads never ask for order 2
+        second = [f(0.25, 0.5) for f in (surf.d_ss, surf.d_sr, surf.d_rr)]
+    assert calls[3:] == [(0.25, 0.5, 2)] * 3
+    assert counts == {"jets_order_1": 3, "jets_order_2": 3}
+    assert [v[0] for v in first + second] == [0.75, 1.75, 2.75, 3.75, 4.75, 5.75]
     assert surf.d_r(0.125, 0.5)[0] == 2.625
-    assert calls[2:] == [(0.125, 0.5, 1)]
-    # keyed by (s, r): returning to the first point, at either order, makes
-    # no new call
-    assert surf.d_s(0.25, 0.5)[0] == 1.75 and surf.d_rr(0.25, 0.5) is second[2]
-    assert len(calls) == 3
-    for value in first + second:
-        with pytest.raises(ValueError):
-            value[0] = 1.0
+    assert calls[6:] == [(0.125, 0.5, 1)]
 
 
 @pytest.mark.parametrize("name", ALL_FAMILIES)
-def test_order_one_jets_equal_the_first_order_two_jets(name):
-    # the memo answers order-1 reads from either order, so a family's
-    # order-1 jets must be the first three of its order-2 jets, bit for bit
+def test_order_one_jets_equal_the_first_order_two_jets(name, monkeypatch):
+    # a point's first partials are read at order 1 and its second partials
+    # at order 2, so a family's order-1 jets must be the first three of its
+    # order-2 jets, bit for bit, for both to describe one surface
+    families, surface = [], geodev.scenarios._surface
+    monkeypatch.setattr(geodev.scenarios, "_surface",
+                        lambda jets, *domains: families.append(jets) or surface(jets, *domains))
     rng = np.random.default_rng(13)
     schema = {e["name"]: e["parameters"] for e in list_scenarios()}[name]
     for _ in range(20):
         params = {key: (float(rng.integers(spec["min"], spec["max"] + 1))
                         if key == "dim" else rng.uniform(spec["min"], spec["max"]))
                   for key, spec in schema.items()}
-        order_1 = build(ScenarioSpec(name, params)).surface
-        order_2 = build(ScenarioSpec(name, params)).surface
-        s, r = rng.uniform(*order_1.s_domain), rng.uniform(*order_1.r_domain)
-        order_2.d_ss(s, r)
-        for key in ("map", "d_s", "d_r"):
-            assert np.array_equal(getattr(order_1, key)(s, r),
-                                  getattr(order_2, key)(s, r))
+        surf = build(ScenarioSpec(name, params)).surface
+        s, r = rng.uniform(*surf.s_domain), rng.uniform(*surf.r_domain)
+        order_1, order_2 = families[-1](s, r, 1), families[-1](s, r, 2)
+        assert len(order_1) == 3 and all(map(np.array_equal, order_1, order_2[:3]))
 
 
 def _numpy_sphere_jets(tilt, accel, s, r):
@@ -225,12 +219,9 @@ def test_ruled_surface_is_the_bilinear_closed_form(dim):
         assert np.array_equal(x_r, np.broadcast_to(stacked[2], x_r.shape))
 
 
-def test_surface_memo_is_safe_across_threads(monkeypatch):
+def test_surface_memo_is_safe_across_threads():
     # threads evaluating one surface at different points each get the jets
-    # of their own point, never the memo entry another thread left behind;
-    # with 20 points for a memo of 4 entries the memo is emptied and
-    # refilled while the others read it
-    monkeypatch.setattr(geodev.geometry, "MEMO_SIZE", 4)
+    # of their own point, never the values another thread's read left behind
     surf = build(ScenarioSpec("sphere", {"accel": 0.3})).surface
     points = [(0.02 * i - 0.3, 0.01 * i - 0.1) for i in range(20)]
     expected = {pt: surf.d_sr(*pt).copy() for pt in points}
@@ -254,15 +245,6 @@ def test_surface_memo_is_safe_across_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-
-
-@pytest.mark.parametrize("name", ALL_FAMILIES)
-def test_surface_values_are_read_only(name):
-    surf = build(ScenarioSpec(name)).surface
-    for partial in (surf.map, surf.d_s, surf.d_r, surf.d_ss, surf.d_sr,
-                    surf.d_rr):
-        with pytest.raises(ValueError):
-            partial(0.1, 0.05)[0] = 1.0
 
 
 def test_higher_dimensional_flat_families():

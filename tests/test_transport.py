@@ -160,14 +160,11 @@ def test_non_finite_values_met_inside_a_solve_are_named(d):
                     solve(spoilt, index, bad)
 
 
-def test_pullback_along_a_shared_path_is_safe_across_threads(monkeypatch):
+def test_pullback_along_a_shared_path_is_safe_across_threads():
     # more threads than cores solve along one connecting path to different
     # endpoints.  The law and the path yield the GIL inside every evaluation,
-    # so other threads run while a memo entry is being computed, and the
-    # surface memo is bounded at 8 entries here, so it is emptied and
-    # refilled under the readers; every thread must still get the serial
-    # result, and no error
-    monkeypatch.setattr(geodev.geometry, "MEMO_SIZE", 8)
+    # so other threads run while one is computing a value; every thread must
+    # still get the serial result, and no error
     sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
     surf, s, r1 = sc.surface, sc.s_eval, sc.surface.r_base
 
@@ -563,7 +560,8 @@ def test_stacked_paths_equal_one_path_solves(case):
 
 def test_work_counts_are_context_local():
     # a block counts the solves of its own context inside it, and a
-    # thread's solves run in another context
+    # thread's solves run in another context; a pull-back reads the path's
+    # start once through the point jets (map and d_r), for its dimension
     sc = build(ScenarioSpec("offset-transport"))
     path, r1 = connecting_path(sc, sc.s_eval), sc.surface.r_base
     one_pullback(sc.law, path, r1, r1 + 0.1)
@@ -576,7 +574,8 @@ def test_work_counts_are_context_local():
     assert not thread.is_alive()
     assert dict(counts) == {"solves": 1, "generator_evals": 3, "stacked_attempts": 1,
                             "attempted_steps": 1, "continued_lanes": 0,
-                            "surface_stacks": 1, "surface_stack_points": 3}
+                            "surface_stacks": 1, "surface_stack_points": 3,
+                            "jets_order_1": 2}
 
 
 def test_magnus_step_budget_counts_attempted_steps(monkeypatch):
