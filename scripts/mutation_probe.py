@@ -24,6 +24,13 @@ mutant is killed when a cell fails or raises.  The run is deterministic and
 takes about 15 s on a 2-core x86-64 host.  A name of ``WORKSPACE_TARGETS``
 that is not a method of ``_Workspace`` ends the run with exit status 1 and
 names it, before any mutant is made.
+
+The known survivors are recorded in ``scripts/mutation_survivors.txt``, one
+per line as the probe prints them.  After its report the probe names each
+recorded survivor that is now killed, and each survivor that is not
+recorded; it exits 1 when there is one of the latter, so that a change to
+the formulas or to the workspace methods it mutates cannot hide a term from
+the gate.  A change that kills a recorded survivor removes its line.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import ast
 import copy
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,6 +50,7 @@ from geodev.scenarios import (EQUATION_SCENARIOS, LINEAR_DRIFT_MASSES,  # noqa: 
                               ScenarioSpec, build, family_names)
 
 SOURCE = ROOT / "src" / "geodev" / "equations.py"
+RECORDED = Path(__file__).resolve().parent / "mutation_survivors.txt"
 WORKSPACE_TARGETS = ("d_zeta", "df_dr", "d_metric", "cov_fd", "d_torsion", "d_s_tensor")
 VECTOR_CALLS = ("bilinear", "torsion_apply", "curvature_apply")
 
@@ -165,13 +174,21 @@ def run() -> dict:
             "survivors": survivors}
 
 
-def main() -> None:
+def main() -> int:
+    """Print the report; 1 if a survivor is not in ``RECORDED``, else 0."""
     result = run()
     print(f"{result['killed']} of {result['mutants']} mutants killed, "
           f"{len(result['survivors'])} survive:")
     for line in result["survivors"]:
         print(f"  {line}")
+    recorded, survivors = Counter(RECORDED.read_text().splitlines()), Counter(result["survivors"])
+    for line in (recorded - survivors).elements():
+        print(f"recorded survivor now killed: {line}")
+    unrecorded = list((survivors - recorded).elements())
+    for line in unrecorded:
+        print(f"unrecorded survivor: {line}")
+    return 1 if unrecorded else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .equations import (DEFAULT_LADDER, ConvergenceReport, EquationId,
-                        checked_ladder, convergence_study, equation_info)
+                        checked_ladder, convergence_study)
 from .errors import ConfigError, DomainError, EvaluationError, GeodevError
 from .geometry import ChartPoint, PathCurve, curvature_at, torsion_at
 from .kinematics import Scenario, worldline
@@ -252,17 +252,12 @@ def run_converge(config: dict, threshold: float = DEFAULT_ORDER_THRESHOLD,
         scenario.separation_endpoints(max(ladder))
     except GeodevError as exc:
         raise ConfigError(f"epsilon ladder incompatible with scenario: {exc}")
-    for eq in equations:
-        reach = equation_info(eq).s_reach
-        try:
-            scenario.surface.require_s(s_eval - reach)
-            scenario.surface.require_s(s_eval + reach)
-        except DomainError as exc:
-            raise ConfigError(f"{eq.value} evaluates the surface at "
-                              f"s_eval +/- {reach}: {exc}")
 
     started = time.perf_counter()
-    reports = convergence_study(equations, scenario, s_eval, ladder, cfg)
+    try:
+        reports = convergence_study(equations, scenario, s_eval, ladder, cfg)
+    except DomainError as exc:  # an s-difference read past an end of the s-domain
+        raise ConfigError(f"s_eval {s_eval} leaves the s-differences no room: {exc}") from None
     total = (time.perf_counter() - started) * 1e3
     if stream is not None:
         for report in reports:

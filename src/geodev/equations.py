@@ -54,7 +54,7 @@ from .geometry import (bilinear, cov_tensor_components, curvature_apply, curvatu
 from .kinematics import (Scenario, _Ladder, delta_field, deviation_vector,
                          relative_acceleration, relative_energy, relative_force,
                          relative_momentum, relative_velocity)
-from .transport import _COUNTS, DEFAULT_ODE_CONFIG, OdeConfig, s_tensor
+from .transport import _COUNTS, DEFAULT_ODE_CONFIG, OdeConfig, _s_tensor
 
 __all__ = [
     "EquationId",
@@ -159,8 +159,8 @@ class _Workspace(_Ladder):
                          lambda: curvature_components(self.gam(s), self.dgam(s)))
 
     def s_tensor(self, s: float) -> np.ndarray:
-        return self._get(("S", s), lambda: s_tensor(
-            self.sc.law, self.sc.conn, self.path(s), self.r1))
+        return self._get(("S", s), lambda: _s_tensor(
+            self.sc.law, self.path(s), self.r1, self.surface("map", s), self.gam(s)))
 
     # -- covariant s-derivatives of tensor fields along x1 -------------------
     def d_torsion(self, s: float) -> np.ndarray:
@@ -245,7 +245,7 @@ def _r_e2_10(w: _Workspace, s: float) -> np.ndarray:
         raise EvaluationError("scenario provides no probe field for E2_10")
     b = w.values(field.value, s, w.r1, *w.r2)
     b1, delta_b = b[0], w.carry(s, b[1:]) - b[0]
-    db_dr = (np.asarray(field.d_r(s, w.r1), float)
+    db_dr = (w.values(field.d_r, s, w.r1, what="probe field d_r components")[0]
              + bilinear(w.gam(s), b1, w.rdot(s)))
     return delta_b - w.eps * db_dr - bilinear(w.s_tensor(s), b1, w.zeta(s))
 
@@ -388,15 +388,12 @@ def _r_e7_4(w: _Workspace, s: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _EquationInfo:
+    """A residual formula, whether it is exact, and the s-differences of the pull-backs
+    it reads; each read checks its own s against the s-domain (``_Ladder.values``)."""
+
     residual: Callable[[_Workspace, float], np.ndarray]
     exact: bool = False
     stencil: Optional[Tuple[float, ...]] = ()  # None: it reads no pull-back
-    # farthest |s - s_eval| of its surface reads, by default the stencil's
-    s_reach: Optional[float] = None
-
-    def __post_init__(self):
-        if self.s_reach is None:
-            object.__setattr__(self, "s_reach", float(sum(self.stencil or ())))
 
     def pullback_s(self, s: float) -> list:
         """s and the nested central differences of ``stencil``, as ``cov_fd`` forms them."""
@@ -409,18 +406,18 @@ class _EquationInfo:
 _INFO: Dict[EquationId, _EquationInfo] = {
     EquationId.E2_10: _EquationInfo(_r_e2_10),
     EquationId.E2_13: _EquationInfo(_Workspace.dev_difference),
-    EquationId.E3_1: _EquationInfo(_r_e3_1, stencil=None, s_reach=H_S),
+    EquationId.E3_1: _EquationInfo(_r_e3_1, stencil=None),
     EquationId.E4_1: _EquationInfo(_r_e4_1, stencil=(H_DEV_FIRST,)),
     EquationId.E4_3: _EquationInfo(_r_e4_3),
     EquationId.E4_4: _EquationInfo(_r_e4_4),
     EquationId.E4_5: _EquationInfo(_r_e4_5, stencil=(H_S,)),
     EquationId.E5_1: _EquationInfo(_r_e5_1, exact=True),
     EquationId.E5_2: _EquationInfo(_r_e5_2, stencil=(H_S,)),
-    EquationId.E6_2: _EquationInfo(_r_e6_2, s_reach=H_S),
+    EquationId.E6_2: _EquationInfo(_r_e6_2),
     EquationId.E6_3: _EquationInfo(_r_e6_3, stencil=(H_DEV_SECOND,) * 2),
-    EquationId.E6_4: _EquationInfo(_r_e6_4, s_reach=H_S),
+    EquationId.E6_4: _EquationInfo(_r_e6_4),
     EquationId.E6_5: _EquationInfo(_r_e6_5, stencil=(H_S,)),
-    EquationId.E7_1: _EquationInfo(_r_e7_1, s_reach=H_S),
+    EquationId.E7_1: _EquationInfo(_r_e7_1),
     EquationId.E7_2: _EquationInfo(_r_e7_2, stencil=(H_S,)),
     EquationId.E7_4: _EquationInfo(_r_e7_4, stencil=(H_S,)),
 }

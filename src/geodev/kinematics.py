@@ -189,8 +189,8 @@ class _Ladder:
     deterministic function of its key (quantity, s), so evaluation order
     changes no value, and read-only, so that no reader writes into what
     another reads.  Every quantity takes the worldline parameter s; the
-    pull-backs along gamma_s at all the s given to ``solve`` are one solve.
-    """
+    pull-backs along gamma_s at all the s given to ``solve`` are one solve,
+    which reads the paths at its Gauss nodes alone."""
 
     def __init__(self, scenario: Scenario, ladder: Sequence[float], cfg: OdeConfig):
         self.sc = scenario
@@ -240,7 +240,8 @@ class _Ladder:
         return self._get(("mu1", s), lambda: self.sc.mass.value(s, self.r1))
 
     def dmu1(self, s: float) -> float:
-        return self._get(("dmu1", s), lambda: float(self.sc.mass.d_s_mu(s, self.r1)))
+        return self._get(("dmu1", s), lambda: float(self.values(
+            self.sc.mass.d_s_mu, s, self.r1, what="d_s_mu values", shape=())[0]))
 
     def p1(self, s: float) -> np.ndarray:
         return self.mu1(s) * self.v1(s)
@@ -265,10 +266,10 @@ class _Ladder:
         return self._memo[("Lh", s)]
 
     def solve(self, ss: Sequence[float]) -> None:
-        """The pull-backs along gamma_s at each s of ``ss`` not solved yet, as one solve."""
+        """The unsolved pull-backs at the s of ``ss``: one solve in the scenario's dimension."""
         if todo := [s for s in dict.fromkeys(ss) if ("Lh", s) not in self._memo]:
-            lanes = _pullbacks(self.sc.law, [self.path(s) for s in todo], self.r1, self.r2,
-                               self.cfg)
+            lanes = _pullbacks(self.sc.law, [self.path(s) for s in todo], self.sc.dimension,
+                               self.r1, self.r2, self.cfg)
             self._memo.update((("Lh", s), pair) for s, pair in zip(todo, zip(*lanes)))
 
     # -- relative quantities, on the ladder stack ----------------------------
@@ -279,13 +280,13 @@ class _Ladder:
             getattr(self.surf, name), s, what=f"{name} components"))
 
     def values(self, field: Callable[[float, float], np.ndarray], s: float, *rs,
-               what: str = "field components") -> np.ndarray:
+               what: str = "field components", shape=None) -> np.ndarray:
         """``field(s, r)`` at each r of ``rs``, or else of the ladder's r'',
-        each checked (``checked_array`` naming ``what``); s is checked
-        against the surface s-domain first."""
+        each checked (``checked_array`` naming ``what``) as a vector, or else
+        of ``shape``; s is checked against the surface s-domain first."""
         self.surf.require_s(s)
-        return np.array([checked_array(field(s, r), (self.sc.dimension,), what)
-                         for r in rs or self.r2])
+        shape = (self.sc.dimension,) if shape is None else shape
+        return np.array([checked_array(field(s, r), shape, what) for r in rs or self.r2])
 
     def carry(self, s: float, b2: np.ndarray) -> np.ndarray:
         """Particle 2's vectors carried to r', the one place this is done:
@@ -309,8 +310,8 @@ class _Ladder:
             [[self.sc.mass.value(s, r)] for r in self.r2]))
 
     def dmu2(self, s: float) -> np.ndarray:
-        return self._get(("dmu2", s), lambda: np.array(
-            [[float(self.sc.mass.d_s_mu(s, r))] for r in self.r2]))
+        return self._get(("dmu2", s), lambda: self.values(
+            self.sc.mass.d_s_mu, s, what="d_s_mu values", shape=())[:, None])
 
     def forces2(self, s: float) -> np.ndarray:
         """F_s(r'') at each r'' of the ladder, Gamma read in one call."""
@@ -397,13 +398,11 @@ def relative_acceleration(scenario: Scenario, s: float, eps: float,
 
 
 def momentum(scenario: Scenario, which: int, s: float, eps: float = 0.0) -> np.ndarray:
-    """Particle momentum ``p_a = mu_a V_a`` at x_a(s)."""
+    """Particle momentum ``p_a = mu_a V_a`` at x_a(s): ``_Ladder.p1`` or ``momenta``."""
     if which not in (1, 2):
         raise ValueError("particle index must be 1 or 2")
-    r1, r2 = scenario.separation_endpoints(eps)
-    r = r1 if which == 1 else r2
-    return checked_array(scenario.mass.value(s, r) * np.asarray(scenario.surface.d_s(s, r), float),
-                         (scenario.dimension,), "momentum components")
+    ladder = _Ladder(scenario, (eps,), DEFAULT_ODE_CONFIG)
+    return np.array(ladder.p1(s) if which == 1 else ladder.momenta(s)[0])
 
 
 def relative_momentum(scenario: Scenario, s: float, eps: float,

@@ -133,50 +133,43 @@ class _Magnus:
     c, order = (0.5 - 15 ** 0.5 / 10, 0.5, 0.5 + 15 ** 0.5 / 10), 4
 
     @classmethod
-    def start(cls, matrices, paths, u: float, ends, y: np.ndarray, cfg: OdeConfig):
-        def stacked(attempts):  # [(path, u, [h], y)], one count of h -> [(y_new, error)]
-            if (counts := _COUNTS.get()) is not None:
-                counts["stacked_attempts"] += 1
-            g = matrices([(path, [u + c * h for c in cls.c for h in hs])
-                          for path, u, hs, _ in attempts])
-            g = g.reshape(len(attempts), 3, -1, *g.shape[1:]).swapaxes(0, 1)
-            g = g.reshape(3, -1, *g.shape[3:])  # node, lane, row, column
-            hs = np.array([h for _, _, hs, _ in attempts for h in hs])[:, None, None]
-            a1, a2, a3 = g * hs
-            x1, x2, x3 = a2, 15 ** 0.5 / 3 * (a3 - a1), 10 / 3 * (a3 - 2 * a2 + a1)
-            c1 = x1 @ x2 - x2 @ x1
-            c2 = 2 * x3 + c1
-            p, q = c1 - 20 * x1 - x3, x2 - (x1 @ c2 - c2 @ x1) / 60
-            m, n = _squared_norms(x2), _squared_norms(x3)
-            # as (n / max(m, n / 1e6))^2, or 0 for n = 0: the least subnormal
-            # keeps the divisor positive and leaves any positive one as it is
-            decay = (n / np.maximum(m, np.maximum(n / 1e6, math.ulp(0.0)))) ** 2
-            high = (p @ q - q @ p) / 240
-            y = np.array([y for _, _, hs, y in attempts for _ in hs])
-            y_new = _expm(x1 + x3 / 12 + high) @ y
-            scale = cfg.abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rel_tol
-            delta = high + c1 / 12 + (decay / 2800)[:, None, None] * x3
-            errors = (delta @ y / scale).reshape(len(y), -1)  # rms per lane:
-            rms = np.sqrt(_squared_norms(errors)) / errors.shape[1] ** 0.5
-            return list(zip(y_new, rms.tolist()))
-        hs = [t - u for t in ends if t != u]
-        first = dict(zip([(k, h) for k in range(len(paths)) for h in hs],
-                         stacked([(path, u, hs, y) for path in paths]))) if hs else {}
-
-        def step(k):  # an attempt from u starts from y: keyed by (path, h)
-            return lambda u_at, h, y_at: ((first.get((k, h)) if u_at == u else None)
-                                          or stacked([(paths[k], u_at, [h], y_at)])[0])
-        return ([abs(t - u) for t in ends] * len(paths),
-                [step(k) for k in range(len(paths)) for _ in ends])
+    def attempts(cls, matrices, attempts, cfg: OdeConfig) -> list:
+        """[(y_new, error)] of an attempt of each h of ``attempts``, ``[(path, u, [h], y)]``."""
+        if (counts := _COUNTS.get()) is not None:
+            counts["stacked_attempts"] += 1
+        g = matrices([(path, [u + c * h for c in cls.c for h in hs])
+                      for path, u, hs, _ in attempts])
+        g = g.reshape(len(attempts), 3, -1, *g.shape[1:]).swapaxes(0, 1)
+        g = g.reshape(3, -1, *g.shape[3:])  # node, lane, row, column
+        hs = np.array([h for _, _, hs, _ in attempts for h in hs])[:, None, None]
+        a1, a2, a3 = g * hs
+        x1, x2, x3 = a2, 15 ** 0.5 / 3 * (a3 - a1), 10 / 3 * (a3 - 2 * a2 + a1)
+        c1 = x1 @ x2 - x2 @ x1
+        c2 = 2 * x3 + c1
+        p, q = c1 - 20 * x1 - x3, x2 - (x1 @ c2 - c2 @ x1) / 60
+        m, n = _squared_norms(x2), _squared_norms(x3)
+        # as (n / max(m, n / 1e6))^2, or 0 for n = 0: the least subnormal
+        # keeps the divisor positive and leaves any positive one as it is
+        decay = (n / np.maximum(m, np.maximum(n / 1e6, math.ulp(0.0)))) ** 2
+        high = (p @ q - q @ p) / 240
+        y = np.array([y for _, _, hs, y in attempts for _ in hs])
+        y_new = _expm(x1 + x3 / 12 + high) @ y
+        scale = cfg.abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rel_tol
+        delta = high + c1 / 12 + (decay / 2800)[:, None, None] * x3
+        errors = (delta @ y / scale).reshape(len(y), -1)  # rms per lane:
+        rms = np.sqrt(_squared_norms(errors)) / errors.shape[1] ** 0.5
+        return list(zip(y_new, rms.tolist()))
 
 
-def _solve(u: float, t: float, h_abs: float, y: np.ndarray, cfg: OdeConfig,
-           step) -> Tuple[np.ndarray, int]:
-    """(y(t), attempted steps) of one lane in at most ``cfg.max_steps`` attempts
-    of ``step(u, h, y)``, with the step control of SciPy's ``solve_ivp``
+def _solve(u: float, t: float, y: np.ndarray, cfg: OdeConfig, step,
+           first) -> Tuple[np.ndarray, int]:
+    """(y(t), attempted steps) of one lane in at most ``cfg.max_steps`` attempts:
+    ``first``, the (y_new, error) of the attempt over all of [u, t], then each
+    ``step(u, h, y)``, with the step control of SciPy's ``solve_ivp``
     (Hairer, Norsett & Wanner, Sec. II.4): safety 0.9, step factors within
     [0.2, 10], exponent -1/(q + 1) for the pair's estimate of order q."""
     direction, exponent, attempts = float(np.sign(t - u)), -1 / (_Magnus.order + 1), 0
+    h_abs = abs(t - u)
     while direction * (u - t) < 0:
         min_step = 10 * abs(math.nextafter(u, direction * math.inf) - u)
         h_abs, rejected = max(h_abs, min_step), False
@@ -191,7 +184,7 @@ def _solve(u: float, t: float, h_abs: float, y: np.ndarray, cfg: OdeConfig,
             u_new = t if direction * (u_new - t) > 0 else u_new
             h = u_new - u
             h_abs = abs(h)
-            y_new, error = step(u, h, y)
+            y_new, error = step(u, h, y) if attempts > 1 else first
             if error < 1:
                 break
             h_abs *= max(0.2, 0.9 * error ** exponent)
@@ -223,11 +216,15 @@ def _integrate(law: TransportLaw, paths: Sequence[PathCurve],
         return generator([u for _, us in reads for u in us],
                          np.matmul(h, xdot[:, None, :, None])[..., 0], xdot)
 
+    def later(path):  # a lane's attempts after its first, one at a time
+        return lambda u_at, h, y_at: _Magnus.attempts(matrices, [(path, u_at, [h], y_at)], cfg)[0]
+
     u, ends = float(s), [float(t) for t in ends]
     y = checked_array(y0, y0.shape, "initial transport state")
-    first, steps = _Magnus.start(matrices, paths, u, ends, y, cfg)
-    ys, attempts = zip(*(_solve(u, end, h, y, cfg, step)
-                         for end, h, step in zip(ends * len(paths), first, steps)))
+    hs = [t - u for t in ends if t != u]
+    first = iter(hs and _Magnus.attempts(matrices, [(path, u, hs, y) for path in paths], cfg))
+    ys, attempts = zip(*(_solve(u, t, y, cfg, later(path), next(first) if t != u else None)
+                         for path in paths for t in ends))
     if counts is not None:
         counts.update(solves=len(ys), attempted_steps=sum(attempts),
                       continued_lanes=sum(n > 1 for n in attempts))
@@ -282,17 +279,16 @@ def transport_components(law: TransportLaw, path: PathCurve, s: float, t: float,
                       cfg)[0].reshape(y0.shape)
 
 
-def _pullbacks(law: TransportLaw, paths: Sequence[PathCurve], s: float,
+def _pullbacks(law: TransportLaw, paths: Sequence[PathCurve], d: int, s: float,
                ends: Sequence[float], cfg: OdeConfig) -> Tuple[np.ndarray, np.ndarray]:
     """``(P, K, d, d)`` ``L_{t->s}`` and ``(P, K, d)`` ``int_s^t L_{u->s}
-    xdot(u) du`` on each of P ``paths`` to each of K ``ends``, each lane bit
-    for bit its solve alone, from one Magnus solve of ``Z = [[Phi^T], [h^T]]``:
-    ``Z' = G(u) Z``, ``G = [[-M^T, 0], [xdot^T, 0]]`` on the path's Gauss
-    nodes, carries ``Phi(u) = L_{u->s}`` and h."""
+    xdot(u) du`` on each of P d-dimensional ``paths`` to each of K ``ends``,
+    each lane bit for bit its solve alone, from one Magnus solve of ``Z =
+    [[Phi^T], [h^T]]``: ``Z' = G(u) Z``, ``G = [[-M^T, 0], [xdot^T, 0]]``
+    on the Gauss nodes, the only points read, carries ``Phi(u) = L_{u->s}`` and h."""
     for path in paths:
         for t in (s, *ends):
             path.require(t)
-    d = paths[0].map(s).dimension
 
     def generator(us, m, xdot):  # G at each node of a stack
         g = np.zeros((len(us), d + 1, d + 1))
@@ -322,4 +318,9 @@ def s_tensor(law: TransportLaw, conn: ConnectionField, path: PathCurve,
     """S-tensor ``S^i_{jk} = -H^i_{jk}(r; path) - Gamma^i_{jk}(path(r))``,
     valence (1,2) at ``path(r)``."""
     point = path.map(r)
-    return -law.coefficients([r], path, point.coords[None])[0] - conn.coefficients(point)
+    return _s_tensor(law, path, r, point.coords, conn.coefficients(point))
+
+
+def _s_tensor(law: TransportLaw, path: PathCurve, r: float, coords, gamma) -> np.ndarray:
+    """``-H(r; path) - gamma``, given the path's ``coords`` and Gamma at r."""
+    return -law.coefficients([r], path, coords[None])[0] - gamma

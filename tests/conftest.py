@@ -20,8 +20,9 @@ def point_law(coeff_at) -> TransportLaw:
 
 def one_pullback(law, path, s, t, cfg=DEFAULT_ODE_CONFIG):
     """``(L_{t->s}, h)`` of the bare one-lane pull-back solve,
-    ``_pullbacks(law, [path], s, [t], cfg)``."""
-    pullbacks, h = _pullbacks(law, [path], s, [t], cfg)
+    ``_pullbacks(law, [path], d, s, [t], cfg)``, d read from the path's
+    jets at s."""
+    pullbacks, h = _pullbacks(law, [path], len(path.jets(s)[0]), s, [t], cfg)
     return pullbacks[0, 0], h[0, 0]
 
 

@@ -348,7 +348,9 @@ def test_converge_ladder_outside_domain_exits_2(tmp_path, capsys):
 def test_converge_stencil_reach_checked_up_front(tmp_path, capsys, s_eval,
                                                  code):
     # E6_3 differentiates h - zeta twice with step 0.01, so it evaluates the
-    # sphere surface (s-domain [-0.5, 0.5]) out to s_eval +/- 0.02
+    # sphere surface (s-domain [-0.5, 0.5]) out to s_eval +/- 0.02; the
+    # study's first read past the end, the pull-back at s_eval + 0.01, is
+    # the config error, before any output
     config = {"scenario": "sphere", "params": {},
               "run": {"s_eval": s_eval, "equations": ["E6_3"]}}
     cfg = write_config(tmp_path, config)
@@ -357,10 +359,29 @@ def test_converge_stencil_reach_checked_up_front(tmp_path, capsys, s_eval,
                  "--quiet"]) == code
     if code == 2:
         err = capsys.readouterr().err
-        assert "E6_3" in err and "s = 0.515" in err
+        assert "s_eval 0.495" in err and f"s = {0.495 + 0.01}" in err
         assert not out.exists()
     else:
         assert (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("eq,s_eval,s", [
+    ("E3_1", 0.499995, 0.499995 + 1e-5), ("E3_1", -0.499995, -0.499995 - 1e-5),
+    ("E6_3", 0.49, 0.49 + 0.01 + 0.01), ("E6_3", -0.495, -0.495 - 0.01)])
+def test_converge_s_eval_too_close_to_an_edge_exits_2(tmp_path, capsys, eq, s_eval, s):
+    # E3_1 reads the surface at s_eval +/- 1e-5 and E6_3 its pull-backs out
+    # to s_eval +/- 0.02: an s_eval inside the sphere's s-domain [-0.5, 0.5]
+    # that leaves its s-differences no room exits 2, naming s_eval and the
+    # first s read outside, and writes nothing
+    cfg = write_config(tmp_path, {"scenario": "sphere",
+                                  "run": {"s_eval": s_eval, "equations": [eq]}})
+    out = tmp_path / "out"
+    assert main(["converge", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith(f"config error: s_eval {s_eval} ")
+    assert f"s = {s} outside surface s-domain" in captured.err
+    assert not out.exists()
 
 
 def test_converge_non_decreasing_ladder_exits_2(tmp_path):

@@ -18,7 +18,7 @@ from geodev.geometry import (ChartPoint, ConnectionField, MetricField, bilinear,
                              torsion_apply)
 from geodev.kinematics import WorldSurface
 from geodev.scenarios import (EQUATION_SCENARIOS, LINEAR_DRIFT_MASSES,
-                              ScenarioSpec, build)
+                              ScenarioSpec, build, family_names)
 from geodev.transport import DEFAULT_ODE_CONFIG, work_counts
 
 from oracles import polyfit_order
@@ -93,21 +93,49 @@ def test_study_rejects_a_bare_equation_id(flat_torsion):
         convergence_study(EquationId.E4_4, flat_torsion, S0, DEFAULT_LADDER)
 
 
+# how far from s each formula reads the surface, as README states it
+REACH = {**dict.fromkeys(EquationId, H_S), EquationId.E4_1: 0.001, EquationId.E6_3: 0.02,
+         **dict.fromkeys([EquationId.E2_10, EquationId.E2_13, EquationId.E4_3,
+                          EquationId.E4_4, EquationId.E5_1], 0.0)}
+
+
 def test_stencil_reach_covers_every_surface_evaluation():
-    # each residual evaluated its declared reach inside either end of the
-    # s-domain must pass every s-domain check it meets; the CLI rejects
-    # configs by this reach before running any study.  The reach is also
-    # needed: at half of it inside either end the stencil leaves the domain
+    # each residual evaluated its reach inside either end of the s-domain
+    # passes every s-domain check that its reads make; at half of it inside
+    # either end a read leaves the domain and raises, which the CLI turns
+    # into exit 2.  No reach is declared: each read checks its own s
     sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
     lo, hi = sc.surface.s_domain
     for eq in EquationId:
-        reach = equation_info(eq).s_reach
+        reach = REACH[eq]
         for s in (lo + reach, hi - reach):
             assert np.isfinite(residual(eq, sc, s, 0.01).residual_norm)
         if reach > 0:
             for s in (lo + reach / 2, hi - reach / 2):
-                with pytest.raises(DomainError):
+                with pytest.raises(DomainError, match="outside surface s-domain"):
                     residual(eq, sc, s, 0.01)
+
+
+@pytest.mark.parametrize("family", family_names())
+def test_study_reads_each_surface_datum_once(family):
+    # every surface partial at each (s, r) is one datum of a study: an
+    # all-16, default-ladder study reads it once, at r' (_Ladder.surface) or
+    # at the r'' (_Ladder.rows), and nowhere else: not through a connecting
+    # path's point for the S-tensor or a solve's dimension.  The pull-backs
+    # read their Gauss nodes through along_r, which the wrappers leave alone
+    sc = build(ScenarioSpec(family, LINEAR_DRIFT_MASSES))
+    reads, surf = Counter(), sc.surface
+
+    def read(name):
+        return lambda s, r: reads.update([(name, s, r)]) or getattr(surf, name)(s, r)
+
+    names = ("map", "d_s", "d_r", "d_ss", "d_sr", "d_rr")
+    counting = dataclasses.replace(sc, surface=dataclasses.replace(
+        surf, **{name: read(name) for name in names}))
+    convergence_study(list(EquationId), counting, sc.s_eval, DEFAULT_LADDER)
+    r2s = {sc.separation_endpoints(eps)[1] for eps in DEFAULT_LADDER}
+    assert {r for _, _, r in reads} == {surf.r_base, *r2s}
+    assert set(reads.values()) == {1}, [key for key, n in reads.items() if n > 1]
 
 
 def test_floor_detection_on_identically_zero_residual(flat_ruled):
@@ -430,9 +458,9 @@ def test_deviation_study_reads_each_magnus_stack_at_once():
     # lanes along each gamma_s, make one stacked attempt whose 147 Gauss
     # nodes, 21 along each path, are read in one stacked surface call, and
     # no node is read through the point jets: their calls read d_r at x_1(s)
-    # for each of the 7 s, map and d_s at the 3 centres of the covariant
-    # differences, and map and d_r at the first path's start, for the
-    # dimension of the solve.  A fall-back to per-path or per-node
+    # for each of the 7 s, and map and d_s at the 3 centres of the covariant
+    # differences; the solve takes its dimension from the scenario and reads
+    # no path's start.  A fall-back to per-path or per-node
     # evaluation changes these counts, which are the ledger's (deviation_3
     # of tests/work_counts.json)
     sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
@@ -444,7 +472,7 @@ def test_deviation_study_reads_each_magnus_stack_at_once():
                             "jets_order_1": ledger["jets_calls"]["1"]}
     assert counts["stacked_attempts"] == counts["surface_stacks"]
     assert counts["surface_stack_points"] == counts["generator_evals"] == 3 * counts["solves"]
-    assert counts["jets_order_1"] == counts["solves"] // len(DEFAULT_LADDER) + 2 * 3 + 2
+    assert counts["jets_order_1"] == counts["solves"] // len(DEFAULT_LADDER) + 2 * 3
 
 
 @pytest.mark.parametrize("family", sorted(_CELLS_BY_FAMILY))

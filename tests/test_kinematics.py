@@ -1,4 +1,4 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -144,7 +144,7 @@ def test_surface_vectors_are_checked_where_they_arrive(bad):
             "d_r": lambda s, r: np.array([0.0, 1.0])}
     cases = [("d_ss", lambda sc: force_field(sc, 0.1, 0.0), "d_ss components"),
              ("d_s", lambda sc: force_field(sc, 0.1, 0.0), "d_s components"),
-             ("d_s", lambda sc: momentum(sc, 1, 0.1), "momentum components"),
+             ("d_s", lambda sc: momentum(sc, 1, 0.1), "d_s components"),
              ("d_r", lambda sc: infinitesimal_deviation(sc, 0.1, EPS),
               "d_r components"),
              ("d_sr", lambda sc: residual(EquationId.E4_3, sc, 0.1, EPS), "d_sr components"),
@@ -153,6 +153,27 @@ def test_surface_vectors_are_checked_where_they_arrive(bad):
         sc = simple_flat_scenario(**{**grid, partial: lambda s, r: bad})
         with pytest.raises(EvaluationError, match=message):
             call(sc)
+
+
+@pytest.mark.parametrize("datum,bad,message", [
+    ("probe", np.zeros(3), r"probe field d_r components have shape \(3,\)"),
+    ("probe", np.array([0.0, np.nan]), "non-finite probe field d_r components"),
+    ("mass", np.nan, "non-finite d_s_mu values"),
+    ("mass", np.zeros(2), r"d_s_mu values have shape \(2,\)")],
+    ids=["probe-shape", "probe-nan", "mass-nan", "mass-shape"])
+def test_probe_and_mass_rates_are_checked_where_they_arrive(sphere, datum, bad, message):
+    # the probe field's d_r at (s, r') and the mass's d_s_mu at r' and the
+    # r'' are named where a residual reads them, not passed on to a
+    # broadcast error, a float() error or a NaN residual norm
+    if datum == "probe":
+        sc = replace(sphere, probe_field=replace(sphere.probe_field, d_r=lambda s, r: bad))
+        equations = [EquationId.E2_10]
+    else:
+        sc = replace(sphere, mass=replace(sphere.mass, d_s_mu=lambda s, r: bad))
+        equations = [EquationId.E5_2, EquationId.E7_2]
+    for eq in equations:
+        with pytest.raises(EvaluationError, match=message):
+            residual(eq, sc, 0.1, EPS)
 
 
 def test_accelerations_are_force_field_values(sphere_accel):

@@ -219,7 +219,7 @@ def test_stacked_law_receives_the_path(rng):
                           np.array([point_coefficients(stacked, u, path) for u in us]))
     ends = [r1 + 0.1, r1 + 0.01]
     seen.clear()
-    lanes = [a[0] for a in transport._pullbacks(stacked, [path], r1, ends,
+    lanes = [a[0] for a in transport._pullbacks(stacked, [path], sc.dimension, r1, ends,
                                                  transport.DEFAULT_ODE_CONFIG)]
     assert len(seen) == 1 and seen[0] is path
     for t, lane in zip(ends, zip(*lanes)):

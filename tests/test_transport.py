@@ -491,8 +491,9 @@ def test_stacked_pullbacks_equal_one_lane_solves(case):
     # bit; exp-transport's and the bump's lanes take further steps after
     # their stacked first attempt
     label, law, path, s, ends, cfg = case
+    d = len(path.jets(s)[0])
     with transport.work_counts() as counts:
-        stacked = [a[0] for a in transport._pullbacks(law, [path], s, ends, cfg)]
+        stacked = [a[0] for a in transport._pullbacks(law, [path], d, s, ends, cfg)]
     assert counts["solves"] == len(ends)
     assert (counts["continued_lanes"] > 0) == (label in ("exp-transport", "bump"))
     for t, lane in zip(ends, zip(*stacked)):
@@ -506,7 +507,7 @@ def test_stacked_pullbacks_equal_one_lane_solves(case):
     scaled = PathCurve(lambda u: tuple(1.01 * x for x in path.jets(u)), path.domain)
     mixed = [scaled, path, path, twin, scaled, path]
     with transport.work_counts() as counts:
-        stacked = transport._pullbacks(law, mixed, s, ends, cfg)
+        stacked = transport._pullbacks(law, mixed, d, s, ends, cfg)
     if path.along is not None and not counts["continued_lanes"]:
         assert (counts["surface_stacks"], counts["surface_stack_points"]) == (2, 9 * len(ends))
     for k, p in enumerate(mixed):
@@ -539,11 +540,11 @@ def test_stacked_paths_equal_one_path_solves(case):
     # all of them, equals the one-path solves and the one-lane solves bit for
     # bit; on exp-transport and across the bump some lanes fail their
     # stacked first attempt and go on stepping along their own path, one
-    # attempt at a time (a retry from s whose step is another lane's end
-    # reuses that lane's first attempt, as the bump's do)
+    # attempt at a time, a retry from s included
     label, law, paths, s, ends, cfg = case
+    d = len(paths[0].jets(s)[0])
     with transport.work_counts() as counts:
-        stacked = transport._pullbacks(law, paths, s, ends, cfg)
+        stacked = transport._pullbacks(law, paths, d, s, ends, cfg)
     assert len(paths) > 1 and stacked[0].shape[:2] == (len(paths), len(ends))
     lanes = len(paths) * len(ends)
     assert counts["solves"] == lanes
@@ -551,7 +552,7 @@ def test_stacked_paths_equal_one_path_solves(case):
     continued = label.startswith(("exp-transport", "bump"))
     assert (0 < counts["continued_lanes"] < lanes) == continued
     for k, path in enumerate(paths):
-        alone = transport._pullbacks(law, [path], s, ends, cfg)
+        alone = transport._pullbacks(law, [path], d, s, ends, cfg)
         assert all(np.array_equal(a[k], b[0]) for a, b in zip(stacked, alone))
         for j, t in enumerate(ends):
             lane = one_pullback(law, path, s, t, cfg)
@@ -560,22 +561,22 @@ def test_stacked_paths_equal_one_path_solves(case):
 
 def test_work_counts_are_context_local():
     # a block counts the solves of its own context inside it, and a
-    # thread's solves run in another context; a pull-back reads the path's
-    # start once through the point jets (map and d_r), for its dimension
+    # thread's solves run in another context; a pull-back reads its path at
+    # the Gauss nodes alone, in one stack, and no point through the jets
     sc = build(ScenarioSpec("offset-transport"))
     path, r1 = connecting_path(sc, sc.s_eval), sc.surface.r_base
-    one_pullback(sc.law, path, r1, r1 + 0.1)
+    pullback = lambda t: transport._pullbacks(sc.law, [path], sc.dimension, r1, [t],
+                                              DEFAULT_ODE_CONFIG)
+    pullback(r1 + 0.1)
     with transport.work_counts() as counts:
-        one_pullback(sc.law, path, r1, r1 + 0.05)
-        thread = threading.Thread(target=one_pullback,
-                                  args=(sc.law, path, r1, r1 + 0.02))
+        pullback(r1 + 0.05)
+        thread = threading.Thread(target=pullback, args=(r1 + 0.02,))
         thread.start()
         thread.join(timeout=60)
     assert not thread.is_alive()
     assert dict(counts) == {"solves": 1, "generator_evals": 3, "stacked_attempts": 1,
                             "attempted_steps": 1, "continued_lanes": 0,
-                            "surface_stacks": 1, "surface_stack_points": 3,
-                            "jets_order_1": 2}
+                            "surface_stacks": 1, "surface_stack_points": 3}
 
 
 def test_magnus_step_budget_counts_attempted_steps(monkeypatch):
