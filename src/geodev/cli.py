@@ -100,6 +100,40 @@ def dump_json(obj, indent: int = 0) -> str:
     return "".join(out)
 
 
+# the writer's text of the fixed keys of a payload, a report and a sample, "%s" per value
+_PAYLOAD, _REPORT, _SAMPLE = (dump_json(keys, indent).replace("0", "%s") for keys, indent in (
+    (dict(config=0, order_threshold=0, reports=0, tolerances=dict(abs_tol=0, rel_tol=0),
+          total_wall_time_ms=0, versions=dict(geodev=0, numpy=0)), 0),
+    (dict.fromkeys("epsilon_ladder equation exact fit_r2 fitted_order floor_detected "
+                   "n_fit_points s_eval samples scenario".split(), 0), 2),
+    (dict.fromkeys(("epsilon", "residual_norm", "wall_time_ms"), 0), 4)))
+
+
+def _report_text(payload: dict, texts: _Texts) -> str:
+    """``dump_json(payload)`` for a ``run_converge`` payload, from the
+    templates; ``config`` (the user's keys) and ``order_threshold`` (an int
+    if the caller gave one) go through ``_write_json``."""
+    def array(items, pad):  # a JSON array of the texts items, one a line, closed at pad
+        return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]" if items else "[]"
+
+    bool_text, float_text = ("false", "true"), lambda x: "null" if x is None else texts[x]
+    reports = [_REPORT % (
+        array([texts[e] for e in rep["epsilon_ladder"]], "      "),
+        json.dumps(rep["equation"]), bool_text[rep["exact"]], float_text(rep["fit_r2"]),
+        float_text(rep["fitted_order"]), bool_text[rep["floor_detected"]],
+        rep["n_fit_points"], texts[rep["s_eval"]],
+        array([_SAMPLE % (texts[smp["epsilon"]], texts[smp["residual_norm"]],
+                          texts[smp["wall_time_ms"]]) for smp in rep["samples"]], "      "),
+        json.dumps(rep["scenario"])) for rep in payload["reports"]]
+    config, threshold = [], []
+    _write_json(payload["config"], "  ", config, texts)
+    _write_json(payload["order_threshold"], "", threshold, texts)
+    tol, versions = payload["tolerances"], payload["versions"]
+    return _PAYLOAD % ("".join(config), *threshold, array(reports, "  "), texts[tol["abs_tol"]],
+                       texts[tol["rel_tol"]], texts[payload["total_wall_time_ms"]],
+                       json.dumps(versions["geodev"]), json.dumps(versions["numpy"]))
+
+
 # ------------------------------------------------------------- config parsing
 
 _RUN_KEYS = {"s_eval", "r_base", "epsilon_ladder", "equations", "tolerances"}
@@ -287,24 +321,24 @@ def _write_outputs(outdir: str, result: dict) -> None:
     """Build both texts, with one memo of float texts, then write both temp
     files, then rename both: a value or a temp file that cannot be written
     leaves both files as they were, and no temp file is left behind."""
-    texts, report = _Texts(), []
+    texts = _Texts()
     lines = ["equation,scenario,s,epsilon,residual_norm,wall_time_ms"]
     for eq, label, s, eps, norm, ms in result["rows"]:
         lines.append(f"{eq},{label},{texts[s]},{texts[eps]},{texts[norm]},{ms:.3f}")
-    _write_json(result["payload"], "", report, texts)
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    files = {out / "samples.csv": "\n".join(lines) + "\n",
-             out / "report.json": "".join(report) + "\n"}
-    tmps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in files}
+    report = _report_text(result["payload"], texts)
+    if not os.path.isdir(outdir):
+        Path(outdir).mkdir(parents=True, exist_ok=True)
+    files = {"samples.csv": "\n".join(lines) + "\n", "report.json": report + "\n"}
+    tmps = {name: Path(outdir, f".{name}.{os.getpid()}.tmp") for name in files}
     try:
-        for path, text in files.items():
-            tmps[path].write_text(text)
-        for path, tmp in tmps.items():
-            os.replace(tmp, path)
-    finally:
+        for name, text in files.items():
+            tmps[name].write_text(text)
+        for name, tmp in tmps.items():
+            os.replace(tmp, os.path.join(outdir, name))
+    except BaseException:
         for tmp in tmps.values():
             tmp.unlink(missing_ok=True)
+        raise
 
 
 def cmd_converge(args) -> int:

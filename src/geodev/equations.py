@@ -39,6 +39,7 @@ step-selection noise stays below the fit floor.
 from __future__ import annotations
 
 import enum
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -112,7 +113,7 @@ class ResidualSample:
     wall_time: float
 
     def __post_init__(self):
-        if not np.isfinite(self.residual_norm) or self.residual_norm < 0:
+        if not math.isfinite(self.residual_norm) or self.residual_norm < 0:
             raise EvaluationError(
                 f"invalid residual norm {self.residual_norm} for {self.eq}")
 

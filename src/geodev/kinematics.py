@@ -98,8 +98,8 @@ class MassSurface:
     d_s_mu: Callable[[float, float], float]
 
     def value(self, s: float, r: float) -> float:
-        m = float(self.mu(s, r))
-        if m == 0.0 or not np.isfinite(m):
+        m = float(checked_array(self.mu(s, r), (), "mu values"))
+        if m == 0.0:
             raise EvaluationError(f"mass function vanished at (s={s}, r={r})")
         return m
 

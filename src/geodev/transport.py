@@ -199,11 +199,11 @@ def _integrate(law: TransportLaw, paths: Sequence[PathCurve],
                generator: Callable[..., np.ndarray],
                y0: np.ndarray, s: float, ends: Sequence[float], cfg: OdeConfig) -> list:
     """[y(t) for path in paths for t in ends] for y' = A(u) y, y(s) = y0 a
-    ``(n, k)`` block: one ``_solve`` lane per (path, end), stepped by
-    ``_Magnus``, which reads A at the stacks of nodes ``us`` along its paths
-    in one call: one ``read_points`` of every path's nodes, one law read per
-    path on its rows, and ``M^i_j = H^i_{jk} xdot^k`` give ``A =
-    generator(us, M, xdot)`` on the whole stack."""
+    ``(n, k)`` block: a lane per (path, end), whose stacked first attempt
+    ends it or is handed to ``_solve``; ``_Magnus`` reads A at the nodes
+    ``us`` of a stack in one call: one ``read_points`` of every path's
+    nodes, one law read per path on its rows, and ``M^i_j = H^i_{jk}
+    xdot^k`` give ``A = generator(us, M, xdot)`` on the whole stack."""
     counts = _COUNTS.get()
 
     def matrices(reads):
@@ -219,11 +219,16 @@ def _integrate(law: TransportLaw, paths: Sequence[PathCurve],
     def later(path):  # a lane's attempts after its first, one at a time
         return lambda u_at, h, y_at: _Magnus.attempts(matrices, [(path, u_at, [h], y_at)], cfg)[0]
 
+    def lane(path, t, first):  # as _solve, which stops after an accepted first attempt
+        if first is not None and first[1] < 1 and (u + (t - u) >= t if t > u else u + (t - u) <= t):
+            return first[0], 1  # that reaches t, not short of it
+        return _solve(u, t, y, cfg, later(path), first)
+
     u, ends = float(s), [float(t) for t in ends]
     y = checked_array(y0, y0.shape, "initial transport state")
     hs = [t - u for t in ends if t != u]
     first = iter(hs and _Magnus.attempts(matrices, [(path, u, hs, y) for path in paths], cfg))
-    ys, attempts = zip(*(_solve(u, t, y, cfg, later(path), next(first) if t != u else None)
+    ys, attempts = zip(*(lane(path, t, next(first) if t != u else None)
                          for path in paths for t in ends))
     if counts is not None:
         counts.update(solves=len(ys), attempted_steps=sum(attempts),

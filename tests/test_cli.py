@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -18,7 +19,8 @@ import geodev.cli
 from geodev.cli import dump_json, main, run_converge
 from geodev.equations import EquationId
 from geodev.errors import ConfigError
-from geodev.scenarios import ScenarioSpec, build, family_names, list_scenarios
+from geodev.scenarios import (LINEAR_DRIFT_MASSES, ScenarioSpec, build, family_names,
+                              list_scenarios)
 from geodev.kinematics import worldline
 from geodev.transport import DEFAULT_ODE_CONFIG, TransportLaw
 
@@ -777,15 +779,84 @@ def test_writer_keeps_the_sign_of_zero(tmp_path, order):
     a, b = order
     texts = [repr(a), repr(b)]
     assert json.loads(dump_json([a, b]), parse_float=str) == texts
-    rows = [("E4_4", "flat-torsion", a, 0.1, b, 1.0),
-            ("E4_4", "flat-torsion", b, 0.05, a, 1.0)]
-    geodev.cli._write_outputs(str(tmp_path), {"rows": rows,
-                                              "payload": {"n": [a, b, a]}})
-    csv = (tmp_path / "samples.csv").read_text().splitlines()[1:]
-    assert [line.split(",")[2] for line in csv] == texts
-    assert [line.split(",")[4] for line in csv] == texts[::-1]
-    report = json.loads((tmp_path / "report.json").read_text(), parse_float=str)
-    assert report["n"] == [texts[0], texts[1], texts[0]]
+    result = run_converge(TORSION_CONFIG)
+    rows, report = result["rows"], result["payload"]["reports"][0]
+    rows[:2] = [rows[0][:2] + (a, b, a) + rows[0][5:], rows[1][:2] + (b, a, b) + rows[1][5:]]
+    report["s_eval"] = a
+    report["samples"][:2] = [dict(report["samples"][0], epsilon=b, residual_norm=a),
+                             dict(report["samples"][1], epsilon=a, residual_norm=b)]
+    geodev.cli._write_outputs(str(tmp_path), result)
+    csv = (tmp_path / "samples.csv").read_text().splitlines()[1:3]
+    assert [line.split(",")[2:5] for line in csv] == [[texts[0], texts[1], texts[0]],
+                                                      [texts[1], texts[0], texts[1]]]
+    got = json.loads((tmp_path / "report.json").read_text(), parse_float=str)["reports"][0]
+    assert got["s_eval"] == texts[0]
+    assert [[smp["epsilon"], smp["residual_norm"]] for smp in got["samples"][:2]] == [
+        [texts[1], texts[0]], [texts[0], texts[1]]]
+
+
+def with_floats(obj, values: list):
+    """``obj`` with its float leaves, in the writer's order, taken in turn
+    from ``values``, where an entry None keeps the leaf as it is."""
+    if isinstance(obj, dict):
+        return {key: with_floats(obj[key], values) for key in sorted(obj)}
+    if isinstance(obj, list):
+        return [with_floats(value, values) for value in obj]
+    if type(obj) is float:
+        values.append(values.pop(0))
+        return obj if values[-1] is None else values[-1]
+    return obj
+
+
+def test_report_text_is_the_writers_text_of_the_payload(tmp_path):
+    # report.json is filled into fixed templates: it must be, byte for
+    # byte, what the writer makes of the same payload, on cells with a
+    # fitted order, a floor equation (fitted_order and fit_r2 null) and an
+    # exact one, with signed zeros, integral floats and 1e15 / 1e16 (the
+    # edges of "%.1f") moved through every float of the payload
+    cells = [("flat-torsion", {}, "E4_4"), ("flat-torsion", {}, "E3_1"),
+             ("offset-transport", LINEAR_DRIFT_MASSES, "E5_1"), ("sphere", {}, "E6_3")]
+    payloads = []
+    for name, params, eq in cells:
+        result = run_converge({"scenario": name, "params": dict(params),
+                               "run": {"equations": [eq]}})
+        payloads.append(result["payload"])
+        result["payload"] = with_floats(result["payload"], [0.0, -0.0, 2.0, 1e15, 1e16, None])
+        geodev.cli._write_outputs(str(tmp_path / name / eq), result)
+        text = (tmp_path / name / eq / "report.json").read_text()
+        assert text == dump_json(result["payload"]) + "\n"
+    assert [rep["fitted_order"] is None for p in payloads for rep in p["reports"]] == [
+        False, True, True, False]
+    for payload in payloads:
+        for shift in range(6):
+            special = [0.0, -0.0, 2.0, 1e15, 1e16, None]
+            injected = with_floats(payload, special[shift:] + special[:shift])
+            assert geodev.cli._report_text(injected, geodev.cli._Texts()) == dump_json(injected)
+
+
+def test_converge_into_an_existing_directory_makes_no_failing_file_calls(tmp_path,
+                                                                         monkeypatch):
+    # the output directory is made only when it is missing, and the temp
+    # files are unlinked only when a write or a rename fails: into an
+    # existing directory, a converge makes neither call
+    cfg = write_config(tmp_path, TORSION_CONFIG)
+    out = tmp_path / "out"
+    argv = ["converge", "--config", cfg, "--out", str(out), "--quiet"]
+    assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    calls = []
+    for name in ("mkdir", "unlink"):
+        def recording(path, *args, name=name, call=getattr(os, name), **kwargs):
+            calls.append((name, str(path)))
+            return call(path, *args, **kwargs)
+        monkeypatch.setattr(os, name, recording)
+    assert main(argv) == 0
+    monkeypatch.undo()
+    assert calls == []
+    after = {p.name: strip_timing(json.loads(p.read_text())) if p.suffix == ".json"
+             else p.read_bytes() for p in out.iterdir()}
+    assert sorted(after) == sorted(before) == ["report.json", "samples.csv"]
+    assert after["report.json"] == strip_timing(json.loads(before["report.json"]))
 
 
 @pytest.mark.parametrize("value, text", [

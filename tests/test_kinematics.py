@@ -159,18 +159,24 @@ def test_surface_vectors_are_checked_where_they_arrive(bad):
     ("probe", np.zeros(3), r"probe field d_r components have shape \(3,\)"),
     ("probe", np.array([0.0, np.nan]), "non-finite probe field d_r components"),
     ("mass", np.nan, "non-finite d_s_mu values"),
-    ("mass", np.zeros(2), r"d_s_mu values have shape \(2,\)")],
-    ids=["probe-shape", "probe-nan", "mass-nan", "mass-shape"])
+    ("mass", np.zeros(2), r"d_s_mu values have shape \(2,\)"),
+    ("mu", np.nan, "non-finite mu values"),
+    ("mu", np.zeros(2), r"mu values have shape \(2,\)")],
+    ids=["probe-shape", "probe-nan", "mass-nan", "mass-shape", "mu-nan", "mu-shape"])
 def test_probe_and_mass_rates_are_checked_where_they_arrive(sphere, datum, bad, message):
-    # the probe field's d_r at (s, r') and the mass's d_s_mu at r' and the
-    # r'' are named where a residual reads them, not passed on to a
-    # broadcast error, a float() error or a NaN residual norm
+    # the probe field's d_r at (s, r'), the mass's d_s_mu at r' and the r''
+    # and the mass itself are named where a residual reads them, not passed
+    # on to a broadcast error, a float() error, a NaN residual norm or, for
+    # a NaN mass, a "mass function vanished"
     if datum == "probe":
         sc = replace(sphere, probe_field=replace(sphere.probe_field, d_r=lambda s, r: bad))
         equations = [EquationId.E2_10]
-    else:
+    elif datum == "mass":
         sc = replace(sphere, mass=replace(sphere.mass, d_s_mu=lambda s, r: bad))
         equations = [EquationId.E5_2, EquationId.E7_2]
+    else:
+        sc = replace(sphere, mass=replace(sphere.mass, mu=lambda s, r: bad))
+        equations = [EquationId.E5_1, EquationId.E7_1]
     for eq in equations:
         with pytest.raises(EvaluationError, match=message):
             residual(eq, sc, 0.1, EPS)

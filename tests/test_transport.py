@@ -559,6 +559,75 @@ def test_stacked_paths_equal_one_path_solves(case):
             assert all(np.array_equal(a[k, j], b) for a, b in zip(stacked, lane))
 
 
+def first_attempt_cases():
+    """(label, law, paths, s, ends, cfg): the 49 lanes of a deviation study
+    on the sphere (the 7 paths of E2_13, E4_1 and E6_3 to the 7 ends of
+    ``DEFAULT_LADDER``), each accepted on its first attempt, also with
+    ``max_steps`` 1; the lanes
+    across the bump of ``bump_law``, some first attempts rejected; and, on a
+    constant generator, a lane from 0.9 to 0.001, where 0.9 + (0.001 - 0.9)
+    rounds short of 0.001, beside one that ends where it aims."""
+    sc = build(ScenarioSpec("sphere"))
+    r1 = sc.surface.r_base
+    stencil = dict.fromkeys(u for eq in (EquationId.E2_13, EquationId.E4_1, EquationId.E6_3)
+                            for u in equation_info(eq).pullback_s(sc.s_eval))
+    paths = [connecting_path(sc, u) for u in stencil]
+    ends = [r1 + eps for eps in DEFAULT_LADDER]
+    yield "deviation", sc.law, paths, r1, ends, DEFAULT_ODE_CONFIG
+    yield "deviation-max-steps-1", sc.law, paths, r1, ends, OdeConfig(max_steps=1)
+    yield ("bump", bump_law(), [X_AXIS], 0.9, [0.9 - 8.8 * eps for eps in DEFAULT_LADDER],
+           REJECTING)
+    rotation = bump_law().coeffs_at([0.3], X_AXIS, None)[0]
+    yield "short", point_law(lambda u, path: rotation), [X_AXIS], 0.9, [0.001, 0.5], REJECTING
+
+
+@pytest.mark.parametrize("case", list(first_attempt_cases()), ids=lambda case: case[0])
+def test_lanes_from_the_stack_equal_their_step_loop(case, monkeypatch):
+    # a lane whose stacked first attempt is accepted and reaches t takes it
+    # as it is, with 1 attempt, where _solve would stop; every other lane
+    # steps on in _solve: each lane equals _solve handed its first attempt,
+    # y bit for bit and its attempts, and the work counts follow
+    label, law, paths, s, ends, cfg = case
+    attempts, solve = transport._Magnus.attempts, transport._solve
+    stacks, solved = [], {}
+
+    def recording_attempts(matrices, lanes, cfg):
+        stacks.append((matrices, attempts(matrices, lanes, cfg)))
+        return stacks[-1][1]
+
+    def recording_solve(u, t, y, cfg, step, first):
+        y_t, n = solve(u, t, y, cfg, step, first)
+        solved[id(first)] = n
+        return y_t, n
+
+    monkeypatch.setattr(transport._Magnus, "attempts", recording_attempts)
+    monkeypatch.setattr(transport, "_solve", recording_solve)
+    y0 = np.eye(2)
+    with transport.work_counts() as counts:
+        got = transport._integrate(law, paths, lambda us, m, xdot: m, y0, s, ends, cfg)
+    counted = dict(counts)
+    monkeypatch.undo()
+    matrices, firsts = stacks[0]
+    lanes = [(first, solve(s, t, y0, cfg, lambda u, h, y, path=path: attempts(
+                 matrices, [(path, u, [h], y)], cfg)[0], first))
+             for (path, t), first in zip([(p, t) for p in paths for t in ends], firsts)]
+    assert len(got) == len(lanes) == len(paths) * len(ends)
+    for y, (first, (y_ref, n)) in zip(got, lanes):
+        assert y.tobytes() == y_ref.tobytes()
+        assert solved.get(id(first), 1) == n and (id(first) in solved) == (n > 1)
+    n = [n for _, (_, n) in lanes]
+    assert {key: counted[key] for key in ("solves", "attempted_steps", "continued_lanes",
+                                          "stacked_attempts", "generator_evals")} == {
+        "solves": len(n), "attempted_steps": sum(n), "continued_lanes": sum(k > 1 for k in n),
+        "stacked_attempts": 1 + sum(n) - len(n), "generator_evals": 3 * sum(n)}
+    assert {"deviation": n == [1] * 49, "deviation-max-steps-1": n == [1] * 49,
+            "bump": 1 < max(n) and min(n) == 1, "short": n == [2, 1]}[label]
+    if label == "short":  # its second attempt is past a budget of 1, stacked or not
+        with pytest.raises(TransportError, match="exceeded 1 steps"):
+            transport._integrate(law, paths, lambda us, m, xdot: m, y0, s, ends,
+                                 replace(cfg, max_steps=1))
+
+
 def test_work_counts_are_context_local():
     # a block counts the solves of its own context inside it, and a
     # thread's solves run in another context; a pull-back reads its path at
