@@ -5,8 +5,9 @@ every term?
 
 Reads ``src/geodev/equations.py`` of this checkout and makes one mutant per
 site in its targets, the ``_r_e*`` residual formulas and the workspace
-methods ``d_zeta``, ``df_dr``, ``d_metric``, ``cov_fd``, ``d_torsion`` and
-``d_s_tensor``.  A mutant changes one thing:
+methods ``d_zeta``, ``df_dr``, ``d_metric``, ``cov_fd``, ``d_torsion``,
+``d_s_tensor`` and ``d_ds``, the one central difference.  A mutant changes
+one thing:
 
 * ``flip``: one ``+`` into ``-`` or back;
 * ``negate``: the left operand of one ``+`` or ``-`` gets a minus sign (the
@@ -27,10 +28,12 @@ names it, before any mutant is made.
 
 The known survivors are recorded in ``scripts/mutation_survivors.txt``, one
 per line as the probe prints them.  After its report the probe names each
-recorded survivor that is now killed, and each survivor that is not
-recorded; it exits 1 when there is one of the latter, so that a change to
-the formulas or to the workspace methods it mutates cannot hide a term from
-the gate.  A change that kills a recorded survivor removes its line.
+recorded survivor that is now killed, each recorded survivor whose site is
+gone (no mutant of this checkout has its line), and each survivor that is
+not recorded; it exits 1 when there is one of the latter, so that a change
+to the formulas or to the workspace methods it mutates cannot hide a term
+from the gate.  A change that kills a recorded survivor, or removes its
+site, removes its line.
 """
 
 from __future__ import annotations
@@ -51,7 +54,8 @@ from geodev.scenarios import (EQUATION_SCENARIOS, LINEAR_DRIFT_MASSES,  # noqa: 
 
 SOURCE = ROOT / "src" / "geodev" / "equations.py"
 RECORDED = Path(__file__).resolve().parent / "mutation_survivors.txt"
-WORKSPACE_TARGETS = ("d_zeta", "df_dr", "d_metric", "cov_fd", "d_torsion", "d_s_tensor")
+WORKSPACE_TARGETS = ("d_zeta", "df_dr", "d_metric", "cov_fd", "d_torsion", "d_s_tensor",
+                     "d_ds")
 VECTOR_CALLS = ("bilinear", "torsion_apply", "curvature_apply")
 
 
@@ -157,33 +161,33 @@ def run() -> dict:
     formula_eqs = {}
     for eq in EquationId:
         formula_eqs.setdefault(equation_info(eq).residual.__name__, []).append(eq)
-    killed, survivors = 0, []
+    mutants, survivors = [], []
     for label, function in targets(tree):
         equations = list(EquationId) if label.startswith("_Workspace") else formula_eqs[label]
         for kind, index, detail in sites(function):
+            mutants.append(f"{label} {kind}: {detail}")
             module = mutant_module(tree, label, kind, index)
             try:
                 survived = gate(module, equations)
             except Exception:  # a mutant that raises is seen
                 survived = False
             if survived:
-                survivors.append(f"{label} {kind}: {detail}")
-            else:
-                killed += 1
-    return {"mutants": killed + len(survivors), "killed": killed,
+                survivors.append(mutants[-1])
+    return {"mutants": mutants, "killed": len(mutants) - len(survivors),
             "survivors": survivors}
 
 
 def main() -> int:
     """Print the report; 1 if a survivor is not in ``RECORDED``, else 0."""
     result = run()
-    print(f"{result['killed']} of {result['mutants']} mutants killed, "
+    print(f"{result['killed']} of {len(result['mutants'])} mutants killed, "
           f"{len(result['survivors'])} survive:")
     for line in result["survivors"]:
         print(f"  {line}")
     recorded, survivors = Counter(RECORDED.read_text().splitlines()), Counter(result["survivors"])
     for line in (recorded - survivors).elements():
-        print(f"recorded survivor now killed: {line}")
+        state = "now killed" if line in result["mutants"] else "gone"
+        print(f"recorded survivor {state}: {line}")
     unrecorded = list((survivors - recorded).elements())
     for line in unrecorded:
         print(f"unrecorded survivor: {line}")

@@ -271,8 +271,9 @@ def _report_status(report: ConvergenceReport, threshold: float) -> str:
 
 def run_converge(config: dict, threshold: float = DEFAULT_ORDER_THRESHOLD,
                  stream=None) -> dict:
-    """Run the configured studies and return the full result payload plus
-    the csv rows; raises GeodevError subclasses on failure.  One progress
+    """Run the configured studies and return ``{"payload", "failed"}``, the
+    payload both outputs are written from and whether an order failed
+    ``threshold``; raises GeodevError subclasses on failure.  One progress
     line per equation goes to ``stream`` unless it is None."""
     if not math.isfinite(threshold):
         raise ConfigError(f"--order-threshold (keyword threshold) must be finite, got {threshold}")
@@ -310,21 +311,20 @@ def run_converge(config: dict, threshold: float = DEFAULT_ORDER_THRESHOLD,
         "versions": {"geodev": __version__, "numpy": np.__version__},
         "total_wall_time_ms": total,
     }
-    rows = [(rep.eq.value, rep.scenario_label, smp.s, smp.epsilon,
-             smp.residual_norm, smp.wall_time * 1e3)
-            for rep in reports for smp in rep.samples]
     failed = any(_report_status(rep, threshold) == "fail" for rep in reports)
-    return {"payload": payload, "rows": rows, "failed": failed}
+    return {"payload": payload, "failed": failed}
 
 
 def _write_outputs(outdir: str, result: dict) -> None:
-    """Build both texts, with one memo of float texts, then write both temp
-    files, then rename both: a value or a temp file that cannot be written
-    leaves both files as they were, and no temp file is left behind."""
+    """Build both texts, a csv row per sample of the payload, with one memo
+    of float texts, then write both temp files, then rename both: a value or
+    a temp file that cannot be written leaves both files as they were, and
+    no temp file is left behind."""
     texts = _Texts()
-    lines = ["equation,scenario,s,epsilon,residual_norm,wall_time_ms"]
-    for eq, label, s, eps, norm, ms in result["rows"]:
-        lines.append(f"{eq},{label},{texts[s]},{texts[eps]},{texts[norm]},{ms:.3f}")
+    lines = ["equation,scenario,s,epsilon,residual_norm,wall_time_ms"] + [
+        f"{rep['equation']},{rep['scenario']},{texts[rep['s_eval']]},{texts[smp['epsilon']]},"
+        f"{texts[smp['residual_norm']]},{smp['wall_time_ms']:.3f}"
+        for rep in result["payload"]["reports"] for smp in rep["samples"]]
     report = _report_text(result["payload"], texts)
     if not os.path.isdir(outdir):
         Path(outdir).mkdir(parents=True, exist_ok=True)

@@ -29,11 +29,12 @@ along the paths gamma_s at the s its equations declare, one lane per (s,
 eps); every relative quantity at s applies its pull-back map L_{r''->r'} to
 particle 2's vector, and the deviation vector h rides on the same solve.
 
-Numerical differentiation policy: s-derivatives of analytically-evaluable
-data use central differences with step 1e-5; s-derivatives of the deviation
-vector act on the difference field ``h - zeta`` (itself O(eps^2)) with
-larger steps, so that truncation scales with the residual and the solver's
-step-selection noise stays below the fit floor.
+Numerical differentiation policy: every numerical derivative is a central
+difference in s taken by ``_Workspace.d_ds``, with step ``H_S`` = 1e-5 for
+analytically-evaluable data; s-derivatives of the deviation vector act on
+the difference field ``h - zeta`` (itself O(eps^2)) with larger steps, so
+that truncation scales with the residual and the solver's step-selection
+noise stays below the fit floor.
 """
 
 from __future__ import annotations
@@ -175,13 +176,10 @@ class _Workspace(_Ladder):
 
     def d_s_tensor(self, s: float) -> np.ndarray:
         """Covariant derivative of the S field along x1 (component
-        derivative by central difference)."""
-        def make():
-            h = H_S
-            ds_val = (self.s_tensor(s + h) - self.s_tensor(s - h)) / (2.0 * h)
-            return cov_tensor_components(self.gam(s), self.v1(s),
-                                         self.s_tensor(s), ds_val, (1, 2))
-        return self._get(("DS", s), make)
+        derivative by ``d_ds``)."""
+        return self._get(("DS", s), lambda: cov_tensor_components(
+            self.gam(s), self.v1(s), self.s_tensor(s),
+            self.d_ds(self.s_tensor, s, H_S), (1, 2)))
 
     def d_metric(self, s: float) -> np.ndarray:
         """Covariant derivative of the metric along x1 (nonmetricity)."""
@@ -208,16 +206,14 @@ class _Workspace(_Ladder):
     def df_dr(self, s: float) -> np.ndarray:
         """DF_s(r)/dr at r', the covariant r-derivative of the force field
         along gamma_s.  The third surface partial d_ssr comes from one
-        central s-difference of the analytic d_sr data."""
+        central s-difference (``d_ds``) of the analytic d_sr data."""
         def make():
             gam = self.gam(s)
             dgam = self.dgam(s)
             ds = self.v1(s)
             dsr = self.surface("d_sr", s)
             rdot = self.rdot(s)
-            h = H_S
-            d_ssr = (self.surface("d_sr", s + h)
-                     - self.surface("d_sr", s - h)) / (2.0 * h)
+            d_ssr = self.d_ds(lambda u: self.surface("d_sr", u), s, H_S)
             # product rule on Gamma d_s d_s keeps both orders: Gamma need
             # not be symmetric in its lower indices
             df = (d_ssr
@@ -229,11 +225,16 @@ class _Workspace(_Ladder):
         return self._get(("DFdr", s), make)
 
     # -- finite differences ---------------------------------------------------
+    @staticmethod
+    def d_ds(fn: Callable[[float], np.ndarray], s: float, h: float) -> np.ndarray:
+        """The central difference of ``fn`` at s with step h: the one
+        numerical derivative of the package."""
+        return (fn(s + h) - fn(s - h)) / (2.0 * h)
+
     def cov_fd(self, fn: Callable[[float], np.ndarray], s: float,
                h: float) -> np.ndarray:
         """Covariant central difference along x1 of a component field."""
-        deriv = (fn(s + h) - fn(s - h)) / (2.0 * h)
-        return deriv + bilinear(self.gam(s), fn(s), self.v1(s))
+        return self.d_ds(fn, s, h) + bilinear(self.gam(s), fn(s), self.v1(s))
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +383,7 @@ def _r_e7_4(w: _Workspace, s: float) -> np.ndarray:
         + dot(dp, a1)
         + w.dmu1(s) * dot(v1, v1)
         + mu1 * (2.0 * dot(v1, a1) + float(v1 @ dg @ v1)))
-    h = H_S
-    de_ds = (w.energy(s + h) - w.energy(s - h)) / (2.0 * h)
-    return (de_ds - rhs)[:, 0]
+    return (w.d_ds(w.energy, s, H_S) - rhs)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -397,7 +396,7 @@ class _EquationInfo:
     stencil: Optional[Tuple[float, ...]] = ()  # None: it reads no pull-back
 
     def pullback_s(self, s: float) -> list:
-        """s and the nested central differences of ``stencil``, as ``cov_fd`` forms them."""
+        """s and the nested central differences of ``stencil``, as ``d_ds`` forms them."""
         ss = [s] * (self.stencil is not None)
         for h in self.stencil or ():
             ss = [v for u in ss for v in (u, u + h, u - h)]

@@ -51,7 +51,6 @@ __all__ = [
     "curvature_apply",
 ]
 
-DEFAULT_FD_STEP = 1e-5
 METRIC_SYMMETRY_TOL = 1e-12
 METRIC_DET_TOL = 1e-12
 NULL_TOL = 1e-10  # |U^2| at or below this is null for sign_of_square
@@ -89,13 +88,13 @@ def _checked_stack(values, shape: Tuple[int, ...], what: str, coords) -> np.ndar
     return arr
 
 
-def _central_partials(field_at, point) -> np.ndarray:
-    """Partials of ``field_at`` at ``point`` by central differences with step
-    ``DEFAULT_FD_STEP``, the derivative index last."""
-    h = DEFAULT_FD_STEP
-    return np.stack([(field_at(ChartPoint(point.coords + step))
-                      - field_at(ChartPoint(point.coords - step))) / (2.0 * h)
-                     for step in h * np.eye(point.dimension)], axis=-1)
+def _require(value: float, domain: Tuple[float, float], prefix: str, name: str) -> None:
+    """DomainError ``f"{prefix}{value} outside {name} [lo, hi]"`` unless ``value``
+    lies in ``domain`` widened by 1e-12 at each end; the message is formatted
+    only to raise."""
+    lo, hi = domain
+    if not (lo - 1e-12 <= value <= hi + 1e-12):
+        raise DomainError(f"{prefix}{value} outside {name} [{lo}, {hi}]")
 
 
 class ChartPoint:
@@ -136,24 +135,21 @@ class ConnectionField:
     ``gamma_at`` maps an ``(n, d)`` stack of coordinates to the ``(n, d, d,
     d)`` stack of Gamma there, laid out per the module index convention;
     ``coefficients`` reads it at one ChartPoint as a stack of one.
-    ``partials_at``, when given, returns the ``(d, d, d, d)`` array of
-    coordinate partials at a ChartPoint with the derivative index last
-    (``partials[i, j, k, l] = d_l Gamma^i_{jk}``); otherwise partials are
-    approximated by central differences with step ``DEFAULT_FD_STEP``.
+    ``partials_at`` returns the ``(d, d, d, d)`` array of analytic coordinate
+    partials at a ChartPoint with the derivative index last
+    (``partials[i, j, k, l] = d_l Gamma^i_{jk}``).
     """
 
     gamma_at: Callable[[np.ndarray], np.ndarray]
-    partials_at: Optional[Callable[[ChartPoint], np.ndarray]] = None
+    partials_at: Callable[[ChartPoint], np.ndarray]
 
     def coefficients(self, point: ChartPoint) -> np.ndarray:
         return _checked_stack(self.gamma_at(point.coords[None]), (point.dimension,) * 3,
                               "connection coefficients", point.coords[None])[0]
 
     def partials(self, point: ChartPoint) -> np.ndarray:
-        out = (_central_partials(self.coefficients, point)
-               if self.partials_at is None else self.partials_at(point))
-        return checked_array(out, (point.dimension,) * 4, "connection partials",
-                             point)
+        return checked_array(self.partials_at(point), (point.dimension,) * 4,
+                             "connection partials", point)
 
 
 @dataclass(frozen=True)
@@ -165,7 +161,7 @@ class MetricField:
     """
 
     g_at: Callable[[ChartPoint], np.ndarray]
-    partials_at: Optional[Callable[[ChartPoint], np.ndarray]] = None
+    partials_at: Callable[[ChartPoint], np.ndarray]
 
     def matrix(self, point: ChartPoint) -> np.ndarray:
         g = checked_array(self.g_at(point), (point.dimension,) * 2,
@@ -177,11 +173,9 @@ class MetricField:
         return g
 
     def partials(self, point: ChartPoint) -> np.ndarray:
-        """``partials[i, j, l] = d_l g_{ij}``, by central differences with
-        step ``DEFAULT_FD_STEP`` unless ``partials_at`` is given."""
-        out = (_central_partials(self.matrix, point)
-               if self.partials_at is None else self.partials_at(point))
-        return checked_array(out, (point.dimension,) * 3, "metric partials", point)
+        """``partials[i, j, l] = d_l g_{ij}``."""
+        return checked_array(self.partials_at(point), (point.dimension,) * 3,
+                             "metric partials", point)
 
 
 @dataclass(frozen=True)
@@ -213,9 +207,7 @@ class PathCurve:
         return read_points([(self, us)])
 
     def require(self, s: float) -> None:
-        lo, hi = self.domain
-        if not (lo - 1e-12 <= s <= hi + 1e-12):
-            raise DomainError(f"parameter {s} outside path domain [{lo}, {hi}]")
+        _require(s, self.domain, "parameter ", "path domain")
 
 
 def _checked_points(coords, velocity) -> Tuple[np.ndarray, np.ndarray]:

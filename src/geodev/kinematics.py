@@ -19,10 +19,10 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError
+from .errors import EvaluationError
 from .geometry import (ChartPoint, ConnectionField, MetricField, PathCurve,
-                       _checked_stack, _matrix_sign, _stacked_dot, bilinear,
-                       checked_array)
+                       _checked_stack, _matrix_sign, _require, _stacked_dot,
+                       bilinear, checked_array)
 # transport_components stays bound here, unused: perfbench/tracer.py wraps it
 from .transport import (DEFAULT_ODE_CONFIG, OdeConfig, TransportLaw, _pullbacks,
                         transport_components)
@@ -76,18 +76,11 @@ class WorldSurface:
     r_base: float = 0.0
     along_r: Optional[Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
 
-    def point(self, s: float, r: float) -> ChartPoint:
-        return ChartPoint(self.map(s, r))
-
     def require_r(self, r: float) -> None:
-        lo, hi = self.r_domain
-        if not (lo - 1e-12 <= r <= hi + 1e-12):
-            raise DomainError(f"r = {r} outside surface r-domain [{lo}, {hi}]")
+        _require(r, self.r_domain, "r = ", "surface r-domain")
 
     def require_s(self, s: float) -> None:
-        lo, hi = self.s_domain
-        if not (lo - 1e-12 <= s <= hi + 1e-12):
-            raise DomainError(f"s = {s} outside surface s-domain [{lo}, {hi}]")
+        _require(s, self.s_domain, "s = ", "surface s-domain")
 
 
 @dataclass(frozen=True)
@@ -256,7 +249,7 @@ class _Ladder:
 
     # -- along gamma_s ------------------------------------------------------
     def path(self, s: float) -> PathCurve:
-        """gamma_s: one PathCurve, and so one set of its memos, per s."""
+        """gamma_s, made once per s for the solve and the S-tensor reads."""
         return self._get(("path", s), lambda: connecting_path(self.sc, s))
 
     def transport(self, s: float) -> Tuple[np.ndarray, np.ndarray]:

@@ -207,7 +207,8 @@ def test_unwritable_result_leaves_both_outputs_as_they_were(tmp_path):
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     result = run_converge(TORSION_CONFIG)
     result["payload"]["order_threshold"] = math.nan
-    result["rows"] = [row[:4] + (row[4] * 2, row[5]) for row in result["rows"]]
+    for smp in result["payload"]["reports"][0]["samples"]:
+        smp["residual_norm"] *= 2.0
     with pytest.raises(ConfigError, match="non-finite float nan"):
         geodev.cli._write_outputs(str(out), result)
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
@@ -780,15 +781,15 @@ def test_writer_keeps_the_sign_of_zero(tmp_path, order):
     texts = [repr(a), repr(b)]
     assert json.loads(dump_json([a, b]), parse_float=str) == texts
     result = run_converge(TORSION_CONFIG)
-    rows, report = result["rows"], result["payload"]["reports"][0]
-    rows[:2] = [rows[0][:2] + (a, b, a) + rows[0][5:], rows[1][:2] + (b, a, b) + rows[1][5:]]
+    report = result["payload"]["reports"][0]
     report["s_eval"] = a
     report["samples"][:2] = [dict(report["samples"][0], epsilon=b, residual_norm=a),
                              dict(report["samples"][1], epsilon=a, residual_norm=b)]
     geodev.cli._write_outputs(str(tmp_path), result)
     csv = (tmp_path / "samples.csv").read_text().splitlines()[1:3]
+    # the s column is the report's s_eval, shared by its samples
     assert [line.split(",")[2:5] for line in csv] == [[texts[0], texts[1], texts[0]],
-                                                      [texts[1], texts[0], texts[1]]]
+                                                      [texts[0], texts[0], texts[1]]]
     got = json.loads((tmp_path / "report.json").read_text(), parse_float=str)["reports"][0]
     assert got["s_eval"] == texts[0]
     assert [[smp["epsilon"], smp["residual_norm"]] for smp in got["samples"][:2]] == [

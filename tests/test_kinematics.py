@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad_vec
 
 from geodev.errors import DomainError, EvaluationError, NullVectorError
-from geodev.geometry import (MetricField, cov_tensor_components, metric_dot,
+from geodev.geometry import (ChartPoint, cov_tensor_components, metric_dot,
                              sign_of_square)
 from geodev.equations import EquationId, _Workspace, residual
 from geodev.kinematics import (MassSurface, Scenario, WorldSurface,
@@ -16,7 +16,7 @@ from geodev.kinematics import (MassSurface, Scenario, WorldSurface,
                                relative_acceleration, relative_energy,
                                relative_force, relative_momentum,
                                relative_velocity, worldline)
-from geodev.scenarios import LINEAR_DRIFT_MASSES, ScenarioSpec, build
+from geodev.scenarios import LINEAR_DRIFT_MASSES, ScenarioSpec, _identity_metric, build
 from geodev.transport import (DEFAULT_ODE_CONFIG, law_from_connection,
                               transport_matrix)
 
@@ -38,7 +38,7 @@ def simple_flat_scenario(map_fn, d_s, d_r, d_ss=None, d_sr=None, d_rr=None,
     conn = zero_connection(dim)
     return Scenario(
         dimension=dim, conn=conn,
-        metric=metric or MetricField(g_at=lambda pt: np.eye(dim)),
+        metric=metric or _identity_metric(dim),
         law=law_from_connection(conn), surface=surf,
         mass=mass or MassSurface(lambda s, r: 1.0, lambda s, r: 0.0),
         label=label)
@@ -96,16 +96,34 @@ def test_worldline_separation_outside_domain(sphere):
         worldline(sphere, 2, 5.0)
 
 
+@pytest.mark.parametrize("which", ["path", "r", "s"])
+def test_domain_checks_allow_1e_12_past_each_end(flat_ruled, which):
+    # PathCurve.require, WorldSurface.require_r and require_s are one check:
+    # 0.5e-12 past an end passes, 2e-12 past raises, with the message each
+    # has always given
+    surf = flat_ruled.surface
+    require, (lo, hi), message = {
+        "path": (worldline(flat_ruled, 1).require, surf.s_domain, "parameter {} outside path domain"),
+        "r": (surf.require_r, surf.r_domain, "r = {} outside surface r-domain"),
+        "s": (surf.require_s, surf.s_domain, "s = {} outside surface s-domain")}[which]
+    for end, out in ((lo, -1.0), (hi, 1.0)):
+        require(end + out * 0.5e-12)
+        value = end + out * 2e-12
+        with pytest.raises(DomainError) as info:
+            require(value)
+        assert str(info.value) == message.format(value) + f" [{lo}, {hi}]"
+
+
 def test_path_tangent_base_consistency(sphere):
     # point and velocity of a path come from the surface at one parameter
     surf = sphere.surface
     line = worldline(sphere, 1)
     cpath = connecting_path(sphere, 0.1)
     for s in (-0.2, 0.0, 0.3):
-        assert line.map(s).close_to(surf.point(s, surf.r_base), tol=1e-15)
+        assert line.map(s).close_to(ChartPoint(surf.map(s, surf.r_base)), tol=1e-15)
         assert np.array_equal(line.tangent(s), surf.d_s(s, surf.r_base))
     for r in (-0.1, 0.0, 0.2):
-        assert cpath.map(r).close_to(surf.point(0.1, r), tol=1e-15)
+        assert cpath.map(r).close_to(ChartPoint(surf.map(0.1, r)), tol=1e-15)
         assert np.array_equal(cpath.tangent(r), surf.d_r(0.1, r))
 
 
@@ -363,7 +381,7 @@ def test_relative_quantities_are_one_pull_back_minus_the_value_at_r1():
     for fn, field in fields.items():
         by_hand = pull @ field(s0, r2) - field(s0, r1)
         assert np.array_equal(fn(sc, s0, EPS), by_hand)
-    x1 = surf.point(s0, r1)
+    x1 = ChartPoint(surf.map(s0, r1))
     v1 = surf.d_s(s0, r1)
     pulled_p2 = pull @ (mass.value(s0, r2) * surf.d_s(s0, r2))
     by_hand = (sign_of_square(sc.metric, x1, v1)
@@ -491,7 +509,7 @@ def test_relative_energy_requires_metric(grid_scenario):
 
 
 def test_relative_energy_null_worldline_raises():
-    lorentz = MetricField(g_at=lambda pt: np.diag([1.0, -1.0]))
+    lorentz = _identity_metric(2, np.array([1.0, -1.0]))
     sc = simple_flat_scenario(
         lambda s, r: np.array([s, s + r]),
         lambda s, r: np.array([1.0, 1.0]),  # null tangent

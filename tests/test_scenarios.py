@@ -7,7 +7,7 @@ import pytest
 
 import geodev.scenarios
 from geodev.errors import ConfigError
-from geodev.geometry import curvature_at, torsion_at
+from geodev.geometry import ChartPoint, curvature_at, torsion_at
 from geodev.kinematics import connecting_path
 from geodev.scenarios import (EQUATION_SCENARIOS, LINEAR_DRIFT_MASSES,
                               ScenarioSpec, _surface, build, family_names,
@@ -268,14 +268,14 @@ def _max_structure(scenario, fn, n=25):
 
 def _torsion_mag(scenario):
     def fn(s, r):
-        pt = scenario.surface.point(s, r)
+        pt = ChartPoint(scenario.surface.map(s, r))
         return np.abs(torsion_at(scenario.conn, pt)).max()
     return _max_structure(scenario, fn)
 
 
 def _curvature_mag(scenario):
     def fn(s, r):
-        pt = scenario.surface.point(s, r)
+        pt = ChartPoint(scenario.surface.map(s, r))
         return np.abs(curvature_at(scenario.conn, pt)).max()
     return _max_structure(scenario, fn)
 
@@ -308,7 +308,7 @@ def test_structure_matrix(name, torsion, curv, s_ten):
 
 def test_flat_torsion_values():
     sc = build(ScenarioSpec("flat-torsion", {"torsion_c": 0.3}))
-    pt = sc.surface.point(0.1, 0.0)
+    pt = ChartPoint(sc.surface.map(0.1, 0.0))
     t = torsion_at(sc.conn, pt)
     assert t[0, 1, 0] == pytest.approx(0.3)
     assert t[0, 0, 1] == pytest.approx(-0.3)
@@ -320,7 +320,7 @@ def test_sphere_curvature_everywhere_on_surface():
     for _ in range(10):
         s = rng.uniform(*sc.surface.s_domain)
         r = rng.uniform(*sc.surface.r_domain)
-        pt = sc.surface.point(s, r)
+        pt = ChartPoint(sc.surface.map(s, r))
         assert np.abs(curvature_at(sc.conn, pt)).max() > 0.5
 
 
@@ -350,6 +350,23 @@ def test_surface_partials_match_finite_differences(name):
 
 
 @pytest.mark.parametrize("name", ALL_FAMILIES)
+def test_connection_and_metric_partials_match_central_differences(name):
+    # every family states d_l Gamma and d_l g analytically; each is checked
+    # against a central difference of the coefficients and of the matrix, in
+    # each chart direction, at points on the family's surface
+    sc = build(ScenarioSpec(name))
+    surf = sc.surface
+    rng = np.random.default_rng(13)
+    h = 1e-5
+    for _ in range(20):
+        x = surf.map(rng.uniform(*surf.s_domain), rng.uniform(*surf.r_domain))
+        for field, read in ((sc.conn, sc.conn.coefficients), (sc.metric, sc.metric.matrix)):
+            fd = np.stack([(read(ChartPoint(x + step)) - read(ChartPoint(x - step))) / (2 * h)
+                           for step in h * np.eye(sc.dimension)], axis=-1)
+            assert np.abs(fd - field.partials(ChartPoint(x))).max() < 1e-9
+
+
+@pytest.mark.parametrize("name", ALL_FAMILIES)
 def test_mass_and_metric_invariants_on_probe_grid(name):
     sc = build(ScenarioSpec(name, LINEAR_DRIFT_MASSES))
     rng = np.random.default_rng(5)
@@ -360,7 +377,7 @@ def test_mass_and_metric_invariants_on_probe_grid(name):
         assert abs(sc.mass.value(s, r)) > 0.5
         fd = (sc.mass.mu(s + h, r) - sc.mass.mu(s - h, r)) / (2 * h)
         assert abs(fd - sc.mass.d_s_mu(s, r)) < 1e-8
-        pt = sc.surface.point(s, r)
+        pt = ChartPoint(sc.surface.map(s, r))
         g = sc.metric.matrix(pt)  # validates symmetry and nondegeneracy
         assert np.all(np.isfinite(g))
         gamma = sc.conn.coefficients(pt)

@@ -145,7 +145,7 @@ def test_non_finite_values_met_inside_a_solve_are_named(d):
             return values
 
         law = law_from_connection(ConnectionField(stacked_gamma(
-            lambda pt: value("gamma", gamma))))
+            lambda pt: value("gamma", gamma)), lambda pt: np.zeros((d,) * 4)))
         path = PathCurve(lambda u: (value("coords", start + u * direction),
                                     value("velocity", direction)), (0.0, 1.0))
         try:
@@ -691,7 +691,7 @@ def test_connection_laws_leave_the_check_to_the_law(make_law, monkeypatch):
     def gamma_at(pt):
         return np.full((2, 2, 2), np.nan if pt.coords[0] > 0.3 else 0.0)
 
-    law = make_law(ConnectionField(gamma_at=stacked_gamma(gamma_at)))
+    law = make_law(ConnectionField(stacked_gamma(gamma_at), lambda pt: np.zeros((2,) * 4)))
     monkeypatch.setattr(ConnectionField, "coefficients",
                         lambda self, point: pytest.fail("Gamma checked twice"))
     path = line_path([0.0, 0.0], [1.0, 0.0])
