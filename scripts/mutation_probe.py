@@ -16,13 +16,14 @@ one thing:
   ``curvature_apply`` call trade places (every pair of distinct arguments).
 
 Each mutant is compiled into a fresh copy of the module and judged by the
-acceptance gate on the cells of ``EQUATION_SCENARIOS``: criterion 5 (fitted
-order at least 1.9 with r^2 at least 0.98, or every residual below 1e-10
-when no order is fitted) on the cells of the mutant's own equation, or of
-every equation for a workspace method, and criterion 4 (the momentum
-identity below 1e-9 on every family at eps 1e-1, 1e-2, 1e-3) for E5_1.  A
+acceptance gate on the cells of ``EQUATION_SCENARIOS`` and on the generic
+cell of ``tests/generic_cell.py``: criterion 5 (fitted order at least 1.9
+with r^2 at least 0.98, or every residual below 1e-10 when no order is
+fitted) on the cells of the mutant's own equation, or of every equation for
+a workspace method, and criterion 4 (the momentum identity below 1e-9 on
+every family and on the generic cell at eps 1e-1, 1e-2, 1e-3) for E5_1.  A
 mutant is killed when a cell fails or raises.  The run is deterministic and
-takes about 15 s on a 2-core x86-64 host.  A name of ``WORKSPACE_TARGETS``
+takes about 6 s on a 2-core x86-64 host.  A name of ``WORKSPACE_TARGETS``
 that is not a method of ``_Workspace`` ends the run with exit status 1 and
 names it, before any mutant is made.
 
@@ -46,11 +47,12 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from geodev.equations import EquationId, equation_info  # noqa: E402
 from geodev.scenarios import (EQUATION_SCENARIOS, LINEAR_DRIFT_MASSES,  # noqa: E402
                               ScenarioSpec, build, family_names)
+from generic_cell import generic_scenario  # noqa: E402
 
 SOURCE = ROOT / "src" / "geodev" / "equations.py"
 RECORDED = Path(__file__).resolve().parent / "mutation_survivors.txt"
@@ -129,20 +131,22 @@ def scenario(spec: ScenarioSpec):
     return _SCENARIOS[key]
 
 
+GENERIC = generic_scenario()
+
+
 def gate(module, equations) -> bool:
-    """Whether every cell of ``equations`` passes its acceptance criterion
-    on ``module``'s residuals."""
+    """Whether every cell of ``equations``, the generic cell among them,
+    passes its acceptance criterion on ``module``'s residuals."""
     eqs = module.EquationId
     for eq in equations:
         if module.equation_info(eqs(eq)).exact:
-            for name in family_names():
-                sc = scenario(ScenarioSpec(name, LINEAR_DRIFT_MASSES))
+            for sc in [*(scenario(ScenarioSpec(name, LINEAR_DRIFT_MASSES))
+                         for name in family_names()), GENERIC]:
                 for eps in (1e-1, 1e-2, 1e-3):
                     if not module.residual(eqs(eq), sc, sc.s_eval, eps).residual_norm < 1e-9:
                         return False
             continue
-        for spec in EQUATION_SCENARIOS[eq]:
-            sc = scenario(spec)
+        for sc in [*map(scenario, EQUATION_SCENARIOS[eq]), GENERIC]:
             rep, = module.convergence_study([eqs(eq)], sc, sc.s_eval,
                                             module.DEFAULT_LADDER)
             if rep.fitted_order is None:

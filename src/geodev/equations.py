@@ -150,8 +150,7 @@ class _Workspace(_Ladder):
     """
 
     def dgam(self, s: float) -> np.ndarray:
-        return self._get(("dgam", s),
-                         lambda: self.sc.conn.partials(self.x1_point(s)))
+        return self._get(("dgam", s), lambda: self.at_x1(self.sc.conn.partials, s))
 
     def torsion(self, s: float) -> np.ndarray:
         return self._get(("T", s), lambda: torsion_components(self.gam(s)))
@@ -184,7 +183,7 @@ class _Workspace(_Ladder):
     def d_metric(self, s: float) -> np.ndarray:
         """Covariant derivative of the metric along x1 (nonmetricity)."""
         def make():
-            dg = self.sc.metric.partials(self.x1_point(s))
+            dg = self.at_x1(self.sc.metric.partials, s)
             dg_ds = np.einsum("ijl,l->ij", dg, self.v1(s))
             return cov_tensor_components(self.gam(s), self.v1(s), self.metric(s),
                                          dg_ds, (0, 2))

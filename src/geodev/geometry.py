@@ -120,10 +120,6 @@ class ChartPoint:
     def dimension(self) -> int:
         return self.coords.shape[0]
 
-    def close_to(self, other: "ChartPoint", tol: float = 1e-9) -> bool:
-        return (self.dimension == other.dimension
-                and bool(np.all(np.abs(self.coords - other.coords) <= tol)))
-
     def __repr__(self):
         return f"ChartPoint({np.array2string(self.coords, precision=6)})"
 
@@ -132,50 +128,54 @@ class ChartPoint:
 class ConnectionField:
     """Affine connection given by its coefficient field ``Gamma^i_{jk}(x)``.
 
-    ``gamma_at`` maps an ``(n, d)`` stack of coordinates to the ``(n, d, d,
-    d)`` stack of Gamma there, laid out per the module index convention;
-    ``coefficients`` reads it at one ChartPoint as a stack of one.
-    ``partials_at`` returns the ``(d, d, d, d)`` array of analytic coordinate
-    partials at a ChartPoint with the derivative index last
-    (``partials[i, j, k, l] = d_l Gamma^i_{jk}``).
+    Every field is stated on a stack: ``gamma_at`` maps an ``(n, d)`` stack
+    of coordinates to the ``(n, d, d, d)`` stack of Gamma, laid out per the
+    module index convention, and ``partials_at`` to the ``(n, d, d, d, d)``
+    stack of its analytic partials, derivative index last (``partials[n, i,
+    j, k, l] = d_l Gamma^i_{jk}``); ``coefficients`` and ``partials`` read
+    them checked once per stack, a bad row raising at its point.
     """
 
     gamma_at: Callable[[np.ndarray], np.ndarray]
-    partials_at: Callable[[ChartPoint], np.ndarray]
+    partials_at: Callable[[np.ndarray], np.ndarray]
 
-    def coefficients(self, point: ChartPoint) -> np.ndarray:
-        return _checked_stack(self.gamma_at(point.coords[None]), (point.dimension,) * 3,
-                              "connection coefficients", point.coords[None])[0]
+    def coefficients(self, coords: np.ndarray) -> np.ndarray:
+        return _checked_stack(self.gamma_at(coords), coords.shape[1:] * 3,
+                              "connection coefficients", coords)
 
-    def partials(self, point: ChartPoint) -> np.ndarray:
-        return checked_array(self.partials_at(point), (point.dimension,) * 4,
-                             "connection partials", point)
+    def partials(self, coords: np.ndarray) -> np.ndarray:
+        return _checked_stack(self.partials_at(coords), coords.shape[1:] * 4,
+                              "connection partials", coords)
 
 
 @dataclass(frozen=True)
 class MetricField:
-    """Bundle metric ``g_{ij}(x)``: bilinear, symmetric, nondegenerate.
+    """Bundle metric ``g_{ij}(x)``: bilinear, symmetric, nondegenerate,
+    stated on stacks as ``ConnectionField`` is: ``g_at`` gives ``(n, d, d)``
+    and ``partials_at`` ``(n, d, d, d)``, ``partials[n, i, j, l] = d_l g_{ij}``.
 
     Not assumed positive definite, and not assumed compatible with any
     connection (nonmetricity is allowed and measured elsewhere).
     """
 
-    g_at: Callable[[ChartPoint], np.ndarray]
-    partials_at: Callable[[ChartPoint], np.ndarray]
+    g_at: Callable[[np.ndarray], np.ndarray]
+    partials_at: Callable[[np.ndarray], np.ndarray]
 
-    def matrix(self, point: ChartPoint) -> np.ndarray:
-        g = checked_array(self.g_at(point), (point.dimension,) * 2,
-                          "metric entries", point)
-        if np.max(np.abs(g - g.T)) > METRIC_SYMMETRY_TOL:
-            raise EvaluationError("metric is not symmetric", point=point)
-        if abs(np.linalg.det(g)) <= METRIC_DET_TOL:
-            raise EvaluationError("metric is degenerate", point=point)
+    def matrix(self, coords: np.ndarray) -> np.ndarray:
+        """g at each row of ``coords``, checked once; the first row that is
+        not symmetric, or else degenerate, raises at its point."""
+        g = _checked_stack(self.g_at(coords), coords.shape[1:] * 2, "metric entries", coords)
+        asymmetric = np.max(np.abs(g - g.swapaxes(1, 2)), axis=(1, 2)) > METRIC_SYMMETRY_TOL
+        bad = asymmetric | (np.abs(np.linalg.det(g)) <= METRIC_DET_TOL)
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise EvaluationError("metric is not symmetric" if asymmetric[row]
+                                  else "metric is degenerate", point=ChartPoint(coords[row]))
         return g
 
-    def partials(self, point: ChartPoint) -> np.ndarray:
-        """``partials[i, j, l] = d_l g_{ij}``."""
-        return checked_array(self.partials_at(point), (point.dimension,) * 3,
-                             "metric partials", point)
+    def partials(self, coords: np.ndarray) -> np.ndarray:
+        return _checked_stack(self.partials_at(coords), coords.shape[1:] * 3,
+                              "metric partials", coords)
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,7 @@ class PathCurve:
 
 def _checked_points(coords, velocity) -> Tuple[np.ndarray, np.ndarray]:
     """``read_points``' check of a stack: the coordinates flat and finite,
-    made read-only (rows become the laws' ChartPoints), and the velocities
+    made read-only (the laws and fields read its rows), and the velocities
     finite, the first bad row raising at its point."""
     coords, velocity = np.asarray(coords, dtype=float), np.asarray(velocity, dtype=float)
     if coords.ndim != 2 or not _all_finite(coords):
@@ -278,7 +278,7 @@ def torsion_at(conn: ConnectionField, x: ChartPoint) -> np.ndarray:
     whose Lie bracket vanishes; the result is exactly antisymmetric in its
     two lower indices.
     """
-    return torsion_components(conn.coefficients(x))
+    return torsion_components(conn.coefficients(x.coords[None])[0])
 
 
 def curvature_components(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
@@ -293,7 +293,8 @@ def curvature_components(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
 def curvature_at(conn: ConnectionField, x: ChartPoint) -> np.ndarray:
     """Curvature tensor of the connection at ``x``, valence (1,3)
     (``curvature_components``)."""
-    return curvature_components(conn.coefficients(x), conn.partials(x))
+    coords = x.coords[None]
+    return curvature_components(conn.coefficients(coords)[0], conn.partials(coords)[0])
 
 
 def cov_tensor_components(gamma: np.ndarray, xdot: np.ndarray,
@@ -322,13 +323,8 @@ def metric_dot(metric: MetricField, x: ChartPoint, u: np.ndarray,
                v: np.ndarray) -> float:
     """Scalar product ``g_{ij}(x) U^i V^j`` of the components ``u``, ``v`` of
     two vectors at ``x``."""
-    return _matrix_dot(metric.matrix(x), x, u, v)
-
-
-def _matrix_dot(g: np.ndarray, x: ChartPoint, u, v) -> float:
-    """``metric_dot`` given the checked metric matrix ``g`` at ``x``."""
-    u, v = (checked_array(w, (x.dimension,), "vector components", x)
-            for w in (u, v))
+    g = metric.matrix(x.coords[None])[0]
+    u, v = (checked_array(w, (x.dimension,), "vector components", x) for w in (u, v))
     return float(_stacked_dot(g, u, v))
 
 
@@ -343,12 +339,14 @@ def _stacked_dot(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def sign_of_square(metric: MetricField, x: ChartPoint, u: np.ndarray) -> int:
     """Causal sign of ``(U)^2``: +1 or -1; raises NullVectorError when the
     scalar square is within ``NULL_TOL`` of zero."""
-    return _matrix_sign(metric.matrix(x), x, u)
+    return _matrix_sign(metric.matrix(x.coords[None])[0],
+                        checked_array(u, (x.dimension,), "vector components", x))
 
 
-def _matrix_sign(g: np.ndarray, x: ChartPoint, u) -> int:
-    """``sign_of_square`` given the checked metric matrix ``g`` at ``x``."""
-    square = _matrix_dot(g, x, u, u)
+def _matrix_sign(g: np.ndarray, u: np.ndarray) -> int:
+    """``sign_of_square`` given the checked metric matrix ``g`` and the
+    checked components ``u``."""
+    square = float(_stacked_dot(g, u, u))
     if abs(square) <= NULL_TOL:
         raise NullVectorError(
             f"scalar square {square} within null tolerance {NULL_TOL}")

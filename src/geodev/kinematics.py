@@ -20,9 +20,8 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EvaluationError
-from .geometry import (ChartPoint, ConnectionField, MetricField, PathCurve,
-                       _checked_stack, _matrix_sign, _require, _stacked_dot,
-                       bilinear, checked_array)
+from .geometry import (ConnectionField, MetricField, PathCurve, _matrix_sign, _require,
+                       _stacked_dot, bilinear, checked_array)
 # transport_components stays bound here, unused: perfbench/tracer.py wraps it
 from .transport import (DEFAULT_ODE_CONFIG, OdeConfig, TransportLaw, _pullbacks,
                         transport_components)
@@ -211,8 +210,10 @@ class _Ladder:
         return self._get((name, s), lambda: self.values(
             getattr(self.surf, name), s, self.r1, what=f"{name} components")[0])
 
-    def x1_point(self, s: float) -> ChartPoint:
-        return self._get(("x1pt", s), lambda: ChartPoint(self.surface("map", s)))
+    def at_x1(self, read: Callable[[np.ndarray], np.ndarray], s: float) -> np.ndarray:
+        """A field's checked reader (``ConnectionField.coefficients``, ...)
+        at x_1(s), read on the stack of that one point."""
+        return read(self.surface("map", s)[None])[0]
 
     def v1(self, s: float) -> np.ndarray:
         return self.surface("d_s", s)
@@ -221,8 +222,7 @@ class _Ladder:
         return self.surface("d_r", s)
 
     def gam(self, s: float) -> np.ndarray:
-        return self._get(("gam", s),
-                         lambda: self.sc.conn.coefficients(self.x1_point(s)))
+        return self._get(("gam", s), lambda: self.at_x1(self.sc.conn.coefficients, s))
 
     def a1(self, s: float) -> np.ndarray:
         """F_s(r'), ``d_ss + Gamma(V_1, V_1)`` at x_1(s)."""
@@ -240,12 +240,11 @@ class _Ladder:
         return self.mu1(s) * self.v1(s)
 
     def metric(self, s: float) -> np.ndarray:
-        return self._get(("g", s), lambda: self.sc.metric.matrix(self.x1_point(s)))
+        return self._get(("g", s), lambda: self.at_x1(self.sc.metric.matrix, s))
 
     def sign(self, s: float) -> int:
         """The causal sign of V_1 at x_1(s) (``geometry.sign_of_square``)."""
-        return self._get(("sign", s), lambda: _matrix_sign(
-            self.metric(s), self.x1_point(s), self.v1(s)))
+        return self._get(("sign", s), lambda: _matrix_sign(self.metric(s), self.v1(s)))
 
     # -- along gamma_s ------------------------------------------------------
     def path(self, s: float) -> PathCurve:
@@ -309,9 +308,7 @@ class _Ladder:
     def forces2(self, s: float) -> np.ndarray:
         """F_s(r'') at each r'' of the ladder, Gamma read in one call."""
         def make():
-            coords, ds = self.rows("map", s), self.rows("d_s", s)
-            gamma = _checked_stack(self.sc.conn.gamma_at(coords), (self.sc.dimension,) * 3,
-                                   "connection coefficients", coords)
+            gamma, ds = self.sc.conn.coefficients(self.rows("map", s)), self.rows("d_s", s)
             return self.rows("d_ss", s) + bilinear(gamma, ds, ds)
         return self._get(("F2", s), make)
 

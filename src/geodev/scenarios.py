@@ -17,8 +17,8 @@ row's bits are its point's bits.
 ``_surface`` turns it into a WorldSurface whose accessors are each one
 ``jets`` call at a point, and whose ``along_r`` reads the rows of all the
 connecting paths of a Magnus attempt in one call; a study reads each
-partial once per point (``kinematics._Ladder``).  Each Gamma and each law
-is stated on a stack.
+partial once per point (``kinematics._Ladder``).  Every field is stated on
+a stack (``geometry.ConnectionField``), each row with its point's bits.
 
 Family structure matrix (enforced by tests):
 
@@ -133,11 +133,14 @@ def _probe_field(dim: int) -> SurfaceField:
     return SurfaceField(value=value, d_r=d_r)
 
 
+def _repeated(value: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The field equal to ``value`` at every point: one copy per row of a stack."""
+    return lambda coords: np.repeat(value[None], len(coords), axis=0)
+
+
 def _constant_connection(gamma: np.ndarray) -> ConnectionField:
-    """Gamma the same at every point, repeated over each stack; zero partials."""
-    dgamma = np.zeros(gamma.shape + gamma.shape[:1])
-    return ConnectionField(lambda coords: np.repeat(gamma[None], len(coords), axis=0),
-                           lambda pt: dgamma)
+    """Gamma the same at every point; zero partials."""
+    return ConnectionField(_repeated(gamma), _repeated(np.zeros(gamma.shape + gamma.shape[:1])))
 
 
 def _zero_connection(dim: int) -> ConnectionField:
@@ -146,9 +149,8 @@ def _zero_connection(dim: int) -> ConnectionField:
 
 def _identity_metric(dim: int, signature: Optional[np.ndarray] = None) -> MetricField:
     diag = np.ones(dim) if signature is None else np.asarray(signature, float)
-    g = np.diag(diag)
-    dg = np.zeros((dim, dim, dim))
-    return MetricField(g_at=lambda pt: g, partials_at=lambda pt: dg)
+    return MetricField(g_at=_repeated(np.diag(diag)),
+                       partials_at=_repeated(np.zeros((dim, dim, dim))))
 
 
 def _each(fn: Callable[..., float], ufunc: Optional[Callable] = None) -> Callable:
@@ -294,39 +296,41 @@ def _build_flat_torsion(p: Dict[str, float]) -> _Geometry:
 
 # --------------------------------------------------------------------- sphere
 
+def _inverse(den: Callable[[float], float], th: np.ndarray) -> list:
+    """``1 / den(theta)`` at each theta, with ``math`` as at a point; where
+    ``den`` is zero, DomainError names the first such theta."""
+    dens = [den(t) for t in th.tolist()]
+    if 0.0 in dens:
+        raise DomainError(f"sphere chart is singular at theta = {th.tolist()[dens.index(0.0)]}")
+    return [1.0 / v for v in dens]
+
+
 def _sphere_connection() -> ConnectionField:
-    def gamma_at(coords):  # on a stack of theta; tan per entry with math
+    def gamma_at(coords):
         th, g = coords[:, 0], np.zeros((len(coords), 2, 2, 2))
-        g[:, 0, 1, 1] = -np.sin(th) * np.cos(th)
-        try:
-            g[:, 1, 0, 1] = g[:, 1, 1, 0] = [1.0 / math.tan(t) for t in th.tolist()]
-        except ZeroDivisionError:  # named at the first singular theta
-            t = next(t for t in th.tolist() if math.tan(t) == 0.0)
-            raise DomainError(f"sphere chart is singular at theta = {t}") from None
+        g[:, 0, 1, 1] = -_sin(th) * _cos(th)
+        g[:, 1, 0, 1] = g[:, 1, 1, 0] = _inverse(math.tan, th)
         return g
 
-    def partials_at(pt):
-        th = pt.coords[0]
-        dg = np.zeros((2, 2, 2, 2))
-        dg[0, 1, 1, 0] = -math.cos(2.0 * th)
-        try:
-            dg[1, 0, 1, 0] = dg[1, 1, 0, 0] = -1.0 / math.sin(th) ** 2
-        except ZeroDivisionError:
-            raise DomainError(f"sphere chart is singular at theta = {th}") from None
+    def partials_at(coords):
+        th, dg = coords[:, 0], np.zeros((len(coords), 2, 2, 2, 2))
+        dg[:, 0, 1, 1, 0] = -_cos(2.0 * th)
+        inverse = _inverse(lambda t: math.sin(t) ** 2, th)  # sin^2 per entry, as at a point
+        dg[:, 1, 0, 1, 0] = dg[:, 1, 1, 0, 0] = np.negative(inverse)
         return dg
 
     return ConnectionField(gamma_at, partials_at)
 
 
 def _sphere_metric() -> MetricField:
-    def g_at(pt):
-        th = pt.coords[0]
-        return np.array([[1.0, 0.0], [0.0, math.sin(th) ** 2]])
+    def g_at(coords):
+        g = np.zeros((len(coords), 2, 2))
+        g[:, 0, 0], g[:, 1, 1] = 1.0, _square(_sin(coords[:, 0]))
+        return g
 
-    def partials_at(pt):
-        th = pt.coords[0]
-        dg = np.zeros((2, 2, 2))
-        dg[1, 1, 0] = math.sin(2.0 * th)
+    def partials_at(coords):
+        dg = np.zeros((len(coords), 2, 2, 2))
+        dg[:, 1, 1, 0] = _sin(2.0 * coords[:, 0])
         return dg
 
     return MetricField(g_at=g_at, partials_at=partials_at)

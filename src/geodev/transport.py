@@ -322,8 +322,8 @@ def s_tensor(law: TransportLaw, conn: ConnectionField, path: PathCurve,
              r: float) -> np.ndarray:
     """S-tensor ``S^i_{jk} = -H^i_{jk}(r; path) - Gamma^i_{jk}(path(r))``,
     valence (1,2) at ``path(r)``."""
-    point = path.map(r)
-    return _s_tensor(law, path, r, point.coords, conn.coefficients(point))
+    coords = path.map(r).coords
+    return _s_tensor(law, path, r, coords, conn.coefficients(coords[None])[0])
 
 
 def _s_tensor(law: TransportLaw, path: PathCurve, r: float, coords, gamma) -> np.ndarray:

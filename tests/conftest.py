@@ -6,10 +6,11 @@ from geodev.scenarios import ScenarioSpec, build
 from geodev.transport import DEFAULT_ODE_CONFIG, TransportLaw, _pullbacks
 
 
-def stacked_gamma(gamma_at):
-    """``ConnectionField.gamma_at`` on a stack of coordinates from a Gamma
-    stated at one ChartPoint, read at each row."""
-    return lambda coords: np.array([gamma_at(ChartPoint(x)) for x in coords])
+def stacked(field_at):
+    """A field on a stack of coordinates (``ConnectionField.gamma_at``,
+    ``MetricField.g_at``, ...) from one stated at one ChartPoint, read at
+    each row."""
+    return lambda coords: np.array([field_at(ChartPoint(x)) for x in coords])
 
 
 def point_law(coeff_at) -> TransportLaw:

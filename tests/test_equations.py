@@ -18,7 +18,7 @@ from geodev.geometry import (ChartPoint, ConnectionField, MetricField, bilinear,
                              torsion_apply)
 from geodev.kinematics import WorldSurface
 from geodev.scenarios import (EQUATION_SCENARIOS, LINEAR_DRIFT_MASSES,
-                              ScenarioSpec, build, family_names)
+                              ScenarioSpec, _repeated, build, family_names)
 from geodev.transport import DEFAULT_ODE_CONFIG, work_counts
 
 from oracles import polyfit_order
@@ -531,24 +531,18 @@ def test_outputs_match_the_recorded_digest():
     assert list(load_script("output_digest").lines()) == recorded
 
 
-def test_constant_connections_build_no_point_per_node(monkeypatch):
-    # the constant Gamma of the flat families is read on a solve's stack of
-    # nodes, as the sphere's is, so an all-16 study builds as many ChartPoints
-    # on them as on offset-transport (a Gamma read at one point per node
-    # builds one more per Gauss node)
+@pytest.mark.parametrize("name", family_names())
+def test_an_all_16_study_builds_no_chart_point(name, monkeypatch):
+    # every field is read on coordinate stacks: Gamma, its partials, g and
+    # its partials at x_1(s) as a stack of one, Gamma at the x_2 of each s
+    # and the laws on each solve's nodes, so a study builds no ChartPoint
+    sc = build(ScenarioSpec(name, LINEAR_DRIFT_MASSES))
     built, init = [], ChartPoint.__init__
     monkeypatch.setattr(ChartPoint, "__init__",
                         lambda self, coords: built.append(coords) or init(self, coords))
-
-    def points_built(name):
-        sc = build(ScenarioSpec(name, LINEAR_DRIFT_MASSES))
-        built.clear()
-        convergence_study(list(EquationId), sc, sc.s_eval, DEFAULT_LADDER)
-        return len(built)
-
-    flat = ("flat-torsion", "flat-euclidean/quadratic", "minkowski")
-    reference = points_built("offset-transport")
-    assert {name: points_built(name) for name in flat} == dict.fromkeys(flat, reference)
+    reports = convergence_study(list(EquationId), sc, sc.s_eval, DEFAULT_LADDER)
+    assert len(reports) == len(EquationId)
+    assert built == []
 
 
 def test_study_evaluates_base_geometry_once_per_s(monkeypatch):
@@ -565,8 +559,12 @@ def test_study_evaluates_base_geometry_once_per_s(monkeypatch):
     partials, curvature = ConnectionField.partials, geodev.equations.curvature_at
     matrix = MetricField.matrix
 
-    def counted(name, fn):
-        return lambda *args: calls.append((name, tuple(args[1].coords))) or fn(*args)
+    def counted(name, fn):  # records each point read, at a ChartPoint or on a stack
+        def call(owner, where, *rest):
+            stack = where.coords[None] if isinstance(where, ChartPoint) else where
+            calls.extend((name, tuple(x)) for x in stack)
+            return fn(owner, where, *rest)
+        return call
 
     def read(name):
         return lambda s, r: reads.update([(name, s, r)]) or getattr(surf, name)(s, r)
@@ -603,7 +601,7 @@ def test_bad_analytic_metric_partials_are_named(partials, message):
     # a malformed analytic d_l g_ij is named where it is read, not left to
     # an einsum subscript error or a NaN residual norm
     sc = build(ScenarioSpec("minkowski", LINEAR_DRIFT_MASSES))
-    metric = dataclasses.replace(sc.metric, partials_at=lambda pt: partials)
+    metric = dataclasses.replace(sc.metric, partials_at=_repeated(partials))
     with pytest.raises(EvaluationError, match=message):
         residual(EquationId.E7_4, dataclasses.replace(sc, metric=metric), S0,
                  0.01)
@@ -620,8 +618,9 @@ def test_base_quantities_are_read_only(flat_torsion):
                   w.delta_k(S0), w.energy(S0)):
         with pytest.raises(ValueError):
             value.flat[0] = 1.0
-    assert flat_torsion.conn.gamma_at(w.x1_point(S0).coords[None]).flags.writeable
-    assert flat_torsion.metric.g_at(w.x1_point(S0)).flags.writeable
+    x1 = w.surface("map", S0)[None]
+    assert flat_torsion.conn.gamma_at(x1).flags.writeable
+    assert flat_torsion.metric.g_at(x1).flags.writeable
 
 
 def test_study_reads_gamma_at_particle_2_in_one_call_per_s():

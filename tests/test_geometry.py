@@ -14,10 +14,10 @@ from geodev.errors import EvaluationError, NullVectorError
 from geodev.geometry import (ChartPoint, ConnectionField, MetricField, PathCurve,
                              checked_array, cov_tensor_components, curvature_at,
                              metric_dot, sign_of_square, torsion_at)
-from geodev.scenarios import (_constant_connection, _identity_metric, _sphere_metric,
-                              _zero_connection)
+from geodev.scenarios import (_constant_connection, _identity_metric, _repeated,
+                              _sphere_metric, _zero_connection)
 
-from conftest import stacked_gamma
+from conftest import stacked
 
 H_S = 1e-5  # step of the tests' central differences in s
 
@@ -33,7 +33,7 @@ def constant_connection(gamma):
 def constant_metric(g):
     """A MetricField of the matrix ``g`` at every point, with zero partials."""
     g = np.asarray(g, float)
-    return MetricField(g_at=lambda pt: g, partials_at=lambda pt: np.zeros(g.shape + g.shape[:1]))
+    return MetricField(g_at=_repeated(g), partials_at=_repeated(np.zeros(g.shape + g.shape[:1])))
 
 
 def sphere_connection():
@@ -51,7 +51,7 @@ def sphere_connection():
         dg[1, 0, 1, 0] = dg[1, 1, 0, 0] = -1.0 / math.sin(th) ** 2
         return dg
 
-    return ConnectionField(gamma_at=stacked_gamma(gamma_at), partials_at=partials_at)
+    return ConnectionField(gamma_at=stacked(gamma_at), partials_at=stacked(partials_at))
 
 
 def euclidean_metric(d=2):
@@ -129,10 +129,10 @@ def test_metric_must_be_symmetric_and_nondegenerate():
     pt = ChartPoint([0.0, 0.0])
     lopsided = constant_metric([[1.0, 0.1], [0.0, 1.0]])
     with pytest.raises(EvaluationError):
-        lopsided.matrix(pt)
+        lopsided.matrix(pt.coords[None])
     degenerate = constant_metric([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(EvaluationError):
-        degenerate.matrix(pt)
+        degenerate.matrix(pt.coords[None])
 
 
 @pytest.mark.parametrize("partials,message", [
@@ -141,9 +141,9 @@ def test_metric_must_be_symmetric_and_nondegenerate():
      "non-finite metric partials"),
 ])
 def test_analytic_metric_partials_are_checked(partials, message):
-    metric = MetricField(g_at=lambda p: np.eye(2), partials_at=lambda p: partials)
+    metric = MetricField(g_at=_repeated(np.eye(2)), partials_at=_repeated(partials))
     with pytest.raises(EvaluationError, match=message):
-        metric.partials(ChartPoint([0.0, 0.0]))
+        metric.partials(np.zeros((1, 2)))
 
 
 def test_concurrent_path_reads_get_their_own_parameters_values():
@@ -266,8 +266,8 @@ def cov_along(path, conn, s, field, d_field=None, valence=(1, 0)):
     ``d_field(s)``, or a central difference with step ``H_S``."""
     if d_field is None:
         d_field = lambda u: (field(u + H_S) - field(u - H_S)) / (2.0 * H_S)
-    return cov_tensor_components(conn.coefficients(path.map(s)), path.tangent(s),
-                                 field(s), d_field(s), valence)
+    gamma = conn.coefficients(path.map(s).coords[None])[0]
+    return cov_tensor_components(gamma, path.tangent(s), field(s), d_field(s), valence)
 
 
 def test_cov_derivative_flat_constant_field():
@@ -342,7 +342,7 @@ def test_cov_tensor_derivative_metric_compatible_pair():
     # Levi-Civita connection along any curve
     path = line_path([1.0, 0.2], [0.3, 1.0])
     metric = _sphere_metric()
-    g = lambda s: metric.matrix(path.map(s))
+    g = lambda s: metric.matrix(path.map(s).coords[None])[0]
     dg = lambda s: np.diag([0.0, 0.3 * math.sin(2.0 * path.map(s).coords[0])])
     for s0 in (-0.5, 0.1, 0.6):
         d = cov_along(path, sphere_connection(), s0, g, dg, (0, 2))

@@ -27,6 +27,11 @@ from test_geometry import zero_connection
 EPS = 0.05
 
 
+def close(a, b, tol) -> bool:
+    """Whether two coordinate arrays have one shape and entries within tol."""
+    return a.shape == b.shape and bool(np.all(np.abs(a - b) <= tol))
+
+
 def simple_flat_scenario(map_fn, d_s, d_r, d_ss=None, d_sr=None, d_rr=None,
                          metric=None, mass=None, label="test"):
     dim = len(map_fn(0.0, 0.0))
@@ -69,7 +74,7 @@ def test_worldlines_coincide_at_zero_separation(sphere):
     w1 = worldline(sphere, 1)
     w2 = worldline(sphere, 2, 0.0)
     for s in (-0.3, 0.0, 0.25):
-        assert w1.map(s).close_to(w2.map(s), tol=1e-15)
+        assert close(w1.map(s).coords, w2.map(s).coords, 1e-15)
 
 
 def test_worldline_flat_grid(grid_scenario):
@@ -120,10 +125,10 @@ def test_path_tangent_base_consistency(sphere):
     line = worldline(sphere, 1)
     cpath = connecting_path(sphere, 0.1)
     for s in (-0.2, 0.0, 0.3):
-        assert line.map(s).close_to(ChartPoint(surf.map(s, surf.r_base)), tol=1e-15)
+        assert close(line.map(s).coords, surf.map(s, surf.r_base), 1e-15)
         assert np.array_equal(line.tangent(s), surf.d_s(s, surf.r_base))
     for r in (-0.1, 0.0, 0.2):
-        assert cpath.map(r).close_to(ChartPoint(surf.map(0.1, r)), tol=1e-15)
+        assert close(cpath.map(r).coords, surf.map(0.1, r), 1e-15)
         assert np.array_equal(cpath.tangent(r), surf.d_r(0.1, r))
 
 
@@ -203,8 +208,8 @@ def test_probe_and_mass_rates_are_checked_where_they_arrive(sphere, datum, bad, 
 def test_accelerations_are_force_field_values(sphere_accel):
     line2 = worldline(sphere_accel, 2, EPS)
     r2 = sphere_accel.surface.r_base + EPS
-    a2 = cov_tensor_components(sphere_accel.conn.coefficients(line2.map(0.1)),
-                               line2.tangent(0.1), line2.tangent(0.1),
+    gamma2 = sphere_accel.conn.coefficients(line2.map(0.1).coords[None])[0]
+    a2 = cov_tensor_components(gamma2, line2.tangent(0.1), line2.tangent(0.1),
                                sphere_accel.surface.d_ss(0.1, r2), (1, 0))
     f2 = force_field(sphere_accel, 0.1, r2)
     assert np.abs(a2 - f2).max() < 1e-10

@@ -4,13 +4,14 @@ A Magnus attempt reads all its Gauss nodes in one ``geometry.read_points``
 and one ``TransportLaw.coefficients`` call per path; where a path is a line
 of a family (the surfaces' connecting paths, the latitude circles), the
 family's row read must give ``map`` and ``tangent`` bit for bit; a law's
-stack must equal its stacks of one, the sphere's Gamma its closed form at
-each point, and the errors of a bad node must be the point reads' errors at
-that node.  The relative quantities of a ladder of separations must equal,
+stack must equal its stacks of one, and so must each connection and metric
+field's, the sphere's fields their closed forms at each point, and the
+errors of a bad node or row must be the point reads' errors at that node.  The relative quantities of a ladder of separations must equal,
 lane by lane, those of its ladders of one.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,14 +19,15 @@ import pytest
 import geodev.transport as transport
 from geodev.cli import _latitude_path, _latitude_points
 from geodev.errors import DomainError, EvaluationError
-from geodev.geometry import ChartPoint, PathCurve, read_points
+from geodev.geometry import ChartPoint, MetricField, PathCurve, read_points
 from geodev.equations import DEFAULT_LADDER
 from geodev.kinematics import _Ladder, connecting_path, worldline
-from geodev.scenarios import (LINEAR_DRIFT_MASSES, ScenarioSpec, build,
+from geodev.scenarios import (LINEAR_DRIFT_MASSES, ScenarioSpec, _repeated, build,
                               family_names, list_scenarios)
 from geodev.transport import TransportLaw, law_from_connection, transport_matrix
 
 from conftest import one_pullback, point_law
+from generic_cell import LABEL as GENERIC, generic_scenario
 from oracles import coordinate_probes
 from test_transport import point_coefficients, record_rhs_calls
 
@@ -188,6 +190,104 @@ def test_sphere_stacked_gamma_equals_gamma_at(rng):
     coords[[7, 9, 12], 0] = 0.0, -0.0, 0.0
     with pytest.raises(DomainError, match=r"^sphere chart is singular at theta = -0\.0$"):
         conn.gamma_at(coords[8:])
+
+
+def sphere_partials(theta: float) -> np.ndarray:
+    """d_l Gamma of the sphere at one theta, in closed form with ``math``."""
+    dg = np.zeros((2, 2, 2, 2))
+    dg[0, 1, 1, 0] = -math.cos(2.0 * theta)
+    dg[1, 0, 1, 0] = dg[1, 1, 0, 0] = -1.0 / math.sin(theta) ** 2
+    return dg
+
+
+def sphere_metric(theta: float) -> np.ndarray:
+    return np.array([[1.0, 0.0], [0.0, math.sin(theta) ** 2]])
+
+
+def sphere_metric_partials(theta: float) -> np.ndarray:
+    dg = np.zeros((2, 2, 2))
+    dg[1, 1, 0] = math.sin(2.0 * theta)
+    return dg
+
+
+def test_sphere_stacked_partials_and_metric_equal_their_closed_forms(rng):
+    # each row of d_l Gamma, g and d_l g has the bits of the math closed
+    # form at its theta, down to thetas whose sin^2 is subnormal
+    sc = build(ScenarioSpec("sphere"))
+    theta = np.concatenate([rng.uniform(1e-3, math.pi - 1e-3, 4000),
+                            rng.uniform(-3.0, 3.0, 1000),
+                            [1e-150, -1e-12, math.pi, -math.pi, math.pi / 2, 3.5]])
+    coords = np.stack([theta, rng.uniform(-3.0, 3.0, theta.size)], axis=1)
+    for field_at, closed_form in ((sc.conn.partials_at, sphere_partials),
+                                  (sc.metric.g_at, sphere_metric),
+                                  (sc.metric.partials_at, sphere_metric_partials)):
+        assert same_bits(field_at(coords), [closed_form(t) for t in theta.tolist()])
+
+
+@pytest.mark.parametrize("theta", [0.0, -0.0, 5e-324, 1e-300, 1e-170])
+def test_the_first_singular_theta_of_a_partials_stack_is_named(theta, rng):
+    # the partials divide by sin^2 theta, which is 0.0 at theta = 0 and
+    # underflows to 0.0 below about 1e-162: the first such row of a stack,
+    # or the one row of a stack of one, raises the chart's DomainError
+    conn = build(ScenarioSpec("sphere")).conn
+    coords = np.stack([rng.uniform(0.5, 2.5, 12), rng.uniform(-3.0, 3.0, 12)], axis=1)
+    coords[[5, 8], 0] = theta, 1e-200
+    message = f"^sphere chart is singular at theta = {re.escape(str(theta))}$"
+    for stack in (coords, coords[5:6]):
+        with pytest.raises(DomainError, match=message):
+            conn.partials(stack)
+    # sin^2 theta subnormal: the partial is -inf, named non-finite at its point
+    coords[5, 0] = 1e-160
+    got = raised(lambda: conn.partials(coords[:8]))
+    assert isinstance(got, EvaluationError) and str(got) == "non-finite connection partials"
+    assert np.array_equal(got.point.coords, coords[5])
+
+
+@pytest.mark.parametrize("rows,message,at", [
+    ({3: [[1.0, 0.1], [0.0, 1.0]]}, "metric is not symmetric", 3),
+    ({3: [[1.0, 1.0], [1.0, 1.0]]}, "metric is degenerate", 3),
+    ({2: [[1.0, 1.0], [1.0, 1.0]], 4: [[1.0, 0.1], [0.0, 1.0]]}, "metric is degenerate", 2),
+    ({2: [[1.0, 0.1], [0.0, 1.0]], 4: [[1.0, 1.0], [1.0, 1.0]]}, "metric is not symmetric", 2),
+    ({1: [[1.0, 1.0], [0.0, 0.0]]}, "metric is not symmetric", 1),  # both: as at a point
+])
+def test_a_bad_metric_row_raises_at_its_point(rows, message, at, rng):
+    # the metric's stack is checked row by row: the first row that is not
+    # symmetric, or else degenerate, raises the error its point read raises
+    coords = rng.uniform(-1.0, 1.0, (6, 2))
+
+    def g_at(stack):
+        g = np.repeat(np.eye(2)[None], len(stack), axis=0)
+        for i, x in enumerate(stack):
+            for row, bad in rows.items():
+                if np.array_equal(x, coords[row]):
+                    g[i] = bad
+        return g
+
+    metric = MetricField(g_at, _repeated(np.zeros((2, 2, 2))))
+    got = raised(lambda: metric.matrix(coords))
+    same_error(got, raised(lambda: metric.matrix(coords[at:at + 1])))
+    assert isinstance(got, EvaluationError) and str(got) == message
+    assert np.array_equal(got.point.coords, coords[at])
+    clean = [i for i in range(len(coords)) if i not in rows]
+    assert np.array_equal(metric.matrix(coords[clean]), np.repeat(np.eye(2)[None], len(clean), 0))
+
+
+@pytest.mark.parametrize("name", [*family_names(), GENERIC])
+def test_each_field_row_equals_its_stack_of_one(name, rng):
+    # a study reads Gamma, d_l Gamma, g and d_l g at x_1(s) as a stack of
+    # one and Gamma at the x_2 on the ladder's stack: each row of a stack
+    # has the bits of its stack of one, for every family and the generic
+    # cell (whose law is read here too: it is no family's law)
+    scenarios = [generic_scenario()] if name == GENERIC else random_scenarios(name, rng, 2)
+    for sc in scenarios:
+        surf = sc.surface
+        coords = surf.along_r(rng.uniform(*surf.s_domain, 30), rng.uniform(*surf.r_domain, 30))[0]
+        path = connecting_path(sc, sc.s_eval)
+        reads = [sc.conn.coefficients, sc.conn.partials, sc.metric.matrix, sc.metric.partials,
+                 lambda c: sc.law.coefficients(np.zeros(len(c)), path, c)]
+        for read in reads:
+            stacked = read(coords)
+            assert same_bits(stacked, [read(coords[i:i + 1])[0] for i in range(len(coords))])
 
 
 def start_law(sc, seen=None) -> TransportLaw:

@@ -26,7 +26,7 @@ from geodev.transport import (DEFAULT_ODE_CONFIG, MIN_REL_TOL, OdeConfig, Transp
                               s_tensor, transport_components,
                               transport_matrix)
 
-from conftest import one_pullback, point_law, stacked_gamma
+from conftest import one_pullback, point_law, stacked
 from oracles import approx_transport, coordinate_probes, extract_first_coeff, scipy_transport
 from test_geometry import (constant_connection, line_path, sphere_connection,
                            zero_connection)
@@ -144,8 +144,8 @@ def test_non_finite_values_met_inside_a_solve_are_named(d):
                 values[index] = bad
             return values
 
-        law = law_from_connection(ConnectionField(stacked_gamma(
-            lambda pt: value("gamma", gamma)), lambda pt: np.zeros((d,) * 4)))
+        law = law_from_connection(ConnectionField(stacked(
+            lambda pt: value("gamma", gamma)), stacked(lambda pt: np.zeros((d,) * 4))))
         path = PathCurve(lambda u: (value("coords", start + u * direction),
                                     value("velocity", direction)), (0.0, 1.0))
         try:
@@ -691,7 +691,7 @@ def test_connection_laws_leave_the_check_to_the_law(make_law, monkeypatch):
     def gamma_at(pt):
         return np.full((2, 2, 2), np.nan if pt.coords[0] > 0.3 else 0.0)
 
-    law = make_law(ConnectionField(stacked_gamma(gamma_at), lambda pt: np.zeros((2,) * 4)))
+    law = make_law(ConnectionField(stacked(gamma_at), stacked(lambda pt: np.zeros((2,) * 4))))
     monkeypatch.setattr(ConnectionField, "coefficients",
                         lambda self, point: pytest.fail("Gamma checked twice"))
     path = line_path([0.0, 0.0], [1.0, 0.0])
@@ -799,7 +799,7 @@ def test_extract_first_coeff_parallel_matches_gamma():
     law = law_from_connection(conn)
     pt = ChartPoint([1.2, 0.5])
     coeff = extract_first_coeff(law, pt, coordinate_probes(pt))
-    assert np.abs(coeff + conn.coefficients(pt)).max() < 1e-6
+    assert np.abs(coeff + conn.coefficients(pt.coords[None])[0]).max() < 1e-6
 
 
 def test_extract_first_coeff_offset():
@@ -810,7 +810,7 @@ def test_extract_first_coeff_offset():
     law = law_with_offset(conn, sigma)
     pt = ChartPoint([1.0, -0.2])
     coeff = extract_first_coeff(law, pt, coordinate_probes(pt))
-    assert np.abs(coeff + conn.coefficients(pt) + sigma).max() < 1e-6
+    assert np.abs(coeff + conn.coefficients(pt.coords[None])[0] + sigma).max() < 1e-6
 
 
 def test_extract_first_coeff_exp_law(exp_transport):
