@@ -24,11 +24,14 @@ attempt of a lane), ``attempted_steps`` (summed over the lanes),
 ``generator_evals`` (the generator values the stepper takes, each
 attempt's read in one stacked call: 3 per lane of an attempt) and
 ``continued_lanes`` (lanes that their first attempt did not
-finish and that go on stepping).  The same counters give the surface work:
-``jets_calls``, the calls of the surface family's point ``jets`` by the
-order they ask for, and ``surface_stacks`` and ``surface_stack_points``,
-its stacked calls (one per Magnus attempt, which reads the nodes of all its
-connecting paths at once) and the points they evaluate.  They also give
+finish and that go on stepping).  The same counters give the surface work,
+its calls of the family's ``jets`` (``WorldSurface.read``): ``jets_calls``,
+its calls at a point by the order they ask for (none in a study), and
+``surface_stacks`` and ``surface_stack_points``, its calls on rows and the
+rows they evaluate: one per Magnus attempt, which reads the Gauss nodes of
+all its connecting paths at once, and one per study, which reads the
+surface at r' and at every r'' of each s its equations declare
+(``kinematics._Ladder.read``).  They also give
 the residual work: ``residual_evals``, the calls of the residual formulas
 (one per equation and study: each formula evaluates the whole ladder as one
 stack), and ``residual_lanes``, the separations those calls cover.

@@ -24,10 +24,11 @@ eps-ladder, and splits the formula's value into one sample per eps.  Its
 workspace is a ``kinematics._Ladder``, the one implementation of the
 relative quantities, whose public functions read lane 0 of a ladder of one:
 every eps-dependent quantity carries a leading ladder axis, each lane
-computed bit for bit as its eps alone would be.  A study makes one solve
-along the paths gamma_s at the s its equations declare, one lane per (s,
-eps); every relative quantity at s applies its pull-back map L_{r''->r'} to
-particle 2's vector, and the deviation vector h rides on the same solve.
+computed bit for bit as its eps alone would be.  At the s its equations
+declare, a study makes one row read of the surface and one solve along the
+paths gamma_s, one lane per (s, eps); every relative quantity at s applies
+its pull-back map L_{r''->r'} to particle 2's vector, and the deviation
+vector h rides on the same solve.
 
 Numerical differentiation policy: every numerical derivative is a central
 difference in s taken by ``_Workspace.d_ds``, with step ``H_S`` = 1e-5 for
@@ -241,13 +242,11 @@ class _Workspace(_Ladder):
 
 
 def _r_e2_10(w: _Workspace, s: float) -> np.ndarray:
-    field = w.sc.probe_field
-    if field is None:
+    if w.sc.probe_field is None:
         raise EvaluationError("scenario provides no probe field for E2_10")
-    b = w.values(field.value, s, w.r1, *w.r2)
-    b1, delta_b = b[0], w.carry(s, b[1:]) - b[0]
-    db_dr = (w.values(field.d_r, s, w.r1, what="probe field d_r components")[0]
-             + bilinear(w.gam(s), b1, w.rdot(s)))
+    b1 = w.surface("probe field", s)
+    delta_b = w.carry(s, w.rows("probe field", s)) - b1
+    db_dr = w.surface("probe field d_r", s) + bilinear(w.gam(s), b1, w.rdot(s))
     return delta_b - w.eps * db_dr - bilinear(w.s_tensor(s), b1, w.zeta(s))
 
 
@@ -388,7 +387,7 @@ def _r_e7_4(w: _Workspace, s: float) -> np.ndarray:
 @dataclass(frozen=True)
 class _EquationInfo:
     """A residual formula, whether it is exact, and the s-differences of the pull-backs
-    it reads; each read checks its own s against the s-domain (``_Ladder.values``)."""
+    it reads; each read checks its own s against the s-domain (``_Ladder.read``)."""
 
     residual: Callable[[_Workspace, float], np.ndarray]
     exact: bool = False
@@ -443,10 +442,11 @@ def _samples(eq: EquationId, workspace: _Workspace, s: float) -> list:
 
 
 def _evaluate(equations: Sequence[EquationId], workspace: _Workspace, s: float) -> list:
-    """The samples of each of ``equations`` on ``workspace``: one solve of
-    the pull-backs at every s the equations declare, then each formula in
-    order."""
-    workspace.solve([u for eq in equations for u in _INFO[eq].pullback_s(s)])
+    """The samples of each of ``equations`` on ``workspace``: one read of
+    the surface and one solve of the pull-backs at every s the equations
+    declare, then each formula in order."""
+    workspace.read(grid := [u for eq in equations for u in _INFO[eq].pullback_s(s)])
+    workspace.solve(grid)
     return [_samples(eq, workspace, s) for eq in equations]
 
 

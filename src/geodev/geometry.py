@@ -79,11 +79,11 @@ def checked_array(values, shape: Tuple[int, ...], what: str,
 
 def _checked_stack(values, shape: Tuple[int, ...], what: str, coords) -> np.ndarray:
     """``checked_array`` of one ``shape`` entry per row of the checked
-    ``coords``, made once on the stack; a bad entry raises at its row's point."""
+    ``coords``, made once on the stack; a bad entry raises at its row's point (if not None)."""
     arr = np.asarray(values, dtype=float)
     if arr.shape != (len(coords), *shape) or not _all_finite(arr):
         for x, row in zip(coords, np.atleast_1d(arr)):
-            checked_array(row, shape, what, ChartPoint(x))
+            checked_array(row, shape, what, None if x is None else ChartPoint(x))
         raise EvaluationError(f"{what} have shape {arr.shape}")
     return arr
 

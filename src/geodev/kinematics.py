@@ -7,9 +7,10 @@ particle 2's data backward along ``gamma_s`` to particle 1 and subtract:
 
     Delta B_21 = L_{r'' -> r'} B(x_2) - B(x_1).
 
-The separation ``eps = r'' - r'`` is the experiment knob: the surface is held
-fixed and ``eps`` shrinks along a ladder, which is what turns the
-"up to second order" claims into measurable convergence slopes.
+B is one surface datum, read at (s, r') and (s, r'') in one row call
+(``_Ladder.read``).  The separation ``eps = r'' - r'`` is the experiment
+knob: the surface is held fixed and ``eps`` shrinks along a ladder, which
+is what turns the "up to second order" claims into measurable slopes.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EvaluationError
-from .geometry import (ConnectionField, MetricField, PathCurve, _matrix_sign, _require,
-                       _stacked_dot, bilinear, checked_array)
+from .geometry import (ConnectionField, MetricField, PathCurve, _checked_stack, _matrix_sign,
+                       _require, _stacked_dot, bilinear, checked_array)
 # transport_components stays bound here, unused: perfbench/tracer.py wraps it
-from .transport import (DEFAULT_ODE_CONFIG, OdeConfig, TransportLaw, _pullbacks,
+from .transport import (_COUNTS, DEFAULT_ODE_CONFIG, OdeConfig, TransportLaw, _pullbacks,
                         transport_components)
 
 __all__ = [
@@ -47,33 +48,52 @@ __all__ = [
 ]
 
 
+_PARTIALS = ("map", "d_s", "d_r", "d_ss", "d_sr", "d_rr")  # the order of jets' values
+_Point = Optional[Callable[[float, float], np.ndarray]]
+
+
 @dataclass(frozen=True)
 class WorldSurface:
-    """Two-parameter worldline surface with analytic partials.
+    """Two-parameter worldline surface, stated once by ``jets(s, r,
+    order)``: the chart point and its first partials ``(x, x_s, x_r)``, at
+    order 2 also ``(x_ss, x_sr, x_rr)``, ``(d,)`` each on floats or ``(n,
+    d)`` on ``(n,)`` rows, a row's bits its point's.  ``read`` calls it; the
+    accessors ``map`` ... ``d_rr``, one point ``read`` each, and
+    ``along_r`` derive from it, and an accessor passed in is kept (a tracer
+    wraps them; ``dataclasses.replace`` passes on the derived ones, which
+    read the old ``jets``).  ``r_base`` is the r-parameter of the first
+    worldline."""
 
-    ``map(s, r)`` returns the chart coordinates; ``d_s``/``d_r`` the first
-    partials and ``d_ss``/``d_sr``/``d_rr`` the second partials, all as
-    component arrays.  The built-in families write their surface once, by
-    order, and read it at a point or on rows, each accessor call one
-    evaluation (``scenarios._surface``); a study reads each partial once
-    per point (``_Ladder.surface`` and ``_Ladder.rows``).  ``r_base`` is
-    the r-parameter of the first worldline.  ``along_r(s, rs)``, when
-    given, is ``(map, d_r)`` at each (s, r) row of the arrays ``s`` and
-    ``rs``, bit for bit, read from the same statement on the rows: the
-    family read (``PathCurve.along``) of the connecting paths, so that one
-    call reads the nodes of many of them.
-    """
-
-    map: Callable[[float, float], np.ndarray]
-    d_s: Callable[[float, float], np.ndarray]
-    d_r: Callable[[float, float], np.ndarray]
-    d_ss: Callable[[float, float], np.ndarray]
-    d_sr: Callable[[float, float], np.ndarray]
-    d_rr: Callable[[float, float], np.ndarray]
+    jets: Callable[..., Tuple[np.ndarray, ...]]
     s_domain: Tuple[float, float]
     r_domain: Tuple[float, float]
     r_base: float = 0.0
-    along_r: Optional[Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None
+    map: _Point = None
+    d_s: _Point = None
+    d_r: _Point = None
+    d_ss: _Point = None
+    d_sr: _Point = None
+    d_rr: _Point = None
+
+    def __post_init__(self):
+        for i, name in enumerate(_PARTIALS):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, lambda s, r, i=i: self.read(s, r, 1 + i // 3)[i])
+
+    def read(self, s, r, order: int) -> Tuple[np.ndarray, ...]:
+        """``jets(s, r, order)``, counted in ``transport.work_counts``: at a point in
+        ``jets_order_<order>``, on rows in ``surface_stacks`` and ``surface_stack_points``."""
+        if (counts := _COUNTS.get()) is not None and isinstance(r, np.ndarray):
+            counts.update(surface_stacks=1, surface_stack_points=len(r))
+        elif counts is not None:
+            counts[f"jets_order_{order}"] += 1
+        return self.jets(s, r, order)
+
+    def along_r(self, s: np.ndarray, rs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(map, d_r)`` at the (s, r) rows of ``s`` and ``rs``: the family
+        read (``PathCurve.along``) of the connecting paths."""
+        x, _, x_r = self.read(s, rs, 1)
+        return x, x_r
 
     def require_r(self, r: float) -> None:
         _require(r, self.r_domain, "r = ", "surface r-domain")
@@ -84,23 +104,18 @@ class WorldSurface:
 
 @dataclass(frozen=True)
 class MassSurface:
-    """Nonvanishing C^1 mass function over the surface parameters."""
+    """Nonvanishing C^1 mass function over the surface parameters, and its
+    s-rate, on floats or ``(n,)`` rows as ``WorldSurface.jets``."""
 
     mu: Callable[[float, float], float]
     d_s_mu: Callable[[float, float], float]
-
-    def value(self, s: float, r: float) -> float:
-        m = float(checked_array(self.mu(s, r), (), "mu values"))
-        if m == 0.0:
-            raise EvaluationError(f"mass function vanished at (s={s}, r={r})")
-        return m
 
 
 @dataclass(frozen=True)
 class SurfaceField:
     """A vector field over the surface parameters with an analytic
-    r-partial, used as the probe field B of the generic first-order
-    expansion check."""
+    r-partial, on floats or ``(n,)`` rows as ``WorldSurface.jets``: the
+    probe field B of the generic first-order expansion check."""
 
     value: Callable[[float, float], np.ndarray]
     d_r: Callable[[float, float], np.ndarray]
@@ -132,22 +147,20 @@ class Scenario:
 
 
 def connecting_path(scenario: Scenario, s: float) -> PathCurve:
-    """The path ``gamma_s: r -> gamma(s, r)`` joining the two particles."""
+    """The path ``gamma_s: r -> gamma(s, r)`` joining the two particles, a
+    line of ``along_r``, each node one ``read`` at order 1."""
     surf = scenario.surface
     surf.require_s(s)
-    return PathCurve(lambda r: (surf.map(s, r), surf.d_r(s, r)), surf.r_domain,
-                     along=None if surf.along_r is None else (surf.along_r, s))
+    return PathCurve(lambda r: surf.read(s, r, 1)[::2], surf.r_domain, along=(surf.along_r, s))
 
 
 def worldline(scenario: Scenario, which: int, eps: float = 0.0) -> PathCurve:
-    """Worldline of particle 1 (r = r') or 2 (r = r' + eps) as a path in s;
-    its tangent is the particle velocity."""
+    """Worldline of particle 1 (r = r') or 2 (r = r' + eps) as a path in s,
+    each node one ``read`` at order 1; its tangent is the particle velocity."""
     if which not in (1, 2):
         raise ValueError("particle index must be 1 or 2")
-    r1, r2 = scenario.separation_endpoints(eps)
-    r = r1 if which == 1 else r2
-    surf = scenario.surface
-    return PathCurve(lambda s: (surf.map(s, r), surf.d_s(s, r)), surf.s_domain)
+    r, surf = scenario.separation_endpoints(eps)[which - 1], scenario.surface
+    return PathCurve(lambda s: surf.read(s, r, 1)[:2], surf.s_domain)
 
 
 def force_field(scenario: Scenario, s: float, r: float) -> np.ndarray:
@@ -175,12 +188,11 @@ class _Ladder:
     ``(K, 1)`` column for a scalar, so that it scales a stack lane by lane),
     each lane computed bit for bit as that separation alone would be, so the
     public functions below read lane 0 of a ladder of one (as writeable
-    copies); the reads at (s, r') are made once for the whole ladder, and
-    each surface partial is read once per point, checked, through
-    ``surface`` at (s, r') and ``rows`` at the r''.  Each memoized value is a
-    deterministic function of its key (quantity, s), so evaluation order
-    changes no value, and read-only, so that no reader writes into what
-    another reads.  Every quantity takes the worldline parameter s; the
+    copies).  Each memoized value is a deterministic function of its key
+    (quantity, s), so evaluation order changes no value, and read-only, so
+    that no reader writes into what another reads.  Every quantity takes the
+    worldline parameter s.  The surface data at all the s given to ``read``
+    are one row read, which ``surface`` and ``rows`` view, and the
     pull-backs along gamma_s at all the s given to ``solve`` are one solve,
     which reads the paths at its Gauss nodes alone."""
 
@@ -203,12 +215,47 @@ class _Ladder:
             self._memo[key] = value
         return self._memo[key]
 
-    # -- reads at (s, r') ---------------------------------------------------
+    # -- the surface data, at r' and at the r'' -----------------------------
+    def read(self, ss: Sequence[float]) -> None:
+        """At r' and each r'' of each unread s of ``ss``, s checked against
+        the s-domain first: the six partials in one order-2 ``jets`` row
+        call, then ``mu``, ``d_s_mu``, ``probe field`` and ``probe field d_r``
+        in one row call each, each checked once (``f"{name} values"`` for a
+        scalar, else ``f"{name} components"``) and ``mu`` nonzero."""
+        if not (todo := [s for s in dict.fromkeys(ss) if ("rungs", s) not in self._memo]):
+            return
+        for s in todo:
+            self.surf.require_s(s)
+        rungs, d, probe = [self.r1, *self.r2], self.sc.dimension, self.sc.probe_field
+        s_at, r_at = np.repeat(todo, len(rungs)), np.tile(rungs, len(todo))
+        data = dict(zip(_PARTIALS, self.surf.read(s_at, r_at, 2)),
+                    mu=self.sc.mass.mu(s_at, r_at), d_s_mu=self.sc.mass.d_s_mu(s_at, r_at))
+        if probe is not None:
+            data.update({"probe field": probe.value(s_at, r_at),
+                         "probe field d_r": probe.d_r(s_at, r_at)})
+        for name, value in data.items():
+            shape, what = ((), "values") if name in ("mu", "d_s_mu") else ((d,), "components")
+            rows = _checked_stack(value, shape, f"{name} {what}", [None] * len(r_at))
+            if name == "mu" and not rows.all():
+                i = int(np.argmin(rows != 0.0))
+                raise EvaluationError(f"mass function vanished at (s={s_at[i]}, r={r_at[i]})")
+            data[name] = rows.reshape(len(todo), len(rungs), -1)
+        self._memo.update((("rungs", s), (data, j)) for j, s in enumerate(todo))
+
+    def _rungs(self, name: str, s: float) -> np.ndarray:
+        """Datum ``name`` at r' and each r'' at s, ``(1 + K, d)``; d is 1 for a scalar."""
+        if ("rungs", s) not in self._memo:
+            self.read([s])
+        data, j = self._memo[("rungs", s)]
+        return data[name][j]
+
     def surface(self, name: str, s: float) -> np.ndarray:
-        """Surface partial ``name`` (``map``, ``d_s``, ...) at (s, r'),
-        checked by ``values`` as ``f"{name} components"``."""
-        return self._get((name, s), lambda: self.values(
-            getattr(self.surf, name), s, self.r1, what=f"{name} components")[0])
+        """Datum ``name`` of ``read`` at (s, r'), ``(d,)``."""
+        return self._get((name, s), lambda: self._rungs(name, s)[0])
+
+    def rows(self, name: str, s: float) -> np.ndarray:
+        """Datum ``name`` of ``read`` at each (s, r''), ``(K, d)``."""
+        return self._get(("rows", name, s), lambda: self._rungs(name, s)[1:])
 
     def at_x1(self, read: Callable[[np.ndarray], np.ndarray], s: float) -> np.ndarray:
         """A field's checked reader (``ConnectionField.coefficients``, ...)
@@ -230,11 +277,10 @@ class _Ladder:
             self.surface("d_ss", s) + bilinear(self.gam(s), self.v1(s), self.v1(s))))
 
     def mu1(self, s: float) -> float:
-        return self._get(("mu1", s), lambda: self.sc.mass.value(s, self.r1))
+        return self.surface("mu", s).item()
 
     def dmu1(self, s: float) -> float:
-        return self._get(("dmu1", s), lambda: float(self.values(
-            self.sc.mass.d_s_mu, s, self.r1, what="d_s_mu values", shape=())[0]))
+        return self.surface("d_s_mu", s).item()
 
     def p1(self, s: float) -> np.ndarray:
         return self.mu1(s) * self.v1(s)
@@ -265,21 +311,6 @@ class _Ladder:
             self._memo.update((("Lh", s), pair) for s, pair in zip(todo, zip(*lanes)))
 
     # -- relative quantities, on the ladder stack ----------------------------
-    def rows(self, name: str, s: float) -> np.ndarray:
-        """Surface partial ``name`` at (s, r'') for each r'' of the ladder,
-        ``(K, d)``, checked as ``surface`` checks its point."""
-        return self._get(("rows", name, s), lambda: self.values(
-            getattr(self.surf, name), s, what=f"{name} components"))
-
-    def values(self, field: Callable[[float, float], np.ndarray], s: float, *rs,
-               what: str = "field components", shape=None) -> np.ndarray:
-        """``field(s, r)`` at each r of ``rs``, or else of the ladder's r'',
-        each checked (``checked_array`` naming ``what``) as a vector, or else
-        of ``shape``; s is checked against the surface s-domain first."""
-        self.surf.require_s(s)
-        shape = (self.sc.dimension,) if shape is None else shape
-        return np.array([checked_array(field(s, r), shape, what) for r in rs or self.r2])
-
     def carry(self, s: float, b2: np.ndarray) -> np.ndarray:
         """Particle 2's vectors carried to r', the one place this is done:
         each row of ``b2``, the vector at one r'' of the ladder, times its
@@ -287,23 +318,14 @@ class _Ladder:
         these minus the value at r'."""
         return np.matmul(self.transport(s)[0], b2[..., None])[..., 0]
 
-    def delta(self, field: Callable[[float, float], np.ndarray], s: float) -> np.ndarray:
-        """Covariant difference of a surface field between the particles:
-        ``field(s, r'')`` carried back along gamma_s to r' minus
-        ``field(s, r')``, ``(K, d)``."""
-        b = self.values(field, s, self.r1, *self.r2)
-        return self.carry(s, b[1:]) - b[0]
-
     def zeta(self, s: float) -> np.ndarray:
         return self.eps * self.rdot(s)
 
     def mu2(self, s: float) -> np.ndarray:
-        return self._get(("mu2", s), lambda: np.array(
-            [[self.sc.mass.value(s, r)] for r in self.r2]))
+        return self.rows("mu", s)
 
     def dmu2(self, s: float) -> np.ndarray:
-        return self._get(("dmu2", s), lambda: self.values(
-            self.sc.mass.d_s_mu, s, what="d_s_mu values", shape=())[:, None])
+        return self.rows("d_s_mu", s)
 
     def forces2(self, s: float) -> np.ndarray:
         """F_s(r'') at each r'' of the ladder, Gamma read in one call."""
@@ -368,10 +390,14 @@ def delta_field(scenario: Scenario, s: float, eps: float,
                 field: Callable[[float, float], np.ndarray],
                 cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> np.ndarray:
     """Covariant difference of a surface field between the particles:
-    ``field(s, r'')`` carried back along gamma_s to r' minus ``field(s, r')``
-    (``_Ladder.delta``).  ``field(s, r)`` returns the components at
-    gamma(s, r)."""
-    return np.array(_Ladder(scenario, (eps,), cfg).delta(field, s)[0])
+    ``field(s, r'')`` carried back along gamma_s to r' (``_Ladder.carry``)
+    minus ``field(s, r')``.  ``field(s, r)`` returns the components at
+    gamma(s, r), read at a point: at r' and at r'', each checked once."""
+    ladder = _Ladder(scenario, (eps,), cfg)
+    scenario.surface.require_s(s)
+    b1, b2 = (checked_array(field(s, r), (scenario.dimension,), "field components")
+              for r in (ladder.r1, *ladder.r2))
+    return np.array(ladder.carry(s, b2[None])[0] - b1)
 
 
 def relative_velocity(scenario: Scenario, s: float, eps: float,

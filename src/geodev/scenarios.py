@@ -7,18 +7,16 @@ immutable Scenario with the mass function and probe field every family
 shares.  Custom geometry is limited to the documented parameters of the
 registered families, which keeps every analytic partial exact.
 
-A surface family states its surface once, as one ``jets(s, r, order)``
-function returning the point and its first partials, and at order 2 also
-its second partials, the order-1 part computed first and alike at either
-order; the same expressions read a point, on floats, or a stack of rows, on
-``(n,)`` arrays of s and r, each ``math`` function taken on the rows in a
-form that gives each entry its bits at a point (``_each``), so that a
-row's bits are its point's bits.
-``_surface`` turns it into a WorldSurface whose accessors are each one
-``jets`` call at a point, and whose ``along_r`` reads the rows of all the
-connecting paths of a Magnus attempt in one call; a study reads each
-partial once per point (``kinematics._Ladder``).  Every field is stated on
-a stack (``geometry.ConnectionField``), each row with its point's bits.
+A surface family states its surface once, as the ``jets(s, r, order)`` of
+its WorldSurface: the point and its first partials, and at order 2 also its
+second partials, the order-1 part computed first and alike at either order.
+The same expressions read a point, on floats, or rows, on ``(n,)`` arrays
+of s and r, each ``math`` function taken on the rows in a form that gives
+each entry its bits at a point (``_each``), so that a row's bits are its
+point's bits; so do the mass function and the probe field, which a study
+reads with the surface in one row call each (``kinematics._Ladder.read``).
+Every field is stated on a stack (``geometry.ConnectionField``), each row
+with its point's bits.
 
 Family structure matrix (enforced by tests):
 
@@ -48,7 +46,7 @@ from .equations import EquationId
 from .errors import ConfigError, DomainError
 from .geometry import ConnectionField, MetricField
 from .kinematics import MassSurface, Scenario, SurfaceField, WorldSurface
-from .transport import _COUNTS, TransportLaw, law_from_connection, law_with_offset
+from .transport import TransportLaw, law_from_connection, law_with_offset
 
 __all__ = [
     "ScenarioSpec",
@@ -123,11 +121,13 @@ _PROBE_ROWS = np.array([
 def _probe_field(dim: int) -> SurfaceField:
     rows = _PROBE_ROWS[:dim]
 
-    def value(s: float, r: float) -> np.ndarray:
+    def value(s, r) -> np.ndarray:  # s and r as (1,) at a point, (n, 1) on rows
+        s, r = np.asarray(s)[..., None], np.asarray(r)[..., None]
         return (rows[:, 0] + rows[:, 1] * s + rows[:, 2] * r
                 + rows[:, 3] * r * r + rows[:, 4] * s * r)
 
-    def d_r(s: float, r: float) -> np.ndarray:
+    def d_r(s, r) -> np.ndarray:
+        s, r = np.asarray(s)[..., None], np.asarray(r)[..., None]
         return rows[:, 2] + 2.0 * rows[:, 3] * r + rows[:, 4] * s
 
     return SurfaceField(value=value, d_r=d_r)
@@ -186,35 +186,6 @@ def _vec(r, *components) -> np.ndarray:
     return out
 
 
-def _surface(jets: Callable[..., Tuple[np.ndarray, ...]],
-             s_domain: Tuple[float, float], r_domain: Tuple[float, float]) -> WorldSurface:
-    """WorldSurface of a family stated once as ``jets(s, r, order) -> (x,
-    x_s, x_r)`` at order 1, ``+ (x_ss, x_sr, x_rr)`` at order 2, on floats
-    at a point or on ``(n,)`` arrays of rows, each value then ``(n, d)``.
-    Each accessor is one ``jets`` call at a point, ``map``, ``d_s``, ``d_r``
-    at order 1 and the second partials at order 2, and its
-    ``along_r(s, rs)`` is the ``(x, x_r)`` of ``jets`` at order 1 on the
-    rows.  Point and row calls and points count in
-    ``transport.work_counts``."""
-    def partial(i: int) -> Callable[[float, float], np.ndarray]:
-        order = 1 + i // 3
-
-        def read(s: float, r: float) -> np.ndarray:
-            if (counts := _COUNTS.get()) is not None:
-                counts[f"jets_order_{order}"] += 1
-            return jets(s, r, order)[i]
-        return read
-
-    def along_r(s: np.ndarray, rs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        if (counts := _COUNTS.get()) is not None:
-            counts.update(surface_stacks=1, surface_stack_points=len(rs))
-        x, _, x_r = jets(s, rs, 1)
-        return x, x_r
-
-    return WorldSurface(*map(partial, range(6)), s_domain=s_domain,
-                        r_domain=r_domain, along_r=along_r)
-
-
 # ---------------------------------------------------------------- flat charts
 
 def _flat_surface(dim: int, p: Dict[str, float]) -> WorldSurface:
@@ -245,7 +216,7 @@ def _flat_surface(dim: int, p: Dict[str, float]) -> WorldSurface:
         x_rr = _vec(r, w1, q * k * k * s * s + w2, *(0.0 for _ in kappa))
         return x, x_s, x_r, x_ss, x_sr, x_rr
 
-    return _surface(jets, (-0.6, 0.6), (-0.35, 0.35))
+    return WorldSurface(jets, (-0.6, 0.6), (-0.35, 0.35))
 
 
 _FLAT_RULED_SCHEMA = {
@@ -298,11 +269,13 @@ def _build_flat_torsion(p: Dict[str, float]) -> _Geometry:
 
 def _inverse(den: Callable[[float], float], th: np.ndarray) -> list:
     """``1 / den(theta)`` at each theta, with ``math`` as at a point; where
-    ``den`` is zero, DomainError names the first such theta."""
-    dens = [den(t) for t in th.tolist()]
-    if 0.0 in dens:
-        raise DomainError(f"sphere chart is singular at theta = {th.tolist()[dens.index(0.0)]}")
-    return [1.0 / v for v in dens]
+    that is infinite (``den`` zero, or too small to invert), DomainError
+    names the first such theta."""
+    thetas = th.tolist()
+    inverses = [1.0 / v if (v := den(t)) else math.inf for t in thetas]
+    if singular := [t for t, v in zip(thetas, inverses) if math.isinf(v)]:
+        raise DomainError(f"sphere chart is singular at theta = {singular[0]}")
+    return inverses
 
 
 def _sphere_connection() -> ConnectionField:
@@ -393,7 +366,7 @@ def _sphere_surface(tilt: float, accel: float) -> WorldSurface:
         j_rr = _vec(r, theta_second(e_r, e_r, e_rr), phi_second(e_r, e_r, e_rr))
         return point, j_s, j_r, j_ss, j_sr, j_rr
 
-    return _surface(jets, (-0.5, 0.5), (-0.3, 0.3))
+    return WorldSurface(jets, (-0.5, 0.5), (-0.3, 0.3))
 
 
 _SPHERE_SCHEMA = {
@@ -441,7 +414,7 @@ def _minkowski_surface(p: Dict[str, float]) -> WorldSurface:
         x_rr = _vec(r, 0.0, q * k * k * s * s, w, 0.0)
         return x, x_s, x_r, x_ss, x_sr, x_rr
 
-    return _surface(jets, (-0.5, 0.5), (-0.25, 0.25))
+    return WorldSurface(jets, (-0.5, 0.5), (-0.25, 0.25))
 
 
 def _build_minkowski(p: Dict[str, float]) -> _Geometry:

@@ -242,9 +242,9 @@ def work_counts():
     block counts alone): ``solves`` (lanes), ``generator_evals`` (the nodes
     of the generator reads: 3 per lane of an attempt), ``stacked_attempts``
     (the attempts' stacked computations), ``attempted_steps``,
-    ``continued_lanes``; the built-in surfaces' ``jets_order_1``,
-    ``jets_order_2`` (point calls by order), ``surface_stacks`` and
-    ``surface_stack_points`` (stacked calls); and the residual formulas'
+    ``continued_lanes``; a surface's ``jets_order_1``, ``jets_order_2``
+    (its calls at a point, by order), ``surface_stacks`` and
+    ``surface_stack_points`` (its calls on rows); and the residual formulas'
     ``residual_evals`` (one per equation and study) and ``residual_lanes``
     (the separations they cover)."""
     token = _COUNTS.set(Counter())

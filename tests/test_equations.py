@@ -116,26 +116,61 @@ def test_stencil_reach_covers_every_surface_evaluation():
                     residual(eq, sc, s, 0.01)
 
 
+SURFACE_ACCESSORS = ("map", "d_s", "d_r", "d_ss", "d_sr", "d_rr")
+
+
+def recording_surface(sc, calls):
+    """``sc`` with its surface's ``jets``, mass and probe field recorded in
+    ``calls`` as ``(datum, order, rows)``, ``rows`` the (s, r) of a call on
+    rows or None at a point, and each of the six accessors raising."""
+    def recorded(datum, fn, order=None):
+        def call(s, r, *args):
+            rows = list(zip(s.tolist(), r.tolist())) if isinstance(r, np.ndarray) else None
+            calls.append((datum, args[0] if args else order, rows))
+            return fn(s, r, *args)
+        return call
+
+    def accessor(s, r):
+        raise AssertionError("a study called a surface accessor")
+
+    surf, mass, probe = sc.surface, sc.mass, sc.probe_field
+    return dataclasses.replace(
+        sc, surface=dataclasses.replace(surf, jets=recorded("jets", surf.jets),
+                                        **dict.fromkeys(SURFACE_ACCESSORS, accessor)),
+        mass=dataclasses.replace(mass, mu=recorded("mu", mass.mu, 0),
+                                 d_s_mu=recorded("d_s_mu", mass.d_s_mu, 0)),
+        probe_field=dataclasses.replace(probe, value=recorded("probe", probe.value, 0),
+                                        d_r=recorded("probe_d_r", probe.d_r, 0)))
+
+
+def study_grid(sc, equations, s):
+    """The (s, r) rows of a default-ladder study's surface read: each s of
+    its pull-back grid, in order, at r' and at each r''."""
+    rungs = [sc.surface.r_base, *(sc.separation_endpoints(eps)[1] for eps in DEFAULT_LADDER)]
+    grid = dict.fromkeys(u for eq in equations for u in equation_info(eq).pullback_s(s))
+    return [(u, r) for u in grid for r in rungs]
+
+
 @pytest.mark.parametrize("family", family_names())
 def test_study_reads_each_surface_datum_once(family):
-    # every surface partial at each (s, r) is one datum of a study: an
-    # all-16, default-ladder study reads it once, at r' (_Ladder.surface) or
-    # at the r'' (_Ladder.rows), and nowhere else: not through a connecting
+    # every surface datum at each (s, r) is one datum of a study: an
+    # all-16, default-ladder study reads the surface in one order-2 jets
+    # call on rows, its pull-back grid at r' and at every r'' (_Ladder.read),
+    # each (s, r) once, and the mass, its rate and the probe field in one
+    # call each on the same rows; it reads no point, calls none of the six
+    # accessors, and reads no (s, r) anywhere else: not through a connecting
     # path's point for the S-tensor or a solve's dimension.  The pull-backs
-    # read their Gauss nodes through along_r, which the wrappers leave alone
-    sc = build(ScenarioSpec(family, LINEAR_DRIFT_MASSES))
-    reads, surf = Counter(), sc.surface
-
-    def read(name):
-        return lambda s, r: reads.update([(name, s, r)]) or getattr(surf, name)(s, r)
-
-    names = ("map", "d_s", "d_r", "d_ss", "d_sr", "d_rr")
-    counting = dataclasses.replace(sc, surface=dataclasses.replace(
-        surf, **{name: read(name) for name in names}))
-    convergence_study(list(EquationId), counting, sc.s_eval, DEFAULT_LADDER)
-    r2s = {sc.separation_endpoints(eps)[1] for eps in DEFAULT_LADDER}
-    assert {r for _, _, r in reads} == {surf.r_base, *r2s}
-    assert set(reads.values()) == {1}, [key for key, n in reads.items() if n > 1]
+    # read their Gauss nodes in order-1 jets calls on rows (along_r)
+    sc, calls = build(ScenarioSpec(family, LINEAR_DRIFT_MASSES)), []
+    convergence_study(list(EquationId), recording_surface(sc, calls), sc.s_eval,
+                      DEFAULT_LADDER)
+    rows = study_grid(sc, EquationId, sc.s_eval)
+    assert len(set(rows)) == len(rows) == 9 * (1 + len(DEFAULT_LADDER))
+    assert calls[:5] == [("jets", 2, rows), ("mu", 0, rows), ("d_s_mu", 0, rows),
+                         ("probe", 0, rows), ("probe_d_r", 0, rows)]
+    nodes = calls[5:]  # the first attempt's 3 Gauss nodes on each of 63 lanes, then later ones
+    assert len(nodes[0][2]) == 3 * 9 * len(DEFAULT_LADDER)
+    assert all(datum == "jets" and order == 1 and at for datum, order, at in nodes)
 
 
 def test_floor_detection_on_identically_zero_residual(flat_ruled):
@@ -231,13 +266,8 @@ def test_residuals_invariant_under_r_shift(flat_torsion):
     delta = 0.07
     surf = flat_torsion.surface
 
-    def shifted(fn):
-        return lambda s, r: fn(s, r - delta)
-
     shifted_surf = WorldSurface(
-        map=shifted(surf.map), d_s=shifted(surf.d_s), d_r=shifted(surf.d_r),
-        d_ss=shifted(surf.d_ss), d_sr=shifted(surf.d_sr),
-        d_rr=shifted(surf.d_rr),
+        lambda s, r, order: surf.jets(s, r - delta, order),
         s_domain=surf.s_domain,
         r_domain=(surf.r_domain[0] + delta, surf.r_domain[1] + delta),
         r_base=surf.r_base + delta)
@@ -457,22 +487,24 @@ def test_deviation_study_reads_each_magnus_stack_at_once():
     # the 3 deviation equations read 7 values of s; the 49 lanes, 7 ladder
     # lanes along each gamma_s, make one stacked attempt whose 147 Gauss
     # nodes, 21 along each path, are read in one stacked surface call, and
-    # no node is read through the point jets: their calls read d_r at x_1(s)
-    # for each of the 7 s, and map and d_s at the 3 centres of the covariant
-    # differences; the solve takes its dimension from the scenario and reads
-    # no path's start.  A fall-back to per-path or per-node
-    # evaluation changes these counts, which are the ledger's (deviation_3
-    # of tests/work_counts.json)
+    # the surface at the 7 s, at r' and the 7 r'', in one more: no point is
+    # read through the jets (no jets_order_* count), the covariant
+    # differences read x_1, V_1 and d_r from the one surface read, and the
+    # solve takes its dimension from the scenario and reads no path's
+    # start.  A fall-back to per-path, per-node or per-point evaluation
+    # changes these counts, which are the ledger's (deviation_3 of
+    # tests/work_counts.json)
     sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
     deviation = [EquationId.E2_13, EquationId.E4_1, EquationId.E6_3]
     with work_counts() as counts:
         convergence_study(deviation, sc, S0, DEFAULT_LADDER)
     ledger = LEDGER["deviation_3"]
-    assert dict(counts) == {**{key: ledger[key] for key in load_script("solve_counts").WORK_KEYS},
-                            "jets_order_1": ledger["jets_calls"]["1"]}
-    assert counts["stacked_attempts"] == counts["surface_stacks"]
-    assert counts["surface_stack_points"] == counts["generator_evals"] == 3 * counts["solves"]
-    assert counts["jets_order_1"] == counts["solves"] // len(DEFAULT_LADDER) + 2 * 3
+    assert ledger["jets_calls"] == {}
+    assert dict(counts) == {key: ledger[key] for key in load_script("solve_counts").WORK_KEYS}
+    assert counts["surface_stacks"] == counts["stacked_attempts"] + 1 == 2
+    assert counts["generator_evals"] == 3 * counts["solves"]
+    assert (counts["surface_stack_points"] - counts["generator_evals"]
+            == len(study_grid(sc, deviation, S0)) == 7 * (1 + len(DEFAULT_LADDER)))
 
 
 @pytest.mark.parametrize("family", sorted(_CELLS_BY_FAMILY))
@@ -552,10 +584,11 @@ def test_study_evaluates_base_geometry_once_per_s(monkeypatch):
     # R is made of the Gamma and dGamma that DT and DF/dr share, so
     # curvature_at is never called.  The forces F_s(r') and F_s(r'') read
     # d_ss once at each point, each d_s read serves every reader at its
-    # point (V_1, the momenta, Delta V and the forces), and E7_4 reads the
-    # metric at x_1(s) and at x_1(s +- H_S) once each
+    # point (V_1, the momenta, Delta V and the forces): the study's one
+    # order-2 jets call reads each (s, r) once, and E7_4 reads the metric
+    # at x_1(s) and at x_1(s +- H_S) once each
     sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
-    calls, reads, surf = [], Counter(), sc.surface
+    calls, reads, surf = [], [], sc.surface
     partials, curvature = ConnectionField.partials, geodev.equations.curvature_at
     matrix = MetricField.matrix
 
@@ -566,16 +599,11 @@ def test_study_evaluates_base_geometry_once_per_s(monkeypatch):
             return fn(owner, where, *rest)
         return call
 
-    def read(name):
-        return lambda s, r: reads.update([(name, s, r)]) or getattr(surf, name)(s, r)
-
     monkeypatch.setattr(ConnectionField, "partials", counted("partials", partials))
     monkeypatch.setattr(geodev.equations, "curvature_at",
                         counted("curvature_at", curvature))
     monkeypatch.setattr(MetricField, "matrix", counted("metric", matrix))
-    counting = dataclasses.replace(sc, surface=dataclasses.replace(
-        surf, d_s=read("d_s"), d_ss=read("d_ss")))
-    convergence_study(list(EquationId), counting, S0, DEFAULT_LADDER)
+    convergence_study(list(EquationId), recording_surface(sc, reads), S0, DEFAULT_LADDER)
     r1 = surf.r_base
     r2s = tuple(sc.separation_endpoints(eps)[1] for eps in DEFAULT_LADDER)
     x1 = {s: tuple(surf.map(s, r1)) for s in (S0 - H_S, S0, S0 + H_S)}
@@ -584,9 +612,9 @@ def test_study_evaluates_base_geometry_once_per_s(monkeypatch):
     geometry = Counter(call for call in calls
                        if call[0] in ("partials", "curvature_at"))
     assert geometry == {("partials", x1[S0]): 1}
-    assert Counter(key for key in reads.elements() if key[0] == "d_ss") == {
-        ("d_ss", S0, r): 1 for r in (r1, *r2s)}
-    assert set(reads.values()) == {1}
+    [rows] = [at for datum, order, at in reads if order == 2]
+    assert [row for row in rows if row[0] == S0] == [(S0, r) for r in (r1, *r2s)]
+    assert len(set(rows)) == len(rows) and [datum for datum, order, _ in reads].count("jets") == 2
     at_x1 = Counter(call for call in calls
                     if call[0] == "metric" and call[1] in x1.values())
     assert at_x1 == {("metric", x1[S0 - H_S]): 1, ("metric", x1[S0]): 1,

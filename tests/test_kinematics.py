@@ -16,9 +16,9 @@ from geodev.kinematics import (MassSurface, Scenario, WorldSurface,
                                relative_acceleration, relative_energy,
                                relative_force, relative_momentum,
                                relative_velocity, worldline)
-from geodev.scenarios import LINEAR_DRIFT_MASSES, ScenarioSpec, _identity_metric, build
+from geodev.scenarios import LINEAR_DRIFT_MASSES, ScenarioSpec, _identity_metric, _vec, build
 from geodev.transport import (DEFAULT_ODE_CONFIG, law_from_connection,
-                              transport_matrix)
+                              transport_matrix, work_counts)
 
 from conftest import one_pullback
 from oracles import scipy_transport
@@ -34,18 +34,21 @@ def close(a, b, tol) -> bool:
 
 def simple_flat_scenario(map_fn, d_s, d_r, d_ss=None, d_sr=None, d_rr=None,
                          metric=None, mass=None, label="test"):
+    """The zero connection on a flat chart, and the surface whose jets are
+    the components that ``map_fn(s, r)``, ..., ``d_rr(s, r)`` give, on
+    floats at a point or on ``(n,)`` rows (a second partial left out is
+    zero); unit masses unless ``mass`` is given."""
     dim = len(map_fn(0.0, 0.0))
-    zero = lambda s, r: np.zeros(dim)
-    surf = WorldSurface(
-        map=map_fn, d_s=d_s, d_r=d_r,
-        d_ss=d_ss or zero, d_sr=d_sr or zero, d_rr=d_rr or zero,
-        s_domain=(-1.0, 1.0), r_domain=(-0.5, 0.5))
+    zero = lambda s, r: (0.0,) * dim
+    partials = (map_fn, d_s, d_r, d_ss or zero, d_sr or zero, d_rr or zero)
+    jets = lambda s, r, order: tuple(_vec(r, *f(s, r)) for f in partials[:3 * order])
     conn = zero_connection(dim)
     return Scenario(
         dimension=dim, conn=conn,
         metric=metric or _identity_metric(dim),
-        law=law_from_connection(conn), surface=surf,
-        mass=mass or MassSurface(lambda s, r: 1.0, lambda s, r: 0.0),
+        law=law_from_connection(conn),
+        surface=WorldSurface(jets, s_domain=(-1.0, 1.0), r_domain=(-0.5, 0.5)),
+        mass=mass or MassSurface(lambda s, r: np.ones_like(r), lambda s, r: np.zeros_like(r)),
         label=label)
 
 
@@ -53,19 +56,19 @@ def simple_flat_scenario(map_fn, d_s, d_r, d_ss=None, d_sr=None, d_rr=None,
 def grid_scenario():
     # gamma(s, r) = (s, r)
     return simple_flat_scenario(
-        lambda s, r: np.array([s, r]),
-        lambda s, r: np.array([1.0, 0.0]),
-        lambda s, r: np.array([0.0, 1.0]))
+        lambda s, r: (s, r),
+        lambda s, r: (1.0, 0.0),
+        lambda s, r: (0.0, 1.0))
 
 
 @pytest.fixture(scope="module")
 def shear_scenario():
     # gamma(s, r) = (s (1 + r), r): hand-computed Delta V = (eps, 0)
     return simple_flat_scenario(
-        lambda s, r: np.array([s * (1.0 + r), r]),
-        lambda s, r: np.array([1.0 + r, 0.0]),
-        lambda s, r: np.array([s, 1.0]),
-        d_sr=lambda s, r: np.array([1.0, 0.0]))
+        lambda s, r: (s * (1.0 + r), r),
+        lambda s, r: (1.0 + r, 0.0),
+        lambda s, r: (s, 1.0),
+        d_sr=lambda s, r: (1.0, 0.0))
 
 
 # ------------------------------------------------------------------ worldline
@@ -132,6 +135,19 @@ def test_path_tangent_base_consistency(sphere):
         assert np.array_equal(cpath.tangent(r), surf.d_r(0.1, r))
 
 
+def test_a_path_node_is_one_order_1_jets_call():
+    # a connecting path's or a worldline's node is one jets call at order 1,
+    # whose point and r- or s-partial it reads
+    sc = build(ScenarioSpec("sphere", {"accel": 0.3}))
+    surf, s, r = sc.surface, 0.1, sc.surface.r_base + EPS
+    for path, u, (x, v) in ((connecting_path(sc, s), r, surf.jets(s, r, 1)[::2]),
+                            (worldline(sc, 2, EPS), s, surf.jets(s, r, 1)[:2])):
+        with work_counts() as counts:
+            point, tangent = path.map(u), path.tangent(u)
+        assert counts == {"jets_order_1": 2}
+        assert np.array_equal(point.coords, x) and np.array_equal(tangent, v)
+
+
 # ---------------------------------------------------------------- force field
 
 def test_force_field_straight_lines(grid_scenario):
@@ -142,10 +158,10 @@ def test_force_field_straight_lines(grid_scenario):
 def test_force_field_uniform_acceleration():
     a = 0.8
     sc = simple_flat_scenario(
-        lambda s, r: np.array([s, r + 0.5 * a * s * s]),
-        lambda s, r: np.array([1.0, a * s]),
-        lambda s, r: np.array([0.0, 1.0]),
-        d_ss=lambda s, r: np.array([0.0, a]))
+        lambda s, r: (s, r + 0.5 * a * s * s),
+        lambda s, r: (1.0, a * s),
+        lambda s, r: (0.0, 1.0),
+        d_ss=lambda s, r: (0.0, a))
     f = force_field(sc, 0.3, 0.1)
     assert np.allclose(f, [0.0, a])
 
@@ -162,9 +178,9 @@ def test_surface_vectors_are_checked_where_they_arrive(bad):
     # by the public function that reads it, not passed on as an array; a
     # residual names it too (E3_1 reads no pull-back, whose path would meet
     # a bad d_r first, as a tangent)
-    grid = {"map_fn": lambda s, r: np.array([s, r]),
-            "d_s": lambda s, r: np.array([1.0, 0.0]),
-            "d_r": lambda s, r: np.array([0.0, 1.0])}
+    grid = {"map_fn": lambda s, r: (s, r),
+            "d_s": lambda s, r: (1.0, 0.0),
+            "d_r": lambda s, r: (0.0, 1.0)}
     cases = [("d_ss", lambda sc: force_field(sc, 0.1, 0.0), "d_ss components"),
              ("d_s", lambda sc: force_field(sc, 0.1, 0.0), "d_s components"),
              ("d_s", lambda sc: momentum(sc, 1, 0.1), "d_s components"),
@@ -184,21 +200,23 @@ def test_surface_vectors_are_checked_where_they_arrive(bad):
     ("mass", np.nan, "non-finite d_s_mu values"),
     ("mass", np.zeros(2), r"d_s_mu values have shape \(2,\)"),
     ("mu", np.nan, "non-finite mu values"),
-    ("mu", np.zeros(2), r"mu values have shape \(2,\)")],
-    ids=["probe-shape", "probe-nan", "mass-nan", "mass-shape", "mu-nan", "mu-shape"])
+    ("mu", np.zeros(2), r"mu values have shape \(2,\)"),
+    ("mu", 0.0, r"^mass function vanished at \(s=0\.1, r=0\.0\)$")],
+    ids=["probe-shape", "probe-nan", "mass-nan", "mass-shape", "mu-nan", "mu-shape", "mu-zero"])
 def test_probe_and_mass_rates_are_checked_where_they_arrive(sphere, datum, bad, message):
-    # the probe field's d_r at (s, r'), the mass's d_s_mu at r' and the r''
-    # and the mass itself are named where a residual reads them, not passed
-    # on to a broadcast error, a float() error, a NaN residual norm or, for
-    # a NaN mass, a "mass function vanished"
+    # the probe field's d_r, the mass's d_s_mu and the mass itself, read
+    # on the rows of (s, r') and the r'', are named where a residual reads
+    # them, not passed on to a broadcast error, a float() error, a NaN
+    # residual norm or, for a NaN mass, a "mass function vanished"
+    rows = lambda s, r: np.array([bad] * len(r))  # bad on every row
     if datum == "probe":
-        sc = replace(sphere, probe_field=replace(sphere.probe_field, d_r=lambda s, r: bad))
+        sc = replace(sphere, probe_field=replace(sphere.probe_field, d_r=rows))
         equations = [EquationId.E2_10]
     elif datum == "mass":
-        sc = replace(sphere, mass=replace(sphere.mass, d_s_mu=lambda s, r: bad))
+        sc = replace(sphere, mass=replace(sphere.mass, d_s_mu=rows))
         equations = [EquationId.E5_2, EquationId.E7_2]
     else:
-        sc = replace(sphere, mass=replace(sphere.mass, mu=lambda s, r: bad))
+        sc = replace(sphere, mass=replace(sphere.mass, mu=rows))
         equations = [EquationId.E5_1, EquationId.E7_1]
     for eq in equations:
         with pytest.raises(EvaluationError, match=message):
@@ -233,10 +251,10 @@ def test_deviation_vector_quadratic_r_closed_form():
     # so h - zeta = (0, w eps^2 / 2) exactly
     w = 0.6
     sc = simple_flat_scenario(
-        lambda s, r: np.array([s, r + 0.5 * w * r * r]),
-        lambda s, r: np.array([1.0, 0.0]),
-        lambda s, r: np.array([0.0, 1.0 + w * r]),
-        d_rr=lambda s, r: np.array([0.0, w]))
+        lambda s, r: (s, r + 0.5 * w * r * r),
+        lambda s, r: (1.0, 0.0),
+        lambda s, r: (0.0, 1.0 + w * r),
+        d_rr=lambda s, r: (0.0, w))
     for eps in (0.2, 0.1, 0.05):
         h = deviation_vector(sc, 0.1, eps)
         zeta = infinitesimal_deviation(sc, 0.1, eps)
@@ -379,8 +397,8 @@ def test_relative_quantities_are_one_pull_back_minus_the_value_at_r1():
     fields = {
         relative_velocity: surf.d_s,
         relative_acceleration: lambda s, r: force_field(sc, s, r),
-        relative_momentum: lambda s, r: mass.value(s, r) * surf.d_s(s, r),
-        relative_force: lambda s, r: (mass.value(s, r)
+        relative_momentum: lambda s, r: mass.mu(s, r) * surf.d_s(s, r),
+        relative_force: lambda s, r: (mass.mu(s, r)
                                       * force_field(sc, s, r)),
     }
     for fn, field in fields.items():
@@ -388,7 +406,7 @@ def test_relative_quantities_are_one_pull_back_minus_the_value_at_r1():
         assert np.array_equal(fn(sc, s0, EPS), by_hand)
     x1 = ChartPoint(surf.map(s0, r1))
     v1 = surf.d_s(s0, r1)
-    pulled_p2 = pull @ (mass.value(s0, r2) * surf.d_s(s0, r2))
+    pulled_p2 = pull @ (mass.mu(s0, r2) * surf.d_s(s0, r2))
     by_hand = (sign_of_square(sc.metric, x1, v1)
                * metric_dot(sc.metric, x1, pulled_p2, v1))
     assert relative_energy(sc, s0, EPS) == by_hand
@@ -414,8 +432,8 @@ def test_relative_quantities_equal_delta_of_their_fields(sphere_accel):
     surf, mass = sc.surface, sc.mass
     cases = {
         relative_acceleration: lambda s, r: force_field(sc, s, r),
-        relative_momentum: lambda s, r: mass.value(s, r) * surf.d_s(s, r),
-        relative_force: lambda s, r: (mass.value(s, r)
+        relative_momentum: lambda s, r: mass.mu(s, r) * surf.d_s(s, r),
+        relative_force: lambda s, r: (mass.mu(s, r)
                                       * force_field(sc, s, r)),
     }
     for direct_fn, field in cases.items():
@@ -447,8 +465,8 @@ def test_momentum_and_exact_identity():
     sc = build(ScenarioSpec("sphere", {"mass_drift_s": 0.2,
                                        "mass_drift_r": 0.3}))
     s0, eps = 0.1, 0.12
-    mu1 = sc.mass.value(s0, sc.surface.r_base)
-    mu2 = sc.mass.value(s0, sc.surface.r_base + eps)
+    mu1 = sc.mass.mu(s0, sc.surface.r_base)
+    mu2 = sc.mass.mu(s0, sc.surface.r_base + eps)
     p1 = momentum(sc, 1, s0, eps)
     assert np.allclose(p1, mu1 * sc.surface.d_s(s0, sc.surface.r_base))
     dp = relative_momentum(sc, s0, eps)
@@ -516,9 +534,9 @@ def test_relative_energy_requires_metric(grid_scenario):
 def test_relative_energy_null_worldline_raises():
     lorentz = _identity_metric(2, np.array([1.0, -1.0]))
     sc = simple_flat_scenario(
-        lambda s, r: np.array([s, s + r]),
-        lambda s, r: np.array([1.0, 1.0]),  # null tangent
-        lambda s, r: np.array([0.0, 1.0]),
+        lambda s, r: (s, s + r),
+        lambda s, r: (1.0, 1.0),  # null tangent
+        lambda s, r: (0.0, 1.0),
         metric=lorentz)
     with pytest.raises(NullVectorError):
         relative_energy(sc, 0.1, 0.05)

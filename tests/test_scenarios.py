@@ -5,13 +5,11 @@ import threading
 import numpy as np
 import pytest
 
-import geodev.scenarios
 from geodev.errors import ConfigError
 from geodev.geometry import ChartPoint, curvature_at, torsion_at
-from geodev.kinematics import connecting_path
+from geodev.kinematics import WorldSurface, connecting_path
 from geodev.scenarios import (EQUATION_SCENARIOS, LINEAR_DRIFT_MASSES,
-                              ScenarioSpec, _surface, build, family_names,
-                              list_scenarios)
+                              ScenarioSpec, build, family_names, list_scenarios)
 from geodev.transport import s_tensor, work_counts
 
 ALL_FAMILIES = ("flat-euclidean/ruled", "flat-euclidean/quadratic",
@@ -88,15 +86,15 @@ def test_r_base_override():
 
 
 def test_surface_jets_evaluated_once_per_point():
-    # each accessor is one jets call at its point, at its own order, counted
-    # by order in work_counts
+    # each accessor derived from a surface's jets is one jets call at its
+    # point, at its own order, counted by order in work_counts
     calls = []
 
     def jets(s, r, order):
         calls.append((s, r, order))
         return tuple(np.full(2, i + s + r) for i in range(3 * order))
 
-    surf = _surface(jets, s_domain=(-1.0, 1.0), r_domain=(-1.0, 1.0))
+    surf = WorldSurface(jets, s_domain=(-1.0, 1.0), r_domain=(-1.0, 1.0))
     with work_counts() as counts:
         first = [f(0.25, 0.5) for f in (surf.map, surf.d_s, surf.d_r)]
         assert calls == [(0.25, 0.5, 1)] * 3  # order-1 reads never ask for order 2
@@ -109,13 +107,10 @@ def test_surface_jets_evaluated_once_per_point():
 
 
 @pytest.mark.parametrize("name", ALL_FAMILIES)
-def test_order_one_jets_equal_the_first_order_two_jets(name, monkeypatch):
-    # a point's first partials are read at order 1 and its second partials
-    # at order 2, so a family's order-1 jets must be the first three of its
-    # order-2 jets, bit for bit, for both to describe one surface
-    families, surface = [], geodev.scenarios._surface
-    monkeypatch.setattr(geodev.scenarios, "_surface",
-                        lambda jets, *domains: families.append(jets) or surface(jets, *domains))
+def test_order_one_jets_equal_the_first_order_two_jets(name):
+    # a path's nodes are read at order 1 and a study's surface at order 2,
+    # so a family's order-1 jets must be the first three of its order-2
+    # jets, bit for bit, for both to describe one surface
     rng = np.random.default_rng(13)
     schema = {e["name"]: e["parameters"] for e in list_scenarios()}[name]
     for _ in range(20):
@@ -124,7 +119,7 @@ def test_order_one_jets_equal_the_first_order_two_jets(name, monkeypatch):
                   for key, spec in schema.items()}
         surf = build(ScenarioSpec(name, params)).surface
         s, r = rng.uniform(*surf.s_domain), rng.uniform(*surf.r_domain)
-        order_1, order_2 = families[-1](s, r, 1), families[-1](s, r, 2)
+        order_1, order_2 = surf.jets(s, r, 1), surf.jets(s, r, 2)
         assert len(order_1) == 3 and all(map(np.array_equal, order_1, order_2[:3]))
 
 
@@ -374,7 +369,7 @@ def test_mass_and_metric_invariants_on_probe_grid(name):
     for _ in range(100):
         s = rng.uniform(*sc.surface.s_domain)
         r = rng.uniform(*sc.surface.r_domain)
-        assert abs(sc.mass.value(s, r)) > 0.5
+        assert abs(sc.mass.mu(s, r)) > 0.5
         fd = (sc.mass.mu(s + h, r) - sc.mass.mu(s - h, r)) / (2 * h)
         assert abs(fd - sc.mass.d_s_mu(s, r)) < 1e-8
         coords = sc.surface.map(s, r)[None]

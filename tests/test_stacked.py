@@ -118,6 +118,27 @@ def test_along_r_rows_equal_point_jets(name, rng):
                 assert all(map(same_bits, (row, row_r), jets(key, u)))
 
 
+@pytest.mark.parametrize("name", family_names())
+def test_order_2_rows_equal_point_jets(name, rng):
+    # a study reads the surface's order-2 jets, the mass, its rate and the
+    # probe field on rows (_Ladder.read), and the public point reads take
+    # them at a point: each row of every datum is its point's value bit for
+    # bit, at random parameters and (s, r), and at the domains' ends and
+    # both zeros in s and in r
+    for sc in random_scenarios(name, rng):
+        surf, mass, probe = sc.surface, sc.mass, sc.probe_field
+        ends = [(s, r) for s in (*surf.s_domain, 0.0, -0.0) for r in (*surf.r_domain, 0.0, -0.0)]
+        drawn = zip(rng.uniform(*surf.s_domain, 20), rng.uniform(*surf.r_domain, 20))
+        ss, rs = map(np.array, zip(*ends, *drawn))
+        for read in (lambda s, r: surf.jets(s, r, 2),
+                     lambda s, r: (mass.mu(s, r), mass.d_s_mu(s, r)),
+                     lambda s, r: (probe.value(s, r), probe.d_r(s, r))):
+            rows = read(ss, rs)
+            assert all(len(part) == len(ss) for part in rows)
+            for i, (s, r) in enumerate(zip(ss.tolist(), rs.tolist())):
+                assert all(map(same_bits, (part[i] for part in rows), read(s, r))), (s, r)
+
+
 def test_along_r_keeps_the_sign_of_a_zero_s():
     # f(s) = s + accel s^2 / 2 is -0.0 at s = -0.0 for accel < 0, and sin
     # keeps that sign, which phi keeps at r = -0.0: rows at s = 0.0 and
@@ -181,7 +202,7 @@ def test_sphere_stacked_gamma_equals_gamma_at(rng):
     conn = build(ScenarioSpec("sphere")).conn
     theta = np.concatenate([rng.uniform(1e-3, math.pi - 1e-3, 4000),
                             rng.uniform(-3.0, 3.0, 1000),
-                            [1e-300, 5e-324, -1e-12, math.pi, math.pi / 2, 3.5]])
+                            [1e-300, -1e-12, math.pi, math.pi / 2, 3.5]])
     coords = np.stack([theta, rng.uniform(-3.0, 3.0, theta.size)], axis=1)
     stacked = conn.gamma_at(coords)
     alone = np.array([sphere_gamma(t) for t in theta.tolist()])
@@ -224,23 +245,48 @@ def test_sphere_stacked_partials_and_metric_equal_their_closed_forms(rng):
         assert same_bits(field_at(coords), [closed_form(t) for t in theta.tolist()])
 
 
-@pytest.mark.parametrize("theta", [0.0, -0.0, 5e-324, 1e-300, 1e-170])
-def test_the_first_singular_theta_of_a_partials_stack_is_named(theta, rng):
-    # the partials divide by sin^2 theta, which is 0.0 at theta = 0 and
-    # underflows to 0.0 below about 1e-162: the first such row of a stack,
-    # or the one row of a stack of one, raises the chart's DomainError
-    conn = build(ScenarioSpec("sphere")).conn
+def singular_stack(rng, theta, later):
+    """12 sphere coordinates, theta at row 5 and ``later`` at row 8."""
     coords = np.stack([rng.uniform(0.5, 2.5, 12), rng.uniform(-3.0, 3.0, 12)], axis=1)
-    coords[[5, 8], 0] = theta, 1e-200
+    coords[[5, 8], 0] = theta, later
+    return coords
+
+
+@pytest.mark.parametrize("theta", [0.0, -0.0, 5e-324, 1e-300, 1e-170, 1e-160])
+def test_the_first_singular_theta_of_a_partials_stack_is_named(theta, rng):
+    # the partials divide by sin^2 theta, which is 0.0 at theta = 0,
+    # underflows to 0.0 below about 1e-162, and up to about 7e-155 is so
+    # small that its inverse overflows to infinity: the first such row of a
+    # stack, or the one row of a stack of one, raises the chart's
+    # DomainError, not a non-finite partial
+    conn = build(ScenarioSpec("sphere")).conn
+    coords = singular_stack(rng, theta, 1e-200)
     message = f"^sphere chart is singular at theta = {re.escape(str(theta))}$"
     for stack in (coords, coords[5:6]):
         with pytest.raises(DomainError, match=message):
             conn.partials(stack)
-    # sin^2 theta subnormal: the partial is -inf, named non-finite at its point
-    coords[5, 0] = 1e-160
-    got = raised(lambda: conn.partials(coords[:8]))
-    assert isinstance(got, EvaluationError) and str(got) == "non-finite connection partials"
-    assert np.array_equal(got.point.coords, coords[5])
+    coords[5, 0] = 1e-150  # sin^2 theta normal: the stack reads up to row 8
+    with pytest.raises(DomainError, match=r"^sphere chart is singular at theta = 1e-200$"):
+        conn.partials(coords)
+    assert np.isfinite(conn.partials(coords[:8])).all()
+
+
+@pytest.mark.parametrize("theta", [0.0, -0.0, 5e-324, 1e-310])
+def test_the_first_singular_theta_of_a_coefficients_stack_is_named(theta, rng):
+    # Gamma divides by tan theta, which is 0.0 at theta = 0, and whose
+    # inverse overflows to infinity below about 5.6e-309: the first such
+    # row of a stack, or the one row of a stack of one, raises the chart's
+    # DomainError, not a non-finite Gamma
+    conn = build(ScenarioSpec("sphere")).conn
+    coords = singular_stack(rng, theta, 1e-320)
+    message = f"^sphere chart is singular at theta = {re.escape(str(theta))}$"
+    for stack in (coords, coords[5:6]):
+        with pytest.raises(DomainError, match=message):
+            conn.coefficients(stack)
+    coords[5, 0] = 1e-300  # tan theta invertible: the stack reads up to row 8
+    with pytest.raises(DomainError, match=r"^sphere chart is singular at theta = 1e-320$"):
+        conn.coefficients(coords)
+    assert np.isfinite(conn.coefficients(coords[:8])).all()
 
 
 @pytest.mark.parametrize("rows,message,at", [
