@@ -29,9 +29,10 @@ its calls of the family's ``jets`` (``WorldSurface.read``): ``jets_calls``,
 its calls at a point by the order they ask for (none in a study), and
 ``surface_stacks`` and ``surface_stack_points``, its calls on rows and the
 rows they evaluate: one per Magnus attempt, which reads the Gauss nodes of
-all its connecting paths at once, and one per study, which reads the
-surface at r' and at every r'' of each s its equations declare
-(``kinematics._Ladder.read``).  They also give
+all its connecting paths at once, and one per study, which reads the six
+partials at r' and at every r'' of each s its equations declare in one
+order-2 call when a formula first asks for one (``kinematics._Ladder``'s
+grid reads).  They also give
 the residual work: ``residual_evals``, the calls of the residual formulas
 (one per equation and study: each formula evaluates the whole ladder as one
 stack), and ``residual_lanes``, the separations those calls cover.

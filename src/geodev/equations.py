@@ -24,11 +24,12 @@ eps-ladder, and splits the formula's value into one sample per eps.  Its
 workspace is a ``kinematics._Ladder``, the one implementation of the
 relative quantities, whose public functions read lane 0 of a ladder of one:
 every eps-dependent quantity carries a leading ladder axis, each lane
-computed bit for bit as its eps alone would be.  At the s its equations
-declare, a study makes one row read of the surface and one solve along the
-paths gamma_s, one lane per (s, eps); every relative quantity at s applies
-its pull-back map L_{r''->r'} to particle 2's vector, and the deviation
-vector h rides on the same solve.
+computed bit for bit as its eps alone would be.  Its s-grid is every s its
+equations declare, and it reads each surface datum, each field at x_1 and
+the pull-backs along the paths gamma_s once over that grid, when first
+asked, the pull-backs in one solve of one lane per (s, eps); every relative
+quantity at s applies its pull-back map L_{r''->r'} to particle 2's
+vector, and the deviation vector h rides on the same solve.
 
 Numerical differentiation policy: every numerical derivative is a central
 difference in s taken by ``_Workspace.d_ds``, with step ``H_S`` = 1e-5 for
@@ -151,7 +152,7 @@ class _Workspace(_Ladder):
     """
 
     def dgam(self, s: float) -> np.ndarray:
-        return self._get(("dgam", s), lambda: self.at_x1(self.sc.conn.partials, s))
+        return self.at_x1("dgam", s)
 
     def torsion(self, s: float) -> np.ndarray:
         return self._get(("T", s), lambda: torsion_components(self.gam(s)))
@@ -184,7 +185,7 @@ class _Workspace(_Ladder):
     def d_metric(self, s: float) -> np.ndarray:
         """Covariant derivative of the metric along x1 (nonmetricity)."""
         def make():
-            dg = self.at_x1(self.sc.metric.partials, s)
+            dg = self.at_x1("dg", s)
             dg_ds = np.einsum("ijl,l->ij", dg, self.v1(s))
             return cov_tensor_components(self.gam(s), self.v1(s), self.metric(s),
                                          dg_ds, (0, 2))
@@ -386,17 +387,18 @@ def _r_e7_4(w: _Workspace, s: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _EquationInfo:
-    """A residual formula, whether it is exact, and the s-differences of the pull-backs
-    it reads; each read checks its own s against the s-domain (``_Ladder.read``)."""
+    """A residual formula, whether it is exact, and the steps of its nested
+    s-differences, which reach every s at which the formula reads."""
 
     residual: Callable[[_Workspace, float], np.ndarray]
     exact: bool = False
-    stencil: Optional[Tuple[float, ...]] = ()  # None: it reads no pull-back
+    stencil: Tuple[float, ...] = ()
 
     def pullback_s(self, s: float) -> list:
-        """s and the nested central differences of ``stencil``, as ``d_ds`` forms them."""
-        ss = [s] * (self.stencil is not None)
-        for h in self.stencil or ():
+        """s and the nested central differences of ``stencil``, as ``d_ds``
+        forms them: the formula's s-grid."""
+        ss = [s]
+        for h in self.stencil:
             ss = [v for u in ss for v in (u, u + h, u - h)]
         return list(dict.fromkeys(ss))
 
@@ -404,18 +406,18 @@ class _EquationInfo:
 _INFO: Dict[EquationId, _EquationInfo] = {
     EquationId.E2_10: _EquationInfo(_r_e2_10),
     EquationId.E2_13: _EquationInfo(_Workspace.dev_difference),
-    EquationId.E3_1: _EquationInfo(_r_e3_1, stencil=None),
+    EquationId.E3_1: _EquationInfo(_r_e3_1, stencil=(H_S,)),
     EquationId.E4_1: _EquationInfo(_r_e4_1, stencil=(H_DEV_FIRST,)),
     EquationId.E4_3: _EquationInfo(_r_e4_3),
     EquationId.E4_4: _EquationInfo(_r_e4_4),
     EquationId.E4_5: _EquationInfo(_r_e4_5, stencil=(H_S,)),
     EquationId.E5_1: _EquationInfo(_r_e5_1, exact=True),
     EquationId.E5_2: _EquationInfo(_r_e5_2, stencil=(H_S,)),
-    EquationId.E6_2: _EquationInfo(_r_e6_2),
+    EquationId.E6_2: _EquationInfo(_r_e6_2, stencil=(H_S,)),
     EquationId.E6_3: _EquationInfo(_r_e6_3, stencil=(H_DEV_SECOND,) * 2),
-    EquationId.E6_4: _EquationInfo(_r_e6_4),
+    EquationId.E6_4: _EquationInfo(_r_e6_4, stencil=(H_S,)),
     EquationId.E6_5: _EquationInfo(_r_e6_5, stencil=(H_S,)),
-    EquationId.E7_1: _EquationInfo(_r_e7_1),
+    EquationId.E7_1: _EquationInfo(_r_e7_1, stencil=(H_S,)),
     EquationId.E7_2: _EquationInfo(_r_e7_2, stencil=(H_S,)),
     EquationId.E7_4: _EquationInfo(_r_e7_4, stencil=(H_S,)),
 }
@@ -441,12 +443,12 @@ def _samples(eq: EquationId, workspace: _Workspace, s: float) -> list:
             for e, norm in zip(workspace.ladder, norms)]
 
 
-def _evaluate(equations: Sequence[EquationId], workspace: _Workspace, s: float) -> list:
-    """The samples of each of ``equations`` on ``workspace``: one read of
-    the surface and one solve of the pull-backs at every s the equations
-    declare, then each formula in order."""
-    workspace.read(grid := [u for eq in equations for u in _INFO[eq].pullback_s(s)])
-    workspace.solve(grid)
+def _evaluate(equations: Sequence[EquationId], scenario: Scenario, s: float,
+              ladder: Tuple[float, ...], cfg: OdeConfig) -> list:
+    """The samples of each of ``equations``, in order, on one workspace
+    whose grid is every s the equations declare."""
+    grid = [u for eq in equations for u in _INFO[eq].pullback_s(s)]
+    workspace = _Workspace(scenario, ladder, grid, cfg)
     return [_samples(eq, workspace, s) for eq in equations]
 
 
@@ -454,7 +456,7 @@ def residual(eq: EquationId, scenario: Scenario, s: float, epsilon: float,
              cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> ResidualSample:
     """Evaluate one equation residual on a fresh workspace of the one-point
     ladder ``(epsilon,)``, as a study does."""
-    [[sample]] = _evaluate([eq], _Workspace(scenario, (epsilon,), cfg), s)
+    [[sample]] = _evaluate([eq], scenario, s, (epsilon,), cfg)
     return sample
 
 
@@ -502,13 +504,13 @@ def convergence_study(equations: Sequence[EquationId], scenario: Scenario,
     entry of ``equations``.  Every equation shares one workspace, which
     carries the eps-dependent quantities as stacks over the ladder: each
     quantity, and each equation's residual, is evaluated once per study,
-    the pull-backs at every s its equations read as one solve up front, and
+    each read over every s its equations declare once, and
     every order in one closed-form fit of the (E, K) stack of norms."""
     if isinstance(equations, str):
         raise TypeError("convergence_study expects a sequence of EquationId, "
                         f"got the single id {equations!r}")
     ladder = checked_ladder(epsilon_ladder)
-    studied = _evaluate(equations, _Workspace(scenario, ladder, cfg), s)
+    studied = _evaluate(equations, scenario, s, ladder, cfg)
     norms = np.array([[smp.residual_norm for smp in samples] for samples in studied])
     fits = zip(*_fit_orders(ladder, norms.reshape(len(studied), len(ladder))))
     return tuple(ConvergenceReport(

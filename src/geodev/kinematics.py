@@ -7,15 +7,17 @@ particle 2's data backward along ``gamma_s`` to particle 1 and subtract:
 
     Delta B_21 = L_{r'' -> r'} B(x_2) - B(x_1).
 
-B is one surface datum, read at (s, r') and (s, r'') in one row call
-(``_Ladder.read``).  The separation ``eps = r'' - r'`` is the experiment
-knob: the surface is held fixed and ``eps`` shrinks along a ladder, which
-is what turns the "up to second order" claims into measurable slopes.
+B is one surface datum, read at (s, r') and (s, r'') of every s of a grid
+in one row call (``_Ladder._grid``).  The separation ``eps = r'' - r'`` is
+the experiment knob: the surface is held fixed and ``eps`` shrinks along a
+ladder, which is what turns the "up to second order" claims into
+measurable slopes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,6 +51,9 @@ __all__ = [
 
 
 _PARTIALS = ("map", "d_s", "d_r", "d_ss", "d_sr", "d_rr")  # the order of jets' values
+_READS = {"mu": "mass.mu", "d_s_mu": "mass.d_s_mu", "probe field": "probe_field.value",
+          "probe field d_r": "probe_field.d_r", "gam": "conn.coefficients",  # then at x_1
+          "dgam": "conn.partials", "g": "metric.matrix", "dg": "metric.partials"}
 _Point = Optional[Callable[[float, float], np.ndarray]]
 
 
@@ -171,32 +176,32 @@ def force_field(scenario: Scenario, s: float, r: float) -> np.ndarray:
     Coincides with the particle accelerations at the worldline parameters.
     """
     rebased = replace(scenario, surface=replace(scenario.surface, r_base=r))
-    return np.array(_Ladder(rebased, (0.0,), DEFAULT_ODE_CONFIG).a1(s))
+    return np.array(_Ladder(rebased, (0.0,), (s,), DEFAULT_ODE_CONFIG).a1(s))
 
 
 def infinitesimal_deviation(scenario: Scenario, s: float, eps: float) -> np.ndarray:
     """Infinitesimal deviation vector at x_1(s): the connecting-path tangent
     at r' scaled by eps.  Exactly linear in eps."""
-    return np.array(_Ladder(scenario, (eps,), DEFAULT_ODE_CONFIG).zeta(s)[0])
+    return np.array(_Ladder(scenario, (eps,), (s,), DEFAULT_ODE_CONFIG).zeta(s)[0])
 
 
 class _Ladder:
     """The relative kinematics of a scenario on a ladder of separations, the
     one implementation of each relative quantity: lazy, memoized, and shared
     by every reader.  A quantity that depends on eps carries a leading
-    ladder axis: a ``(K, d)`` stack over the K separations of ``ladder`` (a
-    ``(K, 1)`` column for a scalar, so that it scales a stack lane by lane),
-    each lane computed bit for bit as that separation alone would be, so the
-    public functions below read lane 0 of a ladder of one (as writeable
-    copies).  Each memoized value is a deterministic function of its key
-    (quantity, s), so evaluation order changes no value, and read-only, so
-    that no reader writes into what another reads.  Every quantity takes the
-    worldline parameter s.  The surface data at all the s given to ``read``
-    are one row read, which ``surface`` and ``rows`` view, and the
-    pull-backs along gamma_s at all the s given to ``solve`` are one solve,
-    which reads the paths at its Gauss nodes alone."""
+    ladder axis: a ``(K, d)`` stack over the K separations (a ``(K, 1)``
+    column for a scalar, so that it scales a stack lane by lane), each lane
+    bit for bit as its separation alone, so the public functions below read
+    lane 0 of a ladder of one on the grid ``(s,)``, as writeable copies.  A
+    memoized value is a deterministic function of its key, and read-only, so
+    that no reader writes into what another reads.  Each s of ``grid`` is
+    checked against the s-domain here, and each read is made once over the
+    grid, when a quantity first asks for it: a surface datum in one row call
+    (``_grid``), a field at x_1 in one stacked call (``at_x1``), and the
+    pull-backs along every gamma_s in one solve (``transport``)."""
 
-    def __init__(self, scenario: Scenario, ladder: Sequence[float], cfg: OdeConfig):
+    def __init__(self, scenario: Scenario, ladder: Sequence[float], grid: Sequence[float],
+                 cfg: OdeConfig):
         self.sc = scenario
         self.ladder = tuple(ladder)
         self.r2 = [scenario.separation_endpoints(e)[1] for e in self.ladder]
@@ -204,6 +209,9 @@ class _Ladder:
         self.cfg = cfg
         self.surf = scenario.surface
         self.r1 = self.surf.r_base
+        self.grid = tuple(dict.fromkeys(grid))
+        for s in self.grid:
+            self.surf.require_s(s)
         self._memo: dict = {}
 
     def _get(self, key, fn):
@@ -215,52 +223,43 @@ class _Ladder:
             self._memo[key] = value
         return self._memo[key]
 
-    # -- the surface data, at r' and at the r'' -----------------------------
-    def read(self, ss: Sequence[float]) -> None:
-        """At r' and each r'' of each unread s of ``ss``, s checked against
-        the s-domain first: the six partials in one order-2 ``jets`` row
-        call, then ``mu``, ``d_s_mu``, ``probe field`` and ``probe field d_r``
-        in one row call each, each checked once (``f"{name} values"`` for a
-        scalar, else ``f"{name} components"``) and ``mu`` nonzero."""
-        if not (todo := [s for s in dict.fromkeys(ss) if ("rungs", s) not in self._memo]):
-            return
-        for s in todo:
-            self.surf.require_s(s)
-        rungs, d, probe = [self.r1, *self.r2], self.sc.dimension, self.sc.probe_field
-        s_at, r_at = np.repeat(todo, len(rungs)), np.tile(rungs, len(todo))
-        data = dict(zip(_PARTIALS, self.surf.read(s_at, r_at, 2)),
-                    mu=self.sc.mass.mu(s_at, r_at), d_s_mu=self.sc.mass.d_s_mu(s_at, r_at))
-        if probe is not None:
-            data.update({"probe field": probe.value(s_at, r_at),
-                         "probe field d_r": probe.d_r(s_at, r_at)})
-        for name, value in data.items():
-            shape, what = ((), "values") if name in ("mu", "d_s_mu") else ((d,), "components")
-            rows = _checked_stack(value, shape, f"{name} {what}", [None] * len(r_at))
-            if name == "mu" and not rows.all():
-                i = int(np.argmin(rows != 0.0))
-                raise EvaluationError(f"mass function vanished at (s={s_at[i]}, r={r_at[i]})")
-            data[name] = rows.reshape(len(todo), len(rungs), -1)
-        self._memo.update((("rungs", s), (data, j)) for j, s in enumerate(todo))
+    def _at(self, s: float) -> int:
+        """The row of s in every read over the grid; ValueError off the grid."""
+        return self.grid.index(s)
 
-    def _rungs(self, name: str, s: float) -> np.ndarray:
-        """Datum ``name`` at r' and each r'' at s, ``(1 + K, d)``; d is 1 for a scalar."""
-        if ("rungs", s) not in self._memo:
-            self.read([s])
-        data, j = self._memo[("rungs", s)]
-        return data[name][j]
+    # -- the reads over the grid ---------------------------------------------
+    def _grid(self, name: str) -> np.ndarray:
+        """Surface datum ``name`` at r' and each r'' of every s of the grid,
+        ``(S, 1 + K, d)``, d 1 for a scalar: one row call, the six partials
+        in one order-2 ``jets`` call, each datum checked once (``f"{name}
+        values"`` for a scalar, else ``f"{name} components"``), ``mu`` nonzero."""
+        if name not in self._memo:
+            rungs, d = [self.r1, *self.r2], self.sc.dimension
+            s_at, r_at = np.repeat(self.grid, len(rungs)), np.tile(rungs, len(self.grid))
+            data = (zip(_PARTIALS, self.surf.read(s_at, r_at, 2)) if name in _PARTIALS
+                    else [(name, attrgetter(_READS[name])(self.sc)(s_at, r_at))])
+            for key, value in data:
+                shape, what = ((), "values") if key in ("mu", "d_s_mu") else ((d,), "components")
+                rows = _checked_stack(value, shape, f"{key} {what}", [None] * len(r_at))
+                if key == "mu" and not rows.all():
+                    i = int(np.argmin(rows != 0.0))
+                    raise EvaluationError(f"mass function vanished at (s={s_at[i]}, r={r_at[i]})")
+                self._get(key, lambda: rows.reshape(len(self.grid), len(rungs), -1))
+        return self._memo[name]
 
     def surface(self, name: str, s: float) -> np.ndarray:
-        """Datum ``name`` of ``read`` at (s, r'), ``(d,)``."""
-        return self._get((name, s), lambda: self._rungs(name, s)[0])
+        """Datum ``name`` at (s, r'), ``(d,)``."""
+        return self._grid(name)[self._at(s), 0]
 
     def rows(self, name: str, s: float) -> np.ndarray:
-        """Datum ``name`` of ``read`` at each (s, r''), ``(K, d)``."""
-        return self._get(("rows", name, s), lambda: self._rungs(name, s)[1:])
+        """Datum ``name`` at each (s, r''), ``(K, d)``."""
+        return self._grid(name)[self._at(s), 1:]
 
-    def at_x1(self, read: Callable[[np.ndarray], np.ndarray], s: float) -> np.ndarray:
-        """A field's checked reader (``ConnectionField.coefficients``, ...)
-        at x_1(s), read on the stack of that one point."""
-        return read(self.surface("map", s)[None])[0]
+    def at_x1(self, name: str, s: float) -> np.ndarray:
+        """Field ``name`` (``gam``, ``dgam``, ``g`` or ``dg``) at x_1(s): its
+        checked reader, on first demand one call on x_1 of every s of the grid."""
+        return self._get(name, lambda: attrgetter(_READS[name])(self.sc)(
+            self._grid("map")[:, 0]))[self._at(s)]
 
     def v1(self, s: float) -> np.ndarray:
         return self.surface("d_s", s)
@@ -269,7 +268,7 @@ class _Ladder:
         return self.surface("d_r", s)
 
     def gam(self, s: float) -> np.ndarray:
-        return self._get(("gam", s), lambda: self.at_x1(self.sc.conn.coefficients, s))
+        return self.at_x1("gam", s)
 
     def a1(self, s: float) -> np.ndarray:
         """F_s(r'), ``d_ss + Gamma(V_1, V_1)`` at x_1(s)."""
@@ -286,7 +285,7 @@ class _Ladder:
         return self.mu1(s) * self.v1(s)
 
     def metric(self, s: float) -> np.ndarray:
-        return self._get(("g", s), lambda: self.at_x1(self.sc.metric.matrix, s))
+        return self.at_x1("g", s)
 
     def sign(self, s: float) -> int:
         """The causal sign of V_1 at x_1(s) (``geometry.sign_of_square``)."""
@@ -299,16 +298,13 @@ class _Ladder:
 
     def transport(self, s: float) -> Tuple[np.ndarray, np.ndarray]:
         """(L_{r''->r'}, h) at s, ``(K, d, d)`` and ``(K, d)``: the ladder's
-        pull-backs along gamma_s and the deviation vectors at x_1(s)."""
-        self.solve([s])
-        return self._memo[("Lh", s)]
-
-    def solve(self, ss: Sequence[float]) -> None:
-        """The unsolved pull-backs at the s of ``ss``: one solve in the scenario's dimension."""
-        if todo := [s for s in dict.fromkeys(ss) if ("Lh", s) not in self._memo]:
-            lanes = _pullbacks(self.sc.law, [self.path(s) for s in todo], self.sc.dimension,
-                               self.r1, self.r2, self.cfg)
-            self._memo.update((("Lh", s), pair) for s, pair in zip(todo, zip(*lanes)))
+        pull-backs along gamma_s and the deviation vectors at x_1(s), on
+        first demand one solve along the paths of every s of the grid, in
+        the scenario's dimension."""
+        lanes = self._get("Lh", lambda: _pullbacks(
+            self.sc.law, [self.path(u) for u in self.grid], self.sc.dimension,
+            self.r1, self.r2, self.cfg))
+        return lanes[0][self._at(s)], lanes[1][self._at(s)]
 
     # -- relative quantities, on the ladder stack ----------------------------
     def carry(self, s: float, b2: np.ndarray) -> np.ndarray:
@@ -374,7 +370,7 @@ def back_transport(scenario: Scenario, s: float, eps: float,
     integrand is the connecting-path tangent ``d_r(s, .)``: the ``(d, d)``
     map that carries particle 2's vectors to r', and the deviation vector at
     x_1(s) (``_Ladder.transport``)."""
-    pullback, h = _Ladder(scenario, (eps,), cfg).transport(s)
+    pullback, h = _Ladder(scenario, (eps,), (s,), cfg).transport(s)
     return np.array(pullback[0]), np.array(h[0])
 
 
@@ -393,8 +389,7 @@ def delta_field(scenario: Scenario, s: float, eps: float,
     ``field(s, r'')`` carried back along gamma_s to r' (``_Ladder.carry``)
     minus ``field(s, r')``.  ``field(s, r)`` returns the components at
     gamma(s, r), read at a point: at r' and at r'', each checked once."""
-    ladder = _Ladder(scenario, (eps,), cfg)
-    scenario.surface.require_s(s)
+    ladder = _Ladder(scenario, (eps,), (s,), cfg)
     b1, b2 = (checked_array(field(s, r), (scenario.dimension,), "field components")
               for r in (ladder.r1, *ladder.r2))
     return np.array(ladder.carry(s, b2[None])[0] - b1)
@@ -403,35 +398,35 @@ def delta_field(scenario: Scenario, s: float, eps: float,
 def relative_velocity(scenario: Scenario, s: float, eps: float,
                       cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> np.ndarray:
     """Relative velocity: back-transported V_2 minus V_1 at x_1(s)."""
-    return np.array(_Ladder(scenario, (eps,), cfg).delta_v(s)[0])
+    return np.array(_Ladder(scenario, (eps,), (s,), cfg).delta_v(s)[0])
 
 
 def relative_acceleration(scenario: Scenario, s: float, eps: float,
                           cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> np.ndarray:
     """Relative acceleration: back-transported F_s(r'') minus F_s(r'),
     using that the particle accelerations are values of the force field."""
-    return np.array(_Ladder(scenario, (eps,), cfg).delta_a(s)[0])
+    return np.array(_Ladder(scenario, (eps,), (s,), cfg).delta_a(s)[0])
 
 
 def momentum(scenario: Scenario, which: int, s: float, eps: float = 0.0) -> np.ndarray:
     """Particle momentum ``p_a = mu_a V_a`` at x_a(s): ``_Ladder.p1`` or ``momenta``."""
     if which not in (1, 2):
         raise ValueError("particle index must be 1 or 2")
-    ladder = _Ladder(scenario, (eps,), DEFAULT_ODE_CONFIG)
+    ladder = _Ladder(scenario, (eps,), (s,), DEFAULT_ODE_CONFIG)
     return np.array(ladder.p1(s) if which == 1 else ladder.momenta(s)[0])
 
 
 def relative_momentum(scenario: Scenario, s: float, eps: float,
                       cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> np.ndarray:
     """Relative momentum: back-transported p_2 minus p_1 at x_1(s)."""
-    return np.array(_Ladder(scenario, (eps,), cfg).delta_p(s)[0])
+    return np.array(_Ladder(scenario, (eps,), (s,), cfg).delta_p(s)[0])
 
 
 def relative_force(scenario: Scenario, s: float, eps: float,
                    cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> np.ndarray:
     """Covariant difference of the forces ``K(s, r) = mu F_s(r)`` acting on
     the two particles."""
-    return np.array(_Ladder(scenario, (eps,), cfg).delta_k(s)[0])
+    return np.array(_Ladder(scenario, (eps,), (s,), cfg).delta_k(s)[0])
 
 
 def relative_energy(scenario: Scenario, s: float, eps: float,
@@ -444,4 +439,4 @@ def relative_energy(scenario: Scenario, s: float, eps: float,
     """
     if scenario.metric is None:
         raise EvaluationError("relative_energy requires a scenario metric")
-    return float(_Ladder(scenario, (eps,), cfg).energy(s)[0, 0])
+    return float(_Ladder(scenario, (eps,), (s,), cfg).energy(s)[0, 0])

@@ -14,7 +14,7 @@ The same expressions read a point, on floats, or rows, on ``(n,)`` arrays
 of s and r, each ``math`` function taken on the rows in a form that gives
 each entry its bits at a point (``_each``), so that a row's bits are its
 point's bits; so do the mass function and the probe field, which a study
-reads with the surface in one row call each (``kinematics._Ladder.read``).
+reads over its grid in one row call each (``kinematics._Ladder._grid``).
 Every field is stated on a stack (``geometry.ConnectionField``), each row
 with its point's bits.
 

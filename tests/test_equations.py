@@ -30,8 +30,9 @@ LEDGER = json.loads((ROOT / "tests" / "work_counts.json").read_text())
 
 
 def residual_components(eq, scenario, s, eps, cfg=DEFAULT_ODE_CONFIG):
-    """Raw residual of ``eq`` (components, or a scalar for E7_4) on a ladder of one."""
-    return _INFO[eq].residual(_Workspace(scenario, (eps,), cfg), s)[0]
+    """Raw residual of ``eq`` (components, or a scalar for E7_4) on a ladder
+    of one, on the grid ``eq`` declares."""
+    return _INFO[eq].residual(_Workspace(scenario, (eps,), _INFO[eq].pullback_s(s), cfg), s)[0]
 
 
 def test_every_equation_has_info_and_formula():
@@ -103,11 +104,14 @@ def test_stencil_reach_covers_every_surface_evaluation():
     # each residual evaluated its reach inside either end of the s-domain
     # passes every s-domain check that its reads make; at half of it inside
     # either end a read leaves the domain and raises, which the CLI turns
-    # into exit 2.  No reach is declared: each read checks its own s
+    # into exit 2.  Each reach is the declared grid's (_EquationInfo.stencil),
+    # and the study checks every s of the grid once, up front
     sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
     lo, hi = sc.surface.s_domain
     for eq in EquationId:
         reach = REACH[eq]
+        grid = equation_info(eq).pullback_s(S0)
+        assert max(abs(u - S0) for u in grid) == pytest.approx(reach, rel=1e-9, abs=0.0), eq
         for s in (lo + reach, hi - reach):
             assert np.isfinite(residual(eq, sc, s, 0.01).residual_norm)
         if reach > 0:
@@ -151,26 +155,47 @@ def study_grid(sc, equations, s):
     return [(u, r) for u in grid for r in rungs]
 
 
+def data_calls(calls):
+    """``calls`` of a study (``recording_surface``), split into its surface
+    data calls and its order-1 jets calls, the Gauss nodes of its solve."""
+    nodes = [call for call in calls if call[:2] == ("jets", 1)]
+    return [call for call in calls if call[:2] != ("jets", 1)], nodes
+
+
 @pytest.mark.parametrize("family", family_names())
 def test_study_reads_each_surface_datum_once(family):
     # every surface datum at each (s, r) is one datum of a study: an
-    # all-16, default-ladder study reads the surface in one order-2 jets
-    # call on rows, its pull-back grid at r' and at every r'' (_Ladder.read),
-    # each (s, r) once, and the mass, its rate and the probe field in one
-    # call each on the same rows; it reads no point, calls none of the six
-    # accessors, and reads no (s, r) anywhere else: not through a connecting
-    # path's point for the S-tensor or a solve's dimension.  The pull-backs
-    # read their Gauss nodes in order-1 jets calls on rows (along_r)
+    # all-16, default-ladder study reads each datum in one call on rows, its
+    # grid at r' and at every r'' (_Ladder._grid), each (s, r) once, in the
+    # order its formulas first ask for them: the six partials in one order-2
+    # jets call, the mass, its rate and the probe field in one call each; it
+    # reads no point, calls none of the six accessors, and reads no (s, r)
+    # anywhere else: not through a connecting path's point for the S-tensor
+    # or a solve's dimension.  The pull-backs read their Gauss nodes in
+    # order-1 jets calls on rows (along_r), the first of them the first
+    # attempt's 3 nodes on each of the 63 lanes
     sc, calls = build(ScenarioSpec(family, LINEAR_DRIFT_MASSES)), []
     convergence_study(list(EquationId), recording_surface(sc, calls), sc.s_eval,
                       DEFAULT_LADDER)
     rows = study_grid(sc, EquationId, sc.s_eval)
     assert len(set(rows)) == len(rows) == 9 * (1 + len(DEFAULT_LADDER))
-    assert calls[:5] == [("jets", 2, rows), ("mu", 0, rows), ("d_s_mu", 0, rows),
-                         ("probe", 0, rows), ("probe_d_r", 0, rows)]
-    nodes = calls[5:]  # the first attempt's 3 Gauss nodes on each of 63 lanes, then later ones
+    data, nodes = data_calls(calls)
+    assert sorted(data) == sorted([("jets", 2, rows), ("mu", 0, rows), ("d_s_mu", 0, rows),
+                                   ("probe", 0, rows), ("probe_d_r", 0, rows)])
     assert len(nodes[0][2]) == 3 * 9 * len(DEFAULT_LADDER)
-    assert all(datum == "jets" and order == 1 and at for datum, order, at in nodes)
+    assert all(at for _, _, at in nodes)
+
+
+def test_deviation_study_reads_no_mass_or_probe():
+    # the deviation equations read x_1, V_1 and the path tangent d_r and
+    # nothing of the mass or the probe field, so their study calls neither:
+    # each datum is read when a formula first asks for it
+    sc, calls = build(ScenarioSpec("sphere", LINEAR_DRIFT_MASSES)), []
+    deviation = [EquationId.E2_13, EquationId.E4_1, EquationId.E6_3]
+    convergence_study(deviation, recording_surface(sc, calls), sc.s_eval, DEFAULT_LADDER)
+    data, nodes = data_calls(calls)
+    assert data == [("jets", 2, study_grid(sc, deviation, sc.s_eval))]
+    assert nodes
 
 
 def test_floor_detection_on_identically_zero_residual(flat_ruled):
@@ -214,9 +239,9 @@ def test_study_fit_rules_on_constant_and_sparse_ladders(flat_torsion, monkeypatc
              EquationId.E4_5: [2e-3] + floor,            # 1 point
              EquationId.E3_1: [0.0] * 7}                 # none
 
-    def evaluate(equations, workspace, s):
+    def evaluate(equations, scenario, s, ladder, cfg):
         return [[ResidualSample(eq, s, e, v, 0.0)
-                 for e, v in zip(workspace.ladder, norms[eq])] for eq in equations]
+                 for e, v in zip(ladder, norms[eq])] for eq in equations]
 
     monkeypatch.setattr(geodev.equations, "_evaluate", evaluate)
     const, two, one, none = convergence_study(list(norms), flat_torsion, S0,
@@ -283,7 +308,9 @@ def test_e7_1_mu1_and_mu2_forms_differ_second_order():
     sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
 
     def mu1_form_residual(eps):
-        w = _Workspace(sc, (eps,), DEFAULT_ODE_CONFIG)  # a ladder of one
+        # a ladder of one, on E7_1's grid: df_dr differences d_sr at S0 +- H_S
+        w = _Workspace(sc, (eps,), equation_info(EquationId.E7_1).pullback_s(S0),
+                       DEFAULT_ODE_CONFIG)
         mu1, mu2 = w.mu1(S0), w.mu2(S0)[0]
         rhs = ((mu2 - mu1) * w.a1(S0) + mu1 * eps * w.df_dr(S0)
                + mu1 * bilinear(w.s_tensor(S0), w.a1(S0), w.zeta(S0)[0]))
@@ -310,17 +337,17 @@ def test_leibniz_consistency_of_contracted_derivatives(name, params):
     # must agree, which is what makes the equation set mutually consistent
     sc = build(ScenarioSpec(name, params))
     eps = 0.02
-    w = _Workspace(sc, (eps,), DEFAULT_ODE_CONFIG)  # a ladder of one
+    w = _Workspace(sc, (eps,), (S0, S0 + H_S, S0 - H_S), DEFAULT_ODE_CONFIG)  # a ladder of one
 
     t_of = lambda u: torsion_apply(w.torsion(u), w.v1(u), w.zeta(u))
-    lhs = w.cov_fd(t_of, S0, 1e-5)
+    lhs = w.cov_fd(t_of, S0, H_S)
     rhs = (torsion_apply(w.d_torsion(S0), w.v1(S0), w.zeta(S0))
            + torsion_apply(w.torsion(S0), w.a1(S0), w.zeta(S0))
            + torsion_apply(w.torsion(S0), w.v1(S0), w.d_zeta(S0)))
     assert np.abs(lhs - rhs).max() < 1e-9
 
     s_of = lambda u: bilinear(w.s_tensor(u), w.v1(u), w.zeta(u))
-    lhs = w.cov_fd(s_of, S0, 1e-5)
+    lhs = w.cov_fd(s_of, S0, H_S)
     rhs = (bilinear(w.d_s_tensor(S0), w.v1(S0), w.zeta(S0))
            + bilinear(w.s_tensor(S0), w.a1(S0), w.zeta(S0))
            + bilinear(w.s_tensor(S0), w.v1(S0), w.d_zeta(S0)))
@@ -332,11 +359,11 @@ def test_s_term_toggles_with_the_law(flat_torsion, offset_transport):
     # is identically zero; switching to an offset law turns it into the
     # sigma contraction
     eps = 0.02
-    w = _Workspace(flat_torsion, (eps,), DEFAULT_ODE_CONFIG)  # a ladder of one
+    w = _Workspace(flat_torsion, (eps,), (S0,), DEFAULT_ODE_CONFIG)  # a ladder of one
     s_term = bilinear(w.s_tensor(S0), w.v1(S0), w.zeta(S0)[0])
     assert np.all(s_term == 0.0)
 
-    w = _Workspace(offset_transport, (eps,), DEFAULT_ODE_CONFIG)
+    w = _Workspace(offset_transport, (eps,), (S0,), DEFAULT_ODE_CONFIG)
     sigma = np.zeros((2, 2, 2))
     sigma[0, 1, 1] = 0.2
     expected = np.einsum("ijk,j,k->i", sigma, w.v1(S0), w.zeta(S0)[0])
@@ -509,18 +536,23 @@ def test_deviation_study_reads_each_magnus_stack_at_once():
 
 @pytest.mark.parametrize("family", sorted(_CELLS_BY_FAMILY))
 def test_each_equation_reads_pull_backs_at_its_declared_s(family, monkeypatch):
-    # a study solves the pull-backs at the s that its equations declare
-    # (_EquationInfo.stencil) in one solve before the first residual that
-    # reads them; a
-    # formula that read them at another s would add that s to the memo and
-    # solve it alone, a second solve and a second stacked attempt.  Lanes
-    # that go on stepping (exp-transport's widest) add attempts of their own
+    # a study's grid is the s its equations declare (_EquationInfo.stencil):
+    # the s its formulas look up are exactly that grid, no undeclared s and
+    # no declared s left unread, and its one solve, the first time a formula
+    # asks for a pull-back, is along the paths of the whole grid; E3_1 reads
+    # no pull-back and solves none.  Lanes that go on stepping
+    # (exp-transport's widest) add attempts of their own
     workspaces, solves, pullbacks = [], [], geodev.kinematics._pullbacks
 
     class Recorded(_Workspace):
         def __init__(self, *args):
             super().__init__(*args)
+            self.looked_up = set()
             workspaces.append(self)
+
+        def _at(self, s):
+            self.looked_up.add(s)
+            return super()._at(s)
 
     monkeypatch.setattr(geodev.equations, "_Workspace", Recorded)
     monkeypatch.setattr(geodev.kinematics, "_pullbacks",
@@ -533,10 +565,15 @@ def test_each_equation_reads_pull_backs_at_its_declared_s(family, monkeypatch):
             convergence_study([eq], sc, sc.s_eval, DEFAULT_LADDER)
         [w] = workspaces
         declared = equation_info(eq).pullback_s(sc.s_eval)
-        assert [key[1] for key in w._memo if key[0] == "Lh"] == declared, eq
-        assert len(solves) == (1 if declared else 0), eq
+        assert list(w.grid) == declared and w.looked_up == set(declared), eq
+        if eq is EquationId.E3_1:
+            assert solves == [], eq
+        else:
+            [(_, paths, *_)] = solves
+            assert all(path is w.path(u) for path, u in zip(paths, declared)), eq
+            assert len(paths) == len(declared), eq
         assert (counts["stacked_attempts"] == len(solves)) or counts["continued_lanes"], eq
-    assert equation_info(EquationId.E3_1).pullback_s(S0) == []
+    assert equation_info(EquationId.E3_1).pullback_s(S0) == [S0, S0 + H_S, S0 - H_S]
     assert equation_info(EquationId.E6_3).pullback_s(S0) == [
         S0, S0 + 0.01, S0 - 0.01, S0 + 0.01 + 0.01, S0 - 0.01 - 0.01]
 
@@ -580,15 +617,15 @@ def test_an_all_16_study_builds_no_chart_point(name, monkeypatch):
 def test_study_evaluates_base_geometry_once_per_s(monkeypatch):
     # Gamma's partials, R, the force F_s(r') and the metric at x_1(s) depend
     # on (s, r') alone: one memo serves the whole ladder, so a
-    # default-ladder study evaluates them at x_1(s) once, not once per eps.
-    # R is made of the Gamma and dGamma that DT and DF/dr share, so
-    # curvature_at is never called.  The forces F_s(r') and F_s(r'') read
-    # d_ss once at each point, each d_s read serves every reader at its
-    # point (V_1, the momenta, Delta V and the forces): the study's one
-    # order-2 jets call reads each (s, r) once, and E7_4 reads the metric
-    # at x_1(s) and at x_1(s +- H_S) once each
+    # default-ladder study evaluates them at x_1(s) once, not once per eps,
+    # Gamma's partials and the metric each in one stacked call at x_1 of
+    # every s of the study's grid.  R is made of the Gamma and dGamma that
+    # DT and DF/dr share, so curvature_at is never called.  The forces
+    # F_s(r') and F_s(r'') read d_ss once at each point, each d_s read
+    # serves every reader at its point (V_1, the momenta, Delta V and the
+    # forces): the study's one order-2 jets call reads each (s, r) once
     sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
-    calls, reads, surf = [], [], sc.surface
+    calls, stacks, reads, surf = [], [], [], sc.surface
     partials, curvature = ConnectionField.partials, geodev.equations.curvature_at
     matrix = MetricField.matrix
 
@@ -596,6 +633,7 @@ def test_study_evaluates_base_geometry_once_per_s(monkeypatch):
         def call(owner, where, *rest):
             stack = where.coords[None] if isinstance(where, ChartPoint) else where
             calls.extend((name, tuple(x)) for x in stack)
+            stacks.append((name, len(stack)))
             return fn(owner, where, *rest)
         return call
 
@@ -606,19 +644,20 @@ def test_study_evaluates_base_geometry_once_per_s(monkeypatch):
     convergence_study(list(EquationId), recording_surface(sc, reads), S0, DEFAULT_LADDER)
     r1 = surf.r_base
     r2s = tuple(sc.separation_endpoints(eps)[1] for eps in DEFAULT_LADDER)
-    x1 = {s: tuple(surf.map(s, r1)) for s in (S0 - H_S, S0, S0 + H_S)}
+    grid = dict.fromkeys(u for eq in EquationId for u in equation_info(eq).pullback_s(S0))
+    x1 = {s: tuple(surf.map(s, r1)) for s in grid}
     # Gamma's partials are evaluated nowhere else in the study; the
     # metric's partials shift x_1, so the metric is counted at x_1 alone
     geometry = Counter(call for call in calls
                        if call[0] in ("partials", "curvature_at"))
-    assert geometry == {("partials", x1[S0]): 1}
+    assert geometry == {("partials", x): 1 for x in x1.values()}
     [rows] = [at for datum, order, at in reads if order == 2]
     assert [row for row in rows if row[0] == S0] == [(S0, r) for r in (r1, *r2s)]
     assert len(set(rows)) == len(rows) and [datum for datum, order, _ in reads].count("jets") == 2
     at_x1 = Counter(call for call in calls
                     if call[0] == "metric" and call[1] in x1.values())
-    assert at_x1 == {("metric", x1[S0 - H_S]): 1, ("metric", x1[S0]): 1,
-                     ("metric", x1[S0 + H_S]): 1}
+    assert at_x1 == {("metric", x): 1 for x in x1.values()}
+    assert stacks == [("partials", len(grid)), ("metric", len(grid))]
 
 
 @pytest.mark.parametrize("partials,message", [
@@ -638,7 +677,8 @@ def test_bad_analytic_metric_partials_are_named(partials, message):
 def test_base_quantities_are_read_only(flat_torsion):
     # one memo serves every equation of a study, so no residual formula may
     # write into a value that another reads; the sources stay writeable
-    w = _Workspace(flat_torsion, (0.01,), DEFAULT_ODE_CONFIG)  # a ladder of one
+    # a ladder of one, on the grid of the s-differences of d_s_tensor, df_dr and energy
+    w = _Workspace(flat_torsion, (0.01,), (S0, S0 + H_S, S0 - H_S), DEFAULT_ODE_CONFIG)
     for value in (w.surface("d_sr", S0), w.gam(S0), w.dgam(S0), w.a1(S0),
                   w.torsion(S0), w.curvature(S0), w.s_tensor(S0),
                   w.d_torsion(S0), w.d_s_tensor(S0), w.metric(S0),
@@ -654,7 +694,8 @@ def test_base_quantities_are_read_only(flat_torsion):
 def test_study_reads_gamma_at_particle_2_in_one_call_per_s():
     # the relative acceleration and force read F_s(r'') at every eps of the
     # ladder; Gamma at those K points x_2(s) is one stacked read, shared by
-    # both (the law keeps its own reference to the connection, so its reads
+    # both, and Gamma at x_1 of the study's 3 s (s and s +- H_S) one more
+    # (the law keeps its own reference to the connection, so its reads
     # inside the pull-back solves are not recorded here)
     sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
     sizes, gamma_at = [], sc.conn.gamma_at
@@ -665,4 +706,4 @@ def test_study_reads_gamma_at_particle_2_in_one_call_per_s():
 
     recorded = dataclasses.replace(sc, conn=dataclasses.replace(sc.conn, gamma_at=recording))
     convergence_study([EquationId.E6_2, EquationId.E7_1], recorded, S0, DEFAULT_LADDER)
-    assert [n for n in sizes if n > 1] == [len(DEFAULT_LADDER)]
+    assert sorted(n for n in sizes if n > 1) == [3, len(DEFAULT_LADDER)]

@@ -413,7 +413,7 @@ def test_relative_quantities_are_one_pull_back_minus_the_value_at_r1():
     # a study's workspace, which takes F_s(r') and the metric at x_1 from its
     # memo and reads them on its ladder stack, gives the same values on a
     # ladder of one
-    w = _Workspace(sc, (EPS,), DEFAULT_ODE_CONFIG)
+    w = _Workspace(sc, (EPS,), (s0,), DEFAULT_ODE_CONFIG)
     for fn, stacked in ((relative_velocity, w.delta_v), (relative_acceleration, w.delta_a),
                         (relative_momentum, w.delta_p), (relative_force, w.delta_k)):
         assert np.array_equal(stacked(s0)[0], fn(sc, s0, EPS))

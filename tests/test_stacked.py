@@ -121,7 +121,7 @@ def test_along_r_rows_equal_point_jets(name, rng):
 @pytest.mark.parametrize("name", family_names())
 def test_order_2_rows_equal_point_jets(name, rng):
     # a study reads the surface's order-2 jets, the mass, its rate and the
-    # probe field on rows (_Ladder.read), and the public point reads take
+    # probe field on rows (_Ladder._grid), and the public point reads take
     # them at a point: each row of every datum is its point's value bit for
     # bit, at random parameters and (s, r), and at the domains' ends and
     # both zeros in s and in r
@@ -545,9 +545,9 @@ def test_each_lane_of_a_ladder_is_its_ladder_of_one(name):
     # lane is computed bit for bit as its separation alone would be
     sc = build(ScenarioSpec(name, LINEAR_DRIFT_MASSES))
     cfg, s = transport.DEFAULT_ODE_CONFIG, sc.s_eval
-    stacked = ladder_quantities(_Ladder(sc, DEFAULT_LADDER, cfg), s)
+    stacked = ladder_quantities(_Ladder(sc, DEFAULT_LADDER, (s,), cfg), s)
     for k, eps in enumerate(DEFAULT_LADDER):
-        alone = ladder_quantities(_Ladder(sc, (eps,), cfg), s)
+        alone = ladder_quantities(_Ladder(sc, (eps,), (s,), cfg), s)
         assert alone.keys() == stacked.keys()
         for key, value in alone.items():
             assert np.array_equal(stacked[key][k], value[0]), (key, eps)
