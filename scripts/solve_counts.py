@@ -25,11 +25,10 @@ attempt of a lane), ``attempted_steps`` (summed over the lanes),
 attempt's read in one stacked call: 3 per lane of an attempt) and
 ``continued_lanes`` (lanes that their first attempt did not
 finish and that go on stepping).  The same counters give the surface work,
-its calls of the family's ``jets`` (``WorldSurface.read``): ``jets_calls``,
-its calls at a point by the order they ask for (none in a study), and
-``surface_stacks`` and ``surface_stack_points``, its calls on rows and the
-rows they evaluate: one per Magnus attempt, which reads the Gauss nodes of
-all its connecting paths at once, and one per study, which reads the six
+its calls of the family's ``jets`` (``WorldSurface.read``), all on rows:
+``surface_stacks`` and ``surface_stack_points``, its calls and the rows
+they evaluate: one per Magnus attempt, which reads the Gauss nodes of all
+its connecting paths at once, and one per study, which reads the six
 partials at r' and at every r'' of each s its equations declare in one
 order-2 call when a formula first asks for one (``kinematics._Ladder``'s
 grid reads).  They also give
@@ -122,8 +121,6 @@ def counted(work) -> dict:
     with transport.work_counts() as work_done:
         work_done.update(call_counts(work))
     counts = {key: work_done[key] for key in WORK_KEYS}
-    counts["jets_calls"] = {str(order): work_done[f"jets_order_{order}"]
-                            for order in (1, 2) if work_done[f"jets_order_{order}"]}
     counts.update((key, work_done[key]) for _, _, key in WORK_CALLS)
     return counts
 

@@ -357,8 +357,7 @@ def _latitude_points(thetas: np.ndarray, ts: np.ndarray):
 
 
 def _latitude_path(theta0: float) -> PathCurve:
-    return PathCurve(lambda t: (np.array([theta0, t]), np.array([0.0, 1.0])),
-                     (0.0, 2.0 * math.pi), along=(_latitude_points, theta0))
+    return PathCurve(_latitude_points, theta0, (0.0, 2.0 * math.pi))
 
 
 # the flags each --what reads; the first one, when given, excludes the rest

@@ -4,7 +4,9 @@ tensor components along a curve.
 
 Everything lives in a single global chart of dimension ``d``: a vector is a
 ``(d,)`` array of components and a tensor a ``(d,) * (p + q)`` array, upper
-indices first.
+indices first.  Fields and paths are read on stacks only: a connection or
+metric field on an ``(n, d)`` stack of coordinates, a path on a stack of
+parameters (``read_points``), a point being a row of one.
 
 Index convention, fixed for the whole package::
 
@@ -180,27 +182,20 @@ class MetricField:
 
 @dataclass(frozen=True)
 class PathCurve:
-    """A C^1 path in the chart over ``domain``, stated once as ``jets(u) ->
-    (coords, velocity)``, read at one u, point and velocity checked, by ``map``
-    and ``tangent``, and at a stack of u by ``points`` (``read_points``).  A
-    path that is the line ``key`` of a family whose ``read(keys, us)`` gives
-    the same values at one key per row states ``along = (read, key)``."""
+    """A C^1 path in the chart over ``domain``: the line ``key`` of a family
+    whose ``read(keys, us)`` gives ``(coords, velocity)``, ``(n, d)`` each, at
+    one key and one parameter per row.  ``points`` reads a stack of u
+    (``read_points``); ``map`` and ``tangent`` are row 0 of ``points([u])``."""
 
-    jets: Callable[[float], Tuple[np.ndarray, np.ndarray]]
+    read: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
+    key: float
     domain: Tuple[float, float]
-    along: Optional[Tuple[Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]],
-                          float]] = None
-
-    def _jet(self, u: float) -> Tuple[ChartPoint, np.ndarray]:
-        coords, velocity = self.jets(u)
-        point = ChartPoint(coords)
-        return point, checked_array(velocity, point.coords.shape, "tangent components", point)
 
     def map(self, u: float) -> ChartPoint:
-        return self._jet(u)[0]
+        return ChartPoint(self.points([u])[0][0])
 
     def tangent(self, u: float) -> np.ndarray:
-        return self._jet(u)[1]
+        return self.points([u])[1][0]
 
     def points(self, us) -> Tuple[np.ndarray, np.ndarray]:
         """``read_points([(self, us)])``."""
@@ -223,19 +218,15 @@ def _checked_points(coords, velocity) -> Tuple[np.ndarray, np.ndarray]:
 
 def read_points(reads) -> Tuple[np.ndarray, np.ndarray]:
     """(coords, velocity), ``(n, d)`` each, at the nodes ``us`` of each
-    ``(path, us)`` of ``reads``, stacked in order, bit for bit as ``jets``:
-    each run of paths of one family (``PathCurve.along``) in one ``read``
-    call with one key per row, and every other path by its ``jets`` at each
-    node.  The stack is checked once: a bad entry raises the error of
-    ``map`` or ``tangent`` at its parameter."""
+    ``(path, us)`` of ``reads``, stacked in order: each run of paths of one
+    family (one ``PathCurve.read``) in one call with one key per row.  The
+    stack is checked once: a bad entry raises the error of ``map`` or
+    ``tangent`` at its parameter."""
     parts = []
-    for read, run in itertools.groupby(reads, lambda pair: pair[0].along and pair[0].along[0]):
+    for read, run in itertools.groupby(reads, lambda pair: pair[0].read):
         run = list(run)
-        if read is None:
-            parts.append(tuple(zip(*(path.jets(u) for path, us in run for u in us))))
-        else:
-            keys = np.array([path.along[1] for path, us in run for _ in us])
-            parts.append(read(keys, np.array([u for _, us in run for u in us], dtype=float)))
+        keys = np.array([path.key for path, us in run for _ in us])
+        parts.append(read(keys, np.array([u for _, us in run for u in us], dtype=float)))
     return _checked_points(*(parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))))
 
 

@@ -8,10 +8,11 @@ particle 2's data backward along ``gamma_s`` to particle 1 and subtract:
     Delta B_21 = L_{r'' -> r'} B(x_2) - B(x_1).
 
 B is one surface datum, read at (s, r') and (s, r'') of every s of a grid
-in one row call (``_Ladder._grid``).  The separation ``eps = r'' - r'`` is
-the experiment knob: the surface is held fixed and ``eps`` shrinks along a
-ladder, which is what turns the "up to second order" claims into
-measurable slopes.
+in one row call (``_Ladder._grid``); the surface, mass, probe field and
+paths are read on rows only, a point being a row of one.  The separation
+``eps = r'' - r'`` is the experiment knob: the surface is held fixed and
+``eps`` shrinks along a ladder, which is what turns the "up to second
+order" claims into measurable slopes.
 """
 
 from __future__ import annotations
@@ -60,14 +61,13 @@ _Point = Optional[Callable[[float, float], np.ndarray]]
 @dataclass(frozen=True)
 class WorldSurface:
     """Two-parameter worldline surface, stated once by ``jets(s, r,
-    order)``: the chart point and its first partials ``(x, x_s, x_r)``, at
-    order 2 also ``(x_ss, x_sr, x_rr)``, ``(d,)`` each on floats or ``(n,
-    d)`` on ``(n,)`` rows, a row's bits its point's.  ``read`` calls it; the
-    accessors ``map`` ... ``d_rr``, one point ``read`` each, and
-    ``along_r`` derive from it, and an accessor passed in is kept (a tracer
-    wraps them; ``dataclasses.replace`` passes on the derived ones, which
-    read the old ``jets``).  ``r_base`` is the r-parameter of the first
-    worldline."""
+    order)`` on ``(n,)`` rows of s and r: the chart points and their first
+    partials ``(x, x_s, x_r)``, at order 2 also ``(x_ss, x_sr, x_rr)``, ``(n,
+    d)`` each.  ``read`` calls it; the accessors ``map`` ... ``d_rr``, each
+    row 0 of a ``read`` of one row, and ``along_r`` derive from it, and an
+    accessor passed in is kept (a tracer wraps them; ``dataclasses.replace``
+    passes on the derived ones, which read the old ``jets``).  ``r_base`` is
+    the r-parameter of the first worldline."""
 
     jets: Callable[..., Tuple[np.ndarray, ...]]
     s_domain: Tuple[float, float]
@@ -83,20 +83,19 @@ class WorldSurface:
     def __post_init__(self):
         for i, name in enumerate(_PARTIALS):
             if getattr(self, name) is None:
-                object.__setattr__(self, name, lambda s, r, i=i: self.read(s, r, 1 + i // 3)[i])
+                object.__setattr__(self, name, lambda s, r, i=i: self.read(
+                    np.array([s], float), np.array([r], float), 1 + i // 3)[i][0])
 
-    def read(self, s, r, order: int) -> Tuple[np.ndarray, ...]:
-        """``jets(s, r, order)``, counted in ``transport.work_counts``: at a point in
-        ``jets_order_<order>``, on rows in ``surface_stacks`` and ``surface_stack_points``."""
-        if (counts := _COUNTS.get()) is not None and isinstance(r, np.ndarray):
+    def read(self, s: np.ndarray, r: np.ndarray, order: int) -> Tuple[np.ndarray, ...]:
+        """``jets(s, r, order)``, counted in ``transport.work_counts`` as one
+        of ``surface_stacks`` and ``len(r)`` of ``surface_stack_points``."""
+        if (counts := _COUNTS.get()) is not None:
             counts.update(surface_stacks=1, surface_stack_points=len(r))
-        elif counts is not None:
-            counts[f"jets_order_{order}"] += 1
         return self.jets(s, r, order)
 
     def along_r(self, s: np.ndarray, rs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(map, d_r)`` at the (s, r) rows of ``s`` and ``rs``: the family
-        read (``PathCurve.along``) of the connecting paths."""
+        """``(map, d_r)`` at the (s, r) rows of ``s`` and ``rs``: the ``read``
+        of every connecting path, one key s per row."""
         x, _, x_r = self.read(s, rs, 1)
         return x, x_r
 
@@ -110,7 +109,7 @@ class WorldSurface:
 @dataclass(frozen=True)
 class MassSurface:
     """Nonvanishing C^1 mass function over the surface parameters, and its
-    s-rate, on floats or ``(n,)`` rows as ``WorldSurface.jets``."""
+    s-rate, ``(n,)`` on rows as ``WorldSurface.jets``."""
 
     mu: Callable[[float, float], float]
     d_s_mu: Callable[[float, float], float]
@@ -119,8 +118,8 @@ class MassSurface:
 @dataclass(frozen=True)
 class SurfaceField:
     """A vector field over the surface parameters with an analytic
-    r-partial, on floats or ``(n,)`` rows as ``WorldSurface.jets``: the
-    probe field B of the generic first-order expansion check."""
+    r-partial, ``(n, d)`` on rows as ``WorldSurface.jets``: the probe field
+    B of the generic first-order expansion check."""
 
     value: Callable[[float, float], np.ndarray]
     d_r: Callable[[float, float], np.ndarray]
@@ -152,20 +151,20 @@ class Scenario:
 
 
 def connecting_path(scenario: Scenario, s: float) -> PathCurve:
-    """The path ``gamma_s: r -> gamma(s, r)`` joining the two particles, a
-    line of ``along_r``, each node one ``read`` at order 1."""
+    """The path ``gamma_s: r -> gamma(s, r)`` joining the two particles, the
+    line s of ``along_r``."""
     surf = scenario.surface
     surf.require_s(s)
-    return PathCurve(lambda r: surf.read(s, r, 1)[::2], surf.r_domain, along=(surf.along_r, s))
+    return PathCurve(surf.along_r, s, surf.r_domain)
 
 
 def worldline(scenario: Scenario, which: int, eps: float = 0.0) -> PathCurve:
     """Worldline of particle 1 (r = r') or 2 (r = r' + eps) as a path in s,
-    each node one ``read`` at order 1; its tangent is the particle velocity."""
+    read at order 1; its tangent is the particle velocity."""
     if which not in (1, 2):
         raise ValueError("particle index must be 1 or 2")
     r, surf = scenario.separation_endpoints(eps)[which - 1], scenario.surface
-    return PathCurve(lambda s: surf.read(s, r, 1)[:2], surf.s_domain)
+    return PathCurve(lambda rs, ss: surf.read(ss, rs, 1)[:2], r, surf.s_domain)
 
 
 def force_field(scenario: Scenario, s: float, r: float) -> np.ndarray:

@@ -10,13 +10,13 @@ registered families, which keeps every analytic partial exact.
 A surface family states its surface once, as the ``jets(s, r, order)`` of
 its WorldSurface: the point and its first partials, and at order 2 also its
 second partials, the order-1 part computed first and alike at either order.
-The same expressions read a point, on floats, or rows, on ``(n,)`` arrays
-of s and r, each ``math`` function taken on the rows in a form that gives
-each entry its bits at a point (``_each``), so that a row's bits are its
-point's bits; so do the mass function and the probe field, which a study
-reads over its grid in one row call each (``kinematics._Ladder._grid``).
-Every field is stated on a stack (``geometry.ConnectionField``), each row
-with its point's bits.
+Every read is on rows: s and r are ``(n,)`` arrays, and a point is a row of
+one.  Each function is NumPy's where its entries carry ``math``'s bits, and
+``math``'s on each entry where they do not (``_each``), so that a row's bits
+do not depend on the rows read with it; so do the mass function and the
+probe field, which a study reads over its grid in one row call each
+(``kinematics._Ladder._grid``).  Every field is stated on a stack
+(``geometry.ConnectionField``).
 
 Family structure matrix (enforced by tests):
 
@@ -121,13 +121,13 @@ _PROBE_ROWS = np.array([
 def _probe_field(dim: int) -> SurfaceField:
     rows = _PROBE_ROWS[:dim]
 
-    def value(s, r) -> np.ndarray:  # s and r as (1,) at a point, (n, 1) on rows
-        s, r = np.asarray(s)[..., None], np.asarray(r)[..., None]
+    def value(s, r) -> np.ndarray:  # (n, dim) on (n,) rows
+        s, r = s[:, None], r[:, None]
         return (rows[:, 0] + rows[:, 1] * s + rows[:, 2] * r
                 + rows[:, 3] * r * r + rows[:, 4] * s * r)
 
     def d_r(s, r) -> np.ndarray:
-        s, r = np.asarray(s)[..., None], np.asarray(r)[..., None]
+        s, r = s[:, None], r[:, None]
         return rows[:, 2] + 2.0 * rows[:, 3] * r + rows[:, 4] * s
 
     return SurfaceField(value=value, d_r=d_r)
@@ -153,33 +153,23 @@ def _identity_metric(dim: int, signature: Optional[np.ndarray] = None) -> Metric
                        partials_at=_repeated(np.zeros((dim, dim, dim))))
 
 
-def _each(fn: Callable[..., float], ufunc: Optional[Callable] = None) -> Callable:
-    """``fn``, a ``math`` function, on floats at a point or on ``(n,)``
-    arrays of rows, so that a row's bits are its point's bits: on rows by
-    ``ufunc``, NumPy's form of ``fn`` where it gives ``fn``'s bits on every
-    entry (``tests/test_stacked.py`` reads rows against points), or else by
-    ``fn`` on each entry (NumPy's ``arccos`` and ``arctan2`` differ from
-    ``math`` in the last bit on some inputs)."""
-    def apply(*args):
-        if not isinstance(args[0], np.ndarray):
-            return fn(*args)
-        if ufunc is not None:
-            return ufunc(*args)
-        return np.array(list(map(fn, *(arg.tolist() for arg in args))))
-    return apply
+def _each(fn: Callable[..., float]) -> Callable[..., np.ndarray]:
+    """``fn``, a ``math`` function, on each entry of ``(n,)`` rows: NumPy's
+    ``arccos`` and ``arctan2`` differ from ``math``'s in the last bit on some
+    inputs, and the recorded outputs are ``math``'s."""
+    return lambda *rows: np.array(list(map(fn, *(row.tolist() for row in rows))))
 
 
-_cos, _sin, _sqrt = _each(math.cos, np.cos), _each(math.sin, np.sin), _each(math.sqrt, np.sqrt)
 _acos, _atan2 = _each(math.acos), _each(math.atan2)
-_square = _each(lambda v: v ** 2, lambda v: np.float_power(v, 2))  # libm pow on each
 
 
-def _vec(r, *components) -> np.ndarray:
-    """A chart vector of its components: floats at a point (float ``r``),
-    ``(d,)``; on rows (an ``(n,)`` array ``r``), ``(n, d)``, where a float
-    component is the same on every row."""
-    if not isinstance(r, np.ndarray):
-        return np.array(components)
+def _square(v: np.ndarray) -> np.ndarray:
+    return np.float_power(v, 2)  # libm pow on each entry, not v * v
+
+
+def _vec(r: np.ndarray, *components) -> np.ndarray:
+    """A chart vector of its components on the ``(n,)`` rows ``r``, ``(n,
+    d)``, where a float component is the same on every row."""
     out = np.empty((len(r), len(components)))
     for i, component in enumerate(components):
         out[:, i] = component
@@ -268,7 +258,7 @@ def _build_flat_torsion(p: Dict[str, float]) -> _Geometry:
 # --------------------------------------------------------------------- sphere
 
 def _inverse(den: Callable[[float], float], th: np.ndarray) -> list:
-    """``1 / den(theta)`` at each theta, with ``math`` as at a point; where
+    """``1 / den(theta)`` at each theta, by ``math`` on each entry; where
     that is infinite (``den`` zero, or too small to invert), DomainError
     names the first such theta."""
     thetas = th.tolist()
@@ -281,14 +271,14 @@ def _inverse(den: Callable[[float], float], th: np.ndarray) -> list:
 def _sphere_connection() -> ConnectionField:
     def gamma_at(coords):
         th, g = coords[:, 0], np.zeros((len(coords), 2, 2, 2))
-        g[:, 0, 1, 1] = -_sin(th) * _cos(th)
+        g[:, 0, 1, 1] = -np.sin(th) * np.cos(th)
         g[:, 1, 0, 1] = g[:, 1, 1, 0] = _inverse(math.tan, th)
         return g
 
     def partials_at(coords):
         th, dg = coords[:, 0], np.zeros((len(coords), 2, 2, 2, 2))
-        dg[:, 0, 1, 1, 0] = -_cos(2.0 * th)
-        inverse = _inverse(lambda t: math.sin(t) ** 2, th)  # sin^2 per entry, as at a point
+        dg[:, 0, 1, 1, 0] = -np.cos(2.0 * th)
+        inverse = _inverse(lambda t: math.sin(t) ** 2, th)  # math's sin^2 on each entry
         dg[:, 1, 0, 1, 0] = dg[:, 1, 1, 0, 0] = np.negative(inverse)
         return dg
 
@@ -298,12 +288,12 @@ def _sphere_connection() -> ConnectionField:
 def _sphere_metric() -> MetricField:
     def g_at(coords):
         g = np.zeros((len(coords), 2, 2))
-        g[:, 0, 0], g[:, 1, 1] = 1.0, _square(_sin(coords[:, 0]))
+        g[:, 0, 0], g[:, 1, 1] = 1.0, _square(np.sin(coords[:, 0]))
         return g
 
     def partials_at(coords):
         dg = np.zeros((len(coords), 2, 2, 2))
-        dg[:, 1, 1, 0] = _sin(2.0 * coords[:, 0])
+        dg[:, 1, 1, 0] = np.sin(2.0 * coords[:, 0])
         return dg
 
     return MetricField(g_at=g_at, partials_at=partials_at)
@@ -317,23 +307,23 @@ def _sphere_surface(tilt: float, accel: float) -> WorldSurface:
     """Family of great circles: the embedded surface is
     cos(f(s)) u(r) + sin(f(s)) w(r) with orthonormal u(r), w(r) and
     f(s) = s + accel s^2/2; chart partials follow by exact chain rules
-    through theta = arccos z, phi = atan2(y, x), on 3-vectors as tuples
-    (of floats at a point, of arrays on rows)."""
+    through theta = arccos z, phi = atan2(y, x), on 3-vectors as tuples of
+    rows."""
     cb, sb = math.cos(tilt), math.sin(tilt)
 
     def jets(s, r, order):
-        cr, sr = _cos(r), _sin(r)
+        cr, sr = np.cos(r), np.sin(r)
         u, w = (cr, sr, 0.0), (-sr * cb, cr * cb, sb)
         du, dw = (-sr, cr, 0.0), (-cr * cb, -sr * cb, 0.0)
         f = s + 0.5 * accel * s * s
         fp = 1.0 + accel * s
-        cf, sf = _cos(f), _sin(f)
+        cf, sf = np.cos(f), np.sin(f)
         x, y, z = _comb(cf, u, sf, w)
         e_f = _comb(-sf, u, cf, w)  # d e / d f
         e_s = (fp * e_f[0], fp * e_f[1], fp * e_f[2])
         e_r = _comb(cf, du, sf, dw)
         rho2 = x * x + y * y
-        sth = _sqrt(rho2)
+        sth = np.sqrt(rho2)
         cth = z
 
         def theta_first(e_a):

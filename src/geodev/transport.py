@@ -242,9 +242,9 @@ def work_counts():
     block counts alone): ``solves`` (lanes), ``generator_evals`` (the nodes
     of the generator reads: 3 per lane of an attempt), ``stacked_attempts``
     (the attempts' stacked computations), ``attempted_steps``,
-    ``continued_lanes``; a surface's ``jets_order_1``, ``jets_order_2``
-    (its calls at a point, by order), ``surface_stacks`` and
-    ``surface_stack_points`` (its calls on rows); and the residual formulas'
+    ``continued_lanes``; a surface's ``surface_stacks`` and
+    ``surface_stack_points`` (its calls, all on rows, and the rows they
+    read); and the residual formulas'
     ``residual_evals`` (one per equation and study) and ``residual_lanes``
     (the separations they cover)."""
     token = _COUNTS.set(Counter())
@@ -254,34 +254,50 @@ def work_counts():
         _COUNTS.reset(token)
 
 
+def _transport(law: TransportLaw, path: PathCurve, s: float, t: float, components,
+               cfg: OdeConfig) -> np.ndarray:
+    """``components`` at ``path(s)``, the identity when None, carried to
+    ``path(t)``, after the checks: s and t in the path's domain, the start
+    read once, the components ``(d,)`` or ``(d, k)`` and finite (an
+    EvaluationError names them), and for t != s the law read at s, since
+    the Gauss nodes never include s: a singular start raises."""
+    path.require(s)
+    path.require(t)
+    coords = path.points([s])[0]
+    d = coords.shape[1]
+    if components is None:
+        y0 = np.eye(d)
+    else:
+        y0 = np.asarray(components, dtype=float)
+        y0 = checked_array(y0, (d, y0.shape[1]) if y0.ndim == 2 and y0.size else (d,),
+                           "initial transport state")
+    if t == s:
+        return y0.copy()
+    law.coefficients([s], path, coords)
+    return _integrate(law, [path], lambda us, m, xdot: m, y0.reshape(d, -1), s, [t],
+                      cfg)[0].reshape(y0.shape)
+
+
 def transport_matrix(law: TransportLaw, path: PathCurve, s: float, t: float,
                      cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> np.ndarray:
     """Transport matrix ``H(t, s; path)`` from parameter ``s`` to ``t``, as a
-    ``(d, d)`` array: the identity carried along by ``transport_components``.
+    ``(d, d)`` array: the identity carried along as ``transport_components``
+    carries its columns.
 
     ``H(s, s)`` is the exact identity (no integration is performed); the
     flow property ``H(t, r) H(r, s) = H(t, s)`` holds within ODE tolerance.
     """
-    path.require(s)
-    eye = np.eye(path.map(s).dimension)
-    return transport_components(law, path, s, t, eye, cfg)
+    return _transport(law, path, s, t, None, cfg)
 
 
 def transport_components(law: TransportLaw, path: PathCurve, s: float, t: float,
                          components: np.ndarray,
                          cfg: OdeConfig = DEFAULT_ODE_CONFIG) -> np.ndarray:
     """Components at ``path(s)`` transported to ``path(t)``: one vector, or
-    the columns of a ``d x k`` array, by one solve of the linear ODE on the
-    ``(d, k)`` block; a copy when ``t == s``.  The Gauss nodes never include
-    s, so the law is read there once as a check: a singular start raises."""
-    path.require(s)
-    path.require(t)
-    y0 = np.asarray(components, dtype=float)
-    if t == s:
-        return y0.copy()
-    law.coefficients([s], path, path.points([s])[0])
-    return _integrate(law, [path], lambda us, m, xdot: m, y0.reshape(len(y0), -1), s, [t],
-                      cfg)[0].reshape(y0.shape)
+    the columns of a ``(d, k)`` array, finite, by one solve of the linear ODE
+    on the ``(d, k)`` block; a copy when ``t == s``.  Components of another
+    shape, or not finite, raise EvaluationError naming them."""
+    return _transport(law, path, s, t, components, cfg)
 
 
 def _pullbacks(law: TransportLaw, paths: Sequence[PathCurve], d: int, s: float,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geodev.geometry import ChartPoint
+from geodev.geometry import ChartPoint, PathCurve
 from geodev.scenarios import ScenarioSpec, build
 from geodev.transport import DEFAULT_ODE_CONFIG, TransportLaw, _pullbacks
 
@@ -19,11 +19,21 @@ def point_law(coeff_at) -> TransportLaw:
     return TransportLaw(lambda us, path, coords: np.array([coeff_at(u, path) for u in us]))
 
 
+def point_path(jets, domain) -> PathCurve:
+    """A PathCurve stated at one parameter, ``jets(u) -> (coords,
+    velocity)``, read at each row of a stack: the path is the only line of
+    its family, its key unread."""
+    def read(keys, us):
+        coords, velocity = zip(*map(jets, us.tolist()))
+        return np.array(coords), np.array(velocity)
+    return PathCurve(read, 0.0, domain)
+
+
 def one_pullback(law, path, s, t, cfg=DEFAULT_ODE_CONFIG):
     """``(L_{t->s}, h)`` of the bare one-lane pull-back solve,
-    ``_pullbacks(law, [path], d, s, [t], cfg)``, d read from the path's
-    jets at s."""
-    pullbacks, h = _pullbacks(law, [path], len(path.jets(s)[0]), s, [t], cfg)
+    ``_pullbacks(law, [path], d, s, [t], cfg)``, d read from the path at
+    s."""
+    pullbacks, h = _pullbacks(law, [path], path.map(s).dimension, s, [t], cfg)
     return pullbacks[0, 0], h[0, 0]
 
 

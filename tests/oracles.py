@@ -14,6 +14,8 @@ from geodev.geometry import ChartPoint, PathCurve
 from geodev.transport import (DEFAULT_ODE_CONFIG, OdeConfig, TransportLaw,
                               transport_matrix)
 
+from conftest import point_path
+
 PROBE_EXTENT = 1e-3  # half-length of the coordinate_probes paths
 PROBE_STEP = 1e-5    # difference step of extract_first_coeff
 
@@ -23,8 +25,7 @@ def coordinate_probes(x: ChartPoint) -> list:
     ``[-PROBE_EXTENT, PROBE_EXTENT]``, one per chart axis; suitable input for
     extract_first_coeff."""
     def probe(ei: np.ndarray) -> PathCurve:
-        return PathCurve(lambda t: (x.coords + t * ei, ei),
-                         (-PROBE_EXTENT, PROBE_EXTENT))
+        return point_path(lambda t: (x.coords + t * ei, ei), (-PROBE_EXTENT, PROBE_EXTENT))
     return [probe(e) for e in np.eye(x.dimension)]
 
 

@@ -125,12 +125,11 @@ SURFACE_ACCESSORS = ("map", "d_s", "d_r", "d_ss", "d_sr", "d_rr")
 
 def recording_surface(sc, calls):
     """``sc`` with its surface's ``jets``, mass and probe field recorded in
-    ``calls`` as ``(datum, order, rows)``, ``rows`` the (s, r) of a call on
-    rows or None at a point, and each of the six accessors raising."""
+    ``calls`` as ``(datum, order, rows)``, ``rows`` the (s, r) of a call,
+    and each of the six accessors raising."""
     def recorded(datum, fn, order=None):
         def call(s, r, *args):
-            rows = list(zip(s.tolist(), r.tolist())) if isinstance(r, np.ndarray) else None
-            calls.append((datum, args[0] if args else order, rows))
+            calls.append((datum, args[0] if args else order, list(zip(s.tolist(), r.tolist()))))
             return fn(s, r, *args)
         return call
 
@@ -169,7 +168,7 @@ def test_study_reads_each_surface_datum_once(family):
     # grid at r' and at every r'' (_Ladder._grid), each (s, r) once, in the
     # order its formulas first ask for them: the six partials in one order-2
     # jets call, the mass, its rate and the probe field in one call each; it
-    # reads no point, calls none of the six accessors, and reads no (s, r)
+    # reads no row of one, calls none of the six accessors, and reads no (s, r)
     # anywhere else: not through a connecting path's point for the S-tensor
     # or a solve's dimension.  The pull-backs read their Gauss nodes in
     # order-1 jets calls on rows (along_r), the first of them the first
@@ -515,18 +514,16 @@ def test_deviation_study_reads_each_magnus_stack_at_once():
     # lanes along each gamma_s, make one stacked attempt whose 147 Gauss
     # nodes, 21 along each path, are read in one stacked surface call, and
     # the surface at the 7 s, at r' and the 7 r'', in one more: no point is
-    # read through the jets (no jets_order_* count), the covariant
-    # differences read x_1, V_1 and d_r from the one surface read, and the
-    # solve takes its dimension from the scenario and reads no path's
-    # start.  A fall-back to per-path, per-node or per-point evaluation
-    # changes these counts, which are the ledger's (deviation_3 of
-    # tests/work_counts.json)
+    # read as a row of one, the covariant differences read x_1, V_1 and d_r
+    # from the one surface read, and the solve takes its dimension from the
+    # scenario and reads no path's start.  A fall-back to per-path,
+    # per-node or per-point evaluation changes these counts, which are the
+    # ledger's (deviation_3 of tests/work_counts.json)
     sc = build(ScenarioSpec("offset-transport", LINEAR_DRIFT_MASSES))
     deviation = [EquationId.E2_13, EquationId.E4_1, EquationId.E6_3]
     with work_counts() as counts:
         convergence_study(deviation, sc, S0, DEFAULT_LADDER)
     ledger = LEDGER["deviation_3"]
-    assert ledger["jets_calls"] == {}
     assert dict(counts) == {key: ledger[key] for key in load_script("solve_counts").WORK_KEYS}
     assert counts["surface_stacks"] == counts["stacked_attempts"] + 1 == 2
     assert counts["generator_evals"] == 3 * counts["solves"]

@@ -11,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodev.errors import EvaluationError, NullVectorError
-from geodev.geometry import (ChartPoint, ConnectionField, MetricField, PathCurve,
-                             checked_array, cov_tensor_components, curvature_at,
-                             metric_dot, sign_of_square, torsion_at)
+from geodev.geometry import (ChartPoint, ConnectionField, MetricField, checked_array,
+                             cov_tensor_components, curvature_at, metric_dot,
+                             sign_of_square, torsion_at)
 from geodev.scenarios import (_constant_connection, _identity_metric, _repeated,
                               _sphere_metric, _zero_connection)
 
-from conftest import stacked
+from conftest import point_path, stacked
 
 H_S = 1e-5  # step of the tests' central differences in s
 
@@ -65,7 +65,7 @@ def minkowski_metric():
 def line_path(start, direction, domain=(-1.0, 1.0)):
     start = np.array(start, float)
     direction = np.array(direction, float)
-    return PathCurve(lambda s: (start + s * direction, direction), domain)
+    return point_path(lambda s: (start + s * direction, direction), domain)
 
 
 # ---------------------------------------------------------------- base types
@@ -110,8 +110,8 @@ def test_finiteness_check_is_exact(shape):
 def test_tangent_dimension_mismatch():
     # a path velocity of the wrong shape, or a non-finite one, is named
     for velocity in ([1.0, 0.0, 0.0], [1.0, math.nan]):
-        path = PathCurve(lambda u, v=np.array(velocity): (np.array([u, 0.0]), v),
-                         (-1.0, 1.0))
+        path = point_path(lambda u, v=np.array(velocity): (np.array([u, 0.0]), v),
+                          (-1.0, 1.0))
         with pytest.raises(EvaluationError, match="tangent components"):
             path.tangent(0.0)
     # so is a vector of the wrong dimension or rank given to the metric
@@ -151,8 +151,8 @@ def test_concurrent_path_reads_get_their_own_parameters_values():
     # point and velocity of their own parameter, never another thread's; the
     # velocity depends on u, so a read mixed up between threads shows in
     # either array
-    path = PathCurve(lambda u: (np.array([0.3 + u, -0.2 + u * u]),
-                                np.array([1.0, 2.0 * u])), (-1.0, 1.0))
+    path = point_path(lambda u: (np.array([0.3 + u, -0.2 + u * u]),
+                                 np.array([1.0, 2.0 * u])), (-1.0, 1.0))
     params = [-0.5, -0.2, 0.1, 0.4]
     expected = {u: ((0.3 + u, -0.2 + u * u), (1.0, 2.0 * u)) for u in params}
     errors = []

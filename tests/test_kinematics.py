@@ -27,6 +27,11 @@ from test_geometry import zero_connection
 EPS = 0.05
 
 
+def mass_at(sc, s: float, r: float) -> float:
+    """The scenario's mass at (s, r): its read of one row."""
+    return sc.mass.mu(np.array([s]), np.array([r])).item()
+
+
 def close(a, b, tol) -> bool:
     """Whether two coordinate arrays have one shape and entries within tol."""
     return a.shape == b.shape and bool(np.all(np.abs(a - b) <= tol))
@@ -35,9 +40,9 @@ def close(a, b, tol) -> bool:
 def simple_flat_scenario(map_fn, d_s, d_r, d_ss=None, d_sr=None, d_rr=None,
                          metric=None, mass=None, label="test"):
     """The zero connection on a flat chart, and the surface whose jets are
-    the components that ``map_fn(s, r)``, ..., ``d_rr(s, r)`` give, on
-    floats at a point or on ``(n,)`` rows (a second partial left out is
-    zero); unit masses unless ``mass`` is given."""
+    the components that ``map_fn(s, r)``, ..., ``d_rr(s, r)`` give on
+    ``(n,)`` rows, a float component the same on every row (a second
+    partial left out is zero); unit masses unless ``mass`` is given."""
     dim = len(map_fn(0.0, 0.0))
     zero = lambda s, r: (0.0,) * dim
     partials = (map_fn, d_s, d_r, d_ss or zero, d_sr or zero, d_rr or zero)
@@ -136,15 +141,17 @@ def test_path_tangent_base_consistency(sphere):
 
 
 def test_a_path_node_is_one_order_1_jets_call():
-    # a connecting path's or a worldline's node is one jets call at order 1,
-    # whose point and r- or s-partial it reads
+    # a connecting path's or a worldline's map and tangent at a node are each
+    # one jets call at order 1 on a row of one, whose point and r- or
+    # s-partial they read
     sc = build(ScenarioSpec("sphere", {"accel": 0.3}))
     surf, s, r = sc.surface, 0.1, sc.surface.r_base + EPS
-    for path, u, (x, v) in ((connecting_path(sc, s), r, surf.jets(s, r, 1)[::2]),
-                            (worldline(sc, 2, EPS), s, surf.jets(s, r, 1)[:2])):
+    row = [x[0] for x in surf.jets(np.array([s]), np.array([r]), 1)]
+    for path, u, (x, v) in ((connecting_path(sc, s), r, row[::2]),
+                            (worldline(sc, 2, EPS), s, row[:2])):
         with work_counts() as counts:
             point, tangent = path.map(u), path.tangent(u)
-        assert counts == {"jets_order_1": 2}
+        assert counts == {"surface_stacks": 2, "surface_stack_points": 2}
         assert np.array_equal(point.coords, x) and np.array_equal(tangent, v)
 
 
@@ -391,14 +398,14 @@ def test_delta_field_rejects_bad_field_components(sphere, value, message):
 def test_relative_quantities_are_one_pull_back_minus_the_value_at_r1():
     sc = build(ScenarioSpec("offset-transport",
                             {"accel": 0.3, **LINEAR_DRIFT_MASSES}))
-    s0, surf, mass = 0.1, sc.surface, sc.mass
+    s0, surf = 0.1, sc.surface
     r1, r2 = sc.separation_endpoints(EPS)
     pull = back_transport(sc, s0, EPS)[0]
     fields = {
         relative_velocity: surf.d_s,
         relative_acceleration: lambda s, r: force_field(sc, s, r),
-        relative_momentum: lambda s, r: mass.mu(s, r) * surf.d_s(s, r),
-        relative_force: lambda s, r: (mass.mu(s, r)
+        relative_momentum: lambda s, r: mass_at(sc, s, r) * surf.d_s(s, r),
+        relative_force: lambda s, r: (mass_at(sc, s, r)
                                       * force_field(sc, s, r)),
     }
     for fn, field in fields.items():
@@ -406,7 +413,7 @@ def test_relative_quantities_are_one_pull_back_minus_the_value_at_r1():
         assert np.array_equal(fn(sc, s0, EPS), by_hand)
     x1 = ChartPoint(surf.map(s0, r1))
     v1 = surf.d_s(s0, r1)
-    pulled_p2 = pull @ (mass.mu(s0, r2) * surf.d_s(s0, r2))
+    pulled_p2 = pull @ (mass_at(sc, s0, r2) * surf.d_s(s0, r2))
     by_hand = (sign_of_square(sc.metric, x1, v1)
                * metric_dot(sc.metric, x1, pulled_p2, v1))
     assert relative_energy(sc, s0, EPS) == by_hand
@@ -429,11 +436,11 @@ def test_relative_velocity_equals_delta_of_velocity_field(sphere):
 def test_relative_quantities_equal_delta_of_their_fields(sphere_accel):
     sc = build(ScenarioSpec("offset-transport", {"accel": 0.3},
                             s_eval=0.1))
-    surf, mass = sc.surface, sc.mass
+    surf = sc.surface
     cases = {
         relative_acceleration: lambda s, r: force_field(sc, s, r),
-        relative_momentum: lambda s, r: mass.mu(s, r) * surf.d_s(s, r),
-        relative_force: lambda s, r: (mass.mu(s, r)
+        relative_momentum: lambda s, r: mass_at(sc, s, r) * surf.d_s(s, r),
+        relative_force: lambda s, r: (mass_at(sc, s, r)
                                       * force_field(sc, s, r)),
     }
     for direct_fn, field in cases.items():
@@ -465,8 +472,8 @@ def test_momentum_and_exact_identity():
     sc = build(ScenarioSpec("sphere", {"mass_drift_s": 0.2,
                                        "mass_drift_r": 0.3}))
     s0, eps = 0.1, 0.12
-    mu1 = sc.mass.mu(s0, sc.surface.r_base)
-    mu2 = sc.mass.mu(s0, sc.surface.r_base + eps)
+    mu1 = mass_at(sc, s0, sc.surface.r_base)
+    mu2 = mass_at(sc, s0, sc.surface.r_base + eps)
     p1 = momentum(sc, 1, s0, eps)
     assert np.allclose(p1, mu1 * sc.surface.d_s(s0, sc.surface.r_base))
     dp = relative_momentum(sc, s0, eps)

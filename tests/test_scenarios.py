@@ -87,23 +87,24 @@ def test_r_base_override():
 
 def test_surface_jets_evaluated_once_per_point():
     # each accessor derived from a surface's jets is one jets call at its
-    # point, at its own order, counted by order in work_counts
+    # point, a row of one, at its own order, counted in work_counts
     calls = []
 
     def jets(s, r, order):
-        calls.append((s, r, order))
-        return tuple(np.full(2, i + s + r) for i in range(3 * order))
+        calls.append((s.tolist(), r.tolist(), order))
+        return tuple(np.column_stack([i + s + r] * 2) for i in range(3 * order))
 
     surf = WorldSurface(jets, s_domain=(-1.0, 1.0), r_domain=(-1.0, 1.0))
     with work_counts() as counts:
         first = [f(0.25, 0.5) for f in (surf.map, surf.d_s, surf.d_r)]
-        assert calls == [(0.25, 0.5, 1)] * 3  # order-1 reads never ask for order 2
+        assert calls == [([0.25], [0.5], 1)] * 3  # order-1 reads never ask for order 2
         second = [f(0.25, 0.5) for f in (surf.d_ss, surf.d_sr, surf.d_rr)]
-    assert calls[3:] == [(0.25, 0.5, 2)] * 3
-    assert counts == {"jets_order_1": 3, "jets_order_2": 3}
-    assert [v[0] for v in first + second] == [0.75, 1.75, 2.75, 3.75, 4.75, 5.75]
+    assert calls[3:] == [([0.25], [0.5], 2)] * 3
+    assert counts == {"surface_stacks": 6, "surface_stack_points": 6}
+    assert [v.tolist() for v in first + second] == [[v, v] for v in (0.75, 1.75, 2.75,
+                                                                     3.75, 4.75, 5.75)]
     assert surf.d_r(0.125, 0.5)[0] == 2.625
-    assert calls[6:] == [(0.125, 0.5, 1)]
+    assert calls[6:] == [([0.125], [0.5], 1)]
 
 
 @pytest.mark.parametrize("name", ALL_FAMILIES)
@@ -118,7 +119,7 @@ def test_order_one_jets_equal_the_first_order_two_jets(name):
                         if key == "dim" else rng.uniform(spec["min"], spec["max"]))
                   for key, spec in schema.items()}
         surf = build(ScenarioSpec(name, params)).surface
-        s, r = rng.uniform(*surf.s_domain), rng.uniform(*surf.r_domain)
+        s, r = rng.uniform(*surf.s_domain, 8), rng.uniform(*surf.r_domain, 8)
         order_1, order_2 = surf.jets(s, r, 1), surf.jets(s, r, 2)
         assert len(order_1) == 3 and all(map(np.array_equal, order_1, order_2[:3]))
 
@@ -366,26 +367,26 @@ def test_mass_and_metric_invariants_on_probe_grid(name):
     sc = build(ScenarioSpec(name, LINEAR_DRIFT_MASSES))
     rng = np.random.default_rng(5)
     h = 1e-6
-    for _ in range(100):
-        s = rng.uniform(*sc.surface.s_domain)
-        r = rng.uniform(*sc.surface.r_domain)
-        assert abs(sc.mass.mu(s, r)) > 0.5
-        fd = (sc.mass.mu(s + h, r) - sc.mass.mu(s - h, r)) / (2 * h)
-        assert abs(fd - sc.mass.d_s_mu(s, r)) < 1e-8
-        coords = sc.surface.map(s, r)[None]
-        g = sc.metric.matrix(coords)  # validates symmetry and nondegeneracy
-        assert np.all(np.isfinite(g))
-        gamma = sc.conn.coefficients(coords)
-        assert np.all(np.isfinite(gamma))
+    s = rng.uniform(*sc.surface.s_domain, 100)
+    r = rng.uniform(*sc.surface.r_domain, 100)
+    assert np.all(np.abs(sc.mass.mu(s, r)) > 0.5)
+    fd = (sc.mass.mu(s + h, r) - sc.mass.mu(s - h, r)) / (2 * h)
+    assert np.all(np.abs(fd - sc.mass.d_s_mu(s, r)) < 1e-8)
+    coords = sc.surface.jets(s, r, 1)[0]
+    g = sc.metric.matrix(coords)  # validates symmetry and nondegeneracy
+    assert np.all(np.isfinite(g))
+    gamma = sc.conn.coefficients(coords)
+    assert np.all(np.isfinite(gamma))
 
 
 @pytest.mark.parametrize("name", ALL_FAMILIES)
 def test_probe_field_r_partial(name):
     sc = build(ScenarioSpec(name))
     h = 1e-6
-    for (s, r) in ((0.1, 0.05), (-0.2, -0.1)):
-        fd = (sc.probe_field.value(s, r + h) - sc.probe_field.value(s, r - h)) / (2 * h)
-        assert np.abs(fd - sc.probe_field.d_r(s, r)).max() < 1e-8
+    s, r = np.array([0.1, -0.2]), np.array([0.05, -0.1])
+    fd = (sc.probe_field.value(s, r + h) - sc.probe_field.value(s, r - h)) / (2 * h)
+    assert fd.shape == (2, sc.dimension)
+    assert np.abs(fd - sc.probe_field.d_r(s, r)).max() < 1e-8
 
 
 def test_sphere_chart_stays_away_from_poles():

@@ -1,13 +1,16 @@
-"""Stacked evaluation of the transport nodes against the point reads.
+"""Stacked evaluation of the transport nodes against reads of one row.
 
 A Magnus attempt reads all its Gauss nodes in one ``geometry.read_points``
-and one ``TransportLaw.coefficients`` call per path; where a path is a line
-of a family (the surfaces' connecting paths, the latitude circles), the
-family's row read must give ``map`` and ``tangent`` bit for bit; a law's
+and one ``TransportLaw.coefficients`` call per path, every path a line of a
+family read on rows (the surfaces' connecting paths, the latitude circles,
+a test's path stated at a point): each row of a many-row read must be its
+read of one row, which ``map`` and ``tangent`` are, bit for bit, and so must
+each row of the surface's, the mass's and the probe field's reads; a law's
 stack must equal its stacks of one, and so must each connection and metric
 field's, the sphere's fields their closed forms at each point, and the
-errors of a bad node or row must be the point reads' errors at that node.  The relative quantities of a ladder of separations must equal,
-lane by lane, those of its ladders of one.
+errors of a bad node or row must be the errors of its read of one row.  The
+relative quantities of a ladder of separations must equal, lane by lane,
+those of its ladders of one.
 """
 
 import math
@@ -26,7 +29,7 @@ from geodev.scenarios import (LINEAR_DRIFT_MASSES, ScenarioSpec, _repeated, buil
                               family_names, list_scenarios)
 from geodev.transport import TransportLaw, law_from_connection, transport_matrix
 
-from conftest import one_pullback, point_law
+from conftest import one_pullback, point_law, point_path
 from generic_cell import LABEL as GENERIC, generic_scenario
 from oracles import coordinate_probes
 from test_transport import point_coefficients, record_rhs_calls
@@ -59,7 +62,8 @@ def stack_of(path, rng, n=21):
 
 
 def point_reads(path, us):
-    """(coords, velocity) from ``map`` and ``tangent`` at each of ``us``."""
+    """(coords, velocity) from ``map`` and ``tangent`` at each of ``us``: a
+    read of one row each."""
     return (np.array([path.map(u).coords for u in us]),
             np.array([path.tangent(u) for u in us]))
 
@@ -68,7 +72,9 @@ def point_reads(path, us):
 def test_points_equal_map_and_tangent(name, rng):
     # every built-in family, 4-d minkowski and flat 3- and 4-d charts
     # included, at its defaults and at random parameters, reads its
-    # connecting paths through its surface's row read
+    # connecting paths and worldlines through its surface's row read: each
+    # row of a many-row read is the path's map and tangent there, its reads
+    # of one row
     for sc in random_scenarios(name, rng):
         assert sc.surface.along_r is not None
         for path in family_paths(sc, rng):
@@ -87,16 +93,16 @@ def same_bits(got, expected) -> bool:
 
 
 def families(name, rng):
-    """(read, point jets, keys, u domain, d) of a family of paths: the
+    """(read, path of a key, keys, u domain, d) of a family of paths: the
     connecting paths of the scenario ``name`` at its defaults and at random
     parameters (keys in s), or the latitude circles (keys in theta)."""
     if name == "latitude":
-        yield (_latitude_points, lambda theta, t: _latitude_path(theta).jets(t),
-               [0.7, 2.9, *rng.uniform(0.1, 3.0, 4)], (0.0, 2.0 * math.pi), 2)
+        yield (_latitude_points, _latitude_path, [0.7, 2.9, *rng.uniform(0.1, 3.0, 4)],
+               (0.0, 2.0 * math.pi), 2)
         return
     for sc in random_scenarios(name, rng):
         surf = sc.surface
-        yield (surf.along_r, lambda s, r, surf=surf: (surf.map(s, r), surf.d_r(s, r)),
+        yield (surf.along_r, lambda s, sc=sc: connecting_path(sc, s),
                [*surf.s_domain, sc.s_eval, *rng.uniform(*surf.s_domain, 4)],
                surf.r_domain, sc.dimension)
 
@@ -104,10 +110,10 @@ def families(name, rng):
 @pytest.mark.parametrize("name", [*family_names(), "latitude"])
 def test_along_r_rows_equal_point_jets(name, rng):
     # one key per row, several rows per key, in one call: each row is the
-    # point jets' (x, x_r) at its (key, u), bit for bit (a surface's one
-    # jets on (n,) arrays against the same jets on floats); the domains'
-    # ends are among the draws, and a second call mixes keys 0.0 and -0.0
-    for read, jets, key_values, domain, d in families(name, rng):
+    # (x, x_r) of its (key, u) read as a row of one, and the map and
+    # tangent of the line at its key, bit for bit; the domains' ends are
+    # among the draws, and a second call mixes keys 0.0 and -0.0
+    for read, line, key_values, domain, d in families(name, rng):
         signed = ([0.0, -0.0], rng.integers(0, 2, 12))
         for values, picks in ((key_values, rng.integers(0, len(key_values), 40)), signed):
             keys = np.array([values[i] for i in picks])
@@ -115,14 +121,17 @@ def test_along_r_rows_equal_point_jets(name, rng):
             x, x_r = read(keys, us)
             assert x.shape == x_r.shape == (len(us), d)
             for key, u, row, row_r in zip(keys.tolist(), us.tolist(), x, x_r):
-                assert all(map(same_bits, (row, row_r), jets(key, u)))
+                one = [part[0] for part in read(np.array([key]), np.array([u]))]
+                path = line(key)
+                assert all(map(same_bits, (row, row_r), one))
+                assert same_bits(row, path.map(u).coords) and same_bits(row_r, path.tangent(u))
 
 
 @pytest.mark.parametrize("name", family_names())
 def test_order_2_rows_equal_point_jets(name, rng):
     # a study reads the surface's order-2 jets, the mass, its rate and the
-    # probe field on rows (_Ladder._grid), and the public point reads take
-    # them at a point: each row of every datum is its point's value bit for
+    # probe field on rows (_Ladder._grid), and the public functions read a
+    # ladder of one: each row of every datum is its read of one row bit for
     # bit, at random parameters and (s, r), and at the domains' ends and
     # both zeros in s and in r
     for sc in random_scenarios(name, rng):
@@ -136,14 +145,15 @@ def test_order_2_rows_equal_point_jets(name, rng):
             rows = read(ss, rs)
             assert all(len(part) == len(ss) for part in rows)
             for i, (s, r) in enumerate(zip(ss.tolist(), rs.tolist())):
-                assert all(map(same_bits, (part[i] for part in rows), read(s, r))), (s, r)
+                one = [part[0] for part in read(ss[i:i + 1], rs[i:i + 1])]
+                assert all(map(same_bits, (part[i] for part in rows), one)), (s, r)
 
 
 def test_along_r_keeps_the_sign_of_a_zero_s():
     # f(s) = s + accel s^2 / 2 is -0.0 at s = -0.0 for accel < 0, and sin
     # keeps that sign, which phi keeps at r = -0.0: rows at s = 0.0 and
-    # s = -0.0 of one call each read their own s, as the point jets do
-    # (the sphere's sin taken per entry of the rows, as at a point)
+    # s = -0.0 of one call each read their own s, as their reads of one row
+    # do (NumPy's sin keeps the sign of a zero entry)
     surf = build(ScenarioSpec("sphere", {"accel": -0.5})).surface
     ss, rs = np.array([0.0, 0.0, -0.0, -0.0]), np.array([-0.0, 0.1, -0.0, 0.1])
     x, x_r = surf.along_r(ss, rs)
@@ -162,16 +172,17 @@ def test_surface_memo_tells_a_signed_zero_apart():
     assert np.signbit(fresh[1]) and same_bits(surf.map(-0.0, -0.0), fresh)
     with transport.work_counts() as counts:
         surf.map(-0.0, -0.0), surf.map(0.0, -0.0)
-    assert counts["jets_order_1"] == 2
+    assert counts == {"surface_stacks": 2, "surface_stack_points": 2}
 
 
 def test_points_of_latitude_and_probe_paths(rng):
-    # the latitude circles are lines of one family; the probe paths are
-    # not, and read their point jets at each node
+    # the latitude circles are lines of one family; each probe path, stated
+    # at a point, is the only line of its own
     latitudes = [_latitude_path(0.7), _latitude_path(2.9)]
     probes = coordinate_probes(ChartPoint([0.3, -0.2, 0.5, 0.1]))
+    assert latitudes[0].read == latitudes[1].read
+    assert len({id(path.read) for path in probes}) == len(probes)
     for path in latitudes + probes:
-        assert (path.along is None) == (path in probes)
         us = stack_of(path, rng)
         coords, velocity = path.points(us)
         ref_coords, ref_velocity = point_reads(path, us)
@@ -375,18 +386,9 @@ def test_stacked_law_receives_the_path(rng):
     assert not np.array_equal(weightless[0], lanes[0][0])
 
 
-def family_of(jets):
-    """A family read, ``read(keys, us)``, whose every line is ``jets``."""
-    def read(keys, us):
-        coords, velocity = zip(*map(jets, us.tolist()))
-        return np.array(coords), np.array(velocity)
-    return read
-
-
-def spoilt_line(d: int, spoilt: str, family_path: bool, from_u: float):
+def spoilt_line(d: int, spoilt: str, from_u: float):
     """A straight path in d dimensions whose coordinates or velocity are NaN
-    from the parameter ``from_u`` on: a line of a family, or a path read by
-    its ``jets`` alone."""
+    from the parameter ``from_u`` on."""
     start, direction = np.full(d, 0.3), np.linspace(1.0, 0.5, d)
 
     def jets(u):
@@ -394,7 +396,7 @@ def spoilt_line(d: int, spoilt: str, family_path: bool, from_u: float):
         if u >= from_u:
             (coords if spoilt == "coords" else velocity)[d - 1] = math.nan
         return coords, velocity
-    return PathCurve(jets, (-1.0, 1.0), (family_of(jets), 0.0) if family_path else None)
+    return point_path(jets, (-1.0, 1.0))
 
 
 def raised(fn):
@@ -412,16 +414,16 @@ def same_error(got, expected):
         assert getattr(got, "point", None) is None
 
 
-def bad_node_error(solve, d: int, family_path: bool, spoilt: str, monkeypatch):
+def bad_node_error(solve, d: int, spoilt: str, monkeypatch):
     """Check that ``solve(law, path, 0, 1)`` on a line whose nodes are bad
-    from 0.8 on raises the error the point reads raise at the first bad node
-    that a clean solve reads, and return that node."""
+    from 0.8 on raises the error the reads of one row raise at the first bad
+    node that a clean solve reads, and return that node."""
     gamma = np.full((d, d, d), 0.01)
 
     def case(from_u):  # the law and the path, bad from from_u on
         def coeff_at(u, path):
             return gamma * math.nan if spoilt == "coefficients" and u >= from_u else gamma
-        return point_law(coeff_at), spoilt_line(d, spoilt, family_path, from_u)
+        return point_law(coeff_at), spoilt_line(d, spoilt, from_u)
 
     calls = record_rhs_calls(monkeypatch)
     solve(*case(math.inf), 0.0, 1.0)
@@ -436,65 +438,64 @@ def bad_node_error(solve, d: int, family_path: bool, spoilt: str, monkeypatch):
     return first
 
 
-# family_path: True is a line of a family, False a path read by its jets alone
+# family_path: True, a line of a family, the one kind of path
 @pytest.mark.parametrize("d", [2, 4])
-@pytest.mark.parametrize("family_path", [True, False])
+@pytest.mark.parametrize("family_path", [True])
 @pytest.mark.parametrize("spoilt", ["coords", "velocity", "coefficients"])
 def test_a_bad_node_raises_the_point_error(d, family_path, spoilt, monkeypatch):
     # the one-lane pull-back from 0 to 1 reads its Gauss nodes 0.11, 0.5 and
     # 0.89 in one stack; only the last one is bad, and the error is the one
-    # the point reads raise there, naming its point
-    last = bad_node_error(one_pullback, d, family_path, spoilt, monkeypatch)
+    # its read of one row raises there, naming its point
+    last = bad_node_error(one_pullback, d, spoilt, monkeypatch)
     assert last == transport._Magnus.c[2]
 
 
 @pytest.mark.parametrize("d", [2, 4])
-@pytest.mark.parametrize("family_path", [True, False])
+@pytest.mark.parametrize("family_path", [True])
 @pytest.mark.parametrize("spoilt", ["coords", "velocity", "coefficients"])
 def test_a_bad_stage_node_of_a_transport_raises_the_point_error(d, family_path, spoilt,
                                                                 monkeypatch):
-    # the transport from 0 to 1 reads its start node as the law's check,
-    # then each Magnus attempt's 3 Gauss nodes in one stack; the first bad
-    # node of a stack raises the point reads' error there
-    first = bad_node_error(transport_matrix, d, family_path, spoilt, monkeypatch)
+    # the transport from 0 to 1 reads its start node for the dimension and
+    # the law's check, then each Magnus attempt's 3 Gauss nodes in one
+    # stack; the first bad node of a stack raises its read's error there
+    first = bad_node_error(transport_matrix, d, spoilt, monkeypatch)
     assert 0.8 <= first < 1.0
 
 
-def pole_path(family_path: bool):
-    """The line theta = u, phi = 0.3: the sphere's pole at u = 0."""
-    def jets(u):
-        return np.array([u, 0.3]), np.array([1.0, 0.0])
-
+def pole_path():
+    """The line theta = u, phi = 0.3 of the meridians phi = key: the
+    sphere's pole at u = 0."""
     def read(keys, us):
         return np.stack([us, keys], axis=1), np.tile([1.0, 0.0], (len(us), 1))
-    return PathCurve(jets, (-1.0, 1.0), (read, 0.3) if family_path else None)
+    return PathCurve(read, 0.3, (-1.0, 1.0))
 
 
 @pytest.mark.parametrize("family", ["sphere", "offset-transport"])
-@pytest.mark.parametrize("family_path", [True, False])
+@pytest.mark.parametrize("family_path", [True])
 def test_a_sphere_node_at_the_pole_raises_the_domain_error(family, family_path):
     # the middle Gauss node of the pull-back from -0.5 to 0.5 sits at theta = 0
     law = build(ScenarioSpec(family)).law
-    got = raised(lambda: one_pullback(law, pole_path(family_path), -0.5, 0.5))
-    expected = raised(lambda: point_coefficients(law, 0.0, pole_path(False)))
+    got = raised(lambda: one_pullback(law, pole_path(), -0.5, 0.5))
+    expected = raised(lambda: point_coefficients(law, 0.0, pole_path()))
     assert isinstance(expected, DomainError)
     same_error(got, expected)
 
 
 @pytest.mark.parametrize("family", ["sphere", "offset-transport"])
-@pytest.mark.parametrize("family_path", [True, False])
+@pytest.mark.parametrize("family_path", [True])
 def test_a_transport_from_the_pole_raises_the_domain_error(family, family_path):
     # the transport from 0 to 0.5 reads its start node at theta = 0 first
     law = build(ScenarioSpec(family)).law
-    got = raised(lambda: transport_matrix(law, pole_path(family_path), 0.0, 0.5))
-    expected = raised(lambda: point_coefficients(law, 0.0, pole_path(False)))
+    got = raised(lambda: transport_matrix(law, pole_path(), 0.0, 0.5))
+    expected = raised(lambda: point_coefficients(law, 0.0, pole_path()))
     assert isinstance(expected, DomainError)
     same_error(got, expected)
 
 
 def mixed_reads(rng):
     """(path, us) of two connecting paths of the sphere, one of
-    offset-transport, a latitude circle and a coordinate probe (jets only)."""
+    offset-transport, a latitude circle and a coordinate probe (stated at a
+    point)."""
     sphere, offset = build(ScenarioSpec("sphere")), build(ScenarioSpec("offset-transport"))
     paths = [connecting_path(sphere, 0.1), connecting_path(sphere, -0.2),
              connecting_path(offset, 0.15), _latitude_path(0.7),
@@ -503,8 +504,9 @@ def mixed_reads(rng):
 
 
 def test_read_points_equals_the_point_reads_of_each_path(rng):
-    # one call reads the runs of family paths in one family read each and
-    # the probe by its jets, bit for bit as each path's point reads
+    # one call reads each run of paths of one family in one read of its rows,
+    # the two sphere paths in one surface call: each row bit for bit the
+    # path's read of one row there, its map and tangent
     reads = mixed_reads(rng)
     with transport.work_counts() as counts:
         coords, velocity = read_points(reads)
@@ -516,12 +518,12 @@ def test_read_points_equals_the_point_reads_of_each_path(rng):
     assert same_bits(coords, ref_coords) and same_bits(velocity, ref_velocity)
 
 
-@pytest.mark.parametrize("family_path", [True, False])
+@pytest.mark.parametrize("family_path", [True])
 @pytest.mark.parametrize("spoilt", ["coords", "velocity"])
 def test_read_points_raises_the_point_error_of_a_later_path(spoilt, family_path, rng):
     # a NaN row in the last path of a mixed read raises the error that map
     # or tangent raises at that node
-    line = spoilt_line(2, spoilt, family_path, 0.5)
+    line = spoilt_line(2, spoilt, 0.5)
     reads = mixed_reads(rng) + [(line, [-0.5, 0.6, 0.2, 0.7])]
     got = raised(lambda: read_points(reads))
     same_error(got, raised(lambda: (line.map if spoilt == "coords" else line.tangent)(0.6)))

@@ -26,7 +26,7 @@ from geodev.transport import (DEFAULT_ODE_CONFIG, MIN_REL_TOL, OdeConfig, Transp
                               s_tensor, transport_components,
                               transport_matrix)
 
-from conftest import one_pullback, point_law, stacked
+from conftest import one_pullback, point_law, point_path, stacked
 from oracles import approx_transport, coordinate_probes, extract_first_coeff, scipy_transport
 from test_geometry import (constant_connection, line_path, sphere_connection,
                            zero_connection)
@@ -89,10 +89,10 @@ def test_one_path_evaluation_per_rhs_parameter(monkeypatch):
     # each generator read of a parallel transport is one read_points and
     # one TransportLaw.coefficients call, and costs one jets call and one
     # ChartPoint (for this connection's Gamma, stated at a point) per node;
-    # no node is read twice; the start is read once more as the law's check
-    # at s (one of each, read_points through PathCurve.points), and
-    # transport_matrix reads it once more for the dimension.  The path crosses latitudes, so the generator varies and
-    # the Magnus pair takes many steps
+    # no node is read twice; the start is read once more, for the dimension
+    # and the law's check at s (one of each, read_points through
+    # PathCurve.points).  The path crosses latitudes, so the generator
+    # varies and the Magnus pair takes many steps
     counts = Counter()
 
     def counted(name, fn):
@@ -108,13 +108,13 @@ def test_one_path_evaluation_per_rhs_parameter(monkeypatch):
     for module in (geodev.geometry, transport):
         monkeypatch.setattr(module, "read_points", counted("read_points", module.read_points))
     calls = record_rhs_calls(monkeypatch)
-    path = PathCurve(counted("jets", lambda t: (np.array([0.8 + 0.1 * t, t]),
-                                                np.array([0.1, 1.0]))),
-                     (0.0, 2.0 * math.pi))
+    path = point_path(counted("jets", lambda t: (np.array([0.8 + 0.1 * t, t]),
+                                                 np.array([0.1, 1.0]))),
+                      (0.0, 2.0 * math.pi))
     transport_matrix(law_from_connection(sphere_connection()), path, 0.0, 2.0 * math.pi)
     nodes, (attempts, rest) = len(calls), divmod(len(calls), 3)
     assert rest == 0 and attempts > 10 and len({u for u, _ in calls}) == nodes
-    assert counts == {"jets": nodes + 2, "ChartPoint": nodes + 2,
+    assert counts == {"jets": nodes + 1, "ChartPoint": nodes + 1,
                       "coefficients": 1 + attempts, "read_points": 1 + attempts}
 
 
@@ -124,10 +124,10 @@ def test_non_finite_values_met_inside_a_solve_are_named(d):
     # path coordinates, from their third evaluation in a transport_matrix
     # solve on, raise the EvaluationError of the check that meets them, and
     # the solve reads nothing past that generator read: the path's third
-    # jets call is the first Gauss node of the first Magnus attempt's read of
-    # 3 (the first two were transport_matrix's map(s) and the law's check at
-    # s), Gamma's third its second node; d = 4 gives H 64 entries, so both
-    # sizes of finiteness test are met
+    # jets call and Gamma's third are the second Gauss node of the first
+    # Magnus attempt's read of 3 (the first of each was the start's read,
+    # for the dimension and the law's check at s); d = 4 gives H 64
+    # entries, so both sizes of finiteness test are met
     gamma, start = np.full((d, d, d), 0.01), np.full(d, 0.1)
     direction = np.linspace(1.0, 0.5, d)
     checks = {"gamma": ((d, d, d), "non-finite transport coefficients"),
@@ -146,12 +146,12 @@ def test_non_finite_values_met_inside_a_solve_are_named(d):
 
         law = law_from_connection(ConnectionField(stacked(
             lambda pt: value("gamma", gamma)), stacked(lambda pt: np.zeros((d,) * 4))))
-        path = PathCurve(lambda u: (value("coords", start + u * direction),
-                                    value("velocity", direction)), (0.0, 1.0))
+        path = point_path(lambda u: (value("coords", start + u * direction),
+                                     value("velocity", direction)), (0.0, 1.0))
         try:
             transport_matrix(law, path, 0.0, 1.0)
         finally:
-            assert seen[spoilt] == {"gamma": 4, "velocity": 5, "coords": 5}[spoilt]
+            assert seen[spoilt] == 4
 
     for spoilt, (shape, message) in checks.items():
         for index in np.ndindex(shape):
@@ -176,8 +176,7 @@ def test_pullback_along_a_shared_path_is_safe_across_threads():
     ends = [r1 + eps for eps in DEFAULT_LADDER]
     serial = {t: one_pullback(sc.law, connecting_path(sc, s), r1, t)
               for t in ends}
-    shared = PathCurve(lambda r: yielding((surf.map(s, r), surf.d_r(s, r))),
-                       surf.r_domain)
+    shared = point_path(lambda r: yielding((surf.map(s, r), surf.d_r(s, r))), surf.r_domain)
     errors = []
 
     def work(offset):
@@ -491,7 +490,7 @@ def test_stacked_pullbacks_equal_one_lane_solves(case):
     # bit; exp-transport's and the bump's lanes take further steps after
     # their stacked first attempt
     label, law, path, s, ends, cfg = case
-    d = len(path.jets(s)[0])
+    d = path.map(s).dimension
     with transport.work_counts() as counts:
         stacked = [a[0] for a in transport._pullbacks(law, [path], d, s, ends, cfg)]
     assert counts["solves"] == len(ends)
@@ -499,17 +498,19 @@ def test_stacked_pullbacks_equal_one_lane_solves(case):
     for t, lane in zip(ends, zip(*stacked)):
         alone = one_pullback(law, path, s, t, cfg)
         assert all(map(np.array_equal, lane, alone))
-    # the path among hand-made paths, its twin that reads it through its
-    # point jets and a path of 1.01 times its coordinates and velocity: each
-    # run of family paths is read in one surface call, every other path
-    # by its jets, and each lane is still its solve alone
-    twin = PathCurve(path.jets, path.domain)
-    scaled = PathCurve(lambda u: tuple(1.01 * x for x in path.jets(u)), path.domain)
+    # the path among paths of other reads, its twin that reads it through
+    # a read of its own and a path of 1.01 times its coordinates and
+    # velocity: each run of paths of one read is read in one call, a
+    # connecting path's in one surface call, and each lane is still its
+    # solve alone
+    twin = PathCurve(lambda keys, us: path.read(keys, us), path.key, path.domain)
+    scaled = PathCurve(lambda keys, us: tuple(1.01 * x for x in path.read(keys, us)),
+                       path.key, path.domain)
     mixed = [scaled, path, path, twin, scaled, path]
     with transport.work_counts() as counts:
         stacked = transport._pullbacks(law, mixed, d, s, ends, cfg)
-    if path.along is not None and not counts["continued_lanes"]:
-        assert (counts["surface_stacks"], counts["surface_stack_points"]) == (2, 9 * len(ends))
+    if label != "bump" and not counts["continued_lanes"]:
+        assert (counts["surface_stacks"], counts["surface_stack_points"]) == (5, 18 * len(ends))
     for k, p in enumerate(mixed):
         for j, t in enumerate(ends):
             alone = one_pullback(law, p, s, t, cfg)
@@ -542,7 +543,7 @@ def test_stacked_paths_equal_one_path_solves(case):
     # stacked first attempt and go on stepping along their own path, one
     # attempt at a time, a retry from s included
     label, law, paths, s, ends, cfg = case
-    d = len(paths[0].jets(s)[0])
+    d = paths[0].map(s).dimension
     with transport.work_counts() as counts:
         stacked = transport._pullbacks(law, paths, d, s, ends, cfg)
     assert len(paths) > 1 and stacked[0].shape[:2] == (len(paths), len(ends))
@@ -672,6 +673,26 @@ def test_non_finite_initial_state_error(sphere):
     with pytest.raises(EvaluationError, match="non-finite initial transport state"):
         transport_components(sphere.law, worldline(sphere, 1), 0.0, 0.2,
                              [math.nan, 1.0])
+
+
+@pytest.mark.parametrize("t", [0.2, 0.0], ids=["solve", "t-equals-s"])
+@pytest.mark.parametrize("components,message", [
+    (np.ones(3), r"have shape \(3,\), expected \(2,\)$"),
+    (np.ones((3, 2)), r"have shape \(3, 2\), expected \(2, 2\)$"),
+    (np.ones((2, 2, 1)), r"have shape \(2, 2, 1\), expected \(2,\)$"),
+    (np.ones((2, 0)), r"have shape \(2, 0\), expected \(2,\)$"),
+    (1.0, r"have shape \(\), expected \(2,\)$"),
+    (np.array([[1.0], [math.inf]]), "^non-finite initial transport state$")],
+    ids=["long", "long-block", "rank-3", "no-columns", "scalar", "non-finite-block"])
+def test_transport_components_are_checked_against_the_path(sphere, components, message, t):
+    # only (d,) or (d, k) finite components at path(s) are carried, also
+    # when t == s and no solve is made: any others raise EvaluationError
+    # naming their shape, not NumPy's error or an unchecked copy
+    with pytest.raises(EvaluationError, match=message):
+        transport_components(sphere.law, worldline(sphere, 1), 0.0, t, components)
+    block = np.arange(6.0).reshape(2, 3)
+    assert np.array_equal(transport_components(sphere.law, worldline(sphere, 1), 0.0, 0.0,
+                                               block), block)
 
 
 def test_non_finite_coefficients_error():
